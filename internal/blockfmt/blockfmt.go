@@ -412,6 +412,22 @@ type Parsed struct {
 	Records []RecordView
 }
 
+// EffectiveTimestamps returns, for each record, the timestamp in force when
+// it was written: its own for full-header records, otherwise the nearest
+// preceding timestamp in the block — at worst the mandatory first-entry
+// footer timestamp (§2.1).
+func (p *Parsed) EffectiveTimestamps() []int64 {
+	out := make([]int64, len(p.Records))
+	cur := p.FirstTimestamp
+	for i, r := range p.Records {
+		if r.Form != FormMinimal && r.Timestamp != 0 {
+			cur = r.Timestamp
+		}
+		out[i] = cur
+	}
+	return out
+}
+
 // Validate cheaply checks a block image's magic and checksum without
 // decoding its records — the integrity test mirrored devices use to decide
 // whether a replica's copy is good (§5 footnote 11).

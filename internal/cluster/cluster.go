@@ -449,6 +449,9 @@ func (n *Node) stepDown(newTerm uint64, newLeader string) {
 		// Demoting is the safe direction even unpersisted; log and continue.
 		n.logf("cluster: persist term %d on step-down: %v", newTerm, err)
 	}
+	// Counted with the role change it counts, so a Status that reports the
+	// node a follower also reports the demotion.
+	n.demotions.Add(1)
 	n.mu.Unlock()
 	n.wakeCommit() // quorum waiters re-check the role and fail fast
 	for _, p := range peers {
@@ -459,7 +462,6 @@ func (n *Node) stepDown(newTerm uint64, newLeader string) {
 	// demoted node writing blocks the new leader did not order is exactly
 	// the divergence replication exists to prevent.
 	store.Crash()
-	n.demotions.Add(1)
 	n.logf("cluster: %s stepped down, new term %d (leader %s)", n.cfg.NodeID, newTerm, newLeader)
 }
 

@@ -169,6 +169,14 @@ func TestClusterFailover(t *testing.T) {
 		ids[i] = id
 	}
 
+	// One entry deliberately larger than a block, sealed long before the
+	// kill: the follower read check below must reassemble its fragment chain
+	// from the replicated devices.
+	fragmented := "frag:" + strings.Repeat("f", 3*testBlockSize)
+	if _, err := admin.Append(ctx, ids[0], []byte(fragmented), client.AppendOptions{Forced: true}); err != nil {
+		t.Fatalf("append fragmented entry: %v", err)
+	}
+
 	const writers = 3
 	const perWriter = 45
 	filler := strings.Repeat("x", 24)
@@ -309,6 +317,13 @@ func TestClusterFailover(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no acked entry was readable from the restarted follower")
+	}
+	if at, ok := entryAt[fragmented]; !ok {
+		t.Error("fragmented entry missing from the promoted leader's scan")
+	} else if e, err := follower.ReadAt(ctx, at[0], at[1], at[2]); err != nil {
+		t.Errorf("follower read of the fragmented entry at %v: %v", at, err)
+	} else if string(e.Data) != fragmented {
+		t.Errorf("follower reassembled %d bytes of the fragmented entry, want %d", len(e.Data), len(fragmented))
 	}
 	_ = other
 }

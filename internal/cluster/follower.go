@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"clio/internal/blockfmt"
 	"clio/internal/core"
 	"clio/internal/server"
 	"clio/internal/volume"
@@ -544,118 +543,22 @@ func (fol *followerState) dropVset(shard int) {
 	fol.mu.Unlock()
 }
 
-// readGlobal reads and returns one global data block's image.
-func readGlobal(set *volume.Set, global int) ([]byte, error) {
-	v, local, err := set.Locate(global)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, v.Dev.BlockSize())
-	if err := v.Dev.ReadBlock(v.DeviceBlock(local), buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readAt mirrors the core's ReadAt over the replicated sealed history:
-// parse the block, reassemble fragment chains (skipping invalidated blocks
-// the writer slid past), and compute the effective timestamp the same way
-// the leader's read path does.
+// readAt is the core's ReadAt over the replicated sealed history: the same
+// block decode, fragment-chain rule and record→Entry construction
+// (core.DecodeEntry), fetching blocks straight from the replicated devices.
 func (fol *followerState) readAt(shard, block, index int) (*core.Entry, error) {
 	set, err := fol.vset(shard)
 	if err != nil {
 		return nil, err
 	}
-	end, err := set.GlobalEnd()
+	p, err := set.ReadBlock(block)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: block %d not readable in the replicated sealed history: %w", block, err)
+	}
+	e, err := core.DecodeEntry(p, p.EffectiveTimestamps(), block, index, set.ReadBlock)
 	if err != nil {
 		return nil, err
 	}
-	if block < 0 || block >= end {
-		return nil, fmt.Errorf("cluster: block %d beyond replicated sealed history (%d blocks)", block, end)
-	}
-	parsed, err := parseGlobal(set, block)
-	if err != nil {
-		return nil, err
-	}
-	if index < 0 || index >= len(parsed.Records) {
-		return nil, fmt.Errorf("cluster: no record %d in block %d", index, block)
-	}
-	rec := parsed.Records[index]
-	if rec.Continued {
-		return nil, fmt.Errorf("cluster: record %d of block %d is a continuation fragment", index, block)
-	}
-	data, err := assembleSealed(set, end, block, index, parsed)
-	if err != nil {
-		return nil, err
-	}
-	// Effective timestamp: the record's own when full-form, else the
-	// nearest preceding one (at worst the block's mandatory first-entry
-	// timestamp).
-	ts := parsed.FirstTimestamp
-	for i := 0; i <= index; i++ {
-		r := parsed.Records[i]
-		if r.Form != blockfmt.FormMinimal && r.Timestamp != 0 {
-			ts = r.Timestamp
-		}
-	}
-	return &core.Entry{
-		LogID:       rec.LogID,
-		Timestamp:   ts,
-		Timestamped: rec.Form != blockfmt.FormMinimal,
-		Forced:      rec.AttrFlags&blockfmt.AttrForced != 0,
-		Data:        data,
-		Block:       block,
-		Index:       index,
-		ExtraIDs:    rec.ExtraIDs,
-		Shard:       shard,
-	}, nil
-}
-
-func parseGlobal(set *volume.Set, global int) (*blockfmt.Parsed, error) {
-	img, err := readGlobal(set, global)
-	if err != nil {
-		return nil, err
-	}
-	return blockfmt.Parse(img)
-}
-
-// assembleSealed follows a fragmented entry's chain across blocks, exactly
-// like the core's assemble: the chain continues as the first same-id
-// continued record of each following block, invalidated blocks are slid
-// past, and a chain running off the end is lost.
-func assembleSealed(set *volume.Set, end, global, idx int, parsed *blockfmt.Parsed) ([]byte, error) {
-	rec := parsed.Records[idx]
-	out := append([]byte(nil), rec.Data...)
-	if !rec.Continues {
-		return out, nil
-	}
-	id := rec.LogID
-	for b := global + 1; ; b++ {
-		if b >= end {
-			return nil, errors.New("cluster: entry lost (torn fragment chain)")
-		}
-		p, err := parseGlobal(set, b)
-		if err != nil {
-			if errors.Is(err, wodev.ErrInvalidated) {
-				continue // writer slid past a damaged block; chain continues
-			}
-			return nil, errors.New("cluster: entry lost (unreadable continuation block)")
-		}
-		found, done := false, false
-		for _, r := range p.Records {
-			if r.LogID != id || !r.Continued {
-				continue
-			}
-			out = append(out, r.Data...)
-			found = true
-			done = !r.Continues
-			break
-		}
-		if !found {
-			return nil, errors.New("cluster: entry lost (broken fragment chain)")
-		}
-		if done {
-			return out, nil
-		}
-	}
+	e.Shard = shard
+	return &e, nil
 }

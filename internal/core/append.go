@@ -661,9 +661,9 @@ func (s *Service) emitDueLocked(g int) {
 	for b := (s.lastBound/n + 1) * n; b <= g; b += n {
 		s.idxMu.Lock()
 		due := s.acc.EntriesDue(b)
+		s.lastBound = b
 		s.idxMu.Unlock()
 		s.pendingDue = append(s.pendingDue, due...)
-		s.lastBound = b
 	}
 }
 
@@ -830,8 +830,12 @@ func (s *Service) stageTailLocked(persist bool) error {
 		}
 		s.tailDirty = false
 	}
-	s.publishTail(img)
+	// Cache before snapshot, here and at every publish below: a reader that
+	// has seen a snapshot must never find an older image of a block in the
+	// cache than that snapshot describes, or a cursor steps past records the
+	// snapshot promised it.
 	s.blockCache().Put(cache.Key{Block: s.tailGlobal}, img)
+	s.publishTail(img)
 	return nil
 }
 
@@ -890,8 +894,8 @@ func (s *Service) sealTailLocked(forced bool) error {
 			s.tailGlobal = -1
 			s.tailIDs = nil
 			s.tailDirty = false
-			s.publishTail(nil)
 			s.blockCache().Put(cache.Key{Block: sealed}, img)
+			s.publishTail(nil)
 			if s.opt.NVRAM != nil {
 				if err := s.opt.NVRAM.Clear(); err != nil {
 					return fmt.Errorf("clio: nvram clear: %w", err)
@@ -927,8 +931,8 @@ func (s *Service) sealTailLocked(forced bool) error {
 			// for it now so the sealed block's NoteBlock lands in the new
 			// span (the emitted entries queue as displaced, §2.3.2).
 			s.emitDueLocked(s.tailGlobal)
-			s.publishTail(nil)
 			s.blockCache().Invalidate(cache.Key{Block: dead})
+			s.publishTail(nil)
 		case errors.Is(werr, wodev.ErrFull):
 			if err := s.extendLocked(); err != nil {
 				return err

@@ -93,10 +93,7 @@ func (s *Service) readDeviceBlock(v *volume.Volume, devIdx int, buf []byte, vali
 		if ferr := s.opt.Faults.Fire(FaultReadBlock); ferr != nil {
 			return ferr
 		}
-		if mv, ok := v.Dev.(validatedReader); ok {
-			return mv.ReadValidated(devIdx, buf, valid)
-		}
-		return v.Dev.ReadBlock(devIdx, buf)
+		return wodev.ReadValidated(v.Dev, devIdx, buf, valid)
 	})
 }
 

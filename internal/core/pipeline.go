@@ -114,8 +114,8 @@ func (s *Service) enqueueSealLocked(forced bool) error {
 	// The NVRAM tail slot may still hold an earlier image of this block;
 	// recovery drops tail slots below the staged-seal frontier, so it need
 	// not be cleared here (clearing would cost a store on the hot path).
-	s.publishTail(nil)
 	s.blockCache().Put(cache.Key{Block: g}, img)
+	s.publishTail(nil)
 	s.ensureSealerLocked()
 	s.sealCond.Broadcast()
 	return nil
@@ -287,8 +287,8 @@ func (s *Service) completeHeadLocked(ps *pendingSeal) {
 	s.stats.FooterBytes += blockfmt.FooterSize
 	s.pipelinedSeals.Add(1)
 	s.sealedEnd = ps.global + 1
-	s.publishTail(nil)
 	s.blockCache().Put(cache.Key{Block: ps.global}, ps.img)
+	s.publishTail(nil)
 	if nv := s.stagingNVRAM(); nv != nil {
 		if err := nv.DropSealed(ps.origGlobal); err != nil {
 			s.parkPipeErrLocked(fmt.Errorf("clio: drop staged seal: %w", err))
@@ -323,12 +323,13 @@ func (s *Service) slidePipeLocked(ps *pendingSeal, cause error) {
 	// it are all complete, so emitting now is safe (renumbered followers
 	// are covered the same way when they complete).
 	s.emitDueLocked(ps.global)
-	s.publishTail(nil)
 	// Every renumbered block's old cache slot is stale; invalidate the
-	// whole shifted range (readers re-cache from the published snapshot).
+	// whole shifted range (readers find the blocks in the published
+	// snapshot until their device writes complete).
 	for g := dead; g <= last; g++ {
 		s.blockCache().Invalidate(cache.Key{Block: g})
 	}
+	s.publishTail(nil)
 }
 
 // imageBlockIndex reads the footer block index of a sealed image.

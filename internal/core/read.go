@@ -8,6 +8,7 @@ import (
 
 	"clio/internal/blockfmt"
 	"clio/internal/entrymap"
+	"clio/internal/volume"
 )
 
 // Entry is one log entry as returned by a cursor.
@@ -50,6 +51,43 @@ func (e *Entry) MemberOf(id uint16) bool {
 		}
 	}
 	return false
+}
+
+// DecodeEntry returns the entry whose first fragment is record idx of global
+// block `block`. p is the block's decode, effs its per-record effective
+// timestamps ((*blockfmt.Parsed).EffectiveTimestamps) and fetch supplies the
+// following blocks if the entry is fragmented (see volume.Assemble). It is
+// the one place a stored record becomes an Entry, for the service's cursors
+// and ReadAt and for a follower reading its replicated devices alike. An
+// unfragmented entry's Data is a subslice of the block image and nothing is
+// allocated. An entry whose chain cannot be completed is ErrLost.
+func DecodeEntry(p *blockfmt.Parsed, effs []int64, block, idx int, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
+	if idx < 0 || idx >= len(p.Records) {
+		return Entry{}, fmt.Errorf("clio: no record %d in block %d", idx, block)
+	}
+	r := &p.Records[idx]
+	if r.Continued {
+		return Entry{}, fmt.Errorf("clio: record %d of block %d is a continuation fragment", idx, block)
+	}
+	data, err := volume.Assemble(p, block, idx, fetch)
+	if err != nil {
+		return Entry{}, ErrLost
+	}
+	return Entry{
+		LogID:       r.LogID,
+		Timestamp:   effs[idx],
+		Timestamped: r.Form != blockfmt.FormMinimal,
+		Forced:      r.AttrFlags&blockfmt.AttrForced != 0,
+		Data:        data,
+		Block:       block,
+		Index:       idx,
+		ExtraIDs:    r.ExtraIDs,
+	}, nil
+}
+
+// entryAt is DecodeEntry over the service's own read path.
+func (s *Service) entryAt(db *decodedBlock, block, idx int) (Entry, error) {
+	return DecodeEntry(db.p, db.effs, block, idx, s.chainBlock)
 }
 
 // Cursor iterates over the entries of a log file — in either direction, and
@@ -288,7 +326,7 @@ func (c *Cursor) next() (*Entry, error) {
 			}
 			continue
 		}
-		parsed, effs := db.p, db.effs
+		parsed := db.p
 		for c.rec < len(parsed.Records) {
 			i := c.rec
 			r := parsed.Records[i]
@@ -302,20 +340,11 @@ func (c *Cursor) next() (*Entry, error) {
 				// volume the cursor reads directly is never delivered twice.
 				continue
 			}
-			data, aerr := s.assemble(c.block, i, parsed)
+			e, aerr := s.entryAt(db, c.block, i)
 			if aerr != nil {
 				continue // torn chain: skip the lost entry
 			}
-			return &Entry{
-				LogID:       r.LogID,
-				Timestamp:   effs[i],
-				Timestamped: r.Form != blockfmt.FormMinimal,
-				Forced:      r.AttrFlags&blockfmt.AttrForced != 0,
-				Data:        data,
-				Block:       c.block,
-				Index:       i,
-				ExtraIDs:    r.ExtraIDs,
-			}, nil
+			return &e, nil
 		}
 		if c.block == sn.tailGlobal {
 			// The staged tail block can still grow: stay parked on it with
@@ -356,20 +385,11 @@ func (c *Cursor) redirNext() (*Entry, error) {
 			if rec.Continued || !c.matchRecord(&rec) {
 				continue
 			}
-			data, aerr := c.s.assemble(rd.rb, i, db.p)
+			e, aerr := c.s.entryAt(db, rd.rb, i)
 			if aerr != nil {
 				continue
 			}
-			return &Entry{
-				LogID:       rec.LogID,
-				Timestamp:   db.effs[i],
-				Timestamped: rec.Form != blockfmt.FormMinimal,
-				Forced:      rec.AttrFlags&blockfmt.AttrForced != 0,
-				Data:        data,
-				Block:       rd.rb,
-				Index:       i,
-				ExtraIDs:    rec.ExtraIDs,
-			}, nil
+			return &e, nil
 		}
 		rd.advance(r)
 	}
@@ -476,7 +496,7 @@ func (c *Cursor) prev() (*Entry, error) {
 			}
 			continue
 		}
-		parsed, effs := db.p, db.effs
+		parsed := db.p
 		for c.rec > 0 {
 			i := c.rec - 1
 			c.rec--
@@ -487,20 +507,11 @@ func (c *Cursor) prev() (*Entry, error) {
 			if c.ids != nil && r.AttrFlags&blockfmt.AttrRelocated != 0 {
 				continue // copies are served only through redirection
 			}
-			data, aerr := s.assemble(c.block, i, parsed)
+			e, aerr := s.entryAt(db, c.block, i)
 			if aerr != nil {
 				continue
 			}
-			return &Entry{
-				LogID:       r.LogID,
-				Timestamp:   effs[i],
-				Timestamped: r.Form != blockfmt.FormMinimal,
-				Forced:      r.AttrFlags&blockfmt.AttrForced != 0,
-				Data:        data,
-				Block:       c.block,
-				Index:       i,
-				ExtraIDs:    r.ExtraIDs,
-			}, nil
+			return &e, nil
 		}
 		if err := c.retreatBlock(); err != nil {
 			return nil, err
@@ -539,20 +550,11 @@ func (c *Cursor) redirPrev() (*Entry, error) {
 			if rec.Continued || !c.matchRecord(&rec) {
 				continue
 			}
-			data, aerr := c.s.assemble(rd.rb, i, db.p)
+			e, aerr := c.s.entryAt(db, rd.rb, i)
 			if aerr != nil {
 				continue
 			}
-			return &Entry{
-				LogID:       rec.LogID,
-				Timestamp:   db.effs[i],
-				Timestamped: rec.Form != blockfmt.FormMinimal,
-				Forced:      rec.AttrFlags&blockfmt.AttrForced != 0,
-				Data:        data,
-				Block:       rd.rb,
-				Index:       i,
-				ExtraIDs:    rec.ExtraIDs,
-			}, nil
+			return &e, nil
 		}
 		rd.retreat(r)
 	}
@@ -692,22 +694,6 @@ func (c *Cursor) SeekPos(block, rec int) error {
 	return nil
 }
 
-// effectiveTimestamps computes, for each record in a block, the timestamp in
-// force when it was written: its own for full-header records, otherwise the
-// nearest preceding timestamp (at worst the block's mandatory first-entry
-// footer timestamp).
-func effectiveTimestamps(p *blockfmt.Parsed) []int64 {
-	out := make([]int64, len(p.Records))
-	cur := p.FirstTimestamp
-	for i, r := range p.Records {
-		if r.Form != blockfmt.FormMinimal && r.Timestamp != 0 {
-			cur = r.Timestamp
-		}
-		out[i] = cur
-	}
-	return out
-}
-
 // LocateUnique finds an entry by the client-generated unique identifier of
 // §2.1: a client that writes asynchronously tags entries with its own
 // sequence number (inside the data) and remembers its own timestamp; the
@@ -767,26 +753,6 @@ func (s *Service) ReadAtInto(block, index int, e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("%w: block %d unreadable: %v", ErrLost, block, err)
 	}
-	if index < 0 || index >= len(db.p.Records) {
-		return fmt.Errorf("clio: no record %d in block %d", index, block)
-	}
-	r := &db.p.Records[index]
-	if r.Continued {
-		return fmt.Errorf("clio: record %d of block %d is a continuation fragment", index, block)
-	}
-	data, err := s.assemble(block, index, db.p)
-	if err != nil {
-		return err
-	}
-	*e = Entry{
-		LogID:       r.LogID,
-		Timestamp:   db.effs[index],
-		Timestamped: r.Form != blockfmt.FormMinimal,
-		Forced:      r.AttrFlags&blockfmt.AttrForced != 0,
-		Data:        data,
-		Block:       block,
-		Index:       index,
-		ExtraIDs:    r.ExtraIDs,
-	}
-	return nil
+	*e, err = s.entryAt(db, block, index)
+	return err
 }

@@ -11,7 +11,6 @@ import (
 	"clio/internal/entrymap"
 	"clio/internal/volume"
 	"clio/internal/wire"
-	"clio/internal/wodev"
 )
 
 // locatorSource adapts the service's block storage to the entrymap locator's
@@ -72,10 +71,28 @@ func (ls *locatorSource) EntryAt(level, boundary int) (*entrymap.Entry, error) {
 
 // Pending implements entrymap.Source: the accumulator's in-progress bitmap,
 // widened with the staged tail block's contents (the tail is readable but
-// not yet noted in the accumulator — that happens at seal).
-func (ls *locatorSource) Pending(level int, id uint16) wire.Bitmap {
+// not yet noted in the accumulator — that happens at seal). The accumulator
+// rolls a span up when the writer starts the boundary block, a whole append
+// before that block and the entrymap entries in it become readable; a search
+// that still takes the completed span for the one in progress is told so
+// (known=false) rather than handed the next span's bitmap.
+func (ls *locatorSource) Pending(level, spanStart int, id uint16) (wire.Bitmap, bool) {
 	s := ls.svc()
+	n := s.opt.Degree
+	span := n
+	for i := 1; i < level; i++ {
+		span *= n
+	}
+	// Snapshot first, accumulator second: the writer notes a sealed block in
+	// the accumulator before it publishes the snapshot that stops listing
+	// the block as tail or pipelined, so in this order a block is always
+	// seen in at least one of the two.
+	sn := s.snap()
 	s.idxMu.Lock()
+	if s.lastBound/span*span != spanStart {
+		s.idxMu.Unlock()
+		return nil, false
+	}
 	live, _ := s.acc.Pending(level, id)
 	// The accumulator mutates its bitmaps in place (NoteBlock, under idxMu)
 	// and the locator reads the result after this call returns: hand out a
@@ -86,30 +103,30 @@ func (ls *locatorSource) Pending(level int, id uint16) wire.Bitmap {
 		copy(bm, live)
 	}
 	s.idxMu.Unlock()
-	sn := s.snap()
 	if level == 1 {
-		n := s.opt.Degree
-		grow := func() {
+		set := func(global int) {
+			if global < spanStart || global >= spanStart+n {
+				return
+			}
 			if len(bm) < (n+7)/8 {
 				eff := make(wire.Bitmap, (n+7)/8)
 				copy(eff, bm)
 				bm = eff
 			}
+			bm.Set(global % n)
 		}
 		// Pipelined seals are readable but, like the tail, not yet noted in
 		// the accumulator (that happens when their device write completes).
 		for i := range sn.pipe {
 			if sn.pipe[i].ids[id] {
-				grow()
-				bm.Set(sn.pipe[i].global % n)
+				set(sn.pipe[i].global)
 			}
 		}
 		if sn.tailGlobal >= 0 && sn.tailIDs[id] {
-			grow()
-			bm.Set(sn.tailGlobal % n)
+			set(sn.tailGlobal)
 		}
 	}
-	return bm
+	return bm, true
 }
 
 // BlockContains implements entrymap.Source. Fragments count: the entrymap
@@ -165,12 +182,25 @@ func (ls *locatorSource) BlockIDs(block int) ([]uint16, error) {
 	return out, nil
 }
 
+// unsealed returns the snapshot's image of a block that is readable but not
+// yet device-durable — the staged tail or a pipelined seal — or nil.
+func (sn *tailSnap) unsealed(global int) []byte {
+	if global == sn.tailGlobal {
+		return sn.tailImage
+	}
+	for i := range sn.pipe {
+		if sn.pipe[i].global == global {
+			return sn.pipe[i].img
+		}
+	}
+	return nil
+}
+
 // readBlock returns the raw image of a global data block, via the cache.
 // It is safe without the writer lock: sealed blocks are immutable, the
 // staged tail is served from the published snapshot, and cache, volume set
 // and devices synchronize internally. Unreadable conditions (unwritten,
-// invalidated, offline) surface as errors; damaged blocks surface later as
-// parse errors.
+// invalidated, offline, damaged) surface as errors.
 func (s *Service) readBlock(global int) ([]byte, error) {
 	key := cache.Key{Block: global}
 	bc := s.blockCache()
@@ -187,32 +217,21 @@ func (s *Service) readBlock(global int) ([]byte, error) {
 func (s *Service) readBlockMiss(global int) ([]byte, error) {
 	key := cache.Key{Block: global}
 	bc := s.blockCache()
-	sn := s.snap()
-	if global == sn.tailGlobal {
-		// The staged tail exists only in memory (and NVRAM); if the cache
-		// evicted its image, re-publish the snapshot's copy.
-		bc.Put(key, sn.tailImage)
-		if s.snap() != sn {
-			// The tail advanced while we were publishing: our image may
-			// predate the seal, so drop it and let the next reader fetch
-			// the durable block from the device.
-			bc.Invalidate(key)
+	if img := s.snap().unsealed(global); img != nil {
+		// Not yet on the device: the cache evicted the image the writer put
+		// there. Put it back, but only in the writer's own order — under
+		// s.mu, from the snapshot current under it — so an older image can
+		// never replace a newer one. A busy writer means skipping the
+		// re-put, not waiting: readers never block on it.
+		if s.mu.TryLock() {
+			if cur := s.snap().unsealed(global); cur != nil {
+				img = cur
+				bc.Put(key, img)
+			}
+			s.mu.Unlock()
 		}
 		s.opt.Clock.ChargeCachedBlock()
-		return sn.tailImage, nil
-	}
-	for i := range sn.pipe {
-		if ps := &sn.pipe[i]; ps.global == global {
-			// A pipelined seal awaiting its device write: serve the staged
-			// image, with the same republication-race rule as the tail (a
-			// slide can renumber in-flight blocks).
-			bc.Put(key, ps.img)
-			if s.snap() != sn {
-				bc.Invalidate(key)
-			}
-			s.opt.Clock.ChargeCachedBlock()
-			return ps.img, nil
-		}
+		return img, nil
 	}
 	v, local, err := s.set.Locate(global)
 	if err != nil {
@@ -259,11 +278,6 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 	return buf, nil
 }
 
-// validatedReader is implemented by mirrored devices.
-type validatedReader interface {
-	ReadValidated(idx int, dst []byte, valid func([]byte) bool) error
-}
-
 // decodedBlock is one block's interpreted form: its parse plus the derived
 // per-record effective timestamps. For device-durable (hence immutable)
 // blocks it is attached to the block's cache entry, so a warm read decodes
@@ -296,7 +310,7 @@ func (s *Service) decodeBlock(global int) (*decodedBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &decodedBlock{p: p, effs: effectiveTimestamps(p)}
+	db := &decodedBlock{p: p, effs: p.EffectiveTimestamps()}
 	if global < s.snap().sealedEnd {
 		// Attach only for sealed, device-durable blocks: the staged tail and
 		// pipelined seals are re-put as they change, and Attach's identity
@@ -318,48 +332,25 @@ func (s *Service) parseBlock(global int) (*blockfmt.Parsed, error) {
 	return db.p, nil
 }
 
-// assemble reassembles the full data of the entry whose first fragment is
-// record idx of block `global` (already parsed as `parsed`). Fragmented
-// entries continue as the first same-id continued record of each following
-// block. A chain that runs off the readable end is torn (lost): ErrLost.
+// assemble returns the full data of the entry whose first fragment is
+// record idx of block `global` (already parsed as `parsed`), following its
+// fragment chain by the format's one rule (volume.Assemble). A chain that
+// cannot be completed is a lost entry: ErrLost.
 func (s *Service) assemble(global, idx int, parsed *blockfmt.Parsed) ([]byte, error) {
-	rec := parsed.Records[idx]
-	if !rec.Continues {
-		return rec.Data, nil
+	data, err := volume.Assemble(parsed, global, idx, s.chainBlock)
+	if err != nil {
+		return nil, ErrLost
 	}
-	out := append([]byte(nil), rec.Data...)
-	id := rec.LogID
-	end := s.endShared()
-	for b := global + 1; ; b++ {
-		if b >= end {
-			return nil, ErrLost // torn chain: writer died mid-entry
-		}
-		p, err := s.parseBlock(b)
-		if err != nil {
-			if errors.Is(err, wodev.ErrInvalidated) {
-				// The writer hit a damaged block here and slid the staged
-				// contents to the next block (§2.3.2): the chain continues
-				// past the invalidated block, it is not torn.
-				continue
-			}
-			return nil, ErrLost // damaged or unwritten continuation block
-		}
-		found := false
-		done := false
-		for _, r := range p.Records {
-			if r.LogID != id || !r.Continued {
-				continue
-			}
-			out = append(out, r.Data...)
-			found = true
-			done = !r.Continues
-			break
-		}
-		if !found {
-			return nil, ErrLost // chain broken
-		}
-		if done {
-			return out, nil
-		}
+	return data, nil
+}
+
+// chainBlock is the service's block fetch for fragment chains: the shared
+// read path (cache, published tail and pipeline, cold tier), bounded by the
+// readable end so a chain torn by a writer crash is lost without a device
+// probe.
+func (s *Service) chainBlock(global int) (*blockfmt.Parsed, error) {
+	if global >= s.endShared() {
+		return nil, volume.ErrOutOfRange
 	}
+	return s.parseBlock(global)
 }

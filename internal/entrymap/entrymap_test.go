@@ -194,9 +194,9 @@ func (f *fakeStore) EntryAt(level, boundary int) (*Entry, error) {
 	return f.entries[k], nil
 }
 
-func (f *fakeStore) Pending(level int, id uint16) wire.Bitmap {
+func (f *fakeStore) Pending(level, spanStart int, id uint16) (wire.Bitmap, bool) {
 	bm, _ := f.acc.Pending(level, id)
-	return bm
+	return bm, true
 }
 
 func (f *fakeStore) BlockContains(block int, id uint16) (bool, error) {

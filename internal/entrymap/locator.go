@@ -20,7 +20,12 @@ type Source interface {
 	EntryAt(level, boundary int) (*Entry, error)
 	// Pending returns the writer's in-memory bitmap for the given level's
 	// in-progress span, or nil when the log file has no entries there.
-	Pending(level int, id uint16) wire.Bitmap
+	// spanStart is where the caller, going by End, takes that span to start.
+	// A writer running beside the search may have completed the span since
+	// (its entrymap entry is emitted but not yet readable): the
+	// implementation then reports known=false, and the caller searches the
+	// span's blocks conservatively, as for a missing entrymap entry.
+	Pending(level, spanStart int, id uint16) (bm wire.Bitmap, known bool)
 	// BlockContains reports whether the given data block holds at least one
 	// entry (or fragment) of the log file. Used only when entrymap
 	// information is missing; unreadable blocks report false.
@@ -87,13 +92,15 @@ func (l *Locator) bitmapAtP(level, spanStart int, id uint16, end int) (bm wire.B
 	// The span is still in progress (or its boundary block is the staged
 	// tail): the writer's accumulator is authoritative.
 	l.Stats.PendingExamined++
-	bm = l.src.Pending(level, id)
+	if bm, known = l.src.Pending(level, spanStart, id); !known {
+		return nil, false, true, nil
+	}
 	if level >= 2 {
 		// The accumulator's level-L bitmap only covers child spans whose
 		// entries have been emitted. The child span containing the write
 		// point has not rolled up yet: synthesize its bit from the lower
 		// levels' pending state.
-		if l.pendingBelow(level-1, id) {
+		if l.pendingBelow(level-1, id, end) {
 			childSpan := span / l.n
 			gCur := (end - 1 - spanStart) / childSpan
 			if gCur >= 0 && gCur < l.n {
@@ -107,11 +114,13 @@ func (l *Locator) bitmapAtP(level, spanStart int, id uint16, end int) (bm wire.B
 	return bm, true, true, nil
 }
 
-// pendingBelow reports whether id has any entry recorded in the pending
-// spans of levels 1..lvl.
-func (l *Locator) pendingBelow(lvl int, id uint16) bool {
+// pendingBelow reports whether id has, or may have, any entry recorded in
+// the pending spans of levels 1..lvl.
+func (l *Locator) pendingBelow(lvl int, id uint16, end int) bool {
 	for i := lvl; i >= 1; i-- {
-		if bm := l.src.Pending(i, id); bm != nil && !bm.Empty() {
+		span := pow(l.n, i)
+		bm, known := l.src.Pending(i, (end-1)/span*span, id)
+		if !known || (bm != nil && !bm.Empty()) {
 			return true
 		}
 	}

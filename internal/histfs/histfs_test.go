@@ -10,8 +10,8 @@ import (
 
 	"clio/internal/client"
 	"clio/internal/core"
-	"clio/internal/logapi"
 	"clio/internal/server"
+	"clio/internal/shard"
 	"clio/internal/wodev"
 )
 
@@ -27,7 +27,7 @@ func newFS(t *testing.T) (*FS, *core.Service) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	fs, err := New(context.Background(), logapi.NewLocal(svc), "/histfs")
+	fs, err := New(context.Background(), shard.Single(svc), "/histfs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSurvivesServiceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := New(ctx, logapi.NewLocal(svc), "/histfs")
+	fs, err := New(ctx, shard.Single(svc), "/histfs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSurvivesServiceRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	fs2, err := New(ctx, logapi.NewLocal(svc2), "/histfs")
+	fs2, err := New(ctx, shard.Single(svc2), "/histfs")
 	if err != nil {
 		t.Fatal(err)
 	}

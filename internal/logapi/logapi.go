@@ -4,11 +4,10 @@
 // files" (§2), regardless of whether the service is in-process, sharded
 // across several volume sequences, or across the network.
 //
-// Service is the interface: context-first, implemented alike by
-// logapi.Local (an in-process core.Service), shard.Store (a hash-partitioned
-// set of services behind one namespace) and client.Client (the wire
-// protocol). Applications written against Service swap deployments without
-// code changes.
+// Service is the interface: context-first, implemented alike by shard.Store
+// (one or more in-process core.Services behind one namespace; shard.Single
+// wraps a lone service) and client.Client (the wire protocol). Applications
+// written against Service swap deployments without code changes.
 //
 // IDs are store-wide: the high 16 bits carry a shard ordinal, the low 16
 // bits the shard-local catalog id, so a single-shard store's IDs are
@@ -167,8 +166,7 @@ type Subscription interface {
 
 // Watcher is the streaming-read extension of Service: a live tail
 // subscription to the log file at path, woken by group-commit publish
-// rather than polling. Implemented alike by Local, shard.Store and
-// client.Client.
+// rather than polling. Implemented alike by shard.Store and client.Client.
 type Watcher interface {
 	Watch(ctx context.Context, path string, opts WatchOptions) (Subscription, error)
 }
@@ -190,194 +188,3 @@ func StreamOptions(opts WatchOptions) stream.Options {
 	}
 	return so
 }
-
-// Local adapts an in-process *core.Service (one volume sequence, shard 0)
-// to Service. Core operations are synchronous and uninterruptible, so the
-// context is only consulted on entry.
-type Local struct{ Svc *core.Service }
-
-// NewLocal returns svc wrapped as a Service.
-func NewLocal(svc *core.Service) Local { return Local{Svc: svc} }
-
-var (
-	_ Service = Local{}
-	_ Watcher = Local{}
-)
-
-// localIDs checks every id routes to shard 0 and strips the shard bits.
-func localIDs(ids []ID) ([]uint16, error) {
-	out := make([]uint16, len(ids))
-	for i, id := range ids {
-		if id.Shard() != 0 {
-			return nil, fmt.Errorf("logapi: id %v on a single-shard store: %w", id, ErrShardRange)
-		}
-		out[i] = id.Local()
-	}
-	return out, nil
-}
-
-func (l Local) CreateLog(ctx context.Context, path string, perms uint16, owner string) (ID, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	id, err := l.Svc.CreateLog(path, perms, owner)
-	return MakeID(0, id), err
-}
-
-func (l Local) Resolve(ctx context.Context, path string) (ID, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	id, err := l.Svc.Resolve(path)
-	return MakeID(0, id), err
-}
-
-func (l Local) List(ctx context.Context, path string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return l.Svc.List(path)
-}
-
-func (l Local) Stat(ctx context.Context, path string) (Info, error) {
-	if err := ctx.Err(); err != nil {
-		return Info{}, err
-	}
-	d, err := l.Svc.Stat(path)
-	if err != nil {
-		return Info{}, err
-	}
-	return Info{
-		ID:      MakeID(0, d.ID),
-		Parent:  MakeID(0, d.Parent),
-		Name:    d.Name,
-		Perms:   d.Perms,
-		Created: d.Created,
-		Owner:   d.Owner,
-		Retired: d.Retired,
-		System:  d.System,
-	}, nil
-}
-
-func (l Local) SetPerms(ctx context.Context, path string, perms uint16) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.Svc.SetPerms(path, perms)
-}
-
-func (l Local) Retire(ctx context.Context, path string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.Svc.Retire(path)
-}
-
-func (l Local) Append(ctx context.Context, id ID, data []byte, opts AppendOptions) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if id.Shard() != 0 {
-		return 0, fmt.Errorf("logapi: id %v on a single-shard store: %w", id, ErrShardRange)
-	}
-	return l.Svc.Append(id.Local(), data, opts)
-}
-
-func (l Local) AppendMulti(ctx context.Context, ids []ID, data []byte, opts AppendOptions) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	local, err := localIDs(ids)
-	if err != nil {
-		return 0, err
-	}
-	return l.Svc.AppendMulti(local, data, opts)
-}
-
-func (l Local) ReadAt(ctx context.Context, shard, block, index int) (*Entry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if shard != 0 {
-		return nil, fmt.Errorf("logapi: shard %d on a single-shard store: %w", shard, ErrShardRange)
-	}
-	return l.Svc.ReadAt(block, index)
-}
-
-func (l Local) OpenCursor(ctx context.Context, path string) (Cursor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cur, err := l.Svc.OpenCursor(path)
-	if err != nil {
-		return nil, err
-	}
-	return LocalCursor{Cur: cur}, nil
-}
-
-func (l Local) Force(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return l.Svc.Force()
-}
-
-// Watch opens a live tail subscription over the single volume sequence.
-func (l Local) Watch(ctx context.Context, path string, opts WatchOptions) (Subscription, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return stream.Open(path, StreamOptions(opts), stream.Leg{Svc: l.Svc, Shard: 0})
-}
-
-// LocalCursor adapts a *core.Cursor to Cursor. Exported so sharded stores
-// can wrap their per-shard core cursors the same way.
-type LocalCursor struct{ Cur *core.Cursor }
-
-var _ Cursor = LocalCursor{}
-
-func (c LocalCursor) Next(ctx context.Context) (*Entry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.Cur.Next()
-}
-
-func (c LocalCursor) Prev(ctx context.Context) (*Entry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.Cur.Prev()
-}
-
-func (c LocalCursor) SeekStart(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.Cur.SeekStart()
-	return nil
-}
-
-func (c LocalCursor) SeekEnd(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.Cur.SeekEnd()
-	return nil
-}
-
-func (c LocalCursor) SeekTime(ctx context.Context, ts int64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.Cur.SeekTime(ts)
-}
-
-func (c LocalCursor) SeekPos(ctx context.Context, block, rec int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.Cur.SeekPos(block, rec)
-}
-
-func (c LocalCursor) Close() error { return nil }

@@ -11,6 +11,7 @@ import (
 	"clio/internal/core"
 	"clio/internal/logapi"
 	"clio/internal/server"
+	"clio/internal/shard"
 	"clio/internal/wodev"
 )
 
@@ -31,7 +32,7 @@ func services(t *testing.T) (local logapi.Service, remote logapi.Service) {
 	go srv.ServeConn(sConn)
 	cl := client.New(cConn)
 	t.Cleanup(func() { cl.Close(); srv.Close(); svc.Close() })
-	return logapi.NewLocal(svc), cl
+	return shard.Single(svc), cl
 }
 
 // exercise runs the same scenario through a Service.

@@ -10,12 +10,11 @@ import (
 )
 
 // Compile-time pinning of the unified Log API: every deployment shape —
-// an in-process service, a sharded store (and its facade alias), a
+// an in-process store of one or more shards (and its facade alias), a
 // network client — satisfies logapi.Service, and the facade's Log alias
 // is that same interface. A signature drift in any implementation breaks
 // this file's build rather than a caller's.
 var (
-	_ logapi.Service = logapi.Local{}
 	_ logapi.Service = (*shard.Store)(nil)
 	_ logapi.Service = (*client.Client)(nil)
 	_ clio.Log       = (*clio.Store)(nil)

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"clio/internal/core"
-	"clio/internal/logapi"
+	"clio/internal/shard"
 	"clio/internal/wodev"
 )
 
@@ -21,7 +21,7 @@ func newStore(t *testing.T) (*Store, *core.Service, wodev.Device, core.Options) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(context.Background(), logapi.NewLocal(svc), "/mail")
+	st, err := New(context.Background(), shard.Single(svc), "/mail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMailSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	st2, err := New(ctx, logapi.NewLocal(svc2), "/mail")
+	st2, err := New(ctx, shard.Single(svc2), "/mail")
 	if err != nil {
 		t.Fatal(err)
 	}

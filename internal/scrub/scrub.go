@@ -9,8 +9,9 @@
 //     agree exactly with a linear scan of the blocks it covers (invariant
 //     2 — "the information in an entrymap log file is redundant");
 //  4. fragment chains are well-formed: every Continues record has its
-//     continuation as the first same-id continued record of the next
-//     readable block, and no orphan continuations exist;
+//     continuation as the first same-id continued record of the next block
+//     (invalidated blocks, which the writer slid past, aside), and no orphan
+//     continuations exist;
 //  5. the catalog replays cleanly and every entry's log-file id is known
 //     to the catalog;
 //  6. damaged blocks can optionally be invalidated on the medium (§2.3.2's
@@ -169,48 +170,37 @@ type scrubber struct {
 	scanned  *obs.Counter
 	repaired *obs.Counter
 
-	// parsed caches decoded blocks; nil entries are unreadable.
-	parsed map[int]*blockfmt.Parsed
+	// blocks memoizes every block read: its decode, or why it has none.
+	blocks map[int]readResult
 }
 
-// readBlock reads one device block, preferring a validated (mirror-aware)
-// read when the device offers one: on a mirrored pair an intact replica
-// then masks a damaged primary, and repair must NOT invalidate the block —
-// doing so would destroy the good copy too.
-func readBlock(v *volume.Volume, local int, buf []byte) error {
-	if m, ok := v.Dev.(interface {
-		ReadValidated(int, []byte, func([]byte) bool) error
-	}); ok {
-		return m.ReadValidated(v.DeviceBlock(local), buf, blockfmt.Validate)
+// readResult is one memoized block read.
+type readResult struct {
+	p   *blockfmt.Parsed
+	err error
+}
+
+// fetch reads and decodes global block g once, remembering the outcome. The
+// read is a validated (mirror-aware) one: on a mirrored pair an intact
+// replica masks a damaged primary, and repair must NOT invalidate the block
+// — doing so would destroy the good copy too.
+func (s *scrubber) fetch(g int) (*blockfmt.Parsed, error) {
+	if r, ok := s.blocks[g]; ok {
+		return r.p, r.err
 	}
-	return v.Dev.ReadBlock(v.DeviceBlock(local), buf)
+	p, err := s.set.ReadBlock(g)
+	s.blocks[g] = readResult{p, err}
+	return p, err
 }
 
+// block returns a block's decode, or nil when it has none.
 func (s *scrubber) block(g int) *blockfmt.Parsed {
-	if p, ok := s.parsed[g]; ok {
-		return p
-	}
-	v, local, err := s.set.Locate(g)
-	if err != nil {
-		s.parsed[g] = nil
-		return nil
-	}
-	buf := make([]byte, v.Dev.BlockSize())
-	if err := readBlock(v, local, buf); err != nil {
-		s.parsed[g] = nil
-		return nil
-	}
-	p, err := blockfmt.Parse(buf)
-	if err != nil {
-		s.parsed[g] = nil
-		return nil
-	}
-	s.parsed[g] = p
+	p, _ := s.fetch(g)
 	return p
 }
 
 func (s *scrubber) run(end int) error {
-	s.parsed = make(map[int]*blockfmt.Parsed, end)
+	s.blocks = make(map[int]readResult, end)
 	r := s.report
 
 	// Pass 1: readability, timestamps, record accounting, catalog replay.
@@ -222,31 +212,21 @@ func (s *scrubber) run(end int) error {
 	}
 	for g := 0; g < end; g++ {
 		s.scanned.Inc()
-		v, local, err := s.set.Locate(g)
-		if err != nil {
+		p, err := s.fetch(g)
+		switch {
+		case err == nil:
+		case errors.Is(err, volume.ErrOffline):
 			r.add(g, "offline", "volume not mounted: %v", err)
 			continue
-		}
-		buf := make([]byte, v.Dev.BlockSize())
-		rerr := readBlock(v, local, buf)
-		if errors.Is(rerr, wodev.ErrInvalidated) {
+		case errors.Is(err, wodev.ErrInvalidated):
 			r.Invalidated++
 			continue
-		}
-		if rerr != nil {
+		default:
 			r.Damaged++
-			r.add(g, "bad-block", "unreadable: %v", rerr)
+			r.add(g, "bad-block", "unreadable: %v", err)
 			s.maybeRepair(g)
 			continue
 		}
-		p, perr := blockfmt.Parse(buf)
-		if perr != nil {
-			r.Damaged++
-			r.add(g, "bad-block", "parse: %v", perr)
-			s.maybeRepair(g)
-			continue
-		}
-		s.parsed[g] = p
 		r.Readable++
 		r.Entries += len(p.Records)
 		if int(p.BlockIndex) != g {
@@ -265,8 +245,8 @@ func (s *scrubber) run(end int) error {
 			if rec.LogID != entrymap.EntrymapID || rec.Continued {
 				continue
 			}
-			data, ok := s.assemble(g, i, p)
-			if !ok {
+			data, aerr := volume.Assemble(p, g, i, s.fetch)
+			if aerr != nil {
 				continue // chain problems reported by pass 3
 			}
 			e, derr := entrymap.Decode(data)
@@ -283,8 +263,8 @@ func (s *scrubber) run(end int) error {
 			if rec.LogID != entrymap.CatalogID || rec.Continued {
 				continue
 			}
-			data, ok := s.assemble(g, i, p)
-			if !ok {
+			data, aerr := volume.Assemble(p, g, i, s.fetch)
+			if aerr != nil {
 				continue
 			}
 			crec, derr := catalog.DecodeRecord(data)
@@ -308,7 +288,7 @@ func (s *scrubber) run(end int) error {
 	}
 	occurrences := make(map[uint16][]int) // tracked id -> blocks containing it
 	for g := 0; g < end; g++ {
-		p := s.parsed[g]
+		p := s.block(g)
 		if p == nil {
 			continue
 		}
@@ -342,7 +322,7 @@ func (s *scrubber) run(end int) error {
 	// Pass 4: per-log-file usage accounting.
 	usage := map[uint16]*LogUsage{}
 	for g := 0; g < end; g++ {
-		p := s.parsed[g]
+		p := s.block(g)
 		if p == nil {
 			continue
 		}
@@ -375,37 +355,6 @@ func (s *scrubber) run(end int) error {
 		r.Usage = append(r.Usage, *u)
 	}
 	return nil
-}
-
-// assemble follows a fragment chain, returning ok=false when torn.
-func (s *scrubber) assemble(g, idx int, p *blockfmt.Parsed) ([]byte, bool) {
-	rec := p.Records[idx]
-	if !rec.Continues {
-		return rec.Data, true
-	}
-	out := append([]byte(nil), rec.Data...)
-	id := rec.LogID
-	for b := g + 1; ; b++ {
-		np := s.block(b)
-		if np == nil {
-			return nil, false
-		}
-		found := false
-		for _, nr := range np.Records {
-			if nr.LogID != id || !nr.Continued {
-				continue
-			}
-			out = append(out, nr.Data...)
-			found = true
-			if !nr.Continues {
-				return out, true
-			}
-			break
-		}
-		if !found {
-			return nil, false
-		}
-	}
 }
 
 // checkEntrymap verifies one entrymap entry against ground truth. Entries
@@ -477,10 +426,17 @@ func (s *scrubber) checkChains(end int) {
 	// in a previous readable block continues into it.
 	expect := map[uint16]bool{} // ids with an open chain entering the next block
 	for g := 0; g < end; g++ {
-		p := s.parsed[g]
-		if p == nil {
-			// Unreadable block: any open chains die here; continuations
-			// after it are necessarily orphans but not re-reported.
+		p, err := s.fetch(g)
+		if errors.Is(err, wodev.ErrInvalidated) {
+			// The writer invalidated this block and slid its staged contents
+			// to the next one (§2.3.2): open chains carry on past it, exactly
+			// as volume.Assemble reads them.
+			continue
+		}
+		if err != nil {
+			// Damaged or unreadable block: any open chains die here;
+			// continuations after it are necessarily orphans but not
+			// re-reported.
 			expect = map[uint16]bool{}
 			continue
 		}

@@ -2,6 +2,7 @@ package scrub
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"clio/internal/core"
@@ -288,5 +289,71 @@ func TestScrubCleanWithCheckpoints(t *testing.T) {
 	}
 	if rep.EntrymapEntries == 0 {
 		t.Error("no entrymap entries verified")
+	}
+}
+
+// TestScrubChainAcrossInvalidatedBlock pins the §2.3.2 slide-past rule in the
+// scrubber: when the writer finds the next block damaged it invalidates it
+// and slides the staged contents — including the continuation of an entry
+// fragmented across the boundary — to the block after. The service reads
+// such a chain whole, so fsck must not call its continuation an orphan.
+func TestScrubChainAcrossInvalidatedBlock(t *testing.T) {
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 1 << 12})
+	now := int64(0)
+	opt := core.Options{BlockSize: 512, Degree: 4,
+		Now: func() int64 { now += 1000; return now }}
+	svc, err := core.New(dev, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := svc.CreateLog("/slide", 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			p := fmt.Sprintf("%04d-%s", len(want), strings.Repeat("x", 183)) // 188 bytes
+			if _, err := svc.Append(id, []byte(p), core.AppendOptions{}); err != nil && !core.IsDegraded(err) {
+				t.Fatal(err)
+			}
+			want = append(want, p)
+		}
+	}
+	add(14)
+	// The block the writer will reach next is damaged: it must be invalidated
+	// and slid past while an entry is fragmented across it.
+	if err := dev.Damage(dev.Written(), nil); err != nil {
+		t.Fatal(err)
+	}
+	add(10)
+	if got := svc.Stats().DeadBlocks; got == 0 {
+		t.Fatal("no block was invalidated and slid past: the test is vacuous")
+	}
+	cur, err := svc.OpenCursor("/slide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		e, err := cur.Next()
+		if err != nil {
+			t.Fatalf("service lost entry %d of %d: %v", i, len(want), err)
+		}
+		if string(e.Data) != w {
+			t.Fatalf("entry %d: got %.8q want %.8q", i, e.Data, w)
+		}
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Volumes([]wodev.Device{dev}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Invalidated != 1 {
+		t.Errorf("Invalidated = %d, want 1", rep.Invalidated)
+	}
+	for _, p := range rep.Problems {
+		t.Errorf("problem on a volume the service reads whole: %s", p)
 	}
 }

@@ -147,11 +147,6 @@ func NewStore(st *shard.Store) *Server {
 // Store returns the underlying log store.
 func (s *Server) Store() *shard.Store { return s.store }
 
-// Service returns shard 0's core service.
-//
-// Deprecated: use Store, which sees every shard.
-func (s *Server) Service() *core.Service { return s.store.Service(0) }
-
 // Epoch returns the server instance identifier carried in Hello responses.
 func (s *Server) Epoch() uint64 { return s.epoch }
 

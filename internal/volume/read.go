@@ -1,0 +1,82 @@
+package volume
+
+import (
+	"errors"
+
+	"clio/internal/blockfmt"
+	"clio/internal/wodev"
+)
+
+// ErrChainLost is returned by Assemble for an entry whose fragment chain
+// cannot be followed to its final fragment.
+var ErrChainLost = errors.New("volume: entry lost (fragment chain torn, broken or unreadable)")
+
+// ReadBlock reads and decodes global data block `global` from its mounted
+// volume. The read is a validated one, so on a mirrored device an intact
+// replica masks a damaged primary. An invalidated block is reported as
+// wodev.ErrInvalidated, a damaged one as wodev.ErrCorrupt or a parse error.
+func (s *Set) ReadBlock(global int) (*blockfmt.Parsed, error) {
+	v, local, err := s.Locate(global)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, v.Dev.BlockSize())
+	if err := wodev.ReadValidated(v.Dev, v.DeviceBlock(local), buf, blockfmt.Validate); err != nil {
+		return nil, err
+	}
+	return blockfmt.Parse(buf)
+}
+
+// Assemble returns the full client data of the entry whose first fragment is
+// record idx of global block `global`, already decoded as first. It is the
+// one statement of how an entry fragments across blocks (§2.1 footnote 7):
+//
+//   - an unfragmented entry is its record's data, returned as is (a subslice
+//     of the block image; nothing is built or fetched);
+//   - otherwise the entry continues as the first Continued record with the
+//     same log-file id in each following block, up to the first such record
+//     that does not itself continue;
+//   - a following block that reads as wodev.ErrInvalidated is one the writer
+//     found damaged, invalidated and slid its staged contents past (§2.3.2):
+//     the chain carries on in the block after it;
+//   - any other failure to fetch a following block (damaged, unwritten, past
+//     the readable end), or a block without a continuation for the id, loses
+//     the entry: ErrChainLost.
+//
+// fetch is all that differs between readers: where a decoded block comes
+// from, and where the readable history ends. It must fail with something
+// other than wodev.ErrInvalidated past that end.
+func Assemble(first *blockfmt.Parsed, global, idx int, fetch func(global int) (*blockfmt.Parsed, error)) ([]byte, error) {
+	rec := &first.Records[idx]
+	if !rec.Continues {
+		return rec.Data, nil
+	}
+	out := append([]byte(nil), rec.Data...)
+	for b := global + 1; ; b++ {
+		p, err := fetch(b)
+		if errors.Is(err, wodev.ErrInvalidated) {
+			continue
+		}
+		if err != nil {
+			return nil, ErrChainLost
+		}
+		next := continuation(p, rec.LogID)
+		if next == nil {
+			return nil, ErrChainLost
+		}
+		out = append(out, next.Data...)
+		if !next.Continues {
+			return out, nil
+		}
+	}
+}
+
+// continuation returns the block's first Continued record for the id.
+func continuation(p *blockfmt.Parsed, id uint16) *blockfmt.RecordView {
+	for i := range p.Records {
+		if r := &p.Records[i]; r.LogID == id && r.Continued {
+			return r
+		}
+	}
+	return nil
+}

@@ -156,25 +156,14 @@ func (f *Flaky) ReadBlock(idx int, dst []byte) error {
 	return f.Device.ReadBlock(idx, dst)
 }
 
-// ReadValidated delegates validated reads (Mirror) with injection.
+// ReadValidated is ReadBlock's injection in front of a validated read.
 func (f *Flaky) ReadValidated(idx int, dst []byte, valid func([]byte) bool) error {
 	fail, spike := f.inject(f.readErrProb, &f.stats.ReadFaults)
 	f.sleep(spike)
 	if fail {
 		return ErrTransient
 	}
-	if m, ok := f.Device.(interface {
-		ReadValidated(int, []byte, func([]byte) bool) error
-	}); ok {
-		return m.ReadValidated(idx, dst, valid)
-	}
-	if err := f.Device.ReadBlock(idx, dst); err != nil {
-		return err
-	}
-	if !valid(dst) {
-		return ErrCorrupt
-	}
-	return nil
+	return ReadValidated(f.Device, idx, dst, valid)
 }
 
 // AppendBlock implements Device with pre-delegation fault injection.

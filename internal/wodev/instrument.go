@@ -41,23 +41,12 @@ func (d *Instrumented) ReadBlock(idx int, dst []byte) error {
 	return err
 }
 
-// ReadValidated times a validating replica read when the wrapped device
-// supports one, preserving Mirror failover through the wrapper.
+// ReadValidated times the wrapped validated read, preserving Mirror
+// failover through the wrapper.
 func (d *Instrumented) ReadValidated(idx int, dst []byte, valid func([]byte) bool) error {
 	start := time.Now()
 	defer d.ReadLatency.ObserveSince(start)
-	if m, ok := d.Device.(interface {
-		ReadValidated(int, []byte, func([]byte) bool) error
-	}); ok {
-		return m.ReadValidated(idx, dst, valid)
-	}
-	if err := d.Device.ReadBlock(idx, dst); err != nil {
-		return err
-	}
-	if !valid(dst) {
-		return ErrCorrupt
-	}
-	return nil
+	return ReadValidated(d.Device, idx, dst, valid)
 }
 
 // AppendBlock times the wrapped append.

@@ -19,8 +19,14 @@
 //     forcing recovery code to binary-search for the end (§2.3.1).
 //
 // Implementations: MemDevice (in-memory), FileDevice (file-backed, one file
-// per volume). Wrappers: Faulty (fault injection) and Timed (virtual-clock
-// charging) compose over any Device.
+// per volume). Wrappers compose over any Device: Timed (virtual-clock
+// charging), Faulty (permanent media damage), Flaky (transient errors and
+// latency spikes), Latent (real per-operation latency), Instrumented
+// (latency histograms) and Mirror (replicated copies with read failover).
+//
+// Every reader that can tell an intact block from a damaged one reads through
+// ReadValidated, which is the one place that knows whether a device stack
+// offers a validating read (ValidatedReader) or only a plain one.
 package wodev
 
 import (
@@ -45,7 +51,8 @@ var (
 	ErrInvalidated = errors.New("wodev: block invalidated")
 	// ErrOutOfRange is returned for block indices beyond device capacity.
 	ErrOutOfRange = errors.New("wodev: block index out of range")
-	// ErrCorrupt is returned when appending onto a damaged unwritten block.
+	// ErrCorrupt is returned when appending onto a damaged unwritten block,
+	// and by ReadValidated for a block whose only copy fails validation.
 	ErrCorrupt = errors.New("wodev: block damaged, cannot be written")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("wodev: device closed")
@@ -102,6 +109,30 @@ type Device interface {
 	ResetStats()
 	// Close releases resources. Further operations return ErrClosed.
 	Close() error
+}
+
+// ValidatedReader is implemented by devices that can do more than return one
+// copy of a block when told how to recognise an intact one: Mirror tries each
+// replica until valid accepts a copy, and the pass-through wrappers forward
+// the call so a Mirror underneath keeps its failover.
+type ValidatedReader interface {
+	ReadValidated(idx int, dst []byte, valid func([]byte) bool) error
+}
+
+// ReadValidated reads block idx of dev into dst and returns nil only when
+// valid accepted the contents. A ValidatedReader chooses the copy itself;
+// any other device is read plainly and a rejected copy is ErrCorrupt.
+func ReadValidated(dev Device, idx int, dst []byte, valid func([]byte) bool) error {
+	if vr, ok := dev.(ValidatedReader); ok {
+		return vr.ReadValidated(idx, dst, valid)
+	}
+	if err := dev.ReadBlock(idx, dst); err != nil {
+		return err
+	}
+	if !valid(dst) {
+		return ErrCorrupt
+	}
+	return nil
 }
 
 type blockState uint8

@@ -28,22 +28,11 @@ func (t *Timed) ReadBlock(idx int, dst []byte) error {
 	return t.Device.ReadBlock(idx, dst)
 }
 
-// ReadValidated charges a device read and delegates to a validating
-// replica read when the wrapped device is a Mirror.
+// ReadValidated charges a device read then delegates, keeping a Mirror
+// underneath in charge of choosing the copy.
 func (t *Timed) ReadValidated(idx int, dst []byte, valid func([]byte) bool) error {
 	t.Clock.ChargeDeviceRead(t.Device.BlockSize())
-	if m, ok := t.Device.(interface {
-		ReadValidated(int, []byte, func([]byte) bool) error
-	}); ok {
-		return m.ReadValidated(idx, dst, valid)
-	}
-	if err := t.Device.ReadBlock(idx, dst); err != nil {
-		return err
-	}
-	if !valid(dst) {
-		return ErrCorrupt
-	}
-	return nil
+	return ReadValidated(t.Device, idx, dst, valid)
 }
 
 // AppendBlock charges transfer time then delegates.
