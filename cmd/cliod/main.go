@@ -6,7 +6,7 @@
 //
 //	cliod -store /var/lib/clio [-config /etc/clio.conf] [-listen :7846]
 //	      [-create] [-shards N] [-volume-blocks N] [-checkpoint-interval N]
-//	      [-admin :7847] [-slow-trace 100ms] [-force-window 0]
+//	      [-admin :7847] [-slow-trace 100ms]
 //	      [-compact-interval 0] [-compact-max-live 0.5] [-compact-min-hot 2]
 //	      [-drain-timeout 30s]
 //
@@ -34,10 +34,14 @@
 // a final frame, then the store closes cleanly. A second signal forces
 // immediate exit.
 //
-// -force-window controls the group-commit policy: 0 (the default) sizes the
-// gather window adaptively from the observed arrival rate and seal latency,
-// a positive duration pins a fixed window, and a negative value restores the
-// legacy leader/rider queue with no window and no seal pipeline.
+// The commit path has no knob: forced appends group-commit behind a gather
+// window sized from the observed arrival rate and commit latency (a lone
+// writer never waits), and because the store's NVRAM sidecar can stage
+// sealed blocks, full-block device writes are pipelined behind the ack. A
+// cluster leader (-peers) seals synchronously instead: its replication tap
+// hides the staging slots to keep seal order on the wire. A leftover
+// force-window setting — flag, clio.conf line or CLIO_FORCE_WINDOW — is
+// refused at startup rather than ignored.
 //
 // -compact-interval enables background space reclamation: every interval,
 // each shard copies the live entries of mostly-dead sealed volumes forward,
@@ -218,7 +222,6 @@ func main() {
 	flag.String("advertise", "", "address peers and redirected clients reach this node at (default -listen)")
 	flag.String("role", def.Role, "initial cluster role: leader or follower")
 	flag.Int("quorum", def.Quorum, "replicas (leader included) that must stage a write before it is acked")
-	flag.Duration("force-window", 0, "group-commit gather window: 0 sizes it adaptively from the arrival rate, >0 pins a fixed window, <0 restores the legacy leader/rider queue (no window, no seal pipeline)")
 	flag.Duration("compact-interval", 0, "run a compaction pass on every shard this often; 0 disables background reclamation")
 	flag.Float64("compact-max-live", 0, "max fraction of live blocks for a volume to be compacted (0 = default 0.5)")
 	flag.Int("compact-min-hot", 0, "minimum volumes kept mounted per shard (0 = default 2)")
@@ -239,7 +242,6 @@ func main() {
 	opts := clio.DirOptions{VolumeBlocks: cfg.VolumeBlocks, SyncEvery: cfg.Sync, Shards: cfg.Shards}
 	opts.BlockSize = cfg.BlockSize
 	opts.CheckpointInterval = cfg.CheckpointInterval
-	opts.CommitWindow = cfg.ForceWindow
 	if cfg.Peers != "" {
 		runCluster(cfg, *confPath, opts, sig)
 		return

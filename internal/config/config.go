@@ -66,7 +66,6 @@ type Config struct {
 	Advertise          string
 	Role               string
 	Quorum             int
-	ForceWindow        time.Duration
 	CompactInterval    time.Duration
 	CompactMaxLive     float64
 	CompactMinHot      int
@@ -151,8 +150,6 @@ func (c *Config) Set(key, value string) error {
 		c.Role = value
 	case "quorum":
 		c.Quorum, err = strconv.Atoi(value)
-	case "force-window":
-		c.ForceWindow, err = time.ParseDuration(value)
 	case "compact-interval":
 		c.CompactInterval, err = time.ParseDuration(value)
 	case "compact-max-live":
@@ -251,9 +248,15 @@ const EnvPrefix = "CLIO_"
 var envKeys = []string{
 	"store", "listen", "create", "shards", "volume-blocks", "block-size",
 	"sync", "checkpoint-interval", "admin", "slow-trace", "peers",
-	"advertise", "role", "quorum", "force-window", "compact-interval",
+	"advertise", "role", "quorum", "compact-interval",
 	"compact-max-live", "compact-min-hot", "drain-timeout",
 }
+
+// retiredEnvKeys are knobs that no longer exist. A file line or a flag
+// naming one fails as unknown; the environment layer only looks up keys it
+// knows, so without this list a stale variable in a unit file would be
+// ignored in silence and the daemon would run a policy nobody chose.
+var retiredEnvKeys = []string{"force-window"}
 
 // EnvVar maps a config key to its environment variable name
 // ("volume-blocks" → "CLIO_VOLUME_BLOCKS").
@@ -269,6 +272,11 @@ func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
 			if err := c.Set(key, v); err != nil {
 				return err
 			}
+		}
+	}
+	for _, key := range retiredEnvKeys {
+		if _, ok := lookup(EnvVar(key)); ok {
+			return fmt.Errorf("config: unknown key %q (%s is set)", key, EnvVar(key))
 		}
 	}
 	return nil
@@ -402,7 +410,6 @@ func (c *Config) Diff(other *Config) []string {
 	add("advertise", c.Advertise != other.Advertise)
 	add("role", c.Role != other.Role)
 	add("quorum", c.Quorum != other.Quorum)
-	add("force-window", c.ForceWindow != other.ForceWindow)
 	add("compact-interval", c.CompactInterval != other.CompactInterval)
 	add("compact-max-live", c.CompactMaxLive != other.CompactMaxLive)
 	add("compact-min-hot", c.CompactMinHot != other.CompactMinHot)

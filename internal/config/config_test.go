@@ -82,6 +82,20 @@ func TestEnvCannotDeclareTenants(t *testing.T) {
 	}
 }
 
+func TestRetiredKeyRefusedInEveryLayer(t *testing.T) {
+	// force-window is gone (one commit path): a stale setting must stop the
+	// daemon wherever it is left over, not be ignored.
+	path := writeConf(t, "store = /x", "force-window = 0")
+	if err := Default().LoadFile(path); err == nil || !strings.Contains(err.Error(), `unknown key "force-window"`) {
+		t.Errorf("file layer: %v", err)
+	}
+	env := map[string]string{"CLIO_FORCE_WINDOW": "-1ns"}
+	lookup := func(k string) (string, bool) { v, ok := env[k]; return v, ok }
+	if err := Default().ApplyEnv(lookup); err == nil || !strings.Contains(err.Error(), "CLIO_FORCE_WINDOW") {
+		t.Errorf("env layer: %v", err)
+	}
+}
+
 func TestLoadFileErrorsCarryLineNumbers(t *testing.T) {
 	path := writeConf(t, "store = /x", "not a key value line")
 	cfg := Default()

@@ -13,7 +13,6 @@ import (
 	"clio/internal/obs"
 	"clio/internal/volume"
 	"clio/internal/wire"
-	"clio/internal/wodev"
 )
 
 // AppendOptions controls one append.
@@ -85,7 +84,6 @@ func (s *Service) appendClientInner(ids []uint16, data []byte, opts AppendOption
 	defer s.mu.Unlock()
 	s.tr = opts.Trace
 	defer func() { s.tr = nil }()
-	s.opDegradedReset()
 	ts, err := s.appendOneLocked(ids, data, opts)
 	if err != nil {
 		return 0, err
@@ -99,7 +97,7 @@ func (s *Service) appendClientInner(ids []uint16, data []byte, opts AppendOption
 	}
 	// A non-nil *DegradedError still means the entry is durable at ts; the
 	// service relocated past damaged blocks to complete it (§2.3.2).
-	return ts, s.opDegradedErr(ts)
+	return ts, s.takeDegradedLocked().at(ts)
 }
 
 // appendOneLocked validates and appends one client entry under s.mu,
@@ -215,38 +213,24 @@ func (s *Service) drainForceQ() []*forceReq {
 }
 
 // gatherForce optionally holds the leader's batch open to collect more
-// riders before committing. With CommitWindow > 0 the window is fixed; at 0
-// (the default) it adapts: the target batch size is the number of arrivals
+// riders before committing. The target batch size is the number of arrivals
 // expected during one commit (commit latency / inter-arrival time), and the
 // leader waits at most one commit's worth of time to reach it. A lone writer
 // (arrivals slower than half the commit latency) commits immediately, so the
 // idle-path latency is untouched; a storm coalesces into near-ideal batches
 // instead of the convoy the bare leader/rider queue forms.
 func (s *Service) gatherForce(batch []*forceReq) []*forceReq {
-	cw := s.opt.CommitWindow
-	if cw < 0 || len(batch) == 0 {
+	commit := s.commitEWMA.Load()
+	inter := s.arrivalEWMA.Load()
+	if commit < int64(windowFloor) || inter == 0 || inter*2 > commit {
 		return batch
 	}
-	var window time.Duration
-	target := int(^uint(0) >> 1)
-	if cw > 0 {
-		window = cw
-	} else {
-		commit := s.commitEWMA.Load()
-		inter := s.arrivalEWMA.Load()
-		if commit < int64(windowFloor) || inter == 0 || inter*2 > commit {
-			return batch
-		}
-		target = int(commit / inter)
-		if target <= len(batch) {
-			return batch
-		}
-		window = time.Duration(commit)
-		if window > windowCap {
-			window = windowCap
-		}
-		s.adaptiveWaits.Add(1)
+	target := int(commit / inter)
+	if target <= len(batch) {
+		return batch
 	}
+	window := min(time.Duration(commit), windowCap)
+	s.adaptiveWaits.Add(1)
 	s.windowNanos.Store(int64(window))
 	timer := time.NewTimer(window)
 	defer timer.Stop()
@@ -284,9 +268,7 @@ func (s *Service) noteBatch(n int) {
 // batch always has one request and the behavior (timestamps, stats, device
 // traffic) is exactly that of an individual forced append.
 func (s *Service) appendForcedBatched(ids []uint16, data []byte, opts AppendOptions) (int64, error) {
-	if s.opt.CommitWindow >= 0 {
-		s.noteArrival()
-	}
+	s.noteArrival()
 	req := &forceReq{ids: ids, data: data, opts: opts, done: make(chan struct{})}
 	s.forceQMu.Lock()
 	s.forceQ = append(s.forceQ, req)
@@ -369,7 +351,6 @@ func (s *Service) runForceBatch() {
 		defer s.mu.Unlock()
 		s.tr = batchTr
 		defer func() { s.tr = nil }()
-		s.opDegradedReset()
 		committed := false
 		for _, req := range batch {
 			req.ts, req.err = s.appendOneLocked(req.ids, req.data, req.opts)
@@ -390,6 +371,7 @@ func (s *Service) runForceBatch() {
 				m.forceLat.ObserveSince(fstart)
 			}
 		}
+		degraded := s.takeDegradedLocked()
 		for _, req := range batch {
 			if req.err != nil {
 				continue
@@ -397,7 +379,7 @@ func (s *Service) runForceBatch() {
 			if ferr != nil {
 				req.ts, req.err = 0, ferr
 			} else {
-				req.err = s.opDegradedErr(req.ts)
+				req.err = degraded.at(req.ts)
 			}
 		}
 		if committed && ferr == nil {
@@ -407,11 +389,9 @@ func (s *Service) runForceBatch() {
 			_ = s.maybeCheckpointLocked()
 		}
 	}()
-	if s.opt.CommitWindow >= 0 {
-		// The adaptive window sizes batches as commit latency over
-		// inter-arrival time; this measured section is the "commit latency".
-		ewmaUpdate(&s.commitEWMA, time.Since(cstart).Nanoseconds())
-	}
+	// The gather window sizes batches as commit latency over inter-arrival
+	// time; this measured section is the "commit latency".
+	ewmaUpdate(&s.commitEWMA, time.Since(cstart).Nanoseconds())
 	if batchTr != nil {
 		commitDur := time.Since(commitStart)
 		spans := batchTr.Spans()
@@ -447,24 +427,32 @@ func (s *Service) SealTail() error {
 	if s.closedFlag.Load() {
 		return ErrClosed
 	}
-	// A slide during the pipeline's slot wait renumbers the tail, which makes
-	// one enqueue attempt a no-op; loop until the tail is actually gone.
-	for s.tailGlobal >= 0 {
+	// Sealing "onto the medium itself" means the device, not the staging
+	// NVRAM: seal until the tail is gone (a slide during the pipeline's slot
+	// wait renumbers it, which makes one enqueue attempt a no-op), then wait
+	// out the pipelined writes. A slide along the way queued a bad-block
+	// record that belongs on the medium too; writing it reopens the tail,
+	// so go round again.
+	for {
 		s.awaitChainLocked()
 		if s.closedFlag.Load() {
 			return ErrClosed
 		}
-		if s.tailGlobal < 0 {
-			break
-		}
-		if err := s.sealTailLocked(true); err != nil {
+		if err := s.flushDueLocked(); err != nil {
 			return err
 		}
-	}
-	// Sealing "onto the medium itself" means the device, not the staging
-	// NVRAM: wait out any pipelined writes before returning.
-	if err := s.drainPipeLocked(); err != nil {
-		return err
+		if s.tailGlobal >= 0 {
+			if err := s.sealTailLocked(true); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := s.drainPipeLocked(); err != nil {
+			return err
+		}
+		if len(s.pendingBad) == 0 {
+			break
+		}
 	}
 	return s.maybeCheckpointLocked()
 }
@@ -482,7 +470,6 @@ func (s *Service) Force() error {
 		return nil
 	}
 	s.stats.ForcedWrites++
-	s.opDegradedReset()
 	m := s.met()
 	var fstart time.Time
 	if m != nil {
@@ -498,7 +485,7 @@ func (s *Service) Force() error {
 	if err := s.maybeCheckpointLocked(); err != nil {
 		return err
 	}
-	return s.opDegradedErr(s.lastTS)
+	return s.takeDegradedLocked().at(s.lastTS)
 }
 
 // awaitChainLocked blocks until no other appender is mid-chain. The
@@ -672,9 +659,10 @@ func (s *Service) emitDueLocked(g int) {
 // at (or displaced just after) their boundary block, and the blocks holding
 // them are flagged for the displaced-entry scan (§2.3.2).
 func (s *Service) flushDueLocked() error {
-	// Bad-block records queued by background pipeline slides ride out with
-	// the next foreground append (appending them from the sealer would
-	// recurse into the tail machinery it runs underneath).
+	// Bad-block records queued by slides (slideLocked) ride out here, so a
+	// rebooted server can find the dead blocks (§2.3.2): appending them from
+	// inside the seal would recurse into the tail machinery it runs
+	// underneath.
 	for len(s.pendingBad) > 0 && !s.midChain {
 		bad := s.pendingBad[0]
 		s.pendingBad = s.pendingBad[1:]
@@ -704,13 +692,6 @@ func (s *Service) appendSystemLocked(id uint16, data []byte, form, attr uint8, t
 	s.awaitChainLocked()
 	s.midChain = true
 	defer s.endChainLocked()
-	return s.appendSystemChainLocked(id, data, form, attr, ts, boundary)
-}
-
-// appendSystemChainLocked is appendSystemLocked without the chain guard, for
-// the one caller already inside a chain: the legacy seal path's bad-block
-// records (non-staging mode, where nothing ever parks mid-chain).
-func (s *Service) appendSystemChainLocked(id uint16, data []byte, form, attr uint8, ts int64, boundary bool) error {
 	remaining := data
 	first := true
 	for {
@@ -803,7 +784,12 @@ func (s *Service) forceLocked() error {
 	if s.opt.NVRAM != nil {
 		return s.stageTailLocked(true)
 	}
-	return s.sealTailLocked(true)
+	if err := s.sealTailLocked(true); err != nil {
+		return err
+	}
+	// This seal ran after the append's chain completed, so a slide's
+	// bad-block record has no chain completion left to ride out on.
+	return s.flushDueLocked()
 }
 
 // stageTailLocked publishes the tail image to the reader snapshot and cache
@@ -820,7 +806,7 @@ func (s *Service) stageTailLocked(persist bool) error {
 			nstart = time.Now()
 		}
 		ndone := s.tr.Span("core.nvram_store")
-		err := s.storeNVRAMLocked(s.tailGlobal, img)
+		err := s.nvramStoreLocked(func() error { return s.opt.NVRAM.Store(s.tailGlobal, img) })
 		ndone()
 		if m != nil {
 			m.nvramLat.ObserveSince(nstart)
@@ -837,110 +823,6 @@ func (s *Service) stageTailLocked(persist bool) error {
 	s.blockCache().Put(cache.Key{Block: s.tailGlobal}, img)
 	s.publishTail(img)
 	return nil
-}
-
-// sealTailLocked writes the tail block to the write-once device, handling
-// damaged blocks (invalidate and slide forward, §2.3.2) and full volumes
-// (allocate and chain a successor, §2.1). forced marks a block sealed early
-// to satisfy a synchronous write without an NVRAM tail.
-func (s *Service) sealTailLocked(forced bool) error {
-	if s.tailGlobal < 0 {
-		return nil
-	}
-	if s.staging {
-		// Pipelined path: durability via staging NVRAM, device write in the
-		// background (pipeline.go).
-		return s.enqueueSealLocked(forced)
-	}
-	if m := s.met(); m != nil {
-		defer m.sealLat.ObserveSince(time.Now())
-	}
-	if forced {
-		s.builder.SetFlags(blockfmt.FlagSealedByForce)
-		s.stats.PaddingBytes += int64(s.builder.Free() + 2)
-	}
-	var slidBad []int
-	for {
-		img := s.builder.Seal()
-		v, local, err := s.locateForWriteLocked(s.tailGlobal)
-		if err != nil {
-			return err
-		}
-		if local == v.DataCapacity()-1 {
-			// The volume's final data block: mark it so readers (and
-			// operators) can see the log continues on a successor (§2.1).
-			s.builder.SetFlags(blockfmt.FlagVolumeSealed)
-			img = s.builder.Seal()
-		}
-		devIdx := v.DeviceBlock(local)
-		wdone := s.tr.Span("wodev.write")
-		werr := s.writeTailBlockLocked(v, devIdx, img)
-		wdone()
-		switch {
-		case werr == nil:
-			// Sealed. Account, advance, publish the new frontier, then put
-			// the final image where readers will find it.
-			sealed := s.tailGlobal
-			ids := make([]uint16, 0, len(s.tailIDs))
-			for id := range s.tailIDs {
-				ids = append(ids, id)
-			}
-			s.idxMu.Lock()
-			s.acc.NoteBlock(sealed, ids)
-			s.idxMu.Unlock()
-			s.stats.BlocksSealed++
-			s.stats.FooterBytes += blockfmt.FooterSize
-			s.sealedEnd = sealed + 1
-			s.tailGlobal = -1
-			s.tailIDs = nil
-			s.tailDirty = false
-			s.blockCache().Put(cache.Key{Block: sealed}, img)
-			s.publishTail(nil)
-			if s.opt.NVRAM != nil {
-				if err := s.opt.NVRAM.Clear(); err != nil {
-					return fmt.Errorf("clio: nvram clear: %w", err)
-				}
-			}
-			// Record any blocks invalidated along the way in the bad-block
-			// log file, so a rebooted server can find them (§2.3.2).
-			for _, bad := range slidBad {
-				payload := wire.PutUvarint(nil, uint64(bad))
-				if err := s.appendSystemChainLocked(entrymap.BadBlockID, payload,
-					blockfmt.FormMinimal, 0, 0, false); err != nil {
-					return err
-				}
-			}
-			return nil
-		case errors.Is(werr, wodev.ErrCorrupt) || transientExhausted(werr):
-			// The target block was damaged while unwritten — or kept failing
-			// transiently past the retry budget, which the service treats
-			// identically: invalidate it and slide the staged contents to
-			// the next block, completing the write degraded (§2.3.2).
-			if ierr := v.Dev.Invalidate(devIdx); ierr != nil {
-				return fmt.Errorf("clio: invalidate damaged block: %w", ierr)
-			}
-			dead := s.tailGlobal
-			slidBad = append(slidBad, dead)
-			s.badBlocks = append(s.badBlocks, dead)
-			s.opDegraded = append(s.opDegraded, dead)
-			s.opDegradedCause = werr
-			s.stats.DeadBlocks++
-			s.tailGlobal++
-			s.builder.SetBlockIndex(uint32(s.tailGlobal))
-			// The slide may cross an entrymap boundary; run the accumulator
-			// for it now so the sealed block's NoteBlock lands in the new
-			// span (the emitted entries queue as displaced, §2.3.2).
-			s.emitDueLocked(s.tailGlobal)
-			s.blockCache().Invalidate(cache.Key{Block: dead})
-			s.publishTail(nil)
-		case errors.Is(werr, wodev.ErrFull):
-			if err := s.extendLocked(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("clio: seal block %d: %w", s.tailGlobal, werr)
-		}
-	}
 }
 
 // locateForWriteLocked maps a global index to a mounted volume for writing,

@@ -368,11 +368,9 @@ func (s *Service) relocateLocked(v *volume.Volume, live []liveEntry, nv *relocVo
 	if s.closedFlag.Load() {
 		return nil, ErrClosed
 	}
-	// Absorb (and discard) degradation notices from earlier background work:
-	// only slides during this batch matter for the placement check below.
-	s.opDegradedReset()
-	s.opDegraded = s.opDegraded[:0]
-	s.opDegradedCause = nil
+	// Only slides during this batch matter for the placement check below;
+	// badBlocks only ever grows (ResetCounters cannot touch it).
+	dead := len(s.badBlocks)
 	placed := make([]placedCopy, 0, len(live))
 	for i := range live {
 		e := &live[i]
@@ -417,7 +415,7 @@ func (s *Service) relocateLocked(v *volume.Volume, live []liveEntry, nv *relocVo
 	if err := s.drainPipeLocked(); err != nil {
 		return nil, err
 	}
-	if len(s.opDegraded) > 0 || len(s.pendingDegraded) > 0 {
+	if len(s.badBlocks) != dead {
 		return nil, errRelocDegraded
 	}
 	return placed, nil

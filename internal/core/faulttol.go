@@ -54,33 +54,28 @@ func IsDegraded(err error) bool {
 	return errors.As(err, &d)
 }
 
-// opDegradedReset starts a fresh degradation record for one client
-// operation; s.mu held. Relocations performed by the background sealer
-// since the last operation are folded in, so a pipelined slide — whose own
-// append was acked before the damage was discovered — is still reported to
-// a client, on the next completed operation (§2.3.2's notice, deferred).
-func (s *Service) opDegradedReset() {
-	s.opDegraded = s.opDegraded[:0]
-	s.opDegradedCause = nil
-	if len(s.pendingDegraded) > 0 {
-		s.opDegraded = append(s.opDegraded, s.pendingDegraded...)
-		s.opDegradedCause = s.pendingDegradedCause
-		s.pendingDegraded = s.pendingDegraded[:0]
-		s.pendingDegradedCause = nil
-	}
-}
-
-// opDegradedErr returns the operation's degraded-completion notice, or nil
-// when nothing was relocated; s.mu held.
-func (s *Service) opDegradedErr(ts int64) error {
-	if len(s.opDegraded) == 0 {
+// takeDegradedLocked drains the blocks relocated past since the last
+// operation completed into a notice for the one completing now (nil when
+// there are none); s.mu held. A slide joins the list wherever it happens —
+// inside the operation when the seal is inline, on the background sealer
+// after the ack when it is pipelined — and is reported by whichever
+// operation completes next (§2.3.2's notice, deferred if need be).
+func (s *Service) takeDegradedLocked() *DegradedError {
+	if len(s.degraded) == 0 {
 		return nil
 	}
-	return &DegradedError{
-		Timestamp: ts,
-		Relocated: append([]int(nil), s.opDegraded...),
-		Cause:     s.opDegradedCause,
+	d := &DegradedError{Relocated: s.degraded, Cause: s.degradedCause}
+	s.degraded, s.degradedCause = nil, nil
+	return d
+}
+
+// at returns the notice for an operation that completed at ts — every
+// request of a force batch gets its own — or nil when d is.
+func (d *DegradedError) at(ts int64) error {
+	if d == nil {
+		return nil
 	}
+	return &DegradedError{Timestamp: ts, Relocated: append([]int(nil), d.Relocated...), Cause: d.Cause}
 }
 
 // readDeviceBlock reads devIdx from the volume's device with the service
@@ -117,14 +112,15 @@ func (s *Service) writeTailBlockLocked(v *volume.Volume, devIdx int, img []byte)
 	return err
 }
 
-// storeNVRAMLocked stages the tail image to NVRAM with transient faults
-// retried.
-func (s *Service) storeNVRAMLocked(global int, img []byte) error {
+// nvramStoreLocked runs one NVRAM write — the tail image or a sealed one,
+// both durability barriers behind the same fault point — with transient
+// faults retried.
+func (s *Service) nvramStoreLocked(store func() error) error {
 	return s.retry.Do(func() error {
 		if ferr := s.opt.Faults.Fire(FaultNVRAMStore); ferr != nil {
 			return ferr
 		}
-		return s.opt.NVRAM.Store(global, img)
+		return store()
 	})
 }
 

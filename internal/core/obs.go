@@ -219,24 +219,24 @@ type VolumeStatus struct {
 // ServiceStatus is the core section of /statusz: configuration, tail state,
 // volumes and the subsystem counter snapshots.
 type ServiceStatus struct {
-	BlockSize     int                  `json:"block_size"`
-	Degree        int                  `json:"degree"`
-	NVRAM         bool                 `json:"nvram"`
-	Pipelined     bool                 `json:"pipelined"`
-	CommitWindow  int64                `json:"commit_window_ns"`
-	BatchSizes    [9]int64             `json:"force_batch_sizes"`
-	End           int                  `json:"end"`
-	SealedEnd     int                  `json:"sealed_end"`
-	TailGlobal    int                  `json:"tail_global"`
-	TailDirty     bool                 `json:"tail_dirty"`
-	PendingForces int                  `json:"pending_forces"`
-	Volumes       []VolumeStatus       `json:"volumes"`
-	Stats         Stats                `json:"stats"`
-	Cache         cache.Stats          `json:"cache"`
-	CacheBlocks   int                  `json:"cache_blocks"`
-	Device        wodev.Stats          `json:"device"`
-	Locate        entrymap.LocateStats `json:"locate"`
-	Recovery      RecoveryReport       `json:"recovery"`
+	BlockSize         int                  `json:"block_size"`
+	Degree            int                  `json:"degree"`
+	NVRAM             bool                 `json:"nvram"`
+	Pipelined         bool                 `json:"pipelined"`
+	CommitWindowNanos int64                `json:"commit_window_ns"` // gather window the latest commit leader chose
+	BatchSizes        [9]int64             `json:"force_batch_sizes"`
+	End               int                  `json:"end"`
+	SealedEnd         int                  `json:"sealed_end"`
+	TailGlobal        int                  `json:"tail_global"`
+	TailDirty         bool                 `json:"tail_dirty"`
+	PendingForces     int                  `json:"pending_forces"`
+	Volumes           []VolumeStatus       `json:"volumes"`
+	Stats             Stats                `json:"stats"`
+	Cache             cache.Stats          `json:"cache"`
+	CacheBlocks       int                  `json:"cache_blocks"`
+	Device            wodev.Stats          `json:"device"`
+	Locate            entrymap.LocateStats `json:"locate"`
+	Recovery          RecoveryReport       `json:"recovery"`
 }
 
 // Status snapshots the service for /statusz. Sub-snapshots are gathered
@@ -244,16 +244,16 @@ type ServiceStatus struct {
 // nested — to respect the service's lock ordering.
 func (s *Service) Status() ServiceStatus {
 	st := ServiceStatus{
-		BlockSize:    s.opt.BlockSize,
-		Degree:       s.opt.Degree,
-		NVRAM:        s.opt.NVRAM != nil,
-		Pipelined:    s.staging,
-		CommitWindow: int64(s.opt.CommitWindow),
-		BatchSizes:   s.BatchSizeHistogram(),
-		Stats:        s.Stats(),
-		Cache:        s.CacheStats(),
-		Device:       s.DeviceStats(),
-		Locate:       s.LocateStats(),
+		BlockSize:         s.opt.BlockSize,
+		Degree:            s.opt.Degree,
+		NVRAM:             s.opt.NVRAM != nil,
+		Pipelined:         s.staging != nil,
+		CommitWindowNanos: s.windowNanos.Load(),
+		BatchSizes:        s.BatchSizeHistogram(),
+		Stats:             s.Stats(),
+		Cache:             s.CacheStats(),
+		Device:            s.DeviceStats(),
+		Locate:            s.LocateStats(),
 	}
 	st.CacheBlocks = s.blockCache().Len()
 	st.Recovery = s.LastRecovery()

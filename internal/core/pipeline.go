@@ -1,11 +1,22 @@
 package core
 
-// Pipelined sealing: with a StagingNVRAM configured (and CommitWindow >= 0)
-// a full-block seal does not wait for the write-once device. The sealed
-// image is made durable in staging NVRAM — that alone is what the force ack
-// depends on — and queued on s.pipe; a background sealer goroutine drains
-// the queue head-first, so the device write for batch N overlaps NVRAM
-// staging and accumulation for batch N+1.
+// Sealing: the one routine that moves a full (or force-padded) tail block to
+// the write-once device, and the two ways it is driven. Which one runs is a
+// capability of the configured NVRAM, not an option:
+//
+//   - Options.NVRAM implements StagingNVRAM: the seal is pipelined. The
+//     sealed image is made durable in staging NVRAM — that alone is what the
+//     force ack depends on — and queued on s.pipe; a background sealer
+//     goroutine drains the queue head-first, so the device write for batch N
+//     overlaps NVRAM staging and accumulation for batch N+1.
+//   - otherwise (no NVRAM, or one without staging slots): the foreground
+//     writes the block inline, s.mu held, and the seal's error is the
+//     operation's error.
+//
+// Either way the block is a pendingSeal handed to writeSealLocked, which
+// owns locate → footer index/FlagVolumeSealed → device write → {done |
+// damaged: invalidate and slide (§2.3.2) | full: extend (§2.1)}. Recovery
+// places staged images through the same loop (replayStagedSeals).
 //
 // Invariants the pipeline maintains:
 //
@@ -17,17 +28,21 @@ package core
 //   - the entrymap accumulator covers exactly [0, sealedEnd) at any instant
 //     under s.mu: NoteBlock is deferred to completion, and a due entrymap
 //     boundary is never emitted while a block below it is still in flight
-//     (ensureTailLocked drains first; completeHeadLocked emits boundaries a
-//     slide pushed the head across before noting it).
+//     (ensureTailLocked drains first; completeSealLocked emits boundaries a
+//     slide pushed the block across before noting it).
 //   - a staged image is dropped from NVRAM only after its device write
 //     completed, keyed by its enqueue-time global (origGlobal), so a crash
 //     anywhere in the pipeline recovers every acked entry from staging
 //     (replayStagedSeals).
 //
-// Damaged blocks discovered by the background write slide the whole
-// in-flight window forward (§2.3.2) — the ack already happened, so the
-// degradation is recorded in the bad-block log (pendingBad) rather than
-// reported to a client.
+// A damaged block slides everything not yet on the device one block forward
+// (§2.3.2). The dead block is queued for the bad-block log (pendingBad) and
+// for the DegradedError of whichever operation completes next — the sliding
+// operation itself when the seal is inline, a later one when the ack
+// preceded the background write. pendingBad is written by flushDueLocked:
+// at the sliding append's chain completion, or, for a seal outside any
+// append, by the operation that ran it (forceLocked's padded seal, SealTail,
+// Close — the latter two also pick up what a background slide left queued).
 
 import (
 	"errors"
@@ -37,6 +52,7 @@ import (
 	"clio/internal/blockfmt"
 	"clio/internal/cache"
 	"clio/internal/faults"
+	"clio/internal/volume"
 	"clio/internal/wodev"
 )
 
@@ -45,35 +61,30 @@ import (
 // head to complete.
 const maxPipeline = 4
 
-// pendingSeal is one sealed block whose image is durable in staging NVRAM
-// but whose device write has not completed.
+// pendingSeal is one sealed block image on its way to the device.
 type pendingSeal struct {
 	global     int             // current target global index (slides renumber it)
 	origGlobal int             // staging-NVRAM key: the global at enqueue time
 	img        []byte          // sealed image (replaced wholesale on reindex, never mutated)
-	ids        []uint16        // log-file ids present (for NoteBlock at completion)
-	idSet      map[uint16]bool // same ids as a set (for reader snapshots)
+	ids        map[uint16]bool // log-file ids present (NoteBlock at completion, reader snapshots)
 }
 
-// stagingNVRAM returns the configured NVRAM's staging extension when the
-// pipeline is enabled.
-func (s *Service) stagingNVRAM() StagingNVRAM {
-	if !s.staging {
+// sealTailLocked seals the staged tail: pipelined through staging NVRAM
+// when the configured NVRAM has it, otherwise straight to the device.
+// forced marks a block sealed early (padded) to satisfy a synchronous write
+// without an NVRAM tail; s.mu held.
+func (s *Service) sealTailLocked(forced bool) error {
+	if s.tailGlobal < 0 {
 		return nil
 	}
-	nv, _ := s.opt.NVRAM.(StagingNVRAM)
-	return nv
-}
-
-// enqueueSealLocked seals the staged tail into the pipeline: the image is
-// made durable in staging NVRAM (the ack barrier), queued for the
-// background device write, and the tail slot freed; s.mu held.
-func (s *Service) enqueueSealLocked(forced bool) error {
 	if m := s.met(); m != nil {
 		defer m.sealLat.ObserveSince(time.Now())
 	}
-	g := s.tailGlobal
+	if s.staging == nil {
+		return s.sealInlineLocked(s.closeTailLocked(forced))
+	}
 	// Bounded in-flight window: wait for a slot, absorbing a parked error.
+	g := s.tailGlobal
 	for len(s.pipe) >= maxPipeline && s.pipeErr == nil && !s.closedFlag.Load() {
 		s.sealCond.Wait()
 	}
@@ -89,36 +100,169 @@ func (s *Service) enqueueSealLocked(forced bool) error {
 		// this seal's work is done.
 		return nil
 	}
-	if forced {
-		s.builder.SetFlags(blockfmt.FlagSealedByForce)
-		s.stats.PaddingBytes += int64(s.builder.Free() + 2)
-	}
-	img := s.builder.Seal()
+	ps := s.closeTailLocked(forced)
 	// Durability first: the image must be in rewriteable non-volatile
 	// storage before anything acks. The device write follows asynchronously.
 	ndone := s.tr.Span("core.nvram_store_sealed")
-	err := s.storeSealedLocked(g, img)
+	err := s.nvramStoreLocked(func() error { return s.staging.StoreSealed(g, ps.img) })
 	ndone()
 	if err != nil {
 		return fmt.Errorf("clio: stage sealed block: %w", err)
 	}
-	ids := make([]uint16, 0, len(s.tailIDs))
-	for id := range s.tailIDs {
-		ids = append(ids, id)
-	}
-	ps := &pendingSeal{global: g, origGlobal: g, img: img, ids: ids, idSet: s.tailIDs}
 	s.pipe = append(s.pipe, ps)
-	s.tailGlobal = -1
-	s.tailIDs = nil
-	s.tailDirty = false
+	s.tailGlobal, s.tailIDs, s.tailDirty = -1, nil, false
 	// The NVRAM tail slot may still hold an earlier image of this block;
 	// recovery drops tail slots below the staged-seal frontier, so it need
 	// not be cleared here (clearing would cost a store on the hot path).
-	s.blockCache().Put(cache.Key{Block: g}, img)
+	s.blockCache().Put(cache.Key{Block: g}, ps.img)
 	s.publishTail(nil)
-	s.ensureSealerLocked()
+	if !s.sealerOn && !s.sealerStop {
+		s.sealerOn = true
+		go s.sealerLoop()
+	}
 	s.sealCond.Broadcast()
 	return nil
+}
+
+// closeTailLocked turns the tail's builder into the sealed image on its way
+// to the device. The tail itself stays staged until the caller retires it.
+func (s *Service) closeTailLocked(forced bool) *pendingSeal {
+	if forced {
+		s.builder.SetFlags(blockfmt.FlagSealedByForce)
+		s.stats.PaddingBytes += int64(s.builder.Free() + 2)
+	}
+	return &pendingSeal{global: s.tailGlobal, origGlobal: s.tailGlobal, img: s.builder.Seal(), ids: s.tailIDs}
+}
+
+// sealInlineLocked writes the tail's block from the foreground, s.mu held
+// throughout. The tail stays the tail (readable, and retried by the next
+// operation on error) until its block is on the device; a crash-injection
+// panic unwinds to the caller.
+func (s *Service) sealInlineLocked(ps *pendingSeal) error {
+	err := s.writeSealLocked(ps, func(v *volume.Volume, devIdx int, img []byte) error {
+		defer s.tr.Span("wodev.write")()
+		return s.writeTailBlockLocked(v, devIdx, img)
+	})
+	if err != nil {
+		return err
+	}
+	s.tailGlobal, s.tailIDs, s.tailDirty = -1, nil, false
+	s.completeSealLocked(ps)
+	if s.opt.NVRAM != nil {
+		if err := s.opt.NVRAM.Clear(); err != nil {
+			return fmt.Errorf("clio: nvram clear: %w", err)
+		}
+	}
+	return nil
+}
+
+// writeSealLocked puts one sealed image on the write-once device at
+// ps.global, sliding past damaged blocks and extending the volume sequence
+// as needed; on return ps.global and ps.img are the block as landed and the
+// caller completes the seal. s.mu held. write is the device-write step, the
+// one thing the callers do differently: the foreground and recovery keep
+// s.mu, the sealer (whose acks already happened) releases it.
+func (s *Service) writeSealLocked(ps *pendingSeal, write func(v *volume.Volume, devIdx int, img []byte) error) error {
+	for {
+		v, local, err := s.locateForWriteLocked(ps.global)
+		if err != nil {
+			return err
+		}
+		// Footer flags and index are a property of where the block lands,
+		// decided now rather than when it was sealed: a slide may have
+		// renumbered the block, or moved it onto (or off) a volume's final
+		// slot, which readers (and operators) must see continues on a
+		// successor (§2.1).
+		img := ps.img
+		var orFlags uint8
+		if local == v.DataCapacity()-1 {
+			orFlags = blockfmt.FlagVolumeSealed
+		}
+		if orFlags != 0 || imageBlockIndex(img) != uint32(ps.global) {
+			if img, err = blockfmt.Reindex(ps.img, uint32(ps.global), orFlags); err != nil {
+				return fmt.Errorf("clio: sealed image for block %d: %w", ps.global, err)
+			}
+		}
+		devIdx := v.DeviceBlock(local)
+		werr := write(v, devIdx, img)
+		switch {
+		case werr == nil:
+			ps.img = img
+			return nil
+		case errors.Is(werr, wodev.ErrCorrupt) || transientExhausted(werr):
+			// The target block was damaged while unwritten — or kept failing
+			// transiently past the retry budget, which the service treats
+			// identically: invalidate it and slide to the next block (§2.3.2).
+			if ierr := v.Dev.Invalidate(devIdx); ierr != nil {
+				return fmt.Errorf("clio: invalidate damaged block: %w", ierr)
+			}
+			s.slideLocked(ps, werr)
+		case errors.Is(werr, wodev.ErrFull):
+			if err := s.extendLocked(); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("clio: seal block %d: %w", ps.global, werr)
+		}
+	}
+}
+
+// slideLocked moves everything not yet on the device — ps, the in-flight
+// window behind it and the staged tail — one block forward past ps's dead
+// target (§2.3.2). ps is the pipe head, or with an empty pipe the tail's own
+// image (inline seal) or a replayed one (recovery).
+func (s *Service) slideLocked(ps *pendingSeal, cause error) {
+	dead := ps.global
+	s.pendingBad = append(s.pendingBad, dead)
+	s.badBlocks = append(s.badBlocks, dead)
+	s.degraded = append(s.degraded, dead)
+	s.degradedCause = cause
+	s.stats.DeadBlocks++
+	ps.global++
+	last := ps.global
+	for _, p := range s.pipe {
+		if p != ps {
+			p.global++
+			last = p.global
+		}
+	}
+	if s.tailGlobal >= 0 {
+		s.tailGlobal++
+		s.builder.SetBlockIndex(uint32(s.tailGlobal))
+		last = s.tailGlobal
+	}
+	// Every renumbered block's old cache slot is stale; invalidate the
+	// whole shifted range (readers find the blocks in the published
+	// snapshot until their device writes complete).
+	for g := dead; g <= last; g++ {
+		s.blockCache().Invalidate(cache.Key{Block: g})
+	}
+	s.publishTail(nil)
+}
+
+// completeSealLocked retires a live seal after its device write: entrymap
+// bookkeeping, stats, frontier advance, and the final image into the cache
+// before the snapshot that promises it. The caller has already taken the
+// block out of the tail or pipe.
+func (s *Service) completeSealLocked(ps *pendingSeal) {
+	// A slide may have pushed this block across an entrymap boundary it was
+	// not across when its tail was opened; emit it before NoteBlock so the
+	// note lands in the new span (the entries queue as displaced, §2.3.2).
+	// Everything below ps.global has completed, so the accumulator state is
+	// exactly the boundary's prefix.
+	s.emitDueLocked(ps.global)
+	ids := make([]uint16, 0, len(ps.ids))
+	for id := range ps.ids {
+		ids = append(ids, id)
+	}
+	s.idxMu.Lock()
+	s.acc.NoteBlock(ps.global, ids)
+	s.idxMu.Unlock()
+	s.stats.BlocksSealed++
+	s.stats.FooterBytes += blockfmt.FooterSize
+	s.sealedEnd = ps.global + 1
+	s.blockCache().Put(cache.Key{Block: ps.global}, ps.img)
+	s.publishTail(nil)
 }
 
 // takePipeErrLocked absorbs a parked pipeline error into the calling
@@ -152,15 +296,6 @@ func (s *Service) drainPipeLocked() error {
 	return s.takePipeErrLocked()
 }
 
-// ensureSealerLocked starts the background sealer if it is not running.
-func (s *Service) ensureSealerLocked() {
-	if s.sealerOn || s.sealerStop {
-		return
-	}
-	s.sealerOn = true
-	go s.sealerLoop()
-}
-
 // stopSealerLocked asks the sealer to exit and waits for it; s.mu held
 // (released while waiting). In-flight work is NOT drained — Close drains
 // first, Crash deliberately abandons it.
@@ -173,8 +308,8 @@ func (s *Service) stopSealerLocked() {
 }
 
 // sealerLoop is the background device-write stage of the pipeline: one
-// goroutine, strictly head-first, holding s.mu except around the device
-// write itself.
+// goroutine, strictly head-first. A failure parks in s.pipeErr for a
+// foreground operation to absorb (takePipeErrLocked).
 func (s *Service) sealerLoop() {
 	s.mu.Lock()
 	for {
@@ -184,169 +319,54 @@ func (s *Service) sealerLoop() {
 		if s.sealerStop {
 			break
 		}
-		s.writeHeadLocked(s.pipe[0])
+		s.pipeErr = s.sealHeadLocked(s.pipe[0])
+		s.sealCond.Broadcast()
 	}
 	s.sealerOn = false
 	s.sealCond.Broadcast()
 	s.mu.Unlock()
 }
 
-// writeHeadLocked writes the pipe head to the device, sliding past damaged
-// blocks and extending the volume sequence as needed; sealer-only, s.mu
-// held (released around the device write). Unexpected errors park in
-// s.pipeErr for a foreground operation to absorb.
-func (s *Service) writeHeadLocked(ps *pendingSeal) {
-	for {
-		v, local, err := s.locateForWriteLocked(ps.global)
-		if err != nil {
-			s.parkPipeErrLocked(err)
-			return
-		}
-		// Footer flags and index are a property of where the block lands,
-		// decided now rather than at enqueue: a slide may have renumbered
-		// the block, or moved it onto (or off) a volume's final slot.
-		img := ps.img
-		var orFlags uint8
-		if local == v.DataCapacity()-1 {
-			orFlags = blockfmt.FlagVolumeSealed
-		}
-		if orFlags != 0 || imageBlockIndex(img) != uint32(ps.global) {
-			img, err = blockfmt.Reindex(ps.img, uint32(ps.global), orFlags)
-			if err != nil {
-				s.parkPipeErrLocked(err)
-				return
-			}
-		}
-		devIdx := v.DeviceBlock(local)
-		s.mu.Unlock()
-		werr := func() (werr error) {
-			defer func() {
-				// A crash-injection panic on the sealer is converted into a
-				// parked error + closed service: the "process" died mid
-				// device write, exactly what replayStagedSeals recovers.
-				if r := recover(); r != nil {
-					c, ok := r.(faults.Crash)
-					if !ok {
-						panic(r)
-					}
-					werr = c
-				}
-			}()
-			return s.writeTailBlockLocked(v, devIdx, img)
-		}()
-		s.mu.Lock()
+// sealHeadLocked writes and retires the pipe head; the staged image's drop
+// from NVRAM comes last (the durability hand-over).
+func (s *Service) sealHeadLocked(ps *pendingSeal) error {
+	if err := s.writeSealLocked(ps, s.writeUnlocked); err != nil {
 		var crash faults.Crash
-		switch {
-		case errors.As(werr, &crash):
+		if errors.As(err, &crash) {
 			s.closedFlag.Store(true)
-			s.parkPipeErrLocked(werr)
-			return
-		case werr == nil:
-			ps.img = img // final image, as landed
-			s.completeHeadLocked(ps)
-			return
-		case errors.Is(werr, wodev.ErrCorrupt) || transientExhausted(werr):
-			if ierr := v.Dev.Invalidate(devIdx); ierr != nil {
-				s.parkPipeErrLocked(fmt.Errorf("clio: invalidate damaged block: %w", ierr))
-				return
-			}
-			s.slidePipeLocked(ps, werr)
-		case errors.Is(werr, wodev.ErrFull):
-			if err := s.extendLocked(); err != nil {
-				s.parkPipeErrLocked(err)
-				return
-			}
-		default:
-			s.parkPipeErrLocked(fmt.Errorf("clio: seal block %d: %w", ps.global, werr))
-			return
 		}
+		return err
 	}
-}
-
-// parkPipeErrLocked records a pipeline failure and wakes anyone waiting on
-// the barrier.
-func (s *Service) parkPipeErrLocked(err error) {
-	s.pipeErr = err
-	s.sealCond.Broadcast()
-}
-
-// completeHeadLocked retires the head after its device write: entrymap
-// bookkeeping, frontier advance, snapshot republication, and only then the
-// staged image's drop from NVRAM (the durability hand-over).
-func (s *Service) completeHeadLocked(ps *pendingSeal) {
 	s.pipe = s.pipe[1:]
-	// A slide may have pushed this block across an entrymap boundary it was
-	// not across at enqueue; emit it before NoteBlock so the note lands in
-	// the new span. Everything below ps.global has completed, so the
-	// accumulator state is exactly the boundary's prefix.
-	s.emitDueLocked(ps.global)
-	s.idxMu.Lock()
-	s.acc.NoteBlock(ps.global, ps.ids)
-	s.idxMu.Unlock()
-	s.stats.BlocksSealed++
-	s.stats.FooterBytes += blockfmt.FooterSize
+	s.completeSealLocked(ps)
 	s.pipelinedSeals.Add(1)
-	s.sealedEnd = ps.global + 1
-	s.blockCache().Put(cache.Key{Block: ps.global}, ps.img)
-	s.publishTail(nil)
-	if nv := s.stagingNVRAM(); nv != nil {
-		if err := nv.DropSealed(ps.origGlobal); err != nil {
-			s.parkPipeErrLocked(fmt.Errorf("clio: drop staged seal: %w", err))
-			return
-		}
+	if err := s.staging.DropSealed(ps.origGlobal); err != nil {
+		return fmt.Errorf("clio: drop staged seal: %w", err)
 	}
-	s.sealCond.Broadcast()
+	return nil
 }
 
-// slidePipeLocked invalidates the head's damaged target block and slides
-// the entire in-flight window (and the staged tail behind it) one block
-// forward (§2.3.2). The entries were acked when staged, so the degradation
-// is recorded durably via the bad-block log instead of a DegradedError.
-func (s *Service) slidePipeLocked(ps *pendingSeal, cause error) {
-	dead := ps.global
-	s.pendingBad = append(s.pendingBad, dead)
-	s.badBlocks = append(s.badBlocks, dead)
-	s.pendingDegraded = append(s.pendingDegraded, dead)
-	s.pendingDegradedCause = cause
-	s.stats.DeadBlocks++
-	last := dead
-	for _, p := range s.pipe {
-		p.global++
-		last = p.global
-	}
-	if s.tailGlobal >= 0 {
-		s.tailGlobal++
-		s.builder.SetBlockIndex(uint32(s.tailGlobal))
-		last = s.tailGlobal
-	}
-	// The slide may cross an entrymap boundary for the head; blocks below
-	// it are all complete, so emitting now is safe (renumbered followers
-	// are covered the same way when they complete).
-	s.emitDueLocked(ps.global)
-	// Every renumbered block's old cache slot is stale; invalidate the
-	// whole shifted range (readers find the blocks in the published
-	// snapshot until their device writes complete).
-	for g := dead; g <= last; g++ {
-		s.blockCache().Invalidate(cache.Key{Block: g})
-	}
-	s.publishTail(nil)
+// writeUnlocked is the sealer's device-write step: s.mu is released around
+// the write so appends keep staging behind it, and a crash-injection panic
+// (the "process" died mid device write — exactly what replayStagedSeals
+// recovers) becomes the seal's error, since there is no caller to unwind to.
+func (s *Service) writeUnlocked(v *volume.Volume, devIdx int, img []byte) (err error) {
+	s.mu.Unlock()
+	defer s.mu.Lock()
+	defer func() {
+		if r := recover(); r != nil {
+			c, ok := r.(faults.Crash)
+			if !ok {
+				panic(r)
+			}
+			err = c
+		}
+	}()
+	return s.writeTailBlockLocked(v, devIdx, img)
 }
 
 // imageBlockIndex reads the footer block index of a sealed image.
 func imageBlockIndex(img []byte) uint32 {
 	foot := img[len(img)-blockfmt.FooterSize:]
 	return uint32(foot[14]) | uint32(foot[15])<<8 | uint32(foot[16])<<16 | uint32(foot[17])<<24
-}
-
-// storeSealedLocked stages a sealed image to staging NVRAM with transient
-// faults retried (same fault point as the tail store: both are NVRAM-write
-// durability barriers).
-func (s *Service) storeSealedLocked(global int, img []byte) error {
-	nv := s.stagingNVRAM()
-	return s.retry.Do(func() error {
-		if ferr := s.opt.Faults.Fire(FaultNVRAMStore); ferr != nil {
-			return ferr
-		}
-		return nv.StoreSealed(global, img)
-	})
 }

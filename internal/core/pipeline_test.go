@@ -122,7 +122,7 @@ func crashMidPipelineOnce(t *testing.T) int {
 
 // TestStagedSealAlreadyOnDeviceIdempotentReplay simulates a crash in the
 // narrowest pipeline window: after a seal's device write completed but
-// before its staged image was dropped from NVRAM (completeHeadLocked runs
+// before its staged image was dropped from NVRAM (sealHeadLocked runs
 // DropSealed last, so this window is real). Recovery then finds a staged
 // image whose block is already on the write-once device and must recognize
 // it instead of appending a duplicate block.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -11,7 +10,6 @@ import (
 	"clio/internal/catalog"
 	"clio/internal/entrymap"
 	"clio/internal/wire"
-	"clio/internal/wodev"
 )
 
 // RecoveryReport describes the work server initialization performed, for
@@ -158,11 +156,14 @@ func (s *Service) recover() error {
 // NVRAM (and acked durable) but whose background device writes a crash cut
 // off (pipeline.go). The pipeline completes strictly in order, so at most
 // the oldest staged image can already be on the device — only its DropSealed
-// was lost; every other image is appended at the current end, sliding past
-// damaged blocks exactly as a live seal would.
+// was lost; every other image is placed at the current end by the live seal
+// loop (writeSealLocked: damaged-block slides, volume extension). Completing
+// the seal is only the frontier advance here: the accumulator and stats are
+// rebuilt from the device right after, and the bad blocks a slide queued in
+// pendingBad are logged by the first post-recovery append.
 func (s *Service) replayStagedSeals() error {
-	nv, ok := s.opt.NVRAM.(StagingNVRAM)
-	if !ok {
+	nv := s.staging
+	if nv == nil {
 		return nil
 	}
 	globals, images, err := nv.LoadSealed()
@@ -184,8 +185,14 @@ func (s *Service) replayStagedSeals() error {
 		}
 		if i == 0 && s.sealedEnd > 0 && s.deviceHoldsImage(s.sealedEnd-1, img) {
 			// Already written just before the crash; nothing to replay.
-		} else if err := s.writeStagedImageLocked(img); err != nil {
-			return err
+		} else {
+			ps := &pendingSeal{global: s.sealedEnd, origGlobal: g, img: img}
+			if err := s.writeSealLocked(ps, s.writeTailBlockLocked); err != nil {
+				return fmt.Errorf("clio: replay staged seal: %w", err)
+			}
+			s.sealedEnd = ps.global + 1
+			s.blockCache().Put(cache.Key{Block: ps.global}, ps.img)
+			s.publishTail(nil)
 		}
 		if err := nv.DropSealed(g); err != nil {
 			return fmt.Errorf("clio: nvram drop sealed: %w", err)
@@ -214,53 +221,6 @@ func (s *Service) deviceHoldsImage(pos int, staged []byte) bool {
 	sf := staged[n-blockfmt.FooterSize:]
 	return bytes.Equal(df[:3], sf[:3]) && bytes.Equal(df[4:14], sf[4:14]) &&
 		df[3]&^byte(blockfmt.FlagVolumeSealed) == sf[3]&^byte(blockfmt.FlagVolumeSealed)
-}
-
-// writeStagedImageLocked appends one staged sealed image at the current end,
-// handling damaged blocks and full volumes as the live seal path does. Bad
-// blocks discovered here queue in pendingBad: their log records ride out
-// with the first post-recovery append.
-func (s *Service) writeStagedImageLocked(img []byte) error {
-	target := s.sealedEnd
-	for {
-		v, local, err := s.locateForWriteLocked(target)
-		if err != nil {
-			return err
-		}
-		var orFlags uint8
-		if local == v.DataCapacity()-1 {
-			orFlags = blockfmt.FlagVolumeSealed
-		}
-		out := img
-		if orFlags != 0 || imageBlockIndex(img) != uint32(target) {
-			out, err = blockfmt.Reindex(img, uint32(target), orFlags)
-			if err != nil {
-				return fmt.Errorf("clio: staged seal image for block %d: %w", target, err)
-			}
-		}
-		devIdx := v.DeviceBlock(local)
-		werr := s.writeTailBlockLocked(v, devIdx, out)
-		switch {
-		case werr == nil:
-			s.sealedEnd = target + 1
-			s.publishTail(nil)
-			s.blockCache().Put(cache.Key{Block: target}, out)
-			return nil
-		case errors.Is(werr, wodev.ErrCorrupt) || transientExhausted(werr):
-			if ierr := v.Dev.Invalidate(devIdx); ierr != nil {
-				return fmt.Errorf("clio: invalidate damaged block: %w", ierr)
-			}
-			s.pendingBad = append(s.pendingBad, target)
-			s.stats.DeadBlocks++
-			target++
-		case errors.Is(werr, wodev.ErrFull):
-			if err := s.extendLocked(); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("clio: replay staged seal at block %d: %w", target, werr)
-		}
-	}
 }
 
 // mergeReplayBadLocked folds bad blocks discovered while replaying staged

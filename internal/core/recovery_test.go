@@ -390,11 +390,11 @@ func TestRecoveryMultiVolume(t *testing.T) {
 
 func TestStaleNVRAMIgnored(t *testing.T) {
 	// The hand-crafted crash below models the synchronous seal path (crash
-	// between device write and NVRAM clear), so pin the legacy path; the
-	// pipelined analog is covered by the staged-seal recovery tests.
+	// between device write and NVRAM clear), so hide the staging slots to pin
+	// it; the pipelined analog is covered by the staged-seal recovery tests.
 	nv := NewMemNVRAM()
 	tc := &testClock{}
-	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now, NVRAM: nv, CommitWindow: -1}
+	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now, NVRAM: struct{ NVRAM }{nv}}
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
 	s, err := New(dev, opt)
 	if err != nil {

@@ -84,6 +84,15 @@ type Options struct {
 	// NVRAM, when non-nil, stages the partial tail block in rewriteable
 	// non-volatile storage so forced writes need not pad out blocks
 	// (§2.3.1). Nil disables the tail: forced writes seal immediately.
+	//
+	// What the NVRAM can do also selects how full blocks are sealed — there
+	// is no option for it. When it implements StagingNVRAM, seals are
+	// pipelined: the sealed image is made durable in NVRAM, the force acks,
+	// and the write-once device write proceeds on a background sealer while
+	// the next batch accumulates (bounded in-flight window, in-order
+	// completion; pipeline.go). Otherwise the foreground writes the block
+	// itself; wrapping an NVRAM as struct{ NVRAM } hides its staging slots
+	// and so pins that synchronous path.
 	NVRAM NVRAM
 	// Now supplies timestamps (Unix nanoseconds); defaults to time.Now.
 	// The service enforces strictly increasing timestamps.
@@ -116,21 +125,6 @@ type Options struct {
 	// written portion. 0 (the default) disables both sides; a store
 	// written with checkpoints remains fully openable without them.
 	CheckpointInterval int
-	// CommitWindow controls the group-commit gather window for forced
-	// appends. 0 (the default) sizes the window adaptively from EWMAs of
-	// the arrival rate and the observed commit latency — a lone writer
-	// commits immediately, a storm coalesces into large batches. A positive
-	// duration pins a fixed gather window (the escape hatch for
-	// reproducibility). A negative value disables both the window and the
-	// pipelined sealer, restoring the original leader/rider-only path; it
-	// is also what experiments pin to keep vclock charges deterministic.
-	//
-	// When the configured NVRAM implements StagingNVRAM and CommitWindow is
-	// non-negative, full-block seals are pipelined: the sealed image is
-	// made durable in NVRAM, the force acks, and the write-once device
-	// write proceeds on a background sealer while the next batch
-	// accumulates (bounded in-flight window, in-order completion).
-	CommitWindow time.Duration
 	// Cold, when non-nil, enables the space-reclamation compactor and the
 	// cold storage tier: CompactOnce copies the live entries of old sealed
 	// volumes forward, demotes the emptied volumes to the configured archive
@@ -254,7 +248,7 @@ type Service struct {
 	groupCommits  atomic.Int64
 	batchedForces atomic.Int64
 
-	// Adaptive commit window (see gatherWindow): EWMAs, in nanoseconds, of
+	// Adaptive commit window (see gatherForce): EWMAs, in nanoseconds, of
 	// forced-append inter-arrival time and commit duration, the previous
 	// arrival stamp, and the window the current/most recent leader chose.
 	// forceSig wakes a leader sleeping in its gather window early when a
@@ -272,15 +266,15 @@ type Service struct {
 	// images are durable in staging NVRAM but whose in-order device writes
 	// have not completed; the background sealer drains it head-first.
 	// pipeErr parks a hard device-write failure until a foreground
-	// operation absorbs it (drainPipeLocked). staging is set at Open when
-	// the NVRAM supports StagingNVRAM and CommitWindow >= 0.
+	// operation absorbs it (drainPipeLocked). staging is Options.NVRAM's
+	// staging extension, nil when it has none: seals are then inline.
 	sealCond       *sync.Cond
 	pipe           []*pendingSeal
 	pipeErr        error
 	sealerOn       bool
 	sealerStop     bool
-	staging        bool
-	pendingBad     []int // bad-block records queued by pipeline slides
+	staging        StagingNVRAM
+	pendingBad     []int // bad-block records queued by slides for flushDueLocked
 	stagedTailFrom int   // recovery: NVRAM tail renumber key (replayStagedSeals)
 
 	lastTS          int64
@@ -292,15 +286,12 @@ type Service struct {
 	stats           Stats
 	recovery        RecoveryReport
 
-	// Fault tolerance: the effective retry schedule, and the blocks the
-	// current client operation had to relocate past (reported back as a
-	// DegradedError on completion).
-	retry           faults.RetryPolicy
-	opDegraded      []int
-	opDegradedCause error
-	// Relocations by the background sealer, reported on the next operation.
-	pendingDegraded      []int
-	pendingDegradedCause error
+	// Fault tolerance: the effective retry schedule, and the blocks seals
+	// had to relocate past since the last operation completed (reported back
+	// as that operation's DegradedError, takeDegradedLocked).
+	retry         faults.RetryPolicy
+	degraded      []int
+	degradedCause error
 
 	// Compaction / cold tier (Options.Cold non-nil). cmpMu serializes
 	// CompactOnce passes; cmpState is the sidecar-backed state, mutated only
@@ -368,9 +359,9 @@ func (s *Service) publishTail(img []byte) {
 	if len(s.pipe) > 0 {
 		sn.pipe = make([]pipeSnap, len(s.pipe))
 		for i, ps := range s.pipe {
-			// ps.img and ps.idSet are never mutated after enqueue (slides
+			// ps.img and ps.ids are never mutated after enqueue (slides
 			// replace the image wholesale), so aliasing them is safe.
-			sn.pipe[i] = pipeSnap{global: ps.global, img: ps.img, ids: ps.idSet}
+			sn.pipe[i] = pipeSnap{global: ps.global, img: ps.img, ids: ps.ids}
 		}
 	}
 	if s.tailGlobal >= 0 {
@@ -507,9 +498,7 @@ func Open(devs []wodev.Device, opt Options) (*Service, error) {
 		stagedTailFrom: -1,
 	}
 	s.sealCond = sync.NewCond(&s.mu)
-	if _, ok := opt.NVRAM.(StagingNVRAM); ok && opt.CommitWindow >= 0 {
-		s.staging = true
-	}
+	s.staging, _ = opt.NVRAM.(StagingNVRAM)
 	s.cacheP.Store(cache.New(opt.CacheBlocks, opt.Clock))
 	s.publishTail(nil)
 	if opt.Retry != nil {
@@ -763,22 +752,32 @@ func (s *Service) Close() error {
 			return err
 		}
 	}
-	if s.tailGlobal >= 0 {
-		if s.opt.NVRAM != nil {
-			if err := s.stageTailLocked(true); err != nil {
-				s.stopSealerLocked()
-				return err
+	var err error
+	for {
+		if s.tailGlobal >= 0 {
+			if s.opt.NVRAM != nil {
+				err = s.stageTailLocked(true)
+			} else {
+				err = s.sealTailLocked(false)
 			}
-		} else {
-			if err := s.sealTailLocked(false); err != nil {
+			if err != nil {
 				s.stopSealerLocked()
 				return err
 			}
 		}
+		// Completion barrier: every in-flight pipelined seal reaches the device
+		// (or its hard error surfaces here) before the service reports closed.
+		if err = s.drainPipeLocked(); err != nil || len(s.pendingBad) == 0 {
+			break
+		}
+		// A slide on the way out — the seal above, or a background write the
+		// barrier waited for — queued a bad-block record no later append will
+		// carry: write it and make the tail holding it durable the same way.
+		s.awaitChainLocked()
+		if err = s.flushDueLocked(); err != nil {
+			break
+		}
 	}
-	// Completion barrier: every in-flight pipelined seal reaches the device
-	// (or its hard error surfaces here) before the service reports closed.
-	err := s.drainPipeLocked()
 	s.stopSealerLocked()
 	s.closedFlag.Store(true)
 	s.wakeTail()

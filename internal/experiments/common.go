@@ -24,6 +24,18 @@ func testNow() func() int64 {
 	}
 }
 
+// inlineNVRAM hides an NVRAM's staging slots (core.StagingNVRAM), which is
+// what selects core's seal pipeline: behind it every seal is a synchronous
+// device write. The paper-table experiments count seals and device writes
+// on the virtual clock, and a background sealer would make those counts
+// depend on real-time scheduling; the force experiment compares both.
+func inlineNVRAM(nv core.NVRAM) core.NVRAM {
+	if nv == nil {
+		return nil
+	}
+	return struct{ core.NVRAM }{nv}
+}
+
 // newService builds an in-memory service for experiments.
 func newService(blockSize, degree, capacityBlocks int, clk *vclock.Clock, nv core.NVRAM) (*core.Service, *wodev.MemDevice, error) {
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: capacityBlocks})
@@ -32,13 +44,8 @@ func newService(blockSize, degree, capacityBlocks int, clk *vclock.Clock, nv cor
 		Degree:      degree,
 		CacheBlocks: -1, // unbounded: experiments control caching explicitly
 		Clock:       clk,
-		NVRAM:       nv,
+		NVRAM:       inlineNVRAM(nv),
 		Now:         testNow(),
-		// The paper-table experiments count seals and device writes
-		// deterministically; the adaptive window and seal pipeline introduce
-		// real-time dependence, so they run in legacy (unwindowed, unpipelined)
-		// mode. The force experiment exercises the adaptive path explicitly.
-		CommitWindow: -1,
 	})
 	return svc, dev, err
 }

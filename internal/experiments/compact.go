@@ -64,7 +64,6 @@ func RunCompact(cycles int) ([]CompactRow, error) {
 			Backend: archive.NewMem(),
 			State:   core.NewMemState(),
 		},
-		CommitWindow: -1,
 	})
 	if err != nil {
 		return nil, err

@@ -46,7 +46,7 @@ func RunDegreeSweep(blockSize, blocks int, ns []int) ([]DegreeRow, error) {
 		dev := wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: blocks + 256})
 		opt := core.Options{
 			BlockSize: blockSize, Degree: n, CacheBlocks: -1,
-			NVRAM: core.NewMemNVRAM(), Now: testNow(), CommitWindow: -1,
+			NVRAM: inlineNVRAM(core.NewMemNVRAM()), Now: testNow(),
 		}
 		svc, err := core.New(dev, opt)
 		if err != nil {

@@ -17,18 +17,20 @@ import (
 // cell runs W closed-loop writers issuing forced appends against a device
 // with a real injected write latency, and reports the force sojourn
 // percentiles, throughput, seal amplification and group-commit batch shape.
-// Cells differ in writer count, commit mode (the legacy leader/rider queue
-// vs the adaptive gather window + seal pipeline) and NVRAM presence, so the
+// Cells differ in writer count, NVRAM presence and — where there is an
+// NVRAM, the only place core's commit path still branches — whether seals
+// are written inline or pipelined behind the ack. Every cell runs the same
+// adaptive gather policy, so inline vs pipelined isolates the pipeline; the
 // output is the perf trajectory ISSUE/CI track across commits.
 
 // ForceRow is one measured cell of the force experiment.
 type ForceRow struct {
 	Writers int    `json:"writers"`
-	Mode    string `json:"mode"` // "fixed" (legacy leader/rider) or "adaptive"
+	Mode    string `json:"mode"` // "inline" (synchronous seals) or "pipelined" (NVRAM only)
 	NVRAM   bool   `json:"nvram"`
 	Shards  int    `json:"shards"`
 	// Paced marks an open-loop cell: writers issue forces on a fixed
-	// schedule at RateOpsPerSec total (0.7× the fixed mode's closed-loop
+	// schedule at RateOpsPerSec total (0.7× the inline mode's closed-loop
 	// capacity), and sojourn time is measured from the scheduled arrival, so
 	// queueing delay is charged to the laggard (no coordinated omission).
 	// Closed-loop cells (Paced=false) self-throttle to the store's capacity
@@ -85,20 +87,20 @@ func (c *ForceConfig) defaults() {
 	}
 }
 
-// forceModes maps the experiment's mode names onto Options.CommitWindow.
-var forceModes = []struct {
-	name   string
-	window time.Duration
-}{
-	{"fixed", -1}, // legacy leader/rider queue: no gather window, no pipeline
-	{"adaptive", 0},
+// forceModes returns the seal modes that exist for a cell: without an NVRAM
+// there is nothing to stage a sealed block in, so only inline.
+func forceModes(nvram bool) []string {
+	if nvram {
+		return []string{"inline", "pipelined"}
+	}
+	return []string{"inline"}
 }
 
 // RunForce runs the full force-latency grid. For each (writers, NVRAM) cell
-// it measures both modes closed-loop (capacity, seal amplification), then
-// replays both modes open-loop at 0.7× the fixed mode's measured capacity —
-// the same offered load for both, so the paced p99 columns compare how each
-// commit policy absorbs an external arrival rate rather than how fast it
+// it measures every mode closed-loop (capacity, seal amplification), then
+// replays them open-loop at 0.7× the inline mode's measured capacity — the
+// same offered load for both, so the paced p99 columns compare how each
+// seal path absorbs an external arrival rate rather than how fast it
 // self-throttles. One-shard cells cover the writer sweep; MaxShards cells
 // rerun the top writer count sharded.
 func RunForce(cfg ForceConfig) (*ForceReport, error) {
@@ -109,40 +111,36 @@ func RunForce(cfg ForceConfig) (*ForceReport, error) {
 		CellSeconds:       cfg.CellSeconds,
 	}
 	dur := time.Duration(cfg.CellSeconds * float64(time.Second))
+	// run measures one cell in every mode it has and returns the inline
+	// mode's throughput (forceModes lists inline first).
+	run := func(writers, shards int, nvram bool, rate float64) (float64, error) {
+		first := len(rep.Rows)
+		for _, mode := range forceModes(nvram) {
+			row, err := runForceCell(writers, shards, nvram, mode, dur, cfg.DeviceWrite, rate)
+			if err != nil {
+				return 0, err
+			}
+			rep.Rows = append(rep.Rows, row)
+		}
+		return rep.Rows[first].OpsPerSec, nil
+	}
 	for _, nvram := range []bool{false, true} {
 		for _, w := range cfg.Writers {
-			var fixedRate float64
-			for _, m := range forceModes {
-				row, err := runForceCell(w, 1, nvram, m.name, m.window, dur, cfg.DeviceWrite, 0)
-				if err != nil {
-					return nil, err
-				}
-				if m.window < 0 {
-					fixedRate = row.OpsPerSec
-				}
-				rep.Rows = append(rep.Rows, row)
+			capacity, err := run(w, 1, nvram, 0)
+			if err != nil {
+				return nil, err
 			}
-			rate := 0.7 * fixedRate
-			if rate <= 0 {
+			if capacity <= 0 {
 				continue
 			}
-			for _, m := range forceModes {
-				row, err := runForceCell(w, 1, nvram, m.name, m.window, dur, cfg.DeviceWrite, rate)
-				if err != nil {
-					return nil, err
-				}
-				rep.Rows = append(rep.Rows, row)
+			if _, err := run(w, 1, nvram, 0.7*capacity); err != nil {
+				return nil, err
 			}
 		}
 	}
 	if cfg.MaxShards > 1 {
-		top := cfg.Writers[len(cfg.Writers)-1]
-		for _, m := range forceModes {
-			row, err := runForceCell(top, cfg.MaxShards, true, m.name, m.window, dur, cfg.DeviceWrite, 0)
-			if err != nil {
-				return nil, err
-			}
-			rep.Rows = append(rep.Rows, row)
+		if _, err := run(cfg.Writers[len(cfg.Writers)-1], cfg.MaxShards, true, 0); err != nil {
+			return nil, err
 		}
 	}
 	return rep, nil
@@ -150,7 +148,7 @@ func RunForce(cfg ForceConfig) (*ForceReport, error) {
 
 // newForceService builds one real-time service on a latency-injecting
 // in-memory device.
-func newForceService(nvram bool, window, devLat time.Duration) (*core.Service, error) {
+func newForceService(nvram bool, mode string, devLat time.Duration) (*core.Service, error) {
 	mem := wodev.NewMem(wodev.MemOptions{BlockSize: 2048, Capacity: 1 << 16})
 	var dev wodev.Device = mem
 	if devLat > 0 {
@@ -159,13 +157,15 @@ func newForceService(nvram bool, window, devLat time.Duration) (*core.Service, e
 	var nv core.NVRAM
 	if nvram {
 		nv = core.NewMemNVRAM()
+		if mode == "inline" {
+			nv = inlineNVRAM(nv)
+		}
 	}
 	return core.New(dev, core.Options{
-		BlockSize:    2048,
-		Degree:       16,
-		CacheBlocks:  -1,
-		NVRAM:        nv,
-		CommitWindow: window,
+		BlockSize:   2048,
+		Degree:      16,
+		CacheBlocks: -1,
+		NVRAM:       nv,
 	})
 }
 
@@ -174,11 +174,11 @@ func newForceService(nvram bool, window, devLat time.Duration) (*core.Service, e
 // and recording per-op sojourn time. rate 0 runs closed-loop (issue, wait,
 // repeat); rate > 0 paces the writers to `rate` total forces/sec on a fixed
 // schedule, with sojourn measured from the scheduled arrival time.
-func runForceCell(writers, shards int, nvram bool, mode string, window, dur, devLat time.Duration, rate float64) (ForceRow, error) {
+func runForceCell(writers, shards int, nvram bool, mode string, dur, devLat time.Duration, rate float64) (ForceRow, error) {
 	svcs := make([]*core.Service, shards)
 	ids := make([]uint16, shards)
 	for i := range svcs {
-		svc, err := newForceService(nvram, window, devLat)
+		svc, err := newForceService(nvram, mode, devLat)
 		if err != nil {
 			return ForceRow{}, err
 		}

@@ -31,8 +31,8 @@ func RunWrite(entries int) ([]WriteRow, error) {
 		dev := wodev.NewMem(wodev.MemOptions{BlockSize: 1024, Capacity: 1 << 16})
 		svc, err := core.New(dev, core.Options{
 			BlockSize: 1024, Degree: 16, CacheBlocks: -1,
-			Clock: clk, NVRAM: core.NewMemNVRAM(), Now: testNow(),
-			RemoteIPC: remote, CommitWindow: -1,
+			Clock: clk, NVRAM: inlineNVRAM(core.NewMemNVRAM()), Now: testNow(),
+			RemoteIPC: remote,
 		})
 		if err != nil {
 			return 0, 0, 0, err

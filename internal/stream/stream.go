@@ -242,11 +242,14 @@ var nowNanos = func() int64 { return time.Now().UnixNano() }
 // cursor pace for the consumer to drain; the cursor itself is the resume
 // position, so nothing is lost or repeated.
 func (s *Sub) deliver(e *core.Entry) bool {
+	// Counted before the send, undone if the entry never goes out: a consumer
+	// holding the entry must not read a Delivered that does not include it.
+	s.delivered.Add(1)
 	select {
 	case s.out <- e:
-		s.delivered.Add(1)
 		return true
 	case <-s.stop:
+		s.delivered.Add(-1)
 		return false
 	default:
 	}
@@ -257,9 +260,9 @@ func (s *Sub) deliver(e *core.Entry) bool {
 	}
 	select {
 	case s.out <- e:
-		s.delivered.Add(1)
 		return true
 	case <-s.stop:
+		s.delivered.Add(-1)
 		return false
 	}
 }

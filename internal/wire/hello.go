@@ -34,7 +34,7 @@ func (h Hello) Encode(b []byte) []byte {
 
 // DecodeHello parses an OpHello payload, legacy or tenant-extended.
 func DecodeHello(payload []byte) (Hello, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	var h Hello
 	s, err := r.u64("session")
 	if err != nil {

@@ -188,73 +188,7 @@ type ReplStatusResp struct {
 // maxReplDevs bounds the device lists a decoder will allocate for.
 const maxReplDevs = 1 << 16
 
-// replReader consumes a payload front to back with explicit bounds checks;
-// every failure wraps ErrReplPayload, and no input can make it panic or
-// allocate more than the payload's own length.
-type replReader struct {
-	buf []byte
-}
-
-func (r *replReader) fail(what string) error {
-	return fmt.Errorf("%w: %s", ErrReplPayload, what)
-}
-
-func (r *replReader) uvarint(what string) (uint64, error) {
-	v, n, err := Uvarint(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *replReader) u64(what string) (uint64, error) {
-	v, err := Uint64(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
-	}
-	r.buf = r.buf[8:]
-	return v, nil
-}
-
-func (r *replReader) u32(what string) (uint32, error) {
-	v, err := Uint32(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
-	}
-	r.buf = r.buf[4:]
-	return v, nil
-}
-
-func (r *replReader) byte(what string) (byte, error) {
-	if len(r.buf) < 1 {
-		return 0, r.fail(what)
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b, nil
-}
-
-func (r *replReader) bytes(what string) ([]byte, error) {
-	n, err := r.uvarint(what)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf)) {
-		return nil, r.fail(what + " body")
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[:n])
-	r.buf = r.buf[n:]
-	return out, nil
-}
-
-func (r *replReader) str(what string) (string, error) {
-	b, err := r.bytes(what)
-	return string(b), err
-}
-
-func (r *replReader) devs() ([]ReplDevState, error) {
+func (r *payloadReader) devs() ([]ReplDevState, error) {
 	n, err := r.uvarint("dev count")
 	if err != nil {
 		return nil, err
@@ -312,7 +246,7 @@ func (h *ReplHello) Encode(b []byte) []byte {
 
 // DecodeReplHello parses a ReplHello payload.
 func DecodeReplHello(payload []byte) (*ReplHello, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	h := &ReplHello{}
 	var err error
 	if h.Term, err = r.u64("term"); err != nil {
@@ -353,7 +287,7 @@ func (h *ReplHelloResp) Encode(b []byte) []byte {
 
 // DecodeReplHelloResp parses a ReplHelloResp payload.
 func DecodeReplHelloResp(payload []byte) (*ReplHelloResp, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	h := &ReplHelloResp{}
 	acc, err := r.byte("accept")
 	if err != nil {
@@ -382,7 +316,7 @@ func (w *ReplWrite) Encode(b []byte) []byte {
 
 // DecodeReplWrite parses a ReplWrite payload.
 func DecodeReplWrite(payload []byte) (*ReplWrite, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	w := &ReplWrite{}
 	sh, err := r.uvarint("shard")
 	if err != nil {
@@ -414,7 +348,7 @@ func (w *ReplInvalidate) Encode(b []byte) []byte {
 
 // DecodeReplInvalidate parses a ReplInvalidate payload.
 func DecodeReplInvalidate(payload []byte) (*ReplInvalidate, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	w := &ReplInvalidate{}
 	sh, err := r.uvarint("shard")
 	if err != nil {
@@ -443,7 +377,7 @@ func (t *ReplTail) Encode(b []byte) []byte {
 
 // DecodeReplTail parses a ReplTail payload.
 func DecodeReplTail(payload []byte) (*ReplTail, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	t := &ReplTail{}
 	sh, err := r.uvarint("shard")
 	if err != nil {
@@ -469,7 +403,7 @@ func (t *ReplTailClear) Encode(b []byte) []byte {
 
 // DecodeReplTailClear parses a ReplTailClear payload.
 func DecodeReplTailClear(payload []byte) (*ReplTailClear, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	sh, err := r.uvarint("shard")
 	if err != nil {
 		return nil, err
@@ -490,7 +424,7 @@ func (a *ReplAck) Encode(b []byte) []byte {
 
 // DecodeReplAck parses a ReplAck payload.
 func DecodeReplAck(payload []byte) (*ReplAck, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	a := &ReplAck{}
 	var err error
 	if a.Session, err = r.u64("session"); err != nil {
@@ -526,7 +460,7 @@ func (s *ReplSessions) Encode(b []byte) []byte {
 
 // DecodeReplSessions parses a ReplSessions payload.
 func DecodeReplSessions(payload []byte) (*ReplSessions, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	n, err := r.uvarint("session count")
 	if err != nil {
 		return nil, err
@@ -575,7 +509,7 @@ func (b *ReplBase) Encode(dst []byte) []byte {
 
 // DecodeReplBase parses a ReplBase payload.
 func DecodeReplBase(payload []byte) (*ReplBase, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	pos, err := r.u64("pos")
 	if err != nil {
 		return nil, err
@@ -591,7 +525,7 @@ func (w *ReplReset) Encode(b []byte) []byte {
 
 // DecodeReplReset parses a ReplReset payload.
 func DecodeReplReset(payload []byte) (*ReplReset, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	sh, err := r.uvarint("shard")
 	if err != nil {
 		return nil, err
@@ -620,7 +554,7 @@ func (s *ReplStatusResp) Encode(b []byte) []byte {
 
 // DecodeReplStatusResp parses a ReplStatusResp payload.
 func DecodeReplStatusResp(payload []byte) (*ReplStatusResp, error) {
-	r := &replReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
 	s := &ReplStatusResp{}
 	var err error
 	if s.Role, err = r.byte("role"); err != nil {

@@ -166,81 +166,6 @@ type StreamGroupOp struct {
 	Rec   GroupRec
 }
 
-// streamReader consumes a payload front to back with explicit bounds
-// checks; every failure wraps ErrStreamPayload, and no input can make it
-// panic or allocate more than the payload's own length.
-type streamReader struct {
-	buf []byte
-}
-
-func (r *streamReader) fail(what string) error {
-	return fmt.Errorf("%w: %s", ErrStreamPayload, what)
-}
-
-func (r *streamReader) uvarint(what string) (uint64, error) {
-	v, n, err := Uvarint(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
-	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *streamReader) u64(what string) (uint64, error) {
-	v, err := Uint64(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
-	}
-	r.buf = r.buf[8:]
-	return v, nil
-}
-
-func (r *streamReader) u32(what string) (uint32, error) {
-	v, err := Uint32(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
-	}
-	r.buf = r.buf[4:]
-	return v, nil
-}
-
-func (r *streamReader) u16(what string) (uint16, error) {
-	v, err := Uint16(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
-	}
-	r.buf = r.buf[2:]
-	return v, nil
-}
-
-func (r *streamReader) byte(what string) (byte, error) {
-	if len(r.buf) < 1 {
-		return 0, r.fail(what)
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b, nil
-}
-
-func (r *streamReader) bytes(what string) ([]byte, error) {
-	n, err := r.uvarint(what)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf)) {
-		return nil, r.fail(what + " body")
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[:n])
-	r.buf = r.buf[n:]
-	return out, nil
-}
-
-func (r *streamReader) str(what string) (string, error) {
-	b, err := r.bytes(what)
-	return string(b), err
-}
-
 // Encode appends the subscribe's wire form.
 func (s *StreamSubscribe) Encode(b []byte) []byte {
 	b = putBytes(b, []byte(s.Path))
@@ -261,7 +186,7 @@ func (s *StreamSubscribe) Encode(b []byte) []byte {
 
 // DecodeStreamSubscribe parses a StreamSubscribe payload.
 func DecodeStreamSubscribe(payload []byte) (*StreamSubscribe, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	s := &StreamSubscribe{}
 	var err error
 	if s.Path, err = r.str("path"); err != nil {
@@ -337,7 +262,7 @@ func (d *StreamDeliver) EncodeHead(b []byte) []byte {
 
 // DecodeStreamDeliver parses a StreamDeliver payload.
 func DecodeStreamDeliver(payload []byte) (*StreamDeliver, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	d := &StreamDeliver{}
 	sub, err := r.uvarint("sub id")
 	if err != nil {
@@ -400,7 +325,7 @@ func (c *StreamCredit) Encode(b []byte) []byte {
 
 // DecodeStreamCredit parses a StreamCredit payload.
 func DecodeStreamCredit(payload []byte) (*StreamCredit, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	sub, err := r.uvarint("sub id")
 	if err != nil {
 		return nil, err
@@ -422,7 +347,7 @@ func (u *StreamUnsubscribe) Encode(b []byte) []byte {
 
 // DecodeStreamUnsubscribe parses a StreamUnsubscribe payload.
 func DecodeStreamUnsubscribe(payload []byte) (*StreamUnsubscribe, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	sub, err := r.uvarint("sub id")
 	if err != nil {
 		return nil, err
@@ -441,7 +366,7 @@ func (e *StreamEnd) Encode(b []byte) []byte {
 
 // DecodeStreamEnd parses a StreamEnd payload.
 func DecodeStreamEnd(payload []byte) (*StreamEnd, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	sub, err := r.uvarint("sub id")
 	if err != nil {
 		return nil, err
@@ -471,7 +396,7 @@ func (g *GroupRec) Encode(b []byte) []byte {
 // DecodeGroupRec parses a GroupRec from an offsets-log record body or a
 // wire payload.
 func DecodeGroupRec(payload []byte) (*GroupRec, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	g := &GroupRec{}
 	var err error
 	if g.Kind, err = r.byte("kind"); err != nil {
@@ -515,7 +440,7 @@ func (o *StreamGroupOp) Encode(b []byte) []byte {
 
 // DecodeStreamGroupOp parses a StreamGroupOp payload.
 func DecodeStreamGroupOp(payload []byte) (*StreamGroupOp, error) {
-	r := &streamReader{buf: payload}
+	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
 	group, err := r.str("group")
 	if err != nil {
 		return nil, err
