@@ -816,7 +816,7 @@ func (c *Client) ReadAt(ctx context.Context, shard, block, index int) (*Entry, e
 	if err != nil {
 		return nil, err
 	}
-	return decodeEntry(d)
+	return server.DecodeEntry(d)
 }
 
 // Force makes everything appended so far durable on every shard.
@@ -855,9 +855,32 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // Cursor is a remote cursor over a log file. Its server-side state lives in
 // the client's session, so it survives reconnects — but not server
 // restarts.
+//
+// A Cursor reads ahead: one OpNext round trip asks for up to `want` entries
+// and Next drains them locally. want is 1 after OpenCursor and after any
+// repositioning call, and doubles with each consecutive refill up to
+// server.MaxBatchEntries — a property of the access pattern, like kernel
+// read-ahead, not a setting — so a seek followed by one Next costs what it
+// did without read-ahead and a scan costs one round trip per batch. What
+// the caller observes is what an unbuffered cursor would show: buffered
+// entries are log history, which never changes, and the end of the log and
+// errors are never buffered — a Next that finds the buffer empty always asks
+// the server, so an entry acknowledged before the call is seen by it.
+//
+// The buffer makes Cursor stateful: a mutex guards it, and a Cursor may be
+// shared by goroutines the way a Client may (each call is atomic; interleaved
+// callers split the entries between them).
 type Cursor struct {
 	c      *Client
 	handle uint32
+
+	mu sync.Mutex
+	// buf[pos:] are entries the server cursor has already stepped past and
+	// the caller has not been given: the server is len(buf)-pos entries
+	// ahead of the position the caller sees.
+	buf  []*Entry
+	pos  int
+	want int // size of the next refill request
 }
 
 var _ logapi.Cursor = (*Cursor)(nil)
@@ -874,106 +897,118 @@ func (c *Client) OpenCursor(ctx context.Context, path string) (logapi.Cursor, er
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{c: c, handle: h}, nil
-}
-
-func decodeEntry(d *server.Decoder) (*Entry, error) {
-	e := &Entry{}
-	var err error
-	if e.LogID, err = d.Uint16(); err != nil {
-		return nil, err
-	}
-	if e.Timestamp, err = d.Int64(); err != nil {
-		return nil, err
-	}
-	flags, err := d.Byte()
-	if err != nil {
-		return nil, err
-	}
-	e.Timestamped = flags&server.EntryTimestamped != 0
-	e.Forced = flags&server.EntryForced != 0
-	sh, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.Shard = int(sh)
-	b, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.Block = int(b)
-	idx, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.Index = int(idx)
-	nExtra, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nExtra > 0 {
-		e.ExtraIDs = make([]uint16, nExtra)
-		for i := range e.ExtraIDs {
-			if e.ExtraIDs[i], err = d.Uint16(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if e.Data, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return &Cursor{c: c, handle: h, want: 1}, nil
 }
 
 // Next returns the next matching entry, or io.EOF at the end of the log.
-func (cu *Cursor) Next(ctx context.Context) (*Entry, error) { return cu.step(ctx, server.OpNext) }
+func (cu *Cursor) Next(ctx context.Context) (*Entry, error) {
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	if cu.pos == len(cu.buf) {
+		if err := cu.refill(ctx); err != nil {
+			return nil, err
+		}
+	}
+	e := cu.buf[cu.pos]
+	cu.buf[cu.pos] = nil // the caller owns it now; do not pin it until the next refill
+	cu.pos++
+	return e, nil
+}
+
+// refill replaces the drained buffer with the next batch. On io.EOF or an
+// error the buffer stays empty, so the next call asks the server again.
+func (cu *Cursor) refill(ctx context.Context) error {
+	p := wire.PutUvarint(nil, uint64(cu.handle))
+	p = wire.PutUvarint(p, uint64(cu.want))
+	status, d, err := cu.c.call(ctx, server.OpNext, "cursornext", false, p)
+	if err != nil {
+		return err
+	}
+	if status == server.StatusEOF {
+		return io.EOF
+	}
+	cu.buf, err = server.DecodeEntryBatch(cu.buf[:0], d)
+	cu.pos = 0
+	if err != nil {
+		return err
+	}
+	cu.want = min(2*cu.want, server.MaxBatchEntries)
+	return nil
+}
+
+// reposition sends a request that moves the server cursor somewhere the
+// read-ahead buffer does not describe. Once the server has answered, the
+// buffer is dropped and the ramp restarts; a call that failed leaves both
+// alone, as it leaves the server cursor wherever the failure left it.
+func (cu *Cursor) reposition(ctx context.Context, op byte, opName string, p []byte) (byte, *server.Decoder, error) {
+	status, d, err := cu.c.call(ctx, op, opName, false, p)
+	if err == nil {
+		cu.buf, cu.pos, cu.want = cu.buf[:0], 0, 1
+	}
+	return status, d, err
+}
 
 // Prev returns the previous matching entry, or io.EOF at the beginning.
-func (cu *Cursor) Prev(ctx context.Context) (*Entry, error) { return cu.step(ctx, server.OpPrev) }
-
-func (cu *Cursor) step(ctx context.Context, op byte) (*Entry, error) {
-	status, d, err := cu.c.call(ctx, op, "cursorstep", false, wire.PutUvarint(nil, uint64(cu.handle)))
+// Entries read ahead and not yet returned lie between the server cursor and
+// the caller's position; the request tells the server how many to step back
+// over first (a count, not a position: the merged root cursor has none).
+func (cu *Cursor) Prev(ctx context.Context) (*Entry, error) {
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	p := wire.PutUvarint(nil, uint64(cu.handle))
+	p = wire.PutUvarint(p, uint64(len(cu.buf)-cu.pos))
+	status, d, err := cu.reposition(ctx, server.OpPrev, "cursorprev", p)
 	if err != nil {
 		return nil, err
 	}
 	if status == server.StatusEOF {
 		return nil, io.EOF
 	}
-	return decodeEntry(d)
+	return server.DecodeEntry(d)
 }
 
 // SeekTime positions the cursor so Next returns the first entry at/after ts.
 func (cu *Cursor) SeekTime(ctx context.Context, ts int64) error {
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUint64(p, uint64(ts))
-	_, _, err := cu.c.call(ctx, server.OpSeekTime, "seektime", false, p)
+	_, _, err := cu.reposition(ctx, server.OpSeekTime, "seektime", p)
 	return err
 }
 
 // SeekStart positions the cursor before the first entry.
 func (cu *Cursor) SeekStart(ctx context.Context) error {
-	_, _, err := cu.c.call(ctx, server.OpSeekStart, "seekstart", false, wire.PutUvarint(nil, uint64(cu.handle)))
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	_, _, err := cu.reposition(ctx, server.OpSeekStart, "seekstart", wire.PutUvarint(nil, uint64(cu.handle)))
 	return err
 }
 
 // SeekEnd positions the cursor after the last entry.
 func (cu *Cursor) SeekEnd(ctx context.Context) error {
-	_, _, err := cu.c.call(ctx, server.OpSeekEnd, "seekend", false, wire.PutUvarint(nil, uint64(cu.handle)))
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	_, _, err := cu.reposition(ctx, server.OpSeekEnd, "seekend", wire.PutUvarint(nil, uint64(cu.handle)))
 	return err
 }
 
 // SeekPos restores the cursor to a previously observed (block, rec) gap
 // position, for resumable consumers.
 func (cu *Cursor) SeekPos(ctx context.Context, block, rec int) error {
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUvarint(p, uint64(block))
 	p = wire.PutUvarint(p, uint64(rec))
-	_, _, err := cu.c.call(ctx, server.OpSeekPos, "seekpos", false, p)
+	_, _, err := cu.reposition(ctx, server.OpSeekPos, "seekpos", p)
 	return err
 }
 
 // Close releases the server-side cursor.
 func (cu *Cursor) Close() error {
-	_, _, err := cu.c.call(context.Background(), server.OpCursorEnd, "cursorend", false, wire.PutUvarint(nil, uint64(cu.handle)))
+	cu.mu.Lock()
+	defer cu.mu.Unlock()
+	_, _, err := cu.reposition(context.Background(), server.OpCursorEnd, "cursorend", wire.PutUvarint(nil, uint64(cu.handle)))
 	return err
 }

@@ -200,6 +200,63 @@ func TestCursorSurvivesReconnect(t *testing.T) {
 	}
 }
 
+// TestScanSurvivesConnectionLossWithReadAhead kills the connection at every
+// phase of a read-ahead scan — with unread entries buffered (the next refill
+// finds a dead connection), and with a refill's response lost in flight (the
+// server has already stepped its cursor a whole batch; the replay must be
+// answered from the dedup window, not by stepping again) — and requires the
+// scan to deliver every entry exactly once, in order.
+func TestScanSurvivesConnectionLossWithReadAhead(t *testing.T) {
+	h := newFaultHarness(t)
+	cl := h.client(t)
+	id, err := cl.CreateLog(bg, "/scan", 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 700
+	for i := 0; i < n; i++ {
+		if _, err := cl.Append(bg, id, []byte(fmt.Sprintf("e%04d", i)), AppendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := cl.OpenCursor(bg, "/scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := cur.(*Cursor)
+	refills, lost, cut := 0, 0, 0
+	for i := 0; i < n; i++ {
+		rc.mu.Lock()
+		unread := len(rc.buf) - rc.pos
+		rc.mu.Unlock()
+		switch {
+		case i%97 == 40 && unread > 0:
+			// Entries are buffered and the connection dies under them.
+			h.conn().Close()
+			cut++
+		case unread == 0:
+			// Every other refill this scan sends loses its response.
+			if refills++; refills%2 == 0 {
+				h.conn().FailNextRead()
+				lost++
+			}
+		}
+		e, err := cur.Next(bg)
+		if err != nil {
+			t.Fatalf("Next %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("e%04d", i); string(e.Data) != want {
+			t.Fatalf("Next %d returned %q, want %q (an entry lost or duplicated across a reconnect)", i, e.Data, want)
+		}
+	}
+	if _, err := cur.Next(bg); err != io.EOF {
+		t.Fatalf("after the last entry: %v, want io.EOF", err)
+	}
+	if lost < 5 || cut < 5 || cl.Reconnects() < int64(lost) {
+		t.Fatalf("%d responses lost, %d connections cut, %d reconnects: the faults were not injected", lost, cut, cl.Reconnects())
+	}
+}
+
 func TestServerRestartMidAppendIsAmbiguous(t *testing.T) {
 	h := newFaultHarness(t)
 	cl := h.client(t)

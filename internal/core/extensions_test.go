@@ -257,4 +257,21 @@ func TestSeekPosResume(t *testing.T) {
 	if err := cur3.SeekPos(-1, 0); err == nil {
 		t.Error("negative position accepted")
 	}
+	// A rec past the block's records (any client can send one) is the gap
+	// after its last record — for Prev too, which used to index past the end.
+	var lastInBlock string
+	for _, e := range readAll(t, s, "/resume") {
+		if e.Block == last.Block {
+			lastInBlock = string(e.Data)
+		}
+	}
+	if err := cur3.SeekPos(last.Block, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := cur3.Prev(); err != nil || string(e.Data) != lastInBlock {
+		t.Fatalf("Prev from past the block's last record: %v, %+v, want %q", err, e, lastInBlock)
+	}
+	if e, err := cur3.Next(); err != nil || string(e.Data) != lastInBlock {
+		t.Fatalf("Next after that Prev: %v", err)
+	}
 }

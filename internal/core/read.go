@@ -497,6 +497,9 @@ func (c *Cursor) prev() (*Entry, error) {
 			continue
 		}
 		parsed := db.p
+		// SeekPos takes any rec: one past the block's records is the gap
+		// after its last.
+		c.rec = min(c.rec, len(parsed.Records))
 		for c.rec > 0 {
 			i := c.rec - 1
 			c.rec--

@@ -25,48 +25,52 @@ func (ls *locatorSource) svc() *Service { return (*Service)(ls) }
 // End implements entrymap.Source.
 func (ls *locatorSource) End() int { return ls.svc().endShared() }
 
-// EntryAt implements entrymap.Source and entrymap.RecoverSource: it reads
+// ViewAt implements entrymap.Source and entrymap.RecoverSource: it reads
 // the entrymap entry nominally due at the given boundary, scanning forward
 // up to the displacement limit when the boundary block is unreadable or the
 // entry was displaced by a fragment chain or a damaged block (§2.3.2).
 // Entrymap entries are self-identifying (level, boundary), so the scan
 // cannot mistake a neighbouring boundary's entry for the requested one.
-// A nil result ("no information") makes the locator search conservatively,
+// ok=false ("no information") makes the locator search conservatively,
 // which keeps a race with the writer's boundary roll-up merely slower, never
 // wrong.
-func (ls *locatorSource) EntryAt(level, boundary int) (*entrymap.Entry, error) {
+//
+// On a cache-resident sealed block the probe allocates nothing and decodes
+// nothing: the views were made when the block was (decodedBlock.emap) and
+// alias its cached image. A parent-log cursor asks once per member id on
+// every block step, for the same entry.
+func (ls *locatorSource) ViewAt(level, boundary int) (entrymap.View, bool, error) {
 	s := ls.svc()
 	end := s.endShared()
 	limit := boundary + s.opt.DisplacementLimit
 	for b := boundary; b <= limit && b < end; b++ {
-		parsed, err := s.parseBlock(b)
+		db, err := s.decodeBlock(b)
 		if err != nil {
 			continue // unreadable: keep scanning forward
 		}
-		if b > boundary && parsed.Flags&blockfmt.FlagEntrymapBoundary == 0 {
+		if b > boundary && db.p.Flags&blockfmt.FlagEntrymapBoundary == 0 {
 			// Displaced entries always land in flagged blocks; skip the
 			// unflagged block but keep scanning (a long fragment chain can
 			// push the displaced entry several blocks past its boundary).
 			continue
 		}
-		for i, rec := range parsed.Records {
-			if rec.LogID != entrymap.EntrymapID || rec.Continued {
-				continue
+		for i := range db.emap {
+			v := db.emap[i].v
+			if db.emap[i].fragmented {
+				data, aerr := s.assemble(b, db.emap[i].rec, db.p)
+				if aerr != nil {
+					continue
+				}
+				if v, aerr = entrymap.DecodeView(data); aerr != nil {
+					continue
+				}
 			}
-			data, aerr := s.assemble(b, i, parsed)
-			if aerr != nil {
-				continue
-			}
-			e, derr := entrymap.Decode(data)
-			if derr != nil {
-				continue
-			}
-			if e.Level == level && e.Boundary == boundary {
-				return e, nil
+			if v.Level == level && v.Boundary == boundary {
+				return v, true, nil
 			}
 		}
 	}
-	return nil, nil
+	return entrymap.View{}, false, nil
 }
 
 // Pending implements entrymap.Source: the accumulator's in-progress bitmap,
@@ -286,6 +290,34 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 type decodedBlock struct {
 	p    *blockfmt.Parsed
 	effs []int64
+	emap []entrymapSlot // nil for all but the blocks entrymap entries land in
+}
+
+// entrymapSlot is one entrymap record of a decoded block, in record order.
+type entrymapSlot struct {
+	rec int // index of the record (a first fragment) in the block
+	// fragmented records continue into following blocks: the locator
+	// reassembles them on every probe, because each chain block read is an
+	// operation the cost model counts.
+	fragmented bool
+	v          entrymap.View // aliases the block image; unset when fragmented
+}
+
+// entrymapSlots lists the block's decodable entrymap entries.
+func entrymapSlots(p *blockfmt.Parsed) []entrymapSlot {
+	var slots []entrymapSlot
+	for i := range p.Records {
+		rec := &p.Records[i]
+		if rec.LogID != entrymap.EntrymapID || rec.Continued {
+			continue
+		}
+		if rec.Continues {
+			slots = append(slots, entrymapSlot{rec: i, fragmented: true})
+		} else if v, err := entrymap.DecodeView(rec.Data); err == nil {
+			slots = append(slots, entrymapSlot{rec: i, v: v})
+		}
+	}
+	return slots
 }
 
 // decodeBlock returns the decoded form of a global data block, reusing a
@@ -310,7 +342,7 @@ func (s *Service) decodeBlock(global int) (*decodedBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &decodedBlock{p: p, effs: p.EffectiveTimestamps()}
+	db := &decodedBlock{p: p, effs: p.EffectiveTimestamps(), emap: entrymapSlots(p)}
 	if global < s.snap().sealedEnd {
 		// Attach only for sealed, device-durable blocks: the staged tail and
 		// pipelined seals are re-put as they change, and Attach's identity

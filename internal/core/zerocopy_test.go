@@ -9,8 +9,9 @@ import (
 	"clio/internal/wodev"
 )
 
-// zeroCopySetup builds a service with a few sealed blocks and returns it
-// along with the (block, index) of a sealed, unfragmented entry.
+// zeroCopySetup builds a service with a few sealed blocks — enough to span
+// several level-1 entrymap boundaries — and returns it along with the
+// (block, index) of a sealed, unfragmented entry.
 func zeroCopySetup(t testing.TB) (*Service, int, int) {
 	tc := &testClock{}
 	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now}
@@ -29,7 +30,7 @@ func zeroCopySetup(t testing.TB) (*Service, int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 200; i++ {
 		if _, err := s.Append(id, []byte(fmt.Sprintf("payload-%03d", i)), AppendOptions{}); err != nil && !IsDegraded(err) {
 			t.Fatal(err)
 		}
@@ -81,10 +82,7 @@ func TestZeroCopyWarmRead(t *testing.T) {
 	if img == nil {
 		t.Fatal("block image not cached after warm read")
 	}
-	start := uintptr(unsafe.Pointer(unsafe.SliceData(img)))
-	end := start + uintptr(len(img))
-	p := uintptr(unsafe.Pointer(unsafe.SliceData(e.Data)))
-	if p < start || p+uintptr(len(e.Data)) > end {
+	if !imageAliases(img, e.Data) {
 		t.Fatalf("Entry.Data does not alias the cached block image")
 	}
 }
@@ -121,6 +119,73 @@ func TestZeroCopyCursorWarmNext(t *testing.T) {
 	}
 	if first == 0 || first != second {
 		t.Fatalf("cursor passes disagree: %d then %d", first, second)
+	}
+}
+
+// imageAliases reports whether b lies inside img.
+func imageAliases(img, b []byte) bool {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(img)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= start && p+uintptr(len(b)) <= start+uintptr(len(img))
+}
+
+// TestZeroCopyEntrymapProbe verifies the locator's entrymap probe of a
+// cache-resident sealed block: once the block is decoded, a probe and the
+// bitmap lookup behind it allocate nothing, and the bitmap handed out
+// aliases the cached image rather than a copy.
+func TestZeroCopyEntrymapProbe(t *testing.T) {
+	s, _, _ := zeroCopySetup(t)
+	ls := (*locatorSource)(s)
+	boundary := s.opt.Degree
+	if boundary >= s.snap().sealedEnd {
+		t.Fatalf("setup sealed only %d blocks, need more than %d", s.snap().sealedEnd, boundary)
+	}
+	id, err := s.cat.Resolve("/zc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok, err := ls.ViewAt(1, boundary) // warm: decodes the block
+	if err != nil || !ok {
+		t.Fatalf("ViewAt(1, %d) = %v, %v", boundary, ok, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if v, ok, err := ls.ViewAt(1, boundary); err != nil || !ok || v.Get(id) == nil {
+			t.Fatal("warm ViewAt lost the entry")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ViewAt allocated %.1f objects/op, want 0", allocs)
+	}
+	bits := v.Get(id)
+	if bits.Empty() {
+		t.Fatalf("level-1 entry at %d has no bitmap for /zc", boundary)
+	}
+	aliased := false
+	for b := boundary; b <= boundary+s.opt.DisplacementLimit && !aliased; b++ {
+		if img := s.blockCache().Lookup(cache.Key{Block: b}); img != nil {
+			aliased = imageAliases(img, bits)
+		}
+	}
+	if !aliased {
+		t.Fatal("entrymap bitmap does not alias a cached block image")
+	}
+}
+
+// BenchmarkEntrymapProbe measures that probe; like BenchmarkReadAtWarm it
+// must report 0 allocs/op.
+func BenchmarkEntrymapProbe(b *testing.B) {
+	s, _, _ := zeroCopySetup(b)
+	ls := (*locatorSource)(s)
+	boundary := s.opt.Degree
+	id, err := s.cat.Resolve("/zc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if v, ok, err := ls.ViewAt(1, boundary); err != nil || !ok || v.Get(id) == nil {
+			b.Fatal("ViewAt lost the entry")
+		}
 	}
 }
 

@@ -149,56 +149,103 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Decode parses an entrymap entry from data.
+// Decode parses an entrymap entry from data. The entry owns its bitmaps.
 func Decode(data []byte) (*Entry, error) {
-	if len(data) < 7 {
-		return nil, ErrBadEntry
+	v, err := DecodeView(data)
+	if err != nil {
+		return nil, err
 	}
-	e := &Entry{Level: int(data[0])}
+	return v.Entry(), nil
+}
+
+// View is an entrymap entry read in place from its wire form: DecodeView
+// decodes the header and validates the maps once, Get then searches them
+// where they lie. A View costs no allocation to make and holds nothing but
+// a reference to the bytes it was decoded from, which the caller must keep
+// immutable while the View is in use — a sealed block's cached image
+// qualifies, which is how the service answers the locator's probes of
+// cached blocks without decoding an entry per probe or keeping a decoded
+// copy per block.
+type View struct {
+	Level, Boundary, N int
+	// maps is the entry's map list as encoded: uvarint id then (N+7)/8 bitmap
+	// bytes, repeated, ids ascending.
+	maps []byte
+}
+
+// DecodeView parses an entrymap entry from data without copying it.
+func DecodeView(data []byte) (View, error) {
+	if len(data) < 7 {
+		return View{}, ErrBadEntry
+	}
+	v := View{Level: int(data[0])}
 	b32, err := wire.Uint32(data[1:])
 	if err != nil {
-		return nil, ErrBadEntry
+		return View{}, ErrBadEntry
 	}
-	e.Boundary = int(b32)
+	v.Boundary = int(b32)
 	n16, err := wire.Uint16(data[5:])
 	if err != nil {
-		return nil, ErrBadEntry
+		return View{}, ErrBadEntry
 	}
-	e.N = int(n16)
-	if e.N < MinDegree || e.N > MaxDegree || e.Level < 1 || e.Level > 16 {
-		return nil, ErrBadEntry
+	v.N = int(n16)
+	if v.N < MinDegree || v.N > MaxDegree || v.Level < 1 || v.Level > 16 {
+		return View{}, ErrBadEntry
 	}
 	rest := data[7:]
 	count, used, err := wire.Uvarint(rest)
 	if err != nil {
-		return nil, ErrBadEntry
+		return View{}, ErrBadEntry
 	}
 	rest = rest[used:]
-	mapBytes := (e.N + 7) / 8
-	// The count is attacker-controlled on damaged media: bound the
-	// preallocation by what the remaining bytes could possibly hold.
+	mapBytes := (v.N + 7) / 8
+	// The count is attacker-controlled on damaged media: it cannot exceed
+	// what the remaining bytes could possibly hold.
 	if count > uint64(len(rest)) {
-		return nil, ErrBadEntry
+		return View{}, ErrBadEntry
 	}
-	e.Maps = make([]IDMap, 0, count)
+	v.maps = rest
+	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		id, used, err := wire.Uvarint(rest)
-		if err != nil || id > wire.MaxLogID {
-			return nil, ErrBadEntry
+		// Get stops at the first id past the one it wants: ids must ascend.
+		if err != nil || id > wire.MaxLogID || id < prev || len(rest) < used+mapBytes {
+			return View{}, ErrBadEntry
 		}
+		prev = id
+		rest = rest[used+mapBytes:]
+	}
+	v.maps = v.maps[:len(v.maps)-len(rest)]
+	return v, nil
+}
+
+// Get returns the bitmap for id, aliasing the viewed bytes, or nil if id has
+// no entries in the span.
+func (v View) Get(id uint16) wire.Bitmap {
+	mapBytes := (v.N + 7) / 8
+	for rest := v.maps; len(rest) > 0; {
+		got, used, _ := wire.Uvarint(rest) // validated by DecodeView
+		if got >= uint64(id) {
+			if got == uint64(id) {
+				return wire.Bitmap(rest[used : used+mapBytes : used+mapBytes])
+			}
+			return nil
+		}
+		rest = rest[used+mapBytes:]
+	}
+	return nil
+}
+
+// Entry expands the view into an Entry that owns its bitmaps.
+func (v View) Entry() *Entry {
+	e := &Entry{Level: v.Level, Boundary: v.Boundary, N: v.N}
+	mapBytes := (v.N + 7) / 8
+	for rest := v.maps; len(rest) > 0; rest = rest[mapBytes:] {
+		id, used, _ := wire.Uvarint(rest) // validated by DecodeView
 		rest = rest[used:]
-		if len(rest) < mapBytes {
-			return nil, ErrBadEntry
-		}
-		bits := make(wire.Bitmap, mapBytes)
-		copy(bits, rest[:mapBytes])
-		rest = rest[mapBytes:]
-		e.Maps = append(e.Maps, IDMap{ID: uint16(id), Bits: bits})
+		e.Maps = append(e.Maps, IDMap{ID: uint16(id), Bits: wire.Bitmap(rest[:mapBytes]).Clone()})
 	}
-	if !sort.SliceIsSorted(e.Maps, func(i, j int) bool { return e.Maps[i].ID < e.Maps[j].ID }) {
-		return nil, ErrBadEntry
-	}
-	return e, nil
+	return e
 }
 
 // pow returns n^i, saturating well above any real volume size.

@@ -186,12 +186,14 @@ func (f *fakeStore) seal(ids []uint16, ts int64) {
 
 func (f *fakeStore) End() int { return len(f.blocks) }
 
-func (f *fakeStore) EntryAt(level, boundary int) (*Entry, error) {
+func (f *fakeStore) ViewAt(level, boundary int) (View, bool, error) {
 	k := [2]int{level, boundary}
-	if f.missing[k] {
-		return nil, nil
+	e := f.entries[k]
+	if f.missing[k] || e == nil {
+		return View{}, false, nil
 	}
-	return f.entries[k], nil
+	v, err := DecodeView(e.Encode(nil))
+	return v, err == nil, err
 }
 
 func (f *fakeStore) Pending(level, spanStart int, id uint16) (wire.Bitmap, bool) {

@@ -13,11 +13,12 @@ type Source interface {
 	// End returns the number of readable data blocks: sealed blocks plus the
 	// staged tail block, if any.
 	End() int
-	// EntryAt returns the entrymap entry of the given level nominally due at
-	// the given boundary block. Implementations handle displaced entries
-	// (§2.3.2). A (nil, nil) return means the entry is missing — the caller
-	// falls back to searching lower levels.
-	EntryAt(level, boundary int) (*Entry, error)
+	// ViewAt returns the entrymap entry of the given level nominally due at
+	// the given boundary block, as a View the caller reads before its next
+	// call into the Source. Implementations handle displaced entries
+	// (§2.3.2). ok=false means the entry is missing — the caller falls back
+	// to searching lower levels.
+	ViewAt(level, boundary int) (v View, ok bool, err error)
 	// Pending returns the writer's in-memory bitmap for the given level's
 	// in-progress span, or nil when the log file has no entries there.
 	// spanStart is where the caller, going by End, takes that span to start.
@@ -79,15 +80,12 @@ func (l *Locator) bitmapAtP(level, spanStart int, id uint16, end int) (bm wire.B
 	span := pow(l.n, level)
 	boundary := spanStart + span
 	if boundary < end {
-		e, err := l.src.EntryAt(level, boundary)
-		if err != nil {
+		v, ok, err := l.src.ViewAt(level, boundary)
+		if err != nil || !ok {
 			return nil, false, false, err
 		}
-		if e == nil {
-			return nil, false, false, nil
-		}
 		l.Stats.EntriesExamined++
-		return e.Get(id), true, false, nil
+		return v.Get(id), true, false, nil
 	}
 	// The span is still in progress (or its boundary block is the staged
 	// tail): the writer's accumulator is authoritative.

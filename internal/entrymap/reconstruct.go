@@ -8,9 +8,9 @@ type RecoverSource interface {
 	// in the given sealed data block. Unreadable (invalidated or damaged)
 	// blocks return nil, nil: their contents are lost (§2.3.2).
 	BlockIDs(block int) ([]uint16, error)
-	// EntryAt is as in Source: the entrymap entry of the given level due at
-	// the given boundary, or (nil, nil) when missing.
-	EntryAt(level, boundary int) (*Entry, error)
+	// ViewAt is as in Source: the entrymap entry of the given level due at
+	// the given boundary, ok=false when missing.
+	ViewAt(level, boundary int) (v View, ok bool, err error)
 }
 
 // ReconstructStats reports the work done during reconstruction, reproducing
@@ -94,12 +94,13 @@ func idsForSpan(src RecoverSource, n, level, boundary int, stats *ReconstructSta
 		stats.BlocksScanned++
 		return src.BlockIDs(boundary - 1)
 	}
-	e, err := src.EntryAt(level, boundary)
+	v, ok, err := src.ViewAt(level, boundary)
 	if err != nil {
 		return nil, err
 	}
-	if e != nil {
+	if ok {
 		stats.EntriesRead++
+		e := v.Entry()
 		ids := make([]uint16, 0, len(e.Maps))
 		for _, m := range e.Maps {
 			if !m.Bits.Empty() {

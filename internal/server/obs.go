@@ -68,6 +68,10 @@ type serverMetrics struct {
 	unknown   *obs.Counter
 	reqLat    *obs.Histogram
 	dedupHits *obs.Counter
+	// cursorEntries counts entries returned by OpNext; over
+	// requests[OpNext] it is the entries one round trip carries — the
+	// read-ahead the request counter alone cannot show.
+	cursorEntries *obs.Counter
 }
 
 // zeroServerMetrics is what met returns before RegisterMetrics: its
@@ -103,6 +107,8 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			"Wall-clock latency of request handling, read to response written.", nil),
 		dedupHits: reg.Counter("clio_server_dedup_hits_total",
 			"Requests answered from the duplicate-suppression window without re-executing."),
+		cursorEntries: reg.Counter("clio_server_cursor_entries_total",
+			"Entries returned by next requests; divided by clio_server_requests_total{op=\"next\"} it is the entries per round trip."),
 	}
 	for op, name := range opNames {
 		m.requests[op] = reg.Counter("clio_server_requests_total",

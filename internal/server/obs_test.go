@@ -96,6 +96,18 @@ func TestAdminEndToEnd(t *testing.T) {
 	if status, _ = tracedRoundTrip(t, cConn, OpNext, 0, 0, wire.PutUvarint(nil, uint64(handle))); status != StatusOK {
 		t.Fatalf("next: status %d", status)
 	}
+	// Two more entries, read back by one batched request: three entries over
+	// two next requests, the ratio the request counter alone cannot show.
+	for _, data := range []string{"second", "third"} {
+		p := PutBytes(append(wire.PutUvarint(nil, id), AppendForced), []byte(data))
+		if status, _ := tracedRoundTrip(t, cConn, OpAppend, 0, 0, p); status != StatusOK {
+			t.Fatalf("append %q: status %d", data, status)
+		}
+	}
+	status, resp = tracedRoundTrip(t, cConn, OpNext, 0, 0, wire.PutUvarint(wire.PutUvarint(nil, uint64(handle)), 8))
+	if entries, err := DecodeEntryBatch(nil, NewDecoder(resp)); status != StatusOK || err != nil || len(entries) != 2 {
+		t.Fatalf("batched next: status %d, %d entries, %v", status, len(entries), err)
+	}
 
 	// The admin surface, as cliod -admin wires it.
 	mux := obs.NewAdminMux(reg, srv.Tracer, func() any {
@@ -115,9 +127,11 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 	metrics := string(body)
 	for _, want := range []string{
-		"clio_core_entries_appended_total 1\n",
-		"clio_core_forced_writes_total 1\n",
-		`clio_server_requests_total{op="append"} 1`,
+		"clio_core_entries_appended_total 3\n",
+		"clio_core_forced_writes_total 3\n",
+		`clio_server_requests_total{op="append"} 3`,
+		`clio_server_requests_total{op="next"} 2`,
+		"clio_server_cursor_entries_total 3\n",
 		`clio_server_requests_total{op="create"} 1`,
 		"clio_cache_hits_total",
 		"clio_wodev_reads_total",
@@ -125,7 +139,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		"clio_entrymap_entries_examined_total",
 		"# HELP clio_fault_point_hits_total",
 		"clio_core_append_seconds_bucket{le=",
-		"clio_core_force_seconds_count 1",
+		"clio_core_force_seconds_count 3",
 		"clio_server_request_seconds_bucket{le=",
 		"clio_go_goroutines",
 	} {
@@ -147,7 +161,7 @@ func TestAdminEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/statusz does not parse: %v", err)
 	}
-	if statusz.Core.Stats.EntriesAppended != 1 || statusz.Core.BlockSize != 512 {
+	if statusz.Core.Stats.EntriesAppended != 3 || statusz.Core.BlockSize != 512 {
 		t.Errorf("statusz core = %+v", statusz.Core)
 	}
 	if statusz.Server.Conns != 1 {

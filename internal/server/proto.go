@@ -37,6 +37,7 @@ import (
 	"io"
 	"net"
 
+	"clio/internal/core"
 	"clio/internal/wire"
 )
 
@@ -130,6 +131,28 @@ const (
 // MaxFrame bounds a single protocol frame.
 const MaxFrame = 8 << 20
 
+// Cursor steps. OpNext and OpPrev carry a cursor handle (uvarint) and answer
+// with one entry in the entry-response layout, StatusEOF at the end of the
+// log. Both take an optional second uvarint; a bare handle keeps that
+// exchange byte for byte.
+//
+// After OpNext's handle it is `want`, the read-ahead form: the server steps
+// the cursor up to min(want, MaxBatchEntries) times and answers with an entry
+// batch (see DecodeEntryBatch) instead of a bare entry. A batch takes no
+// further entry once it holds MaxBatchBytes, so it overshoots by less than
+// one entry, and it always carries at least one. It ends early at the end of
+// the log or at an error, neither of which is ever part of a batch: the
+// request after it reports them, as the bare form would. MaxBatchEntries must
+// stay below 128, the batch count being written as one byte.
+//
+// After OpPrev's handle it is `back`: how many entries the client read ahead
+// and did not consume, which the server steps back over before the Prev it
+// answers.
+const (
+	MaxBatchEntries = 64
+	MaxBatchBytes   = 16 << 10
+)
+
 // ErrFrameTooLarge is returned for frames above MaxFrame.
 var ErrFrameTooLarge = errors.New("server: frame too large")
 
@@ -182,6 +205,122 @@ func ReadFrame(r io.Reader) (byte, uint64, uint64, []byte, error) {
 	}
 	return buf[0], binary.LittleEndian.Uint64(buf[1:9]),
 		binary.LittleEndian.Uint64(buf[9:17]), buf[17:], nil
+}
+
+// Entry layout.
+
+// EncodeEntry renders one entry in the protocol's entry-response layout.
+// Exported for the cluster follower, which serves OpReadAt from replicated
+// sealed history without a live server.
+func EncodeEntry(e *core.Entry) []byte {
+	return append(appendEntryHead(nil, e), e.Data...)
+}
+
+// appendEntryHead appends everything up to and including the data length
+// prefix — shard-local LogID (u16), timestamp, flag byte, then the shard
+// ordinal and the shard-local (block, index) position as uvarints and the
+// extra member ids — so the data itself can be shipped as a separate
+// borrowed chunk (WriteFrameChunks): head + e.Data is EncodeEntry.
+func appendEntryHead(out []byte, e *core.Entry) []byte {
+	out = wire.PutUint16(out, e.LogID)
+	out = wire.PutUint64(out, uint64(e.Timestamp))
+	var flags byte
+	if e.Timestamped {
+		flags |= EntryTimestamped
+	}
+	if e.Forced {
+		flags |= EntryForced
+	}
+	out = append(out, flags)
+	out = wire.PutUvarint(out, uint64(e.Shard))
+	out = wire.PutUvarint(out, uint64(e.Block))
+	out = wire.PutUvarint(out, uint64(e.Index))
+	out = wire.PutUvarint(out, uint64(len(e.ExtraIDs)))
+	for _, id := range e.ExtraIDs {
+		out = wire.PutUint16(out, id)
+	}
+	return wire.PutUvarint(out, uint64(len(e.Data)))
+}
+
+// DecodeEntry consumes one entry in the entry-response layout. The entry's
+// data is copied out of the payload.
+func DecodeEntry(d *Decoder) (*core.Entry, error) {
+	e := &core.Entry{}
+	var err error
+	if e.LogID, err = d.Uint16(); err != nil {
+		return nil, err
+	}
+	if e.Timestamp, err = d.Int64(); err != nil {
+		return nil, err
+	}
+	flags, err := d.Byte()
+	if err != nil {
+		return nil, err
+	}
+	e.Timestamped = flags&EntryTimestamped != 0
+	e.Forced = flags&EntryForced != 0
+	sh, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	e.Shard = int(sh)
+	b, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	e.Block = int(b)
+	idx, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	e.Index = int(idx)
+	nExtra, err := d.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nExtra > uint64(d.Remaining())/2 {
+		return nil, d.fail("extra id count")
+	}
+	if nExtra > 0 {
+		e.ExtraIDs = make([]uint16, nExtra)
+		for i := range e.ExtraIDs {
+			if e.ExtraIDs[i], err = d.Uint16(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if e.Data, err = d.Bytes(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// DecodeEntryBatch consumes a batched OpNext response — a uvarint count
+// followed by that many entries, to the end of the payload — appending the
+// entries to dst. The whole payload is validated before anything is
+// returned: a batch that is empty, claims more than MaxBatchEntries, is
+// truncated, or is followed by trailing bytes is an error, and dst comes
+// back unextended.
+func DecodeEntryBatch(dst []*core.Entry, d *Decoder) ([]*core.Entry, error) {
+	n, err := d.Uvarint()
+	if err != nil {
+		return dst, err
+	}
+	if n == 0 || n > MaxBatchEntries {
+		return dst, d.fail("entry batch count")
+	}
+	out := dst
+	for i := uint64(0); i < n; i++ {
+		e, err := DecodeEntry(d)
+		if err != nil {
+			return dst, err
+		}
+		out = append(out, e)
+	}
+	if d.Remaining() != 0 {
+		return dst, d.fail("trailing bytes after entry batch")
+	}
+	return out, nil
 }
 
 // Payload encoding helpers.

@@ -3,8 +3,12 @@ package server
 import (
 	"bytes"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"clio/internal/core"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -103,5 +107,99 @@ func TestDecoderRejectsOversizeString(t *testing.T) {
 	d := NewDecoder([]byte{200, 1, 'x'})
 	if _, err := d.String(); err == nil {
 		t.Error("oversize string accepted")
+	}
+}
+
+// sampleEntries covers the layout's variable parts: multi-byte uvarints,
+// extra member ids, and empty data.
+func sampleEntries() []*core.Entry {
+	return []*core.Entry{
+		{LogID: 7, Timestamp: 1000, Timestamped: true, Data: []byte("first"), Block: 3, Index: 2},
+		{LogID: 4095, Timestamp: 1 << 40, Forced: true, Data: bytes.Repeat([]byte{0xAB}, 300),
+			Block: 70000, Index: 130, Shard: 3, ExtraIDs: []uint16{9, 4000}},
+		{LogID: 5, Timestamp: 2000, Block: 1, Index: 0},
+	}
+}
+
+func TestEntryRoundTrip(t *testing.T) {
+	for i, e := range sampleEntries() {
+		enc := EncodeEntry(e)
+		d := NewDecoder(enc)
+		got, err := DecodeEntry(d)
+		if err != nil {
+			t.Fatalf("entry %d: %v", i, err)
+		}
+		if d.Remaining() != 0 {
+			t.Errorf("entry %d: %d bytes left over", i, d.Remaining())
+		}
+		if len(e.Data) == 0 {
+			got.Data = nil // Bytes returns an empty, non-nil slice
+		}
+		if !reflect.DeepEqual(got, e) {
+			t.Errorf("entry %d: decoded %+v, want %+v", i, got, e)
+		}
+	}
+}
+
+// encodeBatch lays entries out the way a batched OpNext response does.
+func encodeBatch(entries []*core.Entry) []byte {
+	out := []byte{byte(len(entries))}
+	for _, e := range entries {
+		out = append(out, EncodeEntry(e)...)
+	}
+	return out
+}
+
+func TestEntryBatchDecode(t *testing.T) {
+	entries := sampleEntries()
+	good := encodeBatch(entries)
+	got, err := DecodeEntryBatch(nil, NewDecoder(good))
+	if err != nil || len(got) != len(entries) {
+		t.Fatalf("good batch: %d entries, %v", len(got), err)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i].Data, entries[i].Data) || got[i].Block != entries[i].Block {
+			t.Errorf("entry %d: %+v", i, got[i])
+		}
+	}
+
+	over := append([]byte{MaxBatchEntries + 1}, good[1:]...)
+	lenPastFrame := encodeBatch(entries[:1])
+	lenPastFrame[len(lenPastFrame)-len(entries[0].Data)-1] = 200 // data length prefix
+	bad := []struct {
+		name    string
+		payload []byte
+		wantErr string
+	}{
+		{"empty payload", nil, "uvarint"},
+		{"truncated count", []byte{0x80}, "uvarint"},
+		{"zero-length batch", []byte{0}, "batch count"},
+		{"count above the server's maximum", over, "batch count"},
+		{"count claims more entries than follow", append([]byte{4}, good[1:]...), "malformed"},
+		{"cut inside an entry head", good[:5], "malformed"},
+		{"cut inside entry data", good[:len(good)-1], "malformed"},
+		{"entry length past the frame", lenPastFrame, "bytes body"},
+		{"trailing bytes", append(append([]byte(nil), good...), 0), "trailing"},
+	}
+	keep := []*core.Entry{{LogID: 1}}
+	for _, tc := range bad {
+		out, err := DecodeEntryBatch(keep, NewDecoder(tc.payload))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.wantErr)
+		}
+		if len(out) != 1 || out[0] != keep[0] {
+			t.Errorf("%s: a rejected batch changed dst (now %d entries)", tc.name, len(out))
+		}
+	}
+}
+
+func TestDecodeEntryBoundsExtraIDs(t *testing.T) {
+	// An extra-id count far beyond the payload must fail before allocating.
+	e := &core.Entry{LogID: 1}
+	enc := appendEntryHead(nil, e)
+	enc = enc[:len(enc)-2]                          // drop nExtra(0) and the data length
+	enc = append(enc, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F) // nExtra = 2^32-1
+	if _, err := DecodeEntry(NewDecoder(enc)); err == nil {
+		t.Fatal("oversize extra-id count accepted")
 	}
 }

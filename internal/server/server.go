@@ -25,10 +25,15 @@ import (
 // goroutine forever.
 const DefaultIdleTimeout = 2 * time.Minute
 
-// dedupWindow bounds the per-session duplicate-suppression cache. The
-// client has one request in flight per connection, so the window only needs
-// to cover replay after reconnect plus slack.
-const dedupWindow = 128
+// dedupWindow and dedupBytes bound the per-session duplicate-suppression
+// cache, in responses and in retained payload bytes. The client has one
+// request in flight per connection, so the window only needs to cover replay
+// after reconnect plus slack; the byte budget keeps that slack from growing
+// with response size (a batched OpNext answer is ~50× an append's).
+const (
+	dedupWindow = 128
+	dedupBytes  = 64 << 10
+)
 
 // DefaultReadWorkers bounds how many read-class requests the server executes
 // concurrently per shard when ReadWorkers is left zero.
@@ -221,14 +226,8 @@ func (s *Server) InstallSessions(states []SessionState) {
 		}
 		for _, r := range st.Resps {
 			if _, exists := sess.window[r.Seq]; !exists {
-				sess.order = append(sess.order, r.Seq)
-				sess.window[r.Seq] = cachedResp{status: r.Status, payload: r.Resp}
+				sess.retainLocked(r.Seq, cachedResp{status: r.Status, payload: r.Resp})
 			}
-		}
-		for len(sess.order) > dedupWindow {
-			evict := sess.order[0]
-			sess.order = sess.order[1:]
-			delete(sess.window, evict)
 		}
 		sess.mu.Unlock()
 	}
@@ -644,6 +643,7 @@ type session struct {
 	maxSeq     uint64
 	window     map[uint64]cachedResp
 	order      []uint64 // FIFO of cached seqs for eviction
+	retained   int      // payload bytes held by window
 	// tenant pins a shared session to the tenant that first bound it ("" in
 	// open mode): a session id is client-chosen, so without the pin one
 	// tenant could replay another's session and read its cached responses.
@@ -684,25 +684,40 @@ func (ss *session) lookup(seq uint64) (resp cachedResp, seen, stale bool) {
 // request. A request is "mid-flight" between lookup and record, and during
 // that span its seq is not in the window at all — there is nothing to
 // evict. Once record inserts it, it is the newest of at most dedupWindow
-// entries, and handle has already returned the response by the time
-// dedupWindow further sequenced requests (each serialized under sess.exec)
-// could push it out the FIFO. Eviction therefore only ever discards
-// responses whose original request completed long ago; a replay that
-// arrives after that reports the explicit "outside duplicate-suppression
-// window" error rather than re-executing.
+// entries, and the newest entry is exempt from both bounds (retainLocked), so
+// it stays until the next sequenced request — serialized behind this one
+// under sess.exec — records its own response, by which time handle has
+// returned this one. Eviction therefore only ever discards responses whose
+// original request completed before a later one did; a replay that arrives
+// after that reports the explicit "outside duplicate-suppression window"
+// error rather than re-executing.
 func (ss *session) record(seq uint64, status byte, payload []byte) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if seq > ss.maxSeq {
 		ss.maxSeq = seq
 	}
-	if _, ok := ss.window[seq]; !ok {
+	ss.retainLocked(seq, cachedResp{status: status, payload: payload})
+}
+
+// retainLocked puts one response in the window and evicts oldest-first until
+// the window is back inside both bounds, dedupWindow responses and dedupBytes
+// of payload. The response just added is never evicted, whatever its size.
+// It is the only place the window grows, so live requests, replicated acks
+// and an installed handoff state (ExportSessions → InstallSessions) are
+// accounted alike.
+func (ss *session) retainLocked(seq uint64, r cachedResp) {
+	if old, ok := ss.window[seq]; ok {
+		ss.retained -= len(old.payload)
+	} else {
 		ss.order = append(ss.order, seq)
 	}
-	ss.window[seq] = cachedResp{status: status, payload: payload}
-	for len(ss.order) > dedupWindow {
+	ss.window[seq] = r
+	ss.retained += len(r.payload)
+	for len(ss.order) > 1 && (len(ss.order) > dedupWindow || ss.retained > dedupBytes) {
 		evict := ss.order[0]
 		ss.order = ss.order[1:]
+		ss.retained -= len(ss.window[evict].payload)
 		delete(ss.window, evict)
 	}
 }
@@ -1077,21 +1092,71 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 		if err != nil {
 			return errResp3(err)
 		}
-		var e *core.Entry
-		readDone := tr.Span("core.read")
+		// The optional second field: OpNext's want, OpPrev's back.
+		var arg uint64
+		hasArg := d.Remaining() > 0
+		if hasArg {
+			if arg, err = d.Uvarint(); err != nil {
+				return errResp3(err)
+			}
+		}
+		defer tr.Span("core.read")()
+		step, want, batched := cur.Next, 1, false
+		// Counted for OpNext only, so its ratio to requests_total{op="next"}
+		// is the entries one round trip carried.
+		entries := h.srv.met().cursorEntries
 		if op == OpNext {
-			e, err = cur.Next(ctx)
+			if batched = hasArg; batched {
+				want = int(min(max(arg, 1), MaxBatchEntries))
+			}
 		} else {
-			e, err = cur.Prev(ctx)
+			step, entries = cur.Prev, nil
+			// Step back over what the client read ahead and never consumed.
+			// They are entries this cursor itself returned — one batch at most
+			// — so running out of log first means the position is gone, not
+			// the beginning reached.
+			if arg > MaxBatchEntries {
+				return errResp3(fmt.Errorf("server: cannot step back %d entries, a batch holds %d", arg, MaxBatchEntries))
+			}
+			for ; arg > 0; arg-- {
+				if _, err := cur.Prev(ctx); err != nil {
+					return errResp3(fmt.Errorf("server: stepping back over read-ahead entries: %w", err))
+				}
+			}
 		}
-		readDone()
-		if err == io.EOF {
-			return StatusEOF, nil, nil
+		// One fill loop, two framings: the bare form answers with the first
+		// entry as head + borrowed data, the batched form with every entry
+		// collected, behind a count. EOF and errors are reported only by a
+		// request that found nothing before them; a batch just ends there, so
+		// neither is ever held in a client's buffer.
+		var batch [MaxBatchEntries]*core.Entry
+		var head [64]byte // scratch: heads are encoded once to size the batch, once into it
+		n, size := 0, 1   // the count byte
+		for n < want && size < MaxBatchBytes {
+			e, err := step(ctx)
+			if err != nil {
+				if n > 0 {
+					break
+				}
+				if err == io.EOF {
+					return StatusEOF, nil, nil
+				}
+				return errResp3(err)
+			}
+			entries.Inc()
+			if !batched {
+				return StatusOK, appendEntryHead(nil, e), e.Data
+			}
+			batch[n] = e
+			n++
+			size += len(appendEntryHead(head[:0], e)) + len(e.Data)
 		}
-		if err != nil {
-			return errResp3(err)
+		// Sized exactly: the dedup window retains this buffer.
+		out := append(make([]byte, 0, size), byte(n))
+		for _, e := range batch[:n] {
+			out = append(appendEntryHead(out, e), e.Data...)
 		}
-		return StatusOK, encodeEntryHead(e), e.Data
+		return StatusOK, out, nil
 
 	case OpSeekTime:
 		cur, err := h.cursor(d)
@@ -1172,7 +1237,7 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 		if err := h.tenantEntry(e.Shard, e.LogID); err != nil {
 			return errResp3(err)
 		}
-		return StatusOK, encodeEntryHead(e), e.Data
+		return StatusOK, appendEntryHead(nil, e), e.Data
 
 	case OpStats:
 		st := store.Stats()
@@ -1224,40 +1289,4 @@ func (h *connHandler) cursor(d *Decoder) (logapi.Cursor, error) {
 		return nil, fmt.Errorf("server: unknown cursor handle %d", handle)
 	}
 	return cur, nil
-}
-
-// EncodeEntry renders one entry in the protocol's entry-response layout.
-// Exported for the cluster follower, which serves OpReadAt from replicated
-// sealed history without a live server.
-func EncodeEntry(e *core.Entry) []byte { return encodeEntry(e) }
-
-// encodeEntry lays out one entry: shard-local LogID (u16), timestamp, flag
-// byte, then the shard ordinal and the shard-local (block, index) position
-// as uvarints, the extra member ids, and the data.
-func encodeEntry(e *core.Entry) []byte {
-	return append(encodeEntryHead(e), e.Data...)
-}
-
-// encodeEntryHead lays out everything up to and including the data length
-// prefix, so the data itself can be shipped as a separate borrowed chunk
-// (WriteFrameChunks): head + e.Data is byte-identical to encodeEntry.
-func encodeEntryHead(e *core.Entry) []byte {
-	out := wire.PutUint16(nil, e.LogID)
-	out = wire.PutUint64(out, uint64(e.Timestamp))
-	var flags byte
-	if e.Timestamped {
-		flags |= EntryTimestamped
-	}
-	if e.Forced {
-		flags |= EntryForced
-	}
-	out = append(out, flags)
-	out = wire.PutUvarint(out, uint64(e.Shard))
-	out = wire.PutUvarint(out, uint64(e.Block))
-	out = wire.PutUvarint(out, uint64(e.Index))
-	out = wire.PutUvarint(out, uint64(len(e.ExtraIDs)))
-	for _, id := range e.ExtraIDs {
-		out = wire.PutUint16(out, id)
-	}
-	return wire.PutUvarint(out, uint64(len(e.Data)))
 }

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -278,12 +281,233 @@ func TestDuplicateSuppressionCoversCursorAdvance(t *testing.T) {
 	}
 }
 
+// cursorFixture creates /scan holding n forced entries "e000".."e<n-1>"
+// (with pad appended to each) and opens a cursor on it, returning the handle
+// payload.
+func cursorFixture(t *testing.T, conn net.Conn, n int, pad string) []byte {
+	t.Helper()
+	p := PutString(nil, "/scan")
+	p = wire.PutUint16(p, 0)
+	p = PutString(p, "")
+	status, resp := roundTrip(t, conn, OpCreate, p)
+	if status != StatusOK {
+		t.Fatal("create failed")
+	}
+	id, _ := NewDecoder(resp).Uvarint()
+	for i := 0; i < n; i++ {
+		ap := wire.PutUvarint(nil, id)
+		ap = append(ap, 0)
+		ap = PutBytes(ap, []byte(fmt.Sprintf("e%03d%s", i, pad)))
+		if status, _ := roundTrip(t, conn, OpAppend, ap); status != StatusOK {
+			t.Fatal("append failed")
+		}
+	}
+	status, resp = roundTrip(t, conn, OpCursorOpen, PutString(nil, "/scan"))
+	if status != StatusOK {
+		t.Fatal("cursor open failed")
+	}
+	handle, _ := NewDecoder(resp).Uint32()
+	return wire.PutUvarint(nil, uint64(handle))
+}
+
+// batchData decodes a batched OpNext response into its entries' data.
+func batchData(t *testing.T, resp []byte) []string {
+	t.Helper()
+	entries, err := DecodeEntryBatch(nil, NewDecoder(resp))
+	if err != nil {
+		t.Fatalf("decode batch: %v", err)
+	}
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = string(e.Data)
+	}
+	return out
+}
+
+// TestBareCursorStepKeepsItsBytes pins the wire compatibility the benchmark's
+// hand-written frames depend on: OpNext and OpPrev with a bare handle answer
+// with exactly one entry in the entry-response layout — no count, nothing
+// after the data — whatever the batched form does.
+func TestBareCursorStepKeepsItsBytes(t *testing.T) {
+	srv, conn := testServer(t)
+	hb := cursorFixture(t, conn, 3, "")
+	ref, err := srv.Store().OpenCursor(context.Background(), "/scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []byte{OpNext, OpNext, OpPrev, OpNext, OpNext} {
+		step := ref.Next
+		if op == OpPrev {
+			step = ref.Prev
+		}
+		want, err := step(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, resp := roundTrip(t, conn, op, hb)
+		if status != StatusOK || !bytes.Equal(resp, EncodeEntry(want)) {
+			t.Fatalf("op %d: status %d, payload %x, want exactly %x", op, status, resp, EncodeEntry(want))
+		}
+	}
+	if status, resp := roundTrip(t, conn, OpNext, hb); status != StatusEOF || len(resp) != 0 {
+		t.Fatalf("bare Next at the end: status %d, %d payload bytes", status, len(resp))
+	}
+}
+
+// TestBatchedNext covers the read-ahead form's contract: up to want entries,
+// the server's entry cap, the end of the log ending a batch early without
+// being part of it, and a replay answered byte for byte from the dedup
+// window without a second advance.
+func TestBatchedNext(t *testing.T) {
+	_, conn := testServer(t)
+	const n = MaxBatchEntries + 10
+	hb := cursorFixture(t, conn, n, "")
+	next := func(seq, want uint64) (byte, []byte) {
+		return roundTripSeq(t, conn, OpNext, seq, wire.PutUvarint(append([]byte(nil), hb...), want))
+	}
+
+	status, resp := next(100, 3)
+	if got := batchData(t, resp); status != StatusOK || fmt.Sprint(got) != "[e000 e001 e002]" {
+		t.Fatalf("want=3: status %d, %v", status, got)
+	}
+	// The replay is the recorded response itself, and the cursor stays put.
+	if status2, resp2 := next(100, 3); status2 != status || !bytes.Equal(resp2, resp) {
+		t.Fatalf("replayed batch differs: status %d, %x vs %x", status2, resp2, resp)
+	}
+	// want=0 still returns one entry; the next request continues after it.
+	status, resp = next(101, 0)
+	if got := batchData(t, resp); status != StatusOK || fmt.Sprint(got) != "[e003]" {
+		t.Fatalf("want=0: status %d, %v", status, got)
+	}
+	// A huge want is cut to the server's cap.
+	status, resp = next(102, 1<<40)
+	got := batchData(t, resp)
+	if status != StatusOK || len(got) != MaxBatchEntries || got[0] != "e004" {
+		t.Fatalf("want=2^40: status %d, %d entries from %q", status, len(got), got[0])
+	}
+	// The log ends inside this batch: the batch stops there, without an EOF.
+	status, resp = next(103, 50)
+	got = batchData(t, resp)
+	if status != StatusOK || len(got) != n-4-MaxBatchEntries || got[len(got)-1] != fmt.Sprintf("e%03d", n-1) {
+		t.Fatalf("tail batch: status %d, %v", status, got)
+	}
+	// Only a request that finds nothing reports the end.
+	if status, resp = next(104, 50); status != StatusEOF || len(resp) != 0 {
+		t.Fatalf("at the end: status %d, %d payload bytes", status, len(resp))
+	}
+}
+
+// TestBatchedNextByteBudget: a batch stops taking entries once it holds
+// MaxBatchBytes, so it overshoots by less than one entry.
+func TestBatchedNextByteBudget(t *testing.T) {
+	_, conn := testServer(t)
+	pad := strings.Repeat("x", 1000)
+	hb := cursorFixture(t, conn, 40, pad)
+	status, resp := roundTrip(t, conn, OpNext, wire.PutUvarint(append([]byte(nil), hb...), MaxBatchEntries))
+	got := batchData(t, resp)
+	if status != StatusOK || len(got) < 2 || len(got) >= 40 {
+		t.Fatalf("status %d, %d entries", status, len(got))
+	}
+	if len(resp) < MaxBatchBytes || len(resp) >= MaxBatchBytes+len(pad)+64 {
+		t.Fatalf("batch is %d bytes for a %d-byte budget and ~%d-byte entries", len(resp), MaxBatchBytes, len(pad))
+	}
+	if status, resp = roundTrip(t, conn, OpNext, hb); status != StatusOK ||
+		decodeEntryData(t, resp) != fmt.Sprintf("e%03d%s", len(got), pad) {
+		t.Fatal("the entry after a budget-limited batch is not the next one")
+	}
+}
+
+// TestPrevStepsBackOverReadAhead: OpPrev's second field is the number of
+// entries the client read ahead and never consumed; the server steps back
+// over them before the Prev it answers.
+func TestPrevStepsBackOverReadAhead(t *testing.T) {
+	_, conn := testServer(t)
+	hb := cursorFixture(t, conn, 20, "")
+	status, resp := roundTrip(t, conn, OpNext, wire.PutUvarint(append([]byte(nil), hb...), 8))
+	if status != StatusOK || len(batchData(t, resp)) != 8 {
+		t.Fatal("batch of 8 failed")
+	}
+	// The client consumed e000..e002 and holds e003..e007: Prev is e002.
+	status, resp = roundTrip(t, conn, OpPrev, wire.PutUvarint(append([]byte(nil), hb...), 5))
+	if status != StatusOK || decodeEntryData(t, resp) != "e002" {
+		t.Fatalf("Prev after stepping back 5: status %d", status)
+	}
+	if status, resp = roundTrip(t, conn, OpNext, hb); status != StatusOK || decodeEntryData(t, resp) != "e002" {
+		t.Fatal("cursor not left just before e002")
+	}
+	// Stepping back further than the log reaches is an error, not an EOF;
+	// further than any batch, it is refused before the cursor moves.
+	status, resp = roundTrip(t, conn, OpPrev, wire.PutUvarint(append([]byte(nil), hb...), 9))
+	msg, _ := NewDecoder(resp).String()
+	if status != StatusErr || !strings.Contains(msg, "stepping back") {
+		t.Fatalf("over-long step back: status %d, %q", status, msg)
+	}
+	status, resp = roundTrip(t, conn, OpPrev, wire.PutUvarint(append([]byte(nil), hb...), 1<<50))
+	msg, _ = NewDecoder(resp).String()
+	if status != StatusErr || !strings.Contains(msg, "a batch holds") {
+		t.Fatalf("absurd step back: status %d, %q", status, msg)
+	}
+}
+
+// TestDedupWindowByteBudget: the window holds at most dedupBytes of payload
+// whatever the responses' size, always keeps the newest, and answers an
+// evicted seq with the explicit error instead of re-executing.
+func TestDedupWindowByteBudget(t *testing.T) {
+	ss := newSession(1)
+	big := make([]byte, dedupBytes/4)
+	for seq := uint64(1); seq <= 10; seq++ {
+		ss.record(seq, StatusOK, big)
+	}
+	if ss.retained > dedupBytes || ss.retained != len(ss.window)*len(big) || len(ss.window) != 4 {
+		t.Fatalf("window holds %d responses, %d bytes accounted", len(ss.window), ss.retained)
+	}
+	if _, seen, stale := ss.lookup(10); !seen || stale {
+		t.Fatal("newest response not retained")
+	}
+	if _, seen, stale := ss.lookup(6); seen || !stale {
+		t.Fatalf("evicted seq: seen=%v stale=%v, want the stale answer", seen, stale)
+	}
+	// One response larger than the whole budget is still kept — alone.
+	ss.record(11, StatusOK, make([]byte, 2*dedupBytes))
+	if _, seen, _ := ss.lookup(11); !seen || len(ss.window) != 1 || ss.retained != 2*dedupBytes {
+		t.Fatalf("oversize response: window %d, %d bytes accounted", len(ss.window), ss.retained)
+	}
+	// Re-recording a seq replaces its bytes instead of counting them twice.
+	ss.record(11, StatusOK, big)
+	if ss.retained != len(big) || len(ss.order) != 1 {
+		t.Fatalf("re-record: %d bytes accounted, order %v", ss.retained, ss.order)
+	}
+	// The count bound still holds for small responses.
+	for seq := uint64(12); seq < 12+2*dedupWindow; seq++ {
+		ss.record(seq, StatusOK, []byte{1})
+	}
+	if len(ss.window) != dedupWindow || len(ss.order) != dedupWindow {
+		t.Fatalf("window holds %d responses, want %d", len(ss.window), dedupWindow)
+	}
+
+	// A handoff goes through the same accounting: what one server exports,
+	// another installs under the same two bounds.
+	src, dst := New(nil), New(nil)
+	for seq := uint64(1); seq <= 10; seq++ {
+		src.RecordSessionResp(9, seq, StatusOK, big)
+	}
+	dst.InstallSessions(src.ExportSessions())
+	got := dst.sessions[9]
+	if got == nil || got.maxSeq != 10 || len(got.window) != 4 || got.retained != 4*len(big) {
+		t.Fatalf("installed session: present=%v maxSeq=%d window=%d retained=%d", got != nil, got.maxSeq, len(got.window), got.retained)
+	}
+	dst.InstallSessions(src.ExportSessions()) // idempotent
+	if len(got.window) != 4 || got.retained != 4*len(big) {
+		t.Fatalf("re-install changed the window: %d responses, %d bytes", len(got.window), got.retained)
+	}
+}
+
 func decodeEntryData(t *testing.T, resp []byte) string {
 	t.Helper()
 	d := NewDecoder(resp)
-	d.Uint16() // log id
-	d.Int64()  // ts
-	d.Byte()   // flags
+	d.Uint16()  // log id
+	d.Int64()   // ts
+	d.Byte()    // flags
 	d.Uvarint() // shard
 	d.Uvarint() // block
 	d.Uvarint() // index
