@@ -443,27 +443,50 @@ func Validate(block []byte) bool {
 	return wire.Checksum(block[:n-4]) == u32(foot[18:])
 }
 
-// Parse decodes and verifies a block image. It returns ErrBadMagic for
-// non-Clio contents (e.g. garbage written by a failure) and ErrBadChecksum
-// for damaged blocks; both conditions make the service treat the block as
+// checkFooter verifies what must hold before any byte of a block image is
+// believed — size, magic, format version, checksum — and returns the footer.
+// ErrBadMagic means non-Clio contents (e.g. garbage written by a failure),
+// ErrBadChecksum a damaged block; either way the service treats the block as
 // lost (§2.3.2).
-func Parse(block []byte) (*Parsed, error) {
+func checkFooter(block []byte) ([]byte, error) {
 	n := len(block)
 	if n < MinBlockSize {
 		return nil, fmt.Errorf("%w: %d-byte block", ErrBlockSize, n)
 	}
 	foot := block[n-FooterSize:]
-	magic := uint16(foot[0]) | uint16(foot[1])<<8
-	if magic != Magic {
+	if uint16(foot[0])|uint16(foot[1])<<8 != Magic {
 		return nil, ErrBadMagic
 	}
 	if foot[2] != FormatVersion {
 		return nil, fmt.Errorf("blockfmt: unsupported format version %d", foot[2])
 	}
-	crcStored := u32(foot[18:])
-	if wire.Checksum(block[:n-4]) != crcStored {
+	if wire.Checksum(block[:n-4]) != u32(foot[18:]) {
 		return nil, ErrBadChecksum
 	}
+	return foot, nil
+}
+
+// FirstTimestamp returns the mandatory timestamp of the block's first entry
+// straight from the footer of a block image, verified as Parse verifies it
+// but with no record decoded and nothing allocated: what a time search needs
+// of the blocks it only dates. ok is false for a block that holds no entry —
+// a tail just started — whose footer timestamp is not set yet.
+func FirstTimestamp(block []byte) (ts int64, ok bool, err error) {
+	foot, err := checkFooter(block)
+	if err != nil {
+		return 0, false, err
+	}
+	return int64(u64(foot[6:])), foot[4]|foot[5] != 0, nil
+}
+
+// Parse decodes and verifies a block image (see checkFooter for the errors
+// of an image that cannot be believed).
+func Parse(block []byte) (*Parsed, error) {
+	foot, err := checkFooter(block)
+	if err != nil {
+		return nil, err
+	}
+	n := len(block)
 	p := &Parsed{
 		Flags:          foot[3],
 		FirstTimestamp: int64(u64(foot[6:])),

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"clio/internal/wire"
 )
 
 func TestBuildParseRoundTrip(t *testing.T) {
@@ -414,5 +416,57 @@ func TestReindex(t *testing.T) {
 	bad[0] ^= 1
 	if _, err := Reindex(bad, 3, 0); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("Reindex(damaged) = %v, want ErrBadChecksum", err)
+	}
+}
+
+// TestFirstTimestampAgreesWithParse: the footer accessor believes an image
+// exactly when Parse does — same timestamp, same error — and allocates
+// nothing doing so. The one thing it adds is saying that a block without
+// entries has no first timestamp, where Parse shows an unset field.
+func TestFirstTimestampAgreesWithParse(t *testing.T) {
+	b, _ := NewBuilder(512, 3)
+	empty := b.Seal()
+	if err := b.Append(Record{LogID: 9, Form: FormFull, Timestamp: 77_000, Data: []byte("payload")}); err != nil {
+		t.Fatal(err)
+	}
+	good := b.Seal()
+	mutate := func(f func(img []byte)) []byte {
+		img := append([]byte(nil), good...)
+		f(img)
+		return img
+	}
+	reseal := func(img []byte) { putU32(img[len(img)-4:], wire.Checksum(img[:len(img)-4])) }
+	for _, tc := range []struct {
+		name  string
+		img   []byte
+		ok    bool  // the image is believed and dates its block
+		empty bool  // believed, but holds no entry
+		is    error // the sentinel a rejected image must match, if there is one
+	}{
+		{name: "good block", img: good, ok: true},
+		{name: "block without entries", img: empty, empty: true},
+		{name: "bad magic", img: mutate(func(img []byte) { img[len(img)-FooterSize] ^= 1; reseal(img) }), is: ErrBadMagic},
+		{name: "bad version", img: mutate(func(img []byte) { img[len(img)-FooterSize+2]++; reseal(img) })},
+		{name: "flipped payload bit", img: mutate(func(img []byte) { img[3] ^= 0x10 }), is: ErrBadChecksum},
+		{name: "flipped timestamp bit", img: mutate(func(img []byte) { img[len(img)-FooterSize+6] ^= 1 }), is: ErrBadChecksum},
+		{name: "short image", img: good[:MinBlockSize-1], is: ErrBlockSize},
+		{name: "all ones", img: bytes.Repeat([]byte{0xFF}, 512), is: ErrBadMagic},
+	} {
+		p, perr := Parse(tc.img)
+		ts, ok, err := FirstTimestamp(tc.img)
+		rejected := !tc.ok && !tc.empty
+		switch {
+		case (err != nil) != rejected || (perr != nil) != rejected:
+			t.Errorf("%s: FirstTimestamp error %v, Parse error %v, want rejected=%v", tc.name, err, perr, rejected)
+		case rejected && (err.Error() != perr.Error() || tc.is != nil && !errors.Is(err, tc.is)):
+			t.Errorf("%s: FirstTimestamp says %q, Parse says %q, want %v", tc.name, err, perr, tc.is)
+		case ok != tc.ok:
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+		case !rejected && (ts != p.FirstTimestamp || ok != (len(p.Records) > 0)):
+			t.Errorf("%s: FirstTimestamp %d, %v; Parse %d with %d records", tc.name, ts, ok, p.FirstTimestamp, len(p.Records))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { FirstTimestamp(good) }); allocs != 0 {
+		t.Errorf("FirstTimestamp allocated %.1f objects/op, want 0", allocs)
 	}
 }

@@ -860,8 +860,10 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // and Next drains them locally. want is 1 after OpenCursor and after any
 // repositioning call, and doubles with each consecutive refill up to
 // server.MaxBatchEntries — a property of the access pattern, like kernel
-// read-ahead, not a setting — so a seek followed by one Next costs what it
-// did without read-ahead and a scan costs one round trip per batch. What
+// read-ahead, not a setting — so a scan costs one round trip per batch.
+// SeekTime is the first step of that ramp itself: its request carries
+// want=1, the entry the seek lands on comes back with the answer, and a seek
+// followed by one Next is one round trip. What
 // the caller observes is what an unbuffered cursor would show: buffered
 // entries are log history, which never changes, and the end of the log and
 // errors are never buffered — a Next that finds the buffer empty always asks
@@ -968,13 +970,25 @@ func (cu *Cursor) Prev(ctx context.Context) (*Entry, error) {
 }
 
 // SeekTime positions the cursor so Next returns the first entry at/after ts.
+// The request asks for that entry too: it is buffered like any read-ahead
+// (Prev steps back over it) and the ramp goes on from 2. A seek to the end of
+// the log, or one whose first entry the server could not read, is answered
+// bare: nothing is buffered and the Next that follows asks the server.
 func (cu *Cursor) SeekTime(ctx context.Context, ts int64) error {
 	cu.mu.Lock()
 	defer cu.mu.Unlock()
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUint64(p, uint64(ts))
-	_, _, err := cu.reposition(ctx, server.OpSeekTime, "seektime", p)
-	return err
+	p = wire.PutUvarint(p, 1)
+	_, d, err := cu.reposition(ctx, server.OpSeekTime, "seektime", p)
+	if err != nil || d.Remaining() == 0 {
+		return err
+	}
+	if cu.buf, err = server.DecodeEntryBatch(cu.buf, d); err != nil {
+		return err
+	}
+	cu.want = 2
+	return nil
 }
 
 // SeekStart positions the cursor before the first entry.

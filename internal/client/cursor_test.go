@@ -381,17 +381,18 @@ func scanAll(t *testing.T, cur logapi.Cursor) [][]byte {
 	}
 }
 
-// nextRequests reads the server's per-op request and cursor-entry counters.
+// nextRequests reads the server's next-request counter and the entries those
+// requests carried (a fused seek's entry counts under op="seek_time").
 func nextRequests(reg *obs.Registry) (requests, entries int64) {
 	return reg.Counter("clio_server_requests_total", "", obs.L("op", "next")).Value(),
-		reg.Counter("clio_server_cursor_entries_total", "").Value()
+		reg.Counter("clio_server_cursor_entries_total", "", obs.L("op", "next")).Value()
 }
 
 // TestReadAheadRamp pins the request pattern: want starts at 1 after
 // OpenCursor and after every repositioning call and doubles per consecutive
-// refill up to the server's cap, so a seek followed by one Next moves the
-// server cursor by exactly one entry and a scan settles at one round trip per
-// full batch.
+// refill up to the server's cap, so a scan settles at one round trip per full
+// batch; SeekTime is itself the want=1 step, so the Next after it is no
+// request at all and the refill after that asks for 2.
 func TestReadAheadRamp(t *testing.T) {
 	cl, _, srv := tcpStore(t, 1, 1024)
 	reg := obs.NewRegistry()
@@ -422,8 +423,10 @@ func TestReadAheadRamp(t *testing.T) {
 	read(64 + 64) // at the cap
 	check("at the cap", 8, 63+128)
 
-	// A seek drops the read-ahead and restarts the ramp: the Next after it
-	// fetches one entry, which is all the server cursor moves.
+	// A seek drops the read-ahead and restarts the ramp with its own answer:
+	// the entry it lands on comes back with it, which is all the server
+	// cursor moves, and the Next after it is served from the buffer.
+	seekEntries := reg.Counter("clio_server_cursor_entries_total", "", obs.L("op", "seek_time"))
 	ts := int64(0)
 	if err := cur.SeekTime(bg, ts); err != nil {
 		t.Fatal(err)
@@ -432,13 +435,29 @@ func TestReadAheadRamp(t *testing.T) {
 	if err != nil || !bytes.Equal(e.Data, want[0]) {
 		t.Fatalf("Next after SeekTime(0): %v", err)
 	}
-	check("seek then one Next", 9, 63+128+1)
-	// Prev with nothing read ahead is a plain Prev, and it too resets the ramp.
-	if e, err = cur.Prev(bg); err != nil || !bytes.Equal(e.Data, want[0]) {
+	check("seek then one Next", 8, 63+128)
+	if got := seekEntries.Value(); got != 1 {
+		t.Fatalf("the fused seek delivered %d entries, want 1", got)
+	}
+	read(2) // the ramp goes on at 2
+	check("seek then three Nexts", 9, 63+128+2)
+	// Prev with nothing read ahead is a plain Prev, and it resets the ramp.
+	if e, err = cur.Prev(bg); err != nil || !bytes.Equal(e.Data, want[2]) {
 		t.Fatalf("Prev: %v", err)
 	}
 	read(1)
-	check("Prev then one Next", 10, 63+128+2)
+	check("Prev then one Next", 10, 63+128+3)
+	// A seek past the end buffers nothing: the Next after it asks the server.
+	if err := cur.SeekTime(bg, 1<<62); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Next(bg); err != io.EOF {
+		t.Fatalf("Next after a seek past the end: %v, want EOF", err)
+	}
+	check("seek past the end then one Next", 11, 63+128+3)
+	if got := seekEntries.Value(); got != 1 {
+		t.Fatalf("a seek past the end delivered an entry (%d in all)", got)
+	}
 }
 
 // TestNextAfterEOFSeesAckedAppend: the end of the log is never buffered. A
@@ -470,6 +489,69 @@ func TestNextAfterEOFSeesAckedAppend(t *testing.T) {
 		}
 		if _, err := cur.Next(bg); err != io.EOF {
 			t.Fatalf("Next past append %d: %v, want io.EOF", i, err)
+		}
+	}
+}
+
+// TestSeekTimeBuffersOnlyHistory: the entry a SeekTime reads ahead is log
+// history like any buffered entry — Prev steps back over it to the last entry
+// before ts — and a seek past the end holds nothing, so an entry acknowledged
+// after it is what Next returns.
+func TestSeekTimeBuffersOnlyHistory(t *testing.T) {
+	cl, st, _ := tcpStore(t, 1, 512)
+	fillSublogs(t, cl, "/hist", 2, 90)
+	ref, err := st.OpenCursor(bg, "/hist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []*Entry
+	for {
+		e, err := ref.Next(bg)
+		if err != nil {
+			break
+		}
+		entries = append(entries, e)
+	}
+	cur, err := cl.OpenCursor(bg, "/hist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{len(entries) / 3, len(entries) / 2, len(entries) - 1} {
+		// Untimestamped entries share their block's timestamp: the seek
+		// lands before the first of them.
+		ts := entries[at].Timestamp
+		i := sort.Search(len(entries), func(k int) bool { return entries[k].Timestamp >= ts })
+		if i == 0 {
+			t.Fatalf("fixture: entry %d is in the first block", at)
+		}
+		if err := cur.SeekTime(bg, ts); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := cur.Prev(bg); err != nil || !sameEntry(e, entries[i-1]) {
+			t.Fatalf("SeekTime(%d) then Prev: %s, %v; want %s", ts, showEntry(e), err, showEntry(entries[i-1]))
+		}
+		// And forward again from there: the seek's entry was not consumed.
+		for _, want := range entries[i-1 : i+1] {
+			if e, err := cur.Next(bg); err != nil || !sameEntry(e, want) {
+				t.Fatalf("Next after SeekTime(%d), Prev: %s, %v; want %s", ts, showEntry(e), err, showEntry(want))
+			}
+		}
+	}
+
+	id, err := cl.Resolve(bg, "/hist/s01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := cur.SeekTime(bg, 1<<62); err != nil {
+			t.Fatal(err)
+		}
+		data := []byte(fmt.Sprintf("late-%02d", i))
+		if _, err := cl.Append(bg, id, data, AppendOptions{Forced: i%2 == 0}); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := cur.Next(bg); err != nil || !bytes.Equal(e.Data, data) {
+			t.Fatalf("Next after a seek past the end and acked append %d: %v, %+v (a stale end of log?)", i, err, e)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync"
 	"syscall"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"clio/internal/core"
 	"clio/internal/faults"
+	"clio/internal/obs"
 	"clio/internal/server"
 	"clio/internal/wodev"
 )
@@ -57,6 +59,7 @@ type faultHarness struct {
 	mu   sync.Mutex
 	srv  *server.Server
 	svc  *core.Service
+	dev  *wodev.MemDevice
 	last *dropConn
 }
 
@@ -72,7 +75,7 @@ func newFaultHarness(t *testing.T) *faultHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &faultHarness{srv: server.New(svc), svc: svc}
+	h := &faultHarness{srv: server.New(svc), svc: svc, dev: dev}
 	t.Cleanup(func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
@@ -254,6 +257,125 @@ func TestScanSurvivesConnectionLossWithReadAhead(t *testing.T) {
 	}
 	if lost < 5 || cut < 5 || cl.Reconnects() < int64(lost) {
 		t.Fatalf("%d responses lost, %d connections cut, %d reconnects: the faults were not injected", lost, cut, cl.Reconnects())
+	}
+}
+
+// timedLog appends n timestamped entries "e0000".. to a new log at path and
+// forces them.
+func timedLog(t *testing.T, cl *Client, path string, n int) {
+	t.Helper()
+	id, err := cl.CreateLog(bg, path, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := cl.Append(bg, id, []byte(fmt.Sprintf("e%04d", i)), AppendOptions{Timestamped: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Force(bg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readable returns what a cursor of the harness's own service reads at path,
+// start to end.
+func (h *faultHarness) readable(t *testing.T, path string) []*Entry {
+	t.Helper()
+	ref, err := h.svc.OpenCursor(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*Entry
+	for {
+		e, err := ref.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e)
+	}
+}
+
+// TestFusedSeekSurvivesLostResponse: SeekTime's request also steps the
+// server cursor over the entry it reads ahead. When the response is lost the
+// client replays the request under its seq and must be answered from the
+// dedup window — the recorded batch, no second seek, no second step — so the
+// caller sees the entry at ts once and its successor next, at every seek.
+func TestFusedSeekSurvivesLostResponse(t *testing.T) {
+	h := newFaultHarness(t)
+	reg := obs.NewRegistry()
+	h.srv.RegisterMetrics(reg)
+	cl := h.client(t)
+	timedLog(t, cl, "/seek", 40)
+	entries := h.readable(t, "/seek")
+	cur, err := cl.OpenCursor(bg, "/seek")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeks = 12
+	for k := 0; k < seeks; k++ {
+		i := (k * 7) % (len(entries) - 1)
+		h.conn().FailNextRead()
+		if err := cur.SeekTime(bg, entries[i].Timestamp); err != nil {
+			t.Fatalf("seek %d: %v", k, err)
+		}
+		for _, want := range entries[i : i+2] {
+			e, err := cur.Next(bg)
+			if err != nil || string(e.Data) != string(want.Data) {
+				t.Fatalf("seek %d to %s: Next returned %v, %v; want %s (stepped twice, or not replayed?)", k, entries[i].Data, e, err, want.Data)
+			}
+		}
+	}
+	// Replayed or not, each seek read its one entry ahead once.
+	if got := reg.Counter("clio_server_cursor_entries_total", "", obs.L("op", "seek_time")).Value(); got != seeks {
+		t.Fatalf("fused seeks stepped the server cursor over %d entries, want %d", got, seeks)
+	}
+	if cl.Reconnects() < seeks {
+		t.Fatalf("%d reconnects: the faults were not injected", cl.Reconnects())
+	}
+}
+
+// TestFusedSeekIntoLostBlock: the block holding the first entry at ts is
+// damaged. The seek succeeds, and the calls after it answer as they always
+// have — lost entries are skipped (§2.3.2), so the first readable entry past
+// the damage comes next and the last one before it comes before — with
+// nothing of the lost block, and no failure of the read-ahead, held in the
+// client's buffer.
+func TestFusedSeekIntoLostBlock(t *testing.T) {
+	h := newFaultHarness(t)
+	cl := h.client(t)
+	timedLog(t, cl, "/lost", 60)
+	all := h.readable(t, "/lost")
+	victim := all[len(all)/2].Block
+	first := sort.Search(len(all), func(i int) bool { return all[i].Block >= victim })
+	if err := h.dev.Damage(victim+1, []byte("garbage")); err != nil { // +1: the volume header
+		t.Fatal(err)
+	}
+	h.svc.FlushCache()
+	left := h.readable(t, "/lost")
+	ts := all[first].Timestamp
+	j := sort.Search(len(left), func(i int) bool { return left[i].Timestamp >= ts })
+	if first == 0 || len(left) == len(all) || j == 0 || j+1 >= len(left) || left[j-1].Block >= victim || left[j].Block <= victim {
+		t.Fatalf("fixture: damaging block %d left %d of %d entries, %d of them before ts", victim, len(left), len(all), j)
+	}
+
+	cur, err := cl.OpenCursor(bg, "/lost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.SeekTime(bg, ts); err != nil {
+		t.Fatalf("SeekTime into the lost block: %v", err)
+	}
+	for i, step := range []struct {
+		call func(context.Context) (*Entry, error)
+		want *Entry
+	}{{cur.Next, left[j]}, {cur.Next, left[j+1]}, {cur.Prev, left[j+1]}, {cur.Prev, left[j]}, {cur.Prev, left[j-1]}} {
+		if e, err := step.call(bg); err != nil || !sameEntry(e, step.want) {
+			t.Fatalf("call %d (Next, Next, Prev, Prev, Prev) returned %s (%v), want %s", i, showEntry(e), err, showEntry(step.want))
+		}
 	}
 }
 

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clio/internal/archive"
+	"clio/internal/blockfmt"
+	"clio/internal/cache"
 	"clio/internal/scrub"
 	"clio/internal/vclock"
 	"clio/internal/volume"
@@ -278,6 +281,77 @@ func TestCompactRelocateDemoteReadThrough(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Errorf("scrub found problems after compaction: %v", rep.Problems)
+	}
+}
+
+// sickBackend damages every volume-image read while sick is set: a cold tier
+// that returns the right number of wrong bytes.
+type sickBackend struct {
+	archive.Backend
+	sick atomic.Bool
+}
+
+func (b *sickBackend) ReadAt(ctx context.Context, name string, off int64, dst []byte) (int, error) {
+	n, err := b.Backend.ReadAt(ctx, name, off, dst)
+	if n > 0 && b.sick.Load() {
+		dst[n/2] ^= 0x10
+	}
+	return n, err
+}
+
+// TestColdFetchDamageIsNotCached: the backend vouches only for a fetched
+// image's length, so the service validates it before the cache may hold it.
+// A damaged fetch is an ErrBadChecksum for that reader alone — to a cursor,
+// a lost block — and once the backend heals the next read gets the block.
+func TestColdFetchDamageIsNotCached(t *testing.T) {
+	h := newColdHarness(16)
+	be := &sickBackend{Backend: h.be}
+	h.be = be
+	s := h.open(t, CompactOptions{MaxLiveFraction: 0.95, MinHotVolumes: 2})
+	defer s.Close()
+	keep := mustCreate(t, s, "/keep")
+	dead := mustCreate(t, s, "/dead")
+	want := fillVolumes(t, s, keep, dead, 5)
+	if err := s.Retire("/dead"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.CompactOnce(context.Background(), CompactOptions{}); err != nil || res.VolumesDemoted == 0 {
+		t.Fatalf("CompactOnce: %+v, %v", res, err)
+	}
+	var cold *relocVol
+	for _, v := range s.cmpView.Load().vols {
+		if v.Demoted {
+			cold = v
+			break
+		}
+	}
+	if cold == nil {
+		t.Fatal("no demoted volume in view")
+	}
+	key := cache.Key{Block: cold.Start}
+
+	s.FlushCache()
+	be.sick.Store(true)
+	for try := 0; try < 2; try++ { // the second read must ask the backend again
+		if _, err := s.readBlock(cold.Start); !errors.Is(err, blockfmt.ErrBadChecksum) {
+			t.Fatalf("damaged cold fetch %d: %v, want ErrBadChecksum", try, err)
+		}
+		if s.blockCache().Peek(key) {
+			t.Fatalf("damaged cold fetch %d was cached", try)
+		}
+	}
+	fetches := s.Stats().ColdFetches
+	be.sick.Store(false)
+	img, err := s.readBlock(cold.Start)
+	if err != nil || !blockfmt.Validate(img) {
+		t.Fatalf("cold fetch after the backend healed: %v", err)
+	}
+	if got := s.Stats().ColdFetches; got != fetches+1 || !s.blockCache().Peek(key) {
+		t.Fatalf("healed read: %d cold fetches (want %d), cached %v", got, fetches+1, s.blockCache().Peek(key))
+	}
+	// Nothing of the episode is left behind: the log reads whole.
+	if got := datas(readAll(t, s, "/keep")); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("/keep after healing: %d entries, want %d", len(got), len(want))
 	}
 }
 

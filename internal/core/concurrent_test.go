@@ -8,10 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"clio/internal/entrymap"
 	"clio/internal/faults"
 	"clio/internal/wodev"
 )
@@ -320,5 +322,160 @@ func readAllEntries(t *testing.T, svc *Service, path string) map[string]int {
 			t.Fatalf("scan %s: %v", path, err)
 		}
 		got[string(e.Data)]++
+	}
+}
+
+// TestConcurrentLocate runs SeekTime/Next/Prev on four cursors at once, each
+// over its own sparse sublog so that every step is a locator search, with no
+// lock between them. Beside a forced writer (on a fifth sublog, so the
+// readers' logs stand still while the write point, the accumulator and the
+// cache move under them) every cursor must answer call for call what a
+// single-threaded replay of its calls answers. Then, on the quiescent store
+// where a search's counts are a function of the call alone, the LocateStats
+// total of the concurrent run must equal the sum over the cursors' replays:
+// no count of any search lost or doubled.
+func TestConcurrentLocate(t *testing.T) {
+	const readers, calls = 4, 400
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 1 << 14})
+	svc, err := New(dev, Options{BlockSize: 512, Degree: 4, CacheBlocks: 24, Now: lockedNow()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.CreateLog("/c", 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint16, readers+1) // the last is the writer's
+	for i := range ids {
+		if ids[i], err = svc.CreateLog(fmt.Sprintf("/c/s%d", i), 0, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tMin, tMax int64
+	for i := 0; i < 1500; i++ {
+		id := ids[readers] // mostly the writer's: the readers' sublogs are sparse
+		if i%7 < readers && i%3 == 0 {
+			id = ids[i%7]
+		}
+		ts, err := svc.Append(id, []byte(fmt.Sprintf("seed-%05d, padded so a block holds few", i)), AppendOptions{Timestamped: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tMin == 0 {
+			tMin = ts
+		}
+		tMax = ts
+	}
+	if err := svc.Force(); err != nil {
+		t.Fatal(err)
+	}
+
+	// walk makes reader r's calls on a fresh cursor and returns the answers.
+	walk := func(r int) ([]string, error) {
+		cur, err := svc.OpenCursor(fmt.Sprintf("/c/s%d", r))
+		if err != nil {
+			return nil, err
+		}
+		rng := rand.New(rand.NewSource(int64(r) + 1))
+		answers := make([]string, 0, calls)
+		for len(answers) < calls {
+			var e *Entry
+			var err error
+			switch k := rng.Intn(4); k {
+			case 0:
+				err = cur.SeekTime(tMin - 1000 + rng.Int63n(tMax-tMin+2000))
+			case 1:
+				e, err = cur.Prev()
+			default:
+				e, err = cur.Next()
+			}
+			switch {
+			case err == io.EOF:
+				answers = append(answers, "EOF")
+			case err != nil:
+				return nil, err
+			case e == nil:
+				answers = append(answers, "sought")
+			default:
+				answers = append(answers, string(e.Data))
+			}
+		}
+		return answers, nil
+	}
+	together := func() [][]string {
+		got := make([][]string, readers)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				var err error
+				if got[r], err = walk(r); err != nil {
+					t.Errorf("reader %d: %v", r, err)
+				}
+			}(r)
+		}
+		wg.Wait()
+		return got
+	}
+	check := func(when string, got [][]string) {
+		t.Helper()
+		for r := range got {
+			want, err := walk(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if i >= len(got[r]) || got[r][i] != want[i] {
+					t.Fatalf("%s: reader %d call %d answered %q, alone it answers %q", when, r, i, got[r][i:min(i+1, len(got[r]))], want[i])
+				}
+			}
+		}
+	}
+
+	stop, written := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		defer func() { written <- n }()
+		for ; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := svc.Append(ids[readers], []byte(fmt.Sprintf("live-%05d", n)), AppendOptions{Forced: true}); err != nil && !IsDegraded(err) {
+				t.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+	got := together()
+	close(stop)
+	if n := <-written; n == 0 {
+		t.Error("the writer appended nothing beside the readers")
+	}
+	if t.Failed() {
+		return
+	}
+	check("beside the writer", got)
+
+	svc.ResetLocateStats()
+	got = together()
+	total := svc.LocateStats()
+	check("quiescent", got)
+	var sum entrymap.LocateStats
+	for r := 0; r < readers; r++ {
+		svc.ResetLocateStats()
+		if _, err := walk(r); err != nil {
+			t.Fatal(err)
+		}
+		st := svc.LocateStats()
+		sum.EntriesExamined += st.EntriesExamined
+		sum.PendingExamined += st.PendingExamined
+		sum.RawScans += st.RawScans
+		sum.TimestampReads += st.TimestampReads
+	}
+	if total != sum || total.EntriesExamined == 0 || total.TimestampReads == 0 {
+		t.Fatalf("LocateStats of the concurrent run %+v, sum of the four runs alone %+v", total, sum)
 	}
 }

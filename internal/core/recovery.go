@@ -356,7 +356,7 @@ func (s *Service) replayCatalog() error {
 // replayCatalogFrom applies the catalog records found in blocks at or after
 // `from` (checkpoint recovery replays only the suffix past the snapshot).
 func (s *Service) replayCatalogFrom(from int) error {
-	b, err := s.loc.FindNext(entrymap.CatalogID, from)
+	b, err := s.locFindNext(entrymap.CatalogID, from)
 	if err != nil {
 		return err
 	}
@@ -382,7 +382,7 @@ func (s *Service) replayCatalogFrom(from int) error {
 				s.recovery.CatalogEntries++
 			}
 		}
-		b, err = s.loc.FindNext(entrymap.CatalogID, b+1)
+		b, err = s.locFindNext(entrymap.CatalogID, b+1)
 		if err != nil {
 			return err
 		}
@@ -404,7 +404,7 @@ func (s *Service) replayBadBlocks() error {
 // after `from`.
 func (s *Service) readBadBlocksFrom(from int) ([]int, error) {
 	var out []int
-	b, err := s.loc.FindNext(entrymap.BadBlockID, from)
+	b, err := s.locFindNext(entrymap.BadBlockID, from)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +424,7 @@ func (s *Service) readBadBlocksFrom(from int) ([]int, error) {
 				}
 			}
 		}
-		b, err = s.loc.FindNext(entrymap.BadBlockID, b+1)
+		b, err = s.locFindNext(entrymap.BadBlockID, b+1)
 		if err != nil {
 			return nil, err
 		}

@@ -199,9 +199,10 @@ type Stats struct {
 // so the read path works lock-free from the published tail snapshot
 // (s.tailState): cache and device reads synchronize only inside their own
 // components. idxMu guards the entrymap accumulator, which readers consult
-// through the locator for the in-progress span; locMu serializes the
-// (stat-counting, hence stateful) locator itself. Lock order: s.mu > idxMu;
-// locMu > idxMu; neither idxMu nor locMu is ever held when acquiring s.mu.
+// through the locator for the in-progress span; each locator search runs on
+// its own Locator value, so searches share no state and take no lock of
+// their own. Lock order: s.mu > idxMu; idxMu is never held when acquiring
+// s.mu.
 type Service struct {
 	mu  sync.Mutex
 	opt Options
@@ -210,7 +211,12 @@ type Service struct {
 	cacheP atomic.Pointer[cache.Cache]
 	cat    *catalog.Table
 	acc    *entrymap.Accumulator
-	loc    *entrymap.Locator
+	// loc is the locator every search copies: its own Stats stay zero, the
+	// counts of finished searches are in locStats.
+	loc      entrymap.Locator
+	locStats struct {
+		entriesExamined, pendingExamined, rawScans, timestampReads atomic.Int64
+	}
 
 	// Tail state (s.mu).
 	builder    *blockfmt.Builder
@@ -233,10 +239,8 @@ type Service struct {
 	pubSeq   atomic.Uint64
 	tailWake atomic.Pointer[chan struct{}]
 
-	// idxMu guards s.acc against concurrent locator reads; locMu serializes
-	// locator use by the lock-free read path.
+	// idxMu guards s.acc against concurrent locator reads.
 	idxMu sync.Mutex
-	locMu sync.Mutex
 
 	// Group commit (§2.3.1 amortization): concurrently arriving forced
 	// appends queue in forceQ; whoever holds leaderMu drains the queue,
@@ -537,7 +541,7 @@ func Open(devs []wodev.Device, opt Options) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.loc = loc
+	s.loc = *loc
 	// The compaction sidecar must load before recovery: replay may need to
 	// read blocks of already-demoted volumes through the cold backend.
 	if err := s.loadColdState(); err != nil {
@@ -689,49 +693,76 @@ func (s *Service) DeviceStats() wodev.Stats {
 	return out
 }
 
-// LocateStats returns the cumulative entrymap locator counters.
+// LocateStats returns the cumulative entrymap locator counters: the sum
+// over every search that has finished.
 func (s *Service) LocateStats() entrymap.LocateStats {
-	s.locMu.Lock()
-	defer s.locMu.Unlock()
-	return s.loc.Stats
+	c := &s.locStats
+	return entrymap.LocateStats{
+		EntriesExamined: int(c.entriesExamined.Load()),
+		PendingExamined: int(c.pendingExamined.Load()),
+		RawScans:        int(c.rawScans.Load()),
+		TimestampReads:  int(c.timestampReads.Load()),
+	}
 }
 
 // ResetLocateStats zeroes the locator counters.
 func (s *Service) ResetLocateStats() {
-	s.locMu.Lock()
-	defer s.locMu.Unlock()
-	s.loc.Stats = entrymap.LocateStats{}
+	c := &s.locStats
+	c.entriesExamined.Store(0)
+	c.pendingExamined.Store(0)
+	c.rawScans.Store(0)
+	c.timestampReads.Store(0)
 }
 
-// locFindNext, locFindPrev and locFindByTime run the shared locator under
-// locMu: the locator keeps LocateStats and the accumulator view must not be
-// interleaved between concurrent searches. Each search (lock wait included)
-// lands in the locate latency histogram when metrics are registered.
+// locFindNext, locFindPrev and locFindByTime each run one search on their own
+// copy of the locator — concurrent cursors share nothing but the Source,
+// which synchronizes internally — and add what it counted to the service's
+// totals when it is done. The copy is a local of these functions, not of a
+// closure, so it stays on the stack.
 func (s *Service) locFindNext(id uint16, from int) (int, error) {
-	if m := s.met(); m != nil {
-		defer m.locateLat.ObserveSince(time.Now())
-	}
-	s.locMu.Lock()
-	defer s.locMu.Unlock()
-	return s.loc.FindNext(id, from)
+	l := s.loc
+	defer s.locateDone(&l.Stats, s.locateStart())
+	return l.FindNext(id, from)
 }
 
 func (s *Service) locFindPrev(id uint16, before int) (int, error) {
-	if m := s.met(); m != nil {
-		defer m.locateLat.ObserveSince(time.Now())
-	}
-	s.locMu.Lock()
-	defer s.locMu.Unlock()
-	return s.loc.FindPrev(id, before)
+	l := s.loc
+	defer s.locateDone(&l.Stats, s.locateStart())
+	return l.FindPrev(id, before)
 }
 
 func (s *Service) locFindByTime(ts int64) (int, error) {
-	if m := s.met(); m != nil {
-		defer m.locateLat.ObserveSince(time.Now())
+	l := s.loc
+	defer s.locateDone(&l.Stats, s.locateStart())
+	return l.FindByTime(ts)
+}
+
+// locateStart is the start time of a search for the locate latency
+// histogram, zero when metrics are not registered.
+func (s *Service) locateStart() time.Time {
+	if s.met() == nil {
+		return time.Time{}
 	}
-	s.locMu.Lock()
-	defer s.locMu.Unlock()
-	return s.loc.FindByTime(ts)
+	return time.Now()
+}
+
+func (s *Service) locateDone(st *entrymap.LocateStats, start time.Time) {
+	if !start.IsZero() { // metrics, once registered, stay
+		s.met().locateLat.ObserveSince(start)
+	}
+	c := &s.locStats
+	addCount(&c.entriesExamined, st.EntriesExamined)
+	addCount(&c.pendingExamined, st.PendingExamined)
+	addCount(&c.rawScans, st.RawScans)
+	addCount(&c.timestampReads, st.TimestampReads)
+}
+
+// addCount skips the shared cache line for the counts a search left at zero
+// (most searches move one or two of the four).
+func addCount(total *atomic.Int64, n int) {
+	if n != 0 {
+		total.Add(int64(n))
+	}
 }
 
 // Close flushes the tail and stops the service. With an NVRAM tail the

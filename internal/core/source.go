@@ -16,8 +16,8 @@ import (
 // locatorSource adapts the service's block storage to the entrymap locator's
 // Source and RecoverSource interfaces. All methods read through the shared
 // (lock-free) block path, so the locator can run without the writer lock;
-// the accumulator is consulted under idxMu. Callers serialize the locator
-// itself with locMu (or run single-threaded, as recovery does).
+// the accumulator is consulted under idxMu. Nothing here is per-search
+// state, so any number of searches (each on its own Locator) share it.
 type locatorSource Service
 
 func (ls *locatorSource) svc() *Service { return (*Service)(ls) }
@@ -153,13 +153,20 @@ func (ls *locatorSource) BlockContains(block int, id uint16) (bool, error) {
 	return false, nil
 }
 
-// BlockFirstTS implements entrymap.Source.
+// BlockFirstTS implements entrymap.Source. A time search only dates the
+// blocks it probes, so the probe takes the footer timestamp off the raw
+// image and decodes nothing; a block is decoded by a reader that wants its
+// records. The footer is verified on every probe, as Parse would have: the
+// cache holds images, not verdicts on them. A tail block the writer has
+// started and not yet put an entry in has no first timestamp: it dates
+// nothing, like an unreadable block, and the search stays below it.
 func (ls *locatorSource) BlockFirstTS(block int) (int64, bool, error) {
-	parsed, err := ls.svc().parseBlock(block)
+	img, err := ls.svc().readBlock(block)
 	if err != nil {
 		return 0, false, nil
 	}
-	return parsed.FirstTimestamp, true, nil
+	ts, ok, err := blockfmt.FirstTimestamp(img)
+	return ts, ok && err == nil, nil
 }
 
 // BlockIDs implements entrymap.RecoverSource.
@@ -278,6 +285,12 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 		return nil, err
 	}
 	s.coldFetches.Add(1)
+	// The backend vouches for length only. A damaged image must not enter
+	// the cache, where every reader would be handed it until eviction: it
+	// is returned uncached, so the next read asks the backend again.
+	if !blockfmt.Validate(buf) {
+		return nil, fmt.Errorf("clio: cold block %d: %w", global, blockfmt.ErrBadChecksum)
+	}
 	s.blockCache().Put(cache.Key{Block: global}, buf)
 	return buf, nil
 }

@@ -212,6 +212,49 @@ func TestSeekEndNoTail(t *testing.T) {
 	}
 }
 
+// TestSeekTimeBelowJustStartedTail: the writer publishes a new tail block
+// before the block's first entry, so a time search can probe an image whose
+// footer timestamp is not set yet (it reads as zero). Such a block dates
+// nothing: taken for "first entry at time 0", it would pass for a landmark
+// at or before any sought time, and the seek would land on it — past every
+// entry it was looking for. The window is one append wide, so the test opens
+// it by hand, with the tail on an entrymap boundary where the search probes.
+func TestSeekTimeBelowJustStartedTail(t *testing.T) {
+	s, _ := newTestService(t, Options{Degree: 4})
+	defer s.Close()
+	id := mustCreate(t, s, "/log")
+	var stamps []int64
+	for i := 0; len(stamps) < 12 || s.endShared()%4 != 0; i++ {
+		if i > 1000 {
+			t.Fatal("the end of the log never reached an entrymap boundary")
+		}
+		stamps = append(stamps, mustAppend(t, s, id, "entry, one block each", AppendOptions{Forced: true, Timestamped: true}))
+	}
+	s.mu.Lock()
+	err := s.ensureTailLocked()
+	tail := s.tailGlobal
+	s.mu.Unlock()
+	if err != nil || tail != s.endShared()-1 || tail%4 != 0 {
+		t.Fatalf("started tail %d of %d blocks: %v", tail, s.endShared(), err)
+	}
+	if ts, ok, err := (*locatorSource)(s).BlockFirstTS(tail); ok || err != nil {
+		t.Fatalf("an empty tail block dates itself %d (%v)", ts, err)
+	}
+	c, err := s.OpenCursor("/log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for back := 1; back <= 6; back++ {
+		want := stamps[len(stamps)-back]
+		if err := c.SeekTime(want); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := c.Next(); err != nil || e.Timestamp != want {
+			t.Fatalf("SeekTime to entry %d from the end, then Next: %+v, %v; want the entry at %d", back, e, err, want)
+		}
+	}
+}
+
 // TestIdleWakeFree pins the streaming notifier's marginal cost on the
 // group-commit path when nobody is subscribed: a counter bump and one
 // atomic load — no allocation, no lock. This is what keeps

@@ -189,6 +189,79 @@ func BenchmarkEntrymapProbe(b *testing.B) {
 	}
 }
 
+// TestZeroCopyTimestampProbe verifies the time search's probe: it dates a
+// block from the footer of its raw image, so on a cached block it allocates
+// nothing — and neither does the whole search, per-call locator included —
+// while on a miss it costs what reading the image costs and leaves the image
+// cached with no decode attached: a block is decoded by a reader that wants
+// its records.
+func TestZeroCopyTimestampProbe(t *testing.T) {
+	s, block, _ := zeroCopySetup(t)
+	ls := (*locatorSource)(s)
+	db, err := s.decodeBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := db.p.FirstTimestamp
+	probe := func() {
+		if ts, ok, err := ls.BlockFirstTS(block); err != nil || !ok || ts != want {
+			t.Fatalf("BlockFirstTS(%d) = %d, %v, %v; want %d", block, ts, ok, err, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, probe); allocs != 0 {
+		t.Fatalf("BlockFirstTS of a cached block allocated %.1f objects/op, want 0", allocs)
+	}
+	for b := 0; b < s.endShared(); b++ { // every block cached
+		if _, err := s.readBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats0 := s.LocateStats()
+	allocs := testing.AllocsPerRun(200, func() {
+		if b, err := s.locFindByTime(want); err != nil || b != block {
+			t.Fatalf("locFindByTime(%d) = %d, %v; want block %d", want, b, err, block)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a time search over cached blocks allocated %.1f objects/op, want 0", allocs)
+	}
+	if s.LocateStats().TimestampReads == stats0.TimestampReads {
+		t.Fatal("the searches counted no timestamp reads")
+	}
+
+	key := cache.Key{Block: block}
+	miss := func(read func()) float64 {
+		return testing.AllocsPerRun(50, func() {
+			s.blockCache().Invalidate(key)
+			read()
+		})
+	}
+	image := miss(func() {
+		if _, err := s.readBlock(block); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := miss(probe); got != image {
+		t.Fatalf("BlockFirstTS on a miss allocated %.1f objects/op, reading the image alone %.1f", got, image)
+	}
+	if img, dec := s.blockCache().LookupDecoded(key); img == nil || dec != nil {
+		t.Fatalf("after a missed probe: image cached %v, decode attached %v; want the image alone", img != nil, dec != nil)
+	}
+}
+
+// BenchmarkTimestampProbe measures that probe on a cached block; it must
+// report 0 allocs/op.
+func BenchmarkTimestampProbe(b *testing.B) {
+	s, block, _ := zeroCopySetup(b)
+	ls := (*locatorSource)(s)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := ls.BlockFirstTS(block); err != nil || !ok {
+			b.Fatal("BlockFirstTS lost the block")
+		}
+	}
+}
+
 // BenchmarkReadAtWarm measures the warm zero-copy read path; the CI bench
 // gate asserts 0 allocs/op from this benchmark's output.
 func BenchmarkReadAtWarm(b *testing.B) {

@@ -28,6 +28,13 @@ func FuzzReadFrame(f *testing.F) {
 		(&wire.ReplWrite{Shard: 0, Dev: 0, Index: 1, Data: []byte("img")}).Encode(nil)))
 	f.Add(frameBytes(wire.OpReplHello, 1, 0,
 		(&wire.ReplHello{Term: 1, Epoch: 2, LeaderAddr: "a:1", Shards: 1, BlockSize: 512}).Encode(nil)))
+	// OpSeekTime, bare and with its optional want: one, past the cap, truncated.
+	seek := wire.PutUint64(wire.PutUvarint(nil, 1), 1_000_000)
+	f.Add(frameBytes(OpSeekTime, 4, 0, seek))
+	for _, want := range [][]byte{{1}, wire.PutUvarint(nil, 1<<40), {0x80}} {
+		f.Add(frameBytes(OpSeekTime, 5, 0, append(seek[:len(seek):len(seek)], want...)))
+	}
+
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})            // oversized length prefix
 	f.Add([]byte{0x05, 0x00, 0x00, 0x00, 0x01})      // length below header size
 	f.Add(append(frameBytes(OpStats, 3, 0, nil), 9)) // trailing garbage

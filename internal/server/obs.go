@@ -68,10 +68,12 @@ type serverMetrics struct {
 	unknown   *obs.Counter
 	reqLat    *obs.Histogram
 	dedupHits *obs.Counter
-	// cursorEntries counts entries returned by OpNext; over
-	// requests[OpNext] it is the entries one round trip carries — the
-	// read-ahead the request counter alone cannot show.
-	cursorEntries *obs.Counter
+	// nextEntries counts entries returned by OpNext; over requests[OpNext]
+	// it is the entries one round trip carries — the read-ahead the request
+	// counter alone cannot show. Entries a fused OpSeekTime delivers count
+	// in seekEntries, under their own op label, so that ratio stays what it
+	// says.
+	nextEntries, seekEntries *obs.Counter
 }
 
 // zeroServerMetrics is what met returns before RegisterMetrics: its
@@ -107,9 +109,10 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			"Wall-clock latency of request handling, read to response written.", nil),
 		dedupHits: reg.Counter("clio_server_dedup_hits_total",
 			"Requests answered from the duplicate-suppression window without re-executing."),
-		cursorEntries: reg.Counter("clio_server_cursor_entries_total",
-			"Entries returned by next requests; divided by clio_server_requests_total{op=\"next\"} it is the entries per round trip."),
 	}
+	const entriesHelp = "Entries delivered by cursor requests, by operation; op=\"next\" divided by clio_server_requests_total{op=\"next\"} is the entries per next round trip."
+	m.nextEntries = reg.Counter("clio_server_cursor_entries_total", entriesHelp, obs.L("op", opNames[OpNext]))
+	m.seekEntries = reg.Counter("clio_server_cursor_entries_total", entriesHelp, obs.L("op", opNames[OpSeekTime]))
 	for op, name := range opNames {
 		m.requests[op] = reg.Counter("clio_server_requests_total",
 			"Requests handled by the server, by operation.", obs.L("op", name))

@@ -131,7 +131,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		"clio_core_forced_writes_total 3\n",
 		`clio_server_requests_total{op="append"} 3`,
 		`clio_server_requests_total{op="next"} 2`,
-		"clio_server_cursor_entries_total 3\n",
+		`clio_server_cursor_entries_total{op="next"} 3`,
 		`clio_server_requests_total{op="create"} 1`,
 		"clio_cache_hits_total",
 		"clio_wodev_reads_total",

@@ -148,6 +148,15 @@ const MaxFrame = 8 << 20
 // After OpPrev's handle it is `back`: how many entries the client read ahead
 // and did not consume, which the server steps back over before the Prev it
 // answers.
+//
+// OpSeekTime carries a handle and a timestamp (uint64) and answers with an
+// empty payload. It takes the same optional trailing `want` as OpNext, the
+// fused form: the server seeks, then reads ahead exactly as an OpNext with
+// that want would, and answers with the batch. When that read-ahead finds
+// nothing to deliver — the seek landed at the end of the log, or the first
+// step failed — the answer is the bare one, an empty payload: the seek
+// stands, the cursor is in the gap it chose, and the end of the log or the
+// error is reported by the OpNext that runs into it.
 const (
 	MaxBatchEntries = 64
 	MaxBatchBytes   = 16 << 10

@@ -1101,62 +1101,22 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 			}
 		}
 		defer tr.Span("core.read")()
-		step, want, batched := cur.Next, 1, false
-		// Counted for OpNext only, so its ratio to requests_total{op="next"}
-		// is the entries one round trip carried.
-		entries := h.srv.met().cursorEntries
 		if op == OpNext {
-			if batched = hasArg; batched {
-				want = int(min(max(arg, 1), MaxBatchEntries))
-			}
-		} else {
-			step, entries = cur.Prev, nil
-			// Step back over what the client read ahead and never consumed.
-			// They are entries this cursor itself returned — one batch at most
-			// — so running out of log first means the position is gone, not
-			// the beginning reached.
-			if arg > MaxBatchEntries {
-				return errResp3(fmt.Errorf("server: cannot step back %d entries, a batch holds %d", arg, MaxBatchEntries))
-			}
-			for ; arg > 0; arg-- {
-				if _, err := cur.Prev(ctx); err != nil {
-					return errResp3(fmt.Errorf("server: stepping back over read-ahead entries: %w", err))
-				}
+			return fillEntries(ctx, cur.Next, hasArg, arg, h.srv.met().nextEntries)
+		}
+		// Step back over what the client read ahead and never consumed.
+		// They are entries this cursor itself returned — one batch at most
+		// — so running out of log first means the position is gone, not
+		// the beginning reached.
+		if arg > MaxBatchEntries {
+			return errResp3(fmt.Errorf("server: cannot step back %d entries, a batch holds %d", arg, MaxBatchEntries))
+		}
+		for ; arg > 0; arg-- {
+			if _, err := cur.Prev(ctx); err != nil {
+				return errResp3(fmt.Errorf("server: stepping back over read-ahead entries: %w", err))
 			}
 		}
-		// One fill loop, two framings: the bare form answers with the first
-		// entry as head + borrowed data, the batched form with every entry
-		// collected, behind a count. EOF and errors are reported only by a
-		// request that found nothing before them; a batch just ends there, so
-		// neither is ever held in a client's buffer.
-		var batch [MaxBatchEntries]*core.Entry
-		var head [64]byte // scratch: heads are encoded once to size the batch, once into it
-		n, size := 0, 1   // the count byte
-		for n < want && size < MaxBatchBytes {
-			e, err := step(ctx)
-			if err != nil {
-				if n > 0 {
-					break
-				}
-				if err == io.EOF {
-					return StatusEOF, nil, nil
-				}
-				return errResp3(err)
-			}
-			entries.Inc()
-			if !batched {
-				return StatusOK, appendEntryHead(nil, e), e.Data
-			}
-			batch[n] = e
-			n++
-			size += len(appendEntryHead(head[:0], e)) + len(e.Data)
-		}
-		// Sized exactly: the dedup window retains this buffer.
-		out := append(make([]byte, 0, size), byte(n))
-		for _, e := range batch[:n] {
-			out = append(appendEntryHead(out, e), e.Data...)
-		}
-		return StatusOK, out, nil
+		return fillEntries(ctx, cur.Prev, false, 0, nil)
 
 	case OpSeekTime:
 		cur, err := h.cursor(d)
@@ -1167,10 +1127,31 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 		if err != nil {
 			return errResp3(err)
 		}
+		// The optional third field: want, as after OpNext's handle.
+		fused := d.Remaining() > 0
+		var want uint64
+		if fused {
+			if want, err = d.Uvarint(); err != nil {
+				return errResp3(err)
+			}
+		}
 		if err := cur.SeekTime(ctx, ts); err != nil {
 			return errResp3(err)
 		}
-		return StatusOK, nil, nil
+		if !fused {
+			return StatusOK, nil, nil
+		}
+		// The seek stands whatever the read-ahead finds. The end of the log
+		// and an error are for the Next that runs into them to report, so
+		// either is answered as the bare seek is: nothing to buffer. A step
+		// that failed passed no entry, so the cursor is still in the gap
+		// the seek chose.
+		defer tr.Span("core.read")()
+		status, head, data := fillEntries(ctx, cur.Next, true, want, h.srv.met().seekEntries)
+		if status != StatusOK {
+			return StatusOK, nil, nil
+		}
+		return status, head, data
 
 	case OpSeekStart, OpSeekEnd:
 		cur, err := h.cursor(d)
@@ -1277,6 +1258,49 @@ func appendResp(ts int64, err error) (byte, []byte) {
 func appendResp3(ts int64, err error) (byte, []byte, []byte) {
 	status, resp := appendResp(ts, err)
 	return status, resp, nil
+}
+
+// fillEntries is the one loop that reads entries off a cursor for a response.
+// It has two framings. The bare form (batched false) answers with the first
+// entry as head + borrowed data. The batched form steps up to
+// min(max(want, 1), MaxBatchEntries) times, stops taking entries once it
+// holds MaxBatchBytes, and answers with every entry collected behind a count.
+// EOF and errors are reported only by a call that found nothing before them;
+// a batch just ends there, so neither is ever held in a client's buffer.
+// delivered counts the entries answered.
+func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry, error), batched bool, want uint64, delivered *obs.Counter) (byte, []byte, []byte) {
+	limit := 1
+	if batched {
+		limit = int(min(max(want, 1), MaxBatchEntries))
+	}
+	var batch [MaxBatchEntries]*core.Entry
+	var head [64]byte // scratch: heads are encoded once to size the batch, once into it
+	n, size := 0, 1   // the count byte
+	for n < limit && size < MaxBatchBytes {
+		e, err := step(ctx)
+		if err != nil {
+			if n > 0 {
+				break
+			}
+			if err == io.EOF {
+				return StatusEOF, nil, nil
+			}
+			return errResp3(err)
+		}
+		delivered.Inc()
+		if !batched {
+			return StatusOK, appendEntryHead(nil, e), e.Data
+		}
+		batch[n] = e
+		n++
+		size += len(appendEntryHead(head[:0], e)) + len(e.Data)
+	}
+	// Sized exactly: the dedup window retains this buffer.
+	out := append(make([]byte, 0, size), byte(n))
+	for _, e := range batch[:n] {
+		out = append(appendEntryHead(out, e), e.Data...)
+	}
+	return StatusOK, out, nil
 }
 
 func (h *connHandler) cursor(d *Decoder) (logapi.Cursor, error) {

@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"clio/internal/core"
+	"clio/internal/obs"
 	"clio/internal/wire"
 	"clio/internal/wodev"
 )
@@ -296,7 +299,7 @@ func cursorFixture(t *testing.T, conn net.Conn, n int, pad string) []byte {
 	id, _ := NewDecoder(resp).Uvarint()
 	for i := 0; i < n; i++ {
 		ap := wire.PutUvarint(nil, id)
-		ap = append(ap, 0)
+		ap = append(ap, AppendTimestamped) // one effective timestamp each: seek targets
 		ap = PutBytes(ap, []byte(fmt.Sprintf("e%03d%s", i, pad)))
 		if status, _ := roundTrip(t, conn, OpAppend, ap); status != StatusOK {
 			t.Fatal("append failed")
@@ -327,7 +330,8 @@ func batchData(t *testing.T, resp []byte) []string {
 // TestBareCursorStepKeepsItsBytes pins the wire compatibility the benchmark's
 // hand-written frames depend on: OpNext and OpPrev with a bare handle answer
 // with exactly one entry in the entry-response layout — no count, nothing
-// after the data — whatever the batched form does.
+// after the data — and OpSeekTime with handle and timestamp alone answers
+// with an empty payload and reads nothing, whatever the batched forms do.
 func TestBareCursorStepKeepsItsBytes(t *testing.T) {
 	srv, conn := testServer(t)
 	hb := cursorFixture(t, conn, 3, "")
@@ -351,6 +355,146 @@ func TestBareCursorStepKeepsItsBytes(t *testing.T) {
 	}
 	if status, resp := roundTrip(t, conn, OpNext, hb); status != StatusEOF || len(resp) != 0 {
 		t.Fatalf("bare Next at the end: status %d, %d payload bytes", status, len(resp))
+	}
+	// The bare seek: positioned on the last entry, which the Next after it
+	// (not the seek) delivers.
+	last, err := ref.Prev(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek := wire.PutUint64(append([]byte(nil), hb...), uint64(last.Timestamp))
+	if status, resp := roundTrip(t, conn, OpSeekTime, seek); status != StatusOK || len(resp) != 0 {
+		t.Fatalf("bare SeekTime: status %d, payload %x, want OK and nothing", status, resp)
+	}
+	if status, resp := roundTrip(t, conn, OpNext, hb); status != StatusOK || !bytes.Equal(resp, EncodeEntry(last)) {
+		t.Fatalf("Next after bare SeekTime: status %d, payload %x, want exactly %x", status, resp, EncodeEntry(last))
+	}
+}
+
+// TestFusedSeekTime covers OpSeekTime's read-ahead form: the trailing want
+// makes the answer the batch a Next(want) right after the seek would have
+// returned; a replay is answered byte for byte from the dedup window without
+// a second seek or step; and a seek that finds nothing to read ahead — the
+// end of the log — is answered as the bare seek is, so nothing stale can sit
+// in a client's buffer.
+func TestFusedSeekTime(t *testing.T) {
+	srv, conn := testServer(t)
+	reg := obs.NewRegistry()
+	srv.RegisterMetrics(reg)
+	const n = 12
+	hb := cursorFixture(t, conn, n, "")
+	ref, err := srv.Store().OpenCursor(context.Background(), "/scan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stamps []int64
+	for {
+		e, err := ref.Next(context.Background())
+		if err != nil {
+			break
+		}
+		stamps = append(stamps, e.Timestamp)
+	}
+	if len(stamps) != n {
+		t.Fatalf("fixture holds %d entries, want %d", len(stamps), n)
+	}
+	seek := func(seq uint64, ts int64, want uint64) (byte, []byte) {
+		p := wire.PutUint64(append([]byte(nil), hb...), uint64(ts))
+		return roundTripSeq(t, conn, OpSeekTime, seq, wire.PutUvarint(p, want))
+	}
+	nextData := func() string {
+		t.Helper()
+		status, resp := roundTrip(t, conn, OpNext, hb)
+		if status != StatusOK {
+			t.Fatalf("Next: status %d", status)
+		}
+		return decodeEntryData(t, resp)
+	}
+
+	// want=1, between two entries: the first entry at or after ts.
+	status, resp := seek(200, stamps[4]-1, 1)
+	if got := batchData(t, resp); status != StatusOK || fmt.Sprint(got) != "[e004]" {
+		t.Fatalf("fused seek: status %d, %v", status, got)
+	}
+	// The lost-response case: the replay is the recorded answer itself, and
+	// the server cursor has moved over e004 once, not twice.
+	if status2, resp2 := seek(200, stamps[4]-1, 1); status2 != status || !bytes.Equal(resp2, resp) {
+		t.Fatalf("replayed fused seek differs: status %d, %x vs %x", status2, resp2, resp)
+	}
+	if got := nextData(); got != "e005" {
+		t.Fatalf("Next after a replayed fused seek returned %q, want e005", got)
+	}
+	// A larger want is a larger batch, cut at the end of the log without an
+	// EOF; want=0 still reads one.
+	status, resp = seek(201, stamps[n-3], 50)
+	if got := batchData(t, resp); status != StatusOK || fmt.Sprint(got) != "[e009 e010 e011]" {
+		t.Fatalf("fused seek near the end: status %d, %v", status, got)
+	}
+	status, resp = seek(202, stamps[0], 0)
+	if got := batchData(t, resp); status != StatusOK || fmt.Sprint(got) != "[e000]" {
+		t.Fatalf("fused seek, want=0: status %d, %v", status, got)
+	}
+	seekEntries := reg.Counter("clio_server_cursor_entries_total", "", obs.L("op", "seek_time"))
+	nextEntries := reg.Counter("clio_server_cursor_entries_total", "", obs.L("op", "next"))
+	if s, nx := seekEntries.Value(), nextEntries.Value(); s != 1+3+1 || nx != 1 {
+		t.Fatalf("entries counted: %d by seeks, %d by nexts; want 5 and 1", s, nx)
+	}
+
+	// Past the end there is nothing to read ahead: the seek is answered
+	// bare, and an entry acknowledged afterwards is what Next returns.
+	if status, resp = seek(203, stamps[n-1]+1, 1); status != StatusOK || len(resp) != 0 {
+		t.Fatalf("fused seek past the end: status %d, payload %x, want OK and nothing", status, resp)
+	}
+	status, resp = roundTrip(t, conn, OpResolve, PutString(nil, "/scan"))
+	if status != StatusOK {
+		t.Fatal("resolve failed")
+	}
+	id, _ := NewDecoder(resp).Uvarint()
+	if status, _ := roundTrip(t, conn, OpAppend, PutBytes(append(wire.PutUvarint(nil, id), AppendForced), []byte("late"))); status != StatusOK {
+		t.Fatal("append failed")
+	}
+	if got := nextData(); got != "late" {
+		t.Fatalf("Next after a seek past the end and an append returned %q, want the appended entry", got)
+	}
+
+	// Malformed want: refused before the cursor moves.
+	bad := append(wire.PutUint64(append([]byte(nil), hb...), uint64(stamps[0])), 0x80)
+	if status, _ := roundTrip(t, conn, OpSeekTime, bad); status != StatusErr {
+		t.Fatalf("truncated want: status %d", status)
+	}
+	if status, resp := roundTrip(t, conn, OpNext, hb); status != StatusEOF {
+		t.Fatalf("cursor moved by a refused seek: status %d, %x", status, resp)
+	}
+}
+
+// TestFillEntriesStepFailure pins what the fill loop makes of a step that
+// fails. Before any entry it is the answer (EOF or the error), which the
+// fused seek turns into its bare answer; after one it only ends the batch.
+// The store never fails a Next that follows a successful seek short of
+// being closed, so the loop is driven directly.
+func TestFillEntriesStepFailure(t *testing.T) {
+	boom := errors.New("boom")
+	steps := func(errAt int, err error) func(context.Context) (*core.Entry, error) {
+		i := 0
+		return func(context.Context) (*core.Entry, error) {
+			if i++; i > errAt {
+				return nil, err
+			}
+			return &core.Entry{LogID: 7, Timestamp: int64(i), Data: []byte{byte('a' + i)}}, nil
+		}
+	}
+	for _, failure := range []error{io.EOF, boom} {
+		wantStatus := byte(StatusErr)
+		if failure == io.EOF {
+			wantStatus = StatusEOF
+		}
+		if status, _, _ := fillEntries(context.Background(), steps(0, failure), true, 4, nil); status != wantStatus {
+			t.Errorf("%v before any entry: status %d, want %d", failure, status, wantStatus)
+		}
+		status, out, _ := fillEntries(context.Background(), steps(2, failure), true, 4, nil)
+		if got := batchData(t, out); status != StatusOK || len(got) != 2 {
+			t.Errorf("%v after two entries: status %d, %d entries; want a batch of 2", failure, status, len(got))
+		}
 	}
 }
 

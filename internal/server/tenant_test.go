@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -247,6 +249,56 @@ func TestTenantSessionPinning(t *testing.T) {
 	}
 	if msg, _ := NewDecoder(resp).String(); !strings.Contains(msg, "belongs to another tenant") {
 		t.Errorf("cross-tenant session attach error = %q", msg)
+	}
+}
+
+// TestTenantCursorHandlesStayPrivate: a cursor handle names a cursor of the
+// session that opened it, and a session belongs to one tenant, so a handle
+// another tenant holds is refused — by the fused seek as by every cursor op,
+// before anything is sought or read — and a tenant's own seek on the same
+// handle number moves only its own cursor.
+func TestTenantCursorHandlesStayPrivate(t *testing.T) {
+	srv, _ := testServer(t)
+	srv.SetTenants(testTenants())
+	acme := dialTenant(t, srv, "acme", "acme-secret")
+	beta := dialTenant(t, srv, "beta", "beta-secret")
+	open := func(conn net.Conn, path string, data ...string) []byte {
+		t.Helper()
+		id, err := NewDecoder(mustOK(t, conn, OpCreate, createPayload(path))).Uvarint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range data {
+			mustOK(t, conn, OpAppend, appendPayload(id, d))
+		}
+		h, err := NewDecoder(mustOK(t, conn, OpCursorOpen, PutString(nil, path))).Uint32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire.PutUvarint(nil, uint64(h))
+	}
+	fused := func(hb []byte) []byte {
+		return wire.PutUvarint(wire.PutUint64(append([]byte(nil), hb...), 0), 1)
+	}
+	open(acme, "/acme", "a0")
+	acme2 := open(acme, "/acme/x", "a1") // acme's second handle
+	beta1 := open(beta, "/beta", "b0")   // beta's only one
+	if bytes.Equal(acme2, beta1) {
+		t.Fatal("fixture: acme's second handle should be one beta never opened")
+	}
+	for _, p := range [][]byte{fused(acme2), wire.PutUint64(append([]byte(nil), acme2...), 0)} {
+		status, resp := roundTrip(t, beta, OpSeekTime, p)
+		if msg, _ := NewDecoder(resp).String(); status != StatusErr || !strings.Contains(msg, "unknown cursor handle") {
+			t.Fatalf("beta seeking on acme's handle: status %d, %q", status, msg)
+		}
+	}
+	// beta's own fused seek reads beta's log, and acme's cursor on the handle
+	// number they share has not moved.
+	if got := batchData(t, mustOK(t, beta, OpSeekTime, fused(beta1))); fmt.Sprint(got) != "[b0]" {
+		t.Fatalf("beta's fused seek returned %v, want its own entry", got)
+	}
+	if got := batchData(t, mustOK(t, acme, OpSeekTime, fused(acme2))); fmt.Sprint(got) != "[a1]" {
+		t.Fatalf("acme's fused seek returned %v, want its own entry", got)
 	}
 }
 
