@@ -750,33 +750,12 @@ func runBackup(store, archiveDir string) {
 		if len(dirs) > 1 {
 			dst = filepath.Join(archiveDir, filepath.Base(d))
 		}
-		be := archive.NewDir(dst)
-		devs, closeAll, err := openStoreDevices(d)
+		res, sidecars, err := backupShard(ctx, d, dst)
 		if err != nil {
 			fatal(err)
 		}
-		res, err := archive.Backup(ctx, devs, be)
-		closeAll()
-		if err != nil {
-			fatal(err)
-		}
-		// Demoted volumes exist locally only as images in the shard's cold
-		// archive; adopting them gives the backup the complete sequence.
-		if _, err := os.Stat(filepath.Join(d, "cold")); err == nil {
-			vols, _, err := archive.Adopt(ctx, be, archive.NewDir(filepath.Join(d, "cold")))
-			if err != nil {
-				fatal(err)
-			}
-			res.ColdVolumes = vols
-		}
-		// The NVRAM sidecar holds the staged (not yet sealed) tail block;
-		// a complete backup carries it along.
-		nvSrc := filepath.Join(d, "nvram.clio")
-		if data, err := os.ReadFile(nvSrc); err == nil {
-			if err := os.WriteFile(filepath.Join(dst, "nvram.clio"), data, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Println("captured the staged NVRAM tail")
+		if sidecars > 0 {
+			fmt.Printf("captured the staged NVRAM state (%d sidecar files)\n", sidecars)
 		}
 		total.VolumesSeen += res.VolumesSeen
 		total.BlocksCopied += res.BlocksCopied
@@ -785,6 +764,66 @@ func runBackup(store, archiveDir string) {
 	}
 	fmt.Printf("backed up %d volumes: %d blocks copied, %d already archived, %d cold volumes adopted\n",
 		total.VolumesSeen, total.BlocksCopied, total.BlocksSkipped, total.ColdVolumes)
+}
+
+// backupShard archives one shard directory into dst: its volumes
+// (incrementally), the demoted volumes of its cold tier, and the NVRAM
+// sidecars, whose count it returns.
+func backupShard(ctx context.Context, dir, dst string) (*archive.Result, int, error) {
+	be := archive.NewDir(dst)
+	devs, closeAll, err := openStoreDevices(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := archive.Backup(ctx, devs, be)
+	closeAll()
+	if err != nil {
+		return nil, 0, err
+	}
+	// Demoted volumes exist locally only as images in the shard's cold
+	// archive; adopting them gives the backup the complete sequence.
+	if _, err := os.Stat(filepath.Join(dir, "cold")); err == nil {
+		vols, _, err := archive.Adopt(ctx, be, archive.NewDir(filepath.Join(dir, "cold")))
+		if err != nil {
+			return nil, 0, err
+		}
+		res.ColdVolumes = vols
+	}
+	sidecars, err := copyNVRAMSidecars(dir, dst)
+	return res, sidecars, err
+}
+
+// copyNVRAMSidecars copies a shard's staged NVRAM state into dst: the tail
+// sidecar (nvram.clio — the staged, not yet sealed, tail block) and every
+// staged sealed image beside it (nvram.clio.sNNNNNNNN — blocks a pipelined
+// seal acked before their device write), which a store that crashed with
+// seals in flight needs to serve what it acked. Half-written .tmp files are
+// never part of the state. An image left in dst by an earlier backup and
+// since dropped by the store is harmless: recovery ignores a staged tail or
+// seal that the volumes already cover.
+func copyNVRAMSidecars(dir, dst string) (int, error) {
+	srcs, err := filepath.Glob(filepath.Join(dir, "nvram.clio*"))
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, src := range srcs {
+		if strings.HasSuffix(src, ".tmp") {
+			continue
+		}
+		data, err := os.ReadFile(src)
+		if os.IsNotExist(err) {
+			continue // dropped since the glob: its block is on the device
+		}
+		if err != nil {
+			return n, err
+		}
+		if err := os.WriteFile(filepath.Join(dst, filepath.Base(src)), data, 0o644); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // runVerifyBackup restores an archive in memory and scrubs it, one

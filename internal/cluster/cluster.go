@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,8 +47,8 @@ const DefaultAckTimeout = 5 * time.Second
 // DefaultDialTimeout bounds one replication dial attempt.
 const DefaultDialTimeout = 2 * time.Second
 
-// DefaultStreamQueue is the default per-subscriber replication frame
-// buffer (Config.StreamQueue).
+// DefaultStreamQueue is the default per-subscriber replication buffer, in
+// batches (Config.StreamQueue).
 const DefaultStreamQueue = 4096
 
 // Config describes one cluster node.
@@ -83,10 +82,12 @@ type Config struct {
 	// term history and a formerly-demoted node restarted as leader is
 	// indistinguishable from the legitimate one.
 	TermPath string
-	// StreamQueue is each replication subscriber's frame buffer; a sender
-	// that falls this far behind is cut loose and restarts with a suffix
-	// catch-up. Size it against the group-commit rate to make that rare.
-	// 0 uses DefaultStreamQueue.
+	// StreamQueue is each replication subscriber's buffer, counted in
+	// batches — what one eager frame delivers: itself plus the tail frames
+	// held before it, so a gated force is one batch of two frames and a
+	// sealed block one of one. A sender that falls this far behind is cut
+	// loose and restarts with a suffix catch-up. Size it against the
+	// group-commit rate to make that rare. 0 uses DefaultStreamQueue.
 	StreamQueue int
 	// AckTimeout bounds the quorum wait per mutation; 0 uses
 	// DefaultAckTimeout.
@@ -153,7 +154,8 @@ type Node struct {
 	demotions      atomic.Int64
 	quorumTimeouts atomic.Int64
 	quorumRefusals atomic.Int64
-	framesEmitted  atomic.Int64
+	streamWrites   atomic.Int64 // socket writes the senders made for live frames
+	acksReceived   atomic.Int64 // positive cumulative acks read from followers
 
 	// streamGen numbers accepted replication handshakes; applyMu serializes
 	// frame application against it. Together they guarantee exactly one
@@ -582,9 +584,15 @@ func (n *Node) closeConnsExcept(keep net.Conn) {
 // replicas has durably staged everything the response depends on. The
 // session dedup record rides the stream as a ReplAck frame; its position is
 // by construction after every device frame the mutation emitted, so "ack
-// position committed" implies the full batch is on a quorum.
+// position committed" implies the full batch is on a quorum. The ReplAck is
+// also what carries a held tail frame out (see stream): every return path
+// either emits it or flushes.
 func (n *Node) gate(op byte, session, seq uint64, status byte, resp []byte) (byte, []byte, bool) {
-	if status == server.StatusErr || n.cfg.Quorum <= 1 {
+	if n.cfg.Quorum <= 1 {
+		return status, resp, true // no quorum to wait for, and nothing is ever held
+	}
+	if status == server.StatusErr {
+		n.stream.flush() // a failed mutation may still have staged a tail
 		return status, resp, true
 	}
 	pos := n.emitFrame(wire.OpReplAck,
@@ -696,8 +704,11 @@ func (n *Node) waitCommitted(pos uint64) error {
 }
 
 // noteAck recomputes the commit point: with quorum q, the (q-1)-th largest
-// per-peer cumulative ack (the leader itself is the q-th copy).
+// per-peer cumulative ack (the leader itself is the q-th copy) — the largest
+// ack that at least q-1 peers have reached. Runs once per ack received, so
+// it neither allocates nor sorts.
 func (n *Node) noteAck() {
+	n.acksReceived.Add(1)
 	need := n.cfg.Quorum - 1
 	if need <= 0 {
 		return
@@ -705,15 +716,23 @@ func (n *Node) noteAck() {
 	n.mu.Lock()
 	peers := n.peers
 	n.mu.Unlock()
-	if len(peers) < need {
-		return
+	var commit uint64
+	for _, p := range peers {
+		a := p.acked.Load()
+		if a <= commit {
+			continue
+		}
+		reached := 0
+		for _, q := range peers {
+			if q.acked.Load() >= a {
+				reached++
+			}
+		}
+		if reached >= need {
+			commit = a
+		}
 	}
-	acks := make([]uint64, len(peers))
-	for i, p := range peers {
-		acks[i] = p.acked.Load()
-	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
-	n.advanceCommitted(acks[need-1])
+	n.advanceCommitted(commit)
 }
 
 func (n *Node) advanceCommitted(c uint64) {

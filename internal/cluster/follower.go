@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -20,6 +21,17 @@ import (
 // window size, so a promoted follower holds the same replay horizon the
 // dead leader did.
 const folDedupWindow = 128
+
+// folReadBuffer sizes the buffered reader on a follower's connections: one
+// read usually takes in everything a leader's socket write carried (a tail
+// image, its ReplAck, perhaps a sealed block), which is then applied frame by
+// frame and answered once.
+const folReadBuffer = 32 << 10
+
+// folAckEvery is the most frames a follower applies before answering even
+// though more are already buffered, so a saturated stream cannot keep the
+// quorum waiting on an ack that is always one frame away.
+const folAckEvery = 32
 
 // folSession is one session's replicated duplicate-suppression state.
 type folSession struct {
@@ -86,17 +98,28 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 	var connTerm uint64 // term the stream handshake was accepted at
 	var connGen uint64  // stream generation the handshake was accepted at
 	var sessID uint64
+	// The stream is acked cumulatively: connApplied is the highest position
+	// applied on THIS connection since its handshake, unacked the frames
+	// applied since the last answer. Never fol.applied or anything else that
+	// outlives the connection: a new leader's stream restarts at 0, and
+	// echoing a position counted on the old leader's stream would let it
+	// commit frames this node never saw.
+	var connApplied uint64
+	unacked := 0
+	br := bufio.NewReaderSize(conn, folReadBuffer)
 	for {
-		op, seq, trace, payload, err := server.ReadFrame(conn)
+		op, seq, trace, payload, err := server.ReadFrame(br)
 		if err != nil {
 			return
 		}
 		var status byte
 		var resp []byte
 		fatal := false
+		answer := true
 		switch op {
 		case wire.OpReplHello:
-			status, resp, leaderConn, connTerm, connGen = n.folHello(payload)
+			status, resp, leaderConn, connTerm, connGen = n.folHello(fol, payload)
+			connApplied, unacked = 0, 0
 		case wire.OpReplWrite, wire.OpReplInvalidate, wire.OpReplTail,
 			wire.OpReplTailClear, wire.OpReplAck, wire.OpReplSessions,
 			wire.OpReplBase, wire.OpReplReset:
@@ -131,6 +154,9 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 				break
 			}
 			err := fol.apply(op, payload)
+			if err == nil {
+				fol.noteApplied(seq)
+			}
 			n.applyMu.Unlock()
 			if err != nil {
 				// An out-of-sync stream cannot be patched mid-flight; drop
@@ -141,15 +167,12 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 				status, resp, fatal = server.StatusErr, server.PutString(nil, err.Error()), true
 				break
 			}
-			if seq > 0 {
-				for {
-					cur := fol.applied.Load()
-					if seq <= cur || fol.applied.CompareAndSwap(cur, seq) {
-						break
-					}
-				}
-			}
-			status = server.StatusOK
+			// Applied; answered below, once per drained buffer. An error
+			// above is answered at once instead, and ends the stream with no
+			// ack for the frames buffered behind it.
+			connApplied = max(connApplied, seq)
+			unacked++
+			answer = false
 		case wire.OpPromote:
 			// This handler is about to tear down the very state that its
 			// drain fence waits on, so it steps out of the accounting
@@ -182,11 +205,23 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 			n.mu.Unlock()
 			status, resp = server.StatusNotLeader, server.PutString(nil, leader)
 		}
-		if err := server.WriteFrame(conn, status, seq, trace, resp); err != nil {
-			return
+		if answer {
+			if err := server.WriteFrame(conn, status, seq, trace, resp); err != nil {
+				return
+			}
+			if fatal {
+				return
+			}
 		}
-		if fatal {
-			return
+		if unacked > 0 && (br.Buffered() == 0 || unacked >= folAckEvery) {
+			unacked = 0
+			// Catch-up frames carry position 0: until the ReplBase there is
+			// nothing to report, and the leader ignores a zero ack anyway.
+			if connApplied > 0 {
+				if err := server.WriteFrame(conn, server.StatusOK, connApplied, 0, nil); err != nil {
+					return
+				}
+			}
 		}
 	}
 }
@@ -196,7 +231,7 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 // missing suffix. The returned term and stream generation are the ones the
 // stream was accepted at; the connection handler re-checks both against the
 // node's per frame.
-func (n *Node) folHello(payload []byte) (byte, []byte, bool, uint64, uint64) {
+func (n *Node) folHello(fol *followerState, payload []byte) (byte, []byte, bool, uint64, uint64) {
 	h, err := wire.DecodeReplHello(payload)
 	if err != nil {
 		return server.StatusErr, server.PutString(nil, err.Error()), false, 0, 0
@@ -241,9 +276,14 @@ func (n *Node) folHello(payload []byte) (byte, []byte, bool, uint64, uint64) {
 	// generation check finishes first. Without the barrier, an old stream's
 	// in-flight frame could land after the snapshot below and the leader's
 	// catch-up would compute its suffix against stale extents.
+	// The barrier is also where the applied position restarts: it counts
+	// positions of the stream being followed, and this handshake begins a new
+	// one (a new leader's restarts at 0) — left standing, Applied() would
+	// report the old stream's head until the new one overtook it.
 	gen := n.streamGen.Add(1)
 	n.applyMu.Lock()
-	n.applyMu.Unlock() //lint:ignore SA2001 empty section is the barrier
+	fol.applied.Store(0)
+	n.applyMu.Unlock()
 
 	n.mu.Lock()
 	resp := &wire.ReplHelloResp{Accept: true, Term: term}
@@ -328,14 +368,7 @@ func (fol *followerState) apply(op byte, payload []byte) error {
 		}
 		return nil
 	case *wire.ReplBase:
-		if m.Pos > 0 {
-			for {
-				cur := fol.applied.Load()
-				if m.Pos <= cur || fol.applied.CompareAndSwap(cur, m.Pos) {
-					break
-				}
-			}
-		}
+		fol.noteApplied(m.Pos)
 		return nil
 	case *wire.ReplReset:
 		return fol.applyReset(m)
@@ -409,6 +442,15 @@ func (fol *followerState) applyReset(m *wire.ReplReset) error {
 	fol.resets.Add(1)
 	n.logf("cluster: shard %d dev %d reset for re-sync", m.Shard, m.Dev)
 	return nil
+}
+
+// noteApplied raises the applied position. n.applyMu held: the same lock
+// orders it after the reset an accepted handshake makes, so a superseded
+// connection can never raise it again.
+func (fol *followerState) noteApplied(pos uint64) {
+	if pos > fol.applied.Load() {
+		fol.applied.Store(pos)
+	}
 }
 
 func (fol *followerState) nvram(shard uint32) (core.NVRAM, error) {

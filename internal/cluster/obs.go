@@ -41,6 +41,13 @@ type NodeStatus struct {
 	ShardEnds []int        `json:"shard_ends"`
 	Peers     []PeerStatus `json:"peers,omitempty"`
 
+	// StreamWrites counts the socket writes the senders made to ship live
+	// frames (summed over followers; catch-up not counted) and AcksReceived
+	// the cumulative acks read back. StreamPos × followers ÷ StreamWrites is
+	// frames per write; AcksReceived ÷ forces is acks per force.
+	StreamWrites int64 `json:"stream_writes"`
+	AcksReceived int64 `json:"acks_received"`
+
 	Promotions     int64 `json:"promotions"`
 	Demotions      int64 `json:"demotions"`
 	QuorumTimeouts int64 `json:"quorum_timeouts"`
@@ -61,6 +68,8 @@ func (n *Node) Status() NodeStatus {
 		LeaderAddr:     leader,
 		Quorum:         n.cfg.Quorum,
 		StreamPos:      n.stream.Pos(),
+		StreamWrites:   n.streamWrites.Load(),
+		AcksReceived:   n.acksReceived.Load(),
 		Promotions:     n.promotions.Load(),
 		Demotions:      n.demotions.Load(),
 		QuorumTimeouts: n.quorumTimeouts.Load(),
@@ -177,7 +186,13 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("clio_cluster_quorum_refusals_total",
 		"Mutations refused up front for lack of live replicas.", func() int64 { return n.quorumRefusals.Load() })
 	reg.CounterFunc("clio_cluster_frames_total",
-		"Replication stream frames emitted.", func() int64 { return n.framesEmitted.Load() })
+		"Replication stream frames emitted (every frame takes one stream position).", func() int64 { return int64(n.stream.Pos()) })
+	reg.CounterFunc("clio_cluster_stream_writes_total",
+		"Socket writes the senders made to ship live frames, summed over followers (frames_total x followers / this = frames per write).",
+		func() int64 { return n.streamWrites.Load() })
+	reg.CounterFunc("clio_cluster_acks_received_total",
+		"Cumulative acks read from followers, summed over followers (one per buffer a follower drained).",
+		func() int64 { return n.acksReceived.Load() })
 	for _, addr := range n.cfg.Peers {
 		addr := addr
 		find := func() *peer {

@@ -1,14 +1,15 @@
 package cluster
 
-// Replication-ordering test for the pipelined-seal PR: the core's seal
-// pipeline must never reorder the frames a follower applies. In cluster
-// mode the leader's NVRAM is wrapped in tapNVRAM, which deliberately does
-// NOT forward the StagingNVRAM extension — so the core's background seal
-// pipeline auto-disables, every seal reaches tapDevice synchronously in
-// commit order, and per-device frame order equals leader seal order. This
-// test pins both halves: the pipeline stays off under replication, and
-// follower apply order matches leader seal order while seals from
-// concurrent group commits (two shards, many writers) are in flight.
+// Replication-ordering test: the frames a follower applies are never
+// reordered against the leader's seals. In cluster mode the leader's NVRAM is
+// wrapped in tapNVRAM, which forwards Store and Clear but not the
+// StagingNVRAM extension — so the core seals inline, every seal reaches
+// tapDevice synchronously in commit order, and per-device frame order equals
+// leader seal order. (Why the pipeline stays off here is a measurement, not
+// an ordering worry: see tapNVRAM.) This test pins both halves: the pipeline
+// stays off under replication, and follower apply order matches leader seal
+// order while seals from concurrent group commits (two shards, many writers)
+// are in flight — with tail frames held for their acks in between.
 
 import (
 	"bytes"
@@ -133,8 +134,8 @@ func TestFollowerApplyOrderMatchesLeaderSealOrder(t *testing.T) {
 	}
 
 	// The leader's store must show the pipeline disabled under replication:
-	// tapNVRAM hides the StagingNVRAM extension, so seals are synchronous
-	// and frame order is seal order — the property sampled above.
+	// tapNVRAM is not a StagingNVRAM, so seals are synchronous and frame
+	// order is seal order — the property sampled above.
 	tns[0].node.mu.Lock()
 	store := tns[0].node.store
 	tns[0].node.mu.Unlock()

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +16,10 @@ import (
 	"clio/internal/wire"
 	"clio/internal/wodev"
 )
+
+// maxStreamWrite is where the sender stops gathering queued batches into one
+// socket write; a single frame may still exceed it.
+const maxStreamWrite = 64 << 10
 
 // sessionChunk bounds how many sessions ride one ReplSessions frame during
 // catch-up, keeping frames well under the protocol limit.
@@ -179,13 +185,16 @@ func (n *Node) streamTo(p *peer) error {
 	}
 
 	// The ack reader runs for the rest of the session so catch-up writes
-	// never deadlock against the follower's buffered per-frame responses.
+	// never deadlock against the follower's buffered responses. Acks are
+	// cumulative and a follower sends one per buffer it drained, so one read
+	// usually carries one ack covering a whole batch.
 	errCh := make(chan error, 1)
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
+		br := bufio.NewReader(conn)
 		for {
-			st, seq, _, pl, err := server.ReadFrame(conn)
+			st, seq, _, pl, err := server.ReadFrame(br)
 			if err != nil {
 				errCh <- err
 				return
@@ -225,13 +234,34 @@ func (n *Node) streamTo(p *peer) error {
 	// it set across the reconnect's catch-up.
 	p.alive.Store(true)
 
+	var out bytes.Buffer // the frames of one socket write, reused
 	for {
 		select {
-		case f, ok := <-sub.ch:
+		case batch, ok := <-sub.ch:
 			if !ok {
 				return errFellBehind
 			}
-			if err := server.WriteFrame(conn, f.op, f.pos, 0, f.payload); err != nil {
+			// One write carries the batch and whatever else is already
+			// queued behind it (the second writer's ReplAck of a group
+			// commit, a seal's block): the follower reads them in one
+			// buffer and answers once.
+			out.Reset()
+			for batch != nil {
+				for _, f := range batch {
+					if err := server.WriteFrame(&out, f.op, f.pos, 0, f.payload); err != nil {
+						return err
+					}
+				}
+				batch = nil
+				if out.Len() < maxStreamWrite {
+					select {
+					case batch = <-sub.ch: // nil when closed: the next receive reports it
+					default:
+					}
+				}
+			}
+			n.streamWrites.Add(1)
+			if _, err := conn.Write(out.Bytes()); err != nil {
 				return err
 			}
 		case err := <-errCh:
