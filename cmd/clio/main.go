@@ -532,7 +532,7 @@ func runFsck(store string, args []string) {
 	if store == "" {
 		fatal(fmt.Errorf("fsck requires -store"))
 	}
-	dirs, err := storeShardDirs(store)
+	dirs, err := clio.ShardDirs(store)
 	if err != nil {
 		fatal(err)
 	}
@@ -649,7 +649,7 @@ func runDu(store string) {
 	if store == "" {
 		fatal(fmt.Errorf("du requires -store"))
 	}
-	dirs, err := storeShardDirs(store)
+	dirs, err := clio.ShardDirs(store)
 	if err != nil {
 		fatal(err)
 	}
@@ -737,7 +737,7 @@ func runBackup(store, archiveDir string) {
 	if store == "" {
 		fatal(fmt.Errorf("backup requires -store"))
 	}
-	dirs, err := storeShardDirs(store)
+	dirs, err := clio.ShardDirs(store)
 	if err != nil {
 		fatal(err)
 	}
@@ -829,7 +829,7 @@ func copyNVRAMSidecars(dir, dst string) (int, error) {
 // runVerifyBackup restores an archive in memory and scrubs it, one
 // shard's volume sequence at a time.
 func runVerifyBackup(archiveDir string) {
-	dirs, err := storeShardDirs(archiveDir)
+	dirs, err := clio.ShardDirs(archiveDir)
 	if err != nil {
 		fatal(err)
 	}
@@ -862,40 +862,6 @@ func runVerifyBackup(archiveDir string) {
 		os.Exit(1)
 	}
 	fmt.Println("clean")
-}
-
-// storeShardDirs returns the directories holding a store's volume files:
-// the shard-K subdirectories of a sharded layout in shard order, or dir
-// itself for the flat (1-shard) layout.
-func storeShardDirs(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	idx := make(map[int]string)
-	for _, e := range ents {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "shard-") {
-			continue
-		}
-		k, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "shard-"))
-		if err != nil || k < 0 {
-			continue
-		}
-		idx[k] = filepath.Join(dir, e.Name())
-	}
-	if len(idx) == 0 {
-		return []string{dir}, nil
-	}
-	out := make([]string, 0, len(idx))
-	for i := 0; i < len(idx); i++ {
-		d, ok := idx[i]
-		if !ok {
-			return nil, fmt.Errorf("%s shard directories are not contiguous (missing shard-%d of %d)",
-				dir, i, len(idx))
-		}
-		out = append(out, d)
-	}
-	return out, nil
 }
 
 // openStoreDevices opens every volume file in a store directory.

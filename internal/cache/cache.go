@@ -17,18 +17,15 @@
 // against.
 //
 // The Table 1 experiments depend on the distinction between a cached block
-// access (~0.6 ms to access and interpret) and a device read (~150 ms seek);
-// Get charges the virtual clock accordingly.
+// access (~0.6 ms to access and interpret) and a device read (~150 ms seek).
+// The cache counts hits and misses; the one read-through path, in core,
+// charges the virtual clock for whichever it was.
 package cache
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"clio/internal/vclock"
-	"clio/internal/wodev"
 )
 
 // Key identifies a block: a volume tag plus a volume-relative block index.
@@ -39,12 +36,13 @@ type Key struct {
 	Block int
 }
 
-// Stats reports cache effectiveness.
+// Stats reports cache effectiveness. The tags are the fields' /metrics
+// series (obs.RegisterStruct).
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Inserts   int64
+	Hits      int64 `metric:"clio_cache_hits_total" help:"Block cache hits."`
+	Misses    int64 `metric:"clio_cache_misses_total" help:"Block cache misses."`
+	Evictions int64 `metric:"clio_cache_evictions_total" help:"Block cache evictions."`
+	Inserts   int64 `metric:"clio_cache_inserts_total" help:"Block cache inserts."`
 }
 
 // HitRatio returns hits/(hits+misses), or 0 when no accesses occurred.
@@ -86,31 +84,16 @@ type Cache struct {
 	shards   [numShards]shard
 	size     atomic.Int64 // total cached blocks across shards
 	stamp    atomic.Int64 // global access clock
-	clock    atomic.Pointer[vclock.Clock]
 }
 
-// New returns a cache bounded to capacity blocks (<= 0 for unbounded). The
-// clock may be nil; if set, every Get charges either a cached-block access
-// or a device read.
-func New(capacity int, clk *vclock.Clock) *Cache {
+// New returns a cache bounded to capacity blocks (<= 0 for unbounded).
+func New(capacity int) *Cache {
 	c := &Cache{capacity: capacity}
 	for i := range c.shards {
 		c.shards[i].lru = list.New()
 		c.shards[i].entries = make(map[Key]*entry)
 	}
-	if clk != nil {
-		c.clock.Store(clk)
-	}
 	return c
-}
-
-// SetClock replaces the cache's virtual clock.
-func (c *Cache) SetClock(clk *vclock.Clock) {
-	c.clock.Store(clk)
-}
-
-func (c *Cache) clk() *vclock.Clock {
-	return c.clock.Load() // nil-safe: vclock methods accept a nil receiver
 }
 
 func (c *Cache) shardOf(key Key) *shard {
@@ -160,13 +143,8 @@ func (c *Cache) ResetStats() {
 
 // Lookup returns the cached image for key and promotes it, or nil on a
 // miss. It counts a hit or miss but charges no virtual time; callers that
-// model costs charge separately (see Get).
+// model costs charge separately.
 func (c *Cache) Lookup(key Key) []byte {
-	return c.lookup(key)
-}
-
-// lookup returns the cached image for key and promotes it, or nil.
-func (c *Cache) lookup(key Key) []byte {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -311,24 +289,6 @@ func (c *Cache) Invalidate(key Key) {
 	}
 }
 
-// DropVolume drops every cached block of the given volume (unmount).
-func (c *Cache) DropVolume(volume int) {
-	var dropped int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if k.Volume == volume {
-				sh.lru.Remove(e.elem)
-				delete(sh.entries, k)
-				dropped++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	c.size.Add(-dropped)
-}
-
 // Flush empties the cache entirely (used by experiments to force the
 // no-caching worst case of §3.3.1).
 func (c *Cache) Flush() {
@@ -342,27 +302,4 @@ func (c *Cache) Flush() {
 		sh.mu.Unlock()
 	}
 	c.size.Add(-dropped)
-}
-
-// Get returns the block image for key, reading through to dev on a miss.
-// The returned slice is the cache's copy and must not be modified. Device
-// errors (ErrUnwritten, ErrInvalidated, damage surfaced by the parser later)
-// pass through unwrapped; error reads are not cached.
-func (c *Cache) Get(key Key, dev wodev.Device) ([]byte, error) {
-	if data := c.lookup(key); data != nil {
-		c.clk().ChargeCachedBlock()
-		return data, nil
-	}
-	if dev == nil {
-		return nil, fmt.Errorf("cache: miss on %v with no device", key)
-	}
-	buf := make([]byte, dev.BlockSize())
-	c.clk().ChargeDeviceRead(dev.BlockSize())
-	if err := dev.ReadBlock(key.Block, buf); err != nil {
-		return nil, err
-	}
-	c.Put(key, buf)
-	// Interpreting the freshly read block costs a cached-block access too.
-	c.clk().ChargeCachedBlock()
-	return buf, nil
 }

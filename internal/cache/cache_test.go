@@ -1,12 +1,6 @@
 package cache
 
-import (
-	"errors"
-	"testing"
-
-	"clio/internal/vclock"
-	"clio/internal/wodev"
-)
+import "testing"
 
 func block(n int, b byte) []byte {
 	out := make([]byte, n)
@@ -17,14 +11,14 @@ func block(n int, b byte) []byte {
 }
 
 func TestPutGetLRU(t *testing.T) {
-	c := New(2, nil)
+	c := New(2)
 	c.Put(Key{0, 0}, block(8, 1))
 	c.Put(Key{0, 1}, block(8, 2))
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
 	}
 	// Touch block 0 so block 1 is the LRU victim.
-	if got := c.lookup(Key{0, 0}); got == nil {
+	if got := c.Lookup(Key{0, 0}); got == nil {
 		t.Fatal("lookup miss on cached block")
 	}
 	c.Put(Key{0, 2}, block(8, 3))
@@ -34,89 +28,27 @@ func TestPutGetLRU(t *testing.T) {
 	if !c.Peek(Key{0, 0}) || !c.Peek(Key{0, 2}) {
 		t.Error("wrong block evicted")
 	}
-	s := c.Stats()
-	if s.Evictions != 1 || s.Inserts != 3 {
+	if c.Lookup(Key{0, 1}) != nil {
+		t.Error("lookup hit on the evicted block")
+	}
+	if s := c.Stats(); s != (Stats{Hits: 1, Misses: 1, Evictions: 1, Inserts: 3}) {
 		t.Errorf("stats = %+v", s)
 	}
 }
 
 func TestPutCopies(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	src := block(8, 5)
 	c.Put(Key{0, 0}, src)
 	src[0] = 99
-	got := c.lookup(Key{0, 0})
+	got := c.Lookup(Key{0, 0})
 	if got[0] != 5 {
 		t.Error("cache aliases caller buffer")
 	}
 }
 
-func TestGetReadThrough(t *testing.T) {
-	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 64, Capacity: 8})
-	if _, err := dev.AppendBlock(block(64, 7)); err != nil {
-		t.Fatal(err)
-	}
-	c := New(4, nil)
-	got, err := c.Get(Key{0, 0}, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 7 {
-		t.Error("wrong data read through")
-	}
-	if dev.Stats().Reads != 1 {
-		t.Errorf("device reads = %d", dev.Stats().Reads)
-	}
-	// Second Get hits the cache.
-	if _, err := c.Get(Key{0, 0}, dev); err != nil {
-		t.Fatal(err)
-	}
-	if dev.Stats().Reads != 1 {
-		t.Error("cache did not absorb second read")
-	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
-func TestGetErrorsPassThrough(t *testing.T) {
-	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 64, Capacity: 8})
-	c := New(4, nil)
-	if _, err := c.Get(Key{0, 3}, dev); !errors.Is(err, wodev.ErrUnwritten) {
-		t.Errorf("unwritten: %v", err)
-	}
-	if _, err := c.Get(Key{0, 3}, nil); err == nil {
-		t.Error("nil device accepted on miss")
-	}
-}
-
-func TestGetChargesClock(t *testing.T) {
-	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 1024, Capacity: 8})
-	if _, err := dev.AppendBlock(block(1024, 1)); err != nil {
-		t.Fatal(err)
-	}
-	clk := vclock.New(vclock.DefaultModel())
-	c := New(4, clk)
-	if _, err := c.Get(Key{0, 0}, dev); err != nil {
-		t.Fatal(err)
-	}
-	miss := clk.Elapsed()
-	if miss < 150_000_000 { // must include the 150 ms seek
-		t.Errorf("miss charged only %v", miss)
-	}
-	clk.Reset()
-	if _, err := c.Get(Key{0, 0}, dev); err != nil {
-		t.Fatal(err)
-	}
-	hit := clk.Elapsed()
-	if hit != clk.Model().CachedBlock {
-		t.Errorf("hit charged %v, want %v", hit, clk.Model().CachedBlock)
-	}
-}
-
-func TestInvalidateAndDropVolume(t *testing.T) {
-	c := New(0, nil)
+func TestInvalidateAndFlush(t *testing.T) {
+	c := New(0)
 	c.Put(Key{0, 0}, block(8, 1))
 	c.Put(Key{0, 1}, block(8, 2))
 	c.Put(Key{1, 0}, block(8, 3))
@@ -124,12 +56,8 @@ func TestInvalidateAndDropVolume(t *testing.T) {
 	if c.Peek(Key{0, 0}) {
 		t.Error("invalidated block still cached")
 	}
-	c.DropVolume(0)
-	if c.Peek(Key{0, 1}) {
-		t.Error("DropVolume left volume-0 block")
-	}
-	if !c.Peek(Key{1, 0}) {
-		t.Error("DropVolume evicted other volume")
+	if !c.Peek(Key{0, 1}) || !c.Peek(Key{1, 0}) || c.Len() != 2 {
+		t.Error("Invalidate dropped more than its block")
 	}
 	c.Flush()
 	if c.Len() != 0 {
@@ -138,7 +66,7 @@ func TestInvalidateAndDropVolume(t *testing.T) {
 }
 
 func TestUnboundedCache(t *testing.T) {
-	c := New(0, nil)
+	c := New(0)
 	for i := 0; i < 1000; i++ {
 		c.Put(Key{0, i}, block(8, byte(i)))
 	}

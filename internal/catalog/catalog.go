@@ -598,21 +598,6 @@ func (t *Table) SnapshotRecords() []*Record {
 	return out
 }
 
-// RetiredSet returns the set of retired log-file ids — the compactor's
-// notion of which sublogs' entries are dead (readable from the cold tier,
-// never copied forward).
-func (t *Table) RetiredSet() map[uint16]bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[uint16]bool)
-	for id, d := range t.byID {
-		if d.Retired {
-			out[id] = true
-		}
-	}
-	return out
-}
-
 // IDs returns every known id, sorted (for iteration in tests and tools).
 func (t *Table) IDs() []uint16 {
 	t.mu.RLock()

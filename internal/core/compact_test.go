@@ -282,6 +282,22 @@ func TestCompactRelocateDemoteReadThrough(t *testing.T) {
 	if !rep.Clean() {
 		t.Errorf("scrub found problems after compaction: %v", rep.Problems)
 	}
+
+	// ResetCounters covers every counter this run moved — appends, seals,
+	// relocation and the cold fetches alike; what stays are the gauges,
+	// which re-derive from live state.
+	s.ResetCounters()
+	after := s.Stats()
+	gauges := Stats{
+		CommitWindowNanos: after.CommitWindowNanos,
+		InflightSeals:     after.InflightSeals,
+		StagedBytes:       after.StagedBytes,
+		VolumesRelocated:  after.VolumesRelocated,
+		VolumesDemoted:    after.VolumesDemoted,
+	}
+	if after != gauges {
+		t.Errorf("counters survive ResetCounters: %+v", after)
+	}
 }
 
 // sickBackend damages every volume-image read while sick is set: a cold tier

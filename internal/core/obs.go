@@ -10,8 +10,8 @@ import (
 )
 
 // coreMetrics holds the service's registered latency instruments. The
-// counter families are CounterFuncs reading the existing Stats structs at
-// scrape time, so only histograms (and the trace spans) touch the hot path —
+// counter families are the tagged fields of the Stats structs, copied once
+// per scrape, so only histograms (and the trace spans) touch the hot path —
 // and those sites are guarded by one atomic pointer load.
 type coreMetrics struct {
 	appendLat *obs.Histogram // whole client append, wall clock
@@ -52,12 +52,12 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 // onto every registered series — how a sharded store gives each of its
 // constituent services a distinct `shard` label within one registry.
 //
-// The counter callbacks take the same snapshots the public Stats accessors
-// take, so a scrape observes each subsystem atomically (never a torn
-// struct); distinct subsystems are sampled at slightly different instants,
-// which is inherent to any scrape of a live system. Registration itself
-// must not perturb the modeled workload: callbacks only read, and nothing
-// here ever charges the vclock.
+// A scrape calls each public Stats accessor once and reports every field of
+// the copy it returned, so it observes each subsystem atomically (never a
+// torn struct) and takes each subsystem's lock once; distinct subsystems are
+// sampled at slightly different instants, which is inherent to any scrape
+// of a live system. Registration itself must not perturb the modeled
+// workload: a scrape only reads, and nothing here ever charges the vclock.
 func (s *Service) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label) {
 	m := &coreMetrics{
 		appendLat: reg.Histogram("clio_core_append_seconds",
@@ -81,90 +81,18 @@ func (s *Service) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label)
 			[]time.Duration{1, 2, 4, 8, 16, 32, 64, 128, 256}, labels...),
 	}
 
-	counters := []struct {
-		name, help string
-		get        func(Stats) int64
-	}{
-		{"clio_core_entries_appended_total", "Client entries appended.", func(st Stats) int64 { return st.EntriesAppended }},
-		{"clio_core_forced_writes_total", "Appends that demanded synchronous durability.", func(st Stats) int64 { return st.ForcedWrites }},
-		{"clio_core_blocks_sealed_total", "Tail blocks sealed to the write-once device.", func(st Stats) int64 { return st.BlocksSealed }},
-		{"clio_core_dead_blocks_total", "Blocks invalidated due to damage (§2.3.2).", func(st Stats) int64 { return st.DeadBlocks }},
-		{"clio_core_client_bytes_total", "Client data bytes appended.", func(st Stats) int64 { return st.ClientBytes }},
-		{"clio_core_header_bytes_total", "Entry header and size-slot bytes.", func(st Stats) int64 { return st.HeaderBytes }},
-		{"clio_core_entrymap_bytes_total", "Entrymap entry bytes including headers.", func(st Stats) int64 { return st.EntrymapBytes }},
-		{"clio_core_catalog_bytes_total", "Catalog entry bytes including headers.", func(st Stats) int64 { return st.CatalogBytes }},
-		{"clio_core_padding_bytes_total", "Block bytes wasted by force-sealing.", func(st Stats) int64 { return st.PaddingBytes }},
-		{"clio_core_footer_bytes_total", "Per-block footer bytes.", func(st Stats) int64 { return st.FooterBytes }},
-		{"clio_core_group_commits_total", "Batch commits serving two or more forced appends.", func(st Stats) int64 { return st.GroupCommits }},
-		{"clio_core_batched_forces_total", "Forced appends that shared their commit.", func(st Stats) int64 { return st.BatchedForces }},
-		{"clio_core_checkpoints_total", "Recovery checkpoints emitted.", func(st Stats) int64 { return st.Checkpoints }},
-		{"clio_core_checkpoint_bytes_total", "Checkpoint payload bytes appended.", func(st Stats) int64 { return st.CheckpointBytes }},
-		{"clio_core_adaptive_waits_total", "Force batches that held the adaptive commit window open.", func(st Stats) int64 { return st.AdaptiveWaits }},
-		{"clio_core_pipelined_seals_total", "Seals completed through the pipelined device stage.", func(st Stats) int64 { return st.PipelinedSeals }},
-		{"clio_compact_entries_relocated_total", "Live entries copied forward by the compactor.", func(st Stats) int64 { return st.EntriesRelocated }},
-		{"clio_compact_bytes_relocated_total", "Data bytes of relocated entries.", func(st Stats) int64 { return st.BytesRelocated }},
-		{"clio_cold_fetches_total", "Block reads served from the cold backend.", func(st Stats) int64 { return st.ColdFetches }},
-	}
-	for _, c := range counters {
-		get := c.get
-		reg.CounterFunc(c.name, c.help, func() int64 { return get(s.Stats()) }, labels...)
-	}
+	// One snapshot per subsystem per scrape: each struct's tagged fields are
+	// its series, all filled from the one copy its accessor returns.
+	obs.RegisterStruct(reg, s.Stats, labels...)
+	obs.RegisterStruct(reg, s.CacheStats, labels...)
+	obs.RegisterStruct(reg, s.DeviceStats, labels...)
+	obs.RegisterStruct(reg, s.LocateStats, labels...)
+	obs.RegisterStruct(reg, s.LastRecovery, labels...)
 
-	reg.GaugeFunc("clio_core_commit_window_nanoseconds", "Most recent commit-window duration the force leader waited.",
-		func() int64 { return s.Stats().CommitWindowNanos }, labels...)
-	reg.GaugeFunc("clio_core_inflight_seals", "Sealed blocks staged to NVRAM awaiting their device write.",
-		func() int64 { return s.Stats().InflightSeals }, labels...)
-	reg.GaugeFunc("clio_core_staged_bytes", "Bytes of sealed block images staged to NVRAM.",
-		func() int64 { return s.Stats().StagedBytes }, labels...)
-	reg.GaugeFunc("clio_compact_volumes_relocated", "Volumes whose live entries have been copied forward.",
-		func() int64 { return s.Stats().VolumesRelocated }, labels...)
-	reg.GaugeFunc("clio_compact_volumes_demoted", "Volumes archived to the cold tier and released locally.",
-		func() int64 { return s.Stats().VolumesDemoted }, labels...)
-
-	reg.CounterFunc("clio_cache_hits_total", "Block cache hits.",
-		func() int64 { return s.CacheStats().Hits }, labels...)
-	reg.CounterFunc("clio_cache_misses_total", "Block cache misses.",
-		func() int64 { return s.CacheStats().Misses }, labels...)
-	reg.CounterFunc("clio_cache_evictions_total", "Block cache evictions.",
-		func() int64 { return s.CacheStats().Evictions }, labels...)
-	reg.CounterFunc("clio_cache_inserts_total", "Block cache inserts.",
-		func() int64 { return s.CacheStats().Inserts }, labels...)
 	reg.GaugeFunc("clio_cache_blocks", "Blocks currently cached.",
 		func() int64 { return int64(s.blockCache().Len()) }, labels...)
 	reg.GaugeFunc("clio_cache_capacity_blocks", "Block cache capacity (0 = unbounded).",
 		func() int64 { return int64(s.blockCache().Capacity()) }, labels...)
-
-	reg.CounterFunc("clio_wodev_reads_total", "Device blocks read, summed over mounted volumes.",
-		func() int64 { return s.DeviceStats().Reads }, labels...)
-	reg.CounterFunc("clio_wodev_appends_total", "Device blocks appended, summed over mounted volumes.",
-		func() int64 { return s.DeviceStats().Appends }, labels...)
-	reg.CounterFunc("clio_wodev_invalidations_total", "Device blocks invalidated, summed over mounted volumes.",
-		func() int64 { return s.DeviceStats().Invalidations }, labels...)
-	reg.CounterFunc("clio_wodev_seeks_total", "Non-sequential device reads (seeks), summed over mounted volumes.",
-		func() int64 { return s.DeviceStats().Seeks }, labels...)
-	reg.CounterFunc("clio_wodev_probes_total", "Reads of unwritten blocks (end-finding probes), summed over mounted volumes.",
-		func() int64 { return s.DeviceStats().Probes }, labels...)
-
-	reg.GaugeFunc("clio_recovery_blocks_replayed", "Blocks replayed after the checkpoint at the last recovery (0 when recovery reconstructed fully).",
-		func() int64 { return int64(s.LastRecovery().BlocksReplayed) }, labels...)
-	reg.GaugeFunc("clio_recovery_checkpoint_used", "Whether the last recovery restored from an in-log checkpoint (1) or reconstructed fully (0).",
-		func() int64 {
-			if s.LastRecovery().CheckpointUsed {
-				return 1
-			}
-			return 0
-		}, labels...)
-	reg.GaugeFunc("clio_recovery_entrymap_blocks_scanned", "Raw blocks examined for entrymap state at the last recovery.",
-		func() int64 { return int64(s.LastRecovery().EntrymapBlocksScanned) }, labels...)
-
-	reg.CounterFunc("clio_entrymap_entries_examined_total", "Entrymap log entries decoded and inspected by locator searches.",
-		func() int64 { return int64(s.LocateStats().EntriesExamined) }, labels...)
-	reg.CounterFunc("clio_entrymap_pending_examined_total", "In-memory accumulator bitmap inspections by locator searches.",
-		func() int64 { return int64(s.LocateStats().PendingExamined) }, labels...)
-	reg.CounterFunc("clio_entrymap_raw_scans_total", "Data blocks scanned directly because entrymap information was missing.",
-		func() int64 { return int64(s.LocateStats().RawScans) }, labels...)
-	reg.CounterFunc("clio_entrymap_timestamp_reads_total", "Block footers read during time searches.",
-		func() int64 { return int64(s.LocateStats().TimestampReads) }, labels...)
 
 	// Points() is nil-safe, so the fault families are always present in a
 	// scrape (empty without an injection registry).
@@ -239,32 +167,34 @@ type ServiceStatus struct {
 	Recovery          RecoveryReport       `json:"recovery"`
 }
 
-// Status snapshots the service for /statusz. Sub-snapshots are gathered
-// through the same accessors a scrape uses, one lock at a time — never
-// nested — to respect the service's lock ordering.
+// Status snapshots the service for /statusz. Everything the writer lock
+// guards — the counters, the tail state, the recovery report — is copied in
+// one critical section, so one answer describes one instant; the other
+// subsystems are gathered through the accessors a scrape uses, one lock at
+// a time — never nested — to respect the service's lock ordering.
 func (s *Service) Status() ServiceStatus {
 	st := ServiceStatus{
-		BlockSize:         s.opt.BlockSize,
-		Degree:            s.opt.Degree,
-		NVRAM:             s.opt.NVRAM != nil,
-		Pipelined:         s.staging != nil,
-		CommitWindowNanos: s.windowNanos.Load(),
-		BatchSizes:        s.BatchSizeHistogram(),
-		Stats:             s.Stats(),
-		Cache:             s.CacheStats(),
-		Device:            s.DeviceStats(),
-		Locate:            s.LocateStats(),
+		BlockSize:  s.opt.BlockSize,
+		Degree:     s.opt.Degree,
+		NVRAM:      s.opt.NVRAM != nil,
+		Pipelined:  s.staging != nil,
+		BatchSizes: s.BatchSizeHistogram(),
+		Cache:      s.CacheStats(),
+		Device:     s.DeviceStats(),
+		Locate:     s.LocateStats(),
 	}
 	st.CacheBlocks = s.blockCache().Len()
-	st.Recovery = s.LastRecovery()
-	s.forceQMu.Lock()
-	st.PendingForces = len(s.forceQ)
-	s.forceQMu.Unlock()
 	s.mu.Lock()
+	st.Stats = s.statsLocked()
+	st.Recovery = s.recovery
 	st.SealedEnd = s.sealedEnd
 	st.TailGlobal = s.tailGlobal
 	st.TailDirty = s.tailDirty
 	s.mu.Unlock()
+	st.CommitWindowNanos = st.Stats.CommitWindowNanos
+	s.forceQMu.Lock()
+	st.PendingForces = len(s.forceQ)
+	s.forceQMu.Unlock()
 	st.End = s.End()
 	active := s.set.Active()
 	for _, v := range s.set.Volumes() {

@@ -123,6 +123,77 @@ func TestScrapeWhileAppending(t *testing.T) {
 	}
 }
 
+// TestScrapeIsOneSnapshot scrapes two services, registered in one registry
+// under `shard` labels as a sharded store registers them, while two
+// goroutines per service append fixed-size unforced entries. Every append
+// moves entries, client bytes and header bytes together under the writer
+// lock, so a scrape that copies each service's Stats once must report them
+// in exact proportion, per shard, every time; a scrape that reads each
+// series through its own Stats() call does not.
+func TestScrapeIsOneSnapshot(t *testing.T) {
+	const size, shards = 8, 2
+	reg := obs.NewRegistry()
+	var svcs [shards]*Service
+	var ids [shards]uint16
+	for i := range svcs {
+		svcs[i], _ = newTestService(t, Options{BlockSize: 1024, Now: lockedNow()})
+		defer svcs[i].Close()
+		svcs[i].RegisterMetricsLabeled(reg, obs.L("shard", fmt.Sprint(i)))
+		ids[i] = mustCreate(t, svcs[i], "/snap")
+	}
+	payload := make([]byte, size)
+	mustAppend(t, svcs[0], ids[0], string(payload), AppendOptions{})
+	header := svcs[0].Stats().HeaderBytes // of one entry; the same for all
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range svcs {
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(svc *Service, id uint16) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := svc.Append(id, payload, AppendOptions{}); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+				}
+			}(svcs[i], ids[i])
+		}
+	}
+	for scrape := 0; scrape < 25; scrape++ {
+		var entries, client, hdr [shards]int64
+		for _, m := range reg.Snapshot() {
+			var sh int
+			fmt.Sscan(m.Labels["shard"], &sh)
+			switch m.Name {
+			case "clio_core_entries_appended_total":
+				entries[sh] = m.Value
+			case "clio_core_client_bytes_total":
+				client[sh] = m.Value
+			case "clio_core_header_bytes_total":
+				hdr[sh] = m.Value
+			}
+		}
+		for sh := range svcs {
+			if client[sh] != size*entries[sh] || hdr[sh] != header*entries[sh] {
+				t.Errorf("scrape %d shard %d is torn: %d entries, %d client bytes (want %d), %d header bytes (want %d)",
+					scrape, sh, entries[sh], client[sh], size*entries[sh], hdr[sh], header*entries[sh])
+			}
+		}
+		if t.Failed() {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestResetCountersWhileScraping races ResetCounters against the registry
 // callbacks — the reset path takes the same locks the snapshots take.
 func TestResetCountersWhileScraping(t *testing.T) {

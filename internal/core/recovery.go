@@ -13,7 +13,8 @@ import (
 )
 
 // RecoveryReport describes the work server initialization performed, for
-// the Figure 4 experiments (§2.3.1 / §3.4).
+// the Figure 4 experiments (§2.3.1 / §3.4). The tagged fields are also
+// /metrics gauges (obs.RegisterStruct).
 type RecoveryReport struct {
 	// SealedBlocks is the located end of the written portion.
 	SealedBlocks int
@@ -21,7 +22,7 @@ type RecoveryReport struct {
 	EndProbes int64
 	// EntrymapBlocksScanned counts raw blocks examined to reconstruct
 	// missing entrymap information.
-	EntrymapBlocksScanned int
+	EntrymapBlocksScanned int `metric:"clio_recovery_entrymap_blocks_scanned" help:"Raw blocks examined for entrymap state at the last recovery."`
 	// EntrymapEntriesRead counts entrymap entries read back.
 	EntrymapEntriesRead int
 	// CatalogEntries counts replayed catalog records.
@@ -37,10 +38,10 @@ type RecoveryReport struct {
 	StagedSeals int
 	// CheckpointUsed reports whether recovery restored from an in-log
 	// checkpoint instead of reconstructing from scratch.
-	CheckpointUsed bool
+	CheckpointUsed bool `metric:"clio_recovery_checkpoint_used" help:"Whether the last recovery restored from an in-log checkpoint (1) or reconstructed fully (0)."`
 	// BlocksReplayed counts the sealed blocks replayed after the
 	// checkpoint; zero when CheckpointUsed is false.
-	BlocksReplayed int
+	BlocksReplayed int `metric:"clio_recovery_blocks_replayed" help:"Blocks replayed after the checkpoint at the last recovery (0 when recovery reconstructed fully)."`
 	// VolumesRelocated counts volumes the compactor has copied forward
 	// (the compaction sidecar's committed volumes), VolumesDemoted those
 	// already archived to the cold tier and released locally.

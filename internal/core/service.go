@@ -158,37 +158,39 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats aggregates service activity, including the space-overhead accounting
-// used by the §3.5 experiment.
+// used by the §3.5 experiment. Each field is declared once: its tags are its
+// /metrics series (obs.RegisterStruct), shard.Store sums the fields by them,
+// and the field itself is what /statusz and in-process callers read.
 type Stats struct {
-	EntriesAppended int64
-	ForcedWrites    int64
-	BlocksSealed    int64
-	DeadBlocks      int64 // blocks invalidated due to damage
-	ClientBytes     int64 // client data bytes appended
-	HeaderBytes     int64 // entry header + size-slot bytes (client entries)
-	EntrymapBytes   int64 // entrymap entry bytes incl. their headers
-	CatalogBytes    int64 // catalog entry bytes incl. their headers
-	PaddingBytes    int64 // block bytes wasted by force-sealing
-	FooterBytes     int64 // per-block footer bytes
-	GroupCommits    int64 // batch commits that served two or more forced appends
-	BatchedForces   int64 // forced appends that shared their commit with others
-	Checkpoints     int64 // recovery checkpoints emitted
-	CheckpointBytes int64 // checkpoint payload bytes incl. their headers
-	AdaptiveWaits   int64 // commit leaders that opened an adaptive gather window
-	PipelinedSeals  int64 // sealed blocks whose device write completed off the ack path
+	EntriesAppended int64 `metric:"clio_core_entries_appended_total" help:"Client entries appended."`
+	ForcedWrites    int64 `metric:"clio_core_forced_writes_total" help:"Appends that demanded synchronous durability."`
+	BlocksSealed    int64 `metric:"clio_core_blocks_sealed_total" help:"Tail blocks sealed to the write-once device."`
+	DeadBlocks      int64 `metric:"clio_core_dead_blocks_total" help:"Blocks invalidated due to damage (§2.3.2)."`
+	ClientBytes     int64 `metric:"clio_core_client_bytes_total" help:"Client data bytes appended."`
+	HeaderBytes     int64 `metric:"clio_core_header_bytes_total" help:"Entry header and size-slot bytes."`
+	EntrymapBytes   int64 `metric:"clio_core_entrymap_bytes_total" help:"Entrymap entry bytes including headers."`
+	CatalogBytes    int64 `metric:"clio_core_catalog_bytes_total" help:"Catalog entry bytes including headers."`
+	PaddingBytes    int64 `metric:"clio_core_padding_bytes_total" help:"Block bytes wasted by force-sealing."`
+	FooterBytes     int64 `metric:"clio_core_footer_bytes_total" help:"Per-block footer bytes."`
+	GroupCommits    int64 `metric:"clio_core_group_commits_total" help:"Batch commits serving two or more forced appends."`
+	BatchedForces   int64 `metric:"clio_core_batched_forces_total" help:"Forced appends that shared their commit."`
+	Checkpoints     int64 `metric:"clio_core_checkpoints_total" help:"Recovery checkpoints emitted."`
+	CheckpointBytes int64 `metric:"clio_core_checkpoint_bytes_total" help:"Checkpoint payload bytes appended."`
+	AdaptiveWaits   int64 `metric:"clio_core_adaptive_waits_total" help:"Force batches that held the adaptive commit window open."`
+	PipelinedSeals  int64 `metric:"clio_core_pipelined_seals_total" help:"Seals completed through the pipelined device stage."`
 
 	// Compaction / cold tier.
-	EntriesRelocated int64 // live entries copied forward by the compactor
-	BytesRelocated   int64 // their data bytes
-	ColdFetches      int64 // block reads served from the cold backend
+	EntriesRelocated int64 `metric:"clio_compact_entries_relocated_total" help:"Live entries copied forward by the compactor."`
+	BytesRelocated   int64 `metric:"clio_compact_bytes_relocated_total" help:"Data bytes of relocated entries."`
+	ColdFetches      int64 `metric:"clio_cold_fetches_total" help:"Block reads served from the cold backend."`
 
-	// Gauges sampled at Stats() time (not cumulative; zeroed by reset only
-	// in the sense that they re-derive from live state).
-	CommitWindowNanos int64 // current adaptive gather window (ns)
-	InflightSeals     int64 // seals staged durable but not yet on device
-	StagedBytes       int64 // bytes held by in-flight staged seals
-	VolumesRelocated  int64 // volumes whose live entries have been copied forward
-	VolumesDemoted    int64 // volumes archived cold and released locally
+	// Gauges sampled at Stats() time (not cumulative; ResetCounters leaves
+	// them, they re-derive from live state).
+	CommitWindowNanos int64 `metric:"clio_core_commit_window_nanoseconds" help:"Most recent commit-window duration the force leader waited."`
+	InflightSeals     int64 `metric:"clio_core_inflight_seals" help:"Sealed blocks staged to NVRAM awaiting their device write."`
+	StagedBytes       int64 `metric:"clio_core_staged_bytes" help:"Bytes of sealed block images staged to NVRAM."`
+	VolumesRelocated  int64 `metric:"clio_compact_volumes_relocated" help:"Volumes whose live entries have been copied forward."`
+	VolumesDemoted    int64 `metric:"clio_compact_volumes_demoted" help:"Volumes archived to the cold tier and released locally."`
 }
 
 // Service is the Clio log service for one volume sequence.
@@ -503,7 +505,7 @@ func Open(devs []wodev.Device, opt Options) (*Service, error) {
 	}
 	s.sealCond = sync.NewCond(&s.mu)
 	s.staging, _ = opt.NVRAM.(StagingNVRAM)
-	s.cacheP.Store(cache.New(opt.CacheBlocks, opt.Clock))
+	s.cacheP.Store(cache.New(opt.CacheBlocks))
 	s.publishTail(nil)
 	if opt.Retry != nil {
 		s.retry = *opt.Retry
@@ -576,21 +578,44 @@ func (s *Service) Degree() int { return s.opt.Degree }
 // BlockSize returns the block size in bytes.
 func (s *Service) BlockSize() int { return s.opt.BlockSize }
 
-// Stats returns a snapshot of the service counters.
+// offLockCounter pairs a Stats field with the atomic that stands in for it.
+type offLockCounter struct {
+	field *int64
+	at    *atomic.Int64
+}
+
+// offLockCounters lists the counters whose increment sites do not hold s.mu
+// — the commit leader, the sealer, the cold read path. statsLocked folds
+// them into its copy and ResetCounters zeroes them, both from this one
+// list, so a counter cannot be in one and missing from the other.
+func (s *Service) offLockCounters(st *Stats) [5]offLockCounter {
+	return [5]offLockCounter{
+		{&st.GroupCommits, &s.groupCommits},
+		{&st.BatchedForces, &s.batchedForces},
+		{&st.AdaptiveWaits, &s.adaptiveWaits},
+		{&st.PipelinedSeals, &s.pipelinedSeals},
+		{&st.ColdFetches, &s.coldFetches},
+	}
+}
+
+// Stats returns a snapshot of the service counters: the one copy that
+// /metrics, /statusz and in-process callers all read.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+func (s *Service) statsLocked() Stats {
 	out := s.stats
-	out.GroupCommits = s.groupCommits.Load()
-	out.BatchedForces = s.batchedForces.Load()
-	out.AdaptiveWaits = s.adaptiveWaits.Load()
-	out.PipelinedSeals = s.pipelinedSeals.Load()
+	for _, c := range s.offLockCounters(&out) {
+		*c.field = c.at.Load()
+	}
 	out.CommitWindowNanos = s.windowNanos.Load()
 	out.InflightSeals = int64(len(s.pipe))
 	for _, ps := range s.pipe {
 		out.StagedBytes += int64(len(ps.img))
 	}
-	out.ColdFetches = s.coldFetches.Load()
 	if cv := s.cmpView.Load(); cv != nil {
 		out.VolumesRelocated = int64(len(cv.vols))
 		for _, v := range cv.vols {
@@ -619,12 +644,11 @@ func (s *Service) CacheStats() cache.Stats { return s.blockCache().Stats() }
 // ResetCounters zeroes service, cache and device counters (experiments).
 func (s *Service) ResetCounters() {
 	s.mu.Lock()
+	for _, c := range s.offLockCounters(&s.stats) {
+		c.at.Store(0)
+	}
 	s.stats = Stats{}
 	s.mu.Unlock()
-	s.groupCommits.Store(0)
-	s.batchedForces.Store(0)
-	s.adaptiveWaits.Store(0)
-	s.pipelinedSeals.Store(0)
 	for i := range s.batchHist {
 		s.batchHist[i].Store(0)
 	}
@@ -646,7 +670,7 @@ func (s *Service) SetCacheCapacity(blocks int) {
 	} else if blocks < 0 {
 		blocks = 0
 	}
-	s.cacheP.Store(cache.New(blocks, s.opt.Clock))
+	s.cacheP.Store(cache.New(blocks))
 	if s.tailGlobal >= 0 {
 		s.stageTailLocked(false)
 	}
@@ -683,12 +707,7 @@ func (s *Service) endLocked() int {
 func (s *Service) DeviceStats() wodev.Stats {
 	var out wodev.Stats
 	for _, v := range s.set.Volumes() {
-		st := v.Dev.Stats()
-		out.Reads += st.Reads
-		out.Appends += st.Appends
-		out.Invalidations += st.Invalidations
-		out.Seeks += st.Seeks
-		out.Probes += st.Probes
+		obs.AddStruct(&out, v.Dev.Stats())
 	}
 	return out
 }

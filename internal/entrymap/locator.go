@@ -37,17 +37,12 @@ type Source interface {
 }
 
 // LocateStats counts the work a locate performed, for the Figure 3 / Table 1
-// experiments.
+// experiments. The tags are the fields' /metrics series (obs.RegisterStruct).
 type LocateStats struct {
-	// EntriesExamined counts entrymap log entries decoded and inspected.
-	EntriesExamined int
-	// PendingExamined counts in-memory (accumulator) bitmap inspections.
-	PendingExamined int
-	// RawScans counts data blocks scanned directly because entrymap
-	// information was missing.
-	RawScans int
-	// TimestampReads counts block footers read during a time search.
-	TimestampReads int
+	EntriesExamined int `metric:"clio_entrymap_entries_examined_total" help:"Entrymap log entries decoded and inspected by locator searches."`
+	PendingExamined int `metric:"clio_entrymap_pending_examined_total" help:"In-memory accumulator bitmap inspections by locator searches."`
+	RawScans        int `metric:"clio_entrymap_raw_scans_total" help:"Data blocks scanned directly because entrymap information was missing."`
+	TimestampReads  int `metric:"clio_entrymap_timestamp_reads_total" help:"Block footers read during time searches."`
 }
 
 // Locator searches the entrymap tree.

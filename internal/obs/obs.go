@@ -5,10 +5,14 @@
 // both (plus pprof) from a running cliod.
 //
 // The paper's entire evaluation (§3) is built from operation counters —
-// device reads, entrymap entries examined, blocks scanned at recovery — that
-// previously lived in five disconnected Stats structs readable only
-// in-process. The registry gives them one address space: every layer
-// registers its counters once and a single scrape sees the whole system.
+// device reads, entrymap entries examined, blocks scanned at recovery — kept
+// as plain fields of each subsystem's Stats struct under the lock that
+// already guards them. The registry gives them one address space, and one
+// rule: a counter is declared once, as a `metric`/`help` tag on its Stats
+// field, and RegisterStruct turns the tagged struct into series that a
+// scrape fills from ONE call of the owner's snapshot accessor — so /metrics,
+// /statusz and the in-process Stats() all read the same copy, and no scrape
+// shows two fields of one struct from different instants.
 //
 // # Time domains
 //
@@ -31,6 +35,7 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -220,8 +225,19 @@ type series struct {
 	counter *Counter
 	gauge   *Gauge
 	fn      func() int64 // value callback (counterFunc / gaugeFunc)
+	src     *structSource
+	slot    int // of src's snapshot (RegisterStruct)
 	hist    *Histogram
 }
+
+// structSource is one RegisterStruct registration: take copies the owner's
+// struct and flattens its tagged fields, in declaration order.
+type structSource struct{ take func() []int64 }
+
+// scrape holds the struct snapshots one WriteProm or Snapshot call has taken
+// so far. Each source is taken once, when the scrape reaches the first of
+// its series, and every later series of that struct reads the same copy.
+type scrape map[*structSource][]int64
 
 // collectorFn emits dynamically-labeled series into a scrape.
 type collectorFn = func(add func(labels []Label, value int64))
@@ -330,8 +346,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// scrape time — the bridge for pre-existing Stats structs whose counters are
-// maintained under their own locks.
+// scrape time — for a value that is one atomic load or computed on demand;
+// the fields of a lock-guarded Stats struct go through RegisterStruct.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
 	r.familyFor(name, help, TypeCounter, nil).seriesFor(labels).fn = fn
 }
@@ -340,6 +356,73 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Lab
 // time.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
 	r.familyFor(name, help, TypeGauge, nil).seriesFor(labels).fn = fn
+}
+
+// structField is one `metric`-tagged field of a snapshot struct.
+type structField struct {
+	index      int
+	name, help string
+}
+
+// structFields lists t's tagged fields; a tag on anything but an integer or
+// a bool is a programming error.
+func structFields(t reflect.Type) []structField {
+	var out []structField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name := f.Tag.Get("metric")
+		if name == "" {
+			continue
+		}
+		if k := f.Type.Kind(); k != reflect.Int && k != reflect.Int64 && k != reflect.Bool {
+			panic(fmt.Sprintf("obs: metric %q tags %v.%s, a %v", name, t, f.Name, f.Type))
+		}
+		out = append(out, structField{index: i, name: name, help: f.Tag.Get("help")})
+	}
+	return out
+}
+
+// RegisterStruct registers one series per tagged field of S — a field
+// declares itself with `metric:"family_name" help:"..."`; a name ending in
+// _total is a counter, any other a gauge; a bool reads as 0 or 1 — and fills
+// them all from one call of fn per scrape. It is the bridge for the Stats structs
+// whose counters are plain fields under their owner's lock: fn is the
+// accessor that copies the struct under that lock, so a scrape reports the
+// struct as it was at one instant and takes the lock once.
+func RegisterStruct[S any](r *Registry, fn func() S, labels ...Label) {
+	fields := structFields(reflect.TypeFor[S]())
+	src := &structSource{take: func() []int64 {
+		v := reflect.ValueOf(fn())
+		out := make([]int64, len(fields))
+		for i, f := range fields {
+			if fv := v.Field(f.index); fv.Kind() != reflect.Bool {
+				out[i] = fv.Int()
+			} else if fv.Bool() {
+				out[i] = 1
+			}
+		}
+		return out
+	}}
+	for slot, f := range fields {
+		typ := TypeGauge
+		if strings.HasSuffix(f.name, "_total") {
+			typ = TypeCounter
+		}
+		s := r.familyFor(f.name, f.help, typ, nil).seriesFor(labels)
+		s.src, s.slot = src, slot
+	}
+}
+
+// AddStruct adds every tagged integer field of src into dst: how the owner
+// of several instances (the shards of a store, the volumes of a sequence)
+// sums their snapshots without restating the field list.
+func AddStruct[S any](dst *S, src S) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for _, f := range structFields(d.Type()) {
+		if fv := d.Field(f.index); fv.CanInt() {
+			fv.SetInt(fv.Int() + s.Field(f.index).Int())
+		}
+	}
 }
 
 // Histogram registers (or fetches) a histogram series with the given
@@ -365,6 +448,18 @@ func (r *Registry) CollectorFunc(name, help string, fn func(add func(labels []La
 	f.mu.Unlock()
 }
 
+// contents copies the family's series, in registration order, and its
+// collectors, so a scrape reads values without holding the family lock.
+func (f *family) contents() ([]*series, []collectorFn) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ser := make([]*series, 0, len(f.order))
+	for _, k := range f.order {
+		ser = append(ser, f.series[k])
+	}
+	return ser, append([]collectorFn(nil), f.collectors...)
+}
+
 // sortedFamilies snapshots the family list sorted by name.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.Lock()
@@ -378,7 +473,15 @@ func (r *Registry) sortedFamilies() []*family {
 }
 
 // value resolves a counter/gauge series' current value.
-func (s *series) value() int64 {
+func (sc scrape) value(s *series) int64 {
+	if s.src != nil {
+		snap, ok := sc[s.src]
+		if !ok {
+			snap = s.src.take()
+			sc[s.src] = snap
+		}
+		return snap[s.slot]
+	}
 	if s.fn != nil {
 		return s.fn()
 	}

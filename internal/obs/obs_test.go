@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,5 +161,54 @@ func TestCollectorFunc(t *testing.T) {
 	}
 	if snap[1].Labels["point"] != "read" || snap[1].Value != 1 {
 		t.Errorf("series 1 = %+v", snap[1])
+	}
+}
+
+// TestRegisterStruct: tagged fields become series named and typed by their
+// tags, a scrape calls the accessor once however many series it feeds, and
+// AddStruct sums the same fields.
+func TestRegisterStruct(t *testing.T) {
+	type stats struct {
+		Hits    int64 `metric:"s_hits_total" help:"Hits."`
+		Depth   int   `metric:"s_depth" help:"Depth."`
+		Clean   bool  `metric:"s_clean" help:"Clean."`
+		Private int64 // untagged: no series, not summed
+	}
+	reg := NewRegistry()
+	calls := 0
+	RegisterStruct(reg, func() stats {
+		calls++
+		return stats{Hits: int64(10 * calls), Depth: calls, Clean: true, Private: 99}
+	}, L("shard", "0"))
+
+	snap := reg.Snapshot()
+	if calls != 1 {
+		t.Errorf("one scrape called the accessor %d times", calls)
+	}
+	want := []SnapshotMetric{
+		{Name: "s_clean", Type: "gauge", Value: 1},
+		{Name: "s_depth", Type: "gauge", Value: 1},
+		{Name: "s_hits_total", Type: "counter", Value: 10},
+	}
+	if len(snap) != len(want) {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	for i, m := range snap {
+		if m.Name != want[i].Name || m.Type != want[i].Type || m.Value != want[i].Value || m.Labels["shard"] != "0" {
+			t.Errorf("series %d = %+v, want %+v", i, m, want[i])
+		}
+	}
+	var prom strings.Builder
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 || !strings.Contains(prom.String(), "# HELP s_hits_total Hits.\n# TYPE s_hits_total counter\ns_hits_total{shard=\"0\"} 20\n") {
+		t.Errorf("second scrape: %d calls\n%s", calls, prom.String())
+	}
+
+	sum := stats{Hits: 1, Depth: 2, Private: 5}
+	AddStruct(&sum, stats{Hits: 10, Depth: 20, Clean: true, Private: 50})
+	if sum != (stats{Hits: 11, Depth: 22, Private: 5}) {
+		t.Errorf("AddStruct = %+v", sum)
 	}
 }

@@ -69,15 +69,9 @@ func joinLabels(key, extra string) string {
 // order. Histograms emit cumulative `_bucket{le=...}` samples plus `_sum`
 // and `_count`, with bounds and sums rendered in seconds.
 func (r *Registry) WriteProm(w io.Writer) error {
+	sc := scrape{}
 	for _, f := range r.sortedFamilies() {
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		ser := make([]*series, 0, len(keys))
-		for _, k := range keys {
-			ser = append(ser, f.series[k])
-		}
-		collectors := append([]collectorFn(nil), f.collectors...)
-		f.mu.Unlock()
+		ser, collectors := f.contents()
 
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
 			return err
@@ -108,7 +102,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				}
 				continue
 			}
-			if err := writeSample(w, f.name, s.key, strconv.FormatInt(s.value(), 10)); err != nil {
+			if err := writeSample(w, f.name, s.key, strconv.FormatInt(sc.value(s), 10)); err != nil {
 				return err
 			}
 		}
@@ -162,15 +156,9 @@ func labelMap(labels []Label) map[string]string {
 // (cmd/experiments -metrics-out) and programmatic inspection.
 func (r *Registry) Snapshot() []SnapshotMetric {
 	var out []SnapshotMetric
+	sc := scrape{}
 	for _, f := range r.sortedFamilies() {
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		ser := make([]*series, 0, len(keys))
-		for _, k := range keys {
-			ser = append(ser, f.series[k])
-		}
-		collectors := append([]collectorFn(nil), f.collectors...)
-		f.mu.Unlock()
+		ser, collectors := f.contents()
 
 		for _, s := range ser {
 			m := SnapshotMetric{Name: f.name, Type: f.typ.String(), Labels: labelMap(s.labels)}
@@ -190,7 +178,7 @@ func (r *Registry) Snapshot() []SnapshotMetric {
 				m.SumSec = time.Duration(sum).Seconds()
 				m.Count = n
 			} else {
-				m.Value = s.value()
+				m.Value = sc.value(s)
 			}
 			out = append(out, m)
 		}

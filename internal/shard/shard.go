@@ -408,34 +408,11 @@ func (st *Store) Stats() core.Stats {
 	var out core.Stats
 	for _, svc := range st.svcs {
 		s := svc.Stats()
-		out.EntriesAppended += s.EntriesAppended
-		out.ForcedWrites += s.ForcedWrites
-		out.BlocksSealed += s.BlocksSealed
-		out.DeadBlocks += s.DeadBlocks
-		out.ClientBytes += s.ClientBytes
-		out.HeaderBytes += s.HeaderBytes
-		out.EntrymapBytes += s.EntrymapBytes
-		out.CatalogBytes += s.CatalogBytes
-		out.PaddingBytes += s.PaddingBytes
-		out.FooterBytes += s.FooterBytes
-		out.GroupCommits += s.GroupCommits
-		out.BatchedForces += s.BatchedForces
-		out.Checkpoints += s.Checkpoints
-		out.CheckpointBytes += s.CheckpointBytes
-		out.AdaptiveWaits += s.AdaptiveWaits
-		out.PipelinedSeals += s.PipelinedSeals
-		out.EntriesRelocated += s.EntriesRelocated
-		out.BytesRelocated += s.BytesRelocated
-		out.ColdFetches += s.ColdFetches
-		out.InflightSeals += s.InflightSeals
-		out.StagedBytes += s.StagedBytes
-		out.VolumesRelocated += s.VolumesRelocated
-		out.VolumesDemoted += s.VolumesDemoted
 		// The commit window is a per-shard gauge, not additive: report the
 		// widest shard's, the one currently shaping worst-case force latency.
-		if s.CommitWindowNanos > out.CommitWindowNanos {
-			out.CommitWindowNanos = s.CommitWindowNanos
-		}
+		window := max(out.CommitWindowNanos, s.CommitWindowNanos)
+		obs.AddStruct(&out, s)
+		out.CommitWindowNanos = window
 	}
 	return out
 }

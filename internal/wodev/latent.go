@@ -4,7 +4,7 @@ import "time"
 
 // Latent wraps a Device with a real per-operation delay, modeling the
 // milliseconds-scale access time of the paper's optical write-once media
-// (§3.2). Unlike Timed, which charges a virtual clock and returns
+// (§3.2). Unlike the virtual clock the service charges, which returns
 // immediately, Latent actually blocks the calling goroutine — concurrency
 // tests and benchmarks use it so device operations create genuine overlap
 // windows (a sealing writer really waits while other clients run), which is

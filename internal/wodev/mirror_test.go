@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-
-	"clio/internal/vclock"
 )
 
 func mirrorPair(t *testing.T) (*Mirror, *MemDevice, *MemDevice) {
@@ -123,25 +121,5 @@ func TestMirrorWrittenUnknownPropagates(t *testing.T) {
 	}
 	if m.Written() != EndUnknown {
 		t.Errorf("Written = %d, want EndUnknown", m.Written())
-	}
-}
-
-func TestTimedWrapperCharges(t *testing.T) {
-	dev := NewMem(MemOptions{BlockSize: 1024, Capacity: 8})
-	clk := vclock.New(vclock.DefaultModel())
-	td := NewTimed(dev, clk)
-	if _, err := td.AppendBlock(fill(1024, 1)); err != nil {
-		t.Fatal(err)
-	}
-	writeCost := clk.Elapsed()
-	if writeCost <= 0 || writeCost >= clk.Model().DeviceSeek {
-		t.Errorf("append charged %v (appends are sequential: transfer only)", writeCost)
-	}
-	clk.Reset()
-	if err := td.ReadBlock(0, make([]byte, 1024)); err != nil {
-		t.Fatal(err)
-	}
-	if clk.Elapsed() < clk.Model().DeviceSeek {
-		t.Errorf("read charged %v, want >= one seek", clk.Elapsed())
 	}
 }

@@ -19,10 +19,12 @@
 //     forcing recovery code to binary-search for the end (§2.3.1).
 //
 // Implementations: MemDevice (in-memory), FileDevice (file-backed, one file
-// per volume). Wrappers compose over any Device: Timed (virtual-clock
-// charging), Faulty (permanent media damage), Flaky (transient errors and
-// latency spikes), Latent (real per-operation latency), Instrumented
-// (latency histograms) and Mirror (replicated copies with read failover).
+// per volume). Wrappers compose over any Device: Faulty (permanent media
+// damage), Flaky (transient errors and latency spikes), Latent (real
+// per-operation latency) and Mirror (replicated copies with read failover).
+// None of them measures: the device counts its own operations (Stats), the
+// service charges the paper's cost model for the reads it issues, and
+// latency is observed by the service's histograms and trace spans.
 //
 // Every reader that can tell an intact block from a damaged one reads through
 // ReadValidated, which is the one place that knows whether a device stack
@@ -68,13 +70,15 @@ var (
 // binary search, §2.3.1).
 const EndUnknown = -1
 
-// Stats counts device operations. Counters are cumulative and monotone.
+// Stats counts device operations. Counters are cumulative and monotone. The
+// tags are the fields' /metrics series (obs.RegisterStruct), which the
+// service reports summed over its mounted volumes.
 type Stats struct {
-	Reads         int64 // blocks read
-	Appends       int64 // blocks appended
-	Invalidations int64 // blocks invalidated
-	Seeks         int64 // reads that were not sequential with the previous access
-	Probes        int64 // reads of unwritten blocks (end-finding probes)
+	Reads         int64 `metric:"clio_wodev_reads_total" help:"Device blocks read, summed over mounted volumes."`
+	Appends       int64 `metric:"clio_wodev_appends_total" help:"Device blocks appended, summed over mounted volumes."`
+	Invalidations int64 `metric:"clio_wodev_invalidations_total" help:"Device blocks invalidated, summed over mounted volumes."`
+	Seeks         int64 `metric:"clio_wodev_seeks_total" help:"Non-sequential device reads (seeks), summed over mounted volumes."`
+	Probes        int64 `metric:"clio_wodev_probes_total" help:"Reads of unwritten blocks (end-finding probes), summed over mounted volumes."`
 }
 
 // Device is a write-once block device.

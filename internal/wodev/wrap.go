@@ -3,44 +3,7 @@ package wodev
 import (
 	"math/rand"
 	"sync"
-	"time"
-
-	"clio/internal/vclock"
 )
-
-// Timed wraps a Device and charges a virtual clock for each operation using
-// the paper's optical-disk cost model: a cold block read costs a seek plus
-// transfer time; appends are sequential (the write head is always at the end
-// of the written portion, §2.1) and charge transfer time only.
-type Timed struct {
-	Device
-	Clock *vclock.Clock
-}
-
-// NewTimed wraps dev with virtual-clock charging.
-func NewTimed(dev Device, clk *vclock.Clock) *Timed {
-	return &Timed{Device: dev, Clock: clk}
-}
-
-// ReadBlock charges a device read then delegates.
-func (t *Timed) ReadBlock(idx int, dst []byte) error {
-	t.Clock.ChargeDeviceRead(t.Device.BlockSize())
-	return t.Device.ReadBlock(idx, dst)
-}
-
-// ReadValidated charges a device read then delegates, keeping a Mirror
-// underneath in charge of choosing the copy.
-func (t *Timed) ReadValidated(idx int, dst []byte, valid func([]byte) bool) error {
-	t.Clock.ChargeDeviceRead(t.Device.BlockSize())
-	return ReadValidated(t.Device, idx, dst, valid)
-}
-
-// AppendBlock charges transfer time then delegates.
-func (t *Timed) AppendBlock(data []byte) (int, error) {
-	t.Clock.Charge(vclock.CatTransfer,
-		t.Clock.Model().DeviceReadPerKB*time.Duration(len(data))/1024)
-	return t.Device.AppendBlock(data)
-}
 
 // Damager is implemented by devices that support fault injection.
 type Damager interface {
@@ -73,16 +36,6 @@ func (f *Faulty) SetGarbageEvery(k int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.garbageEvery = k
-}
-
-// DamageUnwritten pre-damages an unwritten block so that the append that
-// reaches it fails with ErrCorrupt.
-func (f *Faulty) DamageUnwritten(idx int) error {
-	d, ok := f.Device.(Damager)
-	if !ok {
-		return ErrOutOfRange
-	}
-	return d.Damage(idx, nil)
 }
 
 // Damaged returns the indices of blocks this wrapper damaged after append.

@@ -95,15 +95,14 @@ func (o DirOptions) withDefaults() DirOptions {
 	return o
 }
 
-// dirAllocator mints successor volume files in dir.
-func dirAllocator(dir string, o DirOptions) Allocator {
-	return func(_ volume.SeqID, index uint32, _ uint64, blockSize int) (wodev.Device, error) {
-		return wodev.OpenFile(volPath(dir, index), wodev.FileOptions{
-			BlockSize: blockSize,
-			Capacity:  o.VolumeBlocks,
-			SyncEvery: o.SyncEvery,
-		})
-	}
+// openVolume opens the volume file at path, creating it if absent, with the
+// store's geometry. o must have its defaults filled in.
+func (o DirOptions) openVolume(path string) (wodev.Device, error) {
+	return wodev.OpenFile(path, wodev.FileOptions{
+		BlockSize: o.BlockSize,
+		Capacity:  o.VolumeBlocks,
+		SyncEvery: o.SyncEvery,
+	})
 }
 
 // dirColdTier wires the reclamation subsystem for one shard directory:
@@ -131,94 +130,119 @@ func dirColdTier(dir string, o DirOptions) *core.ColdTier {
 	}
 }
 
-// createDir initializes a new flat (single-sequence) file-backed log store
-// in dir (created if needed, which must not already contain a store) and
-// returns the running service. CreateStore is the public surface; this is
-// its per-shard building block.
-func createDir(dir string, o DirOptions) (*core.Service, error) {
-	o = o.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	if names, err := listVolumes(dir); err != nil {
-		return nil, err
-	} else if len(names) > 0 {
-		return nil, fmt.Errorf("%w: %s holds %d volumes", ErrStoreExists, dir, len(names))
-	}
-	if dirs, err := listShardDirs(dir); err != nil {
-		return nil, err
-	} else if len(dirs) > 0 {
-		return nil, fmt.Errorf("%w: %s holds %d shard directories", ErrStoreExists, dir, len(dirs))
-	}
-	dev, err := wodev.OpenFile(volPath(dir, 0), wodev.FileOptions{
-		BlockSize: o.BlockSize,
-		Capacity:  o.VolumeBlocks,
-		SyncEvery: o.SyncEvery,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("clio: create volume in %s: %w", dir, err)
-	}
+// openShard assembles one shard directory: its volume devices — with
+// create, a fresh volume 0; otherwise every volume file, in index order —
+// and the service options wired to the files beside them: the NVRAM
+// sidecar, the allocator that mints successor volume files and, unless the
+// caller brought its own or disabled it, the cold tier. It is the one place
+// a shard is put together; CreateStore, OpenStore and OpenRaw all come
+// through it.
+func openShard(dir string, o DirOptions, create bool) ([]wodev.Device, core.Options, error) {
 	opt := o.Options
 	opt.NVRAM = core.NewFileNVRAM(filepath.Join(dir, nvramFile))
-	opt.Allocate = dirAllocator(dir, o)
+	opt.Allocate = func(_ volume.SeqID, index uint32, _ uint64, _ int) (wodev.Device, error) {
+		return o.openVolume(volPath(dir, index))
+	}
 	if opt.Cold == nil {
 		opt.Cold = dirColdTier(dir, o)
 	}
-	s, err := core.New(dev, opt)
-	if err != nil {
-		dev.Close()
-		return nil, err
+	if create {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, opt, err
+		}
+		dev, err := o.openVolume(volPath(dir, 0))
+		if err != nil {
+			return nil, opt, fmt.Errorf("clio: create volume in %s: %w", dir, err)
+		}
+		return []wodev.Device{dev}, opt, nil
 	}
-	return s, nil
-}
-
-// openDir opens an existing flat file-backed log store in dir, recovering
-// state as server initialization does (§2.3.1). OpenStore is the public
-// surface; this is its per-shard building block.
-func openDir(dir string, o DirOptions) (*core.Service, error) {
-	o = o.withDefaults()
-	devs, err := openVolumeFiles(dir, o)
-	if err != nil {
-		return nil, err
-	}
-	opt := o.Options
-	opt.NVRAM = core.NewFileNVRAM(filepath.Join(dir, nvramFile))
-	opt.Allocate = dirAllocator(dir, o)
-	if opt.Cold == nil {
-		opt.Cold = dirColdTier(dir, o)
-	}
-	s, err := core.Open(devs, opt)
-	if err != nil {
-		closeDevs(devs)
-		return nil, err
-	}
-	return s, nil
-}
-
-// openVolumeFiles opens every volume file of one flat layout, in index
-// order.
-func openVolumeFiles(dir string, o DirOptions) ([]wodev.Device, error) {
 	names, err := listVolumes(dir)
 	if err != nil {
-		return nil, err
+		return nil, opt, err
 	}
 	if len(names) == 0 {
-		return nil, fmt.Errorf("%w: no volumes in %s", ErrNoStore, dir)
+		return nil, opt, fmt.Errorf("%w: no volumes in %s", ErrNoStore, dir)
 	}
 	var devs []wodev.Device
 	for _, name := range names {
-		dev, err := wodev.OpenFile(filepath.Join(dir, name), wodev.FileOptions{
-			BlockSize: o.BlockSize,
-			Capacity:  o.VolumeBlocks,
-			SyncEvery: o.SyncEvery,
-		})
+		dev, err := o.openVolume(filepath.Join(dir, name))
 		if err != nil {
 			closeDevs(devs)
-			return nil, fmt.Errorf("clio: open volume %s: %w", filepath.Join(dir, name), err)
+			return nil, opt, fmt.Errorf("clio: open volume %s: %w", filepath.Join(dir, name), err)
 		}
 		devs = append(devs, dev)
 	}
-	return devs, nil
+	return devs, opt, nil
+}
+
+// storeShards is a store directory's assembled shards, in shard order.
+type storeShards struct {
+	dirs []string
+	devs [][]wodev.Device
+	opts []core.Options
+}
+
+func (a *storeShards) close() {
+	for _, devs := range a.devs {
+		closeDevs(devs)
+	}
+}
+
+// openShards assembles every shard of the store in dir. With create it lays
+// out o.Shards fresh shards — dir itself for one (the flat layout), shard-K
+// below it for more — in a directory that must not already hold a store;
+// otherwise it opens the layout it finds, which must have o.Shards shards
+// when that asserts a count (> 1). A ColdDir override is split per shard
+// the way the store is, because each shard numbers its volumes from zero.
+// o must have its defaults filled in.
+func openShards(dir string, o DirOptions, create bool) (*storeShards, error) {
+	a := &storeShards{dirs: []string{dir}}
+	if create {
+		if names, err := listVolumes(dir); err != nil {
+			return nil, err
+		} else if len(names) > 0 {
+			return nil, fmt.Errorf("%w: %s holds %d volumes", ErrStoreExists, dir, len(names))
+		}
+		if dirs, err := ShardDirs(dir); err != nil {
+			return nil, err
+		} else if dirs[0] != dir {
+			return nil, fmt.Errorf("%w: %s holds %d shard directories", ErrStoreExists, dir, len(dirs))
+		}
+		if o.Shards > 1 {
+			a.dirs = make([]string, o.Shards)
+			for i := range a.dirs {
+				a.dirs[i] = shardDir(dir, i)
+			}
+		}
+	} else {
+		var err error
+		if a.dirs, err = ShardDirs(dir); err != nil {
+			return nil, err
+		}
+	}
+	for i, sd := range a.dirs {
+		sub := o
+		if o.ColdDir != "" && len(a.dirs) > 1 {
+			sub.ColdDir = shardDir(o.ColdDir, i)
+		}
+		devs, opt, err := openShard(sd, sub, create)
+		if err != nil {
+			a.close()
+			if len(a.dirs) > 1 {
+				err = fmt.Errorf("clio: shard %d: %w", i, err)
+			}
+			return nil, err
+		}
+		a.devs = append(a.devs, devs)
+		a.opts = append(a.opts, opt)
+	}
+	// Checked after the open, so that a directory holding no store at all
+	// says so (ErrNoStore) whatever count was asserted.
+	if !create && o.Shards > 1 && o.Shards != len(a.dirs) {
+		a.close()
+		return nil, fmt.Errorf("clio: %s holds %d shards, not %d", dir, len(a.dirs), o.Shards)
+	}
+	return a, nil
 }
 
 func closeDevs(devs []wodev.Device) {
@@ -233,112 +257,36 @@ func closeDevs(devs []wodev.Device) {
 // shard-K subdirectories, each a complete volume sequence with its own
 // NVRAM sidecar.
 func CreateStore(dir string, o DirOptions) (*Store, error) {
-	o = o.withDefaults()
-	if o.Shards == 1 {
-		svc, err := createDir(dir, o)
-		if err != nil {
-			return nil, err
-		}
-		return shard.Single(svc), nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	a, err := openShards(dir, o.withDefaults(), true)
+	if err != nil {
 		return nil, err
 	}
-	if names, err := listVolumes(dir); err != nil {
-		return nil, err
-	} else if len(names) > 0 {
-		return nil, fmt.Errorf("%w: %s holds %d volumes", ErrStoreExists, dir, len(names))
-	}
-	if dirs, err := listShardDirs(dir); err != nil {
-		return nil, err
-	} else if len(dirs) > 0 {
-		return nil, fmt.Errorf("%w: %s holds %d shard directories", ErrStoreExists, dir, len(dirs))
-	}
-	svcs := make([]*core.Service, o.Shards)
-	fail := func(err error) (*Store, error) {
-		for _, s := range svcs {
-			if s != nil {
+	svcs := make([]*core.Service, len(a.devs))
+	for i := range svcs {
+		if svcs[i], err = core.New(a.devs[i][0], a.opts[i]); err != nil {
+			for _, s := range svcs[:i] {
 				s.Close()
 			}
+			a.close()
+			return nil, fmt.Errorf("clio: create shard %d: %w", i, err)
 		}
-		return nil, err
-	}
-	for i := range svcs {
-		sub := o
-		sub.Shards = 1
-		if sub.ColdDir != "" {
-			sub.ColdDir = shardDir(sub.ColdDir, i)
-		}
-		svc, err := createDir(shardDir(dir, i), sub)
-		if err != nil {
-			return fail(fmt.Errorf("clio: create shard %d: %w", i, err))
-		}
-		svcs[i] = svc
 	}
 	return shard.New(svcs)
 }
 
 // OpenStore opens an existing file-backed store in dir, detecting the
 // layout: shard-K subdirectories open as a sharded store (recovering all
-// shards concurrently), a flat volume directory opens as one shard. If
-// o.Shards is set, it must match the detected count.
+// shards concurrently, as server initialization does, §2.3.1), a flat
+// volume directory opens as one shard. If o.Shards is set above 1, it must
+// match the detected count.
 func OpenStore(dir string, o DirOptions) (*Store, error) {
-	detect := o.Shards // 0 (or 1 after defaults) asserts nothing for flat
-	o = o.withDefaults()
-	dirs, err := listShardDirs(dir)
+	a, err := openShards(dir, o.withDefaults(), false)
 	if err != nil {
 		return nil, err
 	}
-	if len(dirs) == 0 {
-		if detect > 1 {
-			if names, err := listVolumes(dir); err != nil {
-				return nil, err
-			} else if len(names) == 0 {
-				return nil, fmt.Errorf("%w: no volumes or shard directories in %s", ErrNoStore, dir)
-			}
-			return nil, fmt.Errorf("clio: %s is a flat (1-shard) store, not %d shards", dir, detect)
-		}
-		svc, err := openDir(dir, o)
-		if err != nil {
-			return nil, err
-		}
-		return shard.Single(svc), nil
-	}
-	if detect > 1 && detect != len(dirs) {
-		return nil, fmt.Errorf("clio: %s holds %d shards, not %d", dir, len(dirs), detect)
-	}
-	devs := make([][]wodev.Device, len(dirs))
-	opts := make([]core.Options, len(dirs))
-	fail := func(err error) (*Store, error) {
-		for _, ds := range devs {
-			closeDevs(ds)
-		}
-		return nil, err
-	}
-	for i := range dirs {
-		sd := shardDir(dir, i)
-		ds, err := openVolumeFiles(sd, o)
-		if err != nil {
-			return fail(fmt.Errorf("clio: shard %d: %w", i, err))
-		}
-		devs[i] = ds
-		sub := o
-		if sub.ColdDir != "" {
-			sub.ColdDir = shardDir(sub.ColdDir, i)
-		}
-		opt := o.Options
-		opt.NVRAM = core.NewFileNVRAM(filepath.Join(sd, nvramFile))
-		opt.Allocate = dirAllocator(sd, o)
-		if opt.Cold == nil {
-			opt.Cold = dirColdTier(sd, sub)
-		}
-		opts[i] = opt
-	}
-	st, err := shard.Open(devs, opts)
+	st, err := shard.Open(a.devs, a.opts)
 	if err != nil {
-		// shard.Open closes the devices of shards it opened; the rest are
-		// closed via their wodev handles here. Closing twice is safe for
-		// file devices, but avoid it: shard.Open owns them all on entry.
+		a.close() // shard.Open closed the services it opened, not their devices
 		return nil, err
 	}
 	return st, nil
@@ -363,14 +311,14 @@ func listVolumes(dir string) ([]string, error) {
 	return names, nil
 }
 
-// listShardDirs returns the shard subdirectories of dir and checks they
-// number contiguously from 0 — a gap means a damaged or foreign layout.
-func listShardDirs(dir string) ([]string, error) {
+// ShardDirs returns the directories holding a store's volume files: the
+// shard-K subdirectories of a sharded layout, in shard order — they must
+// number contiguously from 0; a gap means a damaged or foreign layout — or
+// dir itself for the flat (1-shard) layout, which is also what a missing or
+// empty dir reads as.
+func ShardDirs(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	idx := make(map[int]string)
@@ -383,16 +331,19 @@ func listShardDirs(dir string) ([]string, error) {
 		if err != nil || k < 0 {
 			continue
 		}
-		idx[k] = n
+		idx[k] = filepath.Join(dir, n)
+	}
+	if len(idx) == 0 {
+		return []string{dir}, nil
 	}
 	out := make([]string, 0, len(idx))
 	for i := 0; i < len(idx); i++ {
-		n, ok := idx[i]
+		d, ok := idx[i]
 		if !ok {
 			return nil, fmt.Errorf("clio: %s shard directories are not contiguous (missing shard-%d of %d)",
 				dir, i, len(idx))
 		}
-		out = append(out, n)
+		out = append(out, d)
 	}
 	return out, nil
 }
@@ -423,62 +374,14 @@ type RawStore struct {
 // header block included.
 func OpenRaw(dir string, o DirOptions, create bool) (*RawStore, error) {
 	o = o.withDefaults()
-	r := &RawStore{o: o}
-	fail := func(err error) (*RawStore, error) {
-		r.Close()
+	a, err := openShards(dir, o, create)
+	if err != nil {
 		return nil, err
 	}
-	if create {
-		for i := 0; i < o.Shards; i++ {
-			sd := dir
-			if o.Shards > 1 {
-				sd = shardDir(dir, i)
-			}
-			if err := os.MkdirAll(sd, 0o755); err != nil {
-				return fail(err)
-			}
-			if names, err := listVolumes(sd); err != nil {
-				return fail(err)
-			} else if len(names) > 0 {
-				return fail(fmt.Errorf("%w: %s holds %d volumes", ErrStoreExists, sd, len(names)))
-			}
-			dev, err := wodev.OpenFile(volPath(sd, 0), wodev.FileOptions{
-				BlockSize: o.BlockSize, Capacity: o.VolumeBlocks, SyncEvery: o.SyncEvery,
-			})
-			if err != nil {
-				return fail(err)
-			}
-			r.Devices = append(r.Devices, []wodev.Device{dev})
-			r.NVRAMs = append(r.NVRAMs, core.NewFileNVRAM(filepath.Join(sd, nvramFile)))
-			r.dirs = append(r.dirs, sd)
-		}
-	} else {
-		dirs, err := listShardDirs(dir)
-		if err != nil {
-			return fail(err)
-		}
-		var shardDirs []string
-		if len(dirs) == 0 {
-			shardDirs = []string{dir} // flat single-shard layout
-		} else {
-			for i := range dirs {
-				shardDirs = append(shardDirs, shardDir(dir, i))
-			}
-		}
-		if o.Shards > 1 && o.Shards != len(shardDirs) {
-			return fail(fmt.Errorf("clio: %s holds %d shards, not %d", dir, len(shardDirs), o.Shards))
-		}
-		for _, sd := range shardDirs {
-			devs, err := openVolumeFiles(sd, o)
-			if err != nil {
-				return fail(err)
-			}
-			r.Devices = append(r.Devices, devs)
-			r.NVRAMs = append(r.NVRAMs, core.NewFileNVRAM(filepath.Join(sd, nvramFile)))
-			r.dirs = append(r.dirs, sd)
-		}
+	r := &RawStore{Devices: a.devs, Opts: o.Options, dirs: a.dirs, o: o}
+	for _, opt := range a.opts {
+		r.NVRAMs = append(r.NVRAMs, opt.NVRAM)
 	}
-	r.Opts = o.Options
 	r.Opts.NVRAM = nil
 	r.Opts.Allocate = nil
 	return r, nil
@@ -498,9 +401,7 @@ func (r *RawStore) Reset(shard, dev int) (wodev.Device, error) {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	fresh, err := wodev.OpenFile(path, wodev.FileOptions{
-		BlockSize: r.o.BlockSize, Capacity: r.o.VolumeBlocks, SyncEvery: r.o.SyncEvery,
-	})
+	fresh, err := r.o.openVolume(path)
 	if err != nil {
 		return nil, err
 	}
