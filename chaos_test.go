@@ -225,8 +225,8 @@ func TestChaos(t *testing.T) {
 	// Phase B: a killer goroutine severs the client's connection at random
 	// while traffic continues, and concurrent worker clients drive forced
 	// appends to their own logs over their own connections — exercising the
-	// server's pipelined dispatch, the duplicate-suppression window under
-	// replay, and group commit in the core. The main client reconnects and
+	// server's connections side by side, the duplicate-suppression window
+	// under replay, and group commit in the core. The main client reconnects and
 	// replays in-flight requests under their original sequence numbers.
 	type workerAck struct {
 		seq     int

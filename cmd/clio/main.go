@@ -450,16 +450,17 @@ func runPromote(addr string) {
 	if err != nil {
 		fatal(err)
 	}
+	r := wire.NewReader(payload, wire.ErrShortBuffer)
 	if status != server.StatusOK {
-		msg := "refused"
-		if m, err := server.NewDecoder(payload).String(); err == nil {
-			msg = m
+		msg := r.String()
+		if r.Err() != nil {
+			msg = "refused"
 		}
 		fatal(fmt.Errorf("promote %s: %s", addr, msg))
 	}
-	term, err := wire.Uint64(payload)
-	if err != nil {
-		fatal(err)
+	term := r.Uint64()
+	if r.Err() != nil {
+		fatal(r.Err())
 	}
 	fmt.Printf("%s promoted to leader, term %d\n", addr, term)
 }

@@ -208,26 +208,8 @@ func reload(confPath string, cur *config.Config, r *reloadable) *config.Config {
 }
 
 func main() {
-	def := config.Default()
 	confPath := flag.String("config", "", "config file (flat key=value lines; flags and CLIO_* env override it)")
-	flag.String("store", "", "store directory (required)")
-	flag.String("listen", def.Listen, "TCP listen address")
-	flag.Bool("create", false, "create a new store instead of opening one")
-	flag.Int("shards", 0, "hash partitions for -create (reopen detects; >0 asserts the count)")
-	flag.Int("volume-blocks", def.VolumeBlocks, "capacity of each volume file in blocks")
-	flag.Int("block-size", def.BlockSize, "block size in bytes")
-	flag.Bool("sync", false, "fsync every sealed block")
-	flag.Int("checkpoint-interval", 0, "emit a recovery checkpoint every N sealed blocks per shard, and on clean shutdown (0 disables; recovery then reconstructs from scratch)")
-	flag.String("admin", "", "HTTP admin listen address (/metrics, /statusz, /tracez, /debug/pprof); empty disables")
-	flag.Duration("slow-trace", def.SlowTrace, "requests at least this slow are kept in /tracez's slow ring (0 keeps everything)")
-	flag.String("peers", "", "comma-separated replica addresses; enables cluster mode")
-	flag.String("advertise", "", "address peers and redirected clients reach this node at (default -listen)")
-	flag.String("role", def.Role, "initial cluster role: leader or follower")
-	flag.Int("quorum", def.Quorum, "replicas (leader included) that must stage a write before it is acked")
-	flag.Duration("compact-interval", 0, "run a compaction pass on every shard this often; 0 disables background reclamation")
-	flag.Float64("compact-max-live", 0, "max fraction of live blocks for a volume to be compacted (0 = default 0.5)")
-	flag.Int("compact-min-hot", 0, "minimum volumes kept mounted per shard (0 = default 2)")
-	flag.Duration("drain-timeout", def.DrainTimeout, "how long a SIGTERM drain lets in-flight requests and group commits finish before forcing connections closed")
+	config.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	cfg, err := buildConfig(*confPath)

@@ -109,72 +109,35 @@ func (r *Record) Encode(dst []byte) []byte {
 
 // DecodeRecord parses one catalog record.
 func DecodeRecord(data []byte) (*Record, error) {
-	if len(data) < 2 {
-		return nil, ErrBadRecord
-	}
-	r := &Record{Kind: data[0]}
-	rest := data[1:]
-	id, n, err := wire.Uvarint(rest)
-	if err != nil || id > MaxLogID {
-		return nil, ErrBadRecord
-	}
-	r.ID = uint16(id)
-	rest = rest[n:]
-	readStr := func() (string, error) {
-		l, n, err := wire.Uvarint(rest)
-		if err != nil || l > 4096 {
-			return "", ErrBadRecord
-		}
-		rest = rest[n:]
-		if uint64(len(rest)) < l {
-			return "", ErrBadRecord
-		}
-		s := string(rest[:l])
-		rest = rest[l:]
-		return s, nil
-	}
-	switch r.Kind {
+	r := wire.NewReader(data, ErrBadRecord)
+	rec := &Record{Kind: r.Byte(), ID: uint16(r.Bounded(MaxLogID, "id range"))}
+	switch rec.Kind {
 	case kindCreate:
-		p, n, err := wire.Uvarint(rest)
-		if err != nil || p > MaxLogID {
-			return nil, ErrBadRecord
-		}
-		r.Parent = uint16(p)
-		rest = rest[n:]
-		perms, n, err := wire.Uvarint(rest)
-		if err != nil || perms > 0xFFFF {
-			return nil, ErrBadRecord
-		}
-		r.Perms = uint16(perms)
-		rest = rest[n:]
-		created, err := wire.Uint64(rest)
-		if err != nil {
-			return nil, ErrBadRecord
-		}
-		r.Created = int64(created)
-		rest = rest[8:]
-		if r.Name, err = readStr(); err != nil {
-			return nil, err
-		}
-		if r.Owner, err = readStr(); err != nil {
-			return nil, err
-		}
+		rec.Parent = uint16(r.Bounded(MaxLogID, "parent range"))
+		rec.Perms = uint16(r.Bounded(0xFFFF, "perms range"))
+		rec.Created = r.Int64()
+		rec.Name, rec.Owner = readName(r), readName(r)
 	case kindSetPerm:
-		perms, _, err := wire.Uvarint(rest)
-		if err != nil || perms > 0xFFFF {
-			return nil, ErrBadRecord
-		}
-		r.Perms = uint16(perms)
+		rec.Perms = uint16(r.Bounded(0xFFFF, "perms range"))
 	case kindRetire:
 	case kindSetOwn:
-		var err error
-		if r.Owner, err = readStr(); err != nil {
-			return nil, err
-		}
+		rec.Owner = readName(r)
 	default:
-		return nil, ErrBadRecord
+		r.Fail("kind")
 	}
-	return r, nil
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	return rec, nil
+}
+
+// readName consumes a length-prefixed name of at most 4096 bytes.
+func readName(r *wire.Reader) string {
+	s := r.String()
+	if len(s) > 4096 {
+		r.Fail("name length")
+	}
+	return s
 }
 
 // Descriptor is the in-memory state of one log file.

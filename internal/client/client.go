@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -49,6 +50,18 @@ const DefaultDialTimeout = 10 * time.Second
 
 // ErrClosed is returned for calls on a closed Client.
 var ErrClosed = errors.New("client: closed")
+
+// errResponse is wrapped by every failure to decode a response payload.
+var errResponse = errors.New("client: malformed response")
+
+// statusMessage reads the reason a non-OK response carries, or returns
+// fallback when the payload holds none.
+func statusMessage(r *wire.Reader, fallback string) string {
+	if msg := r.String(); r.Err() == nil {
+		return msg
+	}
+	return fallback
+}
 
 // Options configures a dialed Client. The zero value is usable.
 type Options struct {
@@ -345,7 +358,7 @@ func (c *Client) reconnectLocked(ctx context.Context, ambiguous bool, opName str
 		return err
 	}
 	hello := wire.Hello{Session: c.session, Tenant: c.opt.Tenant, Token: c.opt.Token}.Encode(nil)
-	status, d, err := c.roundTrip(ctx, conn, server.OpHello, 0, traceID(c.session, 0), hello)
+	status, r, err := c.roundTrip(ctx, conn, server.OpHello, 0, traceID(c.session, 0), hello)
 	if err != nil {
 		conn.Close()
 		c.addrFailedLocked(dialed)
@@ -354,10 +367,7 @@ func (c *Client) reconnectLocked(ctx context.Context, ambiguous bool, opName str
 	if status != server.StatusOK {
 		conn.Close()
 		c.addrFailedLocked(dialed)
-		msg, derr := d.String()
-		if derr != nil {
-			msg = fmt.Sprintf("handshake rejected (status %d)", status)
-		}
+		msg := statusMessage(r, fmt.Sprintf("handshake rejected (status %d)", status))
 		if status == server.StatusQuotaExceeded {
 			// A session-quota refusal may clear as other connections leave;
 			// transient keeps the retry schedule in charge.
@@ -366,29 +376,21 @@ func (c *Client) reconnectLocked(ctx context.Context, ambiguous bool, opName str
 		// Transient: another node in the rotation may accept the session.
 		return faults.WithClass(fmt.Errorf("client: %s", msg), faults.Transient)
 	}
-	epoch, err := d.Int64()
-	if err != nil {
-		conn.Close()
-		c.addrFailedLocked(dialed)
-		return err
-	}
-	maxSeq, err := d.Int64()
-	if err != nil {
+	epoch, maxSeq := r.Uint64(), r.Uint64()
+	if err := r.Err(); err != nil {
 		conn.Close()
 		c.addrFailedLocked(dialed)
 		return err
 	}
 	prev := c.epoch
-	c.epoch = uint64(epoch)
+	c.epoch = epoch
 	// A session id reused across Client instances must not collide with
 	// sequence numbers the server has already recorded.
-	if uint64(maxSeq) > c.seq {
-		c.seq = uint64(maxSeq)
-	}
+	c.seq = max(c.seq, maxSeq)
 	c.conn = conn
 	c.connAddr = dialed
 	c.reconnects++
-	if ambiguous && prev != 0 && uint64(epoch) != prev {
+	if ambiguous && prev != 0 && epoch != prev {
 		return &AmbiguousError{Op: opName, Err: net.ErrClosed}
 	}
 	return nil
@@ -454,7 +456,7 @@ func traceID(session, seq uint64) uint64 {
 
 // roundTrip performs one framed request/response on conn, bounded by the
 // context deadline and Options.CallTimeout and honoring cancellation.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, op byte, seq, trace uint64, payload []byte) (byte, *server.Decoder, error) {
+func (c *Client) roundTrip(ctx context.Context, conn net.Conn, op byte, seq, trace uint64, payload []byte) (byte, *wire.Reader, error) {
 	deadline, have := ctx.Deadline()
 	if c.opt.CallTimeout > 0 {
 		if d := time.Now().Add(c.opt.CallTimeout); !have || d.Before(deadline) {
@@ -487,14 +489,14 @@ func (c *Client) roundTrip(ctx context.Context, conn net.Conn, op byte, seq, tra
 	if rseq != seq {
 		return 0, nil, fmt.Errorf("client: response seq %d for request %d", rseq, seq)
 	}
-	return status, server.NewDecoder(resp), nil
+	return status, wire.NewReader(resp, errResponse), nil
 }
 
 // call performs one synchronous request, reconnecting and replaying it
 // under the same sequence number when the connection fails transiently.
 // mutating marks requests whose replay after a server restart would be
 // ambiguous (appends, catalog changes).
-func (c *Client) call(ctx context.Context, op byte, opName string, mutating bool, payload []byte) (byte, *server.Decoder, error) {
+func (c *Client) call(ctx context.Context, op byte, opName string, mutating bool, payload []byte) (byte, *wire.Reader, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -552,12 +554,12 @@ func (c *Client) call(ctx context.Context, op byte, opName string, mutating bool
 				continue
 			}
 		}
-		status, d, err := c.roundTrip(ctx, c.conn, op, seq, traceID(c.session, seq), payload)
+		status, r, err := c.roundTrip(ctx, c.conn, op, seq, traceID(c.session, seq), payload)
 		if err == nil {
 			// The node answered: the network path works, whatever the status.
 			c.failStreak = 0
 			if status == server.StatusNotLeader {
-				leader, _ := d.String()
+				leader := statusMessage(r, "")
 				c.conn.Close()
 				c.conn = nil
 				lastErr = &ErrNotLeader{LeaderAddr: leader}
@@ -575,34 +577,22 @@ func (c *Client) call(ctx context.Context, op byte, opName string, mutating bool
 				// The node itself cannot serve writes right now (e.g. a
 				// leader cut off from its quorum): rotate to another address
 				// and keep retrying rather than failing the call.
-				msg, derr := d.String()
-				if derr != nil {
-					msg = "node unavailable"
-				}
 				c.conn.Close()
 				c.conn = nil
 				c.addrFailedLocked(c.connAddr)
 				c.failStreak++
-				lastErr = errors.New(msg)
+				lastErr = errors.New(statusMessage(r, "node unavailable"))
 				continue
 			}
 			if status == server.StatusQuotaExceeded {
 				// The request did not execute and retrying cannot help —
 				// the tenant's quota is a policy, not a transient fault.
-				msg, derr := d.String()
-				if derr != nil {
-					msg = "tenant quota exceeded"
-				}
-				return status, nil, &QuotaError{Msg: msg}
+				return status, nil, &QuotaError{Msg: statusMessage(r, "tenant quota exceeded")}
 			}
 			if status == server.StatusErr {
-				msg, derr := d.String()
-				if derr != nil {
-					msg = "unknown server error"
-				}
-				return status, nil, errors.New(msg)
+				return status, nil, errors.New(statusMessage(r, "unknown server error"))
 			}
-			return status, d, nil
+			return status, r, nil
 		}
 		// Connection-level failure: the conn is poisoned either way.
 		c.conn.Close()
@@ -643,16 +633,9 @@ func (c *Client) Ping(ctx context.Context) error {
 	return err
 }
 
-// decodeID consumes a uvarint store-wide log-file id.
-func decodeID(d *server.Decoder) (ID, error) {
-	v, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(^uint32(0)) {
-		return 0, fmt.Errorf("client: id %d out of range", v)
-	}
-	return ID(v), nil
+// readID consumes a uvarint store-wide log-file id.
+func readID(r *wire.Reader) ID {
+	return ID(r.Bounded(math.MaxUint32, "log id out of range"))
 }
 
 // CreateLog creates a log file (a sublog of its parent path).
@@ -660,39 +643,34 @@ func (c *Client) CreateLog(ctx context.Context, path string, perms uint16, owner
 	p := server.PutString(nil, path)
 	p = wire.PutUint16(p, perms)
 	p = server.PutString(p, owner)
-	_, d, err := c.call(ctx, server.OpCreate, "create", true, p)
+	_, r, err := c.call(ctx, server.OpCreate, "create", true, p)
 	if err != nil {
 		return 0, err
 	}
-	return decodeID(d)
+	return readID(r), r.Err()
 }
 
 // Resolve maps a path to a log-file id.
 func (c *Client) Resolve(ctx context.Context, path string) (ID, error) {
-	_, d, err := c.call(ctx, server.OpResolve, "resolve", false, server.PutString(nil, path))
+	_, r, err := c.call(ctx, server.OpResolve, "resolve", false, server.PutString(nil, path))
 	if err != nil {
 		return 0, err
 	}
-	return decodeID(d)
+	return readID(r), r.Err()
 }
 
 // List returns the sublog names under a path.
 func (c *Client) List(ctx context.Context, path string) ([]string, error) {
-	_, d, err := c.call(ctx, server.OpList, "list", false, server.PutString(nil, path))
+	_, r, err := c.call(ctx, server.OpList, "list", false, server.PutString(nil, path))
 	if err != nil {
 		return nil, err
 	}
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
+	out := []string{}
+	for n := r.Uvarint(); n > 0 && r.Err() == nil; n-- {
+		out = append(out, r.String())
 	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := d.String()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return out, nil
 }
@@ -700,35 +678,17 @@ func (c *Client) List(ctx context.Context, path string) ([]string, error) {
 // Stat returns a log file's descriptor.
 func (c *Client) Stat(ctx context.Context, path string) (logapi.Info, error) {
 	var st logapi.Info
-	_, d, err := c.call(ctx, server.OpStat, "stat", false, server.PutString(nil, path))
+	_, r, err := c.call(ctx, server.OpStat, "stat", false, server.PutString(nil, path))
 	if err != nil {
 		return st, err
 	}
-	if st.ID, err = decodeID(d); err != nil {
-		return st, err
-	}
-	if st.Parent, err = decodeID(d); err != nil {
-		return st, err
-	}
-	if st.Perms, err = d.Uint16(); err != nil {
-		return st, err
-	}
-	if st.Created, err = d.Int64(); err != nil {
-		return st, err
-	}
-	if st.Name, err = d.String(); err != nil {
-		return st, err
-	}
-	if st.Owner, err = d.String(); err != nil {
-		return st, err
-	}
-	flags, err := d.Byte()
-	if err != nil {
-		return st, err
-	}
+	st.ID, st.Parent = readID(r), readID(r)
+	st.Perms, st.Created = r.Uint16(), r.Int64()
+	st.Name, st.Owner = r.String(), r.String()
+	flags := r.Byte()
 	st.Retired = flags&1 != 0
 	st.System = flags&2 != 0
-	return st, nil
+	return st, r.Err()
 }
 
 // SetPerms changes a log file's permissions.
@@ -761,6 +721,19 @@ func appendFlags(opts AppendOptions) byte {
 	return flags
 }
 
+// appendResult reads an append response: the entry's server timestamp, with a
+// *DegradedError beside it when the status says so.
+func appendResult(status byte, r *wire.Reader) (int64, error) {
+	ts := r.Int64()
+	if r.Err() != nil {
+		return 0, r.Err()
+	}
+	if status == server.StatusDegraded {
+		return ts, &DegradedError{Timestamp: ts}
+	}
+	return ts, nil
+}
+
 // Append writes one entry and returns its server timestamp. A non-nil
 // *DegradedError alongside a valid timestamp means the entry IS durable but
 // the service had to relocate past damaged storage (§2.3.2).
@@ -768,18 +741,11 @@ func (c *Client) Append(ctx context.Context, id ID, data []byte, opts AppendOpti
 	p := wire.PutUvarint(nil, uint64(id))
 	p = append(p, appendFlags(opts))
 	p = server.PutBytes(p, data)
-	status, d, err := c.call(ctx, server.OpAppend, "append", true, p)
+	status, r, err := c.call(ctx, server.OpAppend, "append", true, p)
 	if err != nil {
 		return 0, err
 	}
-	ts, err := d.Int64()
-	if err != nil {
-		return 0, err
-	}
-	if status == server.StatusDegraded {
-		return ts, &DegradedError{Timestamp: ts}
-	}
-	return ts, nil
+	return appendResult(status, r)
 }
 
 // AppendMulti writes one entry belonging to several log files at once
@@ -792,18 +758,11 @@ func (c *Client) AppendMulti(ctx context.Context, ids []ID, data []byte, opts Ap
 	}
 	p = append(p, appendFlags(opts))
 	p = server.PutBytes(p, data)
-	status, d, err := c.call(ctx, server.OpAppendMulti, "appendmulti", true, p)
+	status, r, err := c.call(ctx, server.OpAppendMulti, "appendmulti", true, p)
 	if err != nil {
 		return 0, err
 	}
-	ts, err := d.Int64()
-	if err != nil {
-		return 0, err
-	}
-	if status == server.StatusDegraded {
-		return ts, &DegradedError{Timestamp: ts}
-	}
-	return ts, nil
+	return appendResult(status, r)
 }
 
 // ReadAt fetches the entry previously reported at a shard-local
@@ -812,11 +771,11 @@ func (c *Client) ReadAt(ctx context.Context, shard, block, index int) (*Entry, e
 	p := wire.PutUvarint(nil, uint64(shard))
 	p = wire.PutUvarint(p, uint64(block))
 	p = wire.PutUvarint(p, uint64(index))
-	_, d, err := c.call(ctx, server.OpReadAt, "readat", false, p)
+	_, r, err := c.call(ctx, server.OpReadAt, "readat", false, p)
 	if err != nil {
 		return nil, err
 	}
-	return server.DecodeEntry(d)
+	return server.DecodeEntry(r)
 }
 
 // Force makes everything appended so far durable on every shard.
@@ -828,28 +787,12 @@ func (c *Client) Force(ctx context.Context) error {
 // Stats fetches server counters.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
-	_, d, err := c.call(ctx, server.OpStats, "stats", false, nil)
+	_, r, err := c.call(ctx, server.OpStats, "stats", false, nil)
 	if err != nil {
 		return st, err
 	}
-	v1, err := d.Int64()
-	if err != nil {
-		return st, err
-	}
-	v2, err := d.Int64()
-	if err != nil {
-		return st, err
-	}
-	v3, err := d.Int64()
-	if err != nil {
-		return st, err
-	}
-	v4, err := d.Int64()
-	if err != nil {
-		return st, err
-	}
-	st.EntriesAppended, st.BlocksSealed, st.ClientBytes, st.EndBlocks = v1, v2, v3, v4
-	return st, nil
+	st.EntriesAppended, st.BlocksSealed, st.ClientBytes, st.EndBlocks = r.Int64(), r.Int64(), r.Int64(), r.Int64()
+	return st, r.Err()
 }
 
 // Cursor is a remote cursor over a log file. Its server-side state lives in
@@ -891,13 +834,13 @@ var _ logapi.Cursor = (*Cursor)(nil)
 // concrete type is *Cursor (reach it with a type assertion for
 // LocateUnique).
 func (c *Client) OpenCursor(ctx context.Context, path string) (logapi.Cursor, error) {
-	_, d, err := c.call(ctx, server.OpCursorOpen, "cursoropen", false, server.PutString(nil, path))
+	_, r, err := c.call(ctx, server.OpCursorOpen, "cursoropen", false, server.PutString(nil, path))
 	if err != nil {
 		return nil, err
 	}
-	h, err := d.Uint32()
-	if err != nil {
-		return nil, err
+	h := r.Uint32()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return &Cursor{c: c, handle: h, want: 1}, nil
 }
@@ -922,14 +865,14 @@ func (cu *Cursor) Next(ctx context.Context) (*Entry, error) {
 func (cu *Cursor) refill(ctx context.Context) error {
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUvarint(p, uint64(cu.want))
-	status, d, err := cu.c.call(ctx, server.OpNext, "cursornext", false, p)
+	status, r, err := cu.c.call(ctx, server.OpNext, "cursornext", false, p)
 	if err != nil {
 		return err
 	}
 	if status == server.StatusEOF {
 		return io.EOF
 	}
-	cu.buf, err = server.DecodeEntryBatch(cu.buf[:0], d)
+	cu.buf, err = server.DecodeEntryBatch(cu.buf[:0], r)
 	cu.pos = 0
 	if err != nil {
 		return err
@@ -942,12 +885,12 @@ func (cu *Cursor) refill(ctx context.Context) error {
 // read-ahead buffer does not describe. Once the server has answered, the
 // buffer is dropped and the ramp restarts; a call that failed leaves both
 // alone, as it leaves the server cursor wherever the failure left it.
-func (cu *Cursor) reposition(ctx context.Context, op byte, opName string, p []byte) (byte, *server.Decoder, error) {
-	status, d, err := cu.c.call(ctx, op, opName, false, p)
+func (cu *Cursor) reposition(ctx context.Context, op byte, opName string, p []byte) (byte, *wire.Reader, error) {
+	status, r, err := cu.c.call(ctx, op, opName, false, p)
 	if err == nil {
 		cu.buf, cu.pos, cu.want = cu.buf[:0], 0, 1
 	}
-	return status, d, err
+	return status, r, err
 }
 
 // Prev returns the previous matching entry, or io.EOF at the beginning.
@@ -959,14 +902,14 @@ func (cu *Cursor) Prev(ctx context.Context) (*Entry, error) {
 	defer cu.mu.Unlock()
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUvarint(p, uint64(len(cu.buf)-cu.pos))
-	status, d, err := cu.reposition(ctx, server.OpPrev, "cursorprev", p)
+	status, r, err := cu.reposition(ctx, server.OpPrev, "cursorprev", p)
 	if err != nil {
 		return nil, err
 	}
 	if status == server.StatusEOF {
 		return nil, io.EOF
 	}
-	return server.DecodeEntry(d)
+	return server.DecodeEntry(r)
 }
 
 // SeekTime positions the cursor so Next returns the first entry at/after ts.
@@ -980,11 +923,11 @@ func (cu *Cursor) SeekTime(ctx context.Context, ts int64) error {
 	p := wire.PutUvarint(nil, uint64(cu.handle))
 	p = wire.PutUint64(p, uint64(ts))
 	p = wire.PutUvarint(p, 1)
-	_, d, err := cu.reposition(ctx, server.OpSeekTime, "seektime", p)
-	if err != nil || d.Remaining() == 0 {
+	_, r, err := cu.reposition(ctx, server.OpSeekTime, "seektime", p)
+	if err != nil || r.Len() == 0 {
 		return err
 	}
-	if cu.buf, err = server.DecodeEntryBatch(cu.buf, d); err != nil {
+	if cu.buf, err = server.DecodeEntryBatch(cu.buf, r); err != nil {
 		return err
 	}
 	cu.want = 2

@@ -40,18 +40,14 @@ func (c *Client) Watch(ctx context.Context, path string, opts logapi.WatchOption
 		// multi-tenant server refuses unauthenticated subscribes. Session 0
 		// keeps the binding connection-private.
 		hello := wire.Hello{Tenant: c.opt.Tenant, Token: c.opt.Token}.Encode(nil)
-		status, d, err := c.roundTrip(ctx, conn, server.OpHello, 0, 0, hello)
+		status, r, err := c.roundTrip(ctx, conn, server.OpHello, 0, 0, hello)
 		if err != nil {
 			conn.Close()
 			return nil, err
 		}
 		if status != server.StatusOK {
-			msg, derr := d.String()
-			if derr != nil {
-				msg = fmt.Sprintf("watch handshake rejected (status %d)", status)
-			}
 			conn.Close()
-			return nil, errors.New("client: " + msg)
+			return nil, errors.New("client: " + statusMessage(r, fmt.Sprintf("watch handshake rejected (status %d)", status)))
 		}
 	}
 	window := opts.Buffer
@@ -69,23 +65,19 @@ func (c *Client) Watch(ctx context.Context, path string, opts logapi.WatchOption
 	}
 	// The subscribe handshake is synchronous on the fresh connection; after
 	// it succeeds the only frames the server sends are pushes.
-	status, d, err := c.roundTrip(ctx, conn, wire.OpStreamSubscribe, 1, traceID(c.session, 1), req.Encode(nil))
+	status, r, err := c.roundTrip(ctx, conn, wire.OpStreamSubscribe, 1, traceID(c.session, 1), req.Encode(nil))
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
 	if status != server.StatusOK {
-		msg, derr := d.String()
-		if derr != nil {
-			msg = fmt.Sprintf("subscribe rejected (status %d)", status)
-		}
 		conn.Close()
-		return nil, errors.New("client: " + msg)
+		return nil, errors.New("client: " + statusMessage(r, fmt.Sprintf("subscribe rejected (status %d)", status)))
 	}
-	subID, err := d.Uint32()
-	if err != nil {
+	subID := r.Uint32()
+	if r.Err() != nil {
 		conn.Close()
-		return nil, err
+		return nil, r.Err()
 	}
 	conn.SetDeadline(noDeadline)
 	s := &remoteSub{
@@ -247,11 +239,11 @@ func (s *remoteSub) Close() error {
 // group's offsets log (OpStreamAck) and returns its server timestamp.
 func (c *Client) GroupAck(ctx context.Context, group string, rec wire.GroupRec) (int64, error) {
 	op := wire.StreamGroupOp{Group: group, Rec: rec}
-	_, d, err := c.call(ctx, wire.OpStreamAck, "streamack", true, op.Encode(nil))
+	_, r, err := c.call(ctx, wire.OpStreamAck, "streamack", true, op.Encode(nil))
 	if err != nil {
 		return 0, err
 	}
-	return d.Int64()
+	return r.Int64(), r.Err()
 }
 
 // GroupRebalance appends one membership record — join, leave, claim or
@@ -259,9 +251,9 @@ func (c *Client) GroupAck(ctx context.Context, group string, rec wire.GroupRec) 
 // returns its server timestamp.
 func (c *Client) GroupRebalance(ctx context.Context, group string, rec wire.GroupRec) (int64, error) {
 	op := wire.StreamGroupOp{Group: group, Rec: rec}
-	_, d, err := c.call(ctx, wire.OpStreamRebalance, "streamrebalance", true, op.Encode(nil))
+	_, r, err := c.call(ctx, wire.OpStreamRebalance, "streamrebalance", true, op.Encode(nil))
 	if err != nil {
 		return 0, err
 	}
-	return d.Int64()
+	return r.Int64(), r.Err()
 }

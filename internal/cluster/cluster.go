@@ -837,7 +837,8 @@ func blockCRC(dev wodev.Device, idx int) uint32 {
 
 // respError renders a status payload's length-prefixed message.
 func respError(payload []byte) string {
-	if s, err := server.NewDecoder(payload).String(); err == nil {
+	r := wire.NewReader(payload, wire.ErrShortBuffer)
+	if s := r.String(); r.Err() == nil {
 		return s
 	}
 	return fmt.Sprintf("%d-byte response", len(payload))

@@ -304,11 +304,11 @@ func (n *Node) folHello(fol *followerState, payload []byte) (byte, []byte, bool,
 // cluster epoch (so the client's session survives failover) and the
 // session's replicated high-water sequence.
 func (n *Node) folClientHello(fol *followerState, payload []byte) (byte, []byte, uint64) {
-	d := server.NewDecoder(payload)
-	id, err := d.Int64()
+	h, err := wire.DecodeHello(payload)
 	if err != nil {
 		return server.StatusErr, server.PutString(nil, err.Error()), 0
 	}
+	id := h.Session
 	n.mu.Lock()
 	epoch := n.epoch
 	n.mu.Unlock()
@@ -319,13 +319,13 @@ func (n *Node) folClientHello(fol *followerState, payload []byte) (byte, []byte,
 	}
 	var maxSeq uint64
 	fol.mu.Lock()
-	if s := fol.sessions[uint64(id)]; s != nil {
+	if s := fol.sessions[id]; s != nil {
 		maxSeq = s.maxSeq
 	}
 	fol.mu.Unlock()
 	out := wire.PutUint64(nil, epoch)
 	out = wire.PutUint64(out, maxSeq)
-	return server.StatusOK, out, uint64(id)
+	return server.StatusOK, out, id
 }
 
 // apply dispatches one replication frame onto local state. Every path is
@@ -523,22 +523,19 @@ func (fol *followerState) exportSessions() []server.SessionState {
 // which is exactly the guarantee replication gives (the staged tail lives
 // in NVRAM until sealed).
 func (fol *followerState) handleReadAt(payload []byte) (byte, []byte) {
-	d := server.NewDecoder(payload)
-	shardN, err := d.Uvarint()
-	if err == nil {
-		var block, index uint64
-		if block, err = d.Uvarint(); err == nil {
-			if index, err = d.Uvarint(); err == nil {
-				e, rerr := fol.readAt(int(shardN), int(block), int(index))
-				if rerr != nil {
-					return server.StatusErr, server.PutString(nil, rerr.Error())
-				}
-				return server.StatusOK, server.EncodeEntry(e)
-			}
-		}
+	r := wire.NewReader(payload, errReadAtPayload)
+	shardN, block, index := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if r.Err() != nil {
+		return server.StatusErr, server.PutString(nil, r.Err().Error())
 	}
-	return server.StatusErr, server.PutString(nil, err.Error())
+	e, err := fol.readAt(int(shardN), int(block), int(index))
+	if err != nil {
+		return server.StatusErr, server.PutString(nil, err.Error())
+	}
+	return server.StatusOK, server.EncodeEntry(e)
 }
+
+var errReadAtPayload = errors.New("cluster: malformed read-at payload")
 
 // vset returns (building lazily) the shard's read-only volume view.
 func (fol *followerState) vset(shard int) (*volume.Set, error) {

@@ -19,8 +19,10 @@
 package config
 
 import (
+	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,67 +106,107 @@ func Default() *Config {
 // IsSet reports whether any layer explicitly set key.
 func (c *Config) IsSet(key string) bool { return c.set[key] }
 
-// Keys every layer may set, in the spelling of the cliod flags.
-var boolKeys = map[string]bool{"create": true, "sync": true}
+// key declares one scalar knob once: its spelling (the cliod flag, the
+// clio.conf key and, through EnvVar, the environment variable), the field it
+// sets, whether a SIGHUP reload may change it, and its flag help text. The
+// field's type decides how a value parses and which kind of flag it is; the
+// default is whatever Default() puts in the field. Set, ApplyEnv, Diff,
+// Reloadable and RegisterFlags all walk this table. Every scalar knob may be
+// set from the environment (tenant declarations may not — secrets in process
+// environments leak through /proc and `ps e`).
+type key struct {
+	name       string
+	field      func(*Config) any // *string, *bool, *int, *time.Duration or *float64
+	reloadable bool
+	help       string
+}
+
+var keys = []key{
+	{"store", func(c *Config) any { return &c.Store }, false, "store directory (required)"},
+	{"listen", func(c *Config) any { return &c.Listen }, false, "TCP listen address"},
+	{"create", func(c *Config) any { return &c.Create }, false, "create a new store instead of opening one"},
+	{"shards", func(c *Config) any { return &c.Shards }, false, "hash partitions for -create (reopen detects; >0 asserts the count)"},
+	{"volume-blocks", func(c *Config) any { return &c.VolumeBlocks }, false, "capacity of each volume file in blocks"},
+	{"block-size", func(c *Config) any { return &c.BlockSize }, false, "block size in bytes"},
+	{"sync", func(c *Config) any { return &c.Sync }, false, "fsync every sealed block"},
+	{"checkpoint-interval", func(c *Config) any { return &c.CheckpointInterval }, false, "emit a recovery checkpoint every N sealed blocks per shard, and on clean shutdown (0 disables; recovery then reconstructs from scratch)"},
+	{"admin", func(c *Config) any { return &c.Admin }, false, "HTTP admin listen address (/metrics, /statusz, /tracez, /debug/pprof); empty disables"},
+	{"slow-trace", func(c *Config) any { return &c.SlowTrace }, true, "requests at least this slow are kept in /tracez's slow ring (0 keeps everything)"},
+	{"peers", func(c *Config) any { return &c.Peers }, false, "comma-separated replica addresses; enables cluster mode"},
+	{"advertise", func(c *Config) any { return &c.Advertise }, false, "address peers and redirected clients reach this node at (default -listen)"},
+	{"role", func(c *Config) any { return &c.Role }, false, "initial cluster role: leader or follower"},
+	{"quorum", func(c *Config) any { return &c.Quorum }, false, "replicas (leader included) that must stage a write before it is acked"},
+	{"compact-interval", func(c *Config) any { return &c.CompactInterval }, true, "run a compaction pass on every shard this often; 0 disables background reclamation"},
+	{"compact-max-live", func(c *Config) any { return &c.CompactMaxLive }, true, "max fraction of live blocks for a volume to be compacted (0 = default 0.5)"},
+	{"compact-min-hot", func(c *Config) any { return &c.CompactMinHot }, true, "minimum volumes kept mounted per shard (0 = default 2)"},
+	{"drain-timeout", func(c *Config) any { return &c.DrainTimeout }, true, "how long a SIGTERM drain lets in-flight requests and group commits finish before forcing connections closed"},
+}
+
+func lookupKey(name string) *key {
+	for i := range keys {
+		if keys[i].name == name {
+			return &keys[i]
+		}
+	}
+	return nil
+}
+
+// RegisterFlags defines one flag per scalar key on fs, with the key's help
+// text and Default()'s value. The flag values themselves are not read back:
+// the daemon visits the flags that were set and passes each through Set, like
+// the file and environment layers.
+func RegisterFlags(fs *flag.FlagSet) {
+	def := Default()
+	for _, k := range keys {
+		switch p := k.field(def).(type) {
+		case *string:
+			fs.String(k.name, *p, k.help)
+		case *bool:
+			fs.Bool(k.name, *p, k.help)
+		case *int:
+			fs.Int(k.name, *p, k.help)
+		case *time.Duration:
+			fs.Duration(k.name, *p, k.help)
+		case *float64:
+			fs.Float64(k.name, *p, k.help)
+		}
+	}
+}
 
 // Set parses and applies one key. It is the single merge point for the
 // file, environment and flag layers.
-func (c *Config) Set(key, value string) error {
+func (c *Config) Set(name, value string) error {
 	fail := func(err error) error {
-		return fmt.Errorf("config: %s = %q: %w", key, value, err)
+		return fmt.Errorf("config: %s = %q: %w", name, value, err)
 	}
-	if name, field, ok := tenantKey(key); ok {
-		if err := c.setTenant(name, field, value); err != nil {
+	if tenant, field, ok := tenantKey(name); ok {
+		if err := c.setTenant(tenant, field, value); err != nil {
 			return fail(err)
 		}
-		c.set[key] = true
+		c.set[name] = true
 		return nil
 	}
+	k := lookupKey(name)
+	if k == nil {
+		return fmt.Errorf("config: unknown key %q", name)
+	}
 	var err error
-	switch key {
-	case "store":
-		c.Store = value
-	case "listen":
-		c.Listen = value
-	case "create":
-		c.Create, err = parseBool(value)
-	case "shards":
-		c.Shards, err = strconv.Atoi(value)
-	case "volume-blocks":
-		c.VolumeBlocks, err = strconv.Atoi(value)
-	case "block-size":
-		c.BlockSize, err = strconv.Atoi(value)
-	case "sync":
-		c.Sync, err = parseBool(value)
-	case "checkpoint-interval":
-		c.CheckpointInterval, err = strconv.Atoi(value)
-	case "admin":
-		c.Admin = value
-	case "slow-trace":
-		c.SlowTrace, err = time.ParseDuration(value)
-	case "peers":
-		c.Peers = value
-	case "advertise":
-		c.Advertise = value
-	case "role":
-		c.Role = value
-	case "quorum":
-		c.Quorum, err = strconv.Atoi(value)
-	case "compact-interval":
-		c.CompactInterval, err = time.ParseDuration(value)
-	case "compact-max-live":
-		c.CompactMaxLive, err = strconv.ParseFloat(value, 64)
-	case "compact-min-hot":
-		c.CompactMinHot, err = strconv.Atoi(value)
-	case "drain-timeout":
-		c.DrainTimeout, err = time.ParseDuration(value)
-	default:
-		return fmt.Errorf("config: unknown key %q", key)
+	switch p := k.field(c).(type) {
+	case *string:
+		*p = value
+	case *bool:
+		*p, err = parseBool(value)
+	case *int:
+		*p, err = strconv.Atoi(value)
+	case *time.Duration:
+		*p, err = time.ParseDuration(value)
+	case *float64:
+		*p, err = strconv.ParseFloat(value, 64)
 	}
 	if err != nil {
 		return fail(err)
 	}
-	c.set[key] = true
+	c.set[name] = true
 	return nil
 }
 
@@ -242,16 +284,6 @@ func (c *Config) LoadFile(path string) error {
 // EnvPrefix is the environment layer's variable prefix.
 const EnvPrefix = "CLIO_"
 
-// envKeys are the keys the environment layer may set: every scalar knob
-// (tenant declarations are file- or flag-layer only — secrets in process
-// environments leak through /proc and `ps e`).
-var envKeys = []string{
-	"store", "listen", "create", "shards", "volume-blocks", "block-size",
-	"sync", "checkpoint-interval", "admin", "slow-trace", "peers",
-	"advertise", "role", "quorum", "compact-interval",
-	"compact-max-live", "compact-min-hot", "drain-timeout",
-}
-
 // retiredEnvKeys are knobs that no longer exist. A file line or a flag
 // naming one fails as unknown; the environment layer only looks up keys it
 // knows, so without this list a stale variable in a unit file would be
@@ -267,9 +299,9 @@ func EnvVar(key string) string {
 // ApplyEnv merges CLIO_* environment variables via lookup (os.LookupEnv in
 // the daemon; tests inject a map).
 func (c *Config) ApplyEnv(lookup func(string) (string, bool)) error {
-	for _, key := range envKeys {
-		if v, ok := lookup(EnvVar(key)); ok {
-			if err := c.Set(key, v); err != nil {
+	for _, k := range keys {
+		if v, ok := lookup(EnvVar(k.name)); ok {
+			if err := c.Set(k.name, v); err != nil {
 				return err
 			}
 		}
@@ -374,16 +406,12 @@ func (c *Config) Validate() error {
 // restart. Tenant keys (quotas, tokens, membership) and the knobs the
 // daemon consults continuously are reloadable; store geometry, addresses
 // and cluster membership are not.
-func Reloadable(key string) bool {
-	if _, _, ok := tenantKey(key); ok {
+func Reloadable(name string) bool {
+	if _, _, ok := tenantKey(name); ok {
 		return true
 	}
-	switch key {
-	case "compact-interval", "compact-max-live", "compact-min-hot",
-		"slow-trace", "drain-timeout":
-		return true
-	}
-	return false
+	k := lookupKey(name)
+	return k != nil && k.reloadable
 }
 
 // Diff lists the scalar keys whose values differ between c and other, in
@@ -391,30 +419,15 @@ func Reloadable(key string) bool {
 // "tenants".
 func (c *Config) Diff(other *Config) []string {
 	var out []string
-	add := func(key string, differs bool) {
-		if differs {
-			out = append(out, key)
+	for _, k := range keys {
+		// The fields are pointers to comparable scalars.
+		if reflect.ValueOf(k.field(c)).Elem().Interface() != reflect.ValueOf(k.field(other)).Elem().Interface() {
+			out = append(out, k.name)
 		}
 	}
-	add("store", c.Store != other.Store)
-	add("listen", c.Listen != other.Listen)
-	add("create", c.Create != other.Create)
-	add("shards", c.Shards != other.Shards)
-	add("volume-blocks", c.VolumeBlocks != other.VolumeBlocks)
-	add("block-size", c.BlockSize != other.BlockSize)
-	add("sync", c.Sync != other.Sync)
-	add("checkpoint-interval", c.CheckpointInterval != other.CheckpointInterval)
-	add("admin", c.Admin != other.Admin)
-	add("slow-trace", c.SlowTrace != other.SlowTrace)
-	add("peers", c.Peers != other.Peers)
-	add("advertise", c.Advertise != other.Advertise)
-	add("role", c.Role != other.Role)
-	add("quorum", c.Quorum != other.Quorum)
-	add("compact-interval", c.CompactInterval != other.CompactInterval)
-	add("compact-max-live", c.CompactMaxLive != other.CompactMaxLive)
-	add("compact-min-hot", c.CompactMinHot != other.CompactMinHot)
-	add("drain-timeout", c.DrainTimeout != other.DrainTimeout)
-	add("tenants", !tenantsEqual(c.Tenants, other.Tenants))
+	if !tenantsEqual(c.Tenants, other.Tenants) {
+		out = append(out, "tenants")
+	}
 	return out
 }
 

@@ -59,24 +59,27 @@ type checkpoint struct {
 //	badCount(uvarint) { index(uvarint) }*
 //	crc(u32 over everything above)
 func (s *Service) encodeCheckpointLocked() []byte {
-	out := append([]byte(nil), ckptMagic...)
-	out = wire.PutUvarint(out, uint64(s.sealedEnd))
-	out = wire.PutUvarint(out, uint64(s.lastBound))
-	out = wire.PutUint64(out, uint64(s.lastTS))
 	s.idxMu.Lock()
 	accState := s.acc.EncodeState(nil)
 	s.idxMu.Unlock()
+	return encodeCheckpoint(s.sealedEnd, s.lastBound, s.lastTS, accState, s.cat.SnapshotRecords(), s.badBlocks)
+}
+
+func encodeCheckpoint(coveredEnd, lastBound int, lastTS int64, accState []byte, recs []*catalog.Record, badBlocks []int) []byte {
+	out := append([]byte(nil), ckptMagic...)
+	out = wire.PutUvarint(out, uint64(coveredEnd))
+	out = wire.PutUvarint(out, uint64(lastBound))
+	out = wire.PutUint64(out, uint64(lastTS))
 	out = wire.PutUvarint(out, uint64(len(accState)))
 	out = append(out, accState...)
-	recs := s.cat.SnapshotRecords()
 	out = wire.PutUvarint(out, uint64(len(recs)))
 	for _, rec := range recs {
 		enc := rec.Encode(nil)
 		out = wire.PutUvarint(out, uint64(len(enc)))
 		out = append(out, enc...)
 	}
-	out = wire.PutUvarint(out, uint64(len(s.badBlocks)))
-	for _, b := range s.badBlocks {
+	out = wire.PutUvarint(out, uint64(len(badBlocks)))
+	for _, b := range badBlocks {
 		out = wire.PutUvarint(out, uint64(b))
 	}
 	return wire.PutUint32(out, wire.Checksum(out))
@@ -94,68 +97,37 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	if err != nil || wire.Checksum(body) != crc {
 		return nil, errBadCheckpoint
 	}
-	rest := body[len(ckptMagic):]
-	next := func() (uint64, bool) {
-		v, n, err := wire.Uvarint(rest)
-		if err != nil {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	cp := &checkpoint{}
-	p, ok1 := next()
-	lb, ok2 := next()
-	if !ok1 || !ok2 || len(rest) < 8 {
+	r := wire.NewReader(body[len(ckptMagic):], errBadCheckpoint)
+	cp := &checkpoint{coveredEnd: int(r.Uvarint()), lastBound: int(r.Uvarint()), lastTS: r.Int64()}
+	accState := r.View()
+	if r.Err() != nil {
 		return nil, errBadCheckpoint
 	}
-	cp.coveredEnd = int(p)
-	cp.lastBound = int(lb)
-	ts, _ := wire.Uint64(rest)
-	cp.lastTS = int64(ts)
-	rest = rest[8:]
-	accLen, ok := next()
-	if !ok || accLen > uint64(len(rest)) {
-		return nil, errBadCheckpoint
-	}
-	acc, used, err := entrymap.DecodeState(rest[:accLen])
-	if err != nil || used != int(accLen) {
+	acc, used, err := entrymap.DecodeState(accState)
+	if err != nil || used != len(accState) {
 		return nil, errBadCheckpoint
 	}
 	cp.acc = acc
-	rest = rest[accLen:]
-	catCount, ok := next()
-	if !ok || catCount > 2*(wire.MaxLogID+1) {
-		return nil, errBadCheckpoint
-	}
-	for i := uint64(0); i < catCount; i++ {
-		recLen, ok := next()
-		if !ok || recLen > uint64(len(rest)) {
-			return nil, errBadCheckpoint
-		}
-		rec, err := catalog.DecodeRecord(rest[:recLen])
+	for n := r.Bounded(maxSidecarIDs, "catalog count"); n > 0 && r.Err() == nil; n-- {
+		rec, err := catalog.DecodeRecord(r.View())
 		if err != nil {
 			return nil, errBadCheckpoint
 		}
 		cp.catalog = append(cp.catalog, rec)
-		rest = rest[recLen:]
 	}
-	badCount, ok := next()
-	if !ok || badCount > 1<<24 {
-		return nil, errBadCheckpoint
+	for n := r.Bounded(1<<24, "bad-block count"); n > 0 && r.Err() == nil; n-- {
+		cp.badBlocks = append(cp.badBlocks, int(r.Uvarint()))
 	}
-	for i := uint64(0); i < badCount; i++ {
-		idx, ok := next()
-		if !ok {
-			return nil, errBadCheckpoint
-		}
-		cp.badBlocks = append(cp.badBlocks, int(idx))
-	}
-	if len(rest) != 0 {
+	if r.Err() != nil || r.Len() != 0 {
 		return nil, errBadCheckpoint
 	}
 	return cp, nil
 }
+
+// maxSidecarIDs bounds the per-volume id lists and catalog snapshots the
+// checkpoint and compaction decoders accept: every log-file id once, plus as
+// many retire records.
+const maxSidecarIDs = 2 * (wire.MaxLogID + 1)
 
 // maybeCheckpointLocked emits a checkpoint when the every-K-sealed-blocks
 // policy says one is due. It runs under s.mu at operation-completion points

@@ -340,81 +340,40 @@ func decodeCompactState(data []byte) (*compactState, error) {
 	if crc32.ChecksumIEEE(body) != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSidecar)
 	}
-	u := func() (int, error) {
-		v, n, err := wire.Uvarint(body)
-		if err != nil {
-			return 0, ErrBadSidecar
-		}
-		body = body[n:]
-		return int(v), nil
-	}
-	nvols, err := u()
-	if err != nil {
-		return nil, err
-	}
+	r := wire.NewReader(body, ErrBadSidecar)
 	st := &compactState{}
-	for i := 0; i < nvols; i++ {
-		if len(body) < 4 {
-			return nil, ErrBadSidecar
+	for nvols := r.Uvarint(); nvols > 0 && r.Err() == nil; nvols-- {
+		v := &relocVol{Index: r.Uint32(), Start: int(r.Uvarint()), Blocks: int(r.Uvarint()),
+			Capacity: int(r.Uvarint()), Demoted: r.Byte() == 1}
+		v.IDs = readSidecarIDs(r)
+		v.idSet = make(map[uint16]bool, len(v.IDs))
+		for _, id := range v.IDs {
+			v.idSet[id] = true
 		}
-		idx, err := wire.Uint32(body)
-		if err != nil {
-			return nil, ErrBadSidecar
-		}
-		body = body[4:]
-		v := &relocVol{Index: idx, idSet: make(map[uint16]bool)}
-		if v.Start, err = u(); err != nil {
-			return nil, err
-		}
-		if v.Blocks, err = u(); err != nil {
-			return nil, err
-		}
-		if v.Capacity, err = u(); err != nil {
-			return nil, err
-		}
-		if len(body) < 1 {
-			return nil, ErrBadSidecar
-		}
-		v.Demoted = body[0] == 1
-		body = body[1:]
-		nids, err := u()
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nids; j++ {
-			id, err := u()
-			if err != nil || id > int(wire.MaxLogID) {
-				return nil, ErrBadSidecar
-			}
-			v.IDs = append(v.IDs, uint16(id))
-			v.idSet[uint16(id)] = true
-		}
-		nranges, err := u()
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nranges; j++ {
-			var r copyRange
-			if r.StartBlock, err = u(); err != nil {
-				return nil, err
-			}
-			if r.StartRec, err = u(); err != nil {
-				return nil, err
-			}
-			if r.EndBlock, err = u(); err != nil {
-				return nil, err
-			}
-			if r.EndRec, err = u(); err != nil {
-				return nil, err
-			}
-			if r.Seq, err = u(); err != nil {
-				return nil, err
-			}
-			v.Ranges = append(v.Ranges, r)
+		for nranges := r.Uvarint(); nranges > 0 && r.Err() == nil; nranges-- {
+			v.Ranges = append(v.Ranges, copyRange{
+				StartBlock: int(r.Uvarint()), StartRec: int(r.Uvarint()),
+				EndBlock: int(r.Uvarint()), EndRec: int(r.Uvarint()),
+				Seq: int(r.Uvarint()),
+			})
 		}
 		st.Vols = append(st.Vols, v)
 	}
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
 	return st, nil
+}
+
+// readSidecarIDs consumes a counted list of log-file ids, as the compaction
+// sidecar and the in-log compaction marker both carry: at most maxSidecarIDs
+// of them, each a valid local id.
+func readSidecarIDs(r *wire.Reader) []uint16 {
+	var ids []uint16
+	for n := r.Bounded(maxSidecarIDs, "id count"); n > 0 && r.Err() == nil; n-- {
+		ids = append(ids, uint16(r.Bounded(wire.MaxLogID, "log id range")))
+	}
+	return ids
 }
 
 // loadColdState reads the compaction sidecar at Open, before recovery runs:

@@ -441,26 +441,15 @@ func encodeCompactMarker(index uint32, ids []uint16) []byte {
 
 // DecodeCompactMarker decodes a ".compact" marker entry's payload.
 func DecodeCompactMarker(data []byte) (index uint32, ids []uint16, err error) {
-	index, err = wire.Uint32(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	rest := data[4:]
-	n, used, err := wire.Uvarint(rest)
-	if err != nil {
-		return 0, nil, err
-	}
-	rest = rest[used:]
-	for i := uint64(0); i < n; i++ {
-		id, used, err := wire.Uvarint(rest)
-		if err != nil {
-			return 0, nil, err
-		}
-		rest = rest[used:]
-		ids = append(ids, uint16(id))
+	r := wire.NewReader(data, errBadMarker)
+	index, ids = r.Uint32(), readSidecarIDs(r)
+	if r.Err() != nil {
+		return 0, nil, r.Err()
 	}
 	return index, ids, nil
 }
+
+var errBadMarker = errors.New("clio: malformed compaction marker")
 
 // foldRanges turns the placed copies into per-origin ranges and folds them
 // into the prepared state: the compacted volume gains its own ranges; every

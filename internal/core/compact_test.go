@@ -16,6 +16,7 @@ import (
 	"clio/internal/scrub"
 	"clio/internal/vclock"
 	"clio/internal/volume"
+	"clio/internal/wire"
 	"clio/internal/wodev"
 )
 
@@ -623,5 +624,31 @@ func TestCompactMarkerRoundTrip(t *testing.T) {
 	}
 	if idx != 7 || fmt.Sprint(ids) != fmt.Sprint([]uint16{4, 9, 200}) {
 		t.Errorf("marker round trip: %d %v", idx, ids)
+	}
+	// The marker's ids get the range check and the count bound the sidecar
+	// applies to the same field: an id is never truncated into another log's.
+	marker := func(count uint64, ids ...uint64) []byte {
+		out := wire.PutUvarint(wire.PutUint32(nil, 7), count)
+		for _, id := range ids {
+			out = wire.PutUvarint(out, id)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"id 0x1_0005 (used to decode as 5)", marker(1, 0x1_0005)},
+		{"id one past MaxLogID", marker(2, 4, wire.MaxLogID+1)},
+		{"count above every id and its retire", marker(maxSidecarIDs + 1)},
+		{"count past the ids present", marker(3, 4, 9)},
+		{"truncated index", []byte{7, 0}},
+	} {
+		if idx, ids, err := DecodeCompactMarker(tc.payload); err == nil {
+			t.Errorf("%s: decoded as volume %d ids %v", tc.name, idx, ids)
+		}
+	}
+	if _, ids, err := DecodeCompactMarker(marker(1, wire.MaxLogID)); err != nil || len(ids) != 1 {
+		t.Errorf("id MaxLogID refused: %v %v", ids, err)
 	}
 }

@@ -79,7 +79,8 @@ func TestShutdownDrainsInflightAppend(t *testing.T) {
 	go srv.ServeConn(sConn)
 	defer cConn.Close()
 	mustOK(t, cConn, OpCreate, createPayload("/l"))
-	id, err := NewDecoder(mustOK(t, cConn, OpResolve, PutString(nil, "/l"))).Uvarint()
+	r := newReader(mustOK(t, cConn, OpResolve, PutString(nil, "/l")))
+	id, err := r.Uvarint(), r.Err()
 	if err != nil {
 		t.Fatal(err)
 	}

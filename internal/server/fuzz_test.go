@@ -2,9 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"strings"
 	"testing"
 
+	"clio/internal/core"
+	"clio/internal/logapi"
 	"clio/internal/wire"
+	"clio/internal/wodev"
 )
 
 // frameBytes builds a valid frame for seeding.
@@ -77,7 +82,7 @@ func FuzzDecodeEntryBatch(f *testing.F) {
 	f.Add(good[:len(good)-2])             // entry length past the frame
 	f.Add(append(good[:len(good):len(good)], 7))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		entries, err := DecodeEntryBatch(nil, NewDecoder(payload))
+		entries, err := DecodeEntryBatch(nil, newReader(payload))
 		if err != nil {
 			if len(entries) != 0 {
 				t.Fatalf("rejected batch returned %d entries", len(entries))
@@ -89,7 +94,7 @@ func FuzzDecodeEntryBatch(f *testing.F) {
 		}
 		// Uvarints have non-canonical encodings, so compare through a second
 		// decode rather than byte for byte.
-		again, err := DecodeEntryBatch(nil, NewDecoder(encodeBatch(entries)))
+		again, err := DecodeEntryBatch(nil, newReader(encodeBatch(entries)))
 		if err != nil || len(again) != len(entries) {
 			t.Fatalf("accepted batch does not re-encode: %d entries, %v", len(again), err)
 		}
@@ -99,4 +104,158 @@ func FuzzDecodeEntryBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// dispatchFixture is what FuzzDispatch throws requests at: a mem-device store
+// as testServer builds it, one log with a few entries, and a handler whose
+// session holds one open cursor on it. With tenant set the server is
+// multi-tenant and the handler is bound to that tenant, whose namespace the
+// log lives in.
+func dispatchFixture(t testing.TB, tenant string) (h *connHandler, id logapi.ID) {
+	t.Helper()
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 1 << 12})
+	now := int64(0)
+	svc, err := core.New(dev, core.Options{
+		BlockSize: 512, Degree: 8,
+		Now: func() int64 { now += 1000; return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	srv := New(svc)
+	h = &connHandler{srv: srv, sess: newSession(0)}
+	path := "/l"
+	if tenant != "" {
+		path = "/" + tenant
+		srv.SetTenants([]Tenant{{Name: tenant, Token: "t", MaxLogs: 4, MaxBytes: 1 << 16}})
+		if h.tenant, err = srv.bindTenant(tenant, "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	if id, err = srv.store.CreateLog(ctx, path, 0o644, "t"); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range []string{"a", "b", "c"} {
+		if _, err := srv.store.Append(ctx, id, []byte(data), core.AppendOptions{Timestamped: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := srv.store.OpenCursor(ctx, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if handle := h.sess.addCursor(cur); handle != 1 {
+		t.Fatalf("fixture cursor handle %d, want 1", handle)
+	}
+	return h, id
+}
+
+// dispatchSeeds returns one well-formed payload per declared opcode, against
+// dispatchFixture's log (path, id) and cursor (handle 1).
+func dispatchSeeds(path string, id logapi.ID) map[byte][]byte {
+	handle := wire.PutUvarint(nil, 1)
+	with := func(p []byte, more ...uint64) []byte {
+		p = append([]byte(nil), p...)
+		for _, v := range more {
+			p = wire.PutUvarint(p, v)
+		}
+		return p
+	}
+	group := func(kind byte) []byte {
+		name := strings.TrimPrefix(path, "/") + ".g"
+		return (&wire.StreamGroupOp{Group: name, Rec: wire.GroupRec{Kind: kind, Member: "m"}}).Encode(nil)
+	}
+	seeds := map[byte][]byte{
+		OpCreate:      PutString(wire.PutUint16(PutString(nil, path+"/sub"), 0o644), "t"),
+		OpResolve:     PutString(nil, path),
+		OpList:        PutString(nil, path),
+		OpStat:        PutString(nil, path),
+		OpSetPerms:    wire.PutUint16(PutString(nil, path), 0o600),
+		OpRetire:      PutString(nil, path),
+		OpAppend:      PutBytes(append(with(nil, uint64(id)), AppendForced), []byte("data")),
+		OpCursorOpen:  PutString(nil, path),
+		OpNext:        with(handle, 2),
+		OpPrev:        with(handle, 0),
+		OpSeekTime:    wire.PutUvarint(wire.PutUint64(with(handle), 2000), 1),
+		OpSeekStart:   handle,
+		OpSeekEnd:     handle,
+		OpCursorEnd:   handle,
+		OpReadAt:      with(nil, 0, 1, 0),
+		OpAppendMulti: PutBytes(append(with(nil, 1, uint64(id)), AppendTimestamped), []byte("multi")),
+		OpSeekPos:     with(handle, 1, 1),
+		OpHello:       wire.Hello{Session: 9}.Encode(nil),
+
+		wire.OpStreamSubscribe:   (&wire.StreamSubscribe{Path: path}).Encode(nil),
+		wire.OpStreamCredit:      (&wire.StreamCredit{SubID: 1, Credit: 1}).Encode(nil),
+		wire.OpStreamUnsubscribe: (&wire.StreamUnsubscribe{SubID: 1}).Encode(nil),
+		wire.OpStreamAck:         group(wire.GroupAck),
+		wire.OpStreamRebalance:   group(wire.GroupJoin),
+	}
+	for op, row := range opTable {
+		if _, ok := seeds[byte(op)]; row.name != "" && !ok {
+			seeds[byte(op)] = nil // OpPing, OpStats, OpForce; peers' and pushed ops mean nothing to dispatch
+		}
+	}
+	return seeds
+}
+
+// FuzzDispatch is one level past the payload decoders: arbitrary (op,
+// payload) requests into connHandler.dispatch — the tenant gate, the op
+// switch, the store behind it — in open mode and with a tenant bound. No
+// request may panic the handler, every answer carries one of the documented
+// status codes, and a request that did not succeed leaves the tenant's log
+// and byte reservations where they were.
+func FuzzDispatch(f *testing.F) {
+	_, id := dispatchFixture(f, "")
+	seeds := dispatchSeeds("/l", id)
+	for op := range opTable {
+		if payload, ok := seeds[byte(op)]; ok {
+			f.Add(byte(op), payload)
+		}
+	}
+	// An append whose declared length overflows int64, and one past the payload.
+	f.Add(byte(OpAppend), append(wire.PutUvarint(nil, uint64(id)), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
+	f.Add(byte(OpAppend), append(wire.PutUvarint(nil, uint64(id)), 0, 200, 'x'))
+	// Cursor requests on a handle that only aliases the open one modulo 2^32.
+	f.Add(byte(OpNext), wire.PutUvarint(nil, 1<<32+1))
+	f.Add(byte(OpSeekPos), wire.PutUvarint(wire.PutUvarint(wire.PutUvarint(nil, 1), 1<<62), 1<<63))
+	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
+		for _, tenant := range []string{"", "l"} {
+			h, _ := dispatchFixture(t, tenant)
+			var logs, bytes int64
+			if ts := h.tenant; ts != nil {
+				logs, bytes = ts.logs.Load(), ts.bytes.Load()
+			}
+			rep := h.dispatch(nil, op, payload)
+			if rep.status > StatusQuotaExceeded {
+				t.Fatalf("tenant %q: op %d answered with undocumented status %d", tenant, op, rep.status)
+			}
+			succeeded := rep.status == StatusOK || rep.status == StatusDegraded
+			if ts := h.tenant; ts != nil && !succeeded && (ts.logs.Load() != logs || ts.bytes.Load() != bytes) {
+				t.Fatalf("op %d failed with status %d and kept a reservation: logs %d -> %d, bytes %d -> %d",
+					op, rep.status, logs, ts.logs.Load(), bytes, ts.bytes.Load())
+			}
+		}
+	})
+}
+
+// TestDispatchSeedsAreWellFormed keeps FuzzDispatch's corpus honest: against
+// its fixture every client op's seed succeeds (or reads the end of the log),
+// in open mode and for the bound tenant.
+func TestDispatchSeedsAreWellFormed(t *testing.T) {
+	for _, tenant := range []string{"", "l"} {
+		for op, row := range opTable {
+			pushed := op == wire.OpStreamDeliver || op == wire.OpStreamEnd
+			if row.name == "" || row.connScoped || op == OpHello || wire.IsReplOp(byte(op)) || pushed {
+				continue // not dispatch's: the stream registry's, handle's, a peer's
+			}
+			h, id := dispatchFixture(t, tenant)
+			rep := h.dispatch(nil, byte(op), dispatchSeeds("/l", id)[byte(op)])
+			if rep.status != StatusOK && rep.status != StatusEOF {
+				t.Errorf("tenant %q: %s seed: status %d (%s)", tenant, row.name, rep.status, rep.head)
+			}
+		}
+	}
 }

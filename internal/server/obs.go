@@ -4,61 +4,7 @@ import (
 	"sort"
 
 	"clio/internal/obs"
-	"clio/internal/wire"
 )
-
-// opNames maps opcodes to the stable names used in metric labels and trace
-// operation fields.
-var opNames = map[byte]string{
-	OpCreate:      "create",
-	OpResolve:     "resolve",
-	OpList:        "list",
-	OpStat:        "stat",
-	OpSetPerms:    "setperms",
-	OpRetire:      "retire",
-	OpAppend:      "append",
-	OpCursorOpen:  "cursor_open",
-	OpNext:        "next",
-	OpPrev:        "prev",
-	OpSeekTime:    "seek_time",
-	OpSeekStart:   "seek_start",
-	OpSeekEnd:     "seek_end",
-	OpCursorEnd:   "cursor_end",
-	OpReadAt:      "read_at",
-	OpPing:        "ping",
-	OpStats:       "stats",
-	OpAppendMulti: "append_multi",
-	OpSeekPos:     "seek_pos",
-	OpHello:       "hello",
-	OpForce:       "force",
-
-	wire.OpReplHello:      "repl_hello",
-	wire.OpReplWrite:      "repl_write",
-	wire.OpReplInvalidate: "repl_invalidate",
-	wire.OpReplTail:       "repl_tail",
-	wire.OpReplTailClear:  "repl_tail_clear",
-	wire.OpReplAck:        "repl_ack",
-	wire.OpReplSessions:   "repl_sessions",
-	wire.OpReplBase:       "repl_base",
-	wire.OpReplReset:      "repl_reset",
-	wire.OpPromote:        "promote",
-	wire.OpReplStatus:     "repl_status",
-
-	wire.OpStreamSubscribe:   "stream_subscribe",
-	wire.OpStreamDeliver:     "stream_deliver",
-	wire.OpStreamCredit:      "stream_credit",
-	wire.OpStreamUnsubscribe: "stream_unsubscribe",
-	wire.OpStreamEnd:         "stream_end",
-	wire.OpStreamAck:         "stream_ack",
-	wire.OpStreamRebalance:   "stream_rebalance",
-}
-
-func opName(op byte) string {
-	if n, ok := opNames[op]; ok {
-		return n
-	}
-	return "unknown"
-}
 
 // serverMetrics holds the server's registered instruments. Requests index
 // the per-op counter table directly by opcode, so the hot path performs no
@@ -111,11 +57,13 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			"Requests answered from the duplicate-suppression window without re-executing."),
 	}
 	const entriesHelp = "Entries delivered by cursor requests, by operation; op=\"next\" divided by clio_server_requests_total{op=\"next\"} is the entries per next round trip."
-	m.nextEntries = reg.Counter("clio_server_cursor_entries_total", entriesHelp, obs.L("op", opNames[OpNext]))
-	m.seekEntries = reg.Counter("clio_server_cursor_entries_total", entriesHelp, obs.L("op", opNames[OpSeekTime]))
-	for op, name := range opNames {
-		m.requests[op] = reg.Counter("clio_server_requests_total",
-			"Requests handled by the server, by operation.", obs.L("op", name))
+	m.nextEntries = reg.Counter("clio_server_cursor_entries_total", entriesHelp, obs.L("op", opName(OpNext)))
+	m.seekEntries = reg.Counter("clio_server_cursor_entries_total", entriesHelp, obs.L("op", opName(OpSeekTime)))
+	for op := range opTable {
+		if name := opTable[op].name; name != "" {
+			m.requests[op] = reg.Counter("clio_server_requests_total",
+				"Requests handled by the server, by operation.", obs.L("op", name))
+		}
 	}
 	reg.GaugeFunc("clio_server_connections",
 		"Currently open client connections.", func() int64 {

@@ -75,7 +75,8 @@ func TestAdminEndToEnd(t *testing.T) {
 	if status != StatusOK {
 		t.Fatalf("create: status %d", status)
 	}
-	id, err := NewDecoder(resp).Uvarint()
+	r := newReader(resp)
+	id, err := r.Uvarint(), r.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		}
 	}
 	status, resp = tracedRoundTrip(t, cConn, OpNext, 0, 0, wire.PutUvarint(wire.PutUvarint(nil, uint64(handle)), 8))
-	if entries, err := DecodeEntryBatch(nil, NewDecoder(resp)); status != StatusOK || err != nil || len(entries) != 2 {
+	if entries, err := DecodeEntryBatch(nil, newReader(resp)); status != StatusOK || err != nil || len(entries) != 2 {
 		t.Fatalf("batched next: status %d, %d entries, %v", status, len(entries), err)
 	}
 

@@ -33,7 +33,6 @@ package server
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 
@@ -69,7 +68,7 @@ const (
 	OpHello = 20
 	// OpForce asks the store to make everything appended so far durable
 	// (empty payload, empty response). It mutates device state, so it runs
-	// sequenced like appends, not in the read-class pool.
+	// sequenced like appends.
 	OpForce = 21
 )
 
@@ -102,19 +101,6 @@ const (
 	// clients surface it to the application instead of retrying.
 	StatusQuotaExceeded = 6
 )
-
-// IsMutating reports whether op changes store state (as opposed to reads and
-// cursor motion). Mutating ops are the write class: replication followers
-// refuse them with StatusNotLeader, and a cluster leader acks them only
-// after a quorum has durably staged their effects.
-func IsMutating(op byte) bool {
-	switch op {
-	case OpCreate, OpSetPerms, OpRetire, OpAppend, OpAppendMulti, OpForce,
-		wire.OpStreamAck, wire.OpStreamRebalance:
-		return true
-	}
-	return false
-}
 
 // Append flag bits.
 const (
@@ -253,55 +239,30 @@ func appendEntryHead(out []byte, e *core.Entry) []byte {
 
 // DecodeEntry consumes one entry in the entry-response layout. The entry's
 // data is copied out of the payload.
-func DecodeEntry(d *Decoder) (*core.Entry, error) {
-	e := &core.Entry{}
-	var err error
-	if e.LogID, err = d.Uint16(); err != nil {
-		return nil, err
-	}
-	if e.Timestamp, err = d.Int64(); err != nil {
-		return nil, err
-	}
-	flags, err := d.Byte()
-	if err != nil {
-		return nil, err
-	}
-	e.Timestamped = flags&EntryTimestamped != 0
-	e.Forced = flags&EntryForced != 0
-	sh, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.Shard = int(sh)
-	b, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.Block = int(b)
-	idx, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	e.Index = int(idx)
-	nExtra, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nExtra > uint64(d.Remaining())/2 {
-		return nil, d.fail("extra id count")
-	}
-	if nExtra > 0 {
-		e.ExtraIDs = make([]uint16, nExtra)
-		for i := range e.ExtraIDs {
-			if e.ExtraIDs[i], err = d.Uint16(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if e.Data, err = d.Bytes(); err != nil {
-		return nil, err
+func DecodeEntry(r *wire.Reader) (*core.Entry, error) {
+	e := readEntry(r)
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return e, nil
+}
+
+// readEntry is DecodeEntry with the failure left in r.
+func readEntry(r *wire.Reader) *core.Entry {
+	e := &core.Entry{LogID: r.Uint16(), Timestamp: r.Int64()}
+	flags := r.Byte()
+	e.Timestamped = flags&EntryTimestamped != 0
+	e.Forced = flags&EntryForced != 0
+	e.Shard, e.Block, e.Index = int(r.Uvarint()), int(r.Uvarint()), int(r.Uvarint())
+	nExtra := r.Uvarint()
+	if nExtra > uint64(r.Len())/2 {
+		r.Fail("extra id count")
+	}
+	for ; nExtra > 0 && r.Err() == nil; nExtra-- {
+		e.ExtraIDs = append(e.ExtraIDs, r.Uint16())
+	}
+	e.Data = r.Bytes()
+	return e
 }
 
 // DecodeEntryBatch consumes a batched OpNext response — a uvarint count
@@ -310,24 +271,20 @@ func DecodeEntry(d *Decoder) (*core.Entry, error) {
 // returned: a batch that is empty, claims more than MaxBatchEntries, is
 // truncated, or is followed by trailing bytes is an error, and dst comes
 // back unextended.
-func DecodeEntryBatch(dst []*core.Entry, d *Decoder) ([]*core.Entry, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return dst, err
-	}
+func DecodeEntryBatch(dst []*core.Entry, r *wire.Reader) ([]*core.Entry, error) {
+	n := r.Uvarint()
 	if n == 0 || n > MaxBatchEntries {
-		return dst, d.fail("entry batch count")
+		r.Fail("entry batch count")
 	}
 	out := dst
-	for i := uint64(0); i < n; i++ {
-		e, err := DecodeEntry(d)
-		if err != nil {
-			return dst, err
-		}
-		out = append(out, e)
+	for ; n > 0 && r.Err() == nil; n-- {
+		out = append(out, readEntry(r))
 	}
-	if d.Remaining() != 0 {
-		return dst, d.fail("trailing bytes after entry batch")
+	if r.Len() != 0 {
+		r.Fail("trailing bytes after entry batch")
+	}
+	if r.Err() != nil {
+		return dst, r.Err()
 	}
 	return out, nil
 }
@@ -346,97 +303,22 @@ func PutBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// Decoder consumes a payload front to back.
-type Decoder struct {
-	buf []byte
-}
+// errMalformed is the family sentinel of the client-protocol payloads.
+var errMalformed = errors.New("server: malformed payload")
 
-// NewDecoder wraps a payload.
-func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+// newReader reads a client-protocol payload.
+func newReader(payload []byte) *wire.Reader { return wire.NewReader(payload, errMalformed) }
 
-// Err constructs the canonical malformed-payload error.
-func (d *Decoder) fail(what string) error {
-	return fmt.Errorf("server: malformed payload: %s", what)
-}
+// Decoder is wire.Reader behind the two (value, error) methods
+// bench/ladder.go calls; nothing else uses it. Delete it with ROADMAP item 4's
+// bench/ edit.
+type Decoder struct{ r *wire.Reader }
 
-// Uvarint consumes an unsigned varint.
-func (d *Decoder) Uvarint() (uint64, error) {
-	v, n, err := wire.Uvarint(d.buf)
-	if err != nil {
-		return 0, d.fail("uvarint")
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-// Uint16 consumes a little-endian uint16.
-func (d *Decoder) Uint16() (uint16, error) {
-	v, err := wire.Uint16(d.buf)
-	if err != nil {
-		return 0, d.fail("uint16")
-	}
-	d.buf = d.buf[2:]
-	return v, nil
-}
-
-// Uint32 consumes a little-endian uint32.
-func (d *Decoder) Uint32() (uint32, error) {
-	v, err := wire.Uint32(d.buf)
-	if err != nil {
-		return 0, d.fail("uint32")
-	}
-	d.buf = d.buf[4:]
-	return v, nil
-}
-
-// Int64 consumes a little-endian int64.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := wire.Uint64(d.buf)
-	if err != nil {
-		return 0, d.fail("int64")
-	}
-	d.buf = d.buf[8:]
-	return int64(v), nil
-}
-
-// Byte consumes one byte.
-func (d *Decoder) Byte() (byte, error) {
-	if len(d.buf) < 1 {
-		return 0, d.fail("byte")
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
-}
+// NewDecoder wraps a response payload.
+func NewDecoder(buf []byte) *Decoder { return &Decoder{newReader(buf)} }
 
 // String consumes a length-prefixed string.
-func (d *Decoder) String() (string, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(d.buf)) < n {
-		return "", d.fail("string body")
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s, nil
-}
+func (d *Decoder) String() (string, error) { s := d.r.String(); return s, d.r.Err() }
 
-// Bytes consumes a length-prefixed byte slice (copied).
-func (d *Decoder) Bytes() ([]byte, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(d.buf)) < n {
-		return nil, d.fail("bytes body")
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
-	return out, nil
-}
-
-// Remaining returns the unconsumed byte count.
-func (d *Decoder) Remaining() int { return len(d.buf) }
+// Uint32 consumes a little-endian uint32.
+func (d *Decoder) Uint32() (uint32, error) { v := d.r.Uint32(); return v, d.r.Err() }

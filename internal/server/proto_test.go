@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"clio/internal/core"
+	"clio/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -75,38 +76,47 @@ func TestFrameProperty(t *testing.T) {
 func TestDecoderConsumesInOrder(t *testing.T) {
 	p := PutString(nil, "hello")
 	p = PutBytes(p, []byte{1, 2, 3})
-	var d *Decoder = NewDecoder(p)
-	s, err := d.String()
-	if err != nil || s != "hello" {
-		t.Fatalf("String: %q %v", s, err)
+	d := newReader(p)
+	if s := d.String(); d.Err() != nil || s != "hello" {
+		t.Fatalf("String: %q %v", s, d.Err())
 	}
-	bts, err := d.Bytes()
-	if err != nil || !bytes.Equal(bts, []byte{1, 2, 3}) {
-		t.Fatalf("Bytes: %v %v", bts, err)
+	if bts := d.Bytes(); d.Err() != nil || !bytes.Equal(bts, []byte{1, 2, 3}) {
+		t.Fatalf("Bytes: %v %v", bts, d.Err())
 	}
-	if d.Remaining() != 0 {
-		t.Errorf("Remaining = %d", d.Remaining())
+	if d.Len() != 0 {
+		t.Errorf("Len = %d", d.Len())
 	}
-	// Reading past the end fails cleanly.
-	if _, err := d.Byte(); err == nil {
-		t.Error("read past end accepted")
+	// Reading past the end fails cleanly, with the family's text, whatever
+	// is read; the first failure is the one kept.
+	reads := map[string]func(*wire.Reader){
+		"byte":    func(r *wire.Reader) { r.Byte() },
+		"uint16":  func(r *wire.Reader) { r.Uint16() },
+		"uint32":  func(r *wire.Reader) { r.Uint32() },
+		"int64":   func(r *wire.Reader) { r.Int64() },
+		"uvarint": func(r *wire.Reader) { r.Uvarint() },
 	}
-	if _, err := d.Uint16(); err == nil {
-		t.Error("u16 past end accepted")
-	}
-	if _, err := d.Uint32(); err == nil {
-		t.Error("u32 past end accepted")
-	}
-	if _, err := d.Int64(); err == nil {
-		t.Error("i64 past end accepted")
+	for kind, read := range reads {
+		r := newReader(nil)
+		read(r)
+		if want := "server: malformed payload: " + kind; r.Err() == nil || r.Err().Error() != want {
+			t.Errorf("%s past end: err = %v, want %q", kind, r.Err(), want)
+		}
+		r.Fail("later")
+		if r.Uvarint() != 0 || !strings.HasSuffix(r.Err().Error(), kind) {
+			t.Errorf("%s: a later failure replaced the first: %v", kind, r.Err())
+		}
 	}
 }
 
 func TestDecoderRejectsOversizeString(t *testing.T) {
 	// Length prefix claims more than available.
-	d := NewDecoder([]byte{200, 1, 'x'})
-	if _, err := d.String(); err == nil {
+	d := newReader([]byte{200, 1, 'x'})
+	if _ = d.String(); d.Err() == nil {
 		t.Error("oversize string accepted")
+	}
+	// The bench's (value, error) adapter reads through the same reader.
+	if _, err := NewDecoder([]byte{200, 1, 'x'}).String(); err == nil {
+		t.Error("oversize string accepted by the Decoder adapter")
 	}
 }
 
@@ -124,13 +134,13 @@ func sampleEntries() []*core.Entry {
 func TestEntryRoundTrip(t *testing.T) {
 	for i, e := range sampleEntries() {
 		enc := EncodeEntry(e)
-		d := NewDecoder(enc)
+		d := newReader(enc)
 		got, err := DecodeEntry(d)
 		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
-		if d.Remaining() != 0 {
-			t.Errorf("entry %d: %d bytes left over", i, d.Remaining())
+		if d.Len() != 0 {
+			t.Errorf("entry %d: %d bytes left over", i, d.Len())
 		}
 		if len(e.Data) == 0 {
 			got.Data = nil // Bytes returns an empty, non-nil slice
@@ -153,7 +163,7 @@ func encodeBatch(entries []*core.Entry) []byte {
 func TestEntryBatchDecode(t *testing.T) {
 	entries := sampleEntries()
 	good := encodeBatch(entries)
-	got, err := DecodeEntryBatch(nil, NewDecoder(good))
+	got, err := DecodeEntryBatch(nil, newReader(good))
 	if err != nil || len(got) != len(entries) {
 		t.Fatalf("good batch: %d entries, %v", len(got), err)
 	}
@@ -183,7 +193,7 @@ func TestEntryBatchDecode(t *testing.T) {
 	}
 	keep := []*core.Entry{{LogID: 1}}
 	for _, tc := range bad {
-		out, err := DecodeEntryBatch(keep, NewDecoder(tc.payload))
+		out, err := DecodeEntryBatch(keep, newReader(tc.payload))
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.wantErr)
 		}
@@ -199,7 +209,7 @@ func TestDecodeEntryBoundsExtraIDs(t *testing.T) {
 	enc := appendEntryHead(nil, e)
 	enc = enc[:len(enc)-2]                          // drop nExtra(0) and the data length
 	enc = append(enc, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F) // nExtra = 2^32-1
-	if _, err := DecodeEntry(NewDecoder(enc)); err == nil {
+	if _, err := DecodeEntry(newReader(enc)); err == nil {
 		t.Fatal("oversize extra-id count accepted")
 	}
 }

@@ -11,17 +11,44 @@ import (
 	"clio/internal/wire"
 )
 
-// TestReadClassWorkersAcrossReconnect exercises the audited connection
-// invariant under the race detector: read-class workers spawned for a dying
-// connection must drain into THAT connection's write path, never onto the
-// replacement serving the same session. Each round floods a connection with
-// pipelined read-class requests, kills it mid-flight, reconnects with the
-// same session id, and verifies the new connection answers cleanly.
-func TestReadClassWorkersAcrossReconnect(t *testing.T) {
+// TestReadClassFramesAnsweredInOrder pins the inline rule: a connection's
+// requests are answered by its own goroutine in arrival order, so 50
+// read-class frames written back-to-back get 50 answers whose seqs come back
+// in the order sent. Then the rounds the worker pools used to be raced with:
+// each floods a connection with read-class frames, closes it mid-flight and
+// reconnects with the same session id; the session and the server survive
+// every round.
+func TestReadClassFramesAnsweredInOrder(t *testing.T) {
 	srv, conn := testServer(t)
 	hello := wire.PutUint64(nil, 77)
 	if status, _ := roundTrip(t, conn, OpHello, hello); status != StatusOK {
 		t.Fatal("hello failed")
+	}
+	mustOK(t, conn, OpCreate, createPayload("/l"))
+	const frames = 50
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	wrote := make(chan error, 1)
+	go func() {
+		for seq := uint64(1); seq <= frames; seq++ {
+			op, payload := byte(OpPing), []byte(nil)
+			if seq%2 == 0 {
+				op, payload = OpStat, PutString(nil, "/l")
+			}
+			if err := WriteFrame(conn, op, seq, 0, payload); err != nil {
+				wrote <- err
+				return
+			}
+		}
+		wrote <- nil
+	}()
+	for want := uint64(1); want <= frames; want++ {
+		status, seq, _, _, err := ReadFrame(conn)
+		if err != nil || status != StatusOK || seq != want {
+			t.Fatalf("answer %d: status %d, seq %d, err %v", want, status, seq, err)
+		}
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
 	}
 	conn.Close()
 
@@ -38,7 +65,7 @@ func TestReadClassWorkersAcrossReconnect(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < frames; i++ {
 				if err := WriteFrame(c, OpPing, 0, 0, nil); err != nil {
 					return
 				}
@@ -53,7 +80,7 @@ func TestReadClassWorkersAcrossReconnect(t *testing.T) {
 			}
 		}()
 		time.Sleep(time.Duration(round%3) * time.Millisecond)
-		c.Close() // mid-flight: workers may still hold responses
+		c.Close() // mid-flight: an answer may be half written
 		wg.Wait()
 	}
 
@@ -90,7 +117,7 @@ func TestDedupEvictionUnderConcurrentReplay(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("create failed")
 	}
-	id, _ := NewDecoder(resp).Uvarint()
+	id := newReader(resp).Uvarint()
 
 	appendFrame := func(i int) []byte {
 		ap := wire.PutUvarint(nil, id)
@@ -159,7 +186,7 @@ func TestDedupEvictionUnderConcurrentReplay(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("stats failed")
 	}
-	entries, _ := NewDecoder(resp).Int64()
+	entries := newReader(resp).Int64()
 	if entries != n {
 		t.Fatalf("server holds %d entries, want exactly %d (a replay re-executed)", entries, n)
 	}

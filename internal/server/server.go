@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -35,10 +36,6 @@ const (
 	dedupBytes  = 64 << 10
 )
 
-// DefaultReadWorkers bounds how many read-class requests the server executes
-// concurrently per shard when ReadWorkers is left zero.
-const DefaultReadWorkers = 8
-
 // Server serves the Clio protocol over stream connections, fronting one log
 // store — a single service or a sharded set behind one namespace (the
 // paper's combined file server + log server, §2 and §6: "the combined
@@ -55,17 +52,6 @@ type Server struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds one response write; 0 disables.
 	WriteTimeout time.Duration
-	// ReadWorkers bounds how many read-class requests (OpPing, OpResolve,
-	// OpList, OpStat, OpReadAt, OpStats) the server executes concurrently
-	// PER SHARD, across all connections. Read-class requests have no session
-	// side effects, so they are handed to the target shard's bounded pool
-	// and answered out of band while mutations and cursor operations stay
-	// ordered by session sequence; responses are paired with requests by the
-	// echoed seq. Per-shard pools keep a slow shard's reads from starving
-	// the rest. 0 uses DefaultReadWorkers; negative disables pipelining
-	// (every request runs inline, the pre-pipelining behavior). Set before
-	// the first connection is served.
-	ReadWorkers int
 	// Tracer, when set, records a trace for every request: a span for the
 	// dispatch itself plus whatever spans core adds underneath (group
 	// commit, device write, NVRAM store). The trace ID comes from the
@@ -127,9 +113,6 @@ type Server struct {
 	conns    map[net.Conn]bool
 	sessions map[uint64]*session
 	wg       sync.WaitGroup
-
-	semOnce sync.Once
-	sems    []chan struct{} // per-shard read-class worker pools; nil disables pipelining
 }
 
 // New returns a server fronting one service as a 1-shard store.
@@ -203,6 +186,18 @@ func (s *Server) ExportSessions() []SessionState {
 	return out
 }
 
+// session returns the shared session named id, creating it on first use.
+func (s *Server) session(id uint64) *session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess, ok := s.sessions[id]
+	if !ok {
+		sess = newSession(id)
+		s.sessions[id] = sess
+	}
+	return sess
+}
+
 // InstallSessions merges replicated session state into the server's session
 // table: maxSeq advances monotonically and cached responses are adopted for
 // seqs not already present, so installing is idempotent and never regresses
@@ -213,13 +208,7 @@ func (s *Server) InstallSessions(states []SessionState) {
 		if st.ID == 0 {
 			continue
 		}
-		s.mu.Lock()
-		sess, ok := s.sessions[st.ID]
-		if !ok {
-			sess = newSession(st.ID)
-			s.sessions[st.ID] = sess
-		}
-		s.mu.Unlock()
+		sess := s.session(st.ID)
 		sess.mu.Lock()
 		if st.MaxSeq > sess.maxSeq {
 			sess.maxSeq = st.MaxSeq
@@ -239,14 +228,7 @@ func (s *Server) RecordSessionResp(id, seq uint64, status byte, resp []byte) {
 	if id == 0 || seq == 0 {
 		return
 	}
-	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		sess = newSession(id)
-		s.sessions[id] = sess
-	}
-	s.mu.Unlock()
-	sess.record(seq, status, resp)
+	s.session(id).record(seq, status, resp)
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -406,67 +388,16 @@ func (s *Server) KillConns() int {
 	return len(conns)
 }
 
-// readPools lazily builds the per-shard read-class worker semaphores from
-// ReadWorkers: one pool per shard, so reads stalled on one shard's devices
-// cannot consume the slots another shard's reads need.
-func (s *Server) readPools() []chan struct{} {
-	s.semOnce.Do(func() {
-		n := s.ReadWorkers
-		if n == 0 {
-			n = DefaultReadWorkers
-		}
-		if n > 0 {
-			s.sems = make([]chan struct{}, s.store.Shards())
-			for i := range s.sems {
-				s.sems[i] = make(chan struct{}, n)
-			}
-		}
-	})
-	return s.sems
-}
-
-// readShard peeks at a read-class payload to choose which shard's pool runs
-// it: path-addressed ops route by the path's root segment, OpReadAt carries
-// its shard explicitly; the rest (OpPing, OpStats) and anything malformed
-// (dispatch will report the decode error) fall to shard 0's pool.
-func (s *Server) readShard(op byte, payload []byte) int {
-	switch op {
-	case OpResolve, OpList, OpStat:
-		if path, err := NewDecoder(payload).String(); err == nil {
-			if sh, err := s.store.ShardFor(path); err == nil {
-				return sh
-			}
-		}
-	case OpReadAt:
-		if sh, err := NewDecoder(payload).Uvarint(); err == nil && sh < uint64(s.store.Shards()) {
-			return int(sh)
-		}
-	}
-	return 0
-}
-
-// isReadClass reports whether op has no session side effects and may be
-// executed out of order, concurrently with anything else. Cursor operations
-// are NOT read-class: they mutate cursor position, so replaying one must hit
-// the duplicate-suppression window.
-func isReadClass(op byte) bool {
-	switch op {
-	case OpPing, OpResolve, OpList, OpStat, OpReadAt, OpStats:
-		return true
-	}
-	return false
-}
-
 // ServeConn handles one connection until EOF, error, or idle timeout.
 // Exported so callers can serve over a net.Pipe (the paper's same-machine
 // IPC).
 //
-// The connection is pipelined: read-class requests are dispatched to the
-// server's bounded worker pool and answered as they complete (possibly out
-// of order — responses carry the request seq), while mutations and cursor
-// operations execute inline, in arrival order, under the session's sequence
-// discipline. A client that keeps one request in flight per connection
-// observes exactly the pre-pipelining behavior.
+// Requests run inline: the connection's own goroutine executes each request
+// and writes its answer before it reads the next, so answers come back in
+// arrival order — the paper's synchronous send/reply (§2). Every client in
+// the repo keeps one request in flight per connection; concurrency is across
+// connections. The only other writers on a connection are its stream
+// pushers.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.mu.Lock()
 	if !s.conns[conn] {
@@ -488,44 +419,35 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// Until an OpHello attaches a shared session, the connection gets a
 	// private one (seq-based dedup still works within the connection).
 	h := &connHandler{srv: s, sess: newSession(0)}
-	// Async workers interleave responses with the inline path; wmu keeps
-	// frames whole, inflight keeps workers from outliving the connection.
-	//
-	// Invariant (audited): a read-class worker can never write onto a
-	// replaced connection. The write closure below captures THIS call's
-	// conn and wmu; a reconnect is served by a fresh ServeConn with its own
-	// conn, wmu and inflight, so a worker spawned here writes only to the
-	// connection its request arrived on. And because deferred calls run
-	// LIFO, inflight.Wait() (registered last) completes before the
-	// conns-map delete and conn.Close() above it — workers are fully
-	// drained before this connection is torn down.
+	// Stream pushers interleave their frames with the inline answers; wmu
+	// keeps frames whole, inflight keeps pushers from outliving the
+	// connection: deferred calls run LIFO, so closeAll (registered below)
+	// cancels them, inflight.Wait() joins them, and only then do the
+	// conns-map delete and conn.Close() above run.
 	var wmu sync.Mutex
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
-	write := func(status byte, seq, trace uint64, resp, body []byte) bool {
+	write := func(seq, trace uint64, rep reply) bool {
 		wmu.Lock()
 		defer wmu.Unlock()
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		if err := WriteFrameChunks(conn, status, seq, trace, resp, body); err != nil {
+		if err := WriteFrameChunks(conn, rep.status, seq, trace, rep.head, rep.body); err != nil {
 			s.logf("clio server: write: %v", err)
 			return false
 		}
 		return true
 	}
-	pools := s.readPools()
-	// Streaming subscriptions are connection-domain; closeAll (registered
-	// after inflight.Wait, so it runs first) cancels the pushers, then the
-	// Wait joins them before the connection is torn down.
+	// Streaming subscriptions are connection-domain.
 	streams := newConnStreams(s, h, write, func() { conn.Close() }, &inflight)
 	defer streams.closeAll()
 	// A tenant session slot is held from hello to teardown; the release is
 	// deferred here so every exit path — EOF, error, idle drop, drain —
 	// returns it.
 	defer func() {
-		if ts := h.tenant.Load(); ts != nil {
-			ts.sessions.Add(-1)
+		if h.tenant != nil {
+			h.tenant.sessions.Add(-1)
 		}
 	}()
 	for {
@@ -565,59 +487,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 		m := s.met()
 		m.countReq(op)
 		start := time.Now()
-		if isStreamConnOp(op) {
-			tr := s.Tracer.Start(traceID, opName(op))
-			ok := streams.handle(op, seq, traceID, payload)
-			s.Tracer.Finish(tr)
-			m.reqLat.ObserveSince(start)
-			if !ok {
-				return
-			}
-			continue
-		}
-		if isReadClass(op) {
-			// Read-class requests bypass the dedup window entirely (they are
-			// idempotent by nature, so a replay may simply re-execute) and,
-			// pool capacity permitting, run out of band on the pool of the
-			// shard they address.
-			var pool chan struct{}
-			if pools != nil {
-				pool = pools[s.readShard(op, payload)]
-			}
-			if pool != nil {
-				select {
-				case pool <- struct{}{}:
-					inflight.Add(1)
-					go func(op byte, seq, traceID uint64, payload []byte) {
-						defer inflight.Done()
-						defer func() { <-pool }()
-						tr := s.Tracer.Start(traceID, opName(op))
-						status, resp, body := h.dispatch(tr, op, payload)
-						ok := write(status, seq, traceID, resp, body)
-						s.Tracer.Finish(tr)
-						m.reqLat.ObserveSince(start)
-						if !ok {
-							conn.Close() // wake the read loop
-						}
-					}(op, seq, traceID, payload)
-					continue
-				default:
-					// Pool saturated: degrade to inline execution.
-				}
-			}
-			tr := s.Tracer.Start(traceID, opName(op))
-			status, resp, body := h.dispatch(tr, op, payload)
-			ok := write(status, seq, traceID, resp, body)
-			s.Tracer.Finish(tr)
-			m.reqLat.ObserveSince(start)
-			if !ok {
-				return
-			}
-			continue
-		}
 		tr := s.Tracer.Start(traceID, opName(op))
-		status, resp := h.handle(tr, op, seq, payload)
-		ok := write(status, seq, traceID, resp, nil)
+		var ok bool
+		if opTable[op].connScoped {
+			ok = streams.handle(op, seq, traceID, payload)
+		} else {
+			ok = write(seq, traceID, h.handle(tr, op, seq, payload))
+		}
 		s.Tracer.Finish(tr)
 		m.reqLat.ObserveSince(start)
 		if !ok {
@@ -751,82 +627,104 @@ type connHandler struct {
 	srv  *Server
 	sess *session
 	// tenant is the connection's authenticated tenant binding, nil until a
-	// tenant hello succeeds (and always nil in open mode). Atomic because
-	// pooled read-class workers consult it concurrently with an inline
-	// hello swapping it.
-	tenant atomic.Pointer[tenantState]
+	// tenant hello succeeds (and always nil in open mode). Only the
+	// connection's own goroutine touches it.
+	tenant *tenantState
 }
 
-func errResp(err error) (byte, []byte) {
-	return StatusErr, PutString(nil, err.Error())
+// reply is the one response shape: the status byte, the payload, and — when
+// non-nil — body, the entry-data tail of the payload borrowed straight from
+// the block cache. An unsequenced answer (OpReadAt) goes to the connection
+// with the body uncopied; anything retained past the write (dedup window,
+// replication gate) is flattened first.
+type reply struct {
+	status     byte
+	head, body []byte
 }
 
-// errResp3 is errResp in dispatch's three-value (status, resp, body) shape.
-func errResp3(err error) (byte, []byte, []byte) {
-	return StatusErr, PutString(nil, err.Error()), nil
-}
+func okReply(head []byte) reply { return reply{status: StatusOK, head: head} }
 
-// flattenResp folds a borrowed body into one retained payload; a nil body
-// returns resp unchanged.
-func flattenResp(resp, body []byte) []byte {
-	if body == nil {
-		return resp
+// errReply renders a failure; a quota refusal carries its own status.
+func errReply(err error) reply {
+	status := byte(StatusErr)
+	if _, ok := err.(*quotaError); ok {
+		status = StatusQuotaExceeded
 	}
-	return append(resp, body...)
+	return reply{status: status, head: PutString(nil, err.Error())}
 }
 
-// handle processes one request frame. Requests with seq > 0 pass through
-// the session's duplicate-suppression window: a seq already processed
-// returns its original cached response without re-executing, which is what
-// makes client retry/replay idempotent for every operation (a replayed
-// OpAppend does not write twice; a replayed OpNext does not advance twice).
-func (h *connHandler) handle(tr *obs.Trace, op byte, seq uint64, payload []byte) (byte, []byte) {
+// result answers with head unless err is set.
+func result(head []byte, err error) reply {
+	if err != nil {
+		return errReply(err)
+	}
+	return okReply(head)
+}
+
+// appendReply maps an append result to a response, surfacing degraded
+// completion (the write went through around damaged blocks) as its own
+// status so clients can distinguish it from failure.
+func appendReply(ts int64, err error) reply {
+	if core.IsDegraded(err) {
+		return reply{status: StatusDegraded, head: wire.PutUint64(nil, uint64(ts))}
+	}
+	return result(wire.PutUint64(nil, uint64(ts)), err)
+}
+
+// flatten folds a borrowed body into one retained payload.
+func (rep reply) flatten() reply {
+	if rep.body != nil {
+		rep.head, rep.body = append(rep.head, rep.body...), nil
+	}
+	return rep
+}
+
+// handle processes one request frame. Sequenced requests (seq > 0, op not
+// unsequenced) pass through the session's duplicate-suppression window: a
+// seq already processed returns its original cached response without
+// re-executing, which is what makes client retry/replay idempotent for every
+// operation (a replayed OpAppend does not write twice; a replayed OpNext does
+// not advance twice).
+func (h *connHandler) handle(tr *obs.Trace, op byte, seq uint64, payload []byte) reply {
 	if op == OpHello {
 		return h.hello(payload)
 	}
-	if seq == 0 {
-		if pg := h.srv.PreGate; pg != nil && IsMutating(op) {
-			if status, resp, reject := pg(op); reject {
-				return status, resp
-			}
+	info := &opTable[op]
+	sequenced := seq > 0 && !info.unsequenced
+	if sequenced {
+		h.sess.exec.Lock()
+		defer h.sess.exec.Unlock()
+		if resp, seen, stale := h.sess.lookup(seq); seen {
+			h.srv.met().dedupHits.Inc()
+			return reply{status: resp.status, head: resp.payload}
+		} else if stale {
+			return errReply(fmt.Errorf("server: request %d outside duplicate-suppression window", seq))
 		}
-		status, resp, body := h.dispatch(tr, op, payload)
-		resp = flattenResp(resp, body)
-		if g := h.srv.Gate; g != nil && IsMutating(op) {
-			status, resp, _ = g(op, h.sess.id, 0, status, resp)
-		}
-		return status, resp
 	}
-	h.sess.exec.Lock()
-	defer h.sess.exec.Unlock()
-	if resp, seen, stale := h.sess.lookup(seq); seen {
-		h.srv.met().dedupHits.Inc()
-		return resp.status, resp.payload
-	} else if stale {
-		return errResp(fmt.Errorf("server: request %d outside duplicate-suppression window", seq))
-	}
-	if pg := h.srv.PreGate; pg != nil && IsMutating(op) {
+	if pg := h.srv.PreGate; pg != nil && info.mutating {
 		if status, resp, reject := pg(op); reject {
 			// Refused without executing and without recording: the client's
 			// retry re-attempts the mutation once quorum is back.
-			return status, resp
+			return reply{status: status, head: resp}
 		}
 	}
-	status, resp, body := h.dispatch(tr, op, payload)
-	// Sequenced responses outlive the request (dedup window, Gate), so a
-	// borrowed body is folded into one retained payload here; only the
-	// read-class path (OpReadAt) ships a borrowed body without copying.
-	resp = flattenResp(resp, body)
-	record := true
-	if g := h.srv.Gate; g != nil && IsMutating(op) {
+	rep := h.dispatch(tr, op, payload)
+	if info.unsequenced {
+		return rep
+	}
+	// The response outlives the request (dedup window, Gate).
+	rep = rep.flatten()
+	if g := h.srv.Gate; g != nil && info.mutating {
 		// The gate may hold the response for quorum, rewrite it on quorum
 		// failure, and veto caching so the client's replay re-executes.
-		status, resp, record = g(op, h.sess.id, seq, status, resp)
+		var record bool
+		rep.status, rep.head, record = g(op, h.sess.id, seq, rep.status, rep.head)
+		sequenced = sequenced && record
 	}
-	if record {
-		h.sess.record(seq, status, resp)
+	if sequenced {
+		h.sess.record(seq, rep.status, rep.head)
 	}
-	return status, resp
+	return rep
 }
 
 // hello attaches the connection to the shared session named in the payload
@@ -835,33 +733,23 @@ func (h *connHandler) handle(tr *obs.Trace, op byte, seq uint64, payload []byte)
 // payload's extended form (wire.Hello) must carry valid tenant credentials;
 // the session is then owned by that tenant, and a replayed session id
 // cannot be adopted by a different tenant.
-func (h *connHandler) hello(payload []byte) (byte, []byte) {
+func (h *connHandler) hello(payload []byte) reply {
 	req, err := wire.DecodeHello(payload)
 	if err != nil {
-		return errResp(err)
+		return errReply(err)
 	}
 	ts, err := h.srv.bindTenant(req.Tenant, req.Token)
 	if err != nil {
-		if qe, ok := err.(*quotaError); ok {
-			return quotaResp(qe)
-		}
-		return errResp(err)
+		return errReply(err)
 	}
-	if prev := h.tenant.Swap(ts); prev != nil {
+	if h.tenant != nil {
 		// A re-hello on the same connection releases the slot the previous
 		// binding held (bindTenant took a fresh one above).
-		prev.sessions.Add(-1)
+		h.tenant.sessions.Add(-1)
 	}
-	id := req.Session
-	if id != 0 {
-		s := h.srv
-		s.mu.Lock()
-		sess, ok := s.sessions[id]
-		if !ok {
-			sess = newSession(id)
-			s.sessions[id] = sess
-		}
-		s.mu.Unlock()
+	h.tenant = ts
+	if id := req.Session; id != 0 {
+		sess := h.srv.session(id)
 		if ts != nil {
 			sess.mu.Lock()
 			switch sess.tenant {
@@ -870,7 +758,7 @@ func (h *connHandler) hello(payload []byte) (byte, []byte) {
 			case ts.name:
 			default:
 				sess.mu.Unlock()
-				return errResp(fmt.Errorf("server: session %d belongs to another tenant", id))
+				return errReply(fmt.Errorf("server: session %d belongs to another tenant", id))
 			}
 			sess.mu.Unlock()
 		}
@@ -880,107 +768,82 @@ func (h *connHandler) hello(payload []byte) (byte, []byte) {
 	h.sess.mu.Lock()
 	out = wire.PutUint64(out, h.sess.maxSeq)
 	h.sess.mu.Unlock()
-	return StatusOK, out
+	return okReply(out)
 }
 
-// decodeID consumes a uvarint store-wide log-file id.
-func decodeID(d *Decoder) (logapi.ID, error) {
-	v, err := d.Uvarint()
+// readID consumes a uvarint store-wide log-file id.
+func readID(r *wire.Reader) logapi.ID {
+	return logapi.ID(r.Bounded(math.MaxUint32, "log id out of range"))
+}
+
+// dispatch executes one request. On a multi-tenant server the request first
+// passes the tenant gate — namespace scoping and quota reservation — and the
+// reservation is settled against the outcome afterwards. In open mode the
+// gate is a single atomic load.
+func (h *connHandler) dispatch(tr *obs.Trace, op byte, payload []byte) reply {
+	ts, reserved, err := h.tenantGate(op, payload)
 	if err != nil {
-		return 0, err
+		if qe, ok := err.(*quotaError); ok {
+			ts.countQuota(qe.quota)
+		}
+		return errReply(err)
 	}
-	if v > uint64(^uint32(0)) {
-		return 0, fmt.Errorf("server: id %d out of range", v)
-	}
-	return logapi.ID(v), nil
+	rep := h.dispatchOp(tr, op, payload)
+	settleTenant(ts, opTable[op].settles, reserved, rep.status)
+	return rep
 }
 
-// dispatch executes one request and returns (status, resp, body). body,
-// when non-nil, is the entry-data tail of the response, borrowed straight
-// from the block cache: the read-class path writes it to the connection
-// without copying, while sequenced paths (which must retain the response for
-// the dedup window and the replication gate) flatten it first.
-//
-// On a multi-tenant server the request first passes the tenant gate —
-// namespace scoping and quota reservation — and the reservation is settled
-// against the outcome afterwards. In open mode the gate is a single atomic
-// load.
-func (h *connHandler) dispatch(tr *obs.Trace, op byte, payload []byte) (byte, []byte, []byte) {
-	ts, reserved, status, resp, proceed := h.tenantGate(op, payload)
-	if !proceed {
-		return status, resp, nil
-	}
-	status, resp, body := h.dispatchOp(tr, op, payload)
-	settleTenant(ts, op, reserved, status)
-	return status, resp, body
-}
-
-// dispatchOp is the op switch behind the tenant gate.
-func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, []byte, []byte) {
+// dispatchOp is the op switch behind the tenant gate: each arm reads its
+// fields, leaves the switch if the payload was malformed (one answer for all,
+// at the bottom), and otherwise runs the op.
+func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) reply {
 	defer tr.Span("server.dispatch")()
 	store := h.srv.store
 	// Requests are uninterruptible once read off the wire — a dropped
 	// connection must not cancel a mutation the dedup window will answer
 	// for on replay — so dispatch runs under a background context.
 	ctx := context.Background()
-	d := NewDecoder(payload)
+	r := newReader(payload)
 	switch op {
 	case OpPing:
-		return StatusOK, nil, nil
+		return okReply(nil)
 
 	case OpCreate:
-		path, err := d.String()
-		if err != nil {
-			return errResp3(err)
-		}
-		perms, err := d.Uint16()
-		if err != nil {
-			return errResp3(err)
-		}
-		owner, err := d.String()
-		if err != nil {
-			return errResp3(err)
+		path, perms, owner := r.String(), r.Uint16(), r.String()
+		if r.Err() != nil {
+			break
 		}
 		id, err := store.CreateLog(ctx, path, perms, owner)
-		if err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, wire.PutUvarint(nil, uint64(id)), nil
+		return result(wire.PutUvarint(nil, uint64(id)), err)
 
 	case OpResolve:
-		path, err := d.String()
-		if err != nil {
-			return errResp3(err)
+		path := r.String()
+		if r.Err() != nil {
+			break
 		}
 		id, err := store.Resolve(ctx, path)
-		if err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, wire.PutUvarint(nil, uint64(id)), nil
+		return result(wire.PutUvarint(nil, uint64(id)), err)
 
 	case OpList:
-		path, err := d.String()
-		if err != nil {
-			return errResp3(err)
+		path := r.String()
+		if r.Err() != nil {
+			break
 		}
 		names, err := store.List(ctx, path)
-		if err != nil {
-			return errResp3(err)
-		}
 		out := wire.PutUvarint(nil, uint64(len(names)))
 		for _, n := range names {
 			out = PutString(out, n)
 		}
-		return StatusOK, out, nil
+		return result(out, err)
 
 	case OpStat:
-		path, err := d.String()
-		if err != nil {
-			return errResp3(err)
+		path := r.String()
+		if r.Err() != nil {
+			break
 		}
 		desc, err := store.Stat(ctx, path)
 		if err != nil {
-			return errResp3(err)
+			return errReply(err)
 		}
 		out := wire.PutUvarint(nil, uint64(desc.ID))
 		out = wire.PutUvarint(out, uint64(desc.Parent))
@@ -995,230 +858,92 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 		if desc.System {
 			flags |= 2
 		}
-		return StatusOK, append(out, flags), nil
+		return okReply(append(out, flags))
 
 	case OpSetPerms:
-		path, err := d.String()
-		if err != nil {
-			return errResp3(err)
+		path, perms := r.String(), r.Uint16()
+		if r.Err() != nil {
+			break
 		}
-		perms, err := d.Uint16()
-		if err != nil {
-			return errResp3(err)
-		}
-		if err := store.SetPerms(ctx, path, perms); err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, nil, nil
+		return result(nil, store.SetPerms(ctx, path, perms))
 
 	case OpRetire:
-		path, err := d.String()
-		if err != nil {
-			return errResp3(err)
+		path := r.String()
+		if r.Err() != nil {
+			break
 		}
-		if err := store.Retire(ctx, path); err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, nil, nil
+		return result(nil, store.Retire(ctx, path))
 
 	case OpAppend:
-		id, err := decodeID(d)
-		if err != nil {
-			return errResp3(err)
+		id, flags, data := readID(r), r.Byte(), r.Bytes()
+		if r.Err() != nil {
+			break
 		}
-		flags, err := d.Byte()
-		if err != nil {
-			return errResp3(err)
-		}
-		data, err := d.Bytes()
-		if err != nil {
-			return errResp3(err)
-		}
-		ts, err := store.Append(ctx, id, data, core.AppendOptions{
-			Timestamped: flags&AppendTimestamped != 0,
-			Forced:      flags&AppendForced != 0,
-			Trace:       tr,
-		})
-		return appendResp3(ts, err)
+		return appendReply(store.Append(ctx, id, data, appendOptions(flags, tr)))
 
 	case OpAppendMulti:
-		nIDs, err := d.Uvarint()
-		if err != nil {
-			return errResp3(err)
-		}
-		if nIDs == 0 || nIDs > 64 {
-			return errResp3(fmt.Errorf("server: bad member count %d", nIDs))
+		nIDs := r.Uvarint()
+		if r.Err() == nil && (nIDs == 0 || nIDs > 64) {
+			return errReply(fmt.Errorf("server: bad member count %d", nIDs))
 		}
 		ids := make([]logapi.ID, nIDs)
 		for i := range ids {
-			if ids[i], err = decodeID(d); err != nil {
-				return errResp3(err)
-			}
+			ids[i] = readID(r)
 		}
-		flags, err := d.Byte()
-		if err != nil {
-			return errResp3(err)
+		flags, data := r.Byte(), r.Bytes()
+		if r.Err() != nil {
+			break
 		}
-		data, err := d.Bytes()
-		if err != nil {
-			return errResp3(err)
-		}
-		ts, err := store.AppendMulti(ctx, ids, data, core.AppendOptions{
-			Timestamped: flags&AppendTimestamped != 0,
-			Forced:      flags&AppendForced != 0,
-			Trace:       tr,
-		})
-		return appendResp3(ts, err)
+		return appendReply(store.AppendMulti(ctx, ids, data, appendOptions(flags, tr)))
 
 	case OpForce:
-		if err := store.Force(ctx); err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, nil, nil
+		return result(nil, store.Force(ctx))
 
 	case OpCursorOpen:
-		path, err := d.String()
-		if err != nil {
-			return errResp3(err)
+		path := r.String()
+		if r.Err() != nil {
+			break
 		}
 		cur, err := store.OpenCursor(ctx, path)
 		if err != nil {
-			return errResp3(err)
+			return errReply(err)
 		}
-		return StatusOK, wire.PutUint32(nil, h.sess.addCursor(cur)), nil
+		return okReply(wire.PutUint32(nil, h.sess.addCursor(cur)))
 
-	case OpNext, OpPrev:
-		cur, err := h.cursor(d)
-		if err != nil {
-			return errResp3(err)
+	case OpNext, OpPrev, OpSeekTime, OpSeekStart, OpSeekEnd, OpSeekPos, OpCursorEnd:
+		// The one place a cursor handle is decoded. Handles are uint32; a
+		// wider value names no cursor (cast down, it used to alias one).
+		handle := r.Bounded(math.MaxUint32, "unknown cursor handle")
+		if r.Err() != nil {
+			break
 		}
-		// The optional second field: OpNext's want, OpPrev's back.
-		var arg uint64
-		hasArg := d.Remaining() > 0
-		if hasArg {
-			if arg, err = d.Uvarint(); err != nil {
-				return errResp3(err)
-			}
+		if op == OpCursorEnd {
+			h.sess.delCursor(handle)
+			return okReply(nil)
 		}
-		defer tr.Span("core.read")()
-		if op == OpNext {
-			return fillEntries(ctx, cur.Next, hasArg, arg, h.srv.met().nextEntries)
+		cur, ok := h.sess.cursor(handle)
+		if !ok {
+			return errReply(fmt.Errorf("server: unknown cursor handle %d", handle))
 		}
-		// Step back over what the client read ahead and never consumed.
-		// They are entries this cursor itself returned — one batch at most
-		// — so running out of log first means the position is gone, not
-		// the beginning reached.
-		if arg > MaxBatchEntries {
-			return errResp3(fmt.Errorf("server: cannot step back %d entries, a batch holds %d", arg, MaxBatchEntries))
-		}
-		for ; arg > 0; arg-- {
-			if _, err := cur.Prev(ctx); err != nil {
-				return errResp3(fmt.Errorf("server: stepping back over read-ahead entries: %w", err))
-			}
-		}
-		return fillEntries(ctx, cur.Prev, false, 0, nil)
-
-	case OpSeekTime:
-		cur, err := h.cursor(d)
-		if err != nil {
-			return errResp3(err)
-		}
-		ts, err := d.Int64()
-		if err != nil {
-			return errResp3(err)
-		}
-		// The optional third field: want, as after OpNext's handle.
-		fused := d.Remaining() > 0
-		var want uint64
-		if fused {
-			if want, err = d.Uvarint(); err != nil {
-				return errResp3(err)
-			}
-		}
-		if err := cur.SeekTime(ctx, ts); err != nil {
-			return errResp3(err)
-		}
-		if !fused {
-			return StatusOK, nil, nil
-		}
-		// The seek stands whatever the read-ahead finds. The end of the log
-		// and an error are for the Next that runs into them to report, so
-		// either is answered as the bare seek is: nothing to buffer. A step
-		// that failed passed no entry, so the cursor is still in the gap
-		// the seek chose.
-		defer tr.Span("core.read")()
-		status, head, data := fillEntries(ctx, cur.Next, true, want, h.srv.met().seekEntries)
-		if status != StatusOK {
-			return StatusOK, nil, nil
-		}
-		return status, head, data
-
-	case OpSeekStart, OpSeekEnd:
-		cur, err := h.cursor(d)
-		if err != nil {
-			return errResp3(err)
-		}
-		if op == OpSeekStart {
-			err = cur.SeekStart(ctx)
-		} else {
-			err = cur.SeekEnd(ctx)
-		}
-		if err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, nil, nil
-
-	case OpSeekPos:
-		cur, err := h.cursor(d)
-		if err != nil {
-			return errResp3(err)
-		}
-		block, err := d.Uvarint()
-		if err != nil {
-			return errResp3(err)
-		}
-		rec, err := d.Uvarint()
-		if err != nil {
-			return errResp3(err)
-		}
-		if err := cur.SeekPos(ctx, int(block), int(rec)); err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, nil, nil
-
-	case OpCursorEnd:
-		handle, err := d.Uvarint()
-		if err != nil {
-			return errResp3(err)
-		}
-		h.sess.delCursor(uint32(handle))
-		return StatusOK, nil, nil
+		return cursorOp(ctx, tr, op, cur, r, h.srv.met())
 
 	case OpReadAt:
-		shardN, err := d.Uvarint()
-		if err != nil {
-			return errResp3(err)
-		}
-		block, err := d.Uvarint()
-		if err != nil {
-			return errResp3(err)
-		}
-		index, err := d.Uvarint()
-		if err != nil {
-			return errResp3(err)
+		shardN, block, index := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
+			break
 		}
 		readDone := tr.Span("core.read")
 		e, err := store.ReadAt(ctx, int(shardN), int(block), int(index))
 		readDone()
+		if err == nil {
+			// Position-addressed reads are attributed after the fact: the
+			// entry's primary log id names the owning namespace.
+			err = h.tenantEntry(e.Shard, e.LogID)
+		}
 		if err != nil {
-			return errResp3(err)
+			return errReply(err)
 		}
-		// Position-addressed reads are attributed after the fact: the
-		// entry's primary log id names the owning namespace.
-		if err := h.tenantEntry(e.Shard, e.LogID); err != nil {
-			return errResp3(err)
-		}
-		return StatusOK, appendEntryHead(nil, e), e.Data
+		return reply{status: StatusOK, head: appendEntryHead(nil, e), body: e.Data}
 
 	case OpStats:
 		st := store.Stats()
@@ -1226,7 +951,7 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 		out = wire.PutUint64(out, uint64(st.BlocksSealed))
 		out = wire.PutUint64(out, uint64(st.ClientBytes))
 		out = wire.PutUint64(out, uint64(store.End()))
-		return StatusOK, out, nil
+		return okReply(out)
 
 	case wire.OpStreamAck, wire.OpStreamRebalance:
 		return h.streamGroupOp(tr, op, payload)
@@ -1234,30 +959,92 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) (byte, 
 	default:
 		if ext := h.srv.ExtOp; ext != nil {
 			if status, resp, handled := ext(op, payload); handled {
-				return status, resp, nil
+				return reply{status: status, head: resp}
 			}
 		}
-		return errResp3(fmt.Errorf("server: unknown op %d", op))
+		return errReply(fmt.Errorf("server: unknown op %d", op))
+	}
+	return errReply(r.Err())
+}
+
+func appendOptions(flags byte, tr *obs.Trace) core.AppendOptions {
+	return core.AppendOptions{
+		Timestamped: flags&AppendTimestamped != 0,
+		Forced:      flags&AppendForced != 0,
+		Trace:       tr,
 	}
 }
 
-// appendResp maps an append result to a response, surfacing degraded
-// completion (the write went through around damaged blocks) as its own
-// status so clients can distinguish it from failure.
-func appendResp(ts int64, err error) (byte, []byte) {
-	if core.IsDegraded(err) {
-		return StatusDegraded, wire.PutUint64(nil, uint64(ts))
-	}
-	if err != nil {
-		return errResp(err)
-	}
-	return StatusOK, wire.PutUint64(nil, uint64(ts))
-}
+// cursorOp runs one cursor request on cur; r stands after the handle.
+func cursorOp(ctx context.Context, tr *obs.Trace, op byte, cur logapi.Cursor, r *wire.Reader, m *serverMetrics) reply {
+	switch op {
+	case OpNext, OpPrev:
+		// The optional second field: OpNext's want, OpPrev's back.
+		hasArg := r.Len() > 0
+		var arg uint64
+		if hasArg {
+			arg = r.Uvarint()
+		}
+		if r.Err() != nil {
+			break
+		}
+		defer tr.Span("core.read")()
+		if op == OpNext {
+			return fillEntries(ctx, cur.Next, hasArg, arg, m.nextEntries)
+		}
+		// Step back over what the client read ahead and never consumed.
+		// They are entries this cursor itself returned — one batch at most
+		// — so running out of log first means the position is gone, not
+		// the beginning reached.
+		if arg > MaxBatchEntries {
+			return errReply(fmt.Errorf("server: cannot step back %d entries, a batch holds %d", arg, MaxBatchEntries))
+		}
+		for ; arg > 0; arg-- {
+			if _, err := cur.Prev(ctx); err != nil {
+				return errReply(fmt.Errorf("server: stepping back over read-ahead entries: %w", err))
+			}
+		}
+		return fillEntries(ctx, cur.Prev, false, 0, nil)
 
-// appendResp3 is appendResp in dispatch's three-value shape.
-func appendResp3(ts int64, err error) (byte, []byte, []byte) {
-	status, resp := appendResp(ts, err)
-	return status, resp, nil
+	case OpSeekTime:
+		ts := r.Int64()
+		// The optional third field: want, as after OpNext's handle.
+		fused := r.Len() > 0
+		var want uint64
+		if fused {
+			want = r.Uvarint()
+		}
+		if r.Err() != nil {
+			break
+		}
+		if err := cur.SeekTime(ctx, ts); err != nil || !fused {
+			return result(nil, err)
+		}
+		// The seek stands whatever the read-ahead finds. The end of the log
+		// and an error are for the Next that runs into them to report, so
+		// either is answered as the bare seek is: nothing to buffer. A step
+		// that failed passed no entry, so the cursor is still in the gap
+		// the seek chose.
+		defer tr.Span("core.read")()
+		if rep := fillEntries(ctx, cur.Next, true, want, m.seekEntries); rep.status == StatusOK {
+			return rep
+		}
+		return okReply(nil)
+
+	case OpSeekStart:
+		return result(nil, cur.SeekStart(ctx))
+
+	case OpSeekEnd:
+		return result(nil, cur.SeekEnd(ctx))
+
+	case OpSeekPos:
+		block, rec := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
+			break
+		}
+		return result(nil, cur.SeekPos(ctx, int(block), int(rec)))
+	}
+	return errReply(r.Err())
 }
 
 // fillEntries is the one loop that reads entries off a cursor for a response.
@@ -1268,7 +1055,7 @@ func appendResp3(ts int64, err error) (byte, []byte, []byte) {
 // EOF and errors are reported only by a call that found nothing before them;
 // a batch just ends there, so neither is ever held in a client's buffer.
 // delivered counts the entries answered.
-func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry, error), batched bool, want uint64, delivered *obs.Counter) (byte, []byte, []byte) {
+func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry, error), batched bool, want uint64, delivered *obs.Counter) reply {
 	limit := 1
 	if batched {
 		limit = int(min(max(want, 1), MaxBatchEntries))
@@ -1283,13 +1070,13 @@ func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry,
 				break
 			}
 			if err == io.EOF {
-				return StatusEOF, nil, nil
+				return reply{status: StatusEOF}
 			}
-			return errResp3(err)
+			return errReply(err)
 		}
 		delivered.Inc()
 		if !batched {
-			return StatusOK, appendEntryHead(nil, e), e.Data
+			return reply{status: StatusOK, head: appendEntryHead(nil, e), body: e.Data}
 		}
 		batch[n] = e
 		n++
@@ -1300,17 +1087,5 @@ func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry,
 	for _, e := range batch[:n] {
 		out = append(appendEntryHead(out, e), e.Data...)
 	}
-	return StatusOK, out, nil
-}
-
-func (h *connHandler) cursor(d *Decoder) (logapi.Cursor, error) {
-	handle, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	cur, ok := h.sess.cursor(uint32(handle))
-	if !ok {
-		return nil, fmt.Errorf("server: unknown cursor handle %d", handle)
-	}
-	return cur, nil
+	return okReply(out)
 }

@@ -206,7 +206,7 @@ func TestDuplicateSuppressionMakesAppendsIdempotent(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("create failed")
 	}
-	id, _ := NewDecoder(resp).Uvarint()
+	id := newReader(resp).Uvarint()
 
 	ap := wire.PutUvarint(nil, id)
 	ap = append(ap, AppendForced)
@@ -215,7 +215,7 @@ func TestDuplicateSuppressionMakesAppendsIdempotent(t *testing.T) {
 	if status != StatusOK {
 		t.Fatalf("append: status %d", status)
 	}
-	ts1, _ := NewDecoder(resp).Int64()
+	ts1 := newReader(resp).Int64()
 
 	// Replaying the exact same request under the same seq must return the
 	// cached response, not execute a second append.
@@ -223,7 +223,7 @@ func TestDuplicateSuppressionMakesAppendsIdempotent(t *testing.T) {
 	if status != StatusOK {
 		t.Fatalf("replay: status %d", status)
 	}
-	ts2, _ := NewDecoder(resp).Int64()
+	ts2 := newReader(resp).Int64()
 	if ts1 != ts2 {
 		t.Fatalf("replay returned ts %d, original %d", ts2, ts1)
 	}
@@ -231,7 +231,7 @@ func TestDuplicateSuppressionMakesAppendsIdempotent(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("stats failed")
 	}
-	entries, _ := NewDecoder(resp).Int64()
+	entries := newReader(resp).Int64()
 	if entries != 1 {
 		t.Fatalf("server holds %d entries after replay, want 1", entries)
 	}
@@ -249,7 +249,7 @@ func TestDuplicateSuppressionCoversCursorAdvance(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("resolve failed")
 	}
-	id, _ := NewDecoder(resp).Uvarint()
+	id := newReader(resp).Uvarint()
 	for i, payload := range []string{"a", "b"} {
 		ap := wire.PutUvarint(nil, id)
 		ap = append(ap, AppendForced)
@@ -296,7 +296,7 @@ func cursorFixture(t *testing.T, conn net.Conn, n int, pad string) []byte {
 	if status != StatusOK {
 		t.Fatal("create failed")
 	}
-	id, _ := NewDecoder(resp).Uvarint()
+	id := newReader(resp).Uvarint()
 	for i := 0; i < n; i++ {
 		ap := wire.PutUvarint(nil, id)
 		ap = append(ap, AppendTimestamped) // one effective timestamp each: seek targets
@@ -316,7 +316,7 @@ func cursorFixture(t *testing.T, conn net.Conn, n int, pad string) []byte {
 // batchData decodes a batched OpNext response into its entries' data.
 func batchData(t *testing.T, resp []byte) []string {
 	t.Helper()
-	entries, err := DecodeEntryBatch(nil, NewDecoder(resp))
+	entries, err := DecodeEntryBatch(nil, newReader(resp))
 	if err != nil {
 		t.Fatalf("decode batch: %v", err)
 	}
@@ -449,7 +449,7 @@ func TestFusedSeekTime(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("resolve failed")
 	}
-	id, _ := NewDecoder(resp).Uvarint()
+	id := newReader(resp).Uvarint()
 	if status, _ := roundTrip(t, conn, OpAppend, PutBytes(append(wire.PutUvarint(nil, id), AppendForced), []byte("late"))); status != StatusOK {
 		t.Fatal("append failed")
 	}
@@ -488,12 +488,12 @@ func TestFillEntriesStepFailure(t *testing.T) {
 		if failure == io.EOF {
 			wantStatus = StatusEOF
 		}
-		if status, _, _ := fillEntries(context.Background(), steps(0, failure), true, 4, nil); status != wantStatus {
-			t.Errorf("%v before any entry: status %d, want %d", failure, status, wantStatus)
+		if rep := fillEntries(context.Background(), steps(0, failure), true, 4, nil); rep.status != wantStatus {
+			t.Errorf("%v before any entry: status %d, want %d", failure, rep.status, wantStatus)
 		}
-		status, out, _ := fillEntries(context.Background(), steps(2, failure), true, 4, nil)
-		if got := batchData(t, out); status != StatusOK || len(got) != 2 {
-			t.Errorf("%v after two entries: status %d, %d entries; want a batch of 2", failure, status, len(got))
+		rep := fillEntries(context.Background(), steps(2, failure), true, 4, nil)
+		if got := batchData(t, rep.head); rep.status != StatusOK || len(got) != 2 {
+			t.Errorf("%v after two entries: status %d, %d entries; want a batch of 2", failure, rep.status, len(got))
 		}
 	}
 }
@@ -648,22 +648,11 @@ func TestDedupWindowByteBudget(t *testing.T) {
 
 func decodeEntryData(t *testing.T, resp []byte) string {
 	t.Helper()
-	d := NewDecoder(resp)
-	d.Uint16()  // log id
-	d.Int64()   // ts
-	d.Byte()    // flags
-	d.Uvarint() // shard
-	d.Uvarint() // block
-	d.Uvarint() // index
-	n, _ := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
-		d.Uint16()
-	}
-	data, err := d.Bytes()
+	e, err := DecodeEntry(newReader(resp))
 	if err != nil {
 		t.Fatalf("decode entry: %v", err)
 	}
-	return string(data)
+	return string(e.Data)
 }
 
 func TestHelloReportsEpochAndSessionSurvivesReconnect(t *testing.T) {
@@ -673,12 +662,12 @@ func TestHelloReportsEpochAndSessionSurvivesReconnect(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("hello failed")
 	}
-	d := NewDecoder(resp)
-	epoch, _ := d.Int64()
-	if uint64(epoch) != srv.Epoch() {
+	d := newReader(resp)
+	epoch := d.Uint64()
+	if epoch != srv.Epoch() {
 		t.Fatalf("hello epoch %d, server epoch %d", epoch, srv.Epoch())
 	}
-	maxSeq, _ := d.Int64()
+	maxSeq := d.Uint64()
 	if maxSeq != 0 {
 		t.Fatalf("fresh session maxSeq = %d", maxSeq)
 	}
@@ -697,9 +686,9 @@ func TestHelloReportsEpochAndSessionSurvivesReconnect(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("hello on second conn failed")
 	}
-	d = NewDecoder(resp)
-	d.Int64()
-	maxSeq, _ = d.Int64()
+	d = newReader(resp)
+	d.Uint64()
+	maxSeq = d.Uint64()
 	if maxSeq != 7 {
 		t.Fatalf("session maxSeq after reconnect = %d, want 7", maxSeq)
 	}
@@ -725,7 +714,7 @@ func TestDegradedAppendStatus(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("create failed")
 	}
-	id, _ := NewDecoder(resp).Uvarint()
+	id := newReader(resp).Uvarint()
 	// Damage the next unwritten block: the append completes degraded.
 	if err := dev.Damage(dev.Written(), nil); err != nil {
 		t.Fatal(err)
@@ -737,7 +726,7 @@ func TestDegradedAppendStatus(t *testing.T) {
 	if status != StatusDegraded {
 		t.Fatalf("append over damaged block: status %d, want StatusDegraded", status)
 	}
-	if ts, _ := NewDecoder(resp).Int64(); ts == 0 {
+	if ts := newReader(resp).Int64(); ts == 0 {
 		t.Fatal("degraded append carried no timestamp")
 	}
 }

@@ -35,8 +35,8 @@ type connStreams struct {
 	h *connHandler
 	// write is the connection's serialized frame writer (ServeConn's
 	// closure); kill closes the connection to wake its read loop after a
-	// write failure, mirroring the read-class worker path.
-	write func(status byte, seq, trace uint64, resp, body []byte) bool
+	// pusher's write failed.
+	write func(seq, trace uint64, rep reply) bool
 	kill  func()
 	wg    *sync.WaitGroup
 
@@ -59,72 +59,77 @@ type connSub struct {
 	wake   chan struct{}
 }
 
-func newConnStreams(srv *Server, h *connHandler, write func(byte, uint64, uint64, []byte, []byte) bool, kill func(), wg *sync.WaitGroup) *connStreams {
+func newConnStreams(srv *Server, h *connHandler, write func(uint64, uint64, reply) bool, kill func(), wg *sync.WaitGroup) *connStreams {
 	return &connStreams{srv: srv, h: h, write: write, kill: kill, wg: wg, subs: make(map[uint32]*connSub)}
 }
 
 // handle processes one streaming control frame inline in the read loop; the
-// return value mirrors write's (false ends the connection).
+// return value mirrors write's (false ends the connection). A new
+// subscription's pusher starts only after the subscribe response is written,
+// so its first deliver cannot overtake the response onto the wire.
 func (cs *connStreams) handle(op byte, seq, traceID uint64, payload []byte) bool {
+	rep, started := cs.control(op, payload)
+	ok := cs.write(seq, traceID, rep)
+	if started != nil {
+		cs.wg.Add(1)
+		go cs.push(started)
+	}
+	return ok
+}
+
+// control executes one streaming control op; started is the subscription a
+// subscribe registered, whose pusher the caller owes.
+func (cs *connStreams) control(op byte, payload []byte) (rep reply, started *connSub) {
 	switch op {
 	case wire.OpStreamSubscribe:
 		req, err := wire.DecodeStreamSubscribe(payload)
 		if err != nil {
-			status, resp := errResp(err)
-			return cs.write(status, seq, traceID, resp, nil)
+			return errReply(err), nil
 		}
-		id, err := cs.subscribe(req)
+		c, err := cs.subscribe(req)
 		if err != nil {
-			status, resp := errResp(err)
-			return cs.write(status, seq, traceID, resp, nil)
+			return errReply(err), nil
 		}
-		return cs.write(StatusOK, seq, traceID, wire.PutUint32(nil, id), nil)
+		return okReply(wire.PutUint32(nil, c.id)), c
 
 	case wire.OpStreamCredit:
 		req, err := wire.DecodeStreamCredit(payload)
 		if err != nil {
-			status, resp := errResp(err)
-			return cs.write(status, seq, traceID, resp, nil)
+			return errReply(err), nil
 		}
 		cs.mu.Lock()
 		c := cs.subs[req.SubID]
 		cs.mu.Unlock()
 		if c == nil {
-			status, resp := errResp(fmt.Errorf("server: unknown subscription %d", req.SubID))
-			return cs.write(status, seq, traceID, resp, nil)
+			return errReply(fmt.Errorf("server: unknown subscription %d", req.SubID)), nil
 		}
 		c.grant(int64(req.Credit))
-		return cs.write(StatusOK, seq, traceID, nil, nil)
+		return okReply(nil), nil
 
 	case wire.OpStreamUnsubscribe:
 		req, err := wire.DecodeStreamUnsubscribe(payload)
 		if err != nil {
-			status, resp := errResp(err)
-			return cs.write(status, seq, traceID, resp, nil)
+			return errReply(err), nil
 		}
 		cs.remove(req.SubID)
-		return cs.write(StatusOK, seq, traceID, nil, nil)
+		return okReply(nil), nil
 	}
-	status, resp := errResp(fmt.Errorf("server: stream op %#x is not connection-scoped", op))
-	return cs.write(status, seq, traceID, resp, nil)
+	return errReply(fmt.Errorf("server: stream op %#x is not connection-scoped", op)), nil
 }
 
-// subscribe opens the store-side subscription, registers it and starts its
-// pusher. The subscribe response is written by the caller before the pusher
-// can race it onto the wire only because handle runs inline in the read
-// loop — the pusher is started here but its first write contends on the same
-// write mutex after the response.
-func (cs *connStreams) subscribe(req *wire.StreamSubscribe) (uint32, error) {
+// subscribe opens the store-side subscription and registers it; the caller
+// starts its pusher.
+func (cs *connStreams) subscribe(req *wire.StreamSubscribe) (*connSub, error) {
 	if cs.srv.tenanted() {
-		ts := cs.h.tenant.Load()
+		ts := cs.h.tenant
 		if ts == nil {
-			return 0, fmt.Errorf("server: authentication required")
+			return nil, fmt.Errorf("server: authentication required")
 		}
 		if m := ts.met.Load(); m != nil {
 			m.requests.Inc()
 		}
 		if err := ts.allowsPath(req.Path); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	opts := logapi.WatchOptions{
@@ -136,7 +141,7 @@ func (cs *connStreams) subscribe(req *wire.StreamSubscribe) (uint32, error) {
 	}
 	sub, err := cs.srv.store.Watch(context.Background(), req.Path, opts)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &connSub{sub: sub, ctx: ctx, cancel: cancel, wake: make(chan struct{}, 1)}
@@ -146,19 +151,16 @@ func (cs *connStreams) subscribe(req *wire.StreamSubscribe) (uint32, error) {
 	}
 	c.credit.Store(credit)
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	if cs.closed {
-		cs.mu.Unlock()
 		cancel()
 		sub.Close()
-		return 0, fmt.Errorf("server: connection closing")
+		return nil, fmt.Errorf("server: connection closing")
 	}
 	cs.next++
 	c.id = cs.next
 	cs.subs[c.id] = c
-	cs.mu.Unlock()
-	cs.wg.Add(1)
-	go cs.push(c)
-	return c.id, nil
+	return c, nil
 }
 
 // push is the per-subscription pusher: wait for credit, receive from the
@@ -183,7 +185,7 @@ func (cs *connStreams) push(c *connSub) {
 			// The subscription ended underneath (service closed, media
 			// loss): tell the client, then retire the registration.
 			end := wire.StreamEnd{SubID: c.id, Msg: err.Error()}
-			cs.write(wire.OpStreamEnd, uint64(c.id), 0, end.Encode(nil), nil)
+			cs.write(uint64(c.id), 0, reply{status: wire.OpStreamEnd, head: end.Encode(nil)})
 			cs.remove(c.id)
 			return
 		}
@@ -203,7 +205,7 @@ func (cs *connStreams) push(c *connSub) {
 		if e.Forced {
 			d.Flags |= EntryForced
 		}
-		if !cs.write(wire.OpStreamDeliver, uint64(c.id), 0, d.EncodeHead(nil), e.Data) {
+		if !cs.write(uint64(c.id), 0, reply{status: wire.OpStreamDeliver, head: d.EncodeHead(nil), body: e.Data}) {
 			cs.kill() // wake the read loop; teardown closes the subscription
 			return
 		}
@@ -259,7 +261,7 @@ func (cs *connStreams) endAll(msg string) {
 	for _, c := range subs {
 		c.cancel()
 		end := wire.StreamEnd{SubID: c.id, Msg: msg}
-		cs.write(wire.OpStreamEnd, uint64(c.id), 0, end.Encode(nil), nil)
+		cs.write(uint64(c.id), 0, reply{status: wire.OpStreamEnd, head: end.Encode(nil)})
 		c.sub.Close()
 	}
 }
@@ -279,18 +281,6 @@ func (cs *connStreams) closeAll() {
 		c.cancel()
 		c.sub.Close()
 	}
-}
-
-// isStreamConnOp reports whether op is a connection-scoped streaming control
-// op, handled by the connection's registry rather than dispatch. The group
-// ops (OpStreamAck, OpStreamRebalance) are ordinary sequenced mutations and
-// go through handle/dispatch like any append.
-func isStreamConnOp(op byte) bool {
-	switch op {
-	case wire.OpStreamSubscribe, wire.OpStreamCredit, wire.OpStreamUnsubscribe:
-		return true
-	}
-	return false
 }
 
 // groupLog resolves — creating on first use — the offsets log for a group.
@@ -314,44 +304,42 @@ func (s *Server) groupLog(ctx context.Context, group string) (logapi.ID, error) 
 // streamGroupOp executes OpStreamAck / OpStreamRebalance: append one group
 // record to the group's offsets log, forced (an ack must not be lost with
 // the tail) and timestamped (the record order is the audit order).
-func (h *connHandler) streamGroupOp(tr *obs.Trace, op byte, payload []byte) (byte, []byte, []byte) {
+func (h *connHandler) streamGroupOp(tr *obs.Trace, op byte, payload []byte) reply {
 	gop, err := wire.DecodeStreamGroupOp(payload)
 	if err != nil {
-		return errResp3(err)
+		return errReply(err)
 	}
 	// Tenant sessions must scope their groups "<tenant>.<group>": the
 	// group's offsets log lives in the shared /.offsets namespace, and the
 	// prefix is what allowsPath admits there.
 	if h.srv.tenanted() {
-		ts := h.tenant.Load()
-		if ts == nil {
-			return errResp3(fmt.Errorf("server: authentication required"))
+		if h.tenant == nil {
+			return errReply(fmt.Errorf("server: authentication required"))
 		}
-		if err := ts.allowsGroup(gop.Group); err != nil {
-			return errResp3(err)
+		if err := h.tenant.allowsGroup(gop.Group); err != nil {
+			return errReply(err)
 		}
 	}
 	switch op {
 	case wire.OpStreamAck:
 		if gop.Rec.Kind != wire.GroupAck && gop.Rec.Kind != wire.GroupHeartbeat {
-			return errResp3(fmt.Errorf("server: kind %d is not an ack record", gop.Rec.Kind))
+			return errReply(fmt.Errorf("server: kind %d is not an ack record", gop.Rec.Kind))
 		}
 	case wire.OpStreamRebalance:
 		switch gop.Rec.Kind {
 		case wire.GroupJoin, wire.GroupLeave, wire.GroupClaim, wire.GroupRelease:
 		default:
-			return errResp3(fmt.Errorf("server: kind %d is not a rebalance record", gop.Rec.Kind))
+			return errReply(fmt.Errorf("server: kind %d is not a rebalance record", gop.Rec.Kind))
 		}
 	}
 	ctx := context.Background()
 	id, err := h.srv.groupLog(ctx, gop.Group)
 	if err != nil {
-		return errResp3(err)
+		return errReply(err)
 	}
-	ts, err := h.srv.store.Append(ctx, id, gop.Rec.Encode(nil), core.AppendOptions{
+	return appendReply(h.srv.store.Append(ctx, id, gop.Rec.Encode(nil), core.AppendOptions{
 		Timestamped: true,
 		Forced:      true,
 		Trace:       tr,
-	})
-	return appendResp3(ts, err)
+	}))
 }

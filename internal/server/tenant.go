@@ -66,8 +66,8 @@ type tenantMetrics struct {
 	quota    map[string]*obs.Counter // keyed by quota name: logs, bytes, sessions
 }
 
-// quotaError names the tenant and quota a refused request ran into; the
-// dispatch layer renders it as StatusQuotaExceeded.
+// quotaError names the tenant and quota a refused request ran into; errReply
+// renders it as StatusQuotaExceeded.
 type quotaError struct {
 	tenant string
 	quota  string
@@ -75,11 +75,6 @@ type quotaError struct {
 
 func (e *quotaError) Error() string {
 	return fmt.Sprintf("tenant %s over %s quota", e.tenant, e.quota)
-}
-
-// quotaResp renders a quota refusal in the wire's status+payload shape.
-func quotaResp(e *quotaError) (byte, []byte) {
-	return StatusQuotaExceeded, PutString(nil, e.Error())
 }
 
 // SetTenants installs (or on SIGHUP, replaces) the tenant table. States are
@@ -248,115 +243,83 @@ func (ts *tenantState) allowsGroup(group string) error {
 }
 
 // tenantGate enforces namespace and quota policy for one request before it
-// executes. proceed=false carries a ready refusal in status/resp. A non-zero
-// reserved means the gate took that many bytes (or, for OpCreate, one log
-// slot) out of the tenant's quota headroom in advance; dispatch settles the
-// reservation against the op's outcome (settleTenant), so two racing appends
-// cannot both squeeze through the last of a byte budget.
+// executes; an error is the refusal. What it checks is the op's scope in
+// opTable. A non-zero reserved means the gate took that much — the data
+// length in bytes, or one log slot — out of the tenant's quota headroom in
+// advance; dispatch settles the reservation against the op's outcome
+// (settleTenant), so two racing appends cannot both squeeze through the last
+// of a byte budget.
 //
 // Replication control ops (the 0x40 range) pass untouched: they carry no
 // tenant path semantics and arrive from cluster peers, not tenant sessions.
-func (h *connHandler) tenantGate(op byte, payload []byte) (ts *tenantState, reserved int64, status byte, resp []byte, proceed bool) {
-	if !h.srv.tenanted() {
-		return nil, 0, 0, nil, true
+func (h *connHandler) tenantGate(op byte, payload []byte) (ts *tenantState, reserved int64, err error) {
+	if !h.srv.tenanted() || op >= 0x40 && op < 0x60 {
+		return nil, 0, nil
 	}
-	if op >= 0x40 && op < 0x60 {
-		return nil, 0, 0, nil, true
-	}
-	ts = h.tenant.Load()
-	if ts == nil {
-		if op == OpPing {
-			return nil, 0, 0, nil, true
+	info := &opTable[op]
+	if ts = h.tenant; ts == nil {
+		if info.preAuth {
+			return nil, 0, nil
 		}
-		status, resp = errResp(fmt.Errorf("server: authentication required"))
-		return nil, 0, status, resp, false
+		return nil, 0, fmt.Errorf("server: authentication required")
 	}
 	if m := ts.met.Load(); m != nil {
 		m.requests.Inc()
 	}
-	refuse := func(err error) (*tenantState, int64, byte, []byte, bool) {
-		if qe, ok := err.(*quotaError); ok {
-			ts.countQuota(qe.quota)
-			status, resp = quotaResp(qe)
-		} else {
-			status, resp = errResp(err)
-		}
-		return ts, 0, status, resp, false
-	}
-	// gateAppend finishes both append shapes once the ids are in hand: the
-	// flag byte and data length remain on d, then ownership and byte budget.
-	gateAppend := func(d *Decoder, ids []uint64) (int64, error) {
-		if _, err := d.Byte(); err != nil {
-			return 0, err
-		}
-		n, err := d.Uvarint()
-		if err != nil {
-			return 0, err
-		}
-		if err := h.checkIDs(ts, ids); err != nil {
-			return 0, err
-		}
-		if err := ts.reserveBytes(int64(n)); err != nil {
-			return 0, err
-		}
-		return int64(n), nil
-	}
-	d := NewDecoder(payload)
-	switch op {
-	case OpCreate, OpResolve, OpList, OpStat, OpSetPerms, OpRetire, OpCursorOpen:
-		path, err := d.String()
-		if err != nil {
-			return refuse(err)
+	r := newReader(payload)
+	switch info.scope {
+	case scopePath:
+		path := r.String()
+		if r.Err() != nil {
+			return ts, 0, r.Err()
 		}
 		if err := ts.allowsPath(path); err != nil {
-			return refuse(err)
+			return ts, 0, err
 		}
-		if op == OpCreate {
-			if seg, _ := shard.RootSegment(path); seg == ts.name {
-				if err := ts.reserveLog(); err != nil {
-					return refuse(err)
-				}
-				reserved = -1 // one log slot; settled by settleTenant
+		if seg, _ := shard.RootSegment(path); info.settles == settlesLog && seg == ts.name {
+			if err := ts.reserveLog(); err != nil {
+				return ts, 0, err
+			}
+			reserved = 1
+		}
+	case scopeID, scopeIDList:
+		nIDs := uint64(1)
+		if info.scope == scopeIDList {
+			if nIDs = r.Uvarint(); r.Err() != nil || nIDs == 0 || nIDs > 64 {
+				// Malformed; let dispatch produce its canonical error.
+				return ts, 0, nil
 			}
 		}
-	case OpAppend:
-		id, err := d.Uvarint()
-		if err != nil {
-			return refuse(err)
-		}
-		n, err := gateAppend(d, []uint64{id})
-		if err != nil {
-			return refuse(err)
-		}
-		reserved = n
-	case OpAppendMulti:
-		nIDs, err := d.Uvarint()
-		if err != nil || nIDs == 0 || nIDs > 64 {
-			// Malformed; let dispatch produce its canonical error.
-			return ts, 0, 0, nil, true
-		}
-		ids := make([]uint64, nIDs)
+		ids := make([]logapi.ID, nIDs)
 		for i := range ids {
-			if ids[i], err = d.Uvarint(); err != nil {
-				return refuse(err)
-			}
+			ids[i] = readID(r)
 		}
-		n, err := gateAppend(d, ids)
-		if err != nil {
-			return refuse(err)
+		// The append tail: the flag byte, then the data length.
+		r.Byte()
+		size := r.Uvarint()
+		if r.Err() != nil {
+			return ts, 0, r.Err()
 		}
-		reserved = n
+		if size > uint64(r.Len()) {
+			// Longer than the payload can back (and possibly past int64):
+			// dispatch reports it; nothing is reserved for it.
+			return ts, 0, nil
+		}
+		if err := h.checkIDs(ts, ids); err != nil {
+			return ts, 0, err
+		}
+		if err := ts.reserveBytes(int64(size)); err != nil {
+			return ts, 0, err
+		}
+		reserved = int64(size)
 	}
-	return ts, reserved, 0, nil, true
+	return ts, reserved, nil
 }
 
 // checkIDs attributes each store-wide id to its namespace.
-func (h *connHandler) checkIDs(ts *tenantState, ids []uint64) error {
-	for _, v := range ids {
-		if v > uint64(^uint32(0)) {
-			return fmt.Errorf("server: id %d out of range", v)
-		}
-		path, err := h.srv.store.PathOf(logapi.ID(v))
+func (h *connHandler) checkIDs(ts *tenantState, ids []logapi.ID) error {
+	for _, id := range ids {
+		path, err := h.srv.store.PathOf(id)
 		if err != nil {
 			return err
 		}
@@ -399,21 +362,17 @@ func (ts *tenantState) reserveBytes(n int64) error {
 // settleTenant settles a gate reservation against the op's outcome: a
 // failed create returns its log slot, a failed append returns its bytes,
 // and a successful append lands in the bytes-appended counter.
-func settleTenant(ts *tenantState, op byte, reserved int64, status byte) {
+func settleTenant(ts *tenantState, what settles, reserved int64, status byte) {
 	if ts == nil || reserved == 0 {
 		return
 	}
 	ok := status == StatusOK || status == StatusDegraded
-	switch op {
-	case OpCreate:
-		if !ok {
-			ts.logs.Add(-1)
-		}
-	case OpAppend, OpAppendMulti:
-		if !ok {
-			ts.bytes.Add(-reserved)
-			return
-		}
+	switch {
+	case what == settlesLog && !ok:
+		ts.logs.Add(-reserved)
+	case what == settlesBytes && !ok:
+		ts.bytes.Add(-reserved)
+	case what == settlesBytes:
 		if m := ts.met.Load(); m != nil {
 			m.bytes.Add(reserved)
 		}
@@ -425,7 +384,7 @@ func settleTenant(ts *tenantState, op byte, reserved int64, status byte) {
 // extras always share the primary's root segment (members of one entry live
 // on one shard under one root), so the primary id decides.
 func (h *connHandler) tenantEntry(shardN int, logID16 uint16) error {
-	ts := h.tenant.Load()
+	ts := h.tenant
 	if ts == nil || !h.srv.tenanted() {
 		return nil
 	}

@@ -99,7 +99,8 @@ func TestTenantNamespaceIsolation(t *testing.T) {
 	if status != StatusOK {
 		t.Fatal("beta inner create failed")
 	}
-	betaID, err := NewDecoder(resp).Uvarint()
+	r := newReader(resp)
+	betaID, err := r.Uvarint(), r.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,8 @@ func TestTenantQuotasAndMetrics(t *testing.T) {
 
 	// MaxBytes = 64: a 40-byte append fits, the next 40 bytes do not, and
 	// the refusal must not consume budget — a 20-byte append still fits.
-	id, err := NewDecoder(mustOK(t, conn, OpResolve, PutString(nil, "/acme/a"))).Uvarint()
+	r := newReader(mustOK(t, conn, OpResolve, PutString(nil, "/acme/a")))
+	id, err := r.Uvarint(), r.Err()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,8 @@ func TestTenantCursorHandlesStayPrivate(t *testing.T) {
 	beta := dialTenant(t, srv, "beta", "beta-secret")
 	open := func(conn net.Conn, path string, data ...string) []byte {
 		t.Helper()
-		id, err := NewDecoder(mustOK(t, conn, OpCreate, createPayload(path))).Uvarint()
+		r := newReader(mustOK(t, conn, OpCreate, createPayload(path)))
+		id, err := r.Uvarint(), r.Err()
 		if err != nil {
 			t.Fatal(err)
 		}

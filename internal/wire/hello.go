@@ -34,21 +34,10 @@ func (h Hello) Encode(b []byte) []byte {
 
 // DecodeHello parses an OpHello payload, legacy or tenant-extended.
 func DecodeHello(payload []byte) (Hello, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	var h Hello
-	s, err := r.u64("session")
-	if err != nil {
-		return h, err
+	r := NewReader(payload, ErrStreamPayload)
+	h := Hello{Session: r.Uint64()}
+	if r.Len() > 0 {
+		h.Tenant, h.Token = r.String(), r.String()
 	}
-	h.Session = s
-	if len(r.buf) == 0 {
-		return h, nil
-	}
-	if h.Tenant, err = r.str("tenant"); err != nil {
-		return h, err
-	}
-	if h.Token, err = r.str("token"); err != nil {
-		return h, err
-	}
-	return h, nil
+	return h, r.Err()
 }

@@ -1,80 +1,149 @@
 package wire
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
-// payloadReader consumes a replication or stream payload front to back with
-// explicit bounds checks; every failure wraps the family's sentinel
-// (ErrReplPayload or ErrStreamPayload), and no input can make it panic or
-// allocate more than the payload's own length.
-type payloadReader struct {
+// Reader consumes a sequential payload front to back: wire requests and
+// responses, replication and stream frames, the checkpoint and compaction
+// sidecars, catalog records. It is sticky — the first failure is kept, every
+// later read returns the zero value and consumes nothing — so a decoder reads
+// all its fields and checks Err once per message. No input can make it panic
+// or allocate more than the payload's own length; a loop over a decoded count
+// must still stop on Err, or it would append zero values count times.
+//
+// Every failure wraps the sentinel the Reader was built with, followed by the
+// kind of value that was cut short ("uvarint", "bytes body") or the text given
+// to Fail. Fixed-offset layouts (block images, entrymap views, the NVRAM slot,
+// the volume header) do not use it: they index, they do not scan.
+type Reader struct {
 	buf      []byte
 	sentinel error
+	err      error
 }
 
-func (r *payloadReader) fail(what string) error {
-	return fmt.Errorf("%w: %s", r.sentinel, what)
+// NewReader reads payload; every error it reports wraps sentinel.
+func NewReader(payload []byte, sentinel error) *Reader {
+	return &Reader{buf: payload, sentinel: sentinel}
 }
 
-func (r *payloadReader) uvarint(what string) (uint64, error) {
+// Err returns the first failure, nil while every read succeeded.
+func (r *Reader) Err() error { return r.err }
+
+// Fail records a failure the caller found (a count or id out of range) unless
+// an earlier one is already kept.
+func (r *Reader) Fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", r.sentinel, what)
+	}
+}
+
+// Len returns the unconsumed byte count.
+func (r *Reader) Len() int { return len(r.buf) }
+
+// Rest returns the unconsumed bytes without consuming them (nil after a
+// failure), for a payload whose tail is another decoder's message.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.buf
+}
+
+// take consumes n bytes, or fails naming kind.
+func (r *Reader) take(n uint64, kind string) []byte {
+	if r.err != nil || n > uint64(len(r.buf)) {
+		r.Fail(kind)
+		return nil
+	}
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+// Uvarint consumes an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
 	v, n, err := Uvarint(r.buf)
 	if err != nil {
-		return 0, r.fail(what)
+		r.Fail("uvarint")
+		return 0
 	}
 	r.buf = r.buf[n:]
-	return v, nil
+	return v
 }
 
-func (r *payloadReader) u64(what string) (uint64, error) {
-	v, err := Uint64(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
+// Bounded consumes an unsigned varint that must not exceed max — an ordinal,
+// id or count narrower than its encoding — and fails with what when it does.
+func (r *Reader) Bounded(max uint32, what string) uint32 {
+	v := r.Uvarint()
+	if v > uint64(max) {
+		r.Fail(what)
+		return 0
 	}
-	r.buf = r.buf[8:]
-	return v, nil
+	return uint32(v)
 }
 
-func (r *payloadReader) u32(what string) (uint32, error) {
-	v, err := Uint32(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
+// Byte consumes one byte.
+func (r *Reader) Byte() byte {
+	if b := r.take(1, "byte"); b != nil {
+		return b[0]
 	}
-	r.buf = r.buf[4:]
-	return v, nil
+	return 0
 }
 
-func (r *payloadReader) u16(what string) (uint16, error) {
-	v, err := Uint16(r.buf)
-	if err != nil {
-		return 0, r.fail(what)
+// Uint16 consumes a little-endian uint16.
+func (r *Reader) Uint16() uint16 {
+	if b := r.take(2, "uint16"); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	r.buf = r.buf[2:]
-	return v, nil
+	return 0
 }
 
-func (r *payloadReader) byte(what string) (byte, error) {
-	if len(r.buf) < 1 {
-		return 0, r.fail(what)
+// Uint32 consumes a little-endian uint32.
+func (r *Reader) Uint32() uint32 {
+	if b := r.take(4, "uint32"); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b, nil
+	return 0
 }
 
-func (r *payloadReader) bytes(what string) ([]byte, error) {
-	n, err := r.uvarint(what)
-	if err != nil {
-		return nil, err
+// Uint64 consumes a little-endian uint64.
+func (r *Reader) Uint64() uint64 {
+	if b := r.take(8, "uint64"); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	if n > uint64(len(r.buf)) {
-		return nil, r.fail(what + " body")
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[:n])
-	r.buf = r.buf[n:]
-	return out, nil
+	return 0
 }
 
-func (r *payloadReader) str(what string) (string, error) {
-	b, err := r.bytes(what)
-	return string(b), err
+// Int64 consumes a little-endian int64.
+func (r *Reader) Int64() int64 {
+	if b := r.take(8, "int64"); b != nil {
+		return int64(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+// View consumes a uvarint-length-prefixed byte slice and returns it as a
+// subslice of the payload, for a caller that decodes it before the payload
+// goes away.
+func (r *Reader) View() []byte {
+	return r.take(r.Uvarint(), "bytes body")
+}
+
+// Bytes consumes a uvarint-length-prefixed byte slice (copied).
+func (r *Reader) Bytes() []byte {
+	b := r.View()
+	if r.err != nil {
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// String consumes a uvarint-length-prefixed string.
+func (r *Reader) String() string {
+	return string(r.take(r.Uvarint(), "string body"))
 }

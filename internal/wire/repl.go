@@ -188,36 +188,17 @@ type ReplStatusResp struct {
 // maxReplDevs bounds the device lists a decoder will allocate for.
 const maxReplDevs = 1 << 16
 
-func (r *payloadReader) devs() ([]ReplDevState, error) {
-	n, err := r.uvarint("dev count")
-	if err != nil {
-		return nil, err
+// devs consumes a device list.
+func (r *Reader) devs() []ReplDevState {
+	var out []ReplDevState
+	for n := r.Bounded(maxReplDevs, "dev count range"); n > 0 && r.Err() == nil; n-- {
+		out = append(out, ReplDevState{Shard: r.shard(), Dev: r.shard(), Written: r.Uvarint(), LastCRC: r.Uint32()})
 	}
-	if n > maxReplDevs {
-		return nil, r.fail("dev count range")
-	}
-	out := make([]ReplDevState, 0, min(int(n), len(r.buf)/4+1))
-	for i := uint64(0); i < n; i++ {
-		var d ReplDevState
-		sh, err := r.uvarint("dev shard")
-		if err != nil {
-			return nil, err
-		}
-		dev, err := r.uvarint("dev ordinal")
-		if err != nil {
-			return nil, err
-		}
-		if d.Written, err = r.uvarint("dev written"); err != nil {
-			return nil, err
-		}
-		if d.LastCRC, err = r.u32("dev crc"); err != nil {
-			return nil, err
-		}
-		d.Shard, d.Dev = uint32(sh), uint32(dev)
-		out = append(out, d)
-	}
-	return out, nil
+	return out
 }
+
+// shard consumes a shard or device ordinal.
+func (r *Reader) shard() uint32 { return r.Bounded(maxReplDevs, "shard range") }
 
 func putDevs(b []byte, devs []ReplDevState) []byte {
 	b = PutUvarint(b, uint64(len(devs)))
@@ -246,31 +227,10 @@ func (h *ReplHello) Encode(b []byte) []byte {
 
 // DecodeReplHello parses a ReplHello payload.
 func DecodeReplHello(payload []byte) (*ReplHello, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	h := &ReplHello{}
-	var err error
-	if h.Term, err = r.u64("term"); err != nil {
-		return nil, err
-	}
-	if h.Epoch, err = r.u64("epoch"); err != nil {
-		return nil, err
-	}
-	if h.LeaderAddr, err = r.str("leader addr"); err != nil {
-		return nil, err
-	}
-	sh, err := r.uvarint("shards")
-	if err != nil {
-		return nil, err
-	}
-	bs, err := r.uvarint("block size")
-	if err != nil {
-		return nil, err
-	}
-	if sh > maxReplDevs || bs > 1<<30 {
-		return nil, r.fail("geometry range")
-	}
-	h.Shards, h.BlockSize = uint32(sh), uint32(bs)
-	return h, nil
+	r := NewReader(payload, ErrReplPayload)
+	h := &ReplHello{Term: r.Uint64(), Epoch: r.Uint64(), LeaderAddr: r.String(),
+		Shards: r.Bounded(maxReplDevs, "geometry range"), BlockSize: r.Bounded(1<<30, "geometry range")}
+	return h, r.Err()
 }
 
 // Encode appends the hello response's wire form.
@@ -287,23 +247,9 @@ func (h *ReplHelloResp) Encode(b []byte) []byte {
 
 // DecodeReplHelloResp parses a ReplHelloResp payload.
 func DecodeReplHelloResp(payload []byte) (*ReplHelloResp, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	h := &ReplHelloResp{}
-	acc, err := r.byte("accept")
-	if err != nil {
-		return nil, err
-	}
-	h.Accept = acc != 0
-	if h.Reason, err = r.str("reason"); err != nil {
-		return nil, err
-	}
-	if h.Term, err = r.u64("term"); err != nil {
-		return nil, err
-	}
-	if h.Devs, err = r.devs(); err != nil {
-		return nil, err
-	}
-	return h, nil
+	r := NewReader(payload, ErrReplPayload)
+	h := &ReplHelloResp{Accept: r.Byte() != 0, Reason: r.String(), Term: r.Uint64(), Devs: r.devs()}
+	return h, r.Err()
 }
 
 // Encode appends the write's wire form.
@@ -316,27 +262,9 @@ func (w *ReplWrite) Encode(b []byte) []byte {
 
 // DecodeReplWrite parses a ReplWrite payload.
 func DecodeReplWrite(payload []byte) (*ReplWrite, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	w := &ReplWrite{}
-	sh, err := r.uvarint("shard")
-	if err != nil {
-		return nil, err
-	}
-	dev, err := r.uvarint("dev")
-	if err != nil {
-		return nil, err
-	}
-	if sh > maxReplDevs || dev > maxReplDevs {
-		return nil, r.fail("shard range")
-	}
-	w.Shard, w.Dev = uint32(sh), uint32(dev)
-	if w.Index, err = r.uvarint("index"); err != nil {
-		return nil, err
-	}
-	if w.Data, err = r.bytes("data"); err != nil {
-		return nil, err
-	}
-	return w, nil
+	r := NewReader(payload, ErrReplPayload)
+	w := &ReplWrite{Shard: r.shard(), Dev: r.shard(), Index: r.Uvarint(), Data: r.Bytes()}
+	return w, r.Err()
 }
 
 // Encode appends the invalidation's wire form.
@@ -348,24 +276,9 @@ func (w *ReplInvalidate) Encode(b []byte) []byte {
 
 // DecodeReplInvalidate parses a ReplInvalidate payload.
 func DecodeReplInvalidate(payload []byte) (*ReplInvalidate, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	w := &ReplInvalidate{}
-	sh, err := r.uvarint("shard")
-	if err != nil {
-		return nil, err
-	}
-	dev, err := r.uvarint("dev")
-	if err != nil {
-		return nil, err
-	}
-	if sh > maxReplDevs || dev > maxReplDevs {
-		return nil, r.fail("shard range")
-	}
-	w.Shard, w.Dev = uint32(sh), uint32(dev)
-	if w.Index, err = r.uvarint("index"); err != nil {
-		return nil, err
-	}
-	return w, nil
+	r := NewReader(payload, ErrReplPayload)
+	w := &ReplInvalidate{Shard: r.shard(), Dev: r.shard(), Index: r.Uvarint()}
+	return w, r.Err()
 }
 
 // Encode appends the tail staging's wire form.
@@ -377,23 +290,9 @@ func (t *ReplTail) Encode(b []byte) []byte {
 
 // DecodeReplTail parses a ReplTail payload.
 func DecodeReplTail(payload []byte) (*ReplTail, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	t := &ReplTail{}
-	sh, err := r.uvarint("shard")
-	if err != nil {
-		return nil, err
-	}
-	if sh > maxReplDevs {
-		return nil, r.fail("shard range")
-	}
-	t.Shard = uint32(sh)
-	if t.Global, err = r.uvarint("global"); err != nil {
-		return nil, err
-	}
-	if t.Image, err = r.bytes("image"); err != nil {
-		return nil, err
-	}
-	return t, nil
+	r := NewReader(payload, ErrReplPayload)
+	t := &ReplTail{Shard: r.shard(), Global: r.Uvarint(), Image: r.Bytes()}
+	return t, r.Err()
 }
 
 // Encode appends the tail clear's wire form.
@@ -403,15 +302,9 @@ func (t *ReplTailClear) Encode(b []byte) []byte {
 
 // DecodeReplTailClear parses a ReplTailClear payload.
 func DecodeReplTailClear(payload []byte) (*ReplTailClear, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	sh, err := r.uvarint("shard")
-	if err != nil {
-		return nil, err
-	}
-	if sh > maxReplDevs {
-		return nil, r.fail("shard range")
-	}
-	return &ReplTailClear{Shard: uint32(sh)}, nil
+	r := NewReader(payload, ErrReplPayload)
+	t := &ReplTailClear{Shard: r.shard()}
+	return t, r.Err()
 }
 
 // Encode appends the ack record's wire form.
@@ -424,22 +317,9 @@ func (a *ReplAck) Encode(b []byte) []byte {
 
 // DecodeReplAck parses a ReplAck payload.
 func DecodeReplAck(payload []byte) (*ReplAck, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	a := &ReplAck{}
-	var err error
-	if a.Session, err = r.u64("session"); err != nil {
-		return nil, err
-	}
-	if a.Seq, err = r.u64("seq"); err != nil {
-		return nil, err
-	}
-	if a.Status, err = r.byte("status"); err != nil {
-		return nil, err
-	}
-	if a.Resp, err = r.bytes("resp"); err != nil {
-		return nil, err
-	}
-	return a, nil
+	r := NewReader(payload, ErrReplPayload)
+	a := &ReplAck{Session: r.Uint64(), Seq: r.Uint64(), Status: r.Byte(), Resp: r.Bytes()}
+	return a, r.Err()
 }
 
 // Encode appends the session snapshot's wire form.
@@ -460,46 +340,24 @@ func (s *ReplSessions) Encode(b []byte) []byte {
 
 // DecodeReplSessions parses a ReplSessions payload.
 func DecodeReplSessions(payload []byte) (*ReplSessions, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	n, err := r.uvarint("session count")
-	if err != nil {
-		return nil, err
-	}
+	r := NewReader(payload, ErrReplPayload)
+	n := r.Uvarint()
 	if n > uint64(len(payload)) { // each session costs ≥ 17 bytes
-		return nil, r.fail("session count range")
+		r.Fail("session count range")
 	}
 	out := &ReplSessions{}
-	for i := uint64(0); i < n; i++ {
-		var ss ReplSession
-		if ss.ID, err = r.u64("session id"); err != nil {
-			return nil, err
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		ss := ReplSession{ID: r.Uint64(), MaxSeq: r.Uint64()}
+		nr := r.Uvarint()
+		if nr > uint64(r.Len())+1 { // each resp costs ≥ 10 bytes
+			r.Fail("resp count range")
 		}
-		if ss.MaxSeq, err = r.u64("session maxseq"); err != nil {
-			return nil, err
-		}
-		nr, err := r.uvarint("resp count")
-		if err != nil {
-			return nil, err
-		}
-		if nr > uint64(len(r.buf))+1 { // each resp costs ≥ 10 bytes
-			return nil, r.fail("resp count range")
-		}
-		for j := uint64(0); j < nr; j++ {
-			var rr ReplResp
-			if rr.Seq, err = r.u64("resp seq"); err != nil {
-				return nil, err
-			}
-			if rr.Status, err = r.byte("resp status"); err != nil {
-				return nil, err
-			}
-			if rr.Resp, err = r.bytes("resp body"); err != nil {
-				return nil, err
-			}
-			ss.Resps = append(ss.Resps, rr)
+		for j := uint64(0); j < nr && r.Err() == nil; j++ {
+			ss.Resps = append(ss.Resps, ReplResp{Seq: r.Uint64(), Status: r.Byte(), Resp: r.Bytes()})
 		}
 		out.Sessions = append(out.Sessions, ss)
 	}
-	return out, nil
+	return out, r.Err()
 }
 
 // Encode appends the base marker's wire form.
@@ -509,12 +367,9 @@ func (b *ReplBase) Encode(dst []byte) []byte {
 
 // DecodeReplBase parses a ReplBase payload.
 func DecodeReplBase(payload []byte) (*ReplBase, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	pos, err := r.u64("pos")
-	if err != nil {
-		return nil, err
-	}
-	return &ReplBase{Pos: pos}, nil
+	r := NewReader(payload, ErrReplPayload)
+	b := &ReplBase{Pos: r.Uint64()}
+	return b, r.Err()
 }
 
 // Encode appends the reset order's wire form.
@@ -525,19 +380,9 @@ func (w *ReplReset) Encode(b []byte) []byte {
 
 // DecodeReplReset parses a ReplReset payload.
 func DecodeReplReset(payload []byte) (*ReplReset, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	sh, err := r.uvarint("shard")
-	if err != nil {
-		return nil, err
-	}
-	dev, err := r.uvarint("dev")
-	if err != nil {
-		return nil, err
-	}
-	if sh > maxReplDevs || dev > maxReplDevs {
-		return nil, r.fail("shard range")
-	}
-	return &ReplReset{Shard: uint32(sh), Dev: uint32(dev)}, nil
+	r := NewReader(payload, ErrReplPayload)
+	w := &ReplReset{Shard: r.shard(), Dev: r.shard()}
+	return w, r.Err()
 }
 
 // Encode appends the status report's wire form.
@@ -554,34 +399,10 @@ func (s *ReplStatusResp) Encode(b []byte) []byte {
 
 // DecodeReplStatusResp parses a ReplStatusResp payload.
 func DecodeReplStatusResp(payload []byte) (*ReplStatusResp, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrReplPayload}
-	s := &ReplStatusResp{}
-	var err error
-	if s.Role, err = r.byte("role"); err != nil {
-		return nil, err
-	}
-	if s.Term, err = r.u64("term"); err != nil {
-		return nil, err
-	}
-	if s.Epoch, err = r.u64("epoch"); err != nil {
-		return nil, err
-	}
-	if s.LeaderAddr, err = r.str("leader addr"); err != nil {
-		return nil, err
-	}
-	if s.Applied, err = r.u64("applied"); err != nil {
-		return nil, err
-	}
-	if s.Pos, err = r.u64("pos"); err != nil {
-		return nil, err
-	}
-	if s.Committed, err = r.u64("committed"); err != nil {
-		return nil, err
-	}
-	if s.Devs, err = r.devs(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	r := NewReader(payload, ErrReplPayload)
+	s := &ReplStatusResp{Role: r.Byte(), Term: r.Uint64(), Epoch: r.Uint64(), LeaderAddr: r.String(),
+		Applied: r.Uint64(), Pos: r.Uint64(), Committed: r.Uint64(), Devs: r.devs()}
+	return s, r.Err()
 }
 
 // DecodeRepl parses any replication payload by opcode — the single entry

@@ -166,6 +166,9 @@ type StreamGroupOp struct {
 	Rec   GroupRec
 }
 
+// subID consumes a subscription id.
+func (r *Reader) subID() uint32 { return r.Bounded(^uint32(0), "sub id range") }
+
 // Encode appends the subscribe's wire form.
 func (s *StreamSubscribe) Encode(b []byte) []byte {
 	b = putBytes(b, []byte(s.Path))
@@ -186,55 +189,14 @@ func (s *StreamSubscribe) Encode(b []byte) []byte {
 
 // DecodeStreamSubscribe parses a StreamSubscribe payload.
 func DecodeStreamSubscribe(payload []byte) (*StreamSubscribe, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	s := &StreamSubscribe{}
-	var err error
-	if s.Path, err = r.str("path"); err != nil {
-		return nil, err
+	r := NewReader(payload, ErrStreamPayload)
+	s := &StreamSubscribe{Path: r.String()}
+	s.Buffer, s.FromStart = r.Bounded(maxStreamFrom, "buffer range"), r.Byte() != 0
+	for n := r.Bounded(maxStreamFrom, "from count range"); n > 0 && r.Err() == nil; n-- {
+		s.From = append(s.From, StreamPos{Shard: r.Bounded(maxStreamFrom, "from shard range"), Block: r.Uvarint(), Rec: r.Uvarint()})
 	}
-	buf, err := r.uvarint("buffer")
-	if err != nil {
-		return nil, err
-	}
-	fs, err := r.byte("from-start")
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.uvarint("from count")
-	if err != nil {
-		return nil, err
-	}
-	if buf > maxStreamFrom || n > maxStreamFrom {
-		return nil, r.fail("from count range")
-	}
-	s.Buffer, s.FromStart = uint32(buf), fs != 0
-	for i := uint64(0); i < n; i++ {
-		var p StreamPos
-		sh, err := r.uvarint("from shard")
-		if err != nil {
-			return nil, err
-		}
-		if sh > maxStreamFrom {
-			return nil, r.fail("from shard range")
-		}
-		p.Shard = uint32(sh)
-		if p.Block, err = r.uvarint("from block"); err != nil {
-			return nil, err
-		}
-		if p.Rec, err = r.uvarint("from rec"); err != nil {
-			return nil, err
-		}
-		s.From = append(s.From, p)
-	}
-	credit, err := r.uvarint("credit")
-	if err != nil {
-		return nil, err
-	}
-	if credit > 1<<30 {
-		return nil, r.fail("credit range")
-	}
-	s.Credit = uint32(credit)
-	return s, nil
+	s.Credit = r.Bounded(1<<30, "credit range")
+	return s, r.Err()
 }
 
 // Encode appends the deliver's wire form.
@@ -262,59 +224,14 @@ func (d *StreamDeliver) EncodeHead(b []byte) []byte {
 
 // DecodeStreamDeliver parses a StreamDeliver payload.
 func DecodeStreamDeliver(payload []byte) (*StreamDeliver, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	d := &StreamDeliver{}
-	sub, err := r.uvarint("sub id")
-	if err != nil {
-		return nil, err
+	r := NewReader(payload, ErrStreamPayload)
+	d := &StreamDeliver{SubID: r.subID(), LogID: r.Uint16(), Timestamp: r.Int64(), Flags: r.Byte(),
+		Shard: r.Bounded(maxStreamFrom, "shard range"), Block: r.Uvarint(), Index: r.Uvarint()}
+	for nx := r.Bounded(maxStreamExtra, "extra count range"); nx > 0 && r.Err() == nil; nx-- {
+		d.ExtraIDs = append(d.ExtraIDs, r.Uint16())
 	}
-	if sub > uint64(^uint32(0)) {
-		return nil, r.fail("sub id range")
-	}
-	d.SubID = uint32(sub)
-	if d.LogID, err = r.u16("log id"); err != nil {
-		return nil, err
-	}
-	ts, err := r.u64("timestamp")
-	if err != nil {
-		return nil, err
-	}
-	d.Timestamp = int64(ts)
-	if d.Flags, err = r.byte("flags"); err != nil {
-		return nil, err
-	}
-	sh, err := r.uvarint("shard")
-	if err != nil {
-		return nil, err
-	}
-	if sh > maxStreamFrom {
-		return nil, r.fail("shard range")
-	}
-	d.Shard = uint32(sh)
-	if d.Block, err = r.uvarint("block"); err != nil {
-		return nil, err
-	}
-	if d.Index, err = r.uvarint("index"); err != nil {
-		return nil, err
-	}
-	nx, err := r.uvarint("extra count")
-	if err != nil {
-		return nil, err
-	}
-	if nx > maxStreamExtra {
-		return nil, r.fail("extra count range")
-	}
-	for i := uint64(0); i < nx; i++ {
-		id, err := r.u16("extra id")
-		if err != nil {
-			return nil, err
-		}
-		d.ExtraIDs = append(d.ExtraIDs, id)
-	}
-	if d.Data, err = r.bytes("data"); err != nil {
-		return nil, err
-	}
-	return d, nil
+	d.Data = r.Bytes()
+	return d, r.Err()
 }
 
 // Encode appends the credit grant's wire form.
@@ -325,19 +242,9 @@ func (c *StreamCredit) Encode(b []byte) []byte {
 
 // DecodeStreamCredit parses a StreamCredit payload.
 func DecodeStreamCredit(payload []byte) (*StreamCredit, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	sub, err := r.uvarint("sub id")
-	if err != nil {
-		return nil, err
-	}
-	credit, err := r.uvarint("credit")
-	if err != nil {
-		return nil, err
-	}
-	if sub > uint64(^uint32(0)) || credit > 1<<30 {
-		return nil, r.fail("credit range")
-	}
-	return &StreamCredit{SubID: uint32(sub), Credit: uint32(credit)}, nil
+	r := NewReader(payload, ErrStreamPayload)
+	c := &StreamCredit{SubID: r.subID(), Credit: r.Bounded(1<<30, "credit range")}
+	return c, r.Err()
 }
 
 // Encode appends the unsubscribe's wire form.
@@ -347,15 +254,9 @@ func (u *StreamUnsubscribe) Encode(b []byte) []byte {
 
 // DecodeStreamUnsubscribe parses a StreamUnsubscribe payload.
 func DecodeStreamUnsubscribe(payload []byte) (*StreamUnsubscribe, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	sub, err := r.uvarint("sub id")
-	if err != nil {
-		return nil, err
-	}
-	if sub > uint64(^uint32(0)) {
-		return nil, r.fail("sub id range")
-	}
-	return &StreamUnsubscribe{SubID: uint32(sub)}, nil
+	r := NewReader(payload, ErrStreamPayload)
+	u := &StreamUnsubscribe{SubID: r.subID()}
+	return u, r.Err()
 }
 
 // Encode appends the end notice's wire form.
@@ -366,19 +267,9 @@ func (e *StreamEnd) Encode(b []byte) []byte {
 
 // DecodeStreamEnd parses a StreamEnd payload.
 func DecodeStreamEnd(payload []byte) (*StreamEnd, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	sub, err := r.uvarint("sub id")
-	if err != nil {
-		return nil, err
-	}
-	if sub > uint64(^uint32(0)) {
-		return nil, r.fail("sub id range")
-	}
-	msg, err := r.str("msg")
-	if err != nil {
-		return nil, err
-	}
-	return &StreamEnd{SubID: uint32(sub), Msg: msg}, nil
+	r := NewReader(payload, ErrStreamPayload)
+	e := &StreamEnd{SubID: r.subID(), Msg: r.String()}
+	return e, r.Err()
 }
 
 // Encode appends the group record's wire form — the same bytes used as the
@@ -396,40 +287,15 @@ func (g *GroupRec) Encode(b []byte) []byte {
 // DecodeGroupRec parses a GroupRec from an offsets-log record body or a
 // wire payload.
 func DecodeGroupRec(payload []byte) (*GroupRec, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	g := &GroupRec{}
-	var err error
-	if g.Kind, err = r.byte("kind"); err != nil {
-		return nil, err
-	}
+	r := NewReader(payload, ErrStreamPayload)
+	g := &GroupRec{Kind: r.Byte()}
 	if g.Kind < GroupJoin || g.Kind > GroupRelease {
-		return nil, r.fail("kind range")
+		r.Fail("kind range")
 	}
-	if g.Member, err = r.str("member"); err != nil {
-		return nil, err
-	}
-	part, err := r.uvarint("partition")
-	if err != nil {
-		return nil, err
-	}
-	sh, err := r.uvarint("shard")
-	if err != nil {
-		return nil, err
-	}
-	if part > maxStreamFrom || sh > maxStreamFrom {
-		return nil, r.fail("partition range")
-	}
-	g.Partition, g.Shard = uint32(part), uint32(sh)
-	if g.Block, err = r.uvarint("block"); err != nil {
-		return nil, err
-	}
-	if g.Rec, err = r.uvarint("rec"); err != nil {
-		return nil, err
-	}
-	if g.Count, err = r.uvarint("count"); err != nil {
-		return nil, err
-	}
-	return g, nil
+	g.Member = r.String()
+	g.Partition, g.Shard = r.Bounded(maxStreamFrom, "partition range"), r.Bounded(maxStreamFrom, "partition range")
+	g.Block, g.Rec, g.Count = r.Uvarint(), r.Uvarint(), r.Uvarint()
+	return g, r.Err()
 }
 
 // Encode appends the group op's wire form.
@@ -440,12 +306,12 @@ func (o *StreamGroupOp) Encode(b []byte) []byte {
 
 // DecodeStreamGroupOp parses a StreamGroupOp payload.
 func DecodeStreamGroupOp(payload []byte) (*StreamGroupOp, error) {
-	r := &payloadReader{buf: payload, sentinel: ErrStreamPayload}
-	group, err := r.str("group")
-	if err != nil {
-		return nil, err
+	r := NewReader(payload, ErrStreamPayload)
+	group := r.String()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	rec, err := DecodeGroupRec(r.buf)
+	rec, err := DecodeGroupRec(r.Rest())
 	if err != nil {
 		return nil, err
 	}
