@@ -11,6 +11,7 @@ import (
 	"clio/internal/archive"
 	"clio/internal/core"
 	"clio/internal/faults"
+	"clio/internal/scrub"
 )
 
 // TestBackupCarriesStagedSeals: a store killed between a pipelined seal's
@@ -21,11 +22,8 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 	ctx := context.Background()
 	dir := filepath.Join(t.TempDir(), "store")
 	dst := filepath.Join(t.TempDir(), "backup")
-	geom = clio.DirOptions{Options: clio.Options{BlockSize: 256}, VolumeBlocks: 512}
-	defer func() { geom = clio.DirOptions{} }()
-
 	reg := faults.NewRegistry()
-	opt := geom
+	opt := clio.DirOptions{Options: clio.Options{BlockSize: 256}, VolumeBlocks: 512}
 	opt.Faults = reg
 	st, err := clio.CreateStore(dir, opt)
 	if err != nil {
@@ -59,7 +57,7 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, sidecars, err := backupShard(ctx, dir, dst)
+	_, sidecars, err := backupStore(ctx, dir, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +93,115 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 		if string(e.Data) != want {
 			t.Fatalf("entry %d = %q, want %q", i, e.Data, want)
 		}
+	}
+}
+
+// TestOfflineCommandsUseStoreGeometry: fsck, du and backup open a store at
+// the geometry it records — no flags — and cover every volume of every
+// shard: a store created with small volumes and blocks, rolled onto at least
+// its third volume per shard, scrubs clean with every appended entry
+// accounted to its log, and its backup restores to the same.
+func TestOfflineCommandsUseStoreGeometry(t *testing.T) {
+	ctx := context.Background()
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			opt := clio.DirOptions{Options: clio.Options{BlockSize: 256}, VolumeBlocks: 48, Shards: shards}
+			st, err := clio.CreateStore(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make(map[string]clio.ID)
+			for i := 0; i < 16; i++ {
+				path := fmt.Sprintf("/log%02d", i)
+				if ids[path], err = st.CreateLog(ctx, path, 0o644, "test"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rolled := func() bool {
+				for s := 0; s < shards; s++ {
+					if len(st.Service(s).Volumes()) < 3 {
+						return false
+					}
+				}
+				return true
+			}
+			appended := 0
+			for ; !rolled(); appended++ {
+				for path, id := range ids {
+					p := fmt.Sprintf("%s entry %05d, padded so that blocks fill quickly........", path, appended)
+					if _, err := st.Append(ctx, id, []byte(p), clio.AppendOptions{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// checkUsage: every log holds the entries appended to it, less at
+			// most the few in the shard's last, partial block — that one is
+			// staged in the NVRAM sidecar, not on the media a scrub reads.
+			const tailEntries = 256 / 60
+			checkUsage := func(what string, reports []*scrub.Report) {
+				t.Helper()
+				found := 0
+				for _, rep := range reports {
+					if !rep.Clean() {
+						t.Errorf("%s: not clean: %v", what, rep.Problems)
+					}
+					for _, u := range rep.Usage {
+						if _, ok := ids[u.Path]; ok {
+							found++
+							if u.Entries > appended || u.Entries < appended-tailEntries {
+								t.Errorf("%s: %s holds %d entries, want %d (or up to %d fewer)", what, u.Path, u.Entries, appended, tailEntries)
+							}
+						}
+					}
+				}
+				if found != len(ids) {
+					t.Errorf("%s: found %d of %d logs", what, found, len(ids))
+				}
+			}
+
+			scrubbed, err := scrubStore(dir, scrub.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reports []*scrub.Report
+			for s, sh := range scrubbed {
+				reports = append(reports, sh.Report)
+				if sh.hot < 2*48*256 || sh.cold != 0 {
+					t.Errorf("shard %d: %d bytes hot, %d cold; want at least two full volumes hot", s, sh.hot, sh.cold)
+				}
+			}
+			checkUsage("fsck/du", reports)
+
+			dst := filepath.Join(t.TempDir(), "backup")
+			total, _, err := backupStore(ctx, dir, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total.VolumesSeen < 3*shards {
+				t.Errorf("backup saw %d volumes, want at least %d", total.VolumesSeen, 3*shards)
+			}
+			archives, err := clio.ShardDirs(dst)
+			if err != nil || len(archives) != shards {
+				t.Fatalf("backup holds %d shard archives (%v), want %d", len(archives), err, shards)
+			}
+			reports = nil
+			for _, a := range archives {
+				devs, err := archive.Restore(ctx, archive.NewDir(a))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := scrub.Volumes(devs, scrub.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reports = append(reports, rep)
+			}
+			checkUsage("restored backup", reports)
+		})
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"clio"
@@ -50,8 +49,7 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: clio [-addr host:port | -store dir] [-tenant T -token S] <command> [args]
 
--store mode opens the store in-process; a store created with non-default
-cliod geometry needs the matching -volume-blocks / -block-size.
+-store mode opens the store in-process, at the geometry the store records.
 Against a multi-tenant server, -tenant and -token authenticate the session;
 paths must then live under /<tenant>.
 
@@ -89,19 +87,12 @@ commands:
 	os.Exit(2)
 }
 
-// geom carries the store geometry for -store mode, set from the global
-// flags. A store created with non-default cliod geometry must be opened
-// with the same values.
-var geom clio.DirOptions
-
 func main() {
 	addr := flag.String("addr", "", "log server address")
 	store := flag.String("store", "", "local store directory (serve in-process)")
 	adminAddr := flag.String("admin", "", "cluster node admin (HTTP) address, for status")
 	tenant := flag.String("tenant", "", "tenant name for a multi-tenant server (with -token)")
 	token := flag.String("token", "", "tenant shared secret (with -tenant)")
-	flag.IntVar(&geom.VolumeBlocks, "volume-blocks", 0, "store's volume capacity in blocks, as given to cliod (0 = the default; -store only)")
-	flag.IntVar(&geom.BlockSize, "block-size", 0, "store's block size in bytes, as given to cliod (0 = the default; -store only)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -478,7 +469,7 @@ func connect(addr, store, tenant, token string) (*client.Client, func(), error) 
 		}
 		return cl, func() { cl.Close() }, nil
 	case store != "":
-		st, err := clio.OpenStore(store, geom)
+		st, err := clio.OpenStore(store, clio.DirOptions{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -524,8 +515,8 @@ func printEntry(e *client.Entry) {
 	fmt.Printf("[%s #%s.%d] %s\n", ts, strconv.Itoa(e.Block), e.Index, e.Data)
 }
 
-// runFsck scrubs a local store's volume files directly, one shard (one
-// volume sequence) at a time.
+// runFsck scrubs a local store's media, one shard (one volume sequence) at a
+// time.
 func runFsck(store string, args []string) {
 	fs := flag.NewFlagSet("fsck", flag.ExitOnError)
 	repair := fs.Bool("repair", false, "invalidate damaged blocks on the medium")
@@ -533,14 +524,13 @@ func runFsck(store string, args []string) {
 	if store == "" {
 		fatal(fmt.Errorf("fsck requires -store"))
 	}
-	dirs, err := clio.ShardDirs(store)
+	shards, err := scrubStore(store, scrub.Options{Repair: *repair})
 	if err != nil {
 		fatal(err)
 	}
 	var total scrub.Report
-	for i, d := range dirs {
-		rep := scrubShard(d, scrub.Options{Repair: *repair})
-		if len(dirs) > 1 {
+	for i, rep := range shards {
+		if len(shards) > 1 {
 			fmt.Printf("shard %d: %d data blocks, %d records, %d problems\n",
 				i, rep.Blocks, rep.Entries, len(rep.Problems))
 			for _, p := range rep.Problems {
@@ -574,89 +564,91 @@ func runFsck(store string, args []string) {
 	fmt.Println("clean")
 }
 
-// scrubShard scrubs one shard directory's volume sequence, including
-// demoted volumes restored from the shard's cold archive — a demoted
-// volume's only copy is its cold image, and fsck must cover the whole
-// physical history.
-func scrubShard(dir string, opt scrub.Options) *scrub.Report {
-	devs, closeAll, err := openStoreDevices(dir)
-	if err != nil {
-		fatal(err)
-	}
-	defer closeAll()
-	all, err := withColdDevices(dir, devs)
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := scrub.Volumes(all, opt)
-	if err != nil {
-		fatal(err)
-	}
-	return rep
+// shardScrub is one shard's scrub report plus its bytes on each tier: hot is
+// the local volume files (the bounded working set the compactor maintains),
+// cold the demoted volume images in the shard's cold archive.
+type shardScrub struct {
+	*scrub.Report
+	hot, cold int64
 }
 
-// withColdDevices appends restored cold volume images missing from the hot
-// set, deduped by volume index: a crash between archiving and releasing can
-// leave a volume both local and cold, and the local copy wins. The merged
-// set is returned in sequence (volume-index) order.
-func withColdDevices(dir string, hot []wodev.Device) ([]wodev.Device, error) {
-	coldDir := filepath.Join(dir, "cold")
-	if _, err := os.Stat(coldDir); err != nil {
-		return hot, nil
-	}
-	cold, err := archive.Restore(context.Background(), archive.NewDir(coldDir))
-	if errors.Is(err, archive.ErrNotArchive) {
-		return hot, nil
-	}
+// scrubStore scrubs every shard of a local store, opened the way the daemon
+// opens it (clio.OpenRaw: the store's own geometry and layout). Each shard's
+// sequence includes the demoted volumes restored from its cold archive — a
+// demoted volume's only copy is its cold image, and fsck must cover the
+// whole physical history.
+func scrubStore(store string, opt scrub.Options) ([]shardScrub, error) {
+	raw, err := clio.OpenRaw(store, clio.DirOptions{}, false)
 	if err != nil {
 		return nil, err
 	}
-	type indexed struct {
-		idx uint32
-		dev wodev.Device
-	}
-	var all []indexed
-	seen := make(map[uint32]bool)
-	for _, d := range hot {
-		hdr, err := volume.ReadHeader(d)
+	defer raw.Close()
+	out := make([]shardScrub, len(raw.Devices))
+	for i, hot := range raw.Devices {
+		all, cold, err := withColdDevices(raw.Cold[i], hot)
 		if err != nil {
 			return nil, err
 		}
-		seen[hdr.Index] = true
-		all = append(all, indexed{hdr.Index, d})
-	}
-	for _, d := range cold {
-		hdr, err := volume.ReadHeader(d)
+		rep, err := scrub.Volumes(all, opt)
 		if err != nil {
 			return nil, err
 		}
-		if !seen[hdr.Index] {
-			all = append(all, indexed{hdr.Index, d})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].idx < all[j].idx })
-	out := make([]wodev.Device, len(all))
-	for i, v := range all {
-		out[i] = v.dev
+		out[i] = shardScrub{rep, deviceBytes(hot), deviceBytes(cold)}
 	}
 	return out, nil
 }
 
+// withColdDevices restores the volume images of a shard's cold archive and
+// returns them (cold) and the shard's whole sequence (all): the hot devices
+// plus the restored ones they do not already cover, deduped by volume index
+// — a crash between archiving and releasing can leave a volume both local
+// and cold, and the local copy wins.
+func withColdDevices(be archive.Backend, hot []wodev.Device) (all, cold []wodev.Device, err error) {
+	if be == nil {
+		return hot, nil, nil
+	}
+	cold, err = archive.Restore(context.Background(), be)
+	if errors.Is(err, archive.ErrNotArchive) {
+		return hot, nil, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	seen := make(map[uint32]bool)
+	for _, d := range append(hot[:len(hot):len(hot)], cold...) {
+		hdr, err := volume.ReadHeader(d)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !seen[hdr.Index] {
+			seen[hdr.Index] = true
+			all = append(all, d)
+		}
+	}
+	return all, cold, nil
+}
+
+// deviceBytes sums the written extent of devs.
+func deviceBytes(devs []wodev.Device) (n int64) {
+	for _, d := range devs {
+		n += int64(d.Written()) * int64(d.BlockSize())
+	}
+	return n
+}
+
 // runDu prints per-log-file space usage for a local store, then the hot
-// versus cold byte split per shard: hot is the local volume files (the
-// bounded working set the compactor maintains), cold is the demoted volume
-// images in each shard's cold archive.
+// versus cold byte split per shard.
 func runDu(store string) {
 	if store == "" {
 		fatal(fmt.Errorf("du requires -store"))
 	}
-	dirs, err := clio.ShardDirs(store)
+	shards, err := scrubStore(store, scrub.Options{})
 	if err != nil {
 		fatal(err)
 	}
 	var usage []scrub.LogUsage
-	for _, d := range dirs {
-		usage = append(usage, scrubShard(d, scrub.Options{}).Usage...)
+	for _, sh := range shards {
+		usage = append(usage, sh.Usage...)
 	}
 	sort.Slice(usage, func(i, j int) bool { return usage[i].Path < usage[j].Path })
 	fmt.Printf("%10s %10s  %s\n", "entries", "bytes", "log file")
@@ -664,39 +656,14 @@ func runDu(store string) {
 		fmt.Printf("%10d %10d  %s\n", u.Entries, u.Bytes, u.Path)
 	}
 	var totalHot, totalCold int64
-	for i, d := range dirs {
-		hot, cold := tierBytes(d)
-		totalHot += hot
-		totalCold += cold
-		if len(dirs) > 1 {
-			fmt.Printf("shard %d: %d bytes hot, %d bytes cold\n", i, hot, cold)
+	for i, sh := range shards {
+		totalHot += sh.hot
+		totalCold += sh.cold
+		if len(shards) > 1 {
+			fmt.Printf("shard %d: %d bytes hot, %d bytes cold\n", i, sh.hot, sh.cold)
 		}
 	}
 	fmt.Printf("total: %d bytes hot, %d bytes cold\n", totalHot, totalCold)
-}
-
-// tierBytes sums one shard directory's hot bytes (local vol-*.clio files)
-// and cold bytes (volume images in its cold archive).
-func tierBytes(dir string) (hot, cold int64) {
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), "vol-") && strings.HasSuffix(e.Name(), ".clio") {
-				if fi, err := e.Info(); err == nil {
-					hot += fi.Size()
-				}
-			}
-		}
-	}
-	if ents, err := os.ReadDir(filepath.Join(dir, "cold")); err == nil {
-		for _, e := range ents {
-			if strings.HasSuffix(e.Name(), ".vol") {
-				if fi, err := e.Info(); err == nil {
-					cold += fi.Size()
-				}
-			}
-		}
-	}
-	return hot, cold
 }
 
 // runCompact runs one offline compaction pass over a local store: every
@@ -712,7 +679,7 @@ func runCompact(store string, args []string) {
 	if store == "" {
 		fatal(fmt.Errorf("compact requires -store"))
 	}
-	st, err := clio.OpenStore(store, geom)
+	st, err := clio.OpenStore(store, clio.DirOptions{})
 	if err != nil {
 		fatal(err)
 	}
@@ -738,93 +705,56 @@ func runBackup(store, archiveDir string) {
 	if store == "" {
 		fatal(fmt.Errorf("backup requires -store"))
 	}
-	dirs, err := clio.ShardDirs(store)
+	total, sidecars, err := backupStore(context.Background(), store, archiveDir)
 	if err != nil {
 		fatal(err)
 	}
-	ctx := context.Background()
-	var total archive.Result
-	for _, d := range dirs {
-		// The archive mirrors the store layout: shard-K subdirectories
-		// for a sharded store, a flat archive otherwise.
-		dst := archiveDir
-		if len(dirs) > 1 {
-			dst = filepath.Join(archiveDir, filepath.Base(d))
-		}
-		res, sidecars, err := backupShard(ctx, d, dst)
-		if err != nil {
-			fatal(err)
-		}
-		if sidecars > 0 {
-			fmt.Printf("captured the staged NVRAM state (%d sidecar files)\n", sidecars)
-		}
-		total.VolumesSeen += res.VolumesSeen
-		total.BlocksCopied += res.BlocksCopied
-		total.BlocksSkipped += res.BlocksSkipped
-		total.ColdVolumes += res.ColdVolumes
+	if sidecars > 0 {
+		fmt.Printf("captured the staged NVRAM state (%d sidecar files)\n", sidecars)
 	}
 	fmt.Printf("backed up %d volumes: %d blocks copied, %d already archived, %d cold volumes adopted\n",
 		total.VolumesSeen, total.BlocksCopied, total.BlocksSkipped, total.ColdVolumes)
 }
 
-// backupShard archives one shard directory into dst: its volumes
-// (incrementally), the demoted volumes of its cold tier, and the NVRAM
-// sidecars, whose count it returns.
-func backupShard(ctx context.Context, dir, dst string) (*archive.Result, int, error) {
-	be := archive.NewDir(dst)
-	devs, closeAll, err := openStoreDevices(dir)
+// backupStore archives every shard of a local store: its volumes
+// (incrementally), the demoted volumes of its cold tier — they exist locally
+// only as images in the cold archive, and adopting them gives the backup the
+// complete sequence — and the NVRAM sidecars, whose count it returns. The
+// archive mirrors the store layout: one subdirectory per shard, named as the
+// store names it, for a sharded store, a flat archive otherwise.
+func backupStore(ctx context.Context, store, archiveDir string) (total archive.Result, sidecars int, err error) {
+	raw, err := clio.OpenRaw(store, clio.DirOptions{}, false)
 	if err != nil {
-		return nil, 0, err
+		return total, 0, err
 	}
-	res, err := archive.Backup(ctx, devs, be)
-	closeAll()
-	if err != nil {
-		return nil, 0, err
-	}
-	// Demoted volumes exist locally only as images in the shard's cold
-	// archive; adopting them gives the backup the complete sequence.
-	if _, err := os.Stat(filepath.Join(dir, "cold")); err == nil {
-		vols, _, err := archive.Adopt(ctx, be, archive.NewDir(filepath.Join(dir, "cold")))
+	defer raw.Close()
+	for i, devs := range raw.Devices {
+		dst := archiveDir
+		if len(raw.Dirs) > 1 {
+			dst = filepath.Join(archiveDir, filepath.Base(raw.Dirs[i]))
+		}
+		be := archive.NewDir(dst)
+		res, err := archive.Backup(ctx, devs, be)
 		if err != nil {
-			return nil, 0, err
+			return total, sidecars, err
 		}
-		res.ColdVolumes = vols
-	}
-	sidecars, err := copyNVRAMSidecars(dir, dst)
-	return res, sidecars, err
-}
-
-// copyNVRAMSidecars copies a shard's staged NVRAM state into dst: the tail
-// sidecar (nvram.clio — the staged, not yet sealed, tail block) and every
-// staged sealed image beside it (nvram.clio.sNNNNNNNN — blocks a pipelined
-// seal acked before their device write), which a store that crashed with
-// seals in flight needs to serve what it acked. Half-written .tmp files are
-// never part of the state. An image left in dst by an earlier backup and
-// since dropped by the store is harmless: recovery ignores a staged tail or
-// seal that the volumes already cover.
-func copyNVRAMSidecars(dir, dst string) (int, error) {
-	srcs, err := filepath.Glob(filepath.Join(dir, "nvram.clio*"))
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, src := range srcs {
-		if strings.HasSuffix(src, ".tmp") {
-			continue
+		if raw.Cold[i] != nil {
+			vols, _, err := archive.Adopt(ctx, be, raw.Cold[i])
+			if err != nil {
+				return total, sidecars, err
+			}
+			total.ColdVolumes += vols
 		}
-		data, err := os.ReadFile(src)
-		if os.IsNotExist(err) {
-			continue // dropped since the glob: its block is on the device
-		}
+		n, err := raw.NVRAMs[i].(*core.FileNVRAM).CopyTo(dst)
 		if err != nil {
-			return n, err
+			return total, sidecars, err
 		}
-		if err := os.WriteFile(filepath.Join(dst, filepath.Base(src)), data, 0o644); err != nil {
-			return n, err
-		}
-		n++
+		sidecars += n
+		total.VolumesSeen += res.VolumesSeen
+		total.BlocksCopied += res.BlocksCopied
+		total.BlocksSkipped += res.BlocksSkipped
 	}
-	return n, nil
+	return total, sidecars, nil
 }
 
 // runVerifyBackup restores an archive in memory and scrubs it, one
@@ -863,52 +793,6 @@ func runVerifyBackup(archiveDir string) {
 		os.Exit(1)
 	}
 	fmt.Println("clean")
-}
-
-// openStoreDevices opens every volume file in a store directory.
-func openStoreDevices(dir string) ([]wodev.Device, func(), error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var devs []wodev.Device
-	closeAll := func() {
-		for _, d := range devs {
-			d.Close()
-		}
-	}
-	blockSize := geom.BlockSize
-	if blockSize <= 0 {
-		blockSize = wodev.DefaultBlockSize
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, "vol-") || !strings.HasSuffix(name, ".clio") {
-			continue
-		}
-		path := filepath.Join(dir, name)
-		// Capacity: from -volume-blocks when given, else derived from the
-		// file extent — exact for sealed (full) volumes, which is what the
-		// sequence's block mapping depends on. Only the tail volume is
-		// still growing, and it is last, so an underestimate there shifts
-		// no boundary.
-		capBlocks := geom.VolumeBlocks
-		if capBlocks <= 0 {
-			if st, err := os.Stat(path); err == nil {
-				capBlocks = int(st.Size()) / blockSize
-			}
-		}
-		dev, err := wodev.OpenFile(path, wodev.FileOptions{BlockSize: blockSize, Capacity: capBlocks})
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		devs = append(devs, dev)
-	}
-	if len(devs) == 0 {
-		return nil, nil, fmt.Errorf("no volume files in %s", dir)
-	}
-	return devs, closeAll, nil
 }
 
 func need(args []string, n int) {

@@ -5,7 +5,8 @@
 // Usage:
 //
 //	cliod -store /var/lib/clio [-config /etc/clio.conf] [-listen :7846]
-//	      [-create] [-shards N] [-volume-blocks N] [-checkpoint-interval N]
+//	      [-create [-shards N] [-volume-blocks N] [-block-size N]]
+//	      [-checkpoint-interval N]
 //	      [-admin :7847] [-slow-trace 100ms]
 //	      [-compact-interval 0] [-compact-max-live 0.5] [-compact-min-hot 2]
 //	      [-drain-timeout 30s]
@@ -47,18 +48,21 @@
 //
 // -compact-interval enables background space reclamation: every interval,
 // each shard copies the live entries of mostly-dead sealed volumes forward,
-// demotes the emptied volumes to its cold archive (<shard>/cold) and deletes
-// the local volume files, keeping hot storage bounded while reads of demoted
-// blocks transparently fetch from the archive. -compact-max-live caps the
-// live fraction a volume may have and still be compacted; -compact-min-hot
-// is the floor of volumes kept mounted per shard. 0 disables the loop
-// (`clio compact` still works offline).
+// demotes the emptied volumes to its cold archive (a directory beside the
+// shard's volume files) and deletes the local volume files, keeping hot
+// storage bounded while reads of demoted blocks transparently fetch from the
+// archive. -compact-max-live caps the live fraction a volume may have and
+// still be compacted; -compact-min-hot is the floor of volumes kept mounted
+// per shard. 0 disables the loop (`clio compact` still works offline).
 //
 // A 1-shard store holds one file per log volume plus the NVRAM sidecar that
 // stages the current partial block across restarts (§2.3.1). -create
-// -shards N lays the store out as N hash-partitioned volume sequences
-// (shard-K subdirectories, each with its own NVRAM sidecar) behind one
-// namespace; reopening detects the shard count from the directory.
+// -shards N lays the store out as N hash-partitioned volume sequences (one
+// subdirectory per shard, each with its own NVRAM sidecar) behind one
+// namespace. The store records its geometry — -shards, -volume-blocks,
+// -block-size — in a manifest when it is created (clio.DirOptions; DESIGN.md
+// "Store manifest"): the three are -create flags, a reopen needs none of
+// them, and one given anyway is asserted, a contradicting value refused.
 //
 // -admin starts an HTTP endpoint serving /metrics (Prometheus text format),
 // /statusz (JSON: volumes, tail state, session and tenant tables), /tracez
@@ -95,7 +99,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -223,6 +226,8 @@ func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 
+	// The geometry keys default to zero: the store's own once it exists (its
+	// manifest records it), the library's defaults with -create.
 	opts := clio.DirOptions{VolumeBlocks: cfg.VolumeBlocks, SyncEvery: cfg.Sync, Shards: cfg.Shards}
 	opts.BlockSize = cfg.BlockSize
 	opts.CheckpointInterval = cfg.CheckpointInterval
@@ -415,7 +420,7 @@ func runCluster(cfg *config.Config, confPath string, opts clio.DirOptions, sig c
 		// Persist term arbitration next to the store: a restarted node must
 		// remember the highest term it has seen, or a stale leader could be
 		// mistaken for the legitimate one after a full-cluster restart.
-		TermPath: filepath.Join(cfg.Store, "term.clio"),
+		TermPath: raw.TermPath,
 		Reset:    raw.Reset,
 		Logf:     log.Printf,
 		Tracer:   tracer,

@@ -851,3 +851,40 @@ func TestAppliedResetsOnLeaderChange(t *testing.T) {
 		return third.Applied() == newLeader.stream.Pos()
 	})
 }
+
+// TestFollowerDedupWindowByteBudget: the session table a follower builds
+// from its leader's stream is the server's own, so it honours the server's
+// byte budget (64 KiB of retained responses per session) on both ways in —
+// live ReplAcks and the window a catch-up installs, whose batched-read
+// responses run to 16 KiB each — instead of a count bound alone.
+func TestFollowerDedupWindowByteBudget(t *testing.T) {
+	const budget = 64 << 10
+	fol := newFollowerState(&Node{})
+	big := make([]byte, budget/4)
+	installed := wire.ReplSession{ID: 7, MaxSeq: 10}
+	for seq := uint64(1); seq <= 10; seq++ {
+		ack := &wire.ReplAck{Session: 9, Seq: seq, Status: server.StatusOK, Resp: big}
+		if err := fol.apply(wire.OpReplAck, ack.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		installed.Resps = append(installed.Resps, wire.ReplResp{Seq: seq, Status: server.StatusOK, Resp: big})
+	}
+	snap := &wire.ReplSessions{Sessions: []wire.ReplSession{installed}}
+	if err := fol.apply(wire.OpReplSessions, snap.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	sessions := fol.sessions.Export()
+	if len(sessions) != 2 {
+		t.Fatalf("follower holds %d sessions, want 2", len(sessions))
+	}
+	for _, s := range sessions {
+		retained := 0
+		for _, r := range s.Resps {
+			retained += len(r.Resp)
+		}
+		if s.MaxSeq != 10 || retained > budget || len(s.Resps) != budget/len(big) || s.Resps[len(s.Resps)-1].Seq != 10 {
+			t.Errorf("session %d: maxSeq %d, %d responses, %d bytes retained; want maxSeq 10 and the newest %d responses (%d bytes)",
+				s.ID, s.MaxSeq, len(s.Resps), retained, budget/len(big), budget)
+		}
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -222,27 +221,20 @@ func New(cfg Config) (*Node, error) {
 }
 
 // persistTerm records term in cfg.TermPath so a restart cannot regress the
-// node's term arbitration; the write is atomic (temp file + rename) so a
-// crash mid-write leaves the old term, never garbage. No-op without a
-// path. Small, rare writes: safe to call with n.mu held.
+// node's term arbitration; the file is replaced atomically and durably
+// (core.FileState): a crash mid-write leaves the old term, never garbage.
+// No-op without a path. Small, rare writes: safe to call with n.mu held.
 func (n *Node) persistTerm(term uint64) error {
 	if n.cfg.TermPath == "" {
 		return nil
 	}
-	tmp := n.cfg.TermPath + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(term, 10)+"\n"), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, n.cfg.TermPath)
+	return core.NewFileState(n.cfg.TermPath).Save([]byte(strconv.FormatUint(term, 10) + "\n"))
 }
 
 // loadTerm reads a persisted term; a missing file is term 0 (fresh node).
 func loadTerm(path string) (uint64, error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
+	b, err := core.NewFileState(path).Load()
+	if err != nil || b == nil {
 		return 0, err
 	}
 	term, err := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64)
@@ -289,7 +281,7 @@ func (n *Node) SetTenants(list []server.Tenant) {
 
 // becomeLeader opens the store over tapped devices and installs the
 // replication hooks. roleMu must be held.
-func (n *Node) becomeLeader(term, epoch uint64, sessions []server.SessionState, create bool) error {
+func (n *Node) becomeLeader(term, epoch uint64, sessions *server.Sessions, create bool) error {
 	// Persist before anything else: a leader that crashes right after
 	// minting its term must come back remembering it.
 	if err := n.persistTerm(term); err != nil {
@@ -347,8 +339,8 @@ func (n *Node) becomeLeader(term, epoch uint64, sessions []server.SessionState, 
 		// not see a promotion as a state-losing restart.
 		srv.SetEpoch(epoch)
 	}
-	if len(sessions) > 0 {
-		srv.InstallSessions(sessions)
+	if sessions != nil {
+		srv.Sessions = sessions
 	}
 	srv.Gate = n.gate
 	srv.PreGate = n.preGate
@@ -418,8 +410,7 @@ func (n *Node) promoteExcept(keep net.Conn) (uint64, error) {
 	fol.mu.Unlock()
 	n.closeConnsExcept(keep)
 	fol.wg.Wait()
-	sessions := fol.exportSessions()
-	if err := n.becomeLeader(term, epoch, sessions, false); err != nil {
+	if err := n.becomeLeader(term, epoch, fol.sessions, false); err != nil {
 		fol.frozen.Store(false) // stay follower; the leader's sender will reconnect
 		return 0, err
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,11 +15,6 @@ import (
 	"clio/internal/wire"
 	"clio/internal/wodev"
 )
-
-// folDedupWindow mirrors the server's per-session duplicate-suppression
-// window size, so a promoted follower holds the same replay horizon the
-// dead leader did.
-const folDedupWindow = 128
 
 // folReadBuffer sizes the buffered reader on a follower's connections: one
 // read usually takes in everything a leader's socket write carried (a tail
@@ -33,13 +27,6 @@ const folReadBuffer = 32 << 10
 // quorum waiting on an ack that is always one frame away.
 const folAckEvery = 32
 
-// folSession is one session's replicated duplicate-suppression state.
-type folSession struct {
-	maxSeq uint64
-	window map[uint64]wire.ReplResp
-	order  []uint64 // FIFO for eviction
-}
-
 // followerState is everything a follower accumulates from the leader's
 // stream: device writes land directly on the node's devices, tail images on
 // its NVRAMs, and session acks here. It is fenced (frozen) and drained
@@ -51,19 +38,22 @@ type followerState struct {
 	resets  atomic.Int64
 
 	// wg counts connection handlers that may touch devices; Promote waits
-	// it out after freezing. mu guards sessions, vsets and the frozen/Add
-	// handoff in serveFollowerConn.
+	// it out after freezing. mu guards vsets and the frozen/Add handoff in
+	// serveFollowerConn.
 	wg sync.WaitGroup
 	mu sync.Mutex
 
-	sessions map[uint64]*folSession
+	// sessions is the leader's session table as replicated so far — the
+	// server's own type, so the window a follower holds is bounded like the
+	// leader's. A promotion hands it to the new leader's server whole.
+	sessions *server.Sessions
 	vsets    []*volume.Set // lazy read-only views per shard
 }
 
 func newFollowerState(n *Node) *followerState {
 	return &followerState{
 		n:        n,
-		sessions: make(map[uint64]*folSession),
+		sessions: server.NewSessions(),
 		vsets:    make([]*volume.Set, len(n.cfg.Devices)),
 	}
 }
@@ -317,14 +307,8 @@ func (n *Node) folClientHello(fol *followerState, payload []byte) (byte, []byte,
 		// under. Refuse; the client rotates to another node.
 		return server.StatusErr, server.PutString(nil, "cluster: follower has no leader yet"), 0
 	}
-	var maxSeq uint64
-	fol.mu.Lock()
-	if s := fol.sessions[id]; s != nil {
-		maxSeq = s.maxSeq
-	}
-	fol.mu.Unlock()
 	out := wire.PutUint64(nil, epoch)
-	out = wire.PutUint64(out, maxSeq)
+	out = wire.PutUint64(out, fol.sessions.MaxSeq(id))
 	return server.StatusOK, out, id
 }
 
@@ -360,12 +344,10 @@ func (fol *followerState) apply(op byte, payload []byte) error {
 		}
 		return nv.Clear()
 	case *wire.ReplAck:
-		fol.recordAck(m.Session, m.Seq, m.Status, m.Resp)
+		fol.sessions.Record(m.Session, m.Seq, m.Status, m.Resp)
 		return nil
 	case *wire.ReplSessions:
-		for i := range m.Sessions {
-			fol.installSession(&m.Sessions[i])
-		}
+		fol.sessions.Install(m.Sessions)
 		return nil
 	case *wire.ReplBase:
 		fol.noteApplied(m.Pos)
@@ -460,62 +442,6 @@ func (fol *followerState) nvram(shard uint32) (core.NVRAM, error) {
 	return fol.n.cfg.NVRAMs[shard], nil
 }
 
-func (fol *followerState) recordAck(id, seq uint64, status byte, resp []byte) {
-	if id == 0 || seq == 0 {
-		return
-	}
-	fol.mu.Lock()
-	defer fol.mu.Unlock()
-	s := fol.sessions[id]
-	if s == nil {
-		s = &folSession{window: make(map[uint64]wire.ReplResp)}
-		fol.sessions[id] = s
-	}
-	if seq > s.maxSeq {
-		s.maxSeq = seq
-	}
-	if _, ok := s.window[seq]; ok {
-		return
-	}
-	s.window[seq] = wire.ReplResp{Seq: seq, Status: status, Resp: resp}
-	s.order = append(s.order, seq)
-	for len(s.order) > folDedupWindow {
-		delete(s.window, s.order[0])
-		s.order = s.order[1:]
-	}
-}
-
-func (fol *followerState) installSession(ws *wire.ReplSession) {
-	fol.mu.Lock()
-	if s := fol.sessions[ws.ID]; s != nil && ws.MaxSeq > s.maxSeq {
-		s.maxSeq = ws.MaxSeq
-	} else if s == nil {
-		fol.sessions[ws.ID] = &folSession{maxSeq: ws.MaxSeq, window: make(map[uint64]wire.ReplResp)}
-	}
-	fol.mu.Unlock()
-	for _, r := range ws.Resps {
-		fol.recordAck(ws.ID, r.Seq, r.Status, r.Resp)
-	}
-}
-
-// exportSessions renders the replicated session table in the server's
-// install format, oldest response first, for promotion.
-func (fol *followerState) exportSessions() []server.SessionState {
-	fol.mu.Lock()
-	defer fol.mu.Unlock()
-	out := make([]server.SessionState, 0, len(fol.sessions))
-	for id, s := range fol.sessions {
-		st := server.SessionState{ID: id, MaxSeq: s.maxSeq}
-		for _, seq := range s.order {
-			r := s.window[seq]
-			st.Resps = append(st.Resps, server.SessionResp{Seq: r.Seq, Status: r.Status, Resp: r.Resp})
-		}
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // --- sealed-history reads ---
 
 // handleReadAt serves OpReadAt (same payload and entry layout as the
@@ -551,21 +477,9 @@ func (fol *followerState) vset(shard int) (*volume.Set, error) {
 	n.mu.Lock()
 	devs := append([]wodev.Device(nil), n.devs[shard]...)
 	n.mu.Unlock()
-	var set *volume.Set
-	for di, dev := range devs {
-		v, err := volume.Mount(dev, di)
-		if err != nil {
-			if errors.Is(err, volume.ErrNoHeader) {
-				continue // not yet replicated this far
-			}
-			return nil, err
-		}
-		if set == nil {
-			set = volume.NewSet(v.Hdr.Seq)
-		}
-		if err := set.Add(v); err != nil {
-			return nil, err
-		}
+	set, err := volume.MountSet(devs)
+	if err != nil {
+		return nil, err
 	}
 	if set == nil {
 		return nil, errors.New("cluster: no replicated volumes yet")

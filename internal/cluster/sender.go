@@ -348,17 +348,10 @@ func (n *Node) catchUp(conn net.Conn, p *peer, srv *server.Server, theirDevs []w
 			return err
 		}
 	}
-	states := srv.ExportSessions()
+	states := srv.Sessions.Export()
 	for len(states) > 0 {
 		k := min(len(states), sessionChunk)
-		rs := &wire.ReplSessions{Sessions: make([]wire.ReplSession, 0, k)}
-		for _, s := range states[:k] {
-			ws := wire.ReplSession{ID: s.ID, MaxSeq: s.MaxSeq}
-			for _, r := range s.Resps {
-				ws.Resps = append(ws.Resps, wire.ReplResp{Seq: r.Seq, Status: r.Status, Resp: r.Resp})
-			}
-			rs.Sessions = append(rs.Sessions, ws)
-		}
+		rs := &wire.ReplSessions{Sessions: states[:k]}
 		states = states[k:]
 		if err := server.WriteFrame(conn, wire.OpReplSessions, 0, 0, rs.Encode(nil)); err != nil {
 			return err

@@ -92,8 +92,6 @@ const DefaultDrainTimeout = 30 * time.Second
 func Default() *Config {
 	return &Config{
 		Listen:       ":7846",
-		VolumeBlocks: 1 << 20,
-		BlockSize:    1024,
 		SlowTrace:    100 * time.Millisecond,
 		Role:         "leader",
 		Quorum:       2,
@@ -125,9 +123,9 @@ var keys = []key{
 	{"store", func(c *Config) any { return &c.Store }, false, "store directory (required)"},
 	{"listen", func(c *Config) any { return &c.Listen }, false, "TCP listen address"},
 	{"create", func(c *Config) any { return &c.Create }, false, "create a new store instead of opening one"},
-	{"shards", func(c *Config) any { return &c.Shards }, false, "hash partitions for -create (reopen detects; >0 asserts the count)"},
-	{"volume-blocks", func(c *Config) any { return &c.VolumeBlocks }, false, "capacity of each volume file in blocks"},
-	{"block-size", func(c *Config) any { return &c.BlockSize }, false, "block size in bytes"},
+	{"shards", func(c *Config) any { return &c.Shards }, false, "hash partitions, with -create (0 = 1); the store records it, a reopen asserts a value > 0"},
+	{"volume-blocks", func(c *Config) any { return &c.VolumeBlocks }, false, "capacity of each volume file in blocks, with -create (0 = 1048576); the store records it, a reopen asserts a value > 0"},
+	{"block-size", func(c *Config) any { return &c.BlockSize }, false, "block size in bytes, with -create (0 = 1024); the store records it, a reopen asserts a value > 0"},
 	{"sync", func(c *Config) any { return &c.Sync }, false, "fsync every sealed block"},
 	{"checkpoint-interval", func(c *Config) any { return &c.CheckpointInterval }, false, "emit a recovery checkpoint every N sealed blocks per shard, and on clean shutdown (0 disables; recovery then reconstructs from scratch)"},
 	{"admin", func(c *Config) any { return &c.Admin }, false, "HTTP admin listen address (/metrics, /statusz, /tracez, /debug/pprof); empty disables"},
@@ -337,11 +335,11 @@ func (c *Config) Validate() error {
 	if c.Shards < 0 {
 		return bad("shards %d is negative", c.Shards)
 	}
-	if c.VolumeBlocks <= 0 {
-		return bad("volume-blocks %d must be positive", c.VolumeBlocks)
+	if c.VolumeBlocks < 0 {
+		return bad("volume-blocks %d is negative", c.VolumeBlocks)
 	}
-	if c.BlockSize <= 0 {
-		return bad("block-size %d must be positive", c.BlockSize)
+	if c.BlockSize < 0 {
+		return bad("block-size %d is negative", c.BlockSize)
 	}
 	if c.CheckpointInterval < 0 {
 		return bad("checkpoint-interval %d is negative", c.CheckpointInterval)

@@ -122,7 +122,7 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"no store", func(c *Config) error { c.Store = ""; return nil }, "store is required"},
 		{"negative shards", func(c *Config) error { return c.Set("shards", "-1") }, "negative"},
-		{"zero block size", func(c *Config) error { return c.Set("block-size", "0") }, "positive"},
+		{"negative block size", func(c *Config) error { return c.Set("block-size", "-1") }, "negative"},
 		{"max-live above 1", func(c *Config) error { return c.Set("compact-max-live", "1.5") }, "outside (0,1]"},
 		{"max-live negative", func(c *Config) error { return c.Set("compact-max-live", "-0.1") }, "outside (0,1]"},
 		{"negative drain", func(c *Config) error { return c.Set("drain-timeout", "-1s") }, "negative"},

@@ -59,8 +59,12 @@ type StateStore interface {
 	Save(data []byte) error
 }
 
-// FileState is a StateStore backed by a single file, written atomically
-// (tmp + rename) so a torn save leaves the previous state intact.
+// FileState is a StateStore backed by a single small file, replaced
+// atomically and durably: Save writes a temporary file, fsyncs it, renames it
+// over the path and syncs the directory, so a torn save leaves the previous
+// state intact and a completed one survives a power cut. It is the one way
+// the rarely written files beside a store's volumes are replaced — the
+// compaction sidecar, the store manifest, a cluster node's term.
 type FileState struct {
 	path string
 }
@@ -84,21 +88,17 @@ func (f *FileState) Save(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tf.Write(data); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return err
+	_, err = tf.Write(data)
+	if err == nil {
+		err = tf.Sync()
 	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := tf.Close(); err == nil {
+		err = cerr
 	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, f.path)
 	}
-	if err := os.Rename(tmp, f.path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -450,3 +450,28 @@ func TestVolumeFullWithoutAllocator(t *testing.T) {
 		t.Errorf("filling the only volume: %v", lastErr)
 	}
 }
+
+// TestOpenTakesGeometryFromHeader: the volume header says what the block
+// size and degree are, so Open needs neither; given, they are asserted.
+func TestOpenTakesGeometryFromHeader(t *testing.T) {
+	s, dev := newTestService(t, Options{}) // 256-byte blocks, degree 4
+	id := mustCreate(t, s, "/g")
+	mustAppend(t, s, id, "entry", AppendOptions{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open([]wodev.Device{dev}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.BlockSize() != 256 || s.Degree() != 4 {
+		t.Errorf("opened with block size %d, degree %d; the header says 256 and 4", s.BlockSize(), s.Degree())
+	}
+	if got := datas(readAll(t, s, "/g")); len(got) != 1 || got[0] != "entry" {
+		t.Errorf("read back %v", got)
+	}
+	s.Close()
+	if _, err := Open([]wodev.Device{dev}, Options{Degree: 16}); err == nil {
+		t.Error("Open with a degree the header contradicts accepted")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -412,22 +413,26 @@ func (f *FileNVRAM) DropSealed(global int) error {
 	return err
 }
 
+// sealedFiles lists the staged sealed images' sidecars; a half-written .tmp
+// is never part of the state.
+func (f *FileNVRAM) sealedFiles() ([]string, error) {
+	matches, err := filepath.Glob(f.path + ".s*")
+	return slices.DeleteFunc(matches, func(p string) bool { return strings.HasSuffix(p, ".tmp") }), err
+}
+
 // LoadSealed implements StagingNVRAM. Torn sidecars (crash mid-StoreSealed)
 // are skipped: the seal they staged was never acked, because the ack
 // happens only after StoreSealed returns.
 func (f *FileNVRAM) LoadSealed() ([]int, [][]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	matches, err := filepath.Glob(f.path + ".s*")
+	matches, err := f.sealedFiles()
 	if err != nil {
 		return nil, nil, err
 	}
 	var globals []int
 	var images [][]byte
 	for _, path := range matches {
-		if strings.HasSuffix(path, ".tmp") {
-			continue
-		}
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			if os.IsNotExist(err) {
@@ -446,4 +451,34 @@ func (f *FileNVRAM) LoadSealed() ([]int, [][]byte, error) {
 		images = append(images, img)
 	}
 	return globals, images, nil
+}
+
+// CopyTo copies the staged state — what a backup must carry because it is not
+// on the volumes yet — into dir under the files' own names and returns how
+// many it copied: the tail sidecar and every staged sealed image (blocks a
+// pipelined seal acked before their device write). An image left in dir by an
+// earlier copy and since dropped by the store is harmless: recovery ignores a
+// staged tail or seal that the volumes already cover.
+func (f *FileNVRAM) CopyTo(dir string) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	srcs, err := f.sealedFiles()
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, src := range append(srcs, f.path) {
+		data, err := os.ReadFile(src)
+		if os.IsNotExist(err) {
+			continue // nothing staged, or dropped since the listing: its block is on the device
+		}
+		if err != nil {
+			return n, err
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), data, 0o644); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }

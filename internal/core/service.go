@@ -70,9 +70,11 @@ type Allocator func(seq volume.SeqID, index uint32, startOffset uint64, blockSiz
 
 // Options configures a Service.
 type Options struct {
-	// BlockSize is the device block size; defaults to 1024 (§3.2).
+	// BlockSize is the device block size; New defaults it to 1024 (§3.2),
+	// Open to the mounted volumes'.
 	BlockSize int
-	// Degree is the entrymap tree degree N; defaults to 16 (§3.2).
+	// Degree is the entrymap tree degree N; New defaults it to 16 (§3.2),
+	// Open to the mounted volumes'.
 	Degree int
 	// CacheBlocks bounds the block cache; 0 means unbounded; defaults to
 	// 4096 blocks (4 MiB at the default block size).
@@ -489,12 +491,30 @@ func New(dev wodev.Device, opt Options) (*Service, error) {
 // Open mounts the given devices (the volumes of one sequence, any order;
 // the newest must be present) and recovers the service state: locate the end
 // of the written portion, reconstruct entrymap information, replay the
-// catalog, and restore any NVRAM-staged tail block (§2.3.1).
+// catalog, and restore any NVRAM-staged tail block (§2.3.1). A zero
+// opt.BlockSize or opt.Degree means what the volume headers say; a set one
+// asserts it.
 func Open(devs []wodev.Device, opt Options) (*Service, error) {
-	opt = opt.withDefaults()
 	if len(devs) == 0 {
 		return nil, errors.New("clio: no devices to mount")
 	}
+	// Mount all volumes; adopt the sequence id, and any geometry the caller
+	// left unset, from the first header.
+	var vols []*volume.Volume
+	for tag, dev := range devs {
+		v, err := volume.Mount(dev, tag)
+		if err != nil {
+			return nil, err
+		}
+		vols = append(vols, v)
+	}
+	if opt.BlockSize <= 0 {
+		opt.BlockSize = int(vols[0].Hdr.BlockSize)
+	}
+	if opt.Degree <= 0 {
+		opt.Degree = int(vols[0].Hdr.N)
+	}
+	opt = opt.withDefaults()
 	s := &Service{
 		opt:            opt,
 		cat:            catalog.NewTable(),
@@ -502,6 +522,8 @@ func Open(devs []wodev.Device, opt Options) (*Service, error) {
 		retry:          faults.DefaultDevicePolicy(),
 		forceSig:       make(chan struct{}, 1),
 		stagedTailFrom: -1,
+		set:            volume.NewSet(vols[0].Hdr.Seq),
+		nextTag:        len(vols),
 	}
 	s.sealCond = sync.NewCond(&s.mu)
 	s.staging, _ = opt.NVRAM.(StagingNVRAM)
@@ -510,17 +532,6 @@ func Open(devs []wodev.Device, opt Options) (*Service, error) {
 	if opt.Retry != nil {
 		s.retry = *opt.Retry
 	}
-	// Mount all volumes; adopt the sequence id from the first header.
-	var vols []*volume.Volume
-	for _, dev := range devs {
-		v, err := volume.Mount(dev, s.nextTag)
-		if err != nil {
-			return nil, err
-		}
-		s.nextTag++
-		vols = append(vols, v)
-	}
-	s.set = volume.NewSet(vols[0].Hdr.Seq)
 	for _, v := range vols {
 		if int(v.Hdr.BlockSize) != opt.BlockSize {
 			return nil, fmt.Errorf("clio: volume %d block size %d != option %d",

@@ -125,22 +125,12 @@ func (r *Report) add(block int, kind, format string, args ...any) {
 
 // Volumes scrubs a volume sequence given its mounted devices (any order).
 func Volumes(devs []wodev.Device, opt Options) (*Report, error) {
-	if len(devs) == 0 {
-		return nil, fmt.Errorf("scrub: no devices")
+	set, err := volume.MountSet(devs)
+	if err != nil {
+		return nil, err
 	}
-	var vols []*volume.Volume
-	for i, dev := range devs {
-		v, err := volume.Mount(dev, i)
-		if err != nil {
-			return nil, fmt.Errorf("scrub: device %d: %w", i, err)
-		}
-		vols = append(vols, v)
-	}
-	set := volume.NewSet(vols[0].Hdr.Seq)
-	for _, v := range vols {
-		if err := set.Add(v); err != nil {
-			return nil, err
-		}
+	if set == nil {
+		return nil, fmt.Errorf("scrub: no written volumes among %d devices", len(devs))
 	}
 	end, err := set.GlobalEnd()
 	if err != nil {

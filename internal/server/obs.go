@@ -73,9 +73,9 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 		})
 	reg.GaugeFunc("clio_server_sessions",
 		"Client sessions the server is holding state for.", func() int64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return int64(len(s.sessions))
+			s.Sessions.mu.Lock()
+			defer s.Sessions.mu.Unlock()
+			return int64(len(s.Sessions.m))
 		})
 	s.obsReg.Store(reg)
 	// Tenants installed before the registry arrived register now; the two
@@ -121,12 +121,8 @@ type ServerStatus struct {
 func (s *Server) Status() ServerStatus {
 	s.mu.Lock()
 	st := ServerStatus{Epoch: s.epoch, Conns: len(s.conns), Draining: s.draining.Load()}
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		sessions = append(sessions, ss)
-	}
 	s.mu.Unlock()
-	for _, ss := range sessions {
+	for _, ss := range s.Sessions.all() {
 		ss.mu.Lock()
 		st.Sessions = append(st.Sessions, SessionStatus{
 			ID:      ss.id,

@@ -84,6 +84,13 @@ type Server struct {
 	// demotion). Set before the first connection is served.
 	ExtOp func(op byte, payload []byte) (status byte, resp []byte, handled bool)
 
+	// Sessions is the server's session table. A promoted replication
+	// follower replaces it with the table it replicated from the old leader,
+	// so replay stays idempotent across the failover; the cluster layer
+	// exports it to a catching-up follower. Set before the first connection
+	// is served.
+	Sessions *Sessions
+
 	// obsM holds the registered metrics; nil until RegisterMetrics. An
 	// atomic pointer mirrors core's cacheP pattern: the hot path loads it
 	// once per request without taking s.mu.
@@ -107,12 +114,11 @@ type Server struct {
 	// is how a reconnecting client learns its session state is gone.
 	epoch uint64
 
-	mu       sync.Mutex
-	closed   bool
-	lns      []net.Listener
-	conns    map[net.Conn]bool
-	sessions map[uint64]*session
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
+	lns    []net.Listener
+	conns  map[net.Conn]bool
+	wg     sync.WaitGroup
 }
 
 // New returns a server fronting one service as a 1-shard store.
@@ -128,7 +134,7 @@ func NewStore(st *shard.Store) *Server {
 		store:    st,
 		epoch:    binary.LittleEndian.Uint64(e[:]) | 1, // never 0
 		conns:    make(map[net.Conn]bool),
-		sessions: make(map[uint64]*session),
+		Sessions: NewSessions(),
 	}
 }
 
@@ -145,40 +151,76 @@ func (s *Server) Epoch() uint64 { return s.epoch }
 // first connection is served.
 func (s *Server) SetEpoch(e uint64) { s.epoch = e }
 
-// SessionState is the replicable form of one client session's
-// duplicate-suppression state (cursors are connection-domain and do not
-// replicate).
-type SessionState struct {
-	ID     uint64
-	MaxSeq uint64
-	Resps  []SessionResp
+// Sessions is a table of client sessions keyed by session id: what a Server
+// keeps for its clients and a replication follower keeps of its leader's, so
+// every copy of a dedup window is bounded by the same code
+// (session.retainLocked). Cursors are connection-domain and do not replicate.
+// Sessions are never evicted (session expiry, ROADMAP item 1(iii), is open).
+type Sessions struct {
+	mu sync.Mutex
+	m  map[uint64]*session
 }
 
-// SessionResp is one cached response inside a SessionState.
-type SessionResp struct {
-	Seq    uint64
-	Status byte
-	Resp   []byte
-}
+// NewSessions returns an empty table.
+func NewSessions() *Sessions { return &Sessions{m: make(map[uint64]*session)} }
 
-// ExportSessions snapshots every shared session's dedup window, oldest
-// cached response first. The cluster layer ships this to a catching-up
-// follower so a promotion preserves replay idempotency.
-func (s *Server) ExportSessions() []SessionState {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		sessions = append(sessions, ss)
+// get returns the session named id, creating it on first use.
+func (t *Sessions) get(id uint64) *session {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sess, ok := t.m[id]
+	if !ok {
+		sess = newSession(id)
+		t.m[id] = sess
 	}
-	s.mu.Unlock()
-	out := make([]SessionState, 0, len(sessions))
+	return sess
+}
+
+// all returns the table's sessions, in no particular order.
+func (t *Sessions) all() []*session {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]*session, 0, len(t.m))
+	for _, ss := range t.m {
+		out = append(out, ss)
+	}
+	return out
+}
+
+// Record installs one replicated dedup record — a follower calls this for
+// each streamed ReplAck so its table tracks the leader's.
+func (t *Sessions) Record(id, seq uint64, status byte, resp []byte) {
+	if id == 0 || seq == 0 {
+		return
+	}
+	t.get(id).record(seq, status, resp)
+}
+
+// MaxSeq returns the highest sequence number recorded for session id, 0 for
+// a session the table does not hold.
+func (t *Sessions) MaxSeq(id uint64) uint64 {
+	t.mu.Lock()
+	sess := t.m[id]
+	t.mu.Unlock()
+	if sess == nil {
+		return 0
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.maxSeq
+}
+
+// Export snapshots every session's dedup window, oldest cached response
+// first, in the form a catching-up follower is sent.
+func (t *Sessions) Export() []wire.ReplSession {
+	sessions := t.all()
+	out := make([]wire.ReplSession, 0, len(sessions))
 	for _, ss := range sessions {
 		ss.mu.Lock()
-		st := SessionState{ID: ss.id, MaxSeq: ss.maxSeq}
+		st := wire.ReplSession{ID: ss.id, MaxSeq: ss.maxSeq}
 		for _, seq := range ss.order {
-			if r, ok := ss.window[seq]; ok {
-				st.Resps = append(st.Resps, SessionResp{Seq: seq, Status: r.status, Resp: r.payload})
-			}
+			r := ss.window[seq]
+			st.Resps = append(st.Resps, wire.ReplResp{Seq: seq, Status: r.status, Resp: r.payload})
 		}
 		ss.mu.Unlock()
 		out = append(out, st)
@@ -186,29 +228,16 @@ func (s *Server) ExportSessions() []SessionState {
 	return out
 }
 
-// session returns the shared session named id, creating it on first use.
-func (s *Server) session(id uint64) *session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		sess = newSession(id)
-		s.sessions[id] = sess
-	}
-	return sess
-}
-
-// InstallSessions merges replicated session state into the server's session
-// table: maxSeq advances monotonically and cached responses are adopted for
-// seqs not already present, so installing is idempotent and never regresses
-// state a live session has built since. A promoted follower calls this with
-// the state replicated from the old leader before serving clients.
-func (s *Server) InstallSessions(states []SessionState) {
+// Install merges exported session state into the table: maxSeq advances
+// monotonically and cached responses are adopted for seqs not already
+// present, so installing is idempotent and never regresses state a live
+// session has built since.
+func (t *Sessions) Install(states []wire.ReplSession) {
 	for _, st := range states {
 		if st.ID == 0 {
 			continue
 		}
-		sess := s.session(st.ID)
+		sess := t.get(st.ID)
 		sess.mu.Lock()
 		if st.MaxSeq > sess.maxSeq {
 			sess.maxSeq = st.MaxSeq
@@ -220,15 +249,6 @@ func (s *Server) InstallSessions(states []SessionState) {
 		}
 		sess.mu.Unlock()
 	}
-}
-
-// RecordSessionResp installs one replicated dedup record — a follower calls
-// this for each streamed ReplAck so its session table tracks the leader's.
-func (s *Server) RecordSessionResp(id, seq uint64, status byte, resp []byte) {
-	if id == 0 || seq == 0 {
-		return
-	}
-	s.session(id).record(seq, status, resp)
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -580,8 +600,8 @@ func (ss *session) record(seq uint64, status byte, payload []byte) {
 // the window is back inside both bounds, dedupWindow responses and dedupBytes
 // of payload. The response just added is never evicted, whatever its size.
 // It is the only place the window grows, so live requests, replicated acks
-// and an installed handoff state (ExportSessions → InstallSessions) are
-// accounted alike.
+// and an installed handoff state (Sessions.Export → Install) are accounted
+// alike, on a leader and on a follower.
 func (ss *session) retainLocked(seq uint64, r cachedResp) {
 	if old, ok := ss.window[seq]; ok {
 		ss.retained -= len(old.payload)
@@ -749,7 +769,7 @@ func (h *connHandler) hello(payload []byte) reply {
 	}
 	h.tenant = ts
 	if id := req.Session; id != 0 {
-		sess := h.srv.session(id)
+		sess := h.srv.Sessions.get(id)
 		if ts != nil {
 			sess.mu.Lock()
 			switch sess.tenant {

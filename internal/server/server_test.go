@@ -629,18 +629,18 @@ func TestDedupWindowByteBudget(t *testing.T) {
 		t.Fatalf("window holds %d responses, want %d", len(ss.window), dedupWindow)
 	}
 
-	// A handoff goes through the same accounting: what one server exports,
+	// A handoff goes through the same accounting: what one table exports,
 	// another installs under the same two bounds.
-	src, dst := New(nil), New(nil)
+	src, dst := NewSessions(), NewSessions()
 	for seq := uint64(1); seq <= 10; seq++ {
-		src.RecordSessionResp(9, seq, StatusOK, big)
+		src.Record(9, seq, StatusOK, big)
 	}
-	dst.InstallSessions(src.ExportSessions())
-	got := dst.sessions[9]
-	if got == nil || got.maxSeq != 10 || len(got.window) != 4 || got.retained != 4*len(big) {
-		t.Fatalf("installed session: present=%v maxSeq=%d window=%d retained=%d", got != nil, got.maxSeq, len(got.window), got.retained)
+	dst.Install(src.Export())
+	got := dst.m[9]
+	if got == nil || dst.MaxSeq(9) != 10 || len(got.window) != 4 || got.retained != 4*len(big) {
+		t.Fatalf("installed session: present=%v maxSeq=%d window=%d retained=%d", got != nil, dst.MaxSeq(9), len(got.window), got.retained)
 	}
-	dst.InstallSessions(src.ExportSessions()) // idempotent
+	dst.Install(src.Export()) // idempotent
 	if len(got.window) != 4 || got.retained != 4*len(big) {
 		t.Fatalf("re-install changed the window: %d responses, %d bytes", len(got.window), got.retained)
 	}

@@ -34,7 +34,7 @@ var (
 	// ErrSequenceMismatch indicates a volume from a different sequence.
 	ErrSequenceMismatch = errors.New("volume: volume belongs to a different sequence")
 	// ErrNotContiguous indicates a volume whose index or offset does not
-	// continue the sequence.
+	// continue the sequence (Set.Add).
 	ErrNotContiguous = errors.New("volume: volume does not continue the sequence")
 	// ErrOffline indicates the addressed block lives on an unmounted volume.
 	ErrOffline = errors.New("volume: block is on an offline volume")
@@ -208,24 +208,76 @@ type Set struct {
 // NewSet returns a set for the given sequence id.
 func NewSet(seq SeqID) *Set { return &Set{seq: seq} }
 
+// MountSet mounts the written volumes among devs (one sequence, any order)
+// into a Set, each tagged with its position in devs. A device nothing was
+// written to — a follower's, ahead of its leader's stream — has no header
+// and is skipped; the set is nil when every device is blank.
+func MountSet(devs []wodev.Device) (*Set, error) {
+	var set *Set
+	for i, dev := range devs {
+		if dev.Written() == 0 {
+			continue
+		}
+		v, err := Mount(dev, i)
+		if err != nil {
+			return nil, err
+		}
+		if set == nil {
+			set = NewSet(v.Hdr.Seq)
+		}
+		if err := set.Add(v); err != nil {
+			return nil, err
+		}
+	}
+	return set, nil
+}
+
 // Seq returns the sequence id.
 func (s *Set) Seq() SeqID { return s.seq }
 
-// Add mounts a volume into the set.
+// Add mounts a volume into the set. The sequence's block mapping is only
+// sound when each volume starts where its predecessor's capacity ends, so a
+// volume that breaks that against a mounted neighbour is ErrNotContiguous:
+// next to the adjacent index the offsets must meet exactly, across a gap of
+// offline volumes they must at least not overlap. A device opened at the
+// wrong capacity therefore fails here, at mount, instead of mapping a
+// shorter history.
 func (s *Set) Add(v *Volume) error {
 	if v.Hdr.Seq != s.seq {
 		return ErrSequenceMismatch
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, have := range s.vols {
-		if have.Hdr.Index == v.Hdr.Index {
-			return fmt.Errorf("%w: volume %d already mounted", ErrNotContiguous, v.Hdr.Index)
+	i := sort.Search(len(s.vols), func(i int) bool { return s.vols[i].Hdr.Index >= v.Hdr.Index })
+	if i < len(s.vols) && s.vols[i].Hdr.Index == v.Hdr.Index {
+		return fmt.Errorf("%w: volume %d already mounted", ErrNotContiguous, v.Hdr.Index)
+	}
+	if i > 0 {
+		if err := continues(s.vols[i-1], v); err != nil {
+			return err
 		}
 	}
-	s.vols = append(s.vols, v)
-	sort.Slice(s.vols, func(i, j int) bool { return s.vols[i].Hdr.Index < s.vols[j].Hdr.Index })
+	if i < len(s.vols) {
+		if err := continues(v, s.vols[i]); err != nil {
+			return err
+		}
+	}
+	s.vols = append(s.vols, nil)
+	copy(s.vols[i+1:], s.vols[i:])
+	s.vols[i] = v
 	return nil
+}
+
+// continues checks that next, a later volume of pred's sequence, starts where
+// pred's data capacity ends (or, with offline volumes between them, past it).
+func continues(pred, next *Volume) error {
+	end := pred.Hdr.StartOffset + uint64(pred.DataCapacity())
+	start := next.Hdr.StartOffset
+	if start == end || (start > end && next.Hdr.Index > pred.Hdr.Index+1) {
+		return nil
+	}
+	return fmt.Errorf("%w: volume %d starts at block %d, but volume %d (capacity %d blocks) ends at %d",
+		ErrNotContiguous, next.Hdr.Index, start, pred.Hdr.Index, pred.Dev.Capacity(), end)
 }
 
 // Remove unmounts the volume with the given index; the active (newest)

@@ -165,6 +165,35 @@ func TestSetRejectsForeignAndDuplicate(t *testing.T) {
 	}
 }
 
+// TestSetRejectsNonContiguous: a volume must start where its mounted
+// predecessor's capacity ends — exactly next to the adjacent index, not
+// before it across a gap — whichever of the two is mounted first. This is
+// what a device opened at the wrong capacity trips.
+func TestSetRejectsNonContiguous(t *testing.T) {
+	cases := []struct {
+		name   string
+		first  *Volume
+		second *Volume
+	}{
+		{"predecessor opened too large", freshVolume(t, 0, 0, 1001), freshVolume(t, 1, 10, 11)},
+		{"predecessor opened too small", freshVolume(t, 0, 0, 6), freshVolume(t, 1, 10, 11)},
+		{"successor mounted first", freshVolume(t, 1, 10, 11), freshVolume(t, 0, 0, 1001)},
+		{"overlap across an offline volume", freshVolume(t, 0, 0, 1001), freshVolume(t, 2, 20, 11)},
+	}
+	for _, c := range cases {
+		s := NewSet(testSeq)
+		if err := s.Add(c.first); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(c.second); !errors.Is(err, ErrNotContiguous) {
+			t.Errorf("%s: %v, want ErrNotContiguous", c.name, err)
+		}
+		if len(s.Volumes()) != 1 {
+			t.Errorf("%s: the refused volume was mounted", c.name)
+		}
+	}
+}
+
 func TestSetRemove(t *testing.T) {
 	s := NewSet(testSeq)
 	v0 := freshVolume(t, 0, 0, 11)

@@ -9,10 +9,10 @@ import (
 )
 
 // FileDevice is a write-once device backed by a regular file, one file per
-// log volume. The written portion of the volume is exactly the file's
-// current extent, so Written can be answered by "directly querying the
-// device" (§2.3.1); invalidated blocks are represented as all one bits, the
-// same encoding the paper uses on the physical medium.
+// log volume. The written portion of the volume is the whole blocks of the
+// file's current extent, so Written can be answered by "directly querying
+// the device" (§2.3.1); invalidated blocks are represented as all one bits,
+// the same encoding the paper uses on the physical medium.
 //
 // The file itself is of course rewriteable; the append-only policy is
 // enforced by this type, matching the paper's observation that "the
@@ -44,9 +44,11 @@ type FileOptions struct {
 
 // OpenFile opens (creating if necessary) a file-backed write-once volume.
 // Reopening an existing volume file resumes with the written portion equal
-// to the file extent; a trailing partial block (torn write) is truncated
-// away, which is the correct crash semantics for a device that commits
-// whole blocks.
+// to the whole blocks of the file extent; a trailing partial block (torn
+// write) was never written — the correct crash semantics for a device that
+// commits whole blocks — and the next append overwrites it. Nothing is cut
+// off the file: opened by mistake at another block size than it was written
+// with, a volume fails to mount but keeps every byte.
 func OpenFile(path string, opt FileOptions) (*FileDevice, error) {
 	if opt.BlockSize <= 0 {
 		opt.BlockSize = DefaultBlockSize
@@ -64,12 +66,6 @@ func OpenFile(path string, opt FileOptions) (*FileDevice, error) {
 		return nil, fmt.Errorf("wodev: stat volume file: %w", err)
 	}
 	whole := st.Size() / int64(opt.BlockSize)
-	if st.Size()%int64(opt.BlockSize) != 0 {
-		if err := f.Truncate(whole * int64(opt.BlockSize)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wodev: truncate torn block: %w", err)
-		}
-	}
 	if whole > int64(opt.Capacity) {
 		f.Close()
 		return nil, fmt.Errorf("wodev: volume file holds %d blocks, capacity is %d", whole, opt.Capacity)
@@ -135,6 +131,10 @@ func (d *FileDevice) ReadBlock(idx int, dst []byte) error {
 func (d *FileDevice) AppendBlock(data []byte) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.appendLocked(data)
+}
+
+func (d *FileDevice) appendLocked(data []byte) (int, error) {
 	if d.closed {
 		return 0, ErrClosed
 	}
@@ -163,18 +163,19 @@ func (d *FileDevice) AppendBlock(data []byte) (int, error) {
 	return idx, nil
 }
 
-// WriteAt implements Device.
+// WriteAt implements Device. The position check and the append are one
+// critical section: of concurrent writers aimed at the same index exactly one
+// lands there, the rest are refused.
 func (d *FileDevice) WriteAt(idx int, data []byte) error {
 	d.mu.Lock()
-	cur := d.written
-	d.mu.Unlock()
-	if idx < cur {
+	defer d.mu.Unlock()
+	if idx < d.written {
 		return ErrRewrite
 	}
-	if idx != cur {
-		return fmt.Errorf("wodev: write at %d but end of written portion is %d: %w", idx, cur, ErrRewrite)
+	if idx != d.written {
+		return fmt.Errorf("wodev: write at %d but end of written portion is %d: %w", idx, d.written, ErrRewrite)
 	}
-	_, err := d.AppendBlock(data)
+	_, err := d.appendLocked(data)
 	return err
 }
 

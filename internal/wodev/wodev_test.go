@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -338,6 +339,45 @@ func TestFileDeviceTornBlockTruncated(t *testing.T) {
 	if d2.Written() != 1 {
 		t.Errorf("Written after torn block = %d, want 1", d2.Written())
 	}
+	// The next append takes the torn block's place.
+	if idx, err := d2.AppendBlock(fill(256, 2)); err != nil || idx != 1 {
+		t.Fatalf("append over the torn block: index %d, %v", idx, err)
+	}
+	buf := make([]byte, 256)
+	if err := d2.ReadBlock(1, buf); err != nil || !bytes.Equal(buf, fill(256, 2)) {
+		t.Errorf("block 1 after the append: %v", err)
+	}
+}
+
+// TestFileDeviceWrongBlockSizeKeepsTheFile: opening a volume at another block
+// size than it was written with must not cost it a byte — what looks like a
+// torn block at the wrong size is whole blocks at the right one.
+func TestFileDeviceWrongBlockSizeKeepsTheFile(t *testing.T) {
+	path := t.TempDir() + "/vol0"
+	d, err := OpenFile(path, FileOptions{BlockSize: 256, Capacity: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if _, err := d.AppendBlock(fill(256, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Close()
+	wrong, err := OpenFile(path, FileOptions{BlockSize: 1024, Capacity: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong.Close()
+	d, err = OpenFile(path, FileOptions{BlockSize: 256, Capacity: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	buf := make([]byte, 256)
+	if err := d.ReadBlock(6, buf); d.Written() != 7 || err != nil || !bytes.Equal(buf, fill(256, 7)) {
+		t.Errorf("after a wrong-size open: %d blocks written, block 6: %v", d.Written(), err)
+	}
 }
 
 func TestFileDeviceRejectsAllOnesPayload(t *testing.T) {
@@ -348,6 +388,50 @@ func TestFileDeviceRejectsAllOnesPayload(t *testing.T) {
 	defer d.Close()
 	if _, err := d.AppendBlock(fill(128, 0xFF)); err == nil {
 		t.Error("all-ones payload accepted; reserved for invalidation marker")
+	}
+}
+
+// TestWriteAtConcurrentSameIndex: of N concurrent WriteAt(idx) exactly one
+// lands, the rest are ErrRewrite, and nothing is written past idx — the
+// position check and the append are one critical section on both devices.
+func TestWriteAtConcurrentSameIndex(t *testing.T) {
+	const rounds, writers = 500, 16
+	file, err := OpenFile(t.TempDir()+"/v", FileOptions{BlockSize: 128, Capacity: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, d := range map[string]Device{
+		"file": file,
+		"mem":  NewMem(MemOptions{BlockSize: 128, Capacity: rounds}),
+	} {
+		for idx := 0; idx < rounds; idx++ {
+			errs := make([]error, writers)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := range errs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					errs[w] = d.WriteAt(idx, fill(128, byte(w)))
+				}()
+			}
+			close(start)
+			wg.Wait()
+			landed := 0
+			for _, err := range errs {
+				if err == nil {
+					landed++
+				} else if !errors.Is(err, ErrRewrite) {
+					t.Fatalf("%s: WriteAt(%d): %v, want ErrRewrite", name, idx, err)
+				}
+			}
+			if landed != 1 || d.Written() != idx+1 {
+				t.Fatalf("%s: index %d: %d writers landed, Written()=%d; want 1 and %d",
+					name, idx, landed, d.Written(), idx+1)
+			}
+		}
 	}
 }
 

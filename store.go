@@ -14,6 +14,7 @@ import (
 	"clio/internal/core"
 	"clio/internal/shard"
 	"clio/internal/volume"
+	"clio/internal/wire"
 	"clio/internal/wodev"
 )
 
@@ -26,7 +27,13 @@ import (
 // with a per-shard NVRAM sidecar, one subdirectory per shard. A store
 // created with one shard keeps the flat layout, so pre-sharding store
 // directories reopen unchanged.
+//
+// The store root also holds the manifest, which makes the directory
+// self-describing the way block 0 makes a volume (§2.1), and a cluster
+// node's persisted term. Only this file spells any of these names.
 const (
+	manifestFile   = "store.clio"
+	termFile       = "term.clio"
 	volPrefix      = "vol-"
 	volSuffix      = ".clio"
 	nvramFile      = "nvram.clio"
@@ -52,16 +59,19 @@ var (
 type DirOptions struct {
 	// Options embeds the service options. NVRAM and Allocate are set by the
 	// helpers and must be left nil.
+	//
+	// BlockSize, VolumeBlocks and Shards are the store's geometry. A create
+	// records them in the manifest (zero takes the default); from then on
+	// zero means the recorded value and any other value than it is refused.
 	Options
-	// VolumeBlocks is the capacity of each volume file in blocks; defaults
-	// to 1<<20 (1 GiB at the default block size, the capacity class of a
-	// 12" optical platter side).
+	// VolumeBlocks is the capacity of each volume file in blocks; a create
+	// defaults it to 1<<20 (1 GiB at the default block size, the capacity
+	// class of a 12" optical platter side).
 	VolumeBlocks int
 	// SyncEvery makes every sealed block fsync.
 	SyncEvery bool
-	// Shards is the number of hash partitions for CreateStore (default 1,
-	// which keeps the flat single-sequence layout). OpenStore detects the
-	// count from the directory; setting Shards there asserts it.
+	// Shards is the number of hash partitions; a create defaults it to 1,
+	// which keeps the flat single-sequence layout.
 	Shards int
 	// ColdDir overrides where demoted volume images are archived. The
 	// default keeps them beside the volumes they replace: <dir>/cold for a
@@ -82,21 +92,82 @@ func shardDir(dir string, i int) string {
 	return filepath.Join(dir, shardDirPrefix+strconv.Itoa(i))
 }
 
-func (o DirOptions) withDefaults() DirOptions {
-	if o.VolumeBlocks <= 0 {
-		o.VolumeBlocks = 1 << 20
+// geometry is what a store's manifest records: the three values every opener
+// must agree on for the volume files to map to the same global blocks.
+type geometry struct {
+	blockSize, volumeBlocks, shards int
+}
+
+// geometry returns the geometry o asks a new store to have.
+func (o DirOptions) geometry() geometry {
+	g := geometry{o.BlockSize, o.VolumeBlocks, o.Shards}
+	if g.blockSize <= 0 {
+		g.blockSize = wodev.DefaultBlockSize
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = wodev.DefaultBlockSize
+	if g.volumeBlocks <= 0 {
+		g.volumeBlocks = 1 << 20
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
+	if g.shards <= 0 {
+		g.shards = 1
 	}
-	return o
+	return g
+}
+
+// assert refuses a geometry value set in o that contradicts the store's.
+func (g geometry) assert(dir string, o DirOptions) (err error) {
+	check := func(key string, have, given int) {
+		if err == nil && given > 0 && given != have {
+			err = fmt.Errorf("clio: store %s has %s %d, not %d", dir, key, have, given)
+		}
+	}
+	check("block-size", g.blockSize, o.BlockSize)
+	check("volume-blocks", g.volumeBlocks, o.VolumeBlocks)
+	check("shards", g.shards, o.Shards)
+	return err
+}
+
+// The manifest is flat "key = value" text closed by a checksum line over
+// everything before it, so a file cut short at any byte fails to load (and
+// reads as absent) instead of loading as a different geometry.
+const (
+	manifestBody = "clio-store = 1\nblock-size = %d\nvolume-blocks = %d\nshards = %d\n"
+	manifestSum  = "checksum = %08x\n"
+	manifestTail = len("checksum = 00000000\n")
+)
+
+func (g geometry) encode() []byte {
+	body := fmt.Sprintf(manifestBody, g.blockSize, g.volumeBlocks, g.shards)
+	return []byte(body + fmt.Sprintf(manifestSum, wire.Checksum([]byte(body))))
+}
+
+// parseManifest decodes a manifest; ok is false for a torn or foreign file.
+func parseManifest(data []byte) (g geometry, ok bool) {
+	cut := len(data) - manifestTail
+	if cut < 0 || string(data[cut:]) != fmt.Sprintf(manifestSum, wire.Checksum(data[:cut])) {
+		return g, false
+	}
+	n, err := fmt.Sscanf(string(data[:cut]), manifestBody, &g.blockSize, &g.volumeBlocks, &g.shards)
+	return g, err == nil && n == 3 && g.blockSize > 0 && g.volumeBlocks > 0 && g.shards > 0
+}
+
+// manifest is the store's geometry file, written (atomically) at the create,
+// or at the first open of a store laid out before manifests existed.
+func manifest(dir string) *core.FileState {
+	return core.NewFileState(filepath.Join(dir, manifestFile))
+}
+
+// loadManifest reads dir's manifest; ok is false when it has none, or a torn
+// one, which is the same thing.
+func loadManifest(dir string) (g geometry, ok bool, err error) {
+	data, err := manifest(dir).Load()
+	if err == nil {
+		g, ok = parseManifest(data)
+	}
+	return g, ok, err
 }
 
 // openVolume opens the volume file at path, creating it if absent, with the
-// store's geometry. o must have its defaults filled in.
+// store's geometry. o must carry it (openShards fills it in).
 func (o DirOptions) openVolume(path string) (wodev.Device, error) {
 	return wodev.OpenFile(path, wodev.FileOptions{
 		BlockSize: o.BlockSize,
@@ -177,6 +248,7 @@ func openShard(dir string, o DirOptions, create bool) ([]wodev.Device, core.Opti
 
 // storeShards is a store directory's assembled shards, in shard order.
 type storeShards struct {
+	o    DirOptions // the caller's options with the store's geometry filled in
 	dirs []string
 	devs [][]wodev.Device
 	opts []core.Options
@@ -189,14 +261,19 @@ func (a *storeShards) close() {
 }
 
 // openShards assembles every shard of the store in dir. With create it lays
-// out o.Shards fresh shards — dir itself for one (the flat layout), shard-K
-// below it for more — in a directory that must not already hold a store;
-// otherwise it opens the layout it finds, which must have o.Shards shards
-// when that asserts a count (> 1). A ColdDir override is split per shard
+// out fresh shards — dir itself for one (the flat layout), shard-K below it
+// for more — in a directory that must not already hold a store, and records
+// o's geometry in the manifest before the first volume file exists.
+// Otherwise it opens the layout it finds at the geometry the manifest
+// records, refusing a value in o that contradicts it. A store without a
+// manifest (older, or laid out by hand) opens at o's geometry as it always
+// did and is given one — once every shard's volumes mounted at that capacity,
+// so a wrong guess is never recorded. A ColdDir override is split per shard
 // the way the store is, because each shard numbers its volumes from zero.
-// o must have its defaults filled in.
 func openShards(dir string, o DirOptions, create bool) (*storeShards, error) {
 	a := &storeShards{dirs: []string{dir}}
+	// g is the geometry to open at; recorded, whether the manifest holds it.
+	g, recorded := o.geometry(), create
 	if create {
 		if names, err := listVolumes(dir); err != nil {
 			return nil, err
@@ -208,25 +285,43 @@ func openShards(dir string, o DirOptions, create bool) (*storeShards, error) {
 		} else if dirs[0] != dir {
 			return nil, fmt.Errorf("%w: %s holds %d shard directories", ErrStoreExists, dir, len(dirs))
 		}
-		if o.Shards > 1 {
-			a.dirs = make([]string, o.Shards)
+		if g.shards > 1 {
+			a.dirs = make([]string, g.shards)
 			for i := range a.dirs {
 				a.dirs[i] = shardDir(dir, i)
 			}
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := manifest(dir).Save(g.encode()); err != nil {
+			return nil, err
 		}
 	} else {
 		var err error
 		if a.dirs, err = ShardDirs(dir); err != nil {
 			return nil, err
 		}
+		g.shards = len(a.dirs) // what adoption records; a manifest overrides it
+		if have, ok, err := loadManifest(dir); err != nil {
+			return nil, err
+		} else if ok {
+			g, recorded = have, true
+		}
 	}
+	a.o = o
+	a.o.BlockSize, a.o.VolumeBlocks = g.blockSize, g.volumeBlocks
 	for i, sd := range a.dirs {
-		sub := o
+		sub := a.o
 		if o.ColdDir != "" && len(a.dirs) > 1 {
 			sub.ColdDir = shardDir(o.ColdDir, i)
 		}
 		devs, opt, err := openShard(sd, sub, create)
+		if err == nil && !recorded {
+			_, err = volume.MountSet(devs) // ErrNotContiguous at a wrong capacity
+		}
 		if err != nil {
+			closeDevs(devs)
 			a.close()
 			if len(a.dirs) > 1 {
 				err = fmt.Errorf("clio: shard %d: %w", i, err)
@@ -237,10 +332,17 @@ func openShards(dir string, o DirOptions, create bool) (*storeShards, error) {
 		a.opts = append(a.opts, opt)
 	}
 	// Checked after the open, so that a directory holding no store at all
-	// says so (ErrNoStore) whatever count was asserted.
-	if !create && o.Shards > 1 && o.Shards != len(a.dirs) {
+	// says so (ErrNoStore) whatever geometry was asserted.
+	err := g.assert(dir, o)
+	if err == nil && g.shards != len(a.dirs) {
+		err = fmt.Errorf("clio: store %s records %d shards but holds %d shard directories", dir, g.shards, len(a.dirs))
+	}
+	if err == nil && !recorded {
+		err = manifest(dir).Save(g.encode())
+	}
+	if err != nil {
 		a.close()
-		return nil, fmt.Errorf("clio: %s holds %d shards, not %d", dir, len(a.dirs), o.Shards)
+		return nil, err
 	}
 	return a, nil
 }
@@ -257,7 +359,7 @@ func closeDevs(devs []wodev.Device) {
 // shard-K subdirectories, each a complete volume sequence with its own
 // NVRAM sidecar.
 func CreateStore(dir string, o DirOptions) (*Store, error) {
-	a, err := openShards(dir, o.withDefaults(), true)
+	a, err := openShards(dir, o, true)
 	if err != nil {
 		return nil, err
 	}
@@ -277,10 +379,10 @@ func CreateStore(dir string, o DirOptions) (*Store, error) {
 // OpenStore opens an existing file-backed store in dir, detecting the
 // layout: shard-K subdirectories open as a sharded store (recovering all
 // shards concurrently, as server initialization does, §2.3.1), a flat
-// volume directory opens as one shard. If o.Shards is set above 1, it must
-// match the detected count.
+// volume directory opens as one shard. The geometry is the store's own: o's
+// may stay zero, and a value that contradicts the manifest is an error.
 func OpenStore(dir string, o DirOptions) (*Store, error) {
-	a, err := openShards(dir, o.withDefaults(), false)
+	a, err := openShards(dir, o, false)
 	if err != nil {
 		return nil, err
 	}
@@ -349,22 +451,31 @@ func ShardDirs(dir string) ([]string, error) {
 }
 
 // RawStore is the unmounted layout of a file-backed store: the per-shard
-// device and NVRAM sidecar handles, without a service recovered over them.
-// The replication layer consumes this shape — a follower holds raw devices
-// its leader writes through it, and mounts (recovers) a service over them
-// only if promoted.
+// device, NVRAM sidecar and cold archive handles, without a service
+// recovered over them. The replication layer consumes this shape — a
+// follower holds raw devices its leader writes through it, and mounts
+// (recovers) a service over them only if promoted — and so do the offline
+// tools (clio fsck, du, backup), which read the media the daemon would mount.
 type RawStore struct {
+	// Dirs is each shard's directory: the store directory itself for the
+	// flat layout, its per-shard subdirectories otherwise.
+	Dirs    []string
 	Devices [][]wodev.Device
-	NVRAMs  []NVRAM
-	// Opts is the per-shard service options derived from the DirOptions
-	// (block size, checkpoint interval, ...). NVRAM and Allocate are left
-	// nil: the replication node installs its own per-shard NVRAM, and a
-	// replicated store does not mint volumes outside the leader's ordering.
+	NVRAMs  []NVRAM // each a *core.FileNVRAM
+	// Cold is each shard's cold archive, holding the volumes the compactor
+	// demoted; nil entries when the cold tier is disabled.
+	Cold []archive.Backend
+	// Opts is the per-shard service options derived from the DirOptions and
+	// the store's geometry (block size, checkpoint interval, ...). NVRAM and
+	// Allocate are left nil: the replication node installs its own per-shard
+	// NVRAM, and a replicated store does not mint volumes outside the
+	// leader's ordering.
 	Opts Options
+	// TermPath is where a cluster node on this store persists its term.
+	TermPath string
 
-	mu   sync.Mutex
-	dirs []string // per-shard directory, for Reset
-	o    DirOptions
+	mu sync.Mutex
+	o  DirOptions
 }
 
 // OpenRaw opens (create=false) or lays out fresh (create=true) the devices
@@ -373,17 +484,22 @@ type RawStore struct {
 // node formats it at start, on a follower the leader's stream fills it,
 // header block included.
 func OpenRaw(dir string, o DirOptions, create bool) (*RawStore, error) {
-	o = o.withDefaults()
 	a, err := openShards(dir, o, create)
 	if err != nil {
 		return nil, err
 	}
-	r := &RawStore{Devices: a.devs, Opts: o.Options, dirs: a.dirs, o: o}
+	r := &RawStore{
+		Dirs: a.dirs, Devices: a.devs, Opts: a.o.Options, o: a.o,
+		TermPath: filepath.Join(dir, termFile),
+	}
 	for _, opt := range a.opts {
 		r.NVRAMs = append(r.NVRAMs, opt.NVRAM)
+		var cold archive.Backend
+		if opt.Cold != nil {
+			cold = opt.Cold.Backend
+		}
+		r.Cold = append(r.Cold, cold)
 	}
-	r.Opts.NVRAM = nil
-	r.Opts.Allocate = nil
 	return r, nil
 }
 
@@ -397,7 +513,7 @@ func (r *RawStore) Reset(shard, dev int) (wodev.Device, error) {
 		return nil, fmt.Errorf("clio: reset: no device (shard %d, dev %d)", shard, dev)
 	}
 	r.Devices[shard][dev].Close()
-	path := volPath(r.dirs[shard], uint32(dev))
+	path := volPath(r.Dirs[shard], uint32(dev))
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
