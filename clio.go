@@ -117,7 +117,7 @@ func NewCostClock() *vclock.Clock { return vclock.New(vclock.DefaultModel()) }
 // old sealed volumes forward, demotes the emptied volumes to an archive
 // backend, and serves reads of demoted blocks through the backend at
 // archival latency. File-backed stores wire the tier automatically
-// (DirOptions.ColdDir / NoCold); other deployments set Options.Cold.
+// (DirOptions.ColdDir); other deployments set Options.Cold.
 
 // CompactOptions bounds one compaction pass (Store.CompactOnce).
 type CompactOptions = core.CompactOptions

@@ -16,8 +16,9 @@ import (
 
 // TestBackupCarriesStagedSeals: a store killed between a pipelined seal's
 // StoreSealed (after which the force is acked) and its device write holds
-// acked entries only in nvram.clio.sNNNNNNNN sidecars. A backup must carry
-// them — restored from it, the store serves every entry it acked.
+// acked entries only in its sidecar, nvram.clio, beside the staged tail. The
+// backup copies that one file per shard and with it carries them — restored
+// from it, the store serves every entry it acked.
 func TestBackupCarriesStagedSeals(t *testing.T) {
 	ctx := context.Background()
 	dir := filepath.Join(t.TempDir(), "store")
@@ -48,12 +49,15 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 	if reg.Fired(core.FaultSealWrite) != 1 {
 		t.Fatalf("the seal write crashed %d times, want 1", reg.Fired(core.FaultSealWrite))
 	}
-	staged, _ := filepath.Glob(filepath.Join(dir, "nvram.clio.s*"))
-	if len(staged) == 0 {
-		t.Fatal("test premise: no staged seal sidecar was left by the crash")
+	staged, _, err := core.NewFileNVRAM(filepath.Join(dir, "nvram.clio")).LoadSealed()
+	if err != nil || len(staged) == 0 {
+		t.Fatalf("test premise: no staged seal was left by the crash (%v)", err)
 	}
-	// A torn store beside them must not travel.
-	if err := os.WriteFile(filepath.Join(dir, "nvram.clio.s00000099.tmp"), []byte("half"), 0o644); err != nil {
+	if names, _ := filepath.Glob(filepath.Join(dir, "nvram.clio*")); len(names) != 1 {
+		t.Fatalf("the crashed shard's sidecar is %v, want the one file", names)
+	}
+	// A re-layout the crash cut short must not travel.
+	if err := os.WriteFile(filepath.Join(dir, "nvram.clio.tmp"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,11 +65,11 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(staged) + 1; sidecars != want {
-		t.Errorf("backup copied %d sidecars, want %d (the tail and %d staged seals)", sidecars, want, len(staged))
+	if sidecars != 1 {
+		t.Errorf("backup copied %d sidecars, want the shard's one", sidecars)
 	}
-	if tmps, _ := filepath.Glob(filepath.Join(dst, "*.tmp")); len(tmps) != 0 {
-		t.Errorf("backup carried half-written files: %v", tmps)
+	if names, _ := filepath.Glob(filepath.Join(dst, "nvram.clio*")); len(names) != 1 || filepath.Base(names[0]) != "nvram.clio" {
+		t.Errorf("backup holds sidecar files %v, want nvram.clio alone", names)
 	}
 
 	// Restore: the archived volumes, opened over the backed-up sidecars.
@@ -78,8 +82,8 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if got := svc.LastRecovery().StagedSeals; got == 0 {
-		t.Error("recovery replayed no staged seal from the backup")
+	if got := svc.LastRecovery().StagedSeals; got != len(staged) {
+		t.Errorf("recovery replayed %d staged seals from the backup, the crash left %d", got, len(staged))
 	}
 	cur, err := svc.OpenCursor("/acked")
 	if err != nil {

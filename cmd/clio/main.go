@@ -604,9 +604,6 @@ func scrubStore(store string, opt scrub.Options) ([]shardScrub, error) {
 // — a crash between archiving and releasing can leave a volume both local
 // and cold, and the local copy wins.
 func withColdDevices(be archive.Backend, hot []wodev.Device) (all, cold []wodev.Device, err error) {
-	if be == nil {
-		return hot, nil, nil
-	}
 	cold, err = archive.Restore(context.Background(), be)
 	if errors.Is(err, archive.ErrNotArchive) {
 		return hot, nil, nil
@@ -710,7 +707,7 @@ func runBackup(store, archiveDir string) {
 		fatal(err)
 	}
 	if sidecars > 0 {
-		fmt.Printf("captured the staged NVRAM state (%d sidecar files)\n", sidecars)
+		fmt.Printf("captured the staged NVRAM state (%d sidecars, one per shard)\n", sidecars)
 	}
 	fmt.Printf("backed up %d volumes: %d blocks copied, %d already archived, %d cold volumes adopted\n",
 		total.VolumesSeen, total.BlocksCopied, total.BlocksSkipped, total.ColdVolumes)
@@ -719,7 +716,8 @@ func runBackup(store, archiveDir string) {
 // backupStore archives every shard of a local store: its volumes
 // (incrementally), the demoted volumes of its cold tier — they exist locally
 // only as images in the cold archive, and adopting them gives the backup the
-// complete sequence — and the NVRAM sidecars, whose count it returns. The
+// complete sequence — and its NVRAM sidecar, the one file holding whatever it
+// has staged; the count of those is returned. The
 // archive mirrors the store layout: one subdirectory per shard, named as the
 // store names it, for a sharded store, a flat archive otherwise.
 func backupStore(ctx context.Context, store, archiveDir string) (total archive.Result, sidecars int, err error) {
@@ -738,18 +736,18 @@ func backupStore(ctx context.Context, store, archiveDir string) (total archive.R
 		if err != nil {
 			return total, sidecars, err
 		}
-		if raw.Cold[i] != nil {
-			vols, _, err := archive.Adopt(ctx, be, raw.Cold[i])
-			if err != nil {
-				return total, sidecars, err
-			}
-			total.ColdVolumes += vols
-		}
-		n, err := raw.NVRAMs[i].(*core.FileNVRAM).CopyTo(dst)
+		vols, _, err := archive.Adopt(ctx, be, raw.Cold[i])
 		if err != nil {
 			return total, sidecars, err
 		}
-		sidecars += n
+		total.ColdVolumes += vols
+		copied, err := raw.NVRAMs[i].(*core.FileNVRAM).CopyTo(dst)
+		if err != nil {
+			return total, sidecars, err
+		}
+		if copied {
+			sidecars++
+		}
 		total.VolumesSeen += res.VolumesSeen
 		total.BlocksCopied += res.BlocksCopied
 		total.BlocksSkipped += res.BlocksSkipped

@@ -210,6 +210,39 @@ func reload(confPath string, cur *config.Config, r *reloadable) *config.Config {
 	return next
 }
 
+// adminTracer is the request tracer behind /tracez; nil without -admin.
+func adminTracer(cfg *config.Config) *obs.Tracer {
+	if cfg.Admin == "" {
+		return nil
+	}
+	return obs.NewTracer(256, cfg.SlowTrace)
+}
+
+// startAdmin serves the admin endpoint on addr — /metrics over a registry
+// that register and the process metrics fill, /statusz from status, /tracez
+// from tracer, /debug/pprof — and returns what shuts it down. Both do nothing
+// when addr is empty (no -admin).
+func startAdmin(addr string, tracer *obs.Tracer, register func(*obs.Registry), status func() any) (shutdown func(context.Context)) {
+	if addr == "" {
+		return func(context.Context) {}
+	}
+	reg := obs.NewRegistry()
+	register(reg)
+	obs.RegisterProcessMetrics(reg)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("cliod: admin listen: %v", err)
+	}
+	log.Printf("cliod: admin on http://%s", ln.Addr())
+	srv := &http.Server{Handler: obs.NewAdminMux(reg, tracer, status)}
+	go func() {
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("cliod: admin: %v", err)
+		}
+	}()
+	return func(ctx context.Context) { srv.Shutdown(ctx) }
+}
+
 func main() {
 	confPath := flag.String("config", "", "config file (flat key=value lines; flags and CLIO_* env override it)")
 	config.RegisterFlags(flag.CommandLine)
@@ -307,33 +340,18 @@ func main() {
 		log.Printf("cliod: background compaction every %s", cfg.CompactInterval)
 	}
 
-	var adminSrv *http.Server
-	if cfg.Admin != "" {
-		reg := obs.NewRegistry()
+	srv.Tracer = adminTracer(cfg)
+	rl.tracer = srv.Tracer
+	stopAdmin := startAdmin(cfg.Admin, srv.Tracer, func(reg *obs.Registry) {
 		st.RegisterMetrics(reg)
 		st.RegisterStreamMetrics(reg)
 		srv.RegisterMetrics(reg)
-		obs.RegisterProcessMetrics(reg)
-		srv.Tracer = obs.NewTracer(256, cfg.SlowTrace)
-		rl.tracer = srv.Tracer
-		mux := obs.NewAdminMux(reg, srv.Tracer, func() any {
-			return map[string]any{
-				"shards": st.Status(),
-				"server": srv.Status(),
-			}
-		})
-		aln, err := net.Listen("tcp", cfg.Admin)
-		if err != nil {
-			log.Fatalf("cliod: admin listen: %v", err)
+	}, func() any {
+		return map[string]any{
+			"shards": st.Status(),
+			"server": srv.Status(),
 		}
-		log.Printf("cliod: admin on http://%s", aln.Addr())
-		adminSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := adminSrv.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("cliod: admin: %v", err)
-			}
-		}()
-	}
+	})
 	rl.apply(cfg)
 
 	ln, err := net.Listen("tcp", cfg.Listen)
@@ -362,9 +380,7 @@ func main() {
 				defer close(drained)
 				ctx, cancel := context.WithTimeout(context.Background(), dt)
 				defer cancel()
-				if adminSrv != nil {
-					adminSrv.Shutdown(ctx)
-				}
+				stopAdmin(ctx)
 				if err := srv.Shutdown(ctx); err != nil {
 					log.Printf("cliod: drain incomplete after %s, closing remaining connections: %v", dt, err)
 				}
@@ -405,10 +421,7 @@ func runCluster(cfg *config.Config, confPath string, opts clio.DirOptions, sig c
 	if err != nil {
 		log.Fatalf("cliod: %v", err)
 	}
-	var tracer *obs.Tracer
-	if cfg.Admin != "" {
-		tracer = obs.NewTracer(256, cfg.SlowTrace)
-	}
+	tracer := adminTracer(cfg)
 	node, err := cluster.New(cluster.Config{
 		NodeID:  advertise,
 		Peers:   strings.Split(cfg.Peers, ","),
@@ -438,30 +451,13 @@ func runCluster(cfg *config.Config, confPath string, opts clio.DirOptions, sig c
 				cfg.Store, rep.SealedBlocks, rep.BlocksReplayed, rep.TailsRestored)
 		}
 	}
-	var adminSrv *http.Server
-	if cfg.Admin != "" {
-		reg := obs.NewRegistry()
-		node.RegisterMetrics(reg)
-		obs.RegisterProcessMetrics(reg)
-		mux := obs.NewAdminMux(reg, tracer, func() any {
-			s := map[string]any{"cluster": node.Status()}
-			if st := node.Store(); st != nil {
-				s["shards"] = st.Status()
-			}
-			return s
-		})
-		aln, err := net.Listen("tcp", cfg.Admin)
-		if err != nil {
-			log.Fatalf("cliod: admin listen: %v", err)
+	stopAdmin := startAdmin(cfg.Admin, tracer, node.RegisterMetrics, func() any {
+		s := map[string]any{"cluster": node.Status()}
+		if st := node.Store(); st != nil {
+			s["shards"] = st.Status()
 		}
-		log.Printf("cliod: admin on http://%s", aln.Addr())
-		adminSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := adminSrv.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("cliod: admin: %v", err)
-			}
-		}()
-	}
+		return s
+	})
 	rl := &reloadable{tracer: tracer, setTenants: node.SetTenants}
 	rl.apply(cfg)
 	var stopping atomic.Bool
@@ -480,11 +476,9 @@ func runCluster(cfg *config.Config, confPath string, opts clio.DirOptions, sig c
 			// leader ordered it. Handing leadership off is `clio promote`'s
 			// job, not SIGTERM's.
 			log.Printf("cliod: %s: shutting down (replica media stays exactly as ordered)", s)
-			if adminSrv != nil {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				adminSrv.Shutdown(ctx)
-				cancel()
-			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			stopAdmin(ctx)
+			cancel()
 			node.Kill()
 		}
 	}()

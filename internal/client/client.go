@@ -23,7 +23,7 @@
 // change in the reconnect handshake) while a mutating request was in
 // flight: the restarted server has no duplicate-suppression state, so the
 // Client surfaces *AmbiguousError rather than guess. All calls accept a
-// context; its deadline (or Options.CallTimeout) bounds each attempt.
+// context; its deadline bounds each attempt.
 package client
 
 import (
@@ -68,9 +68,6 @@ type Options struct {
 	// DialTimeout bounds each connection attempt (0 = DefaultDialTimeout,
 	// negative = no limit beyond the context's).
 	DialTimeout time.Duration
-	// CallTimeout bounds each request attempt when the context carries no
-	// earlier deadline (0 = no per-call limit).
-	CallTimeout time.Duration
 	// Retry is the reconnect/replay schedule for transient connection
 	// failures; nil means faults.DefaultNetPolicy.
 	Retry *faults.RetryPolicy
@@ -455,19 +452,10 @@ func traceID(session, seq uint64) uint64 {
 }
 
 // roundTrip performs one framed request/response on conn, bounded by the
-// context deadline and Options.CallTimeout and honoring cancellation.
+// context deadline and honoring cancellation.
 func (c *Client) roundTrip(ctx context.Context, conn net.Conn, op byte, seq, trace uint64, payload []byte) (byte, *wire.Reader, error) {
-	deadline, have := ctx.Deadline()
-	if c.opt.CallTimeout > 0 {
-		if d := time.Now().Add(c.opt.CallTimeout); !have || d.Before(deadline) {
-			deadline, have = d, true
-		}
-	}
-	if have {
-		conn.SetDeadline(deadline)
-	} else {
-		conn.SetDeadline(time.Time{})
-	}
+	deadline, _ := ctx.Deadline() // the zero time when there is none: no deadline
+	conn.SetDeadline(deadline)
 	if done := ctx.Done(); done != nil {
 		stop := make(chan struct{})
 		defer close(stop)

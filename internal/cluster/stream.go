@@ -243,10 +243,10 @@ func (t *tapDevice) Invalidate(idx int) error {
 // not a stopgap (ISSUE 20, three cliods under two closed-loop forced
 // appenders): the inline seal the pipeline would hide costs 0.164 seals per
 // force × 2.4 µs of device append ≈ 0.4 µs per force, less than the
-// StoreSealed (a file rename) the pipeline would add; the cluster's cost was
-// syscalls — one rename per force in the sidecar, one socket write and one
-// ack per frame — which is what the held tail frame below and the one-write
-// sidecar remove.
+// StoreSealed and DropSealed (a sidecar write each) the pipeline would add;
+// the cluster's cost was syscalls — then one rename per force in the sidecar,
+// one socket write and one ack per frame — which is what the held tail frame
+// below and the one-write sidecar remove.
 type tapNVRAM struct {
 	core.NVRAM
 	n     *Node

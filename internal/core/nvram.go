@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 
@@ -124,99 +122,128 @@ func (m *MemNVRAM) LoadSealed() ([]int, [][]byte, error) {
 	return globals, images, nil
 }
 
-// FileNVRAM persists the staged tail block in a sidecar file, giving
+// FileNVRAM keeps everything a shard has staged — the tail block and the
+// sealed images awaiting their device write — in ONE sidecar file, giving
 // file-backed deployments the crash durability the paper gets from
-// battery-backed RAM (§2.3.1) at the cost the paper intends: a forced write
-// is ONE store into a fixed region — a single pwrite on a descriptor held
-// open — not a file-system transaction.
+// battery-backed RAM (§2.3.1) at the cost the paper intends: a staging call is
+// one store into a fixed region — a single pwrite on a descriptor held open —
+// not a file-system transaction.
 //
 // Layout (little-endian; DESIGN.md "NVRAM sidecar"):
 //
 //	header  magic "clioNV2\n" | version u32 | stride u32 | crc32c(u32)
-//	slot 0  at headerLen          seq u64 | global u64 | len u32 | image | crc32c
-//	slot 1  at headerLen+stride   same
+//	slot i  at headerLen+i*stride   seq u64 | global u64 | len u24 | kind u8 | image | crc32c
 //
-// The valid record with the highest seq is the staged state; len 0 means
-// "cleared". Store and Clear write the whole next record, seq+1, with one
-// WriteAt into the slot that does NOT hold the newest valid record, so a
-// write torn at any byte leaves the newest record untouched and Load returns
-// exactly the state before the call — what tmp+rename guaranteed, without
-// the open/close/rename. Clear writes a record rather than removing
-// anything, so the older slot can never resurrect a cleared tail. Neither
-// path fsyncs, as before: the sidecar stands in for memory that survives a
-// process crash, and the page cache does.
+// A record's key is its kind — the tail, or a sealed image together with the
+// global it was sealed at — and a key's state is its valid record with the
+// highest seq: staged when that record carries an image, cleared (dropped)
+// when it is empty or there is none. Store, Clear, StoreSealed and DropSealed
+// are the same step: encode the whole next record, seq+1, and put it with one
+// WriteAt into a free slot, one whose present contents decide no key's state:
+// never written or torn, or holding a record that a newer one of its key
+// outranks, or an empty record with no older record of its key left to
+// outrank. The file has as many slots as it ever needed at once (the tail,
+// the seals in flight, one to write into); a put that finds none free takes
+// the slot past the end. So a write torn at any byte at most turns a free slot
+// into an invalid one and every key loads exactly the state before the call —
+// what tmp+rename guaranteed, without the open/close/rename — while a complete
+// write changes the state of its own key only. Clearing is a record, never a
+// removal, so an image still lying in another slot cannot come back. Nothing
+// fsyncs, as before: the sidecar stands in for memory that survives a process
+// crash, and the page cache does.
 //
 // The header is only ever written as part of a whole new file (tmp+rename):
-// on the first Store, when an image outgrows the stride, and to convert a
-// sidecar in the parent layout (global u64 | len u32 | image | crc, no
-// magic), which Load still reads so an upgraded store keeps its staged tail.
+// on the first put and when an image outgrows the stride; the new file
+// carries every other key's live record and the new one.
 //
-// The write descriptor stays open from one Store to the next (NVRAM has no
-// Close; the os.File finalizer releases it). Load re-reads the path, so it
-// always reports what the file holds now, and the next Store is aimed at
-// that. Recovery checkpoints (see
-// checkpoint.go) apply the same torn-write rule to entries on the write-once
-// medium itself: anything that fails its trailing checksum is treated as
-// never written.
+// The format is the previous release's two-slot file of tail records with the
+// top byte of its length field, always zero there, given to kind: such a file
+// loads as it is. Older staged state — a sidecar without the header, per-seal
+// files beside it — is refused with the remedy (errOlderLayout).
+//
+// The write descriptor stays open from one put to the next (NVRAM has no
+// Close; the os.File finalizer releases it). Load and LoadSealed re-read the
+// path, so they always report what the file holds now, and the next put is
+// aimed at that. Recovery checkpoints (see checkpoint.go) apply the same
+// torn-write rule to entries on the write-once medium itself: anything that
+// fails its trailing checksum is treated as never written.
 type FileNVRAM struct {
 	mu   sync.Mutex
 	path string
 
 	// What the last reload or put established about the file at path.
-	loaded bool   // false until the first Load/Store/Clear has read the file
-	laid   bool   // it carries a valid header (else missing, parent layout or garbage)
-	stride int    // slot size from the header
-	newest int    // slot holding the newest valid record, -1 when neither does
-	seq    uint64 // that record's seq
-	staged bool   // the current state (either layout) is a staged image, not cleared
+	loaded bool     // false until the first call has read the file, and after a failed write
+	stride int      // slot size from the header; 0 when there is no file yet
+	slots  []nvSlot // the record in each slot
+	seq    uint64   // the highest seq among them
 
 	file *os.File // write descriptor, opened by the first put after a (re)load or re-layout
-	buf  []byte   // record scratch, reused so a Store allocates nothing
+	buf  []byte   // record scratch, reused so a put allocates nothing
 
 	// writeAt, when set, replaces file.WriteAt for the slot write: tests
-	// count the one write a Store makes and tear it at a chosen byte.
+	// count the one write a put makes and tear it at a chosen byte.
 	writeAt func(p []byte, off int64) (int, error)
+}
+
+// nvSlot describes the record in one slot; the image stays in the file.
+type nvSlot struct {
+	seq    uint64 // 0: no valid record
+	kind   byte
+	global int
+	n      int // image length; 0 is a clear (tail) or a drop (seal)
 }
 
 const (
 	nvMagic     = "clioNV2\n"
 	nvVersion   = 1
 	nvHeaderLen = 8 + 4 + 4 + 4
-	nvRecordHdr = 8 + 8 + 4 // seq, global, len
+	nvRecordHdr = 8 + 8 + 4 // seq, global, len|kind
 	// nvStrideUnit rounds the slot size up, so block-sized images (the only
 	// size a Service stores) never re-lay the file and odd-sized ones rarely.
 	nvStrideUnit = 4096
+
+	nvTail byte = 0 // the staged tail block: one key, whatever its global
+	nvSeal byte = 1 // a staged sealed image: one key per global
 )
 
 // NewFileNVRAM returns an NVRAM backed by the given sidecar file.
 func NewFileNVRAM(path string) *FileNVRAM { return &FileNVRAM{path: path} }
 
-// Store implements NVRAM: one WriteAt into the slot the newest record is not in.
-func (f *FileNVRAM) Store(global int, image []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.put(global, image)
-}
+// Store implements NVRAM.
+func (f *FileNVRAM) Store(global int, image []byte) error { return f.put(nvTail, global, image) }
 
 // Clear implements NVRAM: an empty record, written the way Store writes.
-func (f *FileNVRAM) Clear() error {
+func (f *FileNVRAM) Clear() error { return f.put(nvTail, 0, nil) }
+
+// StoreSealed implements StagingNVRAM.
+func (f *FileNVRAM) StoreSealed(global int, image []byte) error { return f.put(nvSeal, global, image) }
+
+// DropSealed implements StagingNVRAM: an empty record under the seal's key.
+func (f *FileNVRAM) DropSealed(global int) error { return f.put(nvSeal, global, nil) }
+
+// put is the one write: the key's next record, whole, into a free slot.
+func (f *FileNVRAM) put(kind byte, global int, image []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.put(0, nil)
-}
-
-func (f *FileNVRAM) put(global int, image []byte) error {
 	if !f.loaded {
-		if _, _, err := f.reload(); err != nil {
+		if _, err := f.reload(); err != nil {
 			return err
 		}
 	}
-	if len(image) == 0 && !f.staged {
-		return nil // nothing staged in either layout: already clear
+	if cur, _ := f.find(kind, global); len(image) == 0 && (cur < 0 || f.slots[cur].n == 0) {
+		return nil // nothing staged under the key: already clear
 	}
-	f.buf = appendNVRecord(f.buf[:0], f.seq+1, global, image)
-	if !f.laid || len(f.buf) > f.stride {
-		return f.relayout(len(image) > 0)
+	if len(image) >= 1<<24 {
+		return fmt.Errorf("clio: nvram image of %d bytes does not fit a sidecar record", len(image))
+	}
+	rec := nvSlot{seq: f.seq + 1, kind: kind, global: global, n: len(image)}
+	f.buf = appendNVRecord(f.buf[:0], rec, image)
+	if len(f.buf) > f.stride {
+		return f.relayout(rec)
+	}
+	slot := 0
+	for slot < len(f.slots) && !f.free(slot) {
+		slot++
 	}
 	if f.file == nil {
 		file, err := os.OpenFile(f.path, os.O_WRONLY, 0)
@@ -225,30 +252,75 @@ func (f *FileNVRAM) put(global int, image []byte) error {
 		}
 		f.file = file
 	}
-	slot := 0
-	if f.newest == 0 {
-		slot = 1
-	}
 	write := f.writeAt
 	if write == nil {
 		write = f.file.WriteAt
 	}
 	if _, err := write(f.buf, int64(nvHeaderLen+slot*f.stride)); err != nil {
+		f.loaded = false // the slot may hold a torn record now: look before the next put
 		return err
 	}
-	f.newest, f.seq, f.staged = slot, f.seq+1, len(image) > 0
+	if slot == len(f.slots) {
+		f.slots = append(f.slots, rec)
+	} else {
+		f.slots[slot] = rec
+	}
+	f.seq = rec.seq
 	return nil
 }
 
+// find returns the slot holding the key's newest record, -1 when it has none,
+// and how many slots hold a record of the key.
+func (f *FileNVRAM) find(kind byte, global int) (newest, count int) {
+	newest = -1
+	for i, s := range f.slots {
+		if s.seq == 0 || s.kind != kind || (kind == nvSeal && s.global != global) {
+			continue
+		}
+		count++
+		if newest < 0 || s.seq > f.slots[newest].seq {
+			newest = i
+		}
+	}
+	return newest, count
+}
+
+// free reports whether overwriting the slot — or tearing it — leaves every
+// key's state as it is: it holds no record, or one its key's newest outranks,
+// or an empty record with no other of its key to outrank.
+func (f *FileNVRAM) free(slot int) bool {
+	s := f.slots[slot]
+	if s.seq == 0 {
+		return true
+	}
+	newest, count := f.find(s.kind, s.global)
+	return newest != slot || (s.n == 0 && count == 1)
+}
+
 // relayout replaces the sidecar with a fresh file — a header sized for the
-// record in f.buf, and that record in slot 0 — by tmp+rename, so a crash in
-// the middle leaves the previous file (the previous state) or the new one.
-func (f *FileNVRAM) relayout(staged bool) error {
+// record in f.buf, every other key's live record, then that one — by
+// tmp+rename, so a crash in the middle leaves the previous file (the previous
+// state) or the new one.
+func (f *FileNVRAM) relayout(rec nvSlot) error {
+	old, err := os.ReadFile(f.path) // the other keys' images are only there
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
 	stride := (len(f.buf) + nvStrideUnit - 1) / nvStrideUnit * nvStrideUnit
 	out := append(make([]byte, 0, nvHeaderLen+len(f.buf)), nvMagic...)
 	out = wire.PutUint32(out, nvVersion)
 	out = wire.PutUint32(out, uint32(stride))
 	out = wire.PutUint32(out, wire.Checksum(out))
+	replaced, _ := f.find(rec.kind, rec.global)
+	var slots []nvSlot
+	for i, s := range f.slots {
+		if newest, _ := f.find(s.kind, s.global); s.n == 0 || newest != i || i == replaced {
+			continue
+		}
+		off, n := nvHeaderLen+i*f.stride, nvRecordHdr+s.n+4
+		out = append(append(out, old[off:off+n]...), make([]byte, stride-n)...)
+		slots = append(slots, s)
+	}
 	out = append(out, f.buf...)
 	tmp := f.path + ".tmp"
 	if err := os.WriteFile(tmp, out, 0o644); err != nil {
@@ -258,7 +330,7 @@ func (f *FileNVRAM) relayout(staged bool) error {
 		return err
 	}
 	f.closeFile() // it names the file the rename just replaced
-	f.laid, f.stride, f.newest, f.seq, f.staged = true, stride, 0, f.seq+1, staged
+	f.stride, f.slots, f.seq = stride, append(slots, rec), rec.seq
 	return nil
 }
 
@@ -269,80 +341,120 @@ func (f *FileNVRAM) closeFile() {
 	}
 }
 
-// Load implements NVRAM. It re-reads the path, both slots, so a handle
-// opened after another stopped writing sees that one's newest record, and
-// the next Store is aimed at the file as it is now.
+// Load implements NVRAM.
 func (f *FileNVRAM) Load() (int, []byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.reload()
-}
-
-// reload reads the sidecar, works out its layout and newest record for the
-// next put, and returns the staged image, if any.
-func (f *FileNVRAM) reload() (int, []byte, error) {
-	f.closeFile()
-	f.loaded, f.laid, f.stride, f.newest, f.seq, f.staged = false, false, 0, -1, 0, false
-	buf, err := os.ReadFile(f.path)
-	if err != nil && !os.IsNotExist(err) {
+	buf, err := f.reload()
+	if err != nil {
 		return 0, nil, err
 	}
-	f.loaded = true
-	var global int
-	var image []byte
-	if stride, ok := parseNVHeader(buf); ok {
-		f.laid, f.stride = true, stride
-		for slot := 0; slot < 2; slot++ {
-			off := nvHeaderLen + slot*stride
-			if off > len(buf) {
-				break
-			}
-			seq, g, img, ok := parseNVRecord(buf[off:min(len(buf), off+stride)])
-			if ok && (f.newest < 0 || seq > f.seq) {
-				f.newest, f.seq, global, image = slot, seq, g, img
-			}
-		}
-	} else {
-		// Missing, the parent layout, or garbage: the next put re-lays the
-		// file out. A torn or foreign file is treated as empty.
-		if global, image, err = parseLegacyNVRAM(buf); err != nil {
-			return 0, nil, fmt.Errorf("clio: nvram file %s inconsistent", f.path)
-		}
-	}
-	f.staged = len(image) > 0
-	if !f.staged {
+	tail, _ := f.find(nvTail, 0)
+	if tail < 0 || f.slots[tail].n == 0 {
 		return 0, nil, nil
 	}
-	return global, image, nil
+	return f.slots[tail].global, f.image(buf, tail), nil
 }
 
-// appendNVRecord appends one slot record: seq | global | len | image | crc32c.
-func appendNVRecord(b []byte, seq uint64, global int, image []byte) []byte {
-	b = wire.PutUint64(b, seq)
-	b = wire.PutUint64(b, uint64(global))
-	b = wire.PutUint32(b, uint32(len(image)))
+// LoadSealed implements StagingNVRAM. A torn StoreSealed leaves nothing: the
+// seal it staged was never acked, because the ack follows its return.
+func (f *FileNVRAM) LoadSealed() (globals []int, images [][]byte, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	buf, err := f.reload()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, s := range f.slots {
+		if s.kind != nvSeal || s.n == 0 {
+			continue
+		}
+		if newest, _ := f.find(nvSeal, s.global); newest == i {
+			globals = append(globals, s.global)
+			images = append(images, f.image(buf, i))
+		}
+	}
+	return globals, images, nil
+}
+
+// image returns the image of the record in the given slot of the file bytes.
+func (f *FileNVRAM) image(buf []byte, slot int) []byte {
+	off := nvHeaderLen + slot*f.stride + nvRecordHdr
+	return buf[off : off+f.slots[slot].n]
+}
+
+// reload reads the sidecar, every slot, so a handle opened after another
+// stopped writing sees that one's newest records, and returns the file's bytes.
+func (f *FileNVRAM) reload() ([]byte, error) {
+	f.closeFile()
+	f.loaded, f.stride, f.slots, f.seq = false, 0, f.slots[:0], 0
+	buf, err := os.ReadFile(f.path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	stride, laid := parseNVHeader(buf)
+	if !laid && len(buf) >= nvHeaderLen {
+		return nil, errOlderLayout(f.path)
+	}
+	dir, base := filepath.Dir(f.path), filepath.Base(f.path)
+	names, _ := os.ReadDir(dir) // no directory: no file of any layout in it
+	for _, e := range names {
+		if n := e.Name(); strings.HasPrefix(n, base+".s") && !strings.HasSuffix(n, ".tmp") {
+			return nil, errOlderLayout(filepath.Join(dir, n))
+		}
+	}
+	f.loaded = true
+	if !laid {
+		return nil, nil // missing, or too short to have been written: nothing staged
+	}
+	f.stride = stride
+	for off := nvHeaderLen; off < len(buf); off += stride {
+		s := parseNVRecord(buf[off:min(len(buf), off+stride)])
+		f.slots = append(f.slots, s)
+		f.seq = max(f.seq, s.seq)
+	}
+	return buf, nil
+}
+
+// errOlderLayout refuses staged state this build has no reader for — a
+// sidecar without the header (before the slotted layout), a per-seal file
+// beside it (before seals moved into the sidecar) — rather than open the
+// store as if nothing were staged.
+func errOlderLayout(path string) error {
+	return fmt.Errorf("clio: %s holds staged entries in an older build's layout, which this build does not read: "+
+		"start the previous release on the store once and stop it cleanly "+
+		"(its recovery writes staged seals to the volumes, its shutdown rewrites the sidecar), then retry", path)
+}
+
+// appendNVRecord appends one slot record: seq | global | len u24, kind u8 |
+// image | crc32c.
+func appendNVRecord(b []byte, rec nvSlot, image []byte) []byte {
+	b = wire.PutUint64(b, rec.seq)
+	b = wire.PutUint64(b, uint64(rec.global))
+	b = wire.PutUint32(b, uint32(len(image))|uint32(rec.kind)<<24)
 	b = append(b, image...)
 	return wire.PutUint32(b, wire.Checksum(b))
 }
 
-// parseNVRecord decodes the record at the start of a slot; ok is false for
-// an empty, torn or truncated one.
-func parseNVRecord(slot []byte) (seq uint64, global int, image []byte, ok bool) {
+// parseNVRecord decodes the record at the start of a slot, whose image then
+// follows its nvRecordHdr bytes; the zero nvSlot for an empty, torn, truncated
+// or foreign one.
+func parseNVRecord(slot []byte) nvSlot {
 	if len(slot) < nvRecordHdr+4 {
-		return 0, 0, nil, false
+		return nvSlot{}
 	}
-	seq, _ = wire.Uint64(slot)
+	seq, _ := wire.Uint64(slot)
 	g, _ := wire.Uint64(slot[8:])
-	n, _ := wire.Uint32(slot[16:])
-	end := nvRecordHdr + int(n)
-	if n > uint32(len(slot)) || end+4 > len(slot) {
-		return 0, 0, nil, false
+	lk, _ := wire.Uint32(slot[16:])
+	n, kind := int(lk&(1<<24-1)), byte(lk>>24)
+	end := nvRecordHdr + n
+	if kind > nvSeal || end+4 > len(slot) {
+		return nvSlot{}
 	}
-	crc, _ := wire.Uint32(slot[end:])
-	if wire.Checksum(slot[:end]) != crc {
-		return 0, 0, nil, false
+	if crc, _ := wire.Uint32(slot[end:]); wire.Checksum(slot[:end]) != crc {
+		return nvSlot{}
 	}
-	return seq, int(g), slot[nvRecordHdr:end], true
+	return nvSlot{seq: seq, kind: kind, global: int(g), n: n}
 }
 
 // parseNVHeader returns the slot stride of a sidecar in the slotted layout.
@@ -359,126 +471,18 @@ func parseNVHeader(buf []byte) (stride int, ok bool) {
 	return int(s), true
 }
 
-// parseLegacyNVRAM reads the parent layout — the whole file is global(u64)
-// len(u32) image crc(u32) — which is also the layout of the staged-seal
-// sidecars. A short or checksum-failing file is a torn store: empty.
-func parseLegacyNVRAM(buf []byte) (global int, image []byte, err error) {
-	if len(buf) < 16 {
-		return 0, nil, nil
-	}
-	body, crcBytes := buf[:len(buf)-4], buf[len(buf)-4:]
-	crc, _ := wire.Uint32(crcBytes)
-	if wire.Checksum(body) != crc {
-		return 0, nil, nil
-	}
-	g, _ := wire.Uint64(body)
-	n, _ := wire.Uint32(body[8:])
-	if int(n) != len(body)-12 {
-		return 0, nil, errors.New("length mismatch")
-	}
-	return int(g), body[12:], nil
-}
-
-// sealedPath names the per-image sidecar for a staged sealed block.
-func (f *FileNVRAM) sealedPath(global int) string {
-	return f.path + fmt.Sprintf(".s%08d", global)
-}
-
-// StoreSealed implements StagingNVRAM: one sidecar file per in-flight seal,
-// global(u64) len(u32) image crc(u32), written by tmp+rename — a rename per
-// seal, not per force (seals are a fraction of forces).
-func (f *FileNVRAM) StoreSealed(global int, image []byte) error {
+// CopyTo copies the sidecar — everything staged, which a backup must carry
+// because it is not on the volumes yet: the tail and the sealed images a
+// pipelined seal acked before their device write — into dir under its own
+// name, and reports whether there was one. A record the store has since
+// dropped is harmless there: recovery ignores a staged tail or seal that the
+// volumes already cover.
+func (f *FileNVRAM) CopyTo(dir string) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	buf := wire.PutUint64(nil, uint64(global))
-	buf = wire.PutUint32(buf, uint32(len(image)))
-	buf = append(buf, image...)
-	buf = wire.PutUint32(buf, wire.Checksum(buf))
-	path := f.sealedPath(global)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
+	buf, err := f.reload()
+	if err != nil || buf == nil {
+		return false, err // nil: nothing was ever staged
 	}
-	return os.Rename(tmp, path)
-}
-
-// DropSealed implements StagingNVRAM.
-func (f *FileNVRAM) DropSealed(global int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	err := os.Remove(f.sealedPath(global))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// sealedFiles lists the staged sealed images' sidecars; a half-written .tmp
-// is never part of the state.
-func (f *FileNVRAM) sealedFiles() ([]string, error) {
-	matches, err := filepath.Glob(f.path + ".s*")
-	return slices.DeleteFunc(matches, func(p string) bool { return strings.HasSuffix(p, ".tmp") }), err
-}
-
-// LoadSealed implements StagingNVRAM. Torn sidecars (crash mid-StoreSealed)
-// are skipped: the seal they staged was never acked, because the ack
-// happens only after StoreSealed returns.
-func (f *FileNVRAM) LoadSealed() ([]int, [][]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	matches, err := f.sealedFiles()
-	if err != nil {
-		return nil, nil, err
-	}
-	var globals []int
-	var images [][]byte
-	for _, path := range matches {
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, nil, err
-		}
-		g, img, err := parseLegacyNVRAM(buf)
-		if err != nil {
-			return nil, nil, fmt.Errorf("clio: nvram sidecar %s inconsistent", path)
-		}
-		if img == nil {
-			continue // torn store: never acked, safe to drop
-		}
-		globals = append(globals, g)
-		images = append(images, img)
-	}
-	return globals, images, nil
-}
-
-// CopyTo copies the staged state — what a backup must carry because it is not
-// on the volumes yet — into dir under the files' own names and returns how
-// many it copied: the tail sidecar and every staged sealed image (blocks a
-// pipelined seal acked before their device write). An image left in dir by an
-// earlier copy and since dropped by the store is harmless: recovery ignores a
-// staged tail or seal that the volumes already cover.
-func (f *FileNVRAM) CopyTo(dir string) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	srcs, err := f.sealedFiles()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, src := range append(srcs, f.path) {
-		data, err := os.ReadFile(src)
-		if os.IsNotExist(err) {
-			continue // nothing staged, or dropped since the listing: its block is on the device
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), data, 0o644); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+	return true, os.WriteFile(filepath.Join(dir, filepath.Base(f.path)), buf, 0o644)
 }

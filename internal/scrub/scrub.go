@@ -29,7 +29,6 @@ import (
 	"clio/internal/blockfmt"
 	"clio/internal/catalog"
 	"clio/internal/entrymap"
-	"clio/internal/obs"
 	"clio/internal/volume"
 	"clio/internal/wire"
 	"clio/internal/wodev"
@@ -40,11 +39,6 @@ type Options struct {
 	// Repair invalidates damaged blocks on the medium (§2.3.2). Without
 	// it, scrub is read-only.
 	Repair bool
-	// Registry, when non-nil, receives live scrub progress counters
-	// (clio_scrub_blocks_scanned_total, clio_scrub_problems_total,
-	// clio_scrub_repairs_total) so a long scrub can be watched from the
-	// admin endpoint while it runs.
-	Registry *obs.Registry
 }
 
 // Problem is one detected inconsistency.
@@ -95,10 +89,6 @@ type Report struct {
 	OpenTailChains []uint16
 	// Problems lists everything found.
 	Problems []Problem
-
-	// onProblem, when set, observes each problem as it is recorded — the
-	// live-progress feed for Options.Registry.
-	onProblem func()
 }
 
 // LogUsage is one log file's space accounting.
@@ -118,9 +108,6 @@ func (r *Report) add(block int, kind, format string, args ...any) {
 		Kind:   kind,
 		Detail: fmt.Sprintf(format, args...),
 	})
-	if r.onProblem != nil {
-		r.onProblem()
-	}
 }
 
 // Volumes scrubs a volume sequence given its mounted devices (any order).
@@ -137,14 +124,6 @@ func Volumes(devs []wodev.Device, opt Options) (*Report, error) {
 		return nil, err
 	}
 	s := &scrubber{set: set, opt: opt, report: &Report{Blocks: end}}
-	if reg := opt.Registry; reg != nil {
-		s.scanned = reg.Counter("clio_scrub_blocks_scanned_total",
-			"Blocks examined by the scrub's readability pass.")
-		s.repaired = reg.Counter("clio_scrub_repairs_total",
-			"Damaged blocks invalidated by the scrub.")
-		s.report.onProblem = reg.Counter("clio_scrub_problems_total",
-			"Inconsistencies recorded by the scrub.").Inc
-	}
 	if err := s.run(end); err != nil {
 		return nil, err
 	}
@@ -155,10 +134,6 @@ type scrubber struct {
 	set    *volume.Set
 	opt    Options
 	report *Report
-
-	// scanned and repaired feed Options.Registry; nil-safe no-ops otherwise.
-	scanned  *obs.Counter
-	repaired *obs.Counter
 
 	// blocks memoizes every block read: its decode, or why it has none.
 	blocks map[int]readResult
@@ -201,7 +176,6 @@ func (s *scrubber) run(end int) error {
 		e     *entrymap.Entry
 	}
 	for g := 0; g < end; g++ {
-		s.scanned.Inc()
 		p, err := s.fetch(g)
 		switch {
 		case err == nil:
@@ -474,6 +448,5 @@ func (s *scrubber) maybeRepair(g int) {
 	}
 	if err := v.Dev.Invalidate(v.DeviceBlock(local)); err == nil {
 		s.report.Repaired++
-		s.repaired.Inc()
 	}
 }

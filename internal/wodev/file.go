@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 )
 
 // FileDevice is a write-once device backed by a regular file, one file per
@@ -19,14 +18,8 @@ import (
 // append-only storage model is appropriate even if the backing storage
 // medium happens to be rewriteable".
 type FileDevice struct {
-	mu        sync.Mutex
+	writeOnce
 	f         *os.File
-	blockSize int
-	capacity  int
-	written   int
-	closed    bool
-	stats     Stats
-	lastRead  int
 	syncEvery bool
 }
 
@@ -71,49 +64,18 @@ func OpenFile(path string, opt FileOptions) (*FileDevice, error) {
 		return nil, fmt.Errorf("wodev: volume file holds %d blocks, capacity is %d", whole, opt.Capacity)
 	}
 	return &FileDevice{
+		writeOnce: writeOnce{blockSize: opt.BlockSize, capacity: opt.Capacity, written: int(whole), lastRead: -2},
 		f:         f,
-		blockSize: opt.BlockSize,
-		capacity:  opt.Capacity,
-		written:   int(whole),
-		lastRead:  -2,
 		syncEvery: opt.SyncEvery,
 	}, nil
-}
-
-// BlockSize implements Device.
-func (d *FileDevice) BlockSize() int { return d.blockSize }
-
-// Capacity implements Device.
-func (d *FileDevice) Capacity() int { return d.capacity }
-
-// Written implements Device.
-func (d *FileDevice) Written() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.written
 }
 
 // ReadBlock implements Device.
 func (d *FileDevice) ReadBlock(idx int, dst []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if idx < 0 || idx >= d.capacity {
-		return ErrOutOfRange
-	}
-	if len(dst) < d.blockSize {
-		return fmt.Errorf("wodev: read buffer %d < block size %d", len(dst), d.blockSize)
-	}
-	d.stats.Reads++
-	if idx != d.lastRead+1 {
-		d.stats.Seeks++
-	}
-	d.lastRead = idx
-	if idx >= d.written {
-		d.stats.Probes++
-		return ErrUnwritten
+	if err := d.admitRead(idx, dst); err != nil {
+		return err
 	}
 	if _, err := d.f.ReadAt(dst[:d.blockSize], int64(idx)*int64(d.blockSize)); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -135,21 +97,10 @@ func (d *FileDevice) AppendBlock(data []byte) (int, error) {
 }
 
 func (d *FileDevice) appendLocked(data []byte) (int, error) {
-	if d.closed {
-		return 0, ErrClosed
+	idx, err := d.admitAppend(data)
+	if err != nil {
+		return 0, err
 	}
-	if len(data) != d.blockSize {
-		return 0, ErrBadBlockSize
-	}
-	if d.written >= d.capacity {
-		return 0, ErrFull
-	}
-	// Refuse all-ones payloads: that bit pattern is reserved as the
-	// invalidation marker on the medium.
-	if allOnes(data) {
-		return 0, fmt.Errorf("wodev: all-ones block payload is reserved for invalidation")
-	}
-	idx := d.written
 	if _, err := d.f.WriteAt(data, int64(idx)*int64(d.blockSize)); err != nil {
 		return 0, fmt.Errorf("wodev: append block %d: %w", idx, err)
 	}
@@ -158,8 +109,7 @@ func (d *FileDevice) appendLocked(data []byte) (int, error) {
 			return 0, fmt.Errorf("wodev: sync: %w", err)
 		}
 	}
-	d.written = idx + 1
-	d.stats.Appends++
+	d.appended()
 	return idx, nil
 }
 
@@ -169,11 +119,8 @@ func (d *FileDevice) appendLocked(data []byte) (int, error) {
 func (d *FileDevice) WriteAt(idx int, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if idx < d.written {
-		return ErrRewrite
-	}
-	if idx != d.written {
-		return fmt.Errorf("wodev: write at %d but end of written portion is %d: %w", idx, d.written, ErrRewrite)
+	if err := d.admitWriteAt(idx); err != nil {
+		return err
 	}
 	_, err := d.appendLocked(data)
 	return err
@@ -183,11 +130,8 @@ func (d *FileDevice) WriteAt(idx int, data []byte) error {
 func (d *FileDevice) Invalidate(idx int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if idx < 0 || idx >= d.capacity {
-		return ErrOutOfRange
+	if err := d.admitInvalidate(idx); err != nil {
+		return err
 	}
 	ones := make([]byte, d.blockSize)
 	for i := range ones {
@@ -196,10 +140,7 @@ func (d *FileDevice) Invalidate(idx int) error {
 	if _, err := d.f.WriteAt(ones, int64(idx)*int64(d.blockSize)); err != nil {
 		return fmt.Errorf("wodev: invalidate block %d: %w", idx, err)
 	}
-	if idx >= d.written {
-		d.written = idx + 1
-	}
-	d.stats.Invalidations++
+	d.invalidated(idx)
 	return nil
 }
 
@@ -213,21 +154,6 @@ func (d *FileDevice) Sync() error {
 	return d.f.Sync()
 }
 
-// Stats implements Device.
-func (d *FileDevice) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// ResetStats implements Device.
-func (d *FileDevice) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
-	d.lastRead = -2
-}
-
 // Close implements Device.
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
@@ -237,13 +163,4 @@ func (d *FileDevice) Close() error {
 	}
 	d.closed = true
 	return d.f.Close()
-}
-
-func allOnes(b []byte) bool {
-	for _, c := range b {
-		if c != 0xFF {
-			return false
-		}
-	}
-	return true
 }

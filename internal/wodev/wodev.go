@@ -104,8 +104,8 @@ type Device interface {
 	// current end of the written portion. This is AppendBlock with an
 	// explicit position check, used when the caller tracks the end itself.
 	WriteAt(idx int, data []byte) error
-	// Invalidate overwrites block idx with all one bits. Both written and
-	// unwritten blocks may be invalidated (§2.3.2).
+	// Invalidate overwrites block idx with all one bits: a written block, or
+	// the unwritten one at the write point, which that consumes (§2.3.2).
 	Invalidate(idx int) error
 	// Stats returns a snapshot of the operation counters.
 	Stats() Stats
@@ -149,18 +149,153 @@ const (
 	stateDamagedWritten   // written block scribbled by a fault: reads garbage
 )
 
-// MemDevice is an in-memory write-once device.
-type MemDevice struct {
+// writeOnce is the half of a device that does not depend on its medium:
+// geometry, the write point, the counters, and the write-once policy — what
+// each call is refused for, and in which order — stated once. MemDevice and
+// FileDevice embed it and supply the medium; the admit methods want mu held.
+type writeOnce struct {
 	mu        sync.Mutex
 	blockSize int
 	capacity  int
-	reportEnd bool
+	written   int // the write point: every block below it is written or invalidated
 	closed    bool
-	written   int
-	state     []blockState
-	data      map[int][]byte
 	stats     Stats
 	lastRead  int
+}
+
+var errAllOnes = errors.New("wodev: all-ones block payload is reserved for invalidation")
+
+// BlockSize implements Device.
+func (w *writeOnce) BlockSize() int { return w.blockSize }
+
+// Capacity implements Device.
+func (w *writeOnce) Capacity() int { return w.capacity }
+
+// Written implements Device.
+func (w *writeOnce) Written() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.written
+}
+
+// Stats implements Device.
+func (w *writeOnce) Stats() Stats {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.stats
+}
+
+// ResetStats implements Device.
+func (w *writeOnce) ResetStats() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.stats = Stats{}
+	w.lastRead = -2
+}
+
+// admit is what every call on a block needs: an open device, an index on it.
+func (w *writeOnce) admit(idx int) error {
+	if w.closed {
+		return ErrClosed
+	}
+	if idx < 0 || idx >= w.capacity {
+		return ErrOutOfRange
+	}
+	return nil
+}
+
+// admitRead admits and counts a read; nil means the medium holds the block.
+func (w *writeOnce) admitRead(idx int, dst []byte) error {
+	if err := w.admit(idx); err != nil {
+		return err
+	}
+	if len(dst) < w.blockSize {
+		return fmt.Errorf("wodev: read buffer %d < block size %d", len(dst), w.blockSize)
+	}
+	w.stats.Reads++
+	if idx != w.lastRead+1 {
+		w.stats.Seeks++
+	}
+	w.lastRead = idx
+	if idx >= w.written {
+		w.stats.Probes++
+		return ErrUnwritten
+	}
+	return nil
+}
+
+// admitAppend admits data as the next block and returns the write point it
+// goes to; appended moves the write point past it once the medium took it.
+// All ones is refused: on the medium that pattern means "invalidated".
+func (w *writeOnce) admitAppend(data []byte) (int, error) {
+	switch {
+	case w.closed:
+		return 0, ErrClosed
+	case len(data) != w.blockSize:
+		return 0, ErrBadBlockSize
+	case w.written >= w.capacity:
+		return 0, ErrFull
+	case allOnes(data):
+		return 0, errAllOnes
+	}
+	return w.written, nil
+}
+
+func (w *writeOnce) appended() {
+	w.written++
+	w.stats.Appends++
+}
+
+// admitWriteAt admits a write aimed at idx: only the write point will do.
+func (w *writeOnce) admitWriteAt(idx int) error {
+	if err := w.admit(idx); err != nil {
+		return err
+	}
+	if idx < w.written {
+		return ErrRewrite
+	}
+	if idx != w.written {
+		return fmt.Errorf("wodev: write at %d but end of written portion is %d: %w", idx, w.written, ErrRewrite)
+	}
+	return nil
+}
+
+// admitInvalidate admits the invalidation of a written block or of the block
+// at the write point, which invalidated then consumes (§2.3.2: the damaged
+// block a write just failed on). Beyond the write point there is nothing to
+// fence off, and a hole there would read as written after a restart.
+func (w *writeOnce) admitInvalidate(idx int) error {
+	if err := w.admit(idx); err != nil {
+		return err
+	}
+	if idx > w.written {
+		return fmt.Errorf("wodev: invalidate block %d beyond the write point %d: %w", idx, w.written, ErrOutOfRange)
+	}
+	return nil
+}
+
+func (w *writeOnce) invalidated(idx int) {
+	if idx == w.written {
+		w.written++
+	}
+	w.stats.Invalidations++
+}
+
+func allOnes(b []byte) bool {
+	for _, c := range b {
+		if c != 0xFF {
+			return false
+		}
+	}
+	return true
+}
+
+// MemDevice is an in-memory write-once device.
+type MemDevice struct {
+	writeOnce
+	reportEnd bool
+	state     []blockState
+	data      map[int][]byte
 }
 
 // MemOptions configures a MemDevice.
@@ -186,20 +321,12 @@ func NewMem(opt MemOptions) *MemDevice {
 		opt.Capacity = 1 << 20
 	}
 	return &MemDevice{
-		blockSize: opt.BlockSize,
-		capacity:  opt.Capacity,
+		writeOnce: writeOnce{blockSize: opt.BlockSize, capacity: opt.Capacity, lastRead: -2},
 		reportEnd: !opt.ReportEndUnknown,
 		state:     make([]blockState, opt.Capacity),
 		data:      make(map[int][]byte),
-		lastRead:  -2,
 	}
 }
-
-// BlockSize implements Device.
-func (d *MemDevice) BlockSize() int { return d.blockSize }
-
-// Capacity implements Device.
-func (d *MemDevice) Capacity() int { return d.capacity }
 
 // Written implements Device.
 func (d *MemDevice) Written() int {
@@ -215,33 +342,17 @@ func (d *MemDevice) Written() int {
 func (d *MemDevice) ReadBlock(idx int, dst []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+	if err := d.admitRead(idx, dst); err != nil {
+		return err
 	}
-	if idx < 0 || idx >= d.capacity {
-		return ErrOutOfRange
-	}
-	if len(dst) < d.blockSize {
-		return fmt.Errorf("wodev: read buffer %d < block size %d", len(dst), d.blockSize)
-	}
-	d.stats.Reads++
-	if idx != d.lastRead+1 {
-		d.stats.Seeks++
-	}
-	d.lastRead = idx
-	switch d.state[idx] {
-	case stateUnwritten, stateDamagedUnwritten:
-		d.stats.Probes++
-		return ErrUnwritten
-	case stateInvalid:
+	if d.state[idx] == stateInvalid {
 		for i := 0; i < d.blockSize; i++ {
 			dst[i] = 0xFF
 		}
 		return ErrInvalidated
-	default:
-		copy(dst, d.data[idx])
-		return nil
 	}
+	copy(dst, d.data[idx])
+	return nil
 }
 
 // AppendBlock implements Device.
@@ -252,33 +363,18 @@ func (d *MemDevice) AppendBlock(data []byte) (int, error) {
 }
 
 func (d *MemDevice) appendLocked(data []byte) (int, error) {
-	if d.closed {
-		return 0, ErrClosed
+	idx, err := d.admitAppend(data)
+	if err != nil {
+		return 0, err
 	}
-	if len(data) != d.blockSize {
-		return 0, ErrBadBlockSize
-	}
-	// Skip over blocks that were invalidated while still unwritten: they are
-	// consumed but can never hold data.
-	for d.written < d.capacity && d.state[d.written] == stateInvalid {
-		d.written++
-	}
-	if d.written >= d.capacity {
-		return 0, ErrFull
-	}
-	idx := d.written
 	if d.state[idx] == stateDamagedUnwritten {
 		return idx, ErrCorrupt
-	}
-	if d.state[idx] != stateUnwritten {
-		return 0, ErrRewrite
 	}
 	cp := make([]byte, d.blockSize)
 	copy(cp, data)
 	d.data[idx] = cp
 	d.state[idx] = stateWritten
-	d.written = idx + 1
-	d.stats.Appends++
+	d.appended()
 	return idx, nil
 }
 
@@ -286,17 +382,8 @@ func (d *MemDevice) appendLocked(data []byte) (int, error) {
 func (d *MemDevice) WriteAt(idx int, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if idx < 0 || idx >= d.capacity {
-		return ErrOutOfRange
-	}
-	if d.state[idx] == stateWritten || d.state[idx] == stateDamagedWritten || idx < d.written {
-		return ErrRewrite
-	}
-	if idx != d.written {
-		return fmt.Errorf("wodev: write at %d but end of written portion is %d: %w", idx, d.written, ErrRewrite)
+	if err := d.admitWriteAt(idx); err != nil {
+		return err
 	}
 	_, err := d.appendLocked(data)
 	return err
@@ -306,35 +393,13 @@ func (d *MemDevice) WriteAt(idx int, data []byte) error {
 func (d *MemDevice) Invalidate(idx int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if idx < 0 || idx >= d.capacity {
-		return ErrOutOfRange
+	if err := d.admitInvalidate(idx); err != nil {
+		return err
 	}
 	d.state[idx] = stateInvalid
 	delete(d.data, idx)
-	d.stats.Invalidations++
-	// Invalidating the block at the write point consumes it.
-	for d.written < d.capacity && d.state[d.written] == stateInvalid {
-		d.written++
-	}
+	d.invalidated(idx)
 	return nil
-}
-
-// Stats implements Device.
-func (d *MemDevice) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// ResetStats implements Device.
-func (d *MemDevice) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
-	d.lastRead = -2
 }
 
 // Close implements Device.

@@ -18,8 +18,11 @@ import (
 	"clio/internal/wodev"
 )
 
-// Directory layout for file-backed stores: one file per volume plus an
-// NVRAM sidecar. The volume files enforce the append-only policy in
+// Directory layout for file-backed stores: one file per volume plus ONE
+// NVRAM sidecar file, holding everything staged ahead of the volumes (the
+// tail block and the sealed blocks awaiting their device write), so it is the
+// one file beside the volumes a backup has to carry (core.FileNVRAM.CopyTo).
+// The volume files enforce the append-only policy in
 // software — "the append-only storage model is appropriate even if the
 // backing storage medium happens to be rewriteable" (§6).
 //
@@ -79,9 +82,6 @@ type DirOptions struct {
 	// override the same way (ColdDir/shard-K), because each shard numbers
 	// its volumes from zero and the images must not collide.
 	ColdDir string
-	// NoCold disables the cold tier entirely: CompactOnce returns
-	// ErrNoColdTier and no reclamation state is created on disk.
-	NoCold bool
 }
 
 func volPath(dir string, index uint32) string {
@@ -181,9 +181,6 @@ func (o DirOptions) openVolume(path string) (wodev.Device, error) {
 // sidecar lives beside the NVRAM sidecar, and releasing a demoted volume
 // deletes its local file — the act that actually reclaims the space.
 func dirColdTier(dir string, o DirOptions) *core.ColdTier {
-	if o.NoCold {
-		return nil
-	}
 	cold := o.ColdDir
 	if cold == "" {
 		cold = filepath.Join(dir, coldDirName)
@@ -205,7 +202,7 @@ func dirColdTier(dir string, o DirOptions) *core.ColdTier {
 // create, a fresh volume 0; otherwise every volume file, in index order —
 // and the service options wired to the files beside them: the NVRAM
 // sidecar, the allocator that mints successor volume files and, unless the
-// caller brought its own or disabled it, the cold tier. It is the one place
+// caller brought its own, the cold tier. It is the one place
 // a shard is put together; CreateStore, OpenStore and OpenRaw all come
 // through it.
 func openShard(dir string, o DirOptions, create bool) ([]wodev.Device, core.Options, error) {
@@ -463,7 +460,7 @@ type RawStore struct {
 	Devices [][]wodev.Device
 	NVRAMs  []NVRAM // each a *core.FileNVRAM
 	// Cold is each shard's cold archive, holding the volumes the compactor
-	// demoted; nil entries when the cold tier is disabled.
+	// demoted.
 	Cold []archive.Backend
 	// Opts is the per-shard service options derived from the DirOptions and
 	// the store's geometry (block size, checkpoint interval, ...). NVRAM and
@@ -494,11 +491,7 @@ func OpenRaw(dir string, o DirOptions, create bool) (*RawStore, error) {
 	}
 	for _, opt := range a.opts {
 		r.NVRAMs = append(r.NVRAMs, opt.NVRAM)
-		var cold archive.Backend
-		if opt.Cold != nil {
-			cold = opt.Cold.Backend
-		}
-		r.Cold = append(r.Cold, cold)
+		r.Cold = append(r.Cold, opt.Cold.Backend)
 	}
 	return r, nil
 }
