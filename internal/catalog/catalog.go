@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"clio/internal/wire"
 )
@@ -163,6 +164,10 @@ type Table struct {
 	byID     map[uint16]*Descriptor
 	children map[uint16]map[string]uint16
 	nextID   uint16
+	// gen counts the log files created (live or replayed): a reader holding
+	// an id set derived from the tree (Descendants) rebuilds it when the
+	// count has moved.
+	gen atomic.Uint64
 }
 
 // NewTable returns a catalog pre-populated with the reserved system log
@@ -398,6 +403,7 @@ func (t *Table) applyLocked(rec *Record) error {
 			Owner:   rec.Owner,
 		}
 		t.child(rec.Parent)[rec.Name] = rec.ID
+		t.gen.Add(1)
 		if rec.ID >= t.nextID {
 			t.nextID = rec.ID + 1
 			if t.nextID > MaxLogID {
@@ -490,6 +496,10 @@ func (t *Table) List(id uint16) ([]string, error) {
 	sort.Strings(out)
 	return out, nil
 }
+
+// Generation returns a count every create moves: a set Descendants returned
+// after Generation returned g is current while Generation still returns g.
+func (t *Table) Generation() uint64 { return t.gen.Load() }
 
 // Descendants returns id and every transitive sublog id beneath it, sorted.
 // Reading a log file yields the entries of the whole set: an entry logged in

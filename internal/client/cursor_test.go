@@ -493,6 +493,50 @@ func TestNextAfterEOFSeesAckedAppend(t *testing.T) {
 	}
 }
 
+// TestCursorSeesSublogCreatedAfterOpen: a remote cursor on a parent log reads
+// the entries of a sublog created after it was opened, past blocks holding
+// none of the parent's entries, as a cursor opened afterwards does.
+func TestCursorSeesSublogCreatedAfterOpen(t *testing.T) {
+	cl, _, _ := tcpStore(t, 1, 512)
+	fillSublogs(t, cl, "/p", 1, 3)
+	filler, err := cl.CreateLog(bg, "/filler", 0o644, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := cl.OpenCursor(bg, "/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(scanAll(t, cur)); got != 3 {
+		t.Fatalf("scanned %d entries, want 3", got)
+	}
+	b, err := cl.CreateLog(bg, "/p/b", 0o644, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendTo := func(id ID, data string) {
+		t.Helper()
+		if _, err := cl.Append(bg, id, []byte(data), AppendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendTo(b, "b1")
+	for i := 0; i < 50; i++ {
+		appendTo(filler, fmt.Sprintf("filler-%02d-padded-to-fill-the-blocks-in-between", i))
+	}
+	appendTo(b, "b2")
+	if got := scanAll(t, cur); fmt.Sprintf("%s", got) != "[b1 b2]" {
+		t.Fatalf("the cursor opened before /p/b read %s after it, want [b1 b2]", got)
+	}
+	fresh, err := cl.OpenCursor(bg, "/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scanAll(t, fresh); len(got) != 5 {
+		t.Fatalf("a cursor opened afterwards read %d entries, want 5", len(got))
+	}
+}
+
 // TestSeekTimeBuffersOnlyHistory: the entry a SeekTime reads ahead is log
 // history like any buffered entry — Prev steps back over it to the last entry
 // before ts — and a seek past the end holds nothing, so an entry acknowledged

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"clio/internal/blockfmt"
@@ -104,16 +103,20 @@ func (s *Service) entryAt(db *decodedBlock, block, idx int) (Entry, error) {
 // cursors may run concurrently with appends and with each other. A single
 // Cursor must still not be shared by concurrent goroutines.
 type Cursor struct {
-	s   *Service
-	ids map[uint16]bool // nil means every entry (the volume sequence log)
+	s    *Service
+	root uint16          // the log file opened
+	ids  map[uint16]bool // nil means every entry (the volume sequence log)
 	// linear disables entrymap-guided block skipping: set when the id set
 	// includes a log file the entrymap does not track (the entrymap log
 	// itself — footnote 6 — cannot index itself).
 	linear bool
 
-	// idSorted is the cursor's id set, sorted once at open (for locator
-	// fan-out); nil when ids is nil.
+	// idSorted is the cursor's id set, ascending: what the locator searches
+	// for; nil when ids is nil.
 	idSorted []uint16
+	// gen is the catalog generation the set was built at: a sublog created
+	// since is read too, so Next and Prev rebuild the set when it moved.
+	gen uint64
 
 	block int // current block (gap position)
 	rec   int // next record index to consider within block
@@ -194,23 +197,41 @@ func (s *Service) OpenCursorID(id uint16) (*Cursor, error) {
 }
 
 func (s *Service) cursorFor(id uint16) (*Cursor, error) {
-	c := &Cursor{s: s, memoBlock: -1}
+	c := &Cursor{s: s, root: id, memoBlock: -1}
 	if id != entrymap.VolumeSeqID {
-		ids, err := s.cat.Descendants(id)
-		if err != nil {
+		if err := c.buildIDs(); err != nil {
 			return nil, err
 		}
-		c.ids = make(map[uint16]bool, len(ids))
-		for _, d := range ids {
-			c.ids[d] = true
-			if d == entrymap.EntrymapID {
-				c.linear = true
-			}
-		}
-		c.idSorted = append(c.idSorted, ids...)
-		sort.Slice(c.idSorted, func(i, j int) bool { return c.idSorted[i] < c.idSorted[j] })
 	}
 	return c, nil
+}
+
+// buildIDs (re)derives the cursor's id set from the catalog: the log file
+// and every sublog beneath it now.
+func (c *Cursor) buildIDs() error {
+	gen := c.s.cat.Generation() // before the walk: a create racing it moves gen again
+	ids, err := c.s.cat.Descendants(c.root)
+	if err != nil {
+		return err
+	}
+	c.gen, c.idSorted, c.linear = gen, ids, false
+	c.ids = make(map[uint16]bool, len(ids))
+	for _, d := range ids {
+		c.ids[d] = true
+		if d == entrymap.EntrymapID {
+			c.linear = true
+		}
+	}
+	return nil
+}
+
+// refreshIDs rebuilds the id set if a log file was created since it was
+// built — one atomic load when none was.
+func (c *Cursor) refreshIDs() error {
+	if c.ids == nil || c.s.cat.Generation() == c.gen {
+		return nil
+	}
+	return c.buildIDs()
 }
 
 func (c *Cursor) match(id uint16) bool {
@@ -230,9 +251,6 @@ func (c *Cursor) matchRecord(r *blockfmt.RecordView) bool {
 	}
 	return false
 }
-
-// idList returns the cursor's id set, sorted (for locator fan-out).
-func (c *Cursor) idList() []uint16 { return c.idSorted }
 
 // decodeCached decodes a block, reusing the cursor's memo when the same
 // block is examined repeatedly. The staged tail block bypasses the memo.
@@ -291,6 +309,9 @@ func (c *Cursor) next() (*Entry, error) {
 	s := c.s
 	if s.closedFlag.Load() {
 		return nil, ErrClosed
+	}
+	if err := c.refreshIDs(); err != nil {
+		return nil, err
 	}
 	for {
 		sn := s.snap()
@@ -418,15 +439,9 @@ func (c *Cursor) advanceBlock(end, tail int) error {
 		c.rec = 0
 		return nil
 	}
-	next := -1
-	for _, id := range c.idList() {
-		b, err := c.s.locFindNext(id, c.block+1)
-		if err != nil {
-			return err
-		}
-		if b >= 0 && (next == -1 || b < next) {
-			next = b
-		}
+	next, err := c.s.locFindNext(c.idSorted, c.block+1)
+	if err != nil {
+		return err
 	}
 	if next == -1 {
 		if tail > c.block {
@@ -455,6 +470,9 @@ func (c *Cursor) prev() (*Entry, error) {
 	s := c.s
 	if s.closedFlag.Load() {
 		return nil, ErrClosed
+	}
+	if err := c.refreshIDs(); err != nil {
+		return nil, err
 	}
 	end := s.endShared()
 	if c.block > end {
@@ -583,15 +601,9 @@ func (c *Cursor) retreatBlock() error {
 	if c.ids == nil || c.linear {
 		prev = c.block - 1
 	} else {
-		prev = -1
-		for _, id := range c.idList() {
-			b, err := c.s.locFindPrev(id, c.block)
-			if err != nil {
-				return err
-			}
-			if b > prev {
-				prev = b
-			}
+		var err error
+		if prev, err = c.s.locFindPrev(c.idSorted, c.block); err != nil {
+			return err
 		}
 	}
 	if prev < 0 {

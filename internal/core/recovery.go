@@ -348,6 +348,12 @@ func (s *Service) tailHasEntrymapEntry(parsed *blockfmt.Parsed, level, boundary 
 	return false
 }
 
+// catalogSet and badBlockSet are the one-id sets recovery's scans search for.
+var (
+	catalogSet  = []uint16{entrymap.CatalogID}
+	badBlockSet = []uint16{entrymap.BadBlockID}
+)
+
 // replayCatalog rebuilds the log-file table by reading the catalog log file
 // from the beginning of the sequence.
 func (s *Service) replayCatalog() error {
@@ -357,7 +363,7 @@ func (s *Service) replayCatalog() error {
 // replayCatalogFrom applies the catalog records found in blocks at or after
 // `from` (checkpoint recovery replays only the suffix past the snapshot).
 func (s *Service) replayCatalogFrom(from int) error {
-	b, err := s.locFindNext(entrymap.CatalogID, from)
+	b, err := s.locFindNext(catalogSet, from)
 	if err != nil {
 		return err
 	}
@@ -383,7 +389,7 @@ func (s *Service) replayCatalogFrom(from int) error {
 				s.recovery.CatalogEntries++
 			}
 		}
-		b, err = s.locFindNext(entrymap.CatalogID, b+1)
+		b, err = s.locFindNext(catalogSet, b+1)
 		if err != nil {
 			return err
 		}
@@ -405,7 +411,7 @@ func (s *Service) replayBadBlocks() error {
 // after `from`.
 func (s *Service) readBadBlocksFrom(from int) ([]int, error) {
 	var out []int
-	b, err := s.locFindNext(entrymap.BadBlockID, from)
+	b, err := s.locFindNext(badBlockSet, from)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +431,7 @@ func (s *Service) readBadBlocksFrom(from int) ([]int, error) {
 				}
 			}
 		}
-		b, err = s.locFindNext(entrymap.BadBlockID, b+1)
+		b, err = s.locFindNext(badBlockSet, b+1)
 		if err != nil {
 			return nil, err
 		}

@@ -748,17 +748,19 @@ func (s *Service) ResetLocateStats() {
 // copy of the locator — concurrent cursors share nothing but the Source,
 // which synchronizes internally — and add what it counted to the service's
 // totals when it is done. The copy is a local of these functions, not of a
-// closure, so it stays on the stack.
-func (s *Service) locFindNext(id uint16, from int) (int, error) {
+// closure, so it stays on the stack. ids is the ascending set searched for,
+// a cursor's whole id set: one search, one latency sample and one fold of
+// the counts per block step, however many sublogs the set holds.
+func (s *Service) locFindNext(ids []uint16, from int) (int, error) {
 	l := s.loc
 	defer s.locateDone(&l.Stats, s.locateStart())
-	return l.FindNext(id, from)
+	return l.FindNext(ids, from)
 }
 
-func (s *Service) locFindPrev(id uint16, before int) (int, error) {
+func (s *Service) locFindPrev(ids []uint16, before int) (int, error) {
 	l := s.loc
 	defer s.locateDone(&l.Stats, s.locateStart())
-	return l.FindPrev(id, before)
+	return l.FindPrev(ids, before)
 }
 
 func (s *Service) locFindByTime(ts int64) (int, error) {

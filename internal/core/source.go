@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"clio/internal/archive"
 	"clio/internal/blockfmt"
@@ -37,8 +38,8 @@ func (ls *locatorSource) End() int { return ls.svc().endShared() }
 //
 // On a cache-resident sealed block the probe allocates nothing and decodes
 // nothing: the views were made when the block was (decodedBlock.emap) and
-// alias its cached image. A parent-log cursor asks once per member id on
-// every block step, for the same entry.
+// alias its cached image. A parent-log cursor's search reads each entry once
+// per block step and ORs its member ids' bitmaps in one walk (View.Union).
 func (ls *locatorSource) ViewAt(level, boundary int) (entrymap.View, bool, error) {
 	s := ls.svc()
 	end := s.endShared()
@@ -73,14 +74,16 @@ func (ls *locatorSource) ViewAt(level, boundary int) (entrymap.View, bool, error
 	return entrymap.View{}, false, nil
 }
 
-// Pending implements entrymap.Source: the accumulator's in-progress bitmap,
-// widened with the staged tail block's contents (the tail is readable but
-// not yet noted in the accumulator — that happens at seal). The accumulator
-// rolls a span up when the writer starts the boundary block, a whole append
-// before that block and the entrymap entries in it become readable; a search
-// that still takes the completed span for the one in progress is told so
-// (known=false) rather than handed the next span's bitmap.
-func (ls *locatorSource) Pending(level, spanStart int, id uint16) (wire.Bitmap, bool) {
+// Pending implements entrymap.Source: the union over ids of the
+// accumulator's in-progress bitmaps, widened with the staged tail block's and
+// the pipelined seals' contents (readable, but not yet noted in the
+// accumulator — that happens at seal). The accumulator rolls a span up when
+// the writer starts the boundary block, a whole append before that block and
+// the entrymap entries in it become readable; a search that still takes the
+// completed span for the one in progress is told so (known=false) rather than
+// handed the next span's bitmap. One probe takes the snapshot and idxMu once,
+// whatever the size of the set.
+func (ls *locatorSource) Pending(level, spanStart int, ids []uint16) (bm [entrymap.MaxDegree / 8]byte, known bool) {
 	s := ls.svc()
 	n := s.opt.Degree
 	span := n
@@ -95,57 +98,55 @@ func (ls *locatorSource) Pending(level, spanStart int, id uint16) (wire.Bitmap, 
 	s.idxMu.Lock()
 	if s.lastBound/span*span != spanStart {
 		s.idxMu.Unlock()
-		return nil, false
+		return bm, false
 	}
-	live, _ := s.acc.Pending(level, id)
-	// The accumulator mutates its bitmaps in place (NoteBlock, under idxMu)
-	// and the locator reads the result after this call returns: hand out a
-	// copy, never the live map.
-	var bm wire.Bitmap
-	if len(live) > 0 {
-		bm = make(wire.Bitmap, len(live))
-		copy(bm, live)
+	// The accumulator mutates its bitmaps in place (NoteBlock, under idxMu):
+	// they are ORed into the returned copy before the lock is let go.
+	for _, id := range ids {
+		live, _ := s.acc.Pending(level, id)
+		for i, b := range live {
+			bm[i] |= b
+		}
 	}
 	s.idxMu.Unlock()
 	if level == 1 {
-		set := func(global int) {
-			if global < spanStart || global >= spanStart+n {
-				return
-			}
-			if len(bm) < (n+7)/8 {
-				eff := make(wire.Bitmap, (n+7)/8)
-				copy(eff, bm)
-				bm = eff
-			}
-			bm.Set(global % n)
-		}
 		// Pipelined seals are readable but, like the tail, not yet noted in
 		// the accumulator (that happens when their device write completes).
 		for i := range sn.pipe {
-			if sn.pipe[i].ids[id] {
-				set(sn.pipe[i].global)
+			if g := sn.pipe[i].global; g >= spanStart && g < spanStart+n && anyOf(sn.pipe[i].ids, ids) {
+				wire.Bitmap(bm[:]).Set(g % n)
 			}
 		}
-		if sn.tailGlobal >= 0 && sn.tailIDs[id] {
-			set(sn.tailGlobal)
+		if g := sn.tailGlobal; g >= spanStart && g < spanStart+n && anyOf(sn.tailIDs, ids) {
+			wire.Bitmap(bm[:]).Set(g % n)
 		}
 	}
 	return bm, true
 }
 
+// anyOf reports whether a block's id set holds any of ids.
+func anyOf(present map[uint16]bool, ids []uint16) bool {
+	for _, id := range ids {
+		if present[id] {
+			return true
+		}
+	}
+	return false
+}
+
 // BlockContains implements entrymap.Source. Fragments count: the entrymap
 // marks every block holding any part of an entry.
-func (ls *locatorSource) BlockContains(block int, id uint16) (bool, error) {
+func (ls *locatorSource) BlockContains(block int, ids []uint16) (bool, error) {
 	parsed, err := ls.svc().parseBlock(block)
 	if err != nil {
 		return false, nil // unreadable blocks contribute nothing
 	}
 	for _, rec := range parsed.Records {
-		if rec.LogID == id {
+		if _, ok := slices.BinarySearch(ids, rec.LogID); ok {
 			return true, nil
 		}
 		for _, ex := range rec.ExtraIDs {
-			if ex == id {
+			if _, ok := slices.BinarySearch(ids, ex); ok {
 				return true, nil
 			}
 		}

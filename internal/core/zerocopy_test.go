@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"testing"
 	"unsafe"
 
 	"clio/internal/cache"
+	"clio/internal/entrymap"
+	"clio/internal/obs"
 	"clio/internal/wodev"
 )
 
@@ -274,6 +277,140 @@ func BenchmarkReadAtWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.ReadAtInto(block, index, &e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// parentStepSetup builds a service whose /sessions log has 16 sublogs — 17
+// ids, as the scan_live workload's — written in runs between runs of a log
+// beside it, all sealed, and returns a warm cursor over /sessions (every
+// block it visits decoded and cached) with the blocks its block steps go
+// between: those holding a record or fragment of the set, ascending.
+func parentStepSetup(tb testing.TB) (*Service, *Cursor, []int) {
+	s, _, _ := zeroCopySetup(tb)
+	if _, err := s.CreateLog("/sessions", 0o644, "test"); err != nil {
+		tb.Fatal(err)
+	}
+	subs := make([]uint16, 16)
+	for i := range subs {
+		var err error
+		if subs[i], err = s.CreateLog(fmt.Sprintf("/sessions/user%02d", i), 0o644, "test"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	beside, err := s.CreateLog("/beside", 0o644, "test")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 900; i++ {
+		id := beside
+		if (i/30)%2 == 0 {
+			id = subs[i%len(subs)]
+		}
+		if _, err := s.Append(id, []byte(fmt.Sprintf("entry-%04d", i)), AppendOptions{}); err != nil && !IsDegraded(err) {
+			tb.Fatal(err)
+		}
+	}
+	if err := s.SealTail(); err != nil {
+		tb.Fatal(err)
+	}
+	c, err := s.OpenCursor("/sessions")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for { // warm
+		if _, err := c.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	// Every block holding a record or fragment of the set, by scanning them.
+	var starts []int
+	for b := 0; b < s.endShared(); b++ {
+		if ok, err := (*locatorSource)(s).BlockContains(b, c.idSorted); err != nil {
+			tb.Fatal(err)
+		} else if ok {
+			starts = append(starts, b)
+		}
+	}
+	return s, c, starts
+}
+
+// TestZeroCopyParentBlockStep pins the cost of a block step of a cursor over
+// a 17-id parent log: one locator search (one locate sample), at most one
+// entrymap entry per level on the way up and one on the way down — the
+// per-id steps this replaced examined every entry once per member id — and,
+// warm, no allocation at all.
+func TestZeroCopyParentBlockStep(t *testing.T) {
+	s, c, starts := parentStepSetup(t)
+	s.RegisterMetrics(obs.NewRegistry())
+	end := s.endShared()
+	levels := entrymap.MaxLevel(s.opt.Degree, end) + 1
+	if len(starts) < 10 {
+		t.Fatalf("the scan visited %d blocks, want a few runs of them", len(starts))
+	}
+	var stepExamined, perIDExamined int
+	for i, b := range starts {
+		want := end
+		if i+1 < len(starts) {
+			want = starts[i+1]
+		}
+		st0, n0 := s.LocateStats(), s.met().locateLat.Count()
+		c.block, c.rec = b, 0
+		if err := c.advanceBlock(end, -1); err != nil {
+			t.Fatal(err)
+		}
+		if c.block != want {
+			t.Fatalf("step from block %d went to %d, the next block of the set is %d", b, c.block, want)
+		}
+		if n := s.met().locateLat.Count() - n0; n != 1 {
+			t.Fatalf("step from block %d ran %d searches, want 1", b, n)
+		}
+		st := s.LocateStats()
+		examined := st.EntriesExamined - st0.EntriesExamined + st.PendingExamined - st0.PendingExamined
+		if examined > 2*levels {
+			t.Fatalf("step from block %d examined %d entrymap entries, want at most %d (%d levels, up and down)", b, examined, 2*levels, levels)
+		}
+		stepExamined += examined
+		for _, id := range c.idSorted { // what the per-id step did
+			st0 = s.LocateStats()
+			if _, err := s.locFindNext([]uint16{id}, b+1); err != nil {
+				t.Fatal(err)
+			}
+			st = s.LocateStats()
+			perIDExamined += st.EntriesExamined - st0.EntriesExamined + st.PendingExamined - st0.PendingExamined
+		}
+	}
+	if stepExamined*len(c.idSorted)/2 > perIDExamined {
+		t.Fatalf("%d steps examined %d entrymap entries; searching id by id examined %d — want under 2/%d of that",
+			len(starts), stepExamined, perIDExamined, len(c.idSorted))
+	}
+	t.Logf("%d steps over %d ids: %d entrymap entries examined, %d id by id", len(starts), len(c.idSorted), stepExamined, perIDExamined)
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, b := range starts {
+			c.block, c.rec = b, 0
+			if err := c.advanceBlock(end, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d warm parent block steps allocated %.1f objects, want 0", len(starts), allocs)
+	}
+}
+
+// BenchmarkParentCursorStep measures one warm block step of a cursor over a
+// 17-id parent log; it must report 0 allocs/op.
+func BenchmarkParentCursorStep(b *testing.B) {
+	s, c, starts := parentStepSetup(b)
+	end := s.endShared()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.block, c.rec = starts[i%len(starts)], 0
+		if err := c.advanceBlock(end, -1); err != nil {
 			b.Fatal(err)
 		}
 	}

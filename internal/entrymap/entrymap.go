@@ -236,6 +236,40 @@ func (v View) Get(id uint16) wire.Bitmap {
 	return nil
 }
 
+// Union stores in dst the OR of the bitmaps of ids (ascending) and returns
+// it, or returns nil if none of ids has entries in the span: what ORing
+// Get(id) over ids would give, found in one merged walk of the entry's map
+// list and the id set. dst must hold (N+7)/8 bytes; the result aliases it,
+// not the viewed bytes.
+func (v View) Union(ids []uint16, dst wire.Bitmap) wire.Bitmap {
+	mapBytes := (v.N + 7) / 8
+	dst = dst[:mapBytes]
+	clear(dst)
+	found := false
+	for rest := v.maps; len(rest) > 0 && len(ids) > 0; {
+		got, used, _ := wire.Uvarint(rest) // validated by DecodeView
+		for len(ids) > 0 && uint64(ids[0]) < got {
+			ids = ids[1:]
+		}
+		if len(ids) > 0 && uint64(ids[0]) == got {
+			for i, b := range rest[used : used+mapBytes] {
+				dst[i] |= b
+			}
+			found = true
+			// Like Get, answer with an id's first map: a repeat of it (legal on
+			// the wire) is passed over.
+			for len(ids) > 0 && uint64(ids[0]) == got {
+				ids = ids[1:]
+			}
+		}
+		rest = rest[used+mapBytes:]
+	}
+	if !found {
+		return nil
+	}
+	return dst
+}
+
 // Entry expands the view into an Entry that owns its bitmaps.
 func (v View) Entry() *Entry {
 	e := &Entry{Level: v.Level, Boundary: v.Boundary, N: v.N}

@@ -1,8 +1,11 @@
 package entrymap
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +160,16 @@ type fakeStore struct {
 	entries map[[2]int]*Entry
 	missing map[[2]int]bool
 	acc     *Accumulator
+	// displaced holds, per (level, boundary), how many blocks past its
+	// boundary an entry landed (§2.3.2); ViewAt finds it within limit blocks
+	// once that block is readable, as the service's forward scan does.
+	displaced map[[2]int]int
+	limit     int
+	// unknown marks (level, id) pairs whose pending span the writer cannot
+	// vouch for (Pending reports known=false for any set holding the id).
+	unknown map[[2]int]bool
+	// trace, when set, receives one line per Source call.
+	trace io.Writer
 }
 
 func newFakeStore(t *testing.T, n int) *fakeStore {
@@ -166,10 +179,12 @@ func newFakeStore(t *testing.T, n int) *fakeStore {
 		t.Fatal(err)
 	}
 	return &fakeStore{
-		n:       n,
-		entries: make(map[[2]int]*Entry),
-		missing: make(map[[2]int]bool),
-		acc:     acc,
+		n:         n,
+		entries:   make(map[[2]int]*Entry),
+		missing:   make(map[[2]int]bool),
+		acc:       acc,
+		displaced: make(map[[2]int]int),
+		unknown:   make(map[[2]int]bool),
 	}
 }
 
@@ -184,11 +199,24 @@ func (f *fakeStore) seal(ids []uint16, ts int64) {
 	f.acc.NoteBlock(b, ids)
 }
 
-func (f *fakeStore) End() int { return len(f.blocks) }
+func (f *fakeStore) note(format string, args ...any) {
+	if f.trace != nil {
+		fmt.Fprintf(f.trace, format+"\n", args...)
+	}
+}
+
+func (f *fakeStore) End() int {
+	f.note("E")
+	return len(f.blocks)
+}
 
 func (f *fakeStore) ViewAt(level, boundary int) (View, bool, error) {
+	f.note("V %d %d", level, boundary)
 	k := [2]int{level, boundary}
 	e := f.entries[k]
+	if d := f.displaced[k]; d > f.limit || boundary+d >= len(f.blocks) {
+		e = nil
+	}
 	if f.missing[k] || e == nil {
 		return View{}, false, nil
 	}
@@ -196,24 +224,40 @@ func (f *fakeStore) ViewAt(level, boundary int) (View, bool, error) {
 	return v, err == nil, err
 }
 
-func (f *fakeStore) Pending(level, spanStart int, id uint16) (wire.Bitmap, bool) {
-	bm, _ := f.acc.Pending(level, id)
+func (f *fakeStore) Pending(level, spanStart int, ids []uint16) (bm [MaxDegree / 8]byte, known bool) {
+	f.note("P %d %d %v", level, spanStart, ids)
+	for _, id := range ids {
+		if f.unknown[[2]int{level, int(id)}] {
+			return bm, false
+		}
+		live, _ := f.acc.Pending(level, id)
+		for i, b := range live {
+			bm[i] |= b
+		}
+	}
 	return bm, true
 }
 
-func (f *fakeStore) BlockContains(block int, id uint16) (bool, error) {
+func (f *fakeStore) BlockContains(block int, ids []uint16) (bool, error) {
+	f.note("B %d %v", block, ids)
+	return f.holds(block, ids), nil
+}
+
+// holds is the ground truth: block holds an entry of some id in ids.
+func (f *fakeStore) holds(block int, ids []uint16) bool {
 	if block < 0 || block >= len(f.blocks) {
-		return false, nil
+		return false
 	}
 	for _, got := range f.blocks[block] {
-		if got == id {
-			return true, nil
+		if slices.Contains(ids, got) {
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 func (f *fakeStore) BlockFirstTS(block int) (int64, bool, error) {
+	f.note("T %d", block)
 	if block < 0 || block >= len(f.blocks) {
 		return 0, false, nil
 	}
@@ -234,28 +278,32 @@ func (f *fakeStore) BlockIDs(block int) ([]uint16, error) {
 }
 
 func (f *fakeStore) naivePrev(id uint16, before int) int {
+	return f.naivePrevSet([]uint16{id}, before)
+}
+
+func (f *fakeStore) naiveNext(id uint16, from int) int {
+	return f.naiveNextSet([]uint16{id}, from)
+}
+
+func (f *fakeStore) naivePrevSet(ids []uint16, before int) int {
 	if before > len(f.blocks) {
 		before = len(f.blocks)
 	}
 	for b := before - 1; b >= 0; b-- {
-		for _, got := range f.blocks[b] {
-			if got == id {
-				return b
-			}
+		if f.holds(b, ids) {
+			return b
 		}
 	}
 	return -1
 }
 
-func (f *fakeStore) naiveNext(id uint16, from int) int {
+func (f *fakeStore) naiveNextSet(ids []uint16, from int) int {
 	if from < 0 {
 		from = 0
 	}
 	for b := from; b < len(f.blocks); b++ {
-		for _, got := range f.blocks[b] {
-			if got == id {
-				return b
-			}
+		if f.holds(b, ids) {
+			return b
 		}
 	}
 	return -1
@@ -290,7 +338,7 @@ func TestFindPrevMatchesNaive(t *testing.T) {
 		}
 		for id := uint16(FirstClientID); id < FirstClientID+6; id++ {
 			for before := 0; before <= f.End()+2; before++ {
-				got, err := loc.FindPrev(id, before)
+				got, err := loc.FindPrev([]uint16{id}, before)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -311,7 +359,7 @@ func TestFindNextMatchesNaive(t *testing.T) {
 		}
 		for id := uint16(FirstClientID); id < FirstClientID+6; id++ {
 			for from := -1; from <= f.End()+2; from++ {
-				got, err := loc.FindNext(id, from)
+				got, err := loc.FindNext([]uint16{id}, from)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -326,7 +374,7 @@ func TestFindNextMatchesNaive(t *testing.T) {
 func TestFindPrevAbsentID(t *testing.T) {
 	f := buildRandom(t, 8, 200, 2, 0.2, 9)
 	loc, _ := NewLocator(f, 8)
-	got, err := loc.FindPrev(999, f.End())
+	got, err := loc.FindPrev([]uint16{999}, f.End())
 	if err != nil || got != -1 {
 		t.Errorf("absent id: %d, %v", got, err)
 	}
@@ -345,7 +393,7 @@ func TestFindPrevWithMissingEntries(t *testing.T) {
 	loc, _ := NewLocator(f, 4)
 	for id := uint16(FirstClientID); id < FirstClientID+4; id++ {
 		for before := 0; before <= f.End(); before += 7 {
-			got, err := loc.FindPrev(id, before)
+			got, err := loc.FindPrev([]uint16{id}, before)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,7 +401,7 @@ func TestFindPrevWithMissingEntries(t *testing.T) {
 				t.Fatalf("missing-entry FindPrev(%d,%d) = %d, want %d", id, before, got, want)
 			}
 		}
-		from, err := loc.FindNext(id, 0)
+		from, err := loc.FindNext([]uint16{id}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +431,7 @@ func TestLocateCostLogarithmic(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		d := pow(n, k)
 		loc.Stats = LocateStats{}
-		got, err := loc.FindPrev(fid, d+1) // distance d from position d+1 to block 0... target at block 0
+		got, err := loc.FindPrev([]uint16{fid}, d+1) // distance d from position d+1 to block 0... target at block 0
 		if err != nil || got != 0 {
 			t.Fatalf("FindPrev = %d, %v", got, err)
 		}
@@ -524,11 +572,11 @@ func TestLocatorPropertyQuick(t *testing.T) {
 		loc, _ := NewLocator(f, n)
 		before := int(beforeRaw) % 160
 		for id := uint16(FirstClientID); id < FirstClientID+3; id++ {
-			got, err := loc.FindPrev(id, before)
+			got, err := loc.FindPrev([]uint16{id}, before)
 			if err != nil || got != f.naivePrev(id, before) {
 				return false
 			}
-			got, err = loc.FindNext(id, before)
+			got, err = loc.FindNext([]uint16{id}, before)
 			if err != nil || got != f.naiveNext(id, before) {
 				return false
 			}

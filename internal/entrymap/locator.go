@@ -19,18 +19,21 @@ type Source interface {
 	// (§2.3.2). ok=false means the entry is missing — the caller falls back
 	// to searching lower levels.
 	ViewAt(level, boundary int) (v View, ok bool, err error)
-	// Pending returns the writer's in-memory bitmap for the given level's
-	// in-progress span, or nil when the log file has no entries there.
-	// spanStart is where the caller, going by End, takes that span to start.
-	// A writer running beside the search may have completed the span since
-	// (its entrymap entry is emitted but not yet readable): the
-	// implementation then reports known=false, and the caller searches the
-	// span's blocks conservatively, as for a missing entrymap entry.
-	Pending(level, spanStart int, id uint16) (bm wire.Bitmap, known bool)
+	// Pending returns the union over ids (ascending) of the writer's
+	// in-memory bitmaps for the given level's in-progress span: bit g is set
+	// when any of the log files has entries in group g. spanStart is where
+	// the caller, going by End, takes that span to start. A writer running
+	// beside the search may have completed the span since (its entrymap
+	// entry is emitted but not yet readable): the implementation then
+	// reports known=false, and the caller searches the span's blocks
+	// conservatively, as for a missing entrymap entry. The span is unknown
+	// for the set when it is unknown for any id of it. The bitmap comes back
+	// by value, so a probe allocates nothing.
+	Pending(level, spanStart int, ids []uint16) (bm [MaxDegree / 8]byte, known bool)
 	// BlockContains reports whether the given data block holds at least one
-	// entry (or fragment) of the log file. Used only when entrymap
-	// information is missing; unreadable blocks report false.
-	BlockContains(block int, id uint16) (bool, error)
+	// entry (or fragment) of any log file in ids (ascending). Used only when
+	// entrymap information is missing; unreadable blocks report false.
+	BlockContains(block int, ids []uint16) (bool, error)
 	// BlockFirstTS returns the footer timestamp of the block's first entry;
 	// ok is false for unreadable blocks.
 	BlockFirstTS(block int) (ts int64, ok bool, err error)
@@ -45,7 +48,12 @@ type LocateStats struct {
 	TimestampReads  int `metric:"clio_entrymap_timestamp_reads_total" help:"Block footers read during time searches."`
 }
 
-// Locator searches the entrymap tree.
+// Locator searches the entrymap tree for the blocks holding entries of a set
+// of log files — one file, or a parent log and its sublogs (§2.1). Every
+// level's probe reads the entrymap entry once and ORs the set's bitmaps in
+// one walk of it (View.Union), so the cost of a search does not grow with the
+// size of the set. The union is built in a fixed array on the stack frame of
+// the level that reads it: a search allocates nothing.
 type Locator struct {
 	src Source
 	n   int
@@ -61,17 +69,21 @@ func NewLocator(src Source, n int) (*Locator, error) {
 	return &Locator{src: src, n: n}, nil
 }
 
-// bitmapAt fetches the bitmap covering the level-`level` span starting at
-// spanStart for id. known=false means entrymap information for the span is
-// unavailable and the caller must search lower levels conservatively.
-func (l *Locator) bitmapAt(level, spanStart int, id uint16, end int) (bm wire.Bitmap, known bool, err error) {
-	bm, known, _, err = l.bitmapAtP(level, spanStart, id, end)
+// unionBuf holds one level's union bitmap: wide enough for any degree.
+type unionBuf = [MaxDegree / 8]byte
+
+// bitmapAt fetches into buf the union over ids of the bitmaps covering the
+// level-`level` span starting at spanStart. known=false means entrymap
+// information for the span is unavailable and the caller must search lower
+// levels conservatively.
+func (l *Locator) bitmapAt(level, spanStart int, ids []uint16, end int, buf *unionBuf) (bm wire.Bitmap, known bool, err error) {
+	bm, known, _, err = l.bitmapAtP(level, spanStart, ids, end, buf)
 	return bm, known, err
 }
 
 // bitmapAtP additionally reports whether the span was the in-progress
 // partial span (answered from the accumulator rather than a written entry).
-func (l *Locator) bitmapAtP(level, spanStart int, id uint16, end int) (bm wire.Bitmap, known, partial bool, err error) {
+func (l *Locator) bitmapAtP(level, spanStart int, ids []uint16, end int, buf *unionBuf) (bm wire.Bitmap, known, partial bool, err error) {
 	span := pow(l.n, level)
 	boundary := spanStart + span
 	if boundary < end {
@@ -80,40 +92,35 @@ func (l *Locator) bitmapAtP(level, spanStart int, id uint16, end int) (bm wire.B
 			return nil, false, false, err
 		}
 		l.Stats.EntriesExamined++
-		return v.Get(id), true, false, nil
+		return v.Union(ids, buf[:]), true, false, nil
 	}
 	// The span is still in progress (or its boundary block is the staged
 	// tail): the writer's accumulator is authoritative.
 	l.Stats.PendingExamined++
-	if bm, known = l.src.Pending(level, spanStart, id); !known {
+	if *buf, known = l.src.Pending(level, spanStart, ids); !known {
 		return nil, false, true, nil
 	}
-	if level >= 2 {
-		// The accumulator's level-L bitmap only covers child spans whose
-		// entries have been emitted. The child span containing the write
-		// point has not rolled up yet: synthesize its bit from the lower
-		// levels' pending state.
-		if l.pendingBelow(level-1, id, end) {
-			childSpan := span / l.n
-			gCur := (end - 1 - spanStart) / childSpan
-			if gCur >= 0 && gCur < l.n {
-				eff := make(wire.Bitmap, (l.n+7)/8)
-				copy(eff, bm)
-				eff.Set(gCur)
-				bm = eff
-			}
+	bm = buf[:(l.n+7)/8]
+	// The accumulator's level-L bitmap only covers child spans whose entries
+	// have been emitted. The child span containing the write point has not
+	// rolled up yet: synthesize its bit from the lower levels' pending state,
+	// set when any id of the set has something pending there.
+	if level >= 2 && l.pendingBelow(level-1, ids, end) {
+		childSpan := span / l.n
+		if gCur := (end - 1 - spanStart) / childSpan; gCur >= 0 && gCur < l.n {
+			bm.Set(gCur)
 		}
 	}
 	return bm, true, true, nil
 }
 
-// pendingBelow reports whether id has, or may have, any entry recorded in
-// the pending spans of levels 1..lvl.
-func (l *Locator) pendingBelow(lvl int, id uint16, end int) bool {
+// pendingBelow reports whether any of ids has, or may have, any entry
+// recorded in the pending spans of levels 1..lvl.
+func (l *Locator) pendingBelow(lvl int, ids []uint16, end int) bool {
 	for i := lvl; i >= 1; i-- {
 		span := pow(l.n, i)
-		bm, known := l.src.Pending(i, (end-1)/span*span, id)
-		if !known || (bm != nil && !bm.Empty()) {
+		bm, known := l.src.Pending(i, (end-1)/span*span, ids)
+		if !known || bm != (unionBuf{}) {
 			return true
 		}
 	}
@@ -121,8 +128,9 @@ func (l *Locator) pendingBelow(lvl int, id uint16, end int) bool {
 }
 
 // FindPrev returns the greatest data-block index < before containing at
-// least one entry (or fragment) of log file id, or -1 if there is none.
-func (l *Locator) FindPrev(id uint16, before int) (int, error) {
+// least one entry (or fragment) of any log file in ids, or -1 if there is
+// none. ids must be ascending.
+func (l *Locator) FindPrev(ids []uint16, before int) (int, error) {
 	end := l.src.End()
 	if before > end {
 		before = end
@@ -130,13 +138,14 @@ func (l *Locator) FindPrev(id uint16, before int) (int, error) {
 	if before <= 0 {
 		return -1, nil
 	}
-	low := before // invariant: no entries of id in [low, before)
+	low := before // invariant: no entries of ids in [low, before)
+	var buf unionBuf
 	for level := 1; ; {
 		span := pow(l.n, level)
 		childSpan := span / l.n
 		spanStart := ((low - 1) / span) * span
 		gLow := (low - spanStart + childSpan - 1) / childSpan // first group at/above low
-		bm, known, partial, err := l.bitmapAtP(level, spanStart, id, end)
+		bm, known, partial, err := l.bitmapAtP(level, spanStart, ids, end, &buf)
 		if err != nil {
 			return -1, err
 		}
@@ -145,7 +154,7 @@ func (l *Locator) FindPrev(id uint16, before int) (int, error) {
 				if level == 1 {
 					return spanStart + g, nil
 				}
-				r, err := l.descendPrev(id, level-1, spanStart+g*childSpan, end)
+				r, err := l.descendPrev(ids, level-1, spanStart+g*childSpan, end)
 				if err != nil {
 					return -1, err
 				}
@@ -155,7 +164,7 @@ func (l *Locator) FindPrev(id uint16, before int) (int, error) {
 			}
 		} else {
 			for g := gLow - 1; g >= 0; g-- {
-				r, err := l.probePrev(id, level, spanStart, g, end)
+				r, err := l.probePrev(ids, level, spanStart, g, end)
 				if err != nil {
 					return -1, err
 				}
@@ -179,16 +188,17 @@ func (l *Locator) FindPrev(id uint16, before int) (int, error) {
 	}
 }
 
-// descendPrev returns the last block containing id within the level-`level`
-// span starting at spanStart, all of which is in scope, or -1.
-func (l *Locator) descendPrev(id uint16, level, spanStart, end int) (int, error) {
+// descendPrev returns the last block containing any of ids within the
+// level-`level` span starting at spanStart, all of which is in scope, or -1.
+func (l *Locator) descendPrev(ids []uint16, level, spanStart, end int) (int, error) {
 	if level == 0 {
 		// A single block vouched for by a parent bitmap; verify by raw scan
 		// only if asked to (parents are authoritative), so return directly.
 		return spanStart, nil
 	}
 	childSpan := pow(l.n, level-1)
-	bm, known, err := l.bitmapAt(level, spanStart, id, end)
+	var buf unionBuf
+	bm, known, err := l.bitmapAt(level, spanStart, ids, end, &buf)
 	if err != nil {
 		return -1, err
 	}
@@ -200,7 +210,7 @@ func (l *Locator) descendPrev(id uint16, level, spanStart, end int) (int, error)
 			if level == 1 {
 				return spanStart + g, nil
 			}
-			r, err := l.descendPrev(id, level-1, spanStart+g*childSpan, end)
+			r, err := l.descendPrev(ids, level-1, spanStart+g*childSpan, end)
 			if err != nil {
 				return -1, err
 			}
@@ -211,7 +221,7 @@ func (l *Locator) descendPrev(id uint16, level, spanStart, end int) (int, error)
 		return -1, nil
 	}
 	for g := l.n - 1; g >= 0; g-- {
-		r, err := l.probePrev(id, level, spanStart, g, end)
+		r, err := l.probePrev(ids, level, spanStart, g, end)
 		if err != nil {
 			return -1, err
 		}
@@ -224,7 +234,7 @@ func (l *Locator) descendPrev(id uint16, level, spanStart, end int) (int, error)
 
 // probePrev searches group g of the level-`level` span at spanStart without
 // bitmap help: level 1 groups are raw blocks, higher groups recurse.
-func (l *Locator) probePrev(id uint16, level, spanStart, g, end int) (int, error) {
+func (l *Locator) probePrev(ids []uint16, level, spanStart, g, end int) (int, error) {
 	childSpan := pow(l.n, level-1)
 	lo := spanStart + g*childSpan
 	if lo >= end {
@@ -232,7 +242,7 @@ func (l *Locator) probePrev(id uint16, level, spanStart, g, end int) (int, error
 	}
 	if level == 1 {
 		l.Stats.RawScans++
-		ok, err := l.src.BlockContains(lo, id)
+		ok, err := l.src.BlockContains(lo, ids)
 		if err != nil {
 			return -1, err
 		}
@@ -241,12 +251,13 @@ func (l *Locator) probePrev(id uint16, level, spanStart, g, end int) (int, error
 		}
 		return -1, nil
 	}
-	return l.descendPrev(id, level-1, lo, end)
+	return l.descendPrev(ids, level-1, lo, end)
 }
 
 // FindNext returns the smallest data-block index >= from containing at least
-// one entry (or fragment) of log file id, or -1 if there is none.
-func (l *Locator) FindNext(id uint16, from int) (int, error) {
+// one entry (or fragment) of any log file in ids, or -1 if there is none.
+// ids must be ascending.
+func (l *Locator) FindNext(ids []uint16, from int) (int, error) {
 	end := l.src.End()
 	if from < 0 {
 		from = 0
@@ -254,13 +265,14 @@ func (l *Locator) FindNext(id uint16, from int) (int, error) {
 	if from >= end {
 		return -1, nil
 	}
-	high := from // invariant: no entries of id in [from, high)
+	high := from // invariant: no entries of ids in [from, high)
+	var buf unionBuf
 	for level := 1; ; level++ {
 		span := pow(l.n, level)
 		childSpan := span / l.n
 		spanStart := (high / span) * span
 		gHigh := (high - spanStart) / childSpan // first group at/above high
-		bm, known, err := l.bitmapAt(level, spanStart, id, end)
+		bm, known, err := l.bitmapAt(level, spanStart, ids, end, &buf)
 		if err != nil {
 			return -1, err
 		}
@@ -273,7 +285,7 @@ func (l *Locator) FindNext(id uint16, from int) (int, error) {
 				if level == 1 {
 					return spanStart + g, nil
 				}
-				r, err := l.descendNext(id, level-1, spanStart+g*childSpan, end)
+				r, err := l.descendNext(ids, level-1, spanStart+g*childSpan, end)
 				if err != nil {
 					return -1, err
 				}
@@ -284,7 +296,7 @@ func (l *Locator) FindNext(id uint16, from int) (int, error) {
 			}
 		} else {
 			for g := gHigh; g < l.n; g++ {
-				r, err := l.probeNext(id, level, spanStart, g, end)
+				r, err := l.probeNext(ids, level, spanStart, g, end)
 				if err != nil {
 					return -1, err
 				}
@@ -301,12 +313,13 @@ func (l *Locator) FindNext(id uint16, from int) (int, error) {
 }
 
 // descendNext mirrors descendPrev for forward search.
-func (l *Locator) descendNext(id uint16, level, spanStart, end int) (int, error) {
+func (l *Locator) descendNext(ids []uint16, level, spanStart, end int) (int, error) {
 	if level == 0 {
 		return spanStart, nil
 	}
 	childSpan := pow(l.n, level-1)
-	bm, known, err := l.bitmapAt(level, spanStart, id, end)
+	var buf unionBuf
+	bm, known, err := l.bitmapAt(level, spanStart, ids, end, &buf)
 	if err != nil {
 		return -1, err
 	}
@@ -318,7 +331,7 @@ func (l *Locator) descendNext(id uint16, level, spanStart, end int) (int, error)
 			if level == 1 {
 				return spanStart + g, nil
 			}
-			r, err := l.descendNext(id, level-1, spanStart+g*childSpan, end)
+			r, err := l.descendNext(ids, level-1, spanStart+g*childSpan, end)
 			if err != nil {
 				return -1, err
 			}
@@ -329,7 +342,7 @@ func (l *Locator) descendNext(id uint16, level, spanStart, end int) (int, error)
 		return -1, nil
 	}
 	for g := 0; g < l.n; g++ {
-		r, err := l.probeNext(id, level, spanStart, g, end)
+		r, err := l.probeNext(ids, level, spanStart, g, end)
 		if err != nil {
 			return -1, err
 		}
@@ -340,7 +353,7 @@ func (l *Locator) descendNext(id uint16, level, spanStart, end int) (int, error)
 	return -1, nil
 }
 
-func (l *Locator) probeNext(id uint16, level, spanStart, g, end int) (int, error) {
+func (l *Locator) probeNext(ids []uint16, level, spanStart, g, end int) (int, error) {
 	childSpan := pow(l.n, level-1)
 	lo := spanStart + g*childSpan
 	if lo >= end {
@@ -348,7 +361,7 @@ func (l *Locator) probeNext(id uint16, level, spanStart, g, end int) (int, error
 	}
 	if level == 1 {
 		l.Stats.RawScans++
-		ok, err := l.src.BlockContains(lo, id)
+		ok, err := l.src.BlockContains(lo, ids)
 		if err != nil {
 			return -1, err
 		}
@@ -357,7 +370,7 @@ func (l *Locator) probeNext(id uint16, level, spanStart, g, end int) (int, error
 		}
 		return -1, nil
 	}
-	return l.descendNext(id, level-1, lo, end)
+	return l.descendNext(ids, level-1, lo, end)
 }
 
 // FindByTime returns the greatest data-block index whose first-entry

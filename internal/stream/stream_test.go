@@ -106,6 +106,37 @@ func TestFromStartDeliversHistoryThenLive(t *testing.T) {
 	}
 }
 
+// TestSubscriptionSeesSublogCreatedAfterOpen: a live subscription on a
+// parent log delivers the entries of a sublog created after it opened, also
+// past blocks holding none of the parent's entries.
+func TestSubscriptionSeesSublogCreatedAfterOpen(t *testing.T) {
+	svc := newSvc(t)
+	mustCreate(t, svc, "/p")
+	a := mustCreate(t, svc, "/p/a")
+	filler := mustCreate(t, svc, "/filler")
+	mustAppend(t, svc, a, "a0")
+	sub, err := Open("/p", Options{}, Leg{Svc: svc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	mustAppend(t, svc, a, "a1")
+	if e := recvOne(t, sub); string(e.Data) != "a1" {
+		t.Fatalf("live entry before the create: %q", e.Data)
+	}
+	b := mustCreate(t, svc, "/p/b")
+	mustAppend(t, svc, b, "b1")
+	for i := 0; i < 50; i++ {
+		mustAppend(t, svc, filler, fmt.Sprintf("filler-%02d-padded-to-fill-the-blocks-between", i))
+	}
+	mustAppend(t, svc, b, "b2")
+	for _, want := range []string{"b1", "b2"} {
+		if e := recvOne(t, sub); string(e.Data) != want {
+			t.Fatalf("entry of the sublog created after Open: %q, want %q", e.Data, want)
+		}
+	}
+}
+
 func TestResumeFromPosition(t *testing.T) {
 	svc := newSvc(t)
 	id := mustCreate(t, svc, "/feed")
