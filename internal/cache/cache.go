@@ -8,13 +8,11 @@
 // the device or at the moment the writer seals it (write-through on append),
 // and is evicted purely by LRU.
 //
-// The cache is sharded N ways by key hash so concurrent readers of disjoint
-// blocks never contend on one lock. Recency is tracked with a single global
-// access stamp (an atomic counter); eviction removes the entry whose stamp is
-// globally smallest, so the replacement order is exactly the same as a
-// single-list LRU — in particular, a single-threaded access sequence evicts
-// byte-identically to the unsharded cache the experiments were calibrated
-// against.
+// One mutex guards a map and an intrusive doubly linked list in recency
+// order, so eviction takes the list's back in O(1) and the replacement order
+// is exact global LRU. Put takes ownership of the image it is handed: the
+// cache stores that slice, not a copy, and Lookup hands the same slice to
+// every reader, so neither the caller nor any reader may write to it again.
 //
 // The Table 1 experiments depend on the distinction between a cached block
 // access (~0.6 ms to access and interpret) and a device read (~150 ms seek).
@@ -22,11 +20,7 @@
 // charges the virtual clock for whichever it was.
 package cache
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Key identifies a block: a volume tag plus a volume-relative block index.
 type Key struct {
@@ -55,51 +49,30 @@ func (s Stats) HitRatio() float64 {
 }
 
 type entry struct {
-	key   Key
-	data  []byte
-	stamp int64 // global access stamp at last touch
-	elem  *list.Element
+	key        Key
+	data       []byte
+	prev, next *entry // recency list links
 	// dec holds an optional decoded form of data, attached by the reader the
 	// first time it interprets the block (see Attach). It rides the entry's
 	// lifetime: replacing or removing the entry discards it.
 	dec any
 }
 
-// numShards must be a power of two.
-const numShards = 16
-
-// shard is one lock domain of the cache. Its LRU list is ordered by access
-// stamp (front = most recent), since every touch both assigns a fresh global
-// stamp and moves the element to the front.
-type shard struct {
-	mu      sync.Mutex
-	lru     *list.List
-	entries map[Key]*entry
-	stats   Stats
-}
-
-// Cache is a sharded LRU block cache. It is safe for concurrent use.
+// Cache is an LRU block cache. It is safe for concurrent use.
 type Cache struct {
 	capacity int // max blocks; <= 0 means unbounded
-	shards   [numShards]shard
-	size     atomic.Int64 // total cached blocks across shards
-	stamp    atomic.Int64 // global access clock
+
+	mu      sync.Mutex
+	entries map[Key]*entry
+	root    entry // list sentinel: root.next is the most recent, root.prev the LRU victim
+	stats   Stats
 }
 
 // New returns a cache bounded to capacity blocks (<= 0 for unbounded).
 func New(capacity int) *Cache {
-	c := &Cache{capacity: capacity}
-	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].entries = make(map[Key]*entry)
-	}
+	c := &Cache{capacity: capacity, entries: make(map[Key]*entry)}
+	c.root.next, c.root.prev = &c.root, &c.root
 	return c
-}
-
-func (c *Cache) shardOf(key Key) *shard {
-	h := uint64(key.Block)*0x9E3779B97F4A7C15 ^ uint64(key.Volume)*0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	return &c.shards[h&(numShards-1)]
 }
 
 // Capacity returns the block capacity the cache was built with (<= 0 means
@@ -113,50 +86,61 @@ func (c *Cache) Capacity() int {
 
 // Len returns the number of cached blocks.
 func (c *Cache) Len() int {
-	return int(c.size.Load())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
-// Stats returns a snapshot of the counters, aggregated across shards.
+// Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	var out Stats
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		out.Hits += sh.stats.Hits
-		out.Misses += sh.stats.Misses
-		out.Evictions += sh.stats.Evictions
-		out.Inserts += sh.stats.Inserts
-		sh.mu.Unlock()
-	}
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // ResetStats zeroes the counters.
 func (c *Cache) ResetStats() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.stats = Stats{}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats = Stats{}
+}
+
+// unlink takes e out of the recency list; c.mu held.
+func (c *Cache) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFront makes e the most recent entry; c.mu held.
+func (c *Cache) pushFront(e *entry) {
+	e.prev, e.next = &c.root, c.root.next
+	c.root.next.prev = e
+	c.root.next = e
+}
+
+// get returns key's entry promoted to most recent, or nil, counting a hit or
+// miss; c.mu held.
+func (c *Cache) get(key Key) *entry {
+	e := c.entries[key]
+	if e == nil {
+		c.stats.Misses++
+		return nil
 	}
+	c.stats.Hits++
+	c.unlink(e)
+	c.pushFront(e)
+	return e
 }
 
 // Lookup returns the cached image for key and promotes it, or nil on a
 // miss. It counts a hit or miss but charges no virtual time; callers that
 // model costs charge separately.
 func (c *Cache) Lookup(key Key) []byte {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
-		sh.stats.Misses++
-		return nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.get(key); e != nil {
+		return e.data
 	}
-	sh.stats.Hits++
-	e.stamp = c.stamp.Add(1)
-	sh.lru.MoveToFront(e.elem)
-	return e.data
+	return nil
 }
 
 // LookupDecoded returns the cached image for key together with any decoded
@@ -164,31 +148,25 @@ func (c *Cache) Lookup(key Key) []byte {
 // counting a hit or miss exactly like Lookup. It lets a warm reader skip
 // re-parsing a block it has interpreted before.
 func (c *Cache) LookupDecoded(key Key) ([]byte, any) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
-		sh.stats.Misses++
-		return nil, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.get(key); e != nil {
+		return e.data, e.dec
 	}
-	sh.stats.Hits++
-	e.stamp = c.stamp.Add(1)
-	sh.lru.MoveToFront(e.elem)
-	return e.data, e.dec
+	return nil, nil
 }
 
-// Attach records a decoded form for the block image img, previously returned
-// by Lookup or LookupDecoded for key. The attach succeeds only if the entry
-// still holds that exact slice — a concurrent Put (the staged tail being
-// re-sealed) replaces the slice and must not inherit a decode of the older
-// image. The identity check makes a stale attach a harmless no-op.
+// Attach records a decoded form for the block image img, as returned by
+// Lookup or LookupDecoded for key or as handed to Put. The attach succeeds
+// only if the entry still holds that exact slice — a concurrent Put (the
+// staged tail being re-sealed) replaces the slice and must not inherit a
+// decode of the older image. The identity check makes a stale attach a
+// harmless no-op.
 func (c *Cache) Attach(key Key, img []byte, dec any) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok || len(e.data) != len(img) || len(img) == 0 || &e.data[0] != &img[0] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	if e == nil || len(e.data) != len(img) || len(img) == 0 || &e.data[0] != &img[0] {
 		return
 	}
 	e.dec = dec
@@ -196,110 +174,62 @@ func (c *Cache) Attach(key Key, img []byte, dec any) {
 
 // Peek reports whether key is cached without promoting it or charging time.
 func (c *Cache) Peek(key Key) bool {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.entries[key]
-	return ok
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries[key] != nil
 }
 
-// Put inserts an immutable block image (the cache keeps its own copy).
+// Put inserts an immutable block image and takes ownership of it: the cache
+// keeps data itself, and the caller must never write to it again. Every
+// caller hands over an image nothing else writes: a buffer it just read and
+// validated (core's read-through miss and cold fetch), a fresh Builder.Seal
+// or Reindex result (the writer's tail, pipelined and completed seals), an
+// image the reader snapshot already publishes as immutable, or one recovery
+// just loaded from NVRAM. Inserting a new key into a full cache evicts the
+// least recently used entry.
 func (c *Cache) Put(key Key, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[key]; e != nil {
 		// Blocks are immutable; replacing is tolerated for the staged tail
 		// block, which is re-put each time it is re-sealed. Any decoded form
 		// describes the old image and is discarded with it.
-		e.data = cp
-		e.dec = nil
-		e.stamp = c.stamp.Add(1)
-		sh.lru.MoveToFront(e.elem)
-		sh.mu.Unlock()
+		e.data, e.dec = data, nil
+		c.unlink(e)
+		c.pushFront(e)
 		return
 	}
-	e := &entry{key: key, data: cp, stamp: c.stamp.Add(1)}
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[key] = e
-	sh.stats.Inserts++
-	sh.mu.Unlock()
-	c.size.Add(1)
-	if c.capacity > 0 {
-		c.evictOver()
+	var e *entry
+	if c.capacity > 0 && len(c.entries) >= c.capacity {
+		e = c.root.prev // the victim's entry is reused for the insert
+		c.unlink(e)
+		delete(c.entries, e.key)
+		c.stats.Evictions++
+	} else {
+		e = new(entry)
 	}
-}
-
-// evictOver removes globally least-recently-used entries until the cache is
-// back within capacity. Each round scans the shard tails (each shard's list
-// is stamp-ordered, so its back element is its oldest) and evicts the entry
-// with the smallest stamp — the exact global LRU victim.
-func (c *Cache) evictOver() {
-	for c.size.Load() > int64(c.capacity) {
-		var victim *shard
-		minStamp := int64(-1)
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			if back := sh.lru.Back(); back != nil {
-				st := back.Value.(*entry).stamp
-				if minStamp < 0 || st < minStamp {
-					minStamp = st
-					victim = sh
-				}
-			}
-			sh.mu.Unlock()
-		}
-		if victim == nil {
-			return // emptied concurrently
-		}
-		victim.mu.Lock()
-		back := victim.lru.Back()
-		// The tail may have been promoted or removed between the scan and
-		// this lock; evicting whatever is oldest in the chosen shard now is
-		// still a valid LRU victim under concurrency, and single-threaded it
-		// is exactly the entry the scan chose.
-		if back == nil {
-			victim.mu.Unlock()
-			continue
-		}
-		old := back.Value.(*entry)
-		victim.lru.Remove(back)
-		delete(victim.entries, old.key)
-		victim.stats.Evictions++
-		victim.mu.Unlock()
-		c.size.Add(-1)
-	}
+	*e = entry{key: key, data: data}
+	c.pushFront(e)
+	c.entries[key] = e
+	c.stats.Inserts++
 }
 
 // Invalidate drops a cached block (used when a block is invalidated on the
 // medium or a staged tail block is superseded).
 func (c *Cache) Invalidate(key Key) {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	e, ok := sh.entries[key]
-	if ok {
-		sh.lru.Remove(e.elem)
-		delete(sh.entries, key)
-	}
-	sh.mu.Unlock()
-	if ok {
-		c.size.Add(-1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[key]; e != nil {
+		c.unlink(e)
+		delete(c.entries, key)
 	}
 }
 
 // Flush empties the cache entirely (used by experiments to force the
 // no-caching worst case of §3.3.1).
 func (c *Cache) Flush() {
-	var dropped int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		dropped += int64(sh.lru.Len())
-		sh.lru.Init()
-		sh.entries = make(map[Key]*entry)
-		sh.mu.Unlock()
-	}
-	c.size.Add(-dropped)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.entries)
+	c.root.next, c.root.prev = &c.root, &c.root
 }

@@ -819,7 +819,8 @@ func (s *Service) stageTailLocked(persist bool) error {
 	// Cache before snapshot, here and at every publish below: a reader that
 	// has seen a snapshot must never find an older image of a block in the
 	// cache than that snapshot describes, or a cursor steps past records the
-	// snapshot promised it.
+	// snapshot promised it. img is a fresh Seal the snapshot and the cache
+	// then share: neither writes to it, so one image serves both.
 	s.blockCache().Put(cache.Key{Block: s.tailGlobal}, img)
 	s.publishTail(img)
 	return nil

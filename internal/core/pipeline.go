@@ -114,6 +114,7 @@ func (s *Service) sealTailLocked(forced bool) error {
 	// The NVRAM tail slot may still hold an earlier image of this block;
 	// recovery drops tail slots below the staged-seal frontier, so it need
 	// not be cleared here (clearing would cost a store on the hot path).
+	// ps.img is a fresh Seal that nothing writes: a reindex replaces it.
 	s.blockCache().Put(cache.Key{Block: g}, ps.img)
 	s.publishTail(nil)
 	if !s.sealerOn && !s.sealerStop {
@@ -261,7 +262,7 @@ func (s *Service) completeSealLocked(ps *pendingSeal) {
 	s.stats.BlocksSealed++
 	s.stats.FooterBytes += blockfmt.FooterSize
 	s.sealedEnd = ps.global + 1
-	s.blockCache().Put(cache.Key{Block: ps.global}, ps.img)
+	s.blockCache().Put(cache.Key{Block: ps.global}, ps.img) // the image as landed, never written again
 	s.publishTail(nil)
 }
 

@@ -192,6 +192,7 @@ func (s *Service) replayStagedSeals() error {
 				return fmt.Errorf("clio: replay staged seal: %w", err)
 			}
 			s.sealedEnd = ps.global + 1
+			// ps.img is LoadSealed's own copy (or a Reindex of it).
 			s.blockCache().Put(cache.Key{Block: ps.global}, ps.img)
 			s.publishTail(nil)
 		}
@@ -310,7 +311,7 @@ func (s *Service) restoreTail() error {
 		img = b.Seal()
 	}
 	s.publishTail(img)
-	s.blockCache().Put(cache.Key{Block: g}, img)
+	s.blockCache().Put(cache.Key{Block: g}, img) // Load's own copy (or a fresh Seal), shared with the snapshot
 	s.recovery.TailRestored = true
 
 	// Re-run the accumulator for boundaries the dead server had already

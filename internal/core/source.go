@@ -225,7 +225,10 @@ func (s *Service) readBlock(global int) ([]byte, error) {
 
 // readBlockMiss is readBlock after a cache miss: it serves the staged tail
 // and pipelined seals from the published snapshot and reads everything else
-// from the device, populating the cache either way.
+// from the device, populating the cache either way. A device read's buffer
+// is handed to the cache (which owns it from then on) and returned as is,
+// so the caller holds the cache's own image and decodeBlock's Attach of it
+// succeeds: a missed block is read into one allocation and parsed once.
 func (s *Service) readBlockMiss(global int) ([]byte, error) {
 	key := cache.Key{Block: global}
 	bc := s.blockCache()
@@ -234,7 +237,8 @@ func (s *Service) readBlockMiss(global int) ([]byte, error) {
 		// there. Put it back, but only in the writer's own order — under
 		// s.mu, from the snapshot current under it — so an older image can
 		// never replace a newer one. A busy writer means skipping the
-		// re-put, not waiting: readers never block on it.
+		// re-put, not waiting: readers never block on it. The snapshot's
+		// images are never written once published, so the cache may share it.
 		if s.mu.TryLock() {
 			if cur := s.snap().unsealed(global); cur != nil {
 				img = cur
@@ -288,7 +292,8 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 	s.coldFetches.Add(1)
 	// The backend vouches for length only. A damaged image must not enter
 	// the cache, where every reader would be handed it until eviction: it
-	// is returned uncached, so the next read asks the backend again.
+	// is returned uncached, so the next read asks the backend again. A valid
+	// one is handed to the cache, which owns it from then on.
 	if !blockfmt.Validate(buf) {
 		return nil, fmt.Errorf("clio: cold block %d: %w", global, blockfmt.ErrBadChecksum)
 	}

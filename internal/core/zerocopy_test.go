@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -249,6 +250,88 @@ func TestZeroCopyTimestampProbe(t *testing.T) {
 	}
 	if img, dec := s.blockCache().LookupDecoded(key); img == nil || dec != nil {
 		t.Fatalf("after a missed probe: image cached %v, decode attached %v; want the image alone", img != nil, dec != nil)
+	}
+}
+
+// TestZeroCopyMissAdopts pins the miss path's hand-off of its buffer to the
+// cache: readBlock returns the cache's own image, so the decode made of a
+// missed block on its first read stays attached (the block is parsed once),
+// and a missed probe costs the image and the cache entry, nothing more.
+func TestZeroCopyMissAdopts(t *testing.T) {
+	s, block, _ := zeroCopySetup(t)
+	key := cache.Key{Block: block}
+	s.FlushCache()
+	read, err := s.readBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img := s.blockCache().Lookup(key); img == nil || &img[0] != &read[0] || len(img) != len(read) {
+		t.Fatal("a missed readBlock returned another slice than the image it cached")
+	}
+	s.FlushCache()
+	db, err := s.decodeBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, dec := s.blockCache().LookupDecoded(key); dec != db {
+		t.Fatalf("after decoding a missed block: decode attached %v, want the decode just made", dec != nil)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.decodeBlock(block); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding the block again allocated %.1f objects/op, want 0", allocs)
+	}
+	ls := (*locatorSource)(s)
+	if allocs := testing.AllocsPerRun(50, func() {
+		s.blockCache().Invalidate(key)
+		if _, ok, err := ls.BlockFirstTS(block); err != nil || !ok {
+			t.Fatalf("BlockFirstTS(%d) = %v, %v", block, ok, err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("BlockFirstTS on a miss allocated %.1f objects/op, want at most 2 (the image, the cache entry)", allocs)
+	}
+}
+
+// TestZeroCopyForceSharesTailImage pins the writer side of the hand-off: the
+// tail image a forced append seals is the one the reader snapshot publishes
+// and the cache holds, so a force costs one block image, not two.
+func TestZeroCopyForceSharesTailImage(t *testing.T) {
+	const blockSize = 1024
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 12})
+	s, err := New(dev, Options{BlockSize: blockSize, NVRAM: NewMemNVRAM(), Now: (&testClock{}).Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	id, err := s.CreateLog("/forced", 0o644, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 16)
+	force := func() {
+		if _, err := s.Append(id, payload, AppendOptions{Forced: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	force()
+	sn := s.snap()
+	img := s.blockCache().Lookup(cache.Key{Block: sn.tailGlobal})
+	if img == nil || &img[0] != &sn.tailImage[0] {
+		t.Fatal("the cached tail image is not the one the snapshot publishes")
+	}
+	const forces = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < forces; i++ {
+		force()
+	}
+	runtime.ReadMemStats(&after)
+	perForce := float64(after.TotalAlloc-before.TotalAlloc) / forces
+	t.Logf("%.0f bytes allocated per force", perForce)
+	if perForce >= 2*blockSize {
+		t.Fatalf("a force allocated %.0f bytes, want under two %d-byte block images", perForce, blockSize)
 	}
 }
 
