@@ -19,6 +19,7 @@ import (
 	"clio/internal/client"
 	"clio/internal/core"
 	"clio/internal/experiments"
+	"clio/internal/faults"
 	"clio/internal/logapi"
 	"clio/internal/rewritefs"
 	"clio/internal/scrub"
@@ -49,16 +50,17 @@ func benchService(b *testing.B, blockSize, degree int, nv core.NVRAM) *core.Serv
 }
 
 // benchLatentService builds a service whose device really blocks for
-// writeDelay per block write (wodev.Latent), approximating the optical
+// writeDelay per block write (a delay armed on wodev.Inject), approximating the optical
 // disk's millisecond-scale access time (§3.2). The forced-append path then
 // spends real time inside each seal, which is the window that lets
 // concurrent forces pile up into a group commit — without it, an in-memory
 // seal is so fast that contention never forms (especially on one CPU).
 func benchLatentService(b *testing.B, blockSize, degree int, writeDelay time.Duration) *core.Service {
 	b.Helper()
-	dev := wodev.NewLatent(
-		wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 22}),
-		writeDelay, 0)
+	reg := faults.NewRegistry(0)
+	reg.Arm("dev.write", faults.Fault{Delay: writeDelay})
+	reg.Arm("dev.invalidate", faults.Fault{Delay: writeDelay})
+	dev := wodev.Inject(wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 22}), reg, "dev")
 	svc, err := core.New(dev, core.Options{
 		BlockSize: blockSize, Degree: degree, CacheBlocks: -1, Now: benchNow(),
 	})

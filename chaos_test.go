@@ -44,40 +44,40 @@ func TestChaos(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(20260805))
 
-	// Every device in the stack is wrapped in a transient-fault injector.
-	// MaxConsecutive(2) keeps runs of injected faults inside the core retry
-	// budget, so steady-state traffic is fully masked.
+	// Device n fires the devn.* points of one registry. Its faults are armed
+	// once its volume setup has run — the header write and the mount's
+	// header read, which the core does not retry — that is, from its first
+	// read on. A run bound of 2 keeps runs of injected faults inside the
+	// core retry budget, so steady-state traffic is fully masked.
+	reg := faults.NewRegistry(20260805)
+	transient := faults.Fault{Err: wodev.ErrTransient, Prob: 0.04, MaxRun: 2}
 	var devMu sync.Mutex
-	var flakies []*wodev.Flaky
 	var bases []*wodev.MemDevice
 	var devs []wodev.Device
+	armed := 0 // devices [0, armed) have their points armed
 	addDevice := func() wodev.Device {
 		devMu.Lock()
 		defer devMu.Unlock()
 		base := wodev.NewMem(wodev.MemOptions{BlockSize: blockSz, Capacity: volCap})
-		f := wodev.NewFlaky(base, int64(7700+len(flakies)))
-		f.Sleep = func(time.Duration) {}
-		f.FailReads(0.04)
-		f.FailAppends(0.04)
-		f.Spike(0.01, time.Microsecond)
-		f.MaxConsecutive(2)
+		d := wodev.Inject(base, reg, fmt.Sprintf("dev%d", len(devs)))
 		bases = append(bases, base)
-		flakies = append(flakies, f)
-		devs = append(devs, f)
-		return f
+		devs = append(devs, d)
+		return d
 	}
-	pauseAll := func() {
+	armReady := func() {
 		devMu.Lock()
 		defer devMu.Unlock()
-		for _, f := range flakies {
-			f.Pause()
+		for ; armed < len(devs) && reg.Hits(fmt.Sprintf("dev%d.read", armed)) > 0; armed++ {
+			reg.Arm(fmt.Sprintf("dev%d.read", armed), transient)
+			reg.Arm(fmt.Sprintf("dev%d.write", armed), transient)
 		}
 	}
-	resumeAll := func() {
+	disarmAll := func() {
 		devMu.Lock()
 		defer devMu.Unlock()
-		for _, f := range flakies {
-			f.Resume()
+		for ; armed > 0; armed-- {
+			reg.Arm(fmt.Sprintf("dev%d.read", armed-1), faults.Fault{})
+			reg.Arm(fmt.Sprintf("dev%d.write", armed-1), faults.Fault{})
 		}
 	}
 	deviceList := func() []wodev.Device {
@@ -105,6 +105,7 @@ func TestChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	armReady()
 
 	// The server is replaced on every simulated process restart; the
 	// client's dialer always reaches the current instance.
@@ -173,6 +174,7 @@ func TestChaos(t *testing.T) {
 	note := make(map[[2]int]string) // debug: where each (log, seq) came from
 	// op performs one modeled append (plus an occasional read probe).
 	op := func(i int) {
+		armReady()
 		w := rng.Intn(logs)
 		seq := nextSeq[w]
 		nextSeq[w]++
@@ -346,12 +348,12 @@ func TestChaos(t *testing.T) {
 		svc.Crash()
 		crashes++
 		unflushed = nil
-		pauseAll() // recovery reads the media without a retry layer above it
+		disarmAll() // recovery reads the media without a retry layer above it
 		svc, err = core.Open(deviceList(), opt)
 		if err != nil {
 			t.Fatalf("recovery %d: %v", crashes, err)
 		}
-		resumeAll()
+		armReady()
 		srvMu.Lock()
 		srv = server.New(svc)
 		srvMu.Unlock()
@@ -461,7 +463,16 @@ func TestChaos(t *testing.T) {
 	// clean.
 	currentServer().Close()
 	svc.Crash()
-	pauseAll()
+	disarmAll()
+	var readFaults, writeFaults int64
+	for n := range deviceList() {
+		readFaults += reg.Fired(fmt.Sprintf("dev%d.read", n))
+		writeFaults += reg.Fired(fmt.Sprintf("dev%d.write", n))
+	}
+	t.Logf("chaos: injected %d read and %d write faults", readFaults, writeFaults)
+	if readFaults == 0 || writeFaults == 0 {
+		t.Error("no read or no write fault injected; the run is vacuous")
+	}
 	rep, err := scrub.Volumes(deviceList(), scrub.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 	ctx := context.Background()
 	dir := filepath.Join(t.TempDir(), "store")
 	dst := filepath.Join(t.TempDir(), "backup")
-	reg := faults.NewRegistry()
+	reg := faults.NewRegistry(0)
 	opt := clio.DirOptions{Options: clio.Options{BlockSize: 256}, VolumeBlocks: 512}
 	opt.Faults = reg
 	st, err := clio.CreateStore(dir, opt)
@@ -36,7 +36,7 @@ func TestBackupCarriesStagedSeals(t *testing.T) {
 	}
 	// The next device write of a sealed block dies; its image is staged and
 	// its force acked before that. Appends go on until the crash surfaces.
-	reg.EnableCrash(core.FaultSealWrite, 1)
+	reg.Arm(core.FaultSealWrite, faults.Fault{Crash: true, Times: 1})
 	var acked []string
 	for i := 0; i < 200; i++ {
 		payload := fmt.Sprintf("acked entry %03d, long enough to fill blocks quickly", i)

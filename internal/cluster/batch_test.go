@@ -333,6 +333,92 @@ func TestOneWritePerGatedForce(t *testing.T) {
 	}
 }
 
+// countNVRAM counts the Loads of the NVRAM it wraps.
+type countNVRAM struct {
+	core.NVRAM
+	loads atomic.Int64
+}
+
+func (c *countNVRAM) Load() (int, []byte, error) {
+	c.loads.Add(1)
+	return c.NVRAM.Load()
+}
+
+// TestFollowerStatusReadsNoSidecar: a follower's Status — every /statusz and
+// OpReplStatus — takes each shard's staged-tail end from what apply kept,
+// not from its NVRAM, and still reports the leader's ShardEnds.
+func TestFollowerStatusReadsNoSidecar(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	var nodes [2]*Node
+	folDevs, folNVs := roomyShard()
+	folNV := &countNVRAM{NVRAM: folNVs[0]}
+	for i := range nodes {
+		devs, nvrams := roomyShard()
+		if i == 1 {
+			devs, nvrams = folDevs, []core.NVRAM{folNV}
+		}
+		ln, err := net.Listen("tcp", addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(Config{NodeID: addrs[i], Peers: []string{addrs[1-i]}, Quorum: 2, Devices: devs, NVRAMs: nvrams,
+			Opts: core.Options{BlockSize: 4096}, Create: i == 0, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(i == 0); err != nil {
+			t.Fatal(err)
+		}
+		go n.Serve(ln)
+		t.Cleanup(n.Kill)
+		nodes[i] = n
+	}
+	leader, follower := nodes[0], nodes[1]
+	ctx := context.Background()
+	c := testClient(t, 43, addrs[:1], nil)
+	id, err := c.CreateLog(ctx, "/tail", 0o644, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// check waits for the follower to converge, then makes 100 Status calls.
+	check := func(phase string) {
+		t.Helper()
+		waitFor(t, "the follower's shard ends reach the leader's", 10*time.Second, func() bool {
+			return shardEndsEqual(follower.Status().ShardEnds, leader.Status().ShardEnds)
+		})
+		want := leader.Status().ShardEnds
+		folNV.loads.Store(0)
+		for i := 0; i < 100; i++ {
+			if got := follower.Status().ShardEnds; !shardEndsEqual(got, want) {
+				t.Fatalf("%s: follower ShardEnds %v, leader %v", phase, got, want)
+			}
+		}
+		if n := folNV.loads.Load(); n != 0 {
+			t.Fatalf("%s: 100 follower Status calls loaded the sidecar %d times, want 0", phase, n)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := c.Append(ctx, id, []byte(fmt.Sprintf("staged %02d", i)), client.AppendOptions{Forced: true}); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	check("tail only")
+	if folDevs[0][0].Written() > 1 {
+		t.Fatal("test premise: a block was sealed, so the tail end was not what Status reported")
+	}
+	// Entries larger than a block seal blocks and restage the tail behind them.
+	big := bytes.Repeat([]byte("s"), 3000)
+	for i := 0; i < 4; i++ {
+		if _, err := c.Append(ctx, id, big, client.AppendOptions{Forced: true}); err != nil {
+			t.Fatalf("big append %d: %v", i, err)
+		}
+	}
+	check("after seals")
+	if folDevs[0][0].Written() <= 1 {
+		t.Fatal("test premise: no block was sealed")
+	}
+}
+
 // sameReplicaState compares a follower's devices and NVRAM tails with the
 // leader's, byte for byte.
 func sameReplicaState(leader, follower *testNode) error {

@@ -102,7 +102,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 			svc, err := core.New(dev, core.Options{
 				BlockSize: testBlockSize,
 				Clock:     vclock.New(vclock.DefaultModel()),
-				Faults:    faults.NewRegistry(),
+				Faults:    faults.NewRegistry(0),
 			})
 			if err != nil {
 				t.Fatal(err)

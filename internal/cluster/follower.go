@@ -48,14 +48,38 @@ type followerState struct {
 	// leader's. A promotion hands it to the new leader's server whole.
 	sessions *server.Sessions
 	vsets    []*volume.Set // lazy read-only views per shard
+
+	// tailEnds is, per shard, the data-block end of the staged tail in the
+	// shard's NVRAM (stagedEnd), so Status reads no sidecar. One Load per
+	// shard seeds it; apply keeps it as tails are stored and cleared. A
+	// leader stepping down may stage a tail after the seed, until its store
+	// stops; the next stream's catch-up restates every shard's tail.
+	tailEnds []atomic.Int64
 }
 
 func newFollowerState(n *Node) *followerState {
-	return &followerState{
+	fol := &followerState{
 		n:        n,
 		sessions: server.NewSessions(),
 		vsets:    make([]*volume.Set, len(n.cfg.Devices)),
+		tailEnds: make([]atomic.Int64, len(n.cfg.NVRAMs)),
 	}
+	for i, nv := range n.cfg.NVRAMs {
+		if g, img, err := nv.Load(); err == nil {
+			fol.tailEnds[i].Store(stagedEnd(g, img))
+		}
+	}
+	return fol
+}
+
+// stagedEnd is the data-block end a staged tail image reaches — one past
+// its block — or 0 when none is staged. A leader's End() counts its staged
+// tail the same way.
+func stagedEnd(global int, img []byte) int64 {
+	if len(img) == 0 {
+		return 0
+	}
+	return int64(global) + 1
 }
 
 // serveFollowerConn handles one connection on a follower. The same
@@ -336,13 +360,21 @@ func (fol *followerState) apply(op byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		return nv.Store(int(m.Global), m.Image)
+		if err := nv.Store(int(m.Global), m.Image); err != nil {
+			return err
+		}
+		fol.tailEnds[m.Shard].Store(stagedEnd(int(m.Global), m.Image))
+		return nil
 	case *wire.ReplTailClear:
 		nv, err := fol.nvram(m.Shard)
 		if err != nil {
 			return err
 		}
-		return nv.Clear()
+		if err := nv.Clear(); err != nil {
+			return err
+		}
+		fol.tailEnds[m.Shard].Store(0)
+		return nil
 	case *wire.ReplAck:
 		fol.sessions.Record(m.Session, m.Seq, m.Status, m.Resp)
 		return nil

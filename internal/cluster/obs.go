@@ -85,9 +85,9 @@ func (n *Node) Status() NodeStatus {
 		st.ShardEnds = store.Ends()
 	} else {
 		// Follower: sealed end per shard from the replicated device extents
-		// (Written includes the header block), plus the staged tail block
-		// when a replicated NVRAM image is present — the leader's End()
-		// counts its staged tail the same way, so the two are comparable.
+		// (Written includes the header block), or the end of the replicated
+		// staged tail when it reaches further — the leader's End() counts
+		// its staged tail the same way, so the two are comparable.
 		st.ShardEnds = make([]int, len(devs))
 		for i, shardDevs := range devs {
 			total := 0
@@ -96,10 +96,8 @@ func (n *Node) Status() NodeStatus {
 					total += w - 1
 				}
 			}
-			if i < len(n.cfg.NVRAMs) {
-				if g, img, err := n.cfg.NVRAMs[i].Load(); err == nil && len(img) > 0 && g+1 > total {
-					total = g + 1
-				}
+			if fol != nil && i < len(fol.tailEnds) {
+				total = max(total, int(fol.tailEnds[i].Load()))
 			}
 			st.ShardEnds[i] = total
 		}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"clio/internal/client"
+	"clio/internal/faults"
 	"clio/internal/wodev"
 )
 
@@ -65,8 +66,11 @@ func TestFollowerApplyOrderMatchesLeaderSealOrder(t *testing.T) {
 			// Slow the leader's device writes so seals stay in flight long
 			// enough for concurrent forces to pile into group commits — the
 			// ordering property is only interesting under that overlap.
+			reg := faults.NewRegistry(0)
+			reg.Arm("dev.write", faults.Fault{Delay: 300 * time.Microsecond})
+			reg.Arm("dev.invalidate", faults.Fault{Delay: 300 * time.Microsecond})
 			for s := range devs {
-				devs[s][0] = wodev.NewLatent(devs[s][0], 300*time.Microsecond, 0)
+				devs[s][0] = wodev.Inject(devs[s][0], reg, "dev")
 			}
 		}
 		peers := make([]string, 0, 2)

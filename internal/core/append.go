@@ -107,8 +107,8 @@ func (s *Service) appendOneLocked(ids []uint16, data []byte, opts AppendOptions)
 	if s.closedFlag.Load() {
 		return 0, ErrClosed
 	}
-	if len(data) > s.opt.MaxEntrySize {
-		return 0, fmt.Errorf("%w: %d > %d bytes", ErrEntryTooLarge, len(data), s.opt.MaxEntrySize)
+	if len(data) > MaxEntrySize {
+		return 0, fmt.Errorf("%w: %d > %d bytes", ErrEntryTooLarge, len(data), MaxEntrySize)
 	}
 	seen := make(map[uint16]bool, len(ids))
 	for _, id := range ids {

@@ -192,7 +192,7 @@ func (s *Service) findCheckpoint(end int) *checkpoint {
 	if s.opt.CheckpointInterval <= 0 || end == 0 {
 		return nil
 	}
-	limit := s.opt.CheckpointInterval + s.opt.MaxEntrySize/s.opt.BlockSize + 64
+	limit := s.opt.CheckpointInterval + MaxEntrySize/s.opt.BlockSize + 64
 	for b := end - 1; b >= 0 && b > end-1-limit; b-- {
 		parsed, err := s.parseBlock(b)
 		if err != nil {

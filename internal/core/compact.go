@@ -192,7 +192,7 @@ func (s *Service) compactVolume(ctx context.Context, v *volume.Volume, opt Compa
 	if err != nil {
 		return false, err
 	}
-	if err := s.compactHookCall("collected"); err != nil {
+	if err := s.opt.Faults.Fire(FaultCompact + "collected"); err != nil {
 		return false, err
 	}
 	if written > 0 && float64(liveBlocks)/float64(written) > opt.MaxLiveFraction {
@@ -228,7 +228,7 @@ func (s *Service) compactVolume(ctx context.Context, v *volume.Volume, opt Compa
 	if err != nil {
 		return false, err
 	}
-	if err := s.compactHookCall("forced"); err != nil {
+	if err := s.opt.Faults.Fire(FaultCompact + "forced"); err != nil {
 		return false, err
 	}
 
@@ -245,7 +245,7 @@ func (s *Service) compactVolume(ctx context.Context, v *volume.Volume, opt Compa
 	for _, e := range live {
 		res.BytesCopied += int64(len(e.data))
 	}
-	if err := s.compactHookCall("committed"); err != nil {
+	if err := s.opt.Faults.Fire(FaultCompact + "committed"); err != nil {
 		return false, err
 	}
 
@@ -597,7 +597,7 @@ func (s *Service) demoteVolume(ctx context.Context, v *relocVol, res *CompactRes
 			return fmt.Errorf("clio: volume %d missing locally and from the cold backend", v.Index)
 		}
 	}
-	if err := s.compactHookCall("archived"); err != nil {
+	if err := s.opt.Faults.Fire(FaultCompact + "archived"); err != nil {
 		return err
 	}
 	if !v.Demoted {
@@ -626,7 +626,7 @@ func (s *Service) demoteVolume(ctx context.Context, v *relocVol, res *CompactRes
 			}
 		}
 	}
-	return s.compactHookCall("demoted")
+	return s.opt.Faults.Fire(FaultCompact + "demoted")
 }
 
 // sweepDemoted finishes demotions a crash interrupted after the sidecar
@@ -672,12 +672,4 @@ func (s *Service) sweepDemoted() error {
 		}
 	}
 	return nil
-}
-
-// compactHookCall invokes the test-only stage hook.
-func (s *Service) compactHookCall(stage string) error {
-	if s.compactHook == nil {
-		return nil
-	}
-	return s.compactHook(stage)
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"clio/internal/archive"
+	"clio/internal/faults"
 	"clio/internal/scrub"
 	"clio/internal/volume"
 	"clio/internal/wodev"
@@ -24,7 +24,6 @@ func TestCompactSoak(t *testing.T) {
 	if testing.Short() {
 		cycles = 3
 	}
-	rng := rand.New(rand.NewSource(7))
 	h := newColdHarness(16)
 	copt := CompactOptions{MaxLiveFraction: 0.95, MinHotVolumes: 2}
 	s := h.open(t, copt)
@@ -64,15 +63,11 @@ func TestCompactSoak(t *testing.T) {
 			// reopen on whatever devices survived.
 			stage := stages[(cycle/2)%len(stages)]
 			boom := errors.New("soak crash")
-			s.compactHook = func(st string) error {
-				if st == stage && rng.Intn(2) == 0 {
-					return boom
-				}
-				return nil
-			}
+			h.faults.Arm(FaultCompact+stage, faults.Fault{Err: boom, Prob: 0.5})
 			if _, err := s.CompactOnce(context.Background(), CompactOptions{}); err != nil && !errors.Is(err, boom) {
 				t.Fatalf("cycle %d: CompactOnce: %v", cycle, err)
 			}
+			h.faults.Arm(FaultCompact+stage, faults.Fault{})
 			s.Crash()
 			s = h.open(t, copt)
 		} else {

@@ -13,6 +13,7 @@ import (
 	"clio/internal/archive"
 	"clio/internal/blockfmt"
 	"clio/internal/cache"
+	"clio/internal/faults"
 	"clio/internal/scrub"
 	"clio/internal/vclock"
 	"clio/internal/volume"
@@ -22,7 +23,9 @@ import (
 
 // coldHarness owns the pieces a compaction test needs across crashes: the
 // pool of memory devices (indexed by volume index), the cold backend, the
-// sidecar store, and the release log.
+// sidecar store, the release log, and the fault registry every service and
+// device fires into (each device is wrapped as wodev.Inject(mem, faults,
+// "dev")). nv, when set, is every service's NVRAM.
 type coldHarness struct {
 	mu       sync.Mutex
 	devs     map[uint32]wodev.Device
@@ -32,6 +35,8 @@ type coldHarness struct {
 	clk      *vclock.Clock
 	tc       *testClock
 	blockCap int
+	faults   *faults.Registry
+	nv       NVRAM
 }
 
 func newColdHarness(blockCap int) *coldHarness {
@@ -42,7 +47,13 @@ func newColdHarness(blockCap int) *coldHarness {
 		clk:      vclock.New(vclock.DefaultModel()),
 		tc:       &testClock{},
 		blockCap: blockCap,
+		faults:   faults.NewRegistry(0),
 	}
+}
+
+// device returns a fresh volume device, wrapped in the harness's faults.
+func (h *coldHarness) device(blockSize int) wodev.Device {
+	return wodev.Inject(wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: h.blockCap}), h.faults, "dev")
 }
 
 func (h *coldHarness) options(compact CompactOptions) Options {
@@ -51,8 +62,10 @@ func (h *coldHarness) options(compact CompactOptions) Options {
 		Degree:    4,
 		Now:       h.tc.Now,
 		Clock:     h.clk,
+		NVRAM:     h.nv,
+		Faults:    h.faults,
 		Allocate: func(_ volume.SeqID, index uint32, _ uint64, blockSize int) (wodev.Device, error) {
-			d := wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: h.blockCap})
+			d := h.device(blockSize)
 			h.mu.Lock()
 			h.devs[index] = d
 			h.mu.Unlock()
@@ -96,7 +109,7 @@ func (h *coldHarness) open(t *testing.T, compact CompactOptions) *Service {
 	}
 	h.mu.Unlock()
 	if len(devs) == 0 {
-		d := wodev.NewMem(wodev.MemOptions{BlockSize: opt.BlockSize, Capacity: h.blockCap})
+		d := h.device(opt.BlockSize)
 		h.devs[0] = d
 		s, err := New(d, opt)
 		if err != nil {
@@ -421,12 +434,7 @@ func TestCompactCrashResume(t *testing.T) {
 			}
 
 			boom := errors.New("injected crash")
-			s.compactHook = func(st string) error {
-				if st == stage {
-					return boom
-				}
-				return nil
-			}
+			h.faults.Arm(FaultCompact+stage, faults.Fault{Err: boom, Times: 1})
 			if _, err := s.CompactOnce(context.Background(), CompactOptions{}); !errors.Is(err, boom) {
 				t.Fatalf("stage %s: CompactOnce error %v, want injected crash", stage, err)
 			}

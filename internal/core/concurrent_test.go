@@ -18,14 +18,15 @@ import (
 	"clio/internal/wodev"
 )
 
-// latentMem returns a MemDevice wrapped with real write latency so that a
-// sealing leader blocks long enough for concurrent forces to pile into its
+// latentMem returns a MemDevice whose writes really sleep writeDelay so that
+// a sealing leader blocks long enough for concurrent forces to pile into its
 // successor's batch — essential on a single-CPU runner, where fast
 // uncontended loops otherwise never interleave.
 func latentMem(blockSize int, writeDelay time.Duration) wodev.Device {
-	return wodev.NewLatent(
-		wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 18}),
-		writeDelay, 0)
+	reg := faults.NewRegistry(0)
+	reg.Arm("dev.write", faults.Fault{Delay: writeDelay})
+	reg.Arm("dev.invalidate", faults.Fault{Delay: writeDelay})
+	return wodev.Inject(wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 18}), reg, "dev")
 }
 
 func lockedNow() func() int64 {
@@ -139,7 +140,7 @@ func TestConcurrentForcedAppendsDurableExactlyOnce(t *testing.T) {
 func TestCrashMidBatchRecovery(t *testing.T) {
 	const goroutines = 8
 	dev := latentMem(1024, 100*time.Microsecond)
-	reg := faults.NewRegistry()
+	reg := faults.NewRegistry(0)
 	svc, err := New(dev, Options{BlockSize: 1024, Degree: 16, CacheBlocks: -1,
 		Now: lockedNow(), Faults: reg})
 	if err != nil {
@@ -192,7 +193,7 @@ func TestCrashMidBatchRecovery(t *testing.T) {
 
 	// Let batches form, then arm the crash at the next tail-block write.
 	time.Sleep(20 * time.Millisecond)
-	reg.EnableCrash(FaultSealWrite, 1)
+	reg.Arm(FaultSealWrite, faults.Fault{Crash: true, Times: 1})
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()

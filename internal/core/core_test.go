@@ -110,7 +110,7 @@ func TestAppendValidation(t *testing.T) {
 		t.Errorf("append to entrymap log: %v", err)
 	}
 	id := mustCreate(t, s, "/big")
-	huge := make([]byte, s.Options().MaxEntrySize+1)
+	huge := make([]byte, MaxEntrySize+1)
 	if _, err := s.Append(id, huge, AppendOptions{}); !errors.Is(err, ErrEntryTooLarge) {
 		t.Errorf("oversized append: %v", err)
 	}

@@ -202,7 +202,7 @@ func TestAppendErrorsAreAtomic(t *testing.T) {
 	defer s.Close()
 	id := mustCreate(t, s, "/x")
 	mustAppend(t, s, id, "before", AppendOptions{})
-	if _, err := s.Append(id, make([]byte, s.Options().MaxEntrySize+1), AppendOptions{}); !errors.Is(err, ErrEntryTooLarge) {
+	if _, err := s.Append(id, make([]byte, MaxEntrySize+1), AppendOptions{}); !errors.Is(err, ErrEntryTooLarge) {
 		t.Fatalf("oversize: %v", err)
 	}
 	mustAppend(t, s, id, "after", AppendOptions{})

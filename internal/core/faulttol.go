@@ -19,6 +19,10 @@ const (
 	FaultSealWrite = "core.seal.write"
 	// FaultNVRAMStore fires before every NVRAM tail store.
 	FaultNVRAMStore = "core.nvram.store"
+	// FaultCompact prefixes the compactor's stage boundaries, fired as each
+	// stage completes: FaultCompact + "collected", "forced", "committed",
+	// "archived" and "demoted".
+	FaultCompact = "core.compact."
 )
 
 // DegradedError reports that an operation COMPLETED — the entry is durable

@@ -25,7 +25,7 @@ func TestScrapeWhileAppending(t *testing.T) {
 		BlockSize: 1024, Degree: 4, CacheBlocks: 64,
 		Now:    lockedNow(),
 		Clock:  clk,
-		Faults: faults.NewRegistry(),
+		Faults: faults.NewRegistry(0),
 	})
 	if err != nil {
 		t.Fatal(err)

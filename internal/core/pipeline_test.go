@@ -55,7 +55,7 @@ func crashMidPipelineOnce(t *testing.T) int {
 	// blocks make seals frequent.
 	dev := latentMem(256, 300*time.Microsecond)
 	nv := NewMemNVRAM()
-	reg := faults.NewRegistry()
+	reg := faults.NewRegistry(0)
 	svc, err := New(dev, Options{BlockSize: 256, Degree: 16, CacheBlocks: -1,
 		Now: lockedNow(), NVRAM: nv, Faults: reg})
 	if err != nil {
@@ -92,7 +92,7 @@ func crashMidPipelineOnce(t *testing.T) int {
 
 	// Let the pipe saturate, then crash the next head device write.
 	time.Sleep(15 * time.Millisecond)
-	reg.EnableCrash(FaultSealWrite, 1)
+	reg.Arm(FaultSealWrite, faults.Fault{Crash: true, Times: 1})
 	wg.Wait()
 	if reg.Fired(FaultSealWrite) != 1 {
 		t.Fatalf("crash point fired %d times, want 1", reg.Fired(FaultSealWrite))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"clio/internal/wodev"
@@ -325,22 +326,31 @@ func TestGarbageWrittenBlocksDoNotSinkVolume(t *testing.T) {
 	tc := &testClock{}
 	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now, CacheBlocks: -1}
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-	faulty := wodev.NewFaulty(dev, 99)
-	s, err := New(faulty, opt)
+	s, err := New(dev, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := mustCreate(t, s, "/g")
-	// Every 5th sealed block is scribbled after the fact.
-	faulty.SetGarbageEvery(5)
+	// Every 5th block written from here on is scribbled after the fact.
+	rng := rand.New(rand.NewSource(99))
+	garbage := make([]byte, 256)
+	start := dev.Written()
 	total := 0
 	for i := 0; i < 120; i++ {
+		next := dev.Written()
 		mustAppend(t, s, id, fmt.Sprintf("e%03d", i), AppendOptions{Forced: true})
 		total++
+		for b := next; b < dev.Written(); b++ {
+			if (b-start+1)%5 == 0 {
+				rng.Read(garbage)
+				if err := dev.Damage(b, garbage); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	faulty.SetGarbageEvery(0)
 	s.Crash()
-	s2, err := Open([]wodev.Device{faulty}, opt)
+	s2, err := Open([]wodev.Device{dev}, opt)
 	if err != nil {
 		t.Fatalf("recovery over damaged volume: %v", err)
 	}

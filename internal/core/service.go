@@ -48,6 +48,9 @@ import (
 	"clio/internal/wodev"
 )
 
+// MaxEntrySize bounds a single entry's data.
+const MaxEntrySize = 1 << 20
+
 // Errors.
 var (
 	// ErrClosed is returned after Close.
@@ -102,12 +105,6 @@ type Options struct {
 	// Allocate provides successor volumes; nil limits the sequence to the
 	// initially mounted volumes.
 	Allocate Allocator
-	// MaxEntrySize bounds a single entry's data; defaults to 1 MiB.
-	MaxEntrySize int
-	// DisplacementLimit bounds how far an entrymap entry may be displaced
-	// from its nominal boundary block before the locator gives up and falls
-	// back to lower levels; defaults to the degree N.
-	DisplacementLimit int
 	// RemoteIPC selects the cross-machine IPC charge for the cost model.
 	RemoteIPC bool
 	// Retry bounds the retry-with-backoff schedule applied to device reads,
@@ -116,8 +113,9 @@ type Options struct {
 	// faults.DefaultDevicePolicy(). Retries run while the service lock is
 	// held, so the schedule should stay short.
 	Retry *faults.RetryPolicy
-	// Faults is the named fault/crash injection registry (FaultReadBlock,
-	// FaultSealWrite, FaultNVRAMStore); nil injects nothing.
+	// Faults is the named fault injection registry (FaultReadBlock,
+	// FaultSealWrite, FaultNVRAMStore, FaultCompact's stages); nil injects
+	// nothing.
 	Faults *faults.Registry
 	// CheckpointInterval, when positive, emits a recovery checkpoint to
 	// the reserved checkpoint log file every time that many blocks have
@@ -149,12 +147,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Now == nil {
 		o.Now = func() int64 { return time.Now().UnixNano() }
-	}
-	if o.MaxEntrySize <= 0 {
-		o.MaxEntrySize = 1 << 20
-	}
-	if o.DisplacementLimit <= 0 {
-		o.DisplacementLimit = o.Degree
 	}
 	return o
 }
@@ -305,12 +297,10 @@ type Service struct {
 	// CompactOnce passes; cmpState is the sidecar-backed state, mutated only
 	// under cmpMu (and read at Open before concurrency starts); cmpView is
 	// the lock-free reader view republished at every sidecar commit;
-	// compactHook is a test-only stage callback; coldFetches counts reads
-	// served from the cold backend.
+	// coldFetches counts reads served from the cold backend.
 	cmpMu       sync.Mutex
 	cmpState    *compactState
 	cmpView     atomic.Pointer[compactView]
-	compactHook func(stage string) error
 	coldFetches atomic.Int64
 
 	// Observability: obsM holds the registered latency instruments (nil

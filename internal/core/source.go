@@ -43,7 +43,7 @@ func (ls *locatorSource) End() int { return ls.svc().endShared() }
 func (ls *locatorSource) ViewAt(level, boundary int) (entrymap.View, bool, error) {
 	s := ls.svc()
 	end := s.endShared()
-	limit := boundary + s.opt.DisplacementLimit
+	limit := boundary + s.opt.Degree // the displacement limit is the degree N
 	for b := boundary; b <= limit && b < end; b++ {
 		db, err := s.decodeBlock(b)
 		if err != nil {

@@ -165,7 +165,7 @@ func TestZeroCopyEntrymapProbe(t *testing.T) {
 		t.Fatalf("level-1 entry at %d has no bitmap for /zc", boundary)
 	}
 	aliased := false
-	for b := boundary; b <= boundary+s.opt.DisplacementLimit && !aliased; b++ {
+	for b := boundary; b <= boundary+s.opt.Degree && !aliased; b++ {
 		if img := s.blockCache().Lookup(cache.Key{Block: b}); img != nil {
 			aliased = imageAliases(img, bits)
 		}

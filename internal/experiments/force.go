@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"clio/internal/core"
+	"clio/internal/faults"
 	"clio/internal/wodev"
 )
 
@@ -152,7 +153,10 @@ func newForceService(nvram bool, mode string, devLat time.Duration) (*core.Servi
 	mem := wodev.NewMem(wodev.MemOptions{BlockSize: 2048, Capacity: 1 << 16})
 	var dev wodev.Device = mem
 	if devLat > 0 {
-		dev = wodev.NewLatent(mem, devLat, 0)
+		reg := faults.NewRegistry(0)
+		reg.Arm("dev.write", faults.Fault{Delay: devLat})
+		reg.Arm("dev.invalidate", faults.Fault{Delay: devLat})
+		dev = wodev.Inject(mem, reg, "dev")
 	}
 	var nv core.NVRAM
 	if nvram {

@@ -1,8 +1,9 @@
 // Package faults is the unified failure model of the Clio reproduction: a
 // fault classification shared by every layer (device, core service, wire
 // protocol, server, client), a bounded retry policy with exponential backoff
-// and deterministic jitter, and a registry of named fault/crash points that
-// tests use to drive each layer through its degradation paths.
+// and deterministic jitter, and a registry of named fault points — errors,
+// crashes and delays — that tests use to drive each layer through its
+// degradation paths.
 //
 // The paper (§2.3) distinguishes failures the service masks (transient
 // device errors, damaged blocks that are fenced and skipped) from failures
@@ -268,65 +269,87 @@ type Crash struct{ Point string }
 // Error makes Crash usable as an error value too.
 func (c Crash) Error() string { return "faults: crash injected at " + c.Point }
 
-// Registry holds named fault points. Code under test calls Fire(name) at
-// instrumented places; tests arm points with errors (or crashes) and a
-// trigger budget. A nil *Registry is valid and fires nothing, so production
-// paths carry no configuration.
+// Registry holds named fault points, and is the only way a fault enters the
+// system: an error, a crash or a delay. Code under test calls Fire(name) at
+// instrumented places; tests Arm points with a Fault. A nil *Registry is
+// valid and fires nothing, so production paths carry no configuration.
 //
-// Points instrumented in this repository (see each package):
+// Points instrumented in this repository. The dev.* points are a device
+// wrapped as wodev.Inject(dev, reg, "dev"); another name gives the same
+// three points under that name. core.TestFaultPointCensus reaches every
+// point listed here, and no other.
 //
-//	core.read.block   – before every device block read
-//	core.seal.write   – before every tail-block device write
-//	core.nvram.store  – before every NVRAM tail store
+//	dev.read               – before every device ReadBlock and ReadValidated
+//	dev.write              – before every device AppendBlock and WriteAt
+//	dev.invalidate         – before every device Invalidate
+//	core.read.block        – before every device block read
+//	core.seal.write        – before every tail-block device write
+//	core.nvram.store       – before every NVRAM tail store
+//	core.compact.collected – compactor: a volume's live entries are collected
+//	core.compact.forced    – compactor: their copies are forced to the log
+//	core.compact.committed – compactor: the sidecar records the copies
+//	core.compact.archived  – compactor: the volume image is in the cold tier
+//	core.compact.demoted   – compactor: the demoted volume is released
 type Registry struct {
 	mu     sync.Mutex
+	seed   int64
 	points map[string]*point
 }
 
+// Fault is what an armed point does when a hit fires. The zero Fault is
+// disarmed: Arm(name, Fault{}) turns a point off and keeps its counts.
+type Fault struct {
+	// Err is what Fire returns.
+	Err error
+	// Crash makes Fire panic with a Crash naming the point instead.
+	Crash bool
+	// Delay is slept before Fire returns or panics; with neither Err nor
+	// Crash the point only slows what it guards.
+	Delay time.Duration
+	// Times bounds the firings; 0 is no bound.
+	Times int
+	// Prob is the chance that a hit fires, drawn from the registry's seed,
+	// the point's name and its hit count, so a seed replays the same
+	// firings; 0 means every hit.
+	Prob float64
+	// MaxRun lets one hit through after that many consecutive firings, so a
+	// retry policy with more attempts always gets through; 0 is no bound.
+	MaxRun int
+}
+
 type point struct {
-	err       error
-	crash     bool
-	remaining int // <0 = unlimited
-	hits      int64
-	fired     int64
+	Fault
+	salt        int64 // the point's draw stream: seed mixed with its name
+	spent, run  int   // firings since Arm, and consecutive ones
+	hits, fired int64
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{points: make(map[string]*point)} }
+// NewRegistry returns an empty registry whose Prob draws follow seed.
+func NewRegistry(seed int64) *Registry {
+	return &Registry{seed: seed, points: make(map[string]*point)}
+}
 
-// Enable arms a fault point to return err for the next `times` firings
-// (times < 0 = every firing until Disable).
-func (r *Registry) Enable(name string, err error, times int) {
+// Arm sets what the named point does from its next hit on, and restarts
+// its Times budget and run.
+func (r *Registry) Arm(name string, f Fault) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	p := r.point(name)
+	p.Fault, p.spent, p.run = f, 0, 0
+}
+
+// point returns the named point, creating it; r.mu held.
+func (r *Registry) point(name string) *point {
 	p := r.points[name]
 	if p == nil {
-		p = &point{}
+		salt := uint64(r.seed) // FNV-1a over the name
+		for i := 0; i < len(name); i++ {
+			salt = (salt ^ uint64(name[i])) * 0x100000001b3
+		}
+		p = &point{salt: int64(salt)}
 		r.points[name] = p
 	}
-	p.err, p.crash, p.remaining = err, false, times
-}
-
-// EnableCrash arms a crash point: the next `times` firings panic with a
-// Crash value naming the point (times < 0 = every firing).
-func (r *Registry) EnableCrash(name string, times int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.points[name]
-	if p == nil {
-		p = &point{}
-		r.points[name] = p
-	}
-	p.err, p.crash, p.remaining = nil, true, times
-}
-
-// Disable disarms a point (hit counts are kept).
-func (r *Registry) Disable(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p := r.points[name]; p != nil {
-		p.err, p.crash, p.remaining = nil, false, 0
-	}
+	return p
 }
 
 // Hits returns how many times the named point has been reached (armed or
@@ -380,32 +403,35 @@ func (r *Registry) Points() []PointStat {
 	return out
 }
 
-// Fire is called at an instrumented site. It returns the armed error (or
-// panics at an armed crash point), decrementing the budget; a nil receiver
-// or unarmed point returns nil.
+// Fire is called at an instrumented site and counts a hit. When the armed
+// Fault fires it sleeps its Delay, then panics at a crash point or returns
+// its Err; otherwise, and for a nil receiver, it returns nil.
 func (r *Registry) Fire(name string) error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	p := r.points[name]
-	if p == nil {
-		p = &point{}
-		r.points[name] = p
-	}
+	p := r.point(name)
 	p.hits++
-	if p.remaining == 0 || (p.err == nil && !p.crash) {
+	f := p.Fault
+	fire := (f.Err != nil || f.Crash || f.Delay > 0) &&
+		(f.Times <= 0 || p.spent < f.Times) &&
+		(f.Prob <= 0 || jitterFrac(p.salt, int(p.hits)) < f.Prob) &&
+		(f.MaxRun <= 0 || p.run < f.MaxRun)
+	if !fire {
+		p.run = 0
 		r.mu.Unlock()
 		return nil
 	}
-	if p.remaining > 0 {
-		p.remaining--
-	}
+	p.spent++
+	p.run++
 	p.fired++
-	err, crash := p.err, p.crash
 	r.mu.Unlock()
-	if crash {
+	if f.Delay > 0 {
+		time.Sleep(f.Delay)
+	}
+	if f.Crash {
 		panic(Crash{Point: name})
 	}
-	return err
+	return f.Err
 }

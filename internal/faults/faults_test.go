@@ -171,9 +171,9 @@ func TestDoCtxCancelBetweenAttempts(t *testing.T) {
 }
 
 func TestRegistryFireBudget(t *testing.T) {
-	r := NewRegistry()
+	r := NewRegistry(0)
 	boom := New(Transient, "boom")
-	r.Enable("p", boom, 2)
+	r.Arm("p", Fault{Err: boom, Times: 2})
 	for i := 0; i < 2; i++ {
 		if err := r.Fire("p"); !errors.Is(err, boom) {
 			t.Fatalf("fire %d: %v", i, err)
@@ -186,15 +186,23 @@ func TestRegistryFireBudget(t *testing.T) {
 		t.Fatalf("hits=%d fired=%d, want 3/2", r.Hits("p"), r.Fired("p"))
 	}
 
-	r.Enable("p", boom, -1)
+	// Re-arming restarts the budget; Times 0 is no bound.
+	r.Arm("p", Fault{Err: boom})
 	for i := 0; i < 5; i++ {
 		if err := r.Fire("p"); !errors.Is(err, boom) {
-			t.Fatalf("unlimited fire %d: %v", i, err)
+			t.Fatalf("unbounded fire %d: %v", i, err)
 		}
 	}
-	r.Disable("p")
+	// The zero Fault disarms and keeps the counts.
+	r.Arm("p", Fault{})
 	if err := r.Fire("p"); err != nil {
-		t.Fatalf("disabled point fired: %v", err)
+		t.Fatalf("disarmed point fired: %v", err)
+	}
+	if r.Hits("p") != 9 || r.Fired("p") != 7 {
+		t.Fatalf("hits=%d fired=%d, want 9/7", r.Hits("p"), r.Fired("p"))
+	}
+	if got := r.Points(); len(got) != 1 || got[0] != (PointStat{Name: "p", Hits: 9, Fired: 7}) {
+		t.Fatalf("Points() = %+v", got)
 	}
 }
 
@@ -203,14 +211,14 @@ func TestRegistryNilSafe(t *testing.T) {
 	if err := r.Fire("anything"); err != nil {
 		t.Fatalf("nil registry fired: %v", err)
 	}
-	if r.Hits("anything") != 0 || r.Fired("anything") != 0 {
+	if r.Hits("anything") != 0 || r.Fired("anything") != 0 || r.Points() != nil {
 		t.Fatal("nil registry reported counts")
 	}
 }
 
 func TestRegistryCrashPoint(t *testing.T) {
-	r := NewRegistry()
-	r.EnableCrash("die", 1)
+	r := NewRegistry(0)
+	r.Arm("die", Fault{Crash: true, Times: 1})
 	func() {
 		defer func() {
 			v := recover()
@@ -227,5 +235,79 @@ func TestRegistryCrashPoint(t *testing.T) {
 	}
 	if c := (Crash{Point: "x"}); c.Error() == "" {
 		t.Fatal("Crash.Error empty")
+	}
+}
+
+// firings returns which of n hits of the named point fire under f.
+func firings(seed int64, name string, f Fault, n int) []bool {
+	r := NewRegistry(seed)
+	r.Arm(name, f)
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = r.Fire(name) != nil
+	}
+	return out
+}
+
+func TestRegistrySameSeedSameFirings(t *testing.T) {
+	f := Fault{Err: New(Transient, "flap"), Prob: 0.3}
+	const n = 2000
+	a := firings(99, "dev.write", f, n)
+	if b := firings(99, "dev.write", f, n); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatal("the same seed gave two firing sequences")
+	}
+	if b := firings(100, "dev.write", f, n); fmt.Sprint(a) == fmt.Sprint(b) {
+		t.Fatal("another seed gave the same firing sequence")
+	}
+	if b := firings(99, "dev.read", f, n); fmt.Sprint(a) == fmt.Sprint(b) {
+		t.Fatal("two points of one registry fire in lockstep")
+	}
+	fired := 0
+	for _, ok := range a {
+		if ok {
+			fired++
+		}
+	}
+	if share := float64(fired) / n; share < 0.25 || share > 0.35 {
+		t.Fatalf("Prob 0.3 fired %.3f of the hits", share)
+	}
+}
+
+func TestRegistryMaxRunLetsOneHitThrough(t *testing.T) {
+	got := firings(1, "p", Fault{Err: New(Transient, "flap"), MaxRun: 3}, 8)
+	want := []bool{true, true, true, false, true, true, true, false}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("MaxRun 3 on an always-firing point: %v, want %v", got, want)
+	}
+	// Under a draw, no run is ever longer than MaxRun.
+	run := 0
+	for i, fired := range firings(1, "p", Fault{Err: New(Transient, "flap"), Prob: 0.9, MaxRun: 2}, 500) {
+		if !fired {
+			run = 0
+		} else if run++; run > 2 {
+			t.Fatalf("hit %d is the %dth consecutive firing under MaxRun 2", i, run)
+		}
+	}
+}
+
+func TestRegistryDelayBeforeReturning(t *testing.T) {
+	r := NewRegistry(0)
+	const d = 5 * time.Millisecond
+	r.Arm("slow", Fault{Delay: d})
+	start := time.Now()
+	if err := r.Fire("slow"); err != nil {
+		t.Fatalf("a delay-only point returned %v", err)
+	}
+	if el := time.Since(start); el < d {
+		t.Fatalf("Fire returned after %v, want at least %v", el, d)
+	}
+	boom := New(Transient, "late")
+	r.Arm("slow", Fault{Err: boom, Delay: d, Times: 1})
+	start = time.Now()
+	if err := r.Fire("slow"); !errors.Is(err, boom) || time.Since(start) < d {
+		t.Fatalf("delayed error: %v after %v", err, time.Since(start))
+	}
+	if r.Fired("slow") != 2 {
+		t.Fatalf("fired = %d, want 2", r.Fired("slow"))
 	}
 }

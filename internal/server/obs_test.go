@@ -51,7 +51,7 @@ func TestAdminEndToEnd(t *testing.T) {
 	svc, err := core.New(dev, core.Options{
 		BlockSize: 512, Degree: 8,
 		Now:    func() int64 { now += 1000; return now },
-		Faults: faults.NewRegistry(),
+		Faults: faults.NewRegistry(0),
 	})
 	if err != nil {
 		t.Fatal(err)

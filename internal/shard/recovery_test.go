@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"clio/internal/core"
+	"clio/internal/faults"
 	"clio/internal/vclock"
 	"clio/internal/wodev"
 )
@@ -13,8 +14,8 @@ import (
 // 8-shard store recovers every shard concurrently, so the wall-clock of
 // the whole open stays within 2× the slowest single shard's recovery —
 // not the sum. The shards carry deliberately unequal amounts of sealed
-// data, each reopened device really sleeps per block read
-// (wodev.Latent), and each shard charges its own virtual clock with the
+// data, each reopened device really sleeps per block read (a delay
+// armed on wodev.Inject), and each shard charges its own virtual clock with the
 // same per-read cost, so the per-shard vclock totals are the per-shard
 // recovery times and the slowest shard's charge is the parallel lower
 // bound.
@@ -67,8 +68,10 @@ func TestParallelRecovery(t *testing.T) {
 	devs := make([][]wodev.Device, shards)
 	opts := make([]core.Options, shards)
 	clks := make([]*vclock.Clock, shards)
+	reg := faults.NewRegistry(0)
+	reg.Arm("dev.read", faults.Fault{Delay: readDelay})
 	for i := range devs {
-		devs[i] = []wodev.Device{wodev.NewLatent(mems[i], 0, readDelay)}
+		devs[i] = []wodev.Device{wodev.Inject(mems[i], reg, "dev")}
 		clks[i] = vclock.New(vclock.CostModel{DeviceSeek: readDelay})
 		now := int64(1 << 40)
 		opts[i] = core.Options{

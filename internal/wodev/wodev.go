@@ -19,12 +19,14 @@
 //     forcing recovery code to binary-search for the end (§2.3.1).
 //
 // Implementations: MemDevice (in-memory), FileDevice (file-backed, one file
-// per volume). Wrappers compose over any Device: Faulty (permanent media
-// damage), Flaky (transient errors and latency spikes), Latent (real
-// per-operation latency) and Mirror (replicated copies with read failover).
-// None of them measures: the device counts its own operations (Stats), the
-// service charges the paper's cost model for the reads it issues, and
-// latency is observed by the service's histograms and trace spans.
+// per volume). Two wrappers compose over any Device: Mirror (replicated
+// copies with read failover) and Inject, the one fault decorator, which
+// fires a named faults.Registry point before each operation — transient
+// errors, crashes and real latency are all armed there. Permanent media
+// damage is MemDevice.Damage. Neither wrapper measures: the device counts
+// its own operations (Stats), the service charges the paper's cost model
+// for the reads it issues, and latency is observed by the service's
+// histograms and trace spans.
 //
 // Every reader that can tell an intact block from a damaged one reads through
 // ReadValidated, which is the one place that knows whether a device stack
@@ -58,10 +60,10 @@ var (
 	ErrCorrupt = errors.New("wodev: block damaged, cannot be written")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("wodev: device closed")
-	// ErrTransient is returned by fault-injecting wrappers (Flaky) for
-	// per-operation soft failures — the operation did not happen, and a
-	// retry may succeed. It classifies as faults.Transient, unlike the
-	// permanent media errors above.
+	// ErrTransient is the per-operation soft failure tests arm on an
+	// Inject point — the operation did not happen, and a retry may
+	// succeed. It classifies as faults.Transient, unlike the permanent
+	// media errors above.
 	ErrTransient = faults.New(faults.Transient, "wodev: transient device error")
 )
 

@@ -435,30 +435,6 @@ func TestWriteAtConcurrentSameIndex(t *testing.T) {
 	}
 }
 
-func TestFaultyGarbageEvery(t *testing.T) {
-	mem := NewMem(MemOptions{BlockSize: 128, Capacity: 64})
-	f := NewFaulty(mem, 42)
-	f.SetGarbageEvery(3)
-	for i := 0; i < 9; i++ {
-		if _, err := f.AppendBlock(fill(128, byte(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	damaged := f.Damaged()
-	if len(damaged) != 3 {
-		t.Fatalf("damaged %v, want 3 blocks", damaged)
-	}
-	buf := make([]byte, 128)
-	for _, idx := range damaged {
-		if err := f.ReadBlock(idx, buf); err != nil {
-			t.Fatalf("damaged read: %v", err)
-		}
-		if bytes.Equal(buf, fill(128, byte(idx+1))) {
-			t.Errorf("block %d not actually damaged", idx)
-		}
-	}
-}
-
 func appendBytes(path string, b []byte) error {
 	f, err := osOpenAppend(path)
 	if err != nil {
