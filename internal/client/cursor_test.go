@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -720,4 +721,42 @@ func TestCursorSharedByGoroutines(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestSeekTimeMinInt64OverTCP: a remote seek to the earliest representable
+// time, on a parent log and on the root cursor of a sharded store, lands at
+// the start: Next returns the log's first entry.
+func TestSeekTimeMinInt64OverTCP(t *testing.T) {
+	cl, _, _ := tcpStore(t, 4, 512)
+	want := fillSublogs(t, cl, "/sessions", 4, 300)
+	for _, path := range []string{"/sessions", "/"} {
+		cur, err := cl.OpenCursor(bg, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := cur.Next(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if path == "/sessions" && !bytes.Equal(first.Data, want[0]) {
+			t.Fatalf("%s: first entry %q, want %q", path, first.Data, want[0])
+		}
+		for _, ts := range []int64{math.MinInt64, math.MinInt64 + 1} {
+			if err := cur.SeekEnd(bg); err != nil {
+				t.Fatal(err)
+			}
+			if err := cur.SeekTime(bg, ts); err != nil {
+				t.Fatal(err)
+			}
+			e, err := cur.Next(bg)
+			if err != nil {
+				t.Fatalf("%s: SeekTime(%d) then Next: %v", path, ts, err)
+			}
+			if e.Shard != first.Shard || e.Block != first.Block || e.Index != first.Index {
+				t.Fatalf("%s: SeekTime(%d) then Next returned shard %d (%d,%d), want the first entry at shard %d (%d,%d)",
+					path, ts, e.Shard, e.Block, e.Index, first.Shard, first.Block, first.Index)
+			}
+		}
+		cur.Close()
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -290,12 +291,15 @@ func TestSeekTime(t *testing.T) {
 	if _, err := c.Next(); err != io.EOF {
 		t.Fatalf("Next past end: %v", err)
 	}
-	// Seeking before the beginning: Next yields the first entry.
-	if err := c.SeekTime(0); err != nil {
-		t.Fatal(err)
-	}
-	if e, err := c.Next(); err != nil || string(e.Data) != "e0" {
-		t.Fatalf("Next from time 0: %v", err)
+	// Seeking before the beginning, down to the earliest representable
+	// time: Next yields the first entry.
+	for _, ts := range []int64{0, -1, math.MinInt64 + 1, math.MinInt64} {
+		if err := c.SeekTime(ts); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := c.Next(); err != nil || string(e.Data) != "e0" {
+			t.Fatalf("Next from time %d: %v, %v", ts, err, e)
+		}
 	}
 }
 

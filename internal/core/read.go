@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"clio/internal/blockfmt"
@@ -637,7 +638,9 @@ func (c *Cursor) retreatBlock() error {
 func (c *Cursor) SeekTime(ts int64) error {
 	c.s.opt.Clock.ChargeIPC(c.s.opt.RemoteIPC)
 	c.s.opt.Clock.ChargeServerFixed()
-	b, err := c.s.locFindByTime(ts - 1)
+	// The last block dated before ts; the subtraction saturates, so a ts at
+	// the bottom of the range positions at the start rather than wrapping.
+	b, err := c.s.locFindByTime(max(ts, math.MinInt64+1) - 1)
 	if err != nil {
 		return err
 	}

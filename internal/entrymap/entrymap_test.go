@@ -168,6 +168,9 @@ type fakeStore struct {
 	// unknown marks (level, id) pairs whose pending span the writer cannot
 	// vouch for (Pending reports known=false for any set holding the id).
 	unknown map[[2]int]bool
+	// undated marks blocks whose BlockFirstTS reports ok=false: damaged
+	// blocks, and a tail the writer has started without dating it.
+	undated map[int]bool
 	// trace, when set, receives one line per Source call.
 	trace io.Writer
 }
@@ -185,6 +188,7 @@ func newFakeStore(t *testing.T, n int) *fakeStore {
 		acc:       acc,
 		displaced: make(map[[2]int]int),
 		unknown:   make(map[[2]int]bool),
+		undated:   make(map[int]bool),
 	}
 }
 
@@ -258,7 +262,7 @@ func (f *fakeStore) holds(block int, ids []uint16) bool {
 
 func (f *fakeStore) BlockFirstTS(block int) (int64, bool, error) {
 	f.note("T %d", block)
-	if block < 0 || block >= len(f.blocks) {
+	if block < 0 || block >= len(f.blocks) || f.undated[block] {
 		return 0, false, nil
 	}
 	return f.ts[block], true, nil
@@ -449,24 +453,13 @@ func TestLocateCostLogarithmic(t *testing.T) {
 func TestFindByTimeMatchesNaive(t *testing.T) {
 	f := buildRandom(t, 8, 700, 3, 0.3, 5)
 	loc, _ := NewLocator(f, 8)
-	naive := func(ts int64) int {
-		best := -1
-		for b := 0; b < len(f.ts); b++ {
-			if f.ts[b] <= ts {
-				best = b
-			} else {
-				break
-			}
-		}
-		return best
-	}
 	minTS, maxTS := f.ts[0], f.ts[len(f.ts)-1]
 	for ts := minTS - 2; ts <= maxTS+2; ts++ {
 		got, err := loc.FindByTime(ts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := naive(ts)
+		want := f.naiveByTime(ts)
 		if got != want {
 			// Equal timestamps across blocks: any block with the same
 			// firstTS is acceptable as long as it is the last such block.

@@ -380,10 +380,16 @@ func (l *Locator) probeNext(ids []uint16, level, spanStart, g, end int) (int, er
 // block either contains the last entry written at or before ts or directly
 // follows it (§2.1).
 //
-// The search descends level by level using the blocks at entrymap boundaries
-// as landmarks — "at the upper levels of the tree, the search uses those
-// blocks that happen to contain entrymap log entries" — so repeated time
-// searches hit the same well-known blocks in the cache.
+// The search is one descent, level by level, using the blocks at entrymap
+// boundaries as landmarks — "at the upper levels of the tree, the search uses
+// those blocks that happen to contain entrymap log entries" — so repeated
+// time searches hit the same well-known blocks in the cache. Level 0 is the
+// same step with span 1: one binary search per level, so a search dates at
+// most 1 + Σ_levels ⌈log2(count+1)⌉ blocks. A block that cannot date itself
+// (damaged, or a tail whose footer timestamp is not yet set) reads as later
+// than ts at every level, so the answer may come out early but never past
+// the true block; a caller that scans forward from it loses reads, not
+// entries.
 func (l *Locator) FindByTime(ts int64) (int, error) {
 	end := l.src.End()
 	if end == 0 {
@@ -397,7 +403,7 @@ func (l *Locator) FindByTime(ts int64) (int, error) {
 		return -1, nil
 	}
 	lo, hi := 0, end // invariant: firstTS(lo) <= ts (when readable), answer in [lo, hi)
-	for level := MaxLevel(l.n, end) + 1; level >= 1; level-- {
+	for level := MaxLevel(l.n, end) + 1; level >= 0; level-- {
 		span := pow(l.n, level)
 		firstLandmark := (lo/span + 1) * span
 		if firstLandmark >= hi {
@@ -406,18 +412,11 @@ func (l *Locator) FindByTime(ts int64) (int, error) {
 		count := (hi-1-firstLandmark)/span + 1
 		// Binary search the landmarks for the last one with firstTS <= ts.
 		idx := sort.Search(count, func(i int) bool {
-			b := firstLandmark + i*span
-			bts, ok, rerr := l.readTS(b)
+			bts, ok, rerr := l.readTS(firstLandmark + i*span)
 			if rerr != nil {
 				err = rerr
-				return true
 			}
-			if !ok {
-				// Unreadable landmark: treat as > ts to stay below it; the
-				// lower levels will search the region before it.
-				return true
-			}
-			return bts > ts
+			return rerr != nil || !ok || bts > ts
 		})
 		if err != nil {
 			return -1, err
@@ -429,23 +428,7 @@ func (l *Locator) FindByTime(ts int64) (int, error) {
 			hi = firstLandmark + idx*span
 		}
 	}
-	// Final linear refinement within (lo, hi): at most N blocks.
-	best := lo
-	for b := lo + 1; b < hi; b++ {
-		bts, ok, err := l.readTS(b)
-		if err != nil {
-			return -1, err
-		}
-		if !ok {
-			continue
-		}
-		if bts <= ts {
-			best = b
-		} else {
-			break
-		}
-	}
-	return best, nil
+	return lo, nil
 }
 
 func (l *Locator) readTS(block int) (int64, bool, error) {

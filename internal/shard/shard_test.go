@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"clio/internal/core"
@@ -303,5 +304,50 @@ func TestMultiMembershipWithinShard(t *testing.T) {
 	}
 	if !e.MemberOf(pid.Local()) || !e.MemberOf(cid.Local()) {
 		t.Fatalf("membership: %+v", e)
+	}
+}
+
+// TestSeekTimeMinInt64RootCursor: on the root cursor over four shards, a seek to
+// the earliest representable time positions every shard at its start, so
+// Next returns the store's first entry, as after SeekStart.
+func TestSeekTimeMinInt64RootCursor(t *testing.T) {
+	st := newStore(t, 4)
+	var ids []logapi.ID
+	for i := 0; i < 6; i++ {
+		id, err := st.CreateLog(bg, fmt.Sprintf("/log%d", i), 0o644, "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := st.Append(bg, ids[i%len(ids)], []byte(fmt.Sprintf("r%03d", i)), logapi.AppendOptions{Timestamped: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, err := st.OpenCursor(bg, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	first, err := cur.Next(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []int64{math.MinInt64, math.MinInt64 + 1, 0} {
+		if err := cur.SeekEnd(bg); err != nil {
+			t.Fatal(err)
+		}
+		if err := cur.SeekTime(bg, ts); err != nil {
+			t.Fatal(err)
+		}
+		e, err := cur.Next(bg)
+		if err != nil {
+			t.Fatalf("SeekTime(%d) then Next: %v", ts, err)
+		}
+		if e.Shard != first.Shard || e.Block != first.Block || e.Index != first.Index || e.Timestamp != first.Timestamp {
+			t.Fatalf("SeekTime(%d) then Next: shard %d (%d,%d) at %d, want the first entry, shard %d (%d,%d) at %d",
+				ts, e.Shard, e.Block, e.Index, e.Timestamp, first.Shard, first.Block, first.Index, first.Timestamp)
+		}
 	}
 }
