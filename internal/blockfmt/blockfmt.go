@@ -168,16 +168,18 @@ type Record struct {
 }
 
 // RecordView is a decoded record as read from a parsed block. Data aliases
-// the parsed block's buffer.
+// the parsed block's buffer. A decoded block holds one per record for as
+// long as its decode stays cached, so the fields are ordered to pack into 64
+// bytes: a field added here is a memory decision.
 type RecordView struct {
+	Timestamp int64    // the header's own; valid only when Form is FormFull or FormMulti
+	Data      []byte   // the fragment's client data
+	ExtraIDs  []uint16 // FormMulti only
 	LogID     uint16
 	Form      uint8
 	AttrFlags uint8
-	Timestamp int64 // valid only when Form is FormFull or FormMulti
 	Continued bool
 	Continues bool
-	Data      []byte
-	ExtraIDs  []uint16 // FormMulti only
 }
 
 // HeaderLen returns the record's in-payload header length.
@@ -412,20 +414,35 @@ type Parsed struct {
 	Records []RecordView
 }
 
-// EffectiveTimestamps returns, for each record, the timestamp in force when
-// it was written: its own for full-header records, otherwise the nearest
-// preceding timestamp in the block — at worst the mandatory first-entry
-// footer timestamp (§2.1).
-func (p *Parsed) EffectiveTimestamps() []int64 {
-	out := make([]int64, len(p.Records))
-	cur := p.FirstTimestamp
-	for i, r := range p.Records {
-		if r.Form != FormMinimal && r.Timestamp != 0 {
-			cur = r.Timestamp
+// EffectiveAt returns the timestamp in force when record i was written: its
+// own for a full or multi header, otherwise the nearest preceding such
+// header's in the block — at worst the mandatory first-entry footer
+// timestamp (§2.1).
+func (p *Parsed) EffectiveAt(i int) int64 {
+	return p.EffectiveFrom(i, -1, p.FirstTimestamp)
+}
+
+// EffectiveFrom is EffectiveAt given record j's effective timestamp tsj (j
+// = -1 with the footer timestamp states the rule from the block's start).
+// It reads only the records between i and j, unless one of those after i
+// carries a timestamp and i < j; so a scan that hands each result to its
+// next call costs O(1) a record, forward or back, where EffectiveAt walks
+// back to the nearest header every time.
+func (p *Parsed) EffectiveFrom(i, j int, tsj int64) int64 {
+	if i < j {
+		for k := j; k > i; k-- {
+			if r := &p.Records[k]; r.Form != FormMinimal && r.Timestamp != 0 {
+				return p.EffectiveAt(i)
+			}
 		}
-		out[i] = cur
+		return tsj
 	}
-	return out
+	for k := i; k > j; k-- {
+		if r := &p.Records[k]; r.Form != FormMinimal && r.Timestamp != 0 {
+			return r.Timestamp
+		}
+	}
+	return tsj
 }
 
 // Validate cheaply checks a block image's magic and checksum without

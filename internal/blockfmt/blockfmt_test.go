@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"clio/internal/wire"
 )
@@ -468,5 +469,54 @@ func TestFirstTimestampAgreesWithParse(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { FirstTimestamp(good) }); allocs != 0 {
 		t.Errorf("FirstTimestamp allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRecordViewSize pins the decoded record at 64 bytes: a cached decode
+// holds one per record, so a field added here is a memory decision.
+func TestRecordViewSize(t *testing.T) {
+	if n := unsafe.Sizeof(RecordView{}); n != 64 {
+		t.Fatalf("RecordView is %d bytes, want 64", n)
+	}
+}
+
+// TestEffectiveAt: a record's effective timestamp is its own full or multi
+// header's, else the nearest preceding one in the block, else the footer's
+// first-entry timestamp (§2.1).
+func TestEffectiveAt(t *testing.T) {
+	b, err := NewBuilder(512, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetFirstTimestamp(500)
+	for i, r := range []Record{
+		{LogID: 1, Form: FormMinimal},
+		{LogID: 1, Form: FormFull, Timestamp: 700},
+		{LogID: 1, Form: FormMinimal},
+		{LogID: 1, Form: FormMulti, Timestamp: 900, ExtraIDs: []uint16{2}},
+		{LogID: 1, Form: FormFull}, // a zero timestamp stamps nothing
+	} {
+		if err := b.Append(r); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	p, err := Parse(b.Seal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{500, 700, 700, 900, 900}
+	for i := range want {
+		if got := p.EffectiveAt(i); got != want[i] {
+			t.Errorf("EffectiveAt(%d) = %d, want %d", i, got, want[i])
+		}
+		for j := -1; j < len(want); j++ {
+			tsj := int64(500)
+			if j >= 0 {
+				tsj = want[j]
+			}
+			if got := p.EffectiveFrom(i, j, tsj); got != want[i] {
+				t.Errorf("EffectiveFrom(%d, %d, %d) = %d, want %d", i, j, tsj, got, want[i])
+			}
+		}
 	}
 }

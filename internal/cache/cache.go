@@ -14,13 +14,31 @@
 // cache stores that slice, not a copy, and Lookup hands the same slice to
 // every reader, so neither the caller nor any reader may write to it again.
 //
+// Beside the images the cache keeps a date table: the verified first-entry
+// timestamp (§2.1) of sealed blocks a time search has dated. A sealed
+// block's date never changes, so it outlives the block's image: evicting an
+// image keeps its date, and a later search dates the block without reading
+// it again. Invalidate drops a block's date with its image and Flush drops
+// every date, so a flushed cache is cold for dating too. The table is pages
+// of 512 consecutive blocks, allocated when a page's first date is noted
+// and read without a lock; it holds at most 32 dates per block of capacity
+// (never less than one page), and a page added past that bound drops the
+// whole table first, as Flush does. The cache only stores dates: which blocks may be
+// noted, and that the image a date came from was verified, is the caller's
+// contract (see NoteDate).
+//
 // The Table 1 experiments depend on the distinction between a cached block
 // access (~0.6 ms to access and interpret) and a device read (~150 ms seek).
 // The cache counts hits and misses; the one read-through path, in core,
-// charges the virtual clock for whichever it was.
+// charges the virtual clock for whichever it was. A date read is neither a
+// hit nor a miss and charges nothing: it counts as a date hit.
 package cache
 
-import "sync"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Key identifies a block: a volume tag plus a volume-relative block index.
 type Key struct {
@@ -37,6 +55,12 @@ type Stats struct {
 	Misses    int64 `metric:"clio_cache_misses_total" help:"Block cache misses."`
 	Evictions int64 `metric:"clio_cache_evictions_total" help:"Block cache evictions."`
 	Inserts   int64 `metric:"clio_cache_inserts_total" help:"Block cache inserts."`
+	// DateHits counts block dates served from the date table: a time
+	// search's probe that read no image.
+	DateHits int64 `metric:"clio_cache_date_hits_total" help:"Block dates served from the cache's date table (no image read)."`
+	// Dates is the number of block dates the table holds (a gauge, not
+	// zeroed by ResetStats).
+	Dates int64 `metric:"clio_cache_dates" help:"Block dates held by the cache's date table."`
 }
 
 // HitRatio returns hits/(hits+misses), or 0 when no accesses occurred.
@@ -58,6 +82,25 @@ type entry struct {
 	dec any
 }
 
+// Date table geometry: a page dates datePageBlocks consecutive blocks of one
+// volume, and the table holds at most datesPerSlot dates per block of the
+// cache's capacity.
+const (
+	datePageBlocks = 512
+	datesPerSlot   = 32
+	noDate         = math.MinInt64 // a page slot holding no date
+)
+
+// datePage dates datePageBlocks consecutive blocks. Its slots are read
+// without a lock and written under Cache.mu. A page is never reused for
+// other blocks, so a reader still holding a dropped page reads dates of the
+// blocks it asked for.
+type datePage struct {
+	dates [datePageBlocks]atomic.Int64
+}
+
+type pageKey struct{ volume, page int }
+
 // Cache is an LRU block cache. It is safe for concurrent use.
 type Cache struct {
 	capacity int // max blocks; <= 0 means unbounded
@@ -66,12 +109,24 @@ type Cache struct {
 	entries map[Key]*entry
 	root    entry // list sentinel: root.next is the most recent, root.prev the LRU victim
 	stats   Stats
+
+	// The date table: an immutable page map replaced whole under mu when a
+	// page is added or the table is dropped, so Date loads it without a lock.
+	pages    atomic.Pointer[map[pageKey]*datePage]
+	maxPages int // <= 0 means unbounded
+	dated    int // dates held; mu
+	dateHits atomic.Int64
 }
 
-// New returns a cache bounded to capacity blocks (<= 0 for unbounded).
+// New returns a cache bounded to capacity blocks (<= 0 for unbounded). Its
+// date table is bounded to datesPerSlot dates per block of capacity, and to
+// one page at least.
 func New(capacity int) *Cache {
 	c := &Cache{capacity: capacity, entries: make(map[Key]*entry)}
 	c.root.next, c.root.prev = &c.root, &c.root
+	if capacity > 0 {
+		c.maxPages = max(1, capacity*datesPerSlot/datePageBlocks)
+	}
 	return c
 }
 
@@ -95,7 +150,9 @@ func (c *Cache) Len() int {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	st := c.stats
+	st.DateHits, st.Dates = c.dateHits.Load(), int64(c.dated)
+	return st
 }
 
 // ResetStats zeroes the counters.
@@ -103,6 +160,7 @@ func (c *Cache) ResetStats() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats = Stats{}
+	c.dateHits.Store(0)
 }
 
 // unlink takes e out of the recency list; c.mu held.
@@ -214,8 +272,8 @@ func (c *Cache) Put(key Key, data []byte) {
 	c.stats.Inserts++
 }
 
-// Invalidate drops a cached block (used when a block is invalidated on the
-// medium or a staged tail block is superseded).
+// Invalidate drops a cached block and its date (used when a block is
+// invalidated on the medium or a staged tail block is superseded).
 func (c *Cache) Invalidate(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -223,13 +281,87 @@ func (c *Cache) Invalidate(key Key) {
 		c.unlink(e)
 		delete(c.entries, key)
 	}
+	if p, i := c.page(key); p != nil && p.dates[i].Swap(noDate) != noDate {
+		c.dated--
+	}
 }
 
-// Flush empties the cache entirely (used by experiments to force the
-// no-caching worst case of §3.3.1).
+// Flush empties the cache entirely, dates included (used by experiments to
+// force the no-caching worst case of §3.3.1).
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	clear(c.entries)
 	c.root.next, c.root.prev = &c.root, &c.root
+	c.pages.Store(nil)
+	c.dated = 0
+}
+
+// page returns the date page holding key's slot and the slot's index, or a
+// nil page when none was allocated.
+func (c *Cache) page(key Key) (*datePage, int) {
+	i := key.Block % datePageBlocks
+	m := c.pages.Load()
+	if m == nil || key.Block < 0 {
+		return nil, i
+	}
+	return (*m)[pageKey{key.Volume, key.Block / datePageBlocks}], i
+}
+
+// Date returns the date noted for key's block, if the table holds one. It
+// takes no lock, reads no image and charges nothing; a date returned counts
+// as a date hit.
+func (c *Cache) Date(key Key) (int64, bool) {
+	p, i := c.page(key)
+	if p == nil {
+		return 0, false
+	}
+	ts := p.dates[i].Load()
+	if ts == noDate {
+		return 0, false
+	}
+	c.dateHits.Add(1)
+	return ts, true
+}
+
+// NoteDate records ts as the date of key's block. The caller notes only a
+// date it took from an image it verified, of a block whose image can never
+// change while the date is held: the cache keeps the date after the image
+// is evicted, and Date returns it unchecked.
+func (c *Cache) NoteDate(key Key, ts int64) {
+	if ts == noDate || key.Block < 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, i := c.page(key)
+	if p == nil {
+		p = c.addPage(pageKey{key.Volume, key.Block / datePageBlocks})
+	}
+	if p.dates[i].Swap(ts) == noDate {
+		c.dated++
+	}
+}
+
+// addPage allocates the page pk. A table at its bound is dropped first, as
+// Flush drops it: no workload measured yet dates more blocks than the bound
+// holds, so no recency order is kept to choose a victim. c.mu held.
+func (c *Cache) addPage(pk pageKey) *datePage {
+	var old map[pageKey]*datePage
+	if m := c.pages.Load(); m != nil && (c.maxPages <= 0 || len(*m) < c.maxPages) {
+		old = *m
+	} else {
+		c.dated = 0
+	}
+	next := make(map[pageKey]*datePage, len(old)+1)
+	for k, p := range old {
+		next[k] = p
+	}
+	p := new(datePage)
+	for i := range p.dates {
+		p.dates[i].Store(noDate)
+	}
+	next[pk] = p
+	c.pages.Store(&next)
+	return p
 }

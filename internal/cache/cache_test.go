@@ -296,3 +296,161 @@ func TestHitRatio(t *testing.T) {
 		t.Error("empty HitRatio != 0")
 	}
 }
+
+// dateOf is the date the date tests note for a block: distinct per key, so
+// a date read for the wrong block cannot pass for the right one.
+func dateOf(k Key) int64 { return int64(k.Volume)<<40 | int64(k.Block)<<8 | 0x5a }
+
+// TestDateBound fills the date table far past its bound at three cache
+// capacities: it never holds more than datesPerSlot dates per block of
+// capacity, and the most recently noted date is always kept.
+func TestDateBound(t *testing.T) {
+	for _, capacity := range []int{16, 64, 4096} {
+		c := New(capacity)
+		limit := int64(capacity * datesPerSlot)
+		maxPages := capacity * datesPerSlot / datePageBlocks
+		for b := 0; b < 4*int(limit)+datePageBlocks/2; b++ {
+			k := Key{0, b}
+			c.NoteDate(k, dateOf(k))
+			if n := c.Stats().Dates; n > limit {
+				t.Fatalf("capacity %d: %d dates held after noting block %d, bound %d", capacity, n, b, limit)
+			}
+			if pages := len(*c.pages.Load()); pages > maxPages {
+				t.Fatalf("capacity %d: %d pages after noting block %d, bound %d", capacity, pages, b, maxPages)
+			}
+			if ts, ok := c.Date(k); !ok || ts != dateOf(k) {
+				t.Fatalf("capacity %d: the date just noted for block %d reads %d, %v", capacity, b, ts, ok)
+			}
+		}
+		if st := c.Stats(); c.Len() != 0 || st.Inserts != 0 {
+			t.Errorf("capacity %d: noting dates cached %d images", capacity, c.Len())
+		}
+	}
+}
+
+// TestDateDropsTableWhenFull: a page added past the bound drops every date
+// held, as Flush does, and starts the table again with the new page.
+func TestDateDropsTableWhenFull(t *testing.T) {
+	c := New(64) // 2048 dates: four pages
+	for p := 0; p < 4; p++ {
+		k := Key{0, p * datePageBlocks}
+		c.NoteDate(k, dateOf(k))
+	}
+	if st := c.Stats(); st.Dates != 4 {
+		t.Fatalf("%d dates held before the bound, want 4", st.Dates)
+	}
+	k := Key{0, 4 * datePageBlocks}
+	c.NoteDate(k, dateOf(k))
+	for p := 0; p <= 4; p++ {
+		_, ok := c.Date(Key{0, p * datePageBlocks})
+		if ok != (p == 4) {
+			t.Errorf("page %d: date held %v after the fifth page was added", p, ok)
+		}
+	}
+	if st := c.Stats(); st.Dates != 1 || len(*c.pages.Load()) != 1 {
+		t.Errorf("%d dates on %d pages after the drop, want 1 on 1", st.Dates, len(*c.pages.Load()))
+	}
+}
+
+// TestDateOutlivesImageEviction: evicting a block's image keeps its date,
+// and a date read is neither an image hit nor a miss.
+func TestDateOutlivesImageEviction(t *testing.T) {
+	c := New(2)
+	k := Key{0, 7}
+	c.Put(k, block(8, 1))
+	c.NoteDate(k, dateOf(k))
+	c.Put(Key{0, 8}, block(8, 2))
+	c.Put(Key{0, 9}, block(8, 3)) // evicts block 7's image
+	if c.Peek(k) {
+		t.Fatal("block 7's image was not evicted")
+	}
+	if ts, ok := c.Date(k); !ok || ts != dateOf(k) {
+		t.Fatalf("Date after image eviction = %d, %v; want %d", ts, ok, dateOf(k))
+	}
+	if _, ok := c.Date(Key{0, 8}); ok {
+		t.Error("a block never dated has a date")
+	}
+	st := c.Stats()
+	if st.DateHits != 1 || st.Hits != 0 || st.Misses != 0 || st.Dates != 1 {
+		t.Errorf("stats = %+v; want one date hit and no image hit or miss", st)
+	}
+	c.ResetStats()
+	if st := c.Stats(); st.DateHits != 0 || st.Dates != 1 {
+		t.Errorf("after ResetStats: %+v; want the date hits zeroed and the date kept", st)
+	}
+}
+
+// TestDateInvalidateAndFlush: Invalidate drops the block's date with its
+// image, and only that date; Flush drops every date.
+func TestDateInvalidateAndFlush(t *testing.T) {
+	c := New(32) // two pages: one per volume
+	keys := []Key{{0, 1}, {0, 2}, {1, 1}}
+	for _, k := range keys {
+		c.Put(k, block(8, byte(k.Block)))
+		c.NoteDate(k, dateOf(k))
+	}
+	c.Invalidate(keys[0])
+	if _, ok := c.Date(keys[0]); ok || c.Peek(keys[0]) {
+		t.Error("Invalidate left the block's date or image")
+	}
+	for _, k := range keys[1:] {
+		if ts, ok := c.Date(k); !ok || ts != dateOf(k) {
+			t.Errorf("Invalidate of %v dropped the date of %v", keys[0], k)
+		}
+	}
+	c.Invalidate(Key{0, 3}) // never dated, never cached
+	if st := c.Stats(); st.Dates != 2 {
+		t.Errorf("%d dates held, want 2", st.Dates)
+	}
+	c.Flush()
+	for _, k := range keys {
+		if _, ok := c.Date(k); ok {
+			t.Errorf("Flush kept the date of %v", k)
+		}
+	}
+	if st := c.Stats(); st.Dates != 0 {
+		t.Errorf("%d dates held after Flush", st.Dates)
+	}
+}
+
+// TestDateConcurrent runs Date, NoteDate, Put and Invalidate from several
+// goroutines (meant for -race) on a table small enough to be dropped all
+// the time: a date read is always the one noted for the block asked for.
+func TestDateConcurrent(t *testing.T) {
+	const workers, ops = 4, 10000
+	c := New(16) // one page of dates
+	var wrong atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < ops; i++ {
+				// Few slots on many pages: pages are added and the table
+				// dropped all the time, and each page is read at the slots
+				// that are noted.
+				k := Key{rng.Intn(2), rng.Intn(4)*datePageBlocks + rng.Intn(8)}
+				switch r := rng.Intn(10); {
+				case r < 4:
+					if ts, ok := c.Date(k); ok && ts != dateOf(k) {
+						wrong.Add(1)
+					}
+				case r < 7:
+					c.NoteDate(k, dateOf(k))
+				case r < 9:
+					c.Put(k, block(8, byte(i)))
+				default:
+					c.Invalidate(k)
+				}
+			}
+		}(int64(w + 1))
+	}
+	wg.Wait()
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d date reads returned another block's date", n)
+	}
+	if st := c.Stats(); st.Dates > 16*datesPerSlot {
+		t.Errorf("%d dates held, bound %d", st.Dates, 16*datesPerSlot)
+	}
+}

@@ -540,7 +540,7 @@ func (fol *followerState) readAt(shard, block, index int) (*core.Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: block %d not readable in the replicated sealed history: %w", block, err)
 	}
-	e, err := core.DecodeEntry(p, p.EffectiveTimestamps(), block, index, set.ReadBlock)
+	e, err := core.DecodeEntry(p, block, index, set.ReadBlock)
 	if err != nil {
 		return nil, err
 	}

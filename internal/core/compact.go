@@ -286,7 +286,9 @@ func (s *Service) collectLive(from, to int) ([]liveEntry, int, error) {
 			continue // damaged or invalidated: nothing live here
 		}
 		blockLive := false
+		eff := db.p.FirstTimestamp // record i's effective timestamp, carried along the scan
 		for i, r := range db.p.Records {
+			eff = db.p.EffectiveFrom(i, i-1, eff)
 			if r.Continued {
 				continue
 			}
@@ -319,7 +321,7 @@ func (s *Service) collectLive(from, to int) ([]liveEntry, int, error) {
 			out = append(out, liveEntry{
 				ids:    ids,
 				data:   append([]byte(nil), data...),
-				ts:     db.effs[i],
+				ts:     eff,
 				attr:   (r.AttrFlags & blockfmt.AttrForced) | blockfmt.AttrRelocated,
 				origin: origin,
 				seq:    seq,

@@ -479,3 +479,98 @@ func TestOpenTakesGeometryFromHeader(t *testing.T) {
 		t.Error("Open with a degree the header contradicts accepted")
 	}
 }
+
+// TestCursorEffectiveTimestamps: a cursor carries the last record's
+// effective timestamp from one decode to the next, forward, backward and
+// turning round, over blocks of mostly untimestamped entries of two
+// interleaved logs. Every entry it returns carries the timestamp ReadAt,
+// which derives it from the block alone, gives the same record.
+func TestCursorEffectiveTimestamps(t *testing.T) {
+	tc := &testClock{}
+	s, _ := newTestService(t, Options{BlockSize: 1024, Now: tc.Now})
+	defer s.Close()
+	mustCreate(t, s, "/p")
+	a := mustCreate(t, s, "/p/a")
+	b := mustCreate(t, s, "/p/b")
+	for i := 0; i < 600; i++ {
+		mustAppend(t, s, []uint16{a, b}[i%2], fmt.Sprintf("m%03d", i), AppendOptions{Timestamped: i%37 == 0})
+	}
+	check := func(path string, e *Entry) {
+		t.Helper()
+		want, err := s.ReadAt(e.Block, e.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Timestamp != want.Timestamp {
+			t.Fatalf("%s: entry %q at (%d,%d) has timestamp %d, ReadAt gives %d",
+				path, e.Data, e.Block, e.Index, e.Timestamp, want.Timestamp)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, path := range []string{"/p", "/p/a", "/p/b"} {
+		c, err := s.OpenCursor(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 2000; n++ {
+			step := c.Next
+			if rng.Intn(3) == 0 {
+				step = c.Prev
+			}
+			e, err := step()
+			if err == io.EOF {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(path, e)
+		}
+	}
+}
+
+// BenchmarkCursorScanMinimal scans a warm log of untimestamped entries in
+// the largest blocks, about 3,300 records each: every record's timestamp is
+// the footer's, so a cursor that walked back to a header for each entry
+// would cost O(records²) a block. It reports ns/op per entry.
+func BenchmarkCursorScanMinimal(b *testing.B) {
+	const blockSize = 16384
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 64})
+	s, err := New(dev, Options{BlockSize: blockSize, Degree: 4, Now: (&testClock{}).Now})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	id, err := s.CreateLog("/m", 0o644, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for s.End() < 8 {
+		if _, err := s.Append(id, []byte("m"), AppendOptions{}); err != nil && !IsDegraded(err) {
+			b.Fatal(err)
+		}
+	}
+	c, err := s.OpenCursor("/m")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for { // warm the cache
+		if _, err := c.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+	c.SeekStart()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := c.Next()
+		if err == io.EOF {
+			c.SeekStart()
+			_, err = c.Next()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

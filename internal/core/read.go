@@ -54,14 +54,19 @@ func (e *Entry) MemberOf(id uint16) bool {
 }
 
 // DecodeEntry returns the entry whose first fragment is record idx of global
-// block `block`. p is the block's decode, effs its per-record effective
-// timestamps ((*blockfmt.Parsed).EffectiveTimestamps) and fetch supplies the
-// following blocks if the entry is fragmented (see volume.Assemble). It is
+// block `block`. p is the block's decode and fetch supplies the following
+// blocks if the entry is fragmented (see volume.Assemble). It is
 // the one place a stored record becomes an Entry, for the service's cursors
 // and ReadAt and for a follower reading its replicated devices alike. An
 // unfragmented entry's Data is a subslice of the block image and nothing is
 // allocated. An entry whose chain cannot be completed is ErrLost.
-func DecodeEntry(p *blockfmt.Parsed, effs []int64, block, idx int, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
+func DecodeEntry(p *blockfmt.Parsed, block, idx int, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
+	return decodeEntry(p, block, idx, nil, fetch)
+}
+
+// decodeEntry is DecodeEntry taking the entry's timestamp from eff, which
+// may be nil.
+func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
 	if idx < 0 || idx >= len(p.Records) {
 		return Entry{}, fmt.Errorf("clio: no record %d in block %d", idx, block)
 	}
@@ -75,7 +80,7 @@ func DecodeEntry(p *blockfmt.Parsed, effs []int64, block, idx int, fetch func(gl
 	}
 	return Entry{
 		LogID:       r.LogID,
-		Timestamp:   effs[idx],
+		Timestamp:   eff.at(p, idx),
 		Timestamped: r.Form != blockfmt.FormMinimal,
 		Forced:      r.AttrFlags&blockfmt.AttrForced != 0,
 		Data:        data,
@@ -85,9 +90,35 @@ func DecodeEntry(p *blockfmt.Parsed, effs []int64, block, idx int, fetch func(gl
 	}, nil
 }
 
-// entryAt is DecodeEntry over the service's own read path.
-func (s *Service) entryAt(db *decodedBlock, block, idx int) (Entry, error) {
-	return DecodeEntry(db.p, db.effs, block, idx, s.chainBlock)
+// entryAt is DecodeEntry over the service's own read path. A cursor passes
+// its memo as eff; a one-off read passes nil.
+func (s *Service) entryAt(db *decodedBlock, block, idx int, eff *effMemo) (Entry, error) {
+	return decodeEntry(db.p, block, idx, eff, s.chainBlock)
+}
+
+// effMemo remembers the effective timestamp (§2.1) of the record a cursor
+// decoded last, so its next decode in the same block reads only the records
+// between the two (blockfmt's EffectiveFrom) instead of walking back to a
+// header each time: a scan of a block of untimestamped records stays linear.
+type effMemo struct {
+	p   *blockfmt.Parsed // the decode record idx is in; nil before the first
+	idx int
+	ts  int64
+}
+
+// at returns the effective timestamp of p's record idx and remembers it. A
+// nil memo remembers nothing.
+func (m *effMemo) at(p *blockfmt.Parsed, idx int) int64 {
+	if m == nil {
+		return p.EffectiveAt(idx)
+	}
+	if m.p == p {
+		m.ts = p.EffectiveFrom(idx, m.idx, m.ts)
+	} else {
+		m.p, m.ts = p, p.EffectiveAt(idx)
+	}
+	m.idx = idx
+	return m.ts
 }
 
 // Cursor iterates over the entries of a log file — in either direction, and
@@ -121,6 +152,7 @@ type Cursor struct {
 
 	block int // current block (gap position)
 	rec   int // next record index to consider within block
+	eff   effMemo
 
 	// redir, when non-nil, is the in-progress redirection of this cursor
 	// through a compacted volume's relocated copies: the volume's original
@@ -362,7 +394,7 @@ func (c *Cursor) next() (*Entry, error) {
 				// volume the cursor reads directly is never delivered twice.
 				continue
 			}
-			e, aerr := s.entryAt(db, c.block, i)
+			e, aerr := s.entryAt(db, c.block, i, &c.eff)
 			if aerr != nil {
 				continue // torn chain: skip the lost entry
 			}
@@ -407,7 +439,7 @@ func (c *Cursor) redirNext() (*Entry, error) {
 			if rec.Continued || !c.matchRecord(&rec) {
 				continue
 			}
-			e, aerr := c.s.entryAt(db, rd.rb, i)
+			e, aerr := c.s.entryAt(db, rd.rb, i, &c.eff)
 			if aerr != nil {
 				continue
 			}
@@ -529,7 +561,7 @@ func (c *Cursor) prev() (*Entry, error) {
 			if c.ids != nil && r.AttrFlags&blockfmt.AttrRelocated != 0 {
 				continue // copies are served only through redirection
 			}
-			e, aerr := s.entryAt(db, c.block, i)
+			e, aerr := s.entryAt(db, c.block, i, &c.eff)
 			if aerr != nil {
 				continue
 			}
@@ -572,7 +604,7 @@ func (c *Cursor) redirPrev() (*Entry, error) {
 			if rec.Continued || !c.matchRecord(&rec) {
 				continue
 			}
-			e, aerr := c.s.entryAt(db, rd.rb, i)
+			e, aerr := c.s.entryAt(db, rd.rb, i, &c.eff)
 			if aerr != nil {
 				continue
 			}
@@ -771,6 +803,6 @@ func (s *Service) ReadAtInto(block, index int, e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("%w: block %d unreadable: %v", ErrLost, block, err)
 	}
-	*e, err = s.entryAt(db, block, index)
+	*e, err = s.entryAt(db, block, index, nil)
 	return err
 }

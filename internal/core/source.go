@@ -154,20 +154,41 @@ func (ls *locatorSource) BlockContains(block int, ids []uint16) (bool, error) {
 	return false, nil
 }
 
-// BlockFirstTS implements entrymap.Source. A time search only dates the
-// blocks it probes, so the probe takes the footer timestamp off the raw
-// image and decodes nothing; a block is decoded by a reader that wants its
-// records. The footer is verified on every probe, as Parse would have: the
-// cache holds images, not verdicts on them. A tail block the writer has
-// started and not yet put an entry in has no first timestamp: it dates
-// nothing, like an unreadable block, and the search stays below it.
+// BlockFirstTS implements entrymap.Source. A sealed block is read for its
+// date only until the cache's date table holds it: the first probe takes
+// the footer timestamp off the raw image, verified as Parse would verify it
+// (size, magic, version, checksum), and notes it in the table, which keeps
+// it after the image is evicted; later probes read the table, charging
+// nothing and reading no image. That skips no check: the date came from a
+// verified image, and a block below the sealed end is device-durable and
+// never renumbered, so its date never changes. The staged tail and
+// pipelined seals are read every time and never noted — a slide renumbers
+// them. A probe decodes nothing; a block is decoded by a reader that wants
+// its records. A damaged block, or a tail the writer has started and not yet
+// put an entry in, has no first timestamp: it dates nothing and the search
+// stays below it.
 func (ls *locatorSource) BlockFirstTS(block int) (int64, bool, error) {
-	img, err := ls.svc().readBlock(block)
+	s := ls.svc()
+	key := cache.Key{Block: block}
+	bc := s.blockCache()
+	sealed := block < s.snap().sealedEnd // sampled before the read
+	if sealed {
+		if ts, ok := bc.Date(key); ok {
+			return ts, true, nil
+		}
+	}
+	img, err := s.readBlock(block)
 	if err != nil {
 		return 0, false, nil
 	}
 	ts, ok, err := blockfmt.FirstTimestamp(img)
-	return ts, ok && err == nil, nil
+	if !ok || err != nil {
+		return 0, false, nil
+	}
+	if sealed {
+		bc.NoteDate(key, ts)
+	}
+	return ts, true, nil
 }
 
 // BlockIDs implements entrymap.RecoverSource.
@@ -301,14 +322,13 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodedBlock is one block's interpreted form: its parse plus the derived
-// per-record effective timestamps. For device-durable (hence immutable)
-// blocks it is attached to the block's cache entry, so a warm read decodes
-// each block once and every Entry.Data handed out is a subslice of the
-// cache-owned image — the zero-copy read path.
+// decodedBlock is one block's interpreted form: its parse plus the views of
+// its entrymap entries. For device-durable (hence immutable) blocks it is
+// attached to the block's cache entry, so a warm read decodes each block
+// once and every Entry.Data handed out is a subslice of the cache-owned
+// image — the zero-copy read path.
 type decodedBlock struct {
 	p    *blockfmt.Parsed
-	effs []int64
 	emap []entrymapSlot // nil for all but the blocks entrymap entries land in
 }
 
@@ -361,7 +381,7 @@ func (s *Service) decodeBlock(global int) (*decodedBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &decodedBlock{p: p, effs: p.EffectiveTimestamps(), emap: entrymapSlots(p)}
+	db := &decodedBlock{p: p, emap: entrymapSlots(p)}
 	if global < s.snap().sealedEnd {
 		// Attach only for sealed, device-durable blocks: the staged tail and
 		// pipelined seals are re-put as they change, and Attach's identity
