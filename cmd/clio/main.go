@@ -314,8 +314,12 @@ func runGroupTail(ctx context.Context, cl *client.Client, grp, member, topic str
 		if err != nil {
 			fatal(err)
 		}
-		if err := c.Ack(ctx, m); err != nil {
+		err = c.Ack(ctx, m)
+		if errors.Is(err, group.ErrNotOwner) {
 			continue // partition moved between delivery and ack; the new owner redelivers
+		}
+		if err != nil {
+			fatal(err) // over quota, or the server is gone: unacked, so the group redelivers it
 		}
 		fmt.Printf("[p%d] ", m.Partition)
 		printEntry(m.Entry)

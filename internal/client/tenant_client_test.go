@@ -11,6 +11,7 @@ import (
 	"clio/internal/logapi"
 	"clio/internal/server"
 	"clio/internal/shard"
+	"clio/internal/stream/group"
 	"clio/internal/wire"
 	"clio/internal/wodev"
 )
@@ -175,5 +176,81 @@ func TestWatchAuthenticates(t *testing.T) {
 	}
 	if status == server.StatusOK {
 		t.Error("unauthenticated subscribe accepted on a multi-tenant server")
+	}
+}
+
+// joinTenantGroup lays down the tenant's one-partition topic /acme/events and
+// joins the tenant-scoped group acme.g as member. The TTL is long enough
+// that no heartbeat lands while a test runs.
+func joinTenantGroup(t *testing.T, cl *Client, member string) (*group.Consumer, logapi.ID) {
+	t.Helper()
+	if _, err := cl.CreateLog(bg, "/acme", 0o644, "t"); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := group.EnsureTopic(bg, cl, "/acme/events", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := group.Join(bg, cl, "acme.g", member, "/acme/events", 1, group.Options{TTL: time.Minute})
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	return c, ids[0]
+}
+
+// recvGroup receives one message from a consumer within five seconds.
+func recvGroup(t *testing.T, c *group.Consumer) *group.Msg {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
+	defer cancel()
+	m, err := c.Recv(ctx)
+	if err != nil {
+		t.Fatalf("Recv: %v", err)
+	}
+	return m
+}
+
+// TestClientTenantJoinsGroup: a tenant-bound client joins a consumer group
+// on a fresh tenanted server. Join creates the shared /.offsets root and the
+// tenant's group log under it; neither counts toward the tenant's logs (the
+// budget of two is exactly /acme and its one partition).
+func TestClientTenantJoinsGroup(t *testing.T) {
+	tenants := []server.Tenant{{Name: "acme", Token: "s3cret", MaxLogs: 2}}
+	cl, _ := tenantPair(t, tenants, "acme", "s3cret")
+	c, part := joinTenantGroup(t, cl, "m1")
+	defer c.Close()
+	if _, err := cl.Append(bg, part, []byte("job-1"), AppendOptions{Forced: true}); err != nil {
+		t.Fatal(err)
+	}
+	m := recvGroup(t, c)
+	if string(m.Data) != "job-1" {
+		t.Fatalf("delivered %q", m.Data)
+	}
+	if err := c.Ack(bg, m); err != nil {
+		t.Fatalf("ack: %v", err)
+	}
+}
+
+// TestClientTenantGroupRecordsChargeBytes: a group record is an ordinary
+// append, so it is charged to the tenant's byte budget like any other, and
+// the first ack past the budget is refused with the typed quota error.
+func TestClientTenantGroupRecordsChargeBytes(t *testing.T) {
+	// Each record carries the 1000-byte member name: join, claim and the
+	// first ack (about 3030 bytes with two messages) fit the budget, a
+	// second ack does not.
+	tenants := []server.Tenant{{Name: "acme", Token: "s3cret", MaxBytes: 3500}}
+	cl, _ := tenantPair(t, tenants, "acme", "s3cret")
+	c, part := joinTenantGroup(t, cl, strings.Repeat("m", 1000))
+	defer c.Close()
+	for _, data := range []string{"j1", "j2"} {
+		if _, err := cl.Append(bg, part, []byte(data), AppendOptions{Forced: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Ack(bg, recvGroup(t, c)); err != nil {
+		t.Fatalf("ack inside budget: %v", err)
+	}
+	if err := c.Ack(bg, recvGroup(t, c)); !IsQuota(err) {
+		t.Fatalf("ack over budget: %v, want QuotaError", err)
 	}
 }

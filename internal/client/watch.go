@@ -234,26 +234,3 @@ func (s *remoteSub) Close() error {
 	})
 	return nil
 }
-
-// GroupAck appends one acknowledgement or heartbeat record to a consumer
-// group's offsets log (OpStreamAck) and returns its server timestamp.
-func (c *Client) GroupAck(ctx context.Context, group string, rec wire.GroupRec) (int64, error) {
-	op := wire.StreamGroupOp{Group: group, Rec: rec}
-	_, r, err := c.call(ctx, wire.OpStreamAck, "streamack", true, op.Encode(nil))
-	if err != nil {
-		return 0, err
-	}
-	return r.Int64(), r.Err()
-}
-
-// GroupRebalance appends one membership record — join, leave, claim or
-// release — to a consumer group's offsets log (OpStreamRebalance) and
-// returns its server timestamp.
-func (c *Client) GroupRebalance(ctx context.Context, group string, rec wire.GroupRec) (int64, error) {
-	op := wire.StreamGroupOp{Group: group, Rec: rec}
-	_, r, err := c.call(ctx, wire.OpStreamRebalance, "streamrebalance", true, op.Encode(nil))
-	if err != nil {
-		return 0, err
-	}
-	return r.Int64(), r.Err()
-}

@@ -11,7 +11,6 @@ import (
 	"clio/internal/logapi"
 	"clio/internal/server"
 	"clio/internal/shard"
-	"clio/internal/wire"
 	"clio/internal/wodev"
 )
 
@@ -218,43 +217,5 @@ func TestWatchResumeFromPosition(t *testing.T) {
 		if want := fmt.Sprintf("e%d", i); string(got.Data) != want {
 			t.Fatalf("resumed: %q, want %q", got.Data, want)
 		}
-	}
-}
-
-// TestGroupOpsOverWire exercises OpStreamAck/OpStreamRebalance: records land
-// in the group's offsets log, readable (and watchable) like any log file.
-func TestGroupOpsOverWire(t *testing.T) {
-	cl, _ := watchPair(t, 2)
-	ts1, err := cl.GroupRebalance(bg, "workers", wire.GroupRec{Kind: wire.GroupJoin, Member: "c1"})
-	if err != nil || ts1 == 0 {
-		t.Fatalf("join: %d, %v", ts1, err)
-	}
-	ts2, err := cl.GroupAck(bg, "workers", wire.GroupRec{
-		Kind: wire.GroupAck, Member: "c1", Partition: 1, Shard: 1, Block: 3, Rec: 2, Count: 17,
-	})
-	if err != nil || ts2 <= ts1 {
-		t.Fatalf("ack: %d, %v", ts2, err)
-	}
-	// Kind/op mismatches are refused.
-	if _, err := cl.GroupAck(bg, "workers", wire.GroupRec{Kind: wire.GroupJoin, Member: "c1"}); err == nil {
-		t.Fatal("join accepted through the ack op")
-	}
-	if _, err := cl.GroupRebalance(bg, "workers", wire.GroupRec{Kind: wire.GroupAck, Member: "c1"}); err == nil {
-		t.Fatal("ack accepted through the rebalance op")
-	}
-
-	// The trail reads back in order through an ordinary watch.
-	sub, err := cl.Watch(bg, server.OffsetsRoot+"/workers", logapi.WatchOptions{FromStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	r1, err := wire.DecodeGroupRec(recvSub(t, sub).Data)
-	if err != nil || r1.Kind != wire.GroupJoin || r1.Member != "c1" {
-		t.Fatalf("record 1: %+v, %v", r1, err)
-	}
-	r2, err := wire.DecodeGroupRec(recvSub(t, sub).Data)
-	if err != nil || r2.Kind != wire.GroupAck || r2.Count != 17 {
-		t.Fatalf("record 2: %+v, %v", r2, err)
 	}
 }

@@ -35,7 +35,9 @@ import (
 type Tenant struct {
 	// Name is the tenant's namespace: the top-level path segment its log
 	// files live under. It must be a valid path segment (no "/", not
-	// empty, no leading dot — dotted roots are reserved system sublogs).
+	// empty) with no dot: dotted roots are reserved system sublogs, and a
+	// consumer group "<name>.<group>" belongs to the tenant before its
+	// first dot.
 	Name string
 	// Token is the shared secret presented in the session handshake.
 	Token string
@@ -390,6 +392,8 @@ func (c *Config) Validate() error {
 			return bad("tenant name %q is not a path segment", name)
 		case strings.HasPrefix(name, "."):
 			return bad("tenant name %q collides with reserved system sublogs", name)
+		case strings.Contains(name, "."):
+			return bad("tenant name %q contains \".\", which separates a consumer group's tenant from its name", name)
 		case t.Token == "":
 			return bad("tenant %s has no token", name)
 		case t.MaxLogs < 0 || t.MaxBytes < 0 || t.MaxSessions < 0:

@@ -149,6 +149,7 @@ func TestValidateRejections(t *testing.T) {
 			return c.Set("tenant.acme.max-bytes", "-1")
 		}, "negative quota"},
 		{"dotted tenant name", func(c *Config) error { return c.Set("tenant..offsets.token", "s") }, "reserved"},
+		{"tenant name with an inner dot", func(c *Config) error { return c.Set("tenant.acme.b.token", "s") }, "consumer group"},
 	}
 	for _, tc := range cases {
 		c := base()

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	"clio/internal/core"
@@ -163,10 +162,6 @@ func dispatchSeeds(path string, id logapi.ID) map[byte][]byte {
 		}
 		return p
 	}
-	group := func(kind byte) []byte {
-		name := strings.TrimPrefix(path, "/") + ".g"
-		return (&wire.StreamGroupOp{Group: name, Rec: wire.GroupRec{Kind: kind, Member: "m"}}).Encode(nil)
-	}
 	seeds := map[byte][]byte{
 		OpCreate:      PutString(wire.PutUint16(PutString(nil, path+"/sub"), 0o644), "t"),
 		OpResolve:     PutString(nil, path),
@@ -190,8 +185,6 @@ func dispatchSeeds(path string, id logapi.ID) map[byte][]byte {
 		wire.OpStreamSubscribe:   (&wire.StreamSubscribe{Path: path}).Encode(nil),
 		wire.OpStreamCredit:      (&wire.StreamCredit{SubID: 1, Credit: 1}).Encode(nil),
 		wire.OpStreamUnsubscribe: (&wire.StreamUnsubscribe{SubID: 1}).Encode(nil),
-		wire.OpStreamAck:         group(wire.GroupAck),
-		wire.OpStreamRebalance:   group(wire.GroupJoin),
 	}
 	for op, row := range opTable {
 		if _, ok := seeds[byte(op)]; row.name != "" && !ok {
@@ -215,6 +208,10 @@ func FuzzDispatch(f *testing.F) {
 			f.Add(byte(op), payload)
 		}
 	}
+	// A consumer group's path: the shared offsets root, and the bound
+	// tenant's group log under it.
+	f.Add(byte(OpCreate), createPayload(logapi.OffsetsRoot))
+	f.Add(byte(OpCreate), createPayload(logapi.OffsetsRoot+"/l.g"))
 	// An append whose declared length overflows int64, and one past the payload.
 	f.Add(byte(OpAppend), append(wire.PutUvarint(nil, uint64(id)), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
 	f.Add(byte(OpAppend), append(wire.PutUvarint(nil, uint64(id)), 0, 200, 'x'))

@@ -40,8 +40,7 @@ type opInfo struct {
 	// unsequenced: they move the cursor, so a replay must hit the window.
 	unsequenced bool
 	// connScoped ops belong to the connection's stream registry, not to
-	// dispatch. The group ops (OpStreamAck, OpStreamRebalance) are ordinary
-	// sequenced mutations instead.
+	// dispatch.
 	connScoped bool
 	// preAuth ops are answered on a multi-tenant server before the
 	// connection has authenticated.
@@ -90,8 +89,6 @@ var opTable = [256]opInfo{
 	wire.OpStreamCredit:      {name: "stream_credit", connScoped: true},
 	wire.OpStreamUnsubscribe: {name: "stream_unsubscribe", connScoped: true},
 	wire.OpStreamEnd:         {name: "stream_end"},
-	wire.OpStreamAck:         {name: "stream_ack", mutating: true}, // scoped by group name (streamGroupOp)
-	wire.OpStreamRebalance:   {name: "stream_rebalance", mutating: true},
 }
 
 func opName(op byte) string {

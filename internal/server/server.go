@@ -50,8 +50,6 @@ type Server struct {
 	// open cursors and the dedup window, survives for reconnect). 0 uses
 	// DefaultIdleTimeout; negative disables the deadline.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write; 0 disables.
-	WriteTimeout time.Duration
 	// Tracer, when set, records a trace for every request: a span for the
 	// dispatch itself plus whatever spans core adds underneath (group
 	// commit, device write, NVRAM store). The trace ID comes from the
@@ -450,9 +448,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 	write := func(seq, trace uint64, rep reply) bool {
 		wmu.Lock()
 		defer wmu.Unlock()
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
 		if err := WriteFrameChunks(conn, rep.status, seq, trace, rep.head, rep.body); err != nil {
 			s.logf("clio server: write: %v", err)
 			return false
@@ -972,9 +967,6 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) reply {
 		out = wire.PutUint64(out, uint64(st.ClientBytes))
 		out = wire.PutUint64(out, uint64(store.End()))
 		return okReply(out)
-
-	case wire.OpStreamAck, wire.OpStreamRebalance:
-		return h.streamGroupOp(tr, op, payload)
 
 	default:
 		if ext := h.srv.ExtOp; ext != nil {

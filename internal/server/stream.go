@@ -3,13 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"clio/internal/core"
 	"clio/internal/logapi"
-	"clio/internal/obs"
 	"clio/internal/wire"
 )
 
@@ -19,10 +16,6 @@ const DefaultStreamCredit = 256
 
 // maxStreamBuffer caps the server-side delivery buffer a client may request.
 const maxStreamBuffer = 1 << 14
-
-// OffsetsRoot is the reserved sublog holding consumer-group state: the
-// group log for group g is OffsetsRoot + "/" + g (see logapi.OffsetsRoot).
-const OffsetsRoot = logapi.OffsetsRoot
 
 // connStreams is one connection's subscription registry. Subscriptions are
 // connection-domain (like cursors are session-domain): tearing down the
@@ -281,65 +274,4 @@ func (cs *connStreams) closeAll() {
 		c.cancel()
 		c.sub.Close()
 	}
-}
-
-// groupLog resolves — creating on first use — the offsets log for a group.
-func (s *Server) groupLog(ctx context.Context, group string) (logapi.ID, error) {
-	if group == "" || strings.ContainsAny(group, "/\x00") {
-		return 0, fmt.Errorf("server: bad group name %q", group)
-	}
-	path := OffsetsRoot + "/" + group
-	if id, err := s.store.Resolve(ctx, path); err == nil {
-		return id, nil
-	}
-	// Racing creators are fine: the loser's CreateLog fails and the
-	// re-resolve finds the winner's log.
-	s.store.CreateLog(ctx, OffsetsRoot, 0o600, "system")
-	if id, err := s.store.CreateLog(ctx, path, 0o600, "system"); err == nil {
-		return id, nil
-	}
-	return s.store.Resolve(ctx, path)
-}
-
-// streamGroupOp executes OpStreamAck / OpStreamRebalance: append one group
-// record to the group's offsets log, forced (an ack must not be lost with
-// the tail) and timestamped (the record order is the audit order).
-func (h *connHandler) streamGroupOp(tr *obs.Trace, op byte, payload []byte) reply {
-	gop, err := wire.DecodeStreamGroupOp(payload)
-	if err != nil {
-		return errReply(err)
-	}
-	// Tenant sessions must scope their groups "<tenant>.<group>": the
-	// group's offsets log lives in the shared /.offsets namespace, and the
-	// prefix is what allowsPath admits there.
-	if h.srv.tenanted() {
-		if h.tenant == nil {
-			return errReply(fmt.Errorf("server: authentication required"))
-		}
-		if err := h.tenant.allowsGroup(gop.Group); err != nil {
-			return errReply(err)
-		}
-	}
-	switch op {
-	case wire.OpStreamAck:
-		if gop.Rec.Kind != wire.GroupAck && gop.Rec.Kind != wire.GroupHeartbeat {
-			return errReply(fmt.Errorf("server: kind %d is not an ack record", gop.Rec.Kind))
-		}
-	case wire.OpStreamRebalance:
-		switch gop.Rec.Kind {
-		case wire.GroupJoin, wire.GroupLeave, wire.GroupClaim, wire.GroupRelease:
-		default:
-			return errReply(fmt.Errorf("server: kind %d is not a rebalance record", gop.Rec.Kind))
-		}
-	}
-	ctx := context.Background()
-	id, err := h.srv.groupLog(ctx, gop.Group)
-	if err != nil {
-		return errReply(err)
-	}
-	return appendReply(h.srv.store.Append(ctx, id, gop.Rec.Encode(nil), core.AppendOptions{
-		Timestamped: true,
-		Forced:      true,
-		Trace:       tr,
-	}))
 }

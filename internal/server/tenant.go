@@ -206,13 +206,15 @@ func countLogs(st *shard.Store, path string) int64 {
 }
 
 // offsetsSegment is the root segment of logapi.OffsetsRoot ("/.offsets").
-var offsetsSegment = strings.TrimPrefix(OffsetsRoot, "/")
+var offsetsSegment = strings.TrimPrefix(logapi.OffsetsRoot, "/")
 
 // allowsPath checks a path against the tenant's namespace: the tenant's own
-// root segment, or its consumer-group state — offsets logs under
-// /.offsets whose group name carries the "<tenant>." prefix. Group state
-// lives in a shared system namespace (group logs must hash by group, not by
-// tenant), so the prefix is the isolation boundary there.
+// root segment, or its consumer-group state — the offsets log
+// /.offsets/<group> of a group whose name, up to its first ".", is the
+// tenant's name. Group state lives in a shared system namespace (group logs
+// must hash by group, not by tenant), so the group name's first component
+// is the isolation boundary there; tenant names carry no ".", so every
+// group has at most one owner.
 func (ts *tenantState) allowsPath(path string) error {
 	seg, err := shard.RootSegment(path)
 	if err != nil {
@@ -222,24 +224,12 @@ func (ts *tenantState) allowsPath(path string) error {
 		return nil
 	}
 	if seg == offsetsSegment {
-		rest := strings.TrimPrefix(strings.TrimPrefix(path, OffsetsRoot), "/")
-		if strings.HasPrefix(rest, ts.name+".") {
+		group, _, _ := strings.Cut(strings.TrimPrefix(path, logapi.OffsetsRoot+"/"), "/")
+		if owner, _, ok := strings.Cut(group, "."); ok && owner == ts.name {
 			return nil
 		}
 	}
 	return fmt.Errorf("server: path %q outside tenant %s namespace", path, ts.name)
-}
-
-// allowsGroup checks a consumer-group name: tenant sessions must scope their
-// groups as "<tenant>.<group>", which keeps every group's offsets log —
-// /.offsets/<tenant>.<group> — reachable by the same session under
-// allowsPath.
-func (ts *tenantState) allowsGroup(group string) error {
-	if strings.HasPrefix(group, ts.name+".") {
-		return nil
-	}
-	return fmt.Errorf("server: group %q outside tenant %s namespace (use %q)",
-		group, ts.name, ts.name+"."+group)
 }
 
 // tenantGate enforces namespace and quota policy for one request before it
@@ -272,6 +262,11 @@ func (h *connHandler) tenantGate(op byte, payload []byte) (ts *tenantState, rese
 		path := r.String()
 		if r.Err() != nil {
 			return ts, 0, r.Err()
+		}
+		if op == OpCreate && path == logapi.OffsetsRoot {
+			// The shared root of every group log: any tenant may create
+			// it, and it counts toward no tenant's logs.
+			return ts, 0, nil
 		}
 		if err := ts.allowsPath(path); err != nil {
 			return ts, 0, err

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"clio/internal/logapi"
 	"clio/internal/obs"
 	"clio/internal/wire"
 )
@@ -357,31 +359,68 @@ func TestTenantSeedCountsExistingLogs(t *testing.T) {
 	}
 }
 
+// TestTenantGroupScoping: a group record is an ordinary append to the
+// group's offsets log, so the ordinary gate scopes it. A tenant may create
+// the shared /.offsets root and, under it, the offsets logs of its own
+// groups ("<tenant>.<group>") — none of which spend a log slot — but may
+// neither create nor append to another group's log.
 func TestTenantGroupScoping(t *testing.T) {
 	srv, _ := testServer(t)
 	srv.SetTenants(testTenants())
 	conn := dialTenant(t, srv, "acme", "acme-secret")
 
-	// Group names must carry the tenant prefix; the offsets log the ack
-	// lands in is then reachable by the same session.
-	rec := wire.GroupRec{Kind: wire.GroupAck, Member: "m1"}
-	op := wire.StreamGroupOp{Group: "plain", Rec: rec}
-	status, resp := roundTrip(t, conn, wire.OpStreamAck, op.Encode(nil))
+	mustOK(t, conn, OpCreate, createPayload(logapi.OffsetsRoot))
+	status, resp := roundTrip(t, conn, OpCreate, createPayload(logapi.OffsetsRoot+"/plain"))
 	if status != StatusErr {
-		t.Fatalf("unscoped group ack: status %d", status)
+		t.Fatalf("unscoped group log create: status %d", status)
 	}
-	if msg, _ := NewDecoder(resp).String(); !strings.Contains(msg, `use "acme.plain"`) {
-		t.Errorf("unscoped group error = %q", msg)
+	if msg, _ := NewDecoder(resp).String(); !strings.Contains(msg, "outside tenant acme namespace") {
+		t.Errorf("unscoped group log error = %q", msg)
 	}
-	op.Group = "acme.plain"
-	if status, _ := roundTrip(t, conn, wire.OpStreamAck, op.Encode(nil)); status != StatusOK {
-		t.Error("scoped group ack refused")
+	own := newReader(mustOK(t, conn, OpCreate, createPayload(logapi.OffsetsRoot+"/acme.plain"))).Uvarint()
+	mustOK(t, conn, OpAppend, appendPayload(own, "rec"))
+	if n := (*srv.tenants.Load())["acme"].logs.Load(); n != 0 {
+		t.Errorf("group logs counted toward the tenant's logs: %d", n)
 	}
-	if status, _ := roundTrip(t, conn, OpCursorOpen, PutString(nil, OffsetsRoot+"/acme.plain")); status != StatusOK {
+
+	plain, err := srv.store.CreateLog(context.Background(), logapi.OffsetsRoot+"/plain", 0o600, "system")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := roundTrip(t, conn, OpAppend, appendPayload(uint64(plain), "rec")); status != StatusErr {
+		t.Errorf("append to an unscoped group log: status %d", status)
+	}
+	if status, _ := roundTrip(t, conn, OpCursorOpen, PutString(nil, logapi.OffsetsRoot+"/acme.plain")); status != StatusOK {
 		t.Error("tenant cannot read its own offsets log")
 	}
-	if status, _ := roundTrip(t, conn, OpCursorOpen, PutString(nil, OffsetsRoot+"/beta.g")); status != StatusErr {
+	if status, _ := roundTrip(t, conn, OpCursorOpen, PutString(nil, logapi.OffsetsRoot+"/beta.g")); status != StatusErr {
 		t.Error("tenant can read another tenant's offsets log")
+	}
+}
+
+// TestTenantGroupHasOneOwner: a group log belongs to the tenant named by the
+// group's first "."-separated component, so /.offsets/acme.b.jobs is acme's
+// group "b.jobs" and nothing of a tenant "acme.b" (which config refuses to
+// declare, but SetTenants takes as given).
+func TestTenantGroupHasOneOwner(t *testing.T) {
+	srv, _ := testServer(t)
+	srv.SetTenants([]Tenant{{Name: "acme", Token: "a"}, {Name: "acme.b", Token: "b"}})
+	acme := dialTenant(t, srv, "acme", "a")
+	dotted := dialTenant(t, srv, "acme.b", "b")
+
+	path := logapi.OffsetsRoot + "/acme.b.jobs"
+	ctx := context.Background()
+	srv.store.CreateLog(ctx, logapi.OffsetsRoot, 0o600, "system")
+	id, err := srv.store.CreateLog(ctx, path, 0o600, "system")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustOK(t, acme, OpAppend, appendPayload(uint64(id), "rec"))
+	if status, _ := roundTrip(t, dotted, OpAppend, appendPayload(uint64(id), "rec")); status != StatusErr {
+		t.Errorf("second tenant appended to the group log: status %d", status)
+	}
+	if status, _ := roundTrip(t, dotted, OpCursorOpen, PutString(nil, path)); status != StatusErr {
+		t.Errorf("second tenant opened the group log: status %d", status)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"clio/internal/logapi"
-	"clio/internal/wire"
 )
 
 // PartitionReport summarizes one partition's acknowledgement trail.
@@ -88,7 +87,7 @@ func Audit(ctx context.Context, svc logapi.Service, group string) (*Report, erro
 		if err != nil {
 			return r, err
 		}
-		rec, err := wire.DecodeGroupRec(e.Data)
+		rec, err := DecodeGroupRec(e.Data)
 		if err != nil {
 			return r, fmt.Errorf("group: offsets record %d is not a group record: %w", r.Records, err)
 		}
@@ -97,30 +96,30 @@ func Audit(ctx context.Context, svc logapi.Service, group string) (*Report, erro
 		p := int(rec.Partition)
 		pos := logPos{block: e.Block, rec: e.Index + 1}
 		switch rec.Kind {
-		case wire.GroupJoin, wire.GroupHeartbeat:
+		case GroupJoin, GroupHeartbeat:
 			// liveness only; no trail state
-		case wire.GroupLeave:
+		case GroupLeave:
 			for q, o := range owner {
 				if o == rec.Member {
 					delete(owner, q)
 					epoch[q] = pos
 				}
 			}
-		case wire.GroupClaim:
+		case GroupClaim:
 			if cite := (logPos{block: int(rec.Block), rec: int(rec.Rec)}); cite != epoch[p] {
 				r.Void++ // lost the claim race; its appender never delivered
 				continue
 			}
 			owner[p] = rec.Member
 			epoch[p] = pos
-		case wire.GroupRelease:
+		case GroupRelease:
 			if owner[p] != rec.Member {
 				r.Void++
 				continue
 			}
 			delete(owner, p)
 			epoch[p] = pos
-		case wire.GroupAck:
+		case GroupAck:
 			pr := r.Partitions[p]
 			if pr == nil {
 				pr = &PartitionReport{}

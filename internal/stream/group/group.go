@@ -44,7 +44,6 @@ import (
 
 	"clio/internal/logapi"
 	"clio/internal/stream"
-	"clio/internal/wire"
 )
 
 // DefaultTTL is the liveness lease: a member unheard from (join or
@@ -106,15 +105,6 @@ func EnsureTopic(ctx context.Context, svc logapi.Service, topic string, partitio
 	return ids, nil
 }
 
-// wireGroup is the optional fast path a network client provides: the server
-// validates and appends group records itself (OpStreamAck /
-// OpStreamRebalance). Services without it get plain appends to the group
-// log.
-type wireGroup interface {
-	GroupAck(ctx context.Context, group string, rec wire.GroupRec) (int64, error)
-	GroupRebalance(ctx context.Context, group string, rec wire.GroupRec) (int64, error)
-}
-
 // Options tunes a consumer; the zero value uses the defaults.
 type Options struct {
 	// TTL is the liveness lease (DefaultTTL when zero); heartbeats are
@@ -170,7 +160,7 @@ type pump struct {
 // drive it; Close leaves gracefully, Kill simulates a crash.
 type Consumer struct {
 	svc        logapi.StreamService
-	group, me  string
+	me         string
 	topic      string
 	partitions int
 	opt        Options
@@ -226,7 +216,6 @@ func Join(ctx context.Context, svc logapi.StreamService, grp, member, topic stri
 	rctx, cancel := context.WithCancel(context.Background())
 	c := &Consumer{
 		svc:        svc,
-		group:      grp,
 		me:         member,
 		topic:      topic,
 		partitions: partitions,
@@ -254,7 +243,7 @@ func Join(ctx context.Context, svc logapi.StreamService, grp, member, topic stri
 		cancel()
 		return nil, err
 	}
-	if err := c.append(ctx, wire.GroupRec{Kind: wire.GroupJoin, Member: member}); err != nil {
+	if err := c.append(ctx, GroupRec{Kind: GroupJoin, Member: member}); err != nil {
 		sub.Close()
 		cancel()
 		return nil, err
@@ -269,16 +258,7 @@ func Join(ctx context.Context, svc logapi.StreamService, grp, member, topic stri
 // append writes one group record to the offsets log, forced (an ack must
 // not be lost with the tail) and timestamped (record order is audit order,
 // and the timestamps are the group's liveness clock).
-func (c *Consumer) append(ctx context.Context, rec wire.GroupRec) error {
-	if gw, ok := c.svc.(wireGroup); ok {
-		var err error
-		if rec.Kind == wire.GroupAck || rec.Kind == wire.GroupHeartbeat {
-			_, err = gw.GroupAck(ctx, c.group, rec)
-		} else {
-			_, err = gw.GroupRebalance(ctx, c.group, rec)
-		}
-		return err
-	}
+func (c *Consumer) append(ctx context.Context, rec GroupRec) error {
 	_, err := c.svc.Append(ctx, c.logID, rec.Encode(nil),
 		logapi.AppendOptions{Forced: true, Timestamped: true})
 	return err
@@ -297,7 +277,7 @@ func (c *Consumer) watchOffsets(sub logapi.Subscription) {
 			}
 			return
 		}
-		rec, err := wire.DecodeGroupRec(e.Data)
+		rec, err := DecodeGroupRec(e.Data)
 		if err != nil {
 			continue // not a group record; ignore
 		}
@@ -313,7 +293,7 @@ func (c *Consumer) watchOffsets(sub logapi.Subscription) {
 // otherwise). The fold is a pure function of the log prefix: claim
 // validity, ownership and liveness never consult local time, so every
 // member — and the offline audit — agrees record by record.
-func (c *Consumer) apply(e *logapi.Entry, rec *wire.GroupRec) int {
+func (c *Consumer) apply(e *logapi.Entry, rec *GroupRec) int {
 	confirmed := -1
 	p := int(rec.Partition)
 	pos := logPos{block: e.Block, rec: e.Index + 1}
@@ -323,11 +303,11 @@ func (c *Consumer) apply(e *logapi.Entry, rec *wire.GroupRec) int {
 		c.lastTS = e.Timestamp
 	}
 	switch rec.Kind {
-	case wire.GroupJoin, wire.GroupHeartbeat:
+	case GroupJoin, GroupHeartbeat:
 		if e.Timestamp > c.members[rec.Member] {
 			c.members[rec.Member] = e.Timestamp
 		}
-	case wire.GroupLeave:
+	case GroupLeave:
 		delete(c.members, rec.Member)
 		for q, o := range c.owner {
 			if o == rec.Member {
@@ -335,7 +315,7 @@ func (c *Consumer) apply(e *logapi.Entry, rec *wire.GroupRec) int {
 				c.epoch[q] = pos
 			}
 		}
-	case wire.GroupClaim:
+	case GroupClaim:
 		cite := logPos{block: int(rec.Block), rec: int(rec.Rec)}
 		if valid := cite == c.epoch[p]; valid {
 			if c.owner[p] == c.me && rec.Member != c.me {
@@ -353,12 +333,12 @@ func (c *Consumer) apply(e *logapi.Entry, rec *wire.GroupRec) int {
 		if rec.Member == c.me {
 			delete(c.pending, p) // echoed — valid or void, it is resolved
 		}
-	case wire.GroupRelease:
+	case GroupRelease:
 		if c.owner[p] == rec.Member {
 			delete(c.owner, p)
 			c.epoch[p] = pos
 		}
-	case wire.GroupAck:
+	case GroupAck:
 		if c.owner[p] != rec.Member {
 			break // void: landed after the member lost the partition
 		}
@@ -380,7 +360,7 @@ func (c *Consumer) manage() {
 	for {
 		select {
 		case <-t.C:
-			c.append(c.ctx, wire.GroupRec{Kind: wire.GroupHeartbeat, Member: c.me})
+			c.append(c.ctx, GroupRec{Kind: GroupHeartbeat, Member: c.me})
 			c.retarget()
 		case <-c.quit:
 			c.leave()
@@ -477,15 +457,15 @@ func (c *Consumer) retarget() {
 			d.wg.Wait()
 		}
 		if d.release {
-			c.append(c.ctx, wire.GroupRec{Kind: wire.GroupRelease, Member: c.me, Partition: uint32(d.p)})
+			c.append(c.ctx, GroupRec{Kind: GroupRelease, Member: c.me, Partition: uint32(d.p)})
 		}
 	}
 	for i, p := range take {
 		// The claim cites the last ownership event we observed. If another
 		// claim citing the same event lands first, ours is void when it
 		// echoes and we never start delivering.
-		err := c.append(c.ctx, wire.GroupRec{
-			Kind: wire.GroupClaim, Member: c.me, Partition: uint32(p),
+		err := c.append(c.ctx, GroupRec{
+			Kind: GroupClaim, Member: c.me, Partition: uint32(p),
 			Block: uint64(cites[i].block), Rec: uint64(cites[i].rec),
 		})
 		if err != nil {
@@ -598,8 +578,8 @@ func (c *Consumer) Ack(ctx context.Context, m *Msg) error {
 	wg.Add(1)
 	c.mu.Unlock()
 	defer wg.Done()
-	err := c.append(ctx, wire.GroupRec{
-		Kind:      wire.GroupAck,
+	err := c.append(ctx, GroupRec{
+		Kind:      GroupAck,
 		Member:    c.me,
 		Partition: uint32(m.Partition),
 		Shard:     uint32(m.Entry.Shard),
@@ -679,11 +659,11 @@ func (c *Consumer) leave() {
 		if wgs[p] != nil {
 			wgs[p].Wait()
 		}
-		c.append(ctx, wire.GroupRec{Kind: wire.GroupRelease, Member: c.me, Partition: uint32(p)})
+		c.append(ctx, GroupRec{Kind: GroupRelease, Member: c.me, Partition: uint32(p)})
 	}
 	// The leave record clears any partition still owned — including one
 	// whose claim is in flight and will land before it in the log.
-	c.append(ctx, wire.GroupRec{Kind: wire.GroupLeave, Member: c.me})
+	c.append(ctx, GroupRec{Kind: GroupLeave, Member: c.me})
 	c.cancel()
 }
 

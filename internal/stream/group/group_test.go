@@ -13,7 +13,6 @@ import (
 	"clio/internal/logapi"
 	"clio/internal/server"
 	"clio/internal/shard"
-	"clio/internal/wire"
 	"clio/internal/wodev"
 )
 
@@ -162,15 +161,15 @@ func dumpTrail(t *testing.T, svc logapi.Service, group string) {
 		return
 	}
 	defer cur.Close()
-	kinds := map[byte]string{wire.GroupJoin: "join", wire.GroupLeave: "leave", wire.GroupHeartbeat: "heartbeat",
-		wire.GroupAck: "ack", wire.GroupClaim: "claim", wire.GroupRelease: "release"}
+	kinds := map[byte]string{GroupJoin: "join", GroupLeave: "leave", GroupHeartbeat: "heartbeat",
+		GroupAck: "ack", GroupClaim: "claim", GroupRelease: "release"}
 	var t0 int64
 	for i := 0; ; i++ {
 		e, err := cur.Next(bg)
 		if err != nil {
 			return
 		}
-		rec, err := wire.DecodeGroupRec(e.Data)
+		rec, err := DecodeGroupRec(e.Data)
 		if err != nil {
 			continue
 		}
@@ -178,13 +177,13 @@ func dumpTrail(t *testing.T, svc logapi.Service, group string) {
 			t0 = e.Timestamp
 		}
 		switch rec.Kind {
-		case wire.GroupAck:
+		case GroupAck:
 			t.Logf("%4d +%6dus %-9s %-3s p%d count=%d pos=%d/%d.%d",
 				i, (e.Timestamp-t0)/1000, kinds[rec.Kind], rec.Member, rec.Partition, rec.Count, rec.Shard, rec.Block, rec.Rec)
-		case wire.GroupClaim:
+		case GroupClaim:
 			t.Logf("%4d +%6dus %-9s %-3s p%d cite=%d.%d",
 				i, (e.Timestamp-t0)/1000, kinds[rec.Kind], rec.Member, rec.Partition, rec.Block, rec.Rec)
-		case wire.GroupRelease:
+		case GroupRelease:
 			t.Logf("%4d +%6dus %-9s %-3s p%d", i, (e.Timestamp-t0)/1000, kinds[rec.Kind], rec.Member, rec.Partition)
 		default:
 			t.Logf("%4d +%6dus %-9s %-3s", i, (e.Timestamp-t0)/1000, kinds[rec.Kind], rec.Member)

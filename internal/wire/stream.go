@@ -37,16 +37,6 @@ const (
 	// backing service closed, the log was lost, or the server is shutting
 	// down. Payload: StreamEnd.
 	OpStreamEnd = 0x64
-	// OpStreamAck appends one consumer-group acknowledgement record to the
-	// group's offsets log (client → server). Payload: StreamGroupOp whose
-	// record kind is GroupAck or GroupHeartbeat. The response carries the
-	// record's server timestamp (u64).
-	OpStreamAck = 0x65
-	// OpStreamRebalance appends one consumer-group membership record —
-	// join, leave, claim or release — to the group's offsets log (client →
-	// server). Payload: StreamGroupOp. The response carries the record's
-	// server timestamp (u64).
-	OpStreamRebalance = 0x66
 )
 
 // ErrStreamPayload is wrapped by every streaming payload decode failure.
@@ -113,57 +103,6 @@ type StreamUnsubscribe struct {
 type StreamEnd struct {
 	SubID uint32
 	Msg   string
-}
-
-// Consumer-group record kinds (GroupRec.Kind). The records are appended to
-// the group's offsets log — an ordinary log file under the reserved
-// /.offsets system sublog — so group state recovers exactly like any other
-// log data and the ack trail is auditable after the fact.
-const (
-	// GroupJoin announces a member; assignment is recomputed over the new
-	// live set.
-	GroupJoin = 1
-	// GroupLeave retires a member (graceful shutdown).
-	GroupLeave = 2
-	// GroupHeartbeat refreshes a member's liveness lease.
-	GroupHeartbeat = 3
-	// GroupAck acknowledges delivery through a position: Partition consumed
-	// up to the gap position (Shard, Block, Rec), Count entries so far.
-	GroupAck = 4
-	// GroupClaim records that Member took ownership of Partition. Block/Rec
-	// carry the claim's fencing citation: the group-log gap position of the
-	// last ownership event the claimer observed for the partition. The
-	// claim is valid only if the citation still matches when the claim
-	// lands — racing claims cite the same event, the log orders them, the
-	// first is valid and the rest are void.
-	GroupClaim = 5
-	// GroupRelease records that Member gave up Partition (handoff).
-	GroupRelease = 6
-)
-
-// GroupRec is one consumer-group record. The same encoding is both the
-// offsets-log record body and the OpStreamAck/OpStreamRebalance wire
-// payload's record part.
-type GroupRec struct {
-	Kind   byte
-	Member string
-	// Partition is the partition ordinal the record concerns (acks, claims,
-	// releases); unused for membership records.
-	Partition uint32
-	// Shard, Block, Rec are the acknowledged gap position (GroupAck);
-	// Block, Rec double as the fencing citation of a claim (GroupClaim).
-	Shard uint32
-	Block uint64
-	Rec   uint64
-	// Count is the member's cumulative delivered-entry count for the
-	// partition (GroupAck), the audit trail's exactly-once evidence.
-	Count uint64
-}
-
-// StreamGroupOp addresses one group record to a named group.
-type StreamGroupOp struct {
-	Group string
-	Rec   GroupRec
 }
 
 // subID consumes a subscription id.
@@ -272,52 +211,6 @@ func DecodeStreamEnd(payload []byte) (*StreamEnd, error) {
 	return e, r.Err()
 }
 
-// Encode appends the group record's wire form — the same bytes used as the
-// offsets-log record body.
-func (g *GroupRec) Encode(b []byte) []byte {
-	b = append(b, g.Kind)
-	b = putBytes(b, []byte(g.Member))
-	b = PutUvarint(b, uint64(g.Partition))
-	b = PutUvarint(b, uint64(g.Shard))
-	b = PutUvarint(b, g.Block)
-	b = PutUvarint(b, g.Rec)
-	return PutUvarint(b, g.Count)
-}
-
-// DecodeGroupRec parses a GroupRec from an offsets-log record body or a
-// wire payload.
-func DecodeGroupRec(payload []byte) (*GroupRec, error) {
-	r := NewReader(payload, ErrStreamPayload)
-	g := &GroupRec{Kind: r.Byte()}
-	if g.Kind < GroupJoin || g.Kind > GroupRelease {
-		r.Fail("kind range")
-	}
-	g.Member = r.String()
-	g.Partition, g.Shard = r.Bounded(maxStreamFrom, "partition range"), r.Bounded(maxStreamFrom, "partition range")
-	g.Block, g.Rec, g.Count = r.Uvarint(), r.Uvarint(), r.Uvarint()
-	return g, r.Err()
-}
-
-// Encode appends the group op's wire form.
-func (o *StreamGroupOp) Encode(b []byte) []byte {
-	b = putBytes(b, []byte(o.Group))
-	return o.Rec.Encode(b)
-}
-
-// DecodeStreamGroupOp parses a StreamGroupOp payload.
-func DecodeStreamGroupOp(payload []byte) (*StreamGroupOp, error) {
-	r := NewReader(payload, ErrStreamPayload)
-	group := r.String()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	rec, err := DecodeGroupRec(r.Rest())
-	if err != nil {
-		return nil, err
-	}
-	return &StreamGroupOp{Group: group, Rec: *rec}, nil
-}
-
 // DecodeStream parses any streaming payload by opcode — the single entry
 // point protocol handlers (and the fuzz harness) use, so every streaming
 // decoder shares the no-panic guarantee. Unknown ops return an error.
@@ -333,12 +226,10 @@ func DecodeStream(op byte, payload []byte) (any, error) {
 		return DecodeStreamUnsubscribe(payload)
 	case OpStreamEnd:
 		return DecodeStreamEnd(payload)
-	case OpStreamAck, OpStreamRebalance:
-		return DecodeStreamGroupOp(payload)
 	default:
 		return nil, fmt.Errorf("%w: unknown stream op %#x", ErrStreamPayload, op)
 	}
 }
 
 // IsStreamOp reports whether op belongs to the streaming extension.
-func IsStreamOp(op byte) bool { return op >= OpStreamSubscribe && op <= OpStreamRebalance }
+func IsStreamOp(op byte) bool { return op >= OpStreamSubscribe && op <= OpStreamEnd }

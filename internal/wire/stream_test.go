@@ -71,39 +71,6 @@ func TestStreamControlRoundTrips(t *testing.T) {
 	}
 }
 
-func TestGroupRecRoundTrip(t *testing.T) {
-	for _, in := range []*GroupRec{
-		{Kind: GroupJoin, Member: "c1"},
-		{Kind: GroupLeave, Member: "c2"},
-		{Kind: GroupHeartbeat, Member: "c1"},
-		{Kind: GroupAck, Member: "c1", Partition: 2, Shard: 2, Block: 88, Rec: 4, Count: 1024},
-		{Kind: GroupClaim, Member: "c3", Partition: 1},
-		{Kind: GroupRelease, Member: "c3", Partition: 1},
-	} {
-		out, err := DecodeGroupRec(in.Encode(nil))
-		if err != nil {
-			t.Fatalf("%+v: %v", in, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Fatalf("round trip: %+v != %+v", out, in)
-		}
-	}
-}
-
-func TestStreamGroupOpRoundTrip(t *testing.T) {
-	in := &StreamGroupOp{
-		Group: "mailers",
-		Rec:   GroupRec{Kind: GroupAck, Member: "c1", Partition: 3, Shard: 3, Block: 10, Rec: 2, Count: 55},
-	}
-	out, err := DecodeStreamGroupOp(in.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: %+v != %+v", out, in)
-	}
-}
-
 func TestDecodeStreamDispatch(t *testing.T) {
 	cases := []struct {
 		op      byte
@@ -114,8 +81,6 @@ func TestDecodeStreamDispatch(t *testing.T) {
 		{OpStreamCredit, (&StreamCredit{SubID: 1, Credit: 1}).Encode(nil)},
 		{OpStreamUnsubscribe, (&StreamUnsubscribe{SubID: 1}).Encode(nil)},
 		{OpStreamEnd, (&StreamEnd{SubID: 1, Msg: "m"}).Encode(nil)},
-		{OpStreamAck, (&StreamGroupOp{Group: "g", Rec: GroupRec{Kind: GroupAck, Member: "m"}}).Encode(nil)},
-		{OpStreamRebalance, (&StreamGroupOp{Group: "g", Rec: GroupRec{Kind: GroupJoin, Member: "m"}}).Encode(nil)},
 	}
 	for _, c := range cases {
 		if !IsStreamOp(c.op) {
@@ -125,7 +90,7 @@ func TestDecodeStreamDispatch(t *testing.T) {
 			t.Errorf("DecodeStream(%#x): %v", c.op, err)
 		}
 	}
-	if IsStreamOp(OpReplStatus) || IsStreamOp(0x67) {
+	if IsStreamOp(OpReplStatus) || IsStreamOp(OpStreamEnd+1) {
 		t.Error("IsStreamOp accepts non-stream ops")
 	}
 	if _, err := DecodeStream(0x00, nil); !errors.Is(err, ErrStreamPayload) {
@@ -143,8 +108,6 @@ func TestStreamDecodeRejectsMalformed(t *testing.T) {
 		{"subscribe from-count overflow", OpStreamSubscribe,
 			append((&StreamSubscribe{Path: "/x"}).Encode(nil)[:4], 0xFF, 0xFF, 0xFF, 0x7F)},
 		{"deliver truncated data", OpStreamDeliver, (&StreamDeliver{SubID: 1, Data: []byte("abc")}).Encode(nil)[:8]},
-		{"group bad kind", OpStreamAck, (&StreamGroupOp{Group: "g", Rec: GroupRec{Kind: 0, Member: "m"}}).Encode(nil)},
-		{"group kind out of range", OpStreamRebalance, (&StreamGroupOp{Group: "g", Rec: GroupRec{Kind: 99, Member: "m"}}).Encode(nil)},
 		{"empty credit", OpStreamCredit, nil},
 	}
 	for _, c := range cases {
