@@ -800,6 +800,14 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // errors are never buffered — a Next that finds the buffer empty always asks
 // the server, so an entry acknowledged before the call is seen by it.
 //
+// A batch is decoded in one allocation: its entries share one slab and their
+// Data aliases the response frame, as a local cursor's Data aliases the
+// cached block image; an entry from Prev or ReadAt aliases its own response
+// the same way. Nothing reuses a response frame, so an entry stays valid for
+// as long as the caller keeps it — and a retained entry pins its whole
+// batch: server.MaxBatchBytes (16 KiB, overshot by less than one entry) plus
+// the slab.
+//
 // The buffer makes Cursor stateful: a mutex guards it, and a Cursor may be
 // shared by goroutines the way a Client may (each call is atomic; interleaved
 // callers split the entries between them).
@@ -843,7 +851,12 @@ func (cu *Cursor) Next(ctx context.Context) (*Entry, error) {
 		}
 	}
 	e := cu.buf[cu.pos]
-	cu.buf[cu.pos] = nil // the caller owns it now; do not pin it until the next refill
+	// The caller owns it now. Clearing the slot frees nothing by itself: the
+	// entry lives in its batch's slab, which every entry still buffered
+	// pins. Once the last one is handed out, though, the buffer holds no
+	// pointer into the batch, so a cursor idling at the end of the log does
+	// not keep it alive.
+	cu.buf[cu.pos] = nil
 	cu.pos++
 	return e, nil
 }

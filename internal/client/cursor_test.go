@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -67,6 +68,12 @@ func tcpStore(tb testing.TB, shards, blockSize int) (*Client, *shard.Store, *ser
 // order.
 func fillSublogs(tb testing.TB, cl *Client, parent string, n, count int) [][]byte {
 	tb.Helper()
+	return fillSublogsPadded(tb, cl, parent, n, count, " of a scan, padded to a session record's size")
+}
+
+// fillSublogsPadded is fillSublogs with pad after each entry's number.
+func fillSublogsPadded(tb testing.TB, cl *Client, parent string, n, count int, pad string) [][]byte {
+	tb.Helper()
 	if _, err := cl.CreateLog(bg, parent, 0o644, "t"); err != nil {
 		tb.Fatal(err)
 	}
@@ -79,7 +86,7 @@ func fillSublogs(tb testing.TB, cl *Client, parent string, n, count int) [][]byt
 	}
 	want := make([][]byte, count)
 	for i := range want {
-		want[i] = []byte(fmt.Sprintf("%s entry %06d of a scan, padded to a session record's size", parent, i))
+		want[i] = []byte(fmt.Sprintf("%s entry %06d%s", parent, i, pad))
 		if _, err := cl.Append(bg, ids[i%n], want[i], AppendOptions{}); err != nil {
 			tb.Fatal(err)
 		}
@@ -313,7 +320,7 @@ func runCursorDifferential(t *testing.T, topo diffTopology, seed int64, steps in
 		switch r := rng.Intn(100); {
 		case r < 30:
 			step("Next", next)
-		case r < 38: // a run long enough to climb the whole ramp and refill at the top
+		case r < 38: // a run long enough to climb the ramp to its upper refills
 			for n := rng.Intn(220); n > 0; n-- {
 				step("Next", next)
 			}
@@ -393,12 +400,14 @@ func nextRequests(reg *obs.Registry) (requests, entries int64) {
 // OpenCursor and after every repositioning call and doubles per consecutive
 // refill up to the server's cap, so a scan settles at one round trip per full
 // batch; SeekTime is itself the want=1 step, so the Next after it is no
-// request at all and the refill after that asks for 2.
+// request at all and the refill after that asks for 2. The entries are short
+// enough that a batch at the cap stays inside the byte budget.
 func TestReadAheadRamp(t *testing.T) {
 	cl, _, srv := tcpStore(t, 1, 1024)
 	reg := obs.NewRegistry()
 	srv.RegisterMetrics(reg)
-	want := fillSublogs(t, cl, "/ramp", 4, 400)
+	const capped = server.MaxBatchEntries
+	want := fillSublogsPadded(t, cl, "/ramp", 4, 4*capped, "")
 	cur, err := cl.OpenCursor(bg, "/ramp")
 	if err != nil {
 		t.Fatal(err)
@@ -419,10 +428,15 @@ func TestReadAheadRamp(t *testing.T) {
 	}
 	read(1)
 	check("first Next", 1, 1)
-	read(2 + 4 + 8 + 16 + 32) // five more refills: 2, 4, 8, 16, 32
-	check("ramp", 6, 63)
-	read(64 + 64) // at the cap
-	check("at the cap", 8, 63+128)
+	reqs, ents := int64(1), int64(1)
+	for w := 2; w < capped; w *= 2 { // one refill per doubling: 2, 4, …, capped/2
+		read(w)
+		reqs, ents = reqs+1, ents+int64(w)
+	}
+	check("ramp", reqs, ents)
+	read(2 * capped)
+	reqs, ents = reqs+2, ents+2*capped
+	check("at the cap", reqs, ents)
 
 	// A seek drops the read-ahead and restarts the ramp with its own answer:
 	// the entry it lands on comes back with it, which is all the server
@@ -436,18 +450,18 @@ func TestReadAheadRamp(t *testing.T) {
 	if err != nil || !bytes.Equal(e.Data, want[0]) {
 		t.Fatalf("Next after SeekTime(0): %v", err)
 	}
-	check("seek then one Next", 8, 63+128)
+	check("seek then one Next", reqs, ents)
 	if got := seekEntries.Value(); got != 1 {
 		t.Fatalf("the fused seek delivered %d entries, want 1", got)
 	}
 	read(2) // the ramp goes on at 2
-	check("seek then three Nexts", 9, 63+128+2)
+	check("seek then three Nexts", reqs+1, ents+2)
 	// Prev with nothing read ahead is a plain Prev, and it resets the ramp.
 	if e, err = cur.Prev(bg); err != nil || !bytes.Equal(e.Data, want[2]) {
 		t.Fatalf("Prev: %v", err)
 	}
 	read(1)
-	check("Prev then one Next", 10, 63+128+3)
+	check("Prev then one Next", reqs+2, ents+3)
 	// A seek past the end buffers nothing: the Next after it asks the server.
 	if err := cur.SeekTime(bg, 1<<62); err != nil {
 		t.Fatal(err)
@@ -455,9 +469,117 @@ func TestReadAheadRamp(t *testing.T) {
 	if _, err := cur.Next(bg); err != io.EOF {
 		t.Fatalf("Next after a seek past the end: %v, want EOF", err)
 	}
-	check("seek past the end then one Next", 11, 63+128+3)
+	check("seek past the end then one Next", reqs+3, ents+3)
 	if got := seekEntries.Value(); got != 1 {
 		t.Fatalf("a seek past the end delivered an entry (%d in all)", got)
+	}
+}
+
+// TestReadAheadStepBackPastOldCap: a Prev taken a few entries into a refill
+// of more than 64 sends a back count above 64, which a server capped at 64
+// refused. It must return the entry just before the caller's position — the
+// one the last Next returned — as a store cursor does, on one shard and on
+// the merged root of four.
+func TestReadAheadStepBackPastOldCap(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cl, st, _ := tcpStore(t, shards, 1024)
+		fillSublogs(t, cl, "/back", 4, 400)
+		for _, path := range []string{"/back", "/"} {
+			c, err := cl.OpenCursor(bg, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := c.(*Cursor)
+			ref, err := st.OpenCursor(bg, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The ramp up to a refill of 128, then three entries into it.
+			var last *Entry
+			for n := 0; n < 127+3; n++ {
+				if last, err = cur.Next(bg); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Next(bg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if back := len(cur.buf) - cur.pos; back <= 64 {
+				t.Fatalf("%d shards, %s: %d entries read ahead, want more than 64", shards, path, back)
+			}
+			got, err := cur.Prev(bg)
+			if err != nil {
+				t.Fatalf("%d shards, %s: Prev past a refill of more than 64: %v", shards, path, err)
+			}
+			want, err := ref.Prev(bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameEntry(got, want) || !sameEntry(got, last) {
+				t.Fatalf("%d shards, %s: Prev returned %s, want %s (the last Next's)", shards, path, showEntry(got), showEntry(want))
+			}
+			// And the scan goes on from there: Next returns it again.
+			if got, err = cur.Next(bg); err != nil || !sameEntry(got, last) {
+				t.Fatalf("%d shards, %s: Next after Prev returned %s, %v", shards, path, showEntry(got), err)
+			}
+			cur.Close()
+			ref.Close()
+		}
+	}
+}
+
+// TestReadAheadEntriesOutliveTheirBatch: an entry's Data aliases the response
+// its batch came in, so nothing may ever reuse a response frame. The entries
+// of a full refill, kept by the caller, are byte-identical after three more
+// refills of the same size, a SeekStart and a Close.
+func TestReadAheadEntriesOutliveTheirBatch(t *testing.T) {
+	cl, _, _ := tcpStore(t, 1, 1024)
+	want := fillSublogs(t, cl, "/kept", 4, 1500)
+	c, err := cl.OpenCursor(bg, "/kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := c.(*Cursor)
+	var kept []*Entry
+	var copies []Entry
+	keeping, after := false, -1 // refills since the kept one
+	for read := 0; after < 3 || cur.pos < len(cur.buf); read++ {
+		if cur.pos == len(cur.buf) {
+			switch {
+			case after >= 0:
+				after++
+			case cur.want == server.MaxBatchEntries: // the first request at the cap
+				keeping, after = true, 0
+			}
+		}
+		e, err := cur.Next(bg)
+		if err != nil {
+			t.Fatalf("entry %d: %v", read, err)
+		}
+		if !bytes.Equal(e.Data, want[read]) {
+			t.Fatalf("entry %d: %q, want %q", read, e.Data, want[read])
+		}
+		if keeping && after == 0 {
+			kept = append(kept, e)
+			cp := *e
+			cp.Data = append([]byte(nil), e.Data...)
+			copies = append(copies, cp)
+		}
+	}
+	if len(kept) < server.MaxBatchEntries/2 {
+		t.Fatalf("kept a refill of %d entries, want a full one", len(kept))
+	}
+	if err := cur.SeekStart(bg); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	for i, e := range kept {
+		if !sameEntry(e, &copies[i]) {
+			t.Fatalf("kept entry %d changed: %s holds %q, was %q", i, showEntry(e), e.Data, copies[i].Data)
+		}
 	}
 }
 

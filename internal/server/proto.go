@@ -128,12 +128,14 @@ const MaxFrame = 8 << 20
 // further entry once it holds MaxBatchBytes, so it overshoots by less than
 // one entry, and it always carries at least one. It ends early at the end of
 // the log or at an error, neither of which is ever part of a batch: the
-// request after it reports them, as the bare form would. MaxBatchEntries must
-// stay below 128, the batch count being written as one byte.
+// request after it reports them, as the bare form would. The batch count is a
+// uvarint: a count below 128 is one byte, so a server capped at 64 entries
+// sends exactly what this one sends for 64, and a client asking for 64 gets at
+// most 64 back.
 //
 // After OpPrev's handle it is `back`: how many entries the client read ahead
 // and did not consume, which the server steps back over before the Prev it
-// answers.
+// answers. It is at most one batch, MaxBatchEntries.
 //
 // OpSeekTime carries a handle and a timestamp (uint64) and answers with an
 // empty payload. It takes the same optional trailing `want` as OpNext, the
@@ -144,7 +146,7 @@ const MaxFrame = 8 << 20
 // stands, the cursor is in the gap it chose, and the end of the log or the
 // error is reported by the OpNext that runs into it.
 const (
-	MaxBatchEntries = 64
+	MaxBatchEntries = 256
 	MaxBatchBytes   = 16 << 10
 )
 
@@ -238,18 +240,24 @@ func appendEntryHead(out []byte, e *core.Entry) []byte {
 }
 
 // DecodeEntry consumes one entry in the entry-response layout. The entry's
-// data is copied out of the payload.
+// data aliases the payload: it pins the response it came in, which nothing
+// reuses.
 func DecodeEntry(r *wire.Reader) (*core.Entry, error) {
-	e := readEntry(r)
-	if r.Err() != nil {
+	e := new(core.Entry)
+	if readEntry(r, e); r.Err() != nil {
 		return nil, r.Err()
 	}
 	return e, nil
 }
 
-// readEntry is DecodeEntry with the failure left in r.
-func readEntry(r *wire.Reader) *core.Entry {
-	e := &core.Entry{LogID: r.Uint16(), Timestamp: r.Int64()}
+// minEntryBytes is the smallest entry in the entry-response layout: LogID and
+// timestamp, the flag byte, and five one-byte uvarints (shard, block, index,
+// no extra ids, empty data).
+const minEntryBytes = 2 + 8 + 1 + 5
+
+// readEntry is DecodeEntry into e, with the failure left in r.
+func readEntry(r *wire.Reader, e *core.Entry) {
+	e.LogID, e.Timestamp = r.Uint16(), r.Int64()
 	flags := r.Byte()
 	e.Timestamped = flags&EntryTimestamped != 0
 	e.Forced = flags&EntryForced != 0
@@ -261,24 +269,29 @@ func readEntry(r *wire.Reader) *core.Entry {
 	for ; nExtra > 0 && r.Err() == nil; nExtra-- {
 		e.ExtraIDs = append(e.ExtraIDs, r.Uint16())
 	}
-	e.Data = r.Bytes()
-	return e
+	data := r.View()
+	e.Data = data[:len(data):len(data)] // an append to it cannot overwrite what follows
 }
 
 // DecodeEntryBatch consumes a batched OpNext response — a uvarint count
 // followed by that many entries, to the end of the payload — appending the
-// entries to dst. The whole payload is validated before anything is
-// returned: a batch that is empty, claims more than MaxBatchEntries, is
-// truncated, or is followed by trailing bytes is an error, and dst comes
-// back unextended.
+// entries to dst. The entries share one allocation and their data aliases the
+// payload, so a batch costs one slab however many entries it carries, and any
+// entry kept pins the whole batch. The whole payload is validated before
+// anything is returned: a batch that is empty, claims more than
+// MaxBatchEntries or more than its bytes could hold, is truncated, or is
+// followed by trailing bytes is an error, and dst comes back unextended.
 func DecodeEntryBatch(dst []*core.Entry, r *wire.Reader) ([]*core.Entry, error) {
 	n := r.Uvarint()
-	if n == 0 || n > MaxBatchEntries {
+	if n == 0 || n > MaxBatchEntries || n > uint64(r.Len()/minEntryBytes) {
 		r.Fail("entry batch count")
 	}
-	out := dst
-	for ; n > 0 && r.Err() == nil; n-- {
-		out = append(out, readEntry(r))
+	if r.Err() != nil {
+		return dst, r.Err()
+	}
+	slab := make([]core.Entry, n)
+	for i := 0; i < len(slab) && r.Err() == nil; i++ {
+		readEntry(r, &slab[i])
 	}
 	if r.Len() != 0 {
 		r.Fail("trailing bytes after entry batch")
@@ -286,7 +299,10 @@ func DecodeEntryBatch(dst []*core.Entry, r *wire.Reader) ([]*core.Entry, error) 
 	if r.Err() != nil {
 		return dst, r.Err()
 	}
-	return out, nil
+	for i := range slab {
+		dst = append(dst, &slab[i])
+	}
+	return dst, nil
 }
 
 // Payload encoding helpers.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"reflect"
 	"strings"
@@ -143,7 +144,7 @@ func TestEntryRoundTrip(t *testing.T) {
 			t.Errorf("entry %d: %d bytes left over", i, d.Len())
 		}
 		if len(e.Data) == 0 {
-			got.Data = nil // Bytes returns an empty, non-nil slice
+			got.Data = nil // the view of empty data is an empty, non-nil slice
 		}
 		if !reflect.DeepEqual(got, e) {
 			t.Errorf("entry %d: decoded %+v, want %+v", i, got, e)
@@ -153,7 +154,7 @@ func TestEntryRoundTrip(t *testing.T) {
 
 // encodeBatch lays entries out the way a batched OpNext response does.
 func encodeBatch(entries []*core.Entry) []byte {
-	out := []byte{byte(len(entries))}
+	out := wire.PutUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
 		out = append(out, EncodeEntry(e)...)
 	}
@@ -167,13 +168,16 @@ func TestEntryBatchDecode(t *testing.T) {
 	if err != nil || len(got) != len(entries) {
 		t.Fatalf("good batch: %d entries, %v", len(got), err)
 	}
+	// The data aliases the payload, but an append to one entry's data
+	// reallocates instead of running into the next entry.
+	_ = append(got[0].Data, bytes.Repeat([]byte{'!'}, 400)...)
 	for i := range got {
 		if !bytes.Equal(got[i].Data, entries[i].Data) || got[i].Block != entries[i].Block {
 			t.Errorf("entry %d: %+v", i, got[i])
 		}
 	}
 
-	over := append([]byte{MaxBatchEntries + 1}, good[1:]...)
+	over := append(wire.PutUvarint(nil, MaxBatchEntries+1), good[1:]...)
 	lenPastFrame := encodeBatch(entries[:1])
 	lenPastFrame[len(lenPastFrame)-len(entries[0].Data)-1] = 200 // data length prefix
 	bad := []struct {
@@ -185,6 +189,7 @@ func TestEntryBatchDecode(t *testing.T) {
 		{"truncated count", []byte{0x80}, "uvarint"},
 		{"zero-length batch", []byte{0}, "batch count"},
 		{"count above the server's maximum", over, "batch count"},
+		{"count more entries than the bytes could hold", append(wire.PutUvarint(nil, MaxBatchEntries), good[1:]...), "batch count"},
 		{"count claims more entries than follow", append([]byte{4}, good[1:]...), "malformed"},
 		{"cut inside an entry head", good[:5], "malformed"},
 		{"cut inside entry data", good[:len(good)-1], "malformed"},
@@ -199,6 +204,84 @@ func TestEntryBatchDecode(t *testing.T) {
 		}
 		if len(out) != 1 || out[0] != keep[0] {
 			t.Errorf("%s: a rejected batch changed dst (now %d entries)", tc.name, len(out))
+		}
+	}
+}
+
+// minimalEntries returns n entries of the smallest wire size: no data, no
+// extra ids, and one-byte position uvarints.
+func minimalEntries(n int) []*core.Entry {
+	out := make([]*core.Entry, n)
+	for i := range out {
+		out[i] = &core.Entry{LogID: 7, Timestamp: int64(1000 + i), Timestamped: true, Block: i % 100, Index: i % 50}
+	}
+	return out
+}
+
+// sameEntries reports whether two batches hold the same entries (an empty
+// and a nil Data are the same data).
+func sameEntries(a, b []*core.Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := *a[i], *b[i]
+		if len(x.Data) == 0 && len(y.Data) == 0 {
+			x.Data, y.Data = nil, nil
+		}
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBatchCountTwoBytes: a batch of 128 entries or more has a two-byte
+// uvarint count, which the fill loop writes and the decoder reads back, and
+// the smallest entries fill it exactly (the decoder's count bound is tight).
+func TestBatchCountTwoBytes(t *testing.T) {
+	entries := minimalEntries(200)
+	i := 0
+	step := func(context.Context) (*core.Entry, error) {
+		if i == len(entries) {
+			return nil, io.EOF
+		}
+		i++
+		return entries[i-1], nil
+	}
+	rep := fillEntries(context.Background(), step, true, MaxBatchEntries, nil)
+	if rep.status != StatusOK || !bytes.Equal(rep.head, encodeBatch(entries)) {
+		t.Fatalf("fill loop: status %d, %d bytes, want the %d-byte encoding", rep.status, len(rep.head), len(encodeBatch(entries)))
+	}
+	if !bytes.Equal(rep.head[:2], []byte{0xC8, 0x01} /* 200 */) || len(rep.head) != 2+len(entries)*minEntryBytes {
+		t.Fatalf("batch of %d minimal entries: count bytes %x, %d bytes in all", len(entries), rep.head[:2], len(rep.head))
+	}
+	got, err := DecodeEntryBatch(nil, newReader(rep.head))
+	if err != nil || !sameEntries(got, entries) {
+		t.Fatalf("decoded %d entries, %v; want the %d sent", len(got), err, len(entries))
+	}
+	// One byte short of the last entry: the count no longer fits the bytes.
+	if _, err := DecodeEntryBatch(nil, newReader(rep.head[:len(rep.head)-1])); err == nil || !strings.Contains(err.Error(), "batch count") {
+		t.Fatalf("a count the bytes cannot back: %v", err)
+	}
+}
+
+// TestBatchCountOneByteOldServer: a server capped at 64 entries wrote the
+// count as one byte. For any count below 128 that is the uvarint, so what it
+// sends is byte for byte what this server sends, and decodes the same.
+func TestBatchCountOneByteOldServer(t *testing.T) {
+	for _, n := range []int{1, 63, 64} {
+		entries := minimalEntries(n)
+		old := []byte{byte(n)}
+		for _, e := range entries {
+			old = append(old, EncodeEntry(e)...)
+		}
+		if !bytes.Equal(old, encodeBatch(entries)) {
+			t.Fatalf("%d entries: a one-byte count differs from the uvarint", n)
+		}
+		got, err := DecodeEntryBatch(nil, newReader(old))
+		if err != nil || !sameEntries(got, entries) {
+			t.Fatalf("%d entries behind a one-byte count: decoded %d, %v", n, len(got), err)
 		}
 	}
 }

@@ -1074,7 +1074,7 @@ func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry,
 	}
 	var batch [MaxBatchEntries]*core.Entry
 	var head [64]byte // scratch: heads are encoded once to size the batch, once into it
-	n, size := 0, 1   // the count byte
+	n, size := 0, 0
 	for n < limit && size < MaxBatchBytes {
 		e, err := step(ctx)
 		if err != nil {
@@ -1095,7 +1095,8 @@ func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry,
 		size += len(appendEntryHead(head[:0], e)) + len(e.Data)
 	}
 	// Sized exactly: the dedup window retains this buffer.
-	out := append(make([]byte, 0, size), byte(n))
+	count := wire.PutUvarint(head[:0], uint64(n))
+	out := append(make([]byte, 0, len(count)+size), count...)
 	for _, e := range batch[:n] {
 		out = append(appendEntryHead(out, e), e.Data...)
 	}

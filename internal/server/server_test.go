@@ -541,6 +541,22 @@ func TestBatchedNext(t *testing.T) {
 	}
 }
 
+// TestBatchCountOldClientWant: a client built for a 64-entry cap asks for
+// at most 64 and gets at most 64, behind the one-byte count it reads.
+func TestBatchCountOldClientWant(t *testing.T) {
+	_, conn := testServer(t)
+	const oldCap = 64
+	hb := cursorFixture(t, conn, oldCap+20, "")
+	status, resp := roundTrip(t, conn, OpNext, wire.PutUvarint(append([]byte(nil), hb...), oldCap))
+	if got := batchData(t, resp); status != StatusOK || len(got) != oldCap || resp[0] != oldCap {
+		t.Fatalf("want=%d: status %d, %d entries, count byte %d", oldCap, status, len(got), resp[0])
+	}
+	status, resp = roundTrip(t, conn, OpNext, wire.PutUvarint(append([]byte(nil), hb...), oldCap))
+	if got := batchData(t, resp); status != StatusOK || len(got) != 20 || got[0] != fmt.Sprintf("e%03d", oldCap) {
+		t.Fatalf("the rest: status %d, %v", status, got)
+	}
+}
+
 // TestBatchedNextByteBudget: a batch stops taking entries once it holds
 // MaxBatchBytes, so it overshoots by less than one entry.
 func TestBatchedNextByteBudget(t *testing.T) {
