@@ -65,7 +65,7 @@ func (s *Service) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label)
 		forceLat: reg.Histogram("clio_core_force_seconds",
 			"Wall-clock latency of the durability step (NVRAM store or padded seal) of forced writes.", nil, labels...),
 		readLat: reg.Histogram("clio_core_read_seconds",
-			"Wall-clock latency of cursor steps and positioned reads.", nil, labels...),
+			"Wall-clock latency of reads, one sample per cursor read call: a single step or a whole batch (and one per positioned read).", nil, labels...),
 		locateLat: reg.Histogram("clio_core_locate_seconds",
 			"Wall-clock latency of entrymap locator searches.", nil, labels...),
 		sealLat: reg.Histogram("clio_core_seal_seconds",

@@ -9,6 +9,7 @@ import (
 	"clio/internal/blockfmt"
 	"clio/internal/entrymap"
 	"clio/internal/volume"
+	"clio/internal/wire"
 )
 
 // Entry is one log entry as returned by a cursor.
@@ -61,39 +62,41 @@ func (e *Entry) MemberOf(id uint16) bool {
 // unfragmented entry's Data is a subslice of the block image and nothing is
 // allocated. An entry whose chain cannot be completed is ErrLost.
 func DecodeEntry(p *blockfmt.Parsed, block, idx int, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
-	return decodeEntry(p, block, idx, nil, fetch)
+	var e Entry
+	err := decodeEntry(p, block, idx, nil, fetch, &e)
+	return e, err
 }
 
-// decodeEntry is DecodeEntry taking the entry's timestamp from eff, which
-// may be nil.
-func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
+// decodeEntry is DecodeEntry into e, taking the entry's timestamp from eff,
+// which may be nil. Every field of e is set, so a cursor decodes each entry
+// into the same scratch Entry; on failure e is left as it was.
+func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(global int) (*blockfmt.Parsed, error), e *Entry) error {
 	if idx < 0 || idx >= len(p.Records) {
-		return Entry{}, fmt.Errorf("clio: no record %d in block %d", idx, block)
+		return fmt.Errorf("clio: no record %d in block %d", idx, block)
 	}
 	r := &p.Records[idx]
 	if r.Continued {
-		return Entry{}, fmt.Errorf("clio: record %d of block %d is a continuation fragment", idx, block)
+		return fmt.Errorf("clio: record %d of block %d is a continuation fragment", idx, block)
 	}
 	data, err := volume.Assemble(p, block, idx, fetch)
 	if err != nil {
-		return Entry{}, ErrLost
+		return ErrLost
 	}
-	return Entry{
-		LogID:       r.LogID,
-		Timestamp:   eff.at(p, idx),
-		Timestamped: r.Form != blockfmt.FormMinimal,
-		Forced:      r.AttrFlags&blockfmt.AttrForced != 0,
-		Data:        data,
-		Block:       block,
-		Index:       idx,
-		ExtraIDs:    r.ExtraIDs,
-	}, nil
+	e.LogID = r.LogID
+	e.Timestamp = eff.at(p, idx)
+	e.Timestamped = r.Form != blockfmt.FormMinimal
+	e.Forced = r.AttrFlags&blockfmt.AttrForced != 0
+	e.Data = data
+	e.Block, e.Index = block, idx
+	e.ExtraIDs = r.ExtraIDs
+	e.Shard = 0
+	return nil
 }
 
-// entryAt is DecodeEntry over the service's own read path. A cursor passes
-// its memo as eff; a one-off read passes nil.
-func (s *Service) entryAt(db *decodedBlock, block, idx int, eff *effMemo) (Entry, error) {
-	return decodeEntry(db.p, block, idx, eff, s.chainBlock)
+// entryInto is DecodeEntry over the service's own read path, into e. A
+// cursor passes its memo as eff; a one-off read passes nil.
+func (s *Service) entryInto(db *decodedBlock, block, idx int, eff *effMemo, e *Entry) error {
+	return decodeEntry(db.p, block, idx, eff, s.chainBlock, e)
 }
 
 // effMemo remembers the effective timestamp (§2.1) of the record a cursor
@@ -136,8 +139,10 @@ func (m *effMemo) at(p *blockfmt.Parsed, idx int) int64 {
 // Cursor must still not be shared by concurrent goroutines.
 type Cursor struct {
 	s    *Service
-	root uint16          // the log file opened
-	ids  map[uint16]bool // nil means every entry (the volume sequence log)
+	root uint16 // the log file opened
+	// ids is the cursor's id set, consulted once per record; nil means
+	// every entry (the volume sequence log).
+	ids *idSet
 	// linear disables entrymap-guided block skipping: set when the id set
 	// includes a log file the entrymap does not track (the entrymap log
 	// itself — footnote 6 — cannot index itself).
@@ -153,6 +158,9 @@ type Cursor struct {
 	block int // current block (gap position)
 	rec   int // next record index to consider within block
 	eff   effMemo
+	// ent is the scratch entry the forward loop decodes each entry into
+	// and hands to its visitor.
+	ent Entry
 
 	// redir, when non-nil, is the in-progress redirection of this cursor
 	// through a compacted volume's relocated copies: the volume's original
@@ -239,6 +247,14 @@ func (s *Service) cursorFor(id uint16) (*Cursor, error) {
 	return c, nil
 }
 
+// idSet is a set of log ids: a bitmap over the 12-bit id space, a fixed
+// array so that a lookup needs no bounds check past the id's own.
+type idSet [(wire.MaxLogID + 1) / 64]uint64
+
+func (ids *idSet) has(id uint16) bool {
+	return id <= wire.MaxLogID && ids[id/64]&(1<<(id%64)) != 0
+}
+
 // buildIDs (re)derives the cursor's id set from the catalog: the log file
 // and every sublog beneath it now.
 func (c *Cursor) buildIDs() error {
@@ -248,9 +264,16 @@ func (c *Cursor) buildIDs() error {
 		return err
 	}
 	c.gen, c.idSorted, c.linear = gen, ids, false
-	c.ids = make(map[uint16]bool, len(ids))
+	if c.ids == nil {
+		c.ids = new(idSet)
+	} else {
+		*c.ids = idSet{}
+	}
 	for _, d := range ids {
-		c.ids[d] = true
+		if d > wire.MaxLogID {
+			return fmt.Errorf("clio: log id %d outside the 12-bit id space", d)
+		}
+		c.ids[d/64] |= 1 << (d % 64)
 		if d == entrymap.EntrymapID {
 			c.linear = true
 		}
@@ -268,7 +291,7 @@ func (c *Cursor) refreshIDs() error {
 }
 
 func (c *Cursor) match(id uint16) bool {
-	return c.ids == nil || c.ids[id]
+	return c.ids == nil || c.ids.has(id)
 }
 
 // matchRecord reports whether the record belongs to the cursor's set,
@@ -327,25 +350,68 @@ func (c *Cursor) SeekEnd() {
 }
 
 // Next returns the first matching entry after the cursor position and
-// advances past it. It returns io.EOF at the end of the log. The service is
-// charged one IPC round trip per call under the cost model.
+// advances past it. It returns io.EOF at the end of the log. It is the
+// one-entry case of NextEach, and the returned entry is the caller's.
 func (c *Cursor) Next() (*Entry, error) {
+	var out Entry
+	if n, err := c.NextEach(1, func(e *Entry) bool { out = *e; return true }); n == 0 {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// NextEach is the cursor's one forward loop. It visits the matching entries
+// after the cursor position in order, advancing past each, and stops once it
+// has visited max of them (at least one), once visit returns false, or where
+// the log ends (io.EOF) or fails. It returns how many entries it visited,
+// with nil when it stopped at max or because visit declined and io.EOF or
+// the error otherwise: a call that visited entries may still report the end.
+//
+// The loop walks the records of each decoded block in place and decodes
+// each matching entry into one scratch Entry that it reuses: visit must not
+// keep the pointer past its return. What the entry points to — Data and
+// ExtraIDs, slices of the immutable block image — may be kept, as Next's
+// may.
+//
+// Under the cost model every step is charged one IPC round trip, as if each
+// entry, and the step that finds none, were its own Next. The read-latency
+// histogram takes one sample per call, a single step or a whole batch.
+func (c *Cursor) NextEach(max int, visit func(*Entry) bool) (int, error) {
 	if m := c.s.met(); m != nil {
 		defer m.readLat.ObserveSince(time.Now())
 	}
-	c.s.opt.Clock.ChargeIPC(c.s.opt.RemoteIPC)
-	c.s.opt.Clock.ChargeServerFixed()
-	return c.next()
+	c.chargeStep()
+	f := visits{max: max, visit: visit, charge: true}
+	err := c.each(&f)
+	return f.n, err
 }
 
-func (c *Cursor) next() (*Entry, error) {
+// chargeStep charges one cursor step under the cost model.
+func (c *Cursor) chargeStep() {
+	c.s.opt.Clock.ChargeIPC(c.s.opt.RemoteIPC)
+	c.s.opt.Clock.ChargeServerFixed()
+}
+
+// visits is the state of one run of the forward loop.
+type visits struct {
+	max    int
+	n      int // entries visited
+	visit  func(*Entry) bool
+	charge bool // charge a step for every entry past the first
+	done   bool // max reached or visit declined
+}
+
+// each runs the forward loop for f. The catalog generation is re-checked
+// each time the loop takes a block, after decoding it: a sublog created
+// before the decode has its entries in the image matched, and one created
+// later has none in it (a decoded block never gains records; the staged
+// tail is decoded afresh each time it is taken).
+func (c *Cursor) each(f *visits) error {
 	s := c.s
 	if s.closedFlag.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	if err := c.refreshIDs(); err != nil {
-		return nil, err
-	}
+	f.max = max(f.max, 1)
 	for {
 		sn := s.snap()
 		end := sn.sealedEnd
@@ -353,12 +419,8 @@ func (c *Cursor) next() (*Entry, error) {
 			end = sn.tailGlobal + 1
 		}
 		if c.redir != nil {
-			e, err := c.redirNext()
-			if err != nil {
-				return nil, err
-			}
-			if e != nil {
-				return e, nil
+			if err := c.redirEach(f); err != nil || f.done {
+				return err
 			}
 			// Copies exhausted: resume the sweep just past the volume.
 			c.block, c.rec = c.redir.v.end(), 0
@@ -366,7 +428,7 @@ func (c *Cursor) next() (*Entry, error) {
 			continue
 		}
 		if c.block >= end {
-			return nil, io.EOF
+			return io.EOF
 		}
 		if c.enterRedirect(c.block, false) {
 			continue
@@ -376,45 +438,88 @@ func (c *Cursor) next() (*Entry, error) {
 			// Damaged or invalidated block: its entries are lost (§2.3.2);
 			// skip to the next candidate block.
 			if err := c.advanceBlock(end, sn.tailGlobal); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
-		parsed := db.p
-		for c.rec < len(parsed.Records) {
-			i := c.rec
-			r := parsed.Records[i]
-			c.rec++
-			if r.Continued || !c.matchRecord(&r) {
-				continue
-			}
-			if c.ids != nil && r.AttrFlags&blockfmt.AttrRelocated != 0 {
-				// Relocated copies are served only through redirection (above);
-				// the sweep always skips them, so an entry whose original
-				// volume the cursor reads directly is never delivered twice.
-				continue
-			}
-			e, aerr := s.entryAt(db, c.block, i, &c.eff)
-			if aerr != nil {
-				continue // torn chain: skip the lost entry
-			}
-			return &e, nil
+		if err := c.refreshIDs(); err != nil {
+			return err
+		}
+		// The first block the writer may still be filling: a fragment
+		// chain that breaks there is being appended, not lost.
+		edge := sn.tailGlobal
+		if edge < 0 {
+			edge = sn.end()
+		}
+		if err := c.visitRecords(f, db, c.block, &c.rec, len(db.p.Records)-1, edge); err != nil || f.done {
+			return err
 		}
 		if c.block == sn.tailGlobal {
 			// The staged tail block can still grow: stay parked on it with
 			// c.rec at the scanned count, so entries appended later to this
 			// same block are seen by the next call.
-			return nil, io.EOF
+			return io.EOF
 		}
 		if err := c.advanceBlock(end, sn.tailGlobal); err != nil {
-			return nil, err
+			return err
 		}
 	}
 }
 
-// redirNext returns the next matching entry from the redirected volume's
-// copy ranges, or (nil, nil) when the ranges are exhausted.
-func (c *Cursor) redirNext() (*Entry, error) {
+// visitRecords is the loop's inner walk over records *rec..last of block b,
+// in place: it advances *rec past each record it examines, decodes every
+// matching entry into the scratch entry and visits it. The sweep (edge >= 0)
+// skips relocated copies, which are served only through redirection, so an
+// entry whose original volume the cursor reads directly is never delivered
+// twice; and it leaves *rec on an entry whose fragment chain breaks at or
+// past edge, answering io.EOF: the writer publishes each block of a
+// fragmented entry as it fills, before the next fragment exists. A redirect
+// walk (edge < 0) reads committed copies only.
+func (c *Cursor) visitRecords(f *visits, db *decodedBlock, b int, rec *int, last, edge int) error {
+	recs := db.p.Records
+	for *rec <= last {
+		i := *rec
+		r := &recs[i]
+		if r.Continued || !c.matchRecord(r) ||
+			edge >= 0 && c.ids != nil && r.AttrFlags&blockfmt.AttrRelocated != 0 {
+			*rec = i + 1
+			continue
+		}
+		if err := c.s.entryInto(db, b, i, &c.eff, &c.ent); err != nil {
+			if edge >= 0 && c.chainOpen(db, b, i, edge) {
+				return io.EOF
+			}
+			*rec = i + 1
+			continue // torn chain: skip the lost entry
+		}
+		*rec = i + 1
+		f.n++
+		if !f.visit(&c.ent) || f.n >= f.max {
+			f.done = true
+			return nil
+		}
+		if f.charge {
+			c.chargeStep()
+		}
+	}
+	return nil
+}
+
+// chainOpen reports whether the fragment chain of record idx of block b,
+// which did not assemble, breaks at or past edge — or assembles now. Either
+// way the entry is still being appended, not lost.
+func (c *Cursor) chainOpen(db *decodedBlock, b, idx, edge int) bool {
+	brk := b
+	_, err := volume.Assemble(db.p, b, idx, func(g int) (*blockfmt.Parsed, error) {
+		brk = g
+		return c.s.chainBlock(g)
+	})
+	return err == nil || brk >= edge
+}
+
+// redirEach runs the forward loop over the redirected volume's copy
+// ranges; it returns with f.done unset when they are exhausted.
+func (c *Cursor) redirEach(f *visits) error {
 	rd := c.redir
 	for rd.ri < len(rd.v.Ranges) {
 		r := &rd.v.Ranges[rd.ri]
@@ -432,22 +537,12 @@ func (c *Cursor) redirNext() (*Entry, error) {
 		if rd.rb == r.EndBlock && r.EndRec < last {
 			last = r.EndRec
 		}
-		for rd.rr <= last {
-			i := rd.rr
-			rd.rr++
-			rec := db.p.Records[i]
-			if rec.Continued || !c.matchRecord(&rec) {
-				continue
-			}
-			e, aerr := c.s.entryAt(db, rd.rb, i, &c.eff)
-			if aerr != nil {
-				continue
-			}
-			return &e, nil
+		if err := c.visitRecords(f, db, rd.rb, &rd.rr, last, -1); err != nil || f.done {
+			return err
 		}
 		rd.advance(r)
 	}
-	return nil, nil
+	return nil
 }
 
 // advance steps a forward redirect walk to the next block of the current
@@ -475,6 +570,15 @@ func (c *Cursor) advanceBlock(end, tail int) error {
 	next, err := c.s.locFindNext(c.idSorted, c.block+1)
 	if err != nil {
 		return err
+	}
+	if c.s.cat.Generation() != c.gen {
+		// A log file was created while the search ran: blocks it passed
+		// over may hold the new sublog's first entries. Search again with
+		// the new set.
+		if err := c.buildIDs(); err != nil {
+			return err
+		}
+		return c.advanceBlock(end, tail)
 	}
 	if next == -1 {
 		if tail > c.block {
@@ -561,11 +665,11 @@ func (c *Cursor) prev() (*Entry, error) {
 			if c.ids != nil && r.AttrFlags&blockfmt.AttrRelocated != 0 {
 				continue // copies are served only through redirection
 			}
-			e, aerr := s.entryAt(db, c.block, i, &c.eff)
-			if aerr != nil {
+			e := new(Entry)
+			if aerr := s.entryInto(db, c.block, i, &c.eff, e); aerr != nil {
 				continue
 			}
-			return &e, nil
+			return e, nil
 		}
 		if err := c.retreatBlock(); err != nil {
 			return nil, err
@@ -573,7 +677,7 @@ func (c *Cursor) prev() (*Entry, error) {
 	}
 }
 
-// redirPrev is redirNext in reverse: the last not-yet-returned matching copy
+// redirPrev is redirEach in reverse: the last not-yet-returned matching copy
 // of the redirected volume, or (nil, nil) when exhausted.
 func (c *Cursor) redirPrev() (*Entry, error) {
 	rd := c.redir
@@ -604,11 +708,11 @@ func (c *Cursor) redirPrev() (*Entry, error) {
 			if rec.Continued || !c.matchRecord(&rec) {
 				continue
 			}
-			e, aerr := c.s.entryAt(db, rd.rb, i, &c.eff)
-			if aerr != nil {
+			e := new(Entry)
+			if aerr := c.s.entryInto(db, rd.rb, i, &c.eff, e); aerr != nil {
 				continue
 			}
-			return &e, nil
+			return e, nil
 		}
 		rd.retreat(r)
 	}
@@ -681,23 +785,23 @@ func (c *Cursor) SeekTime(ts int64) error {
 		return nil
 	}
 	// Scan forward from the located block for the first entry at/after ts,
-	// leaving the gap just before it.
+	// leaving the cursor where it stood after the entry before it.
 	c.block, c.rec = b, 0
 	c.redir = nil
-	for {
-		pos := c.savePos()
-		e, err := c.next()
-		if err == io.EOF {
-			return nil // gap at end: everything is before ts
+	pos := c.savePos()
+	found := false
+	f := visits{max: math.MaxInt, visit: func(e *Entry) bool {
+		if found = e.Timestamp >= ts; !found {
+			pos = c.savePos()
 		}
-		if err != nil {
-			return err
-		}
-		if e.Timestamp >= ts {
-			c.restorePos(pos)
-			return nil
-		}
+		return !found
+	}}
+	if err := c.each(&f); found {
+		c.restorePos(pos)
+	} else if err != io.EOF {
+		return err
 	}
+	return nil // at EOF the gap is at the end: everything is before ts
 }
 
 // cursorPos captures a cursor's full position — gap plus any in-progress
@@ -803,6 +907,5 @@ func (s *Service) ReadAtInto(block, index int, e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("%w: block %d unreadable: %v", ErrLost, block, err)
 	}
-	*e, err = s.entryAt(db, block, index, nil)
-	return err
+	return s.entryInto(db, block, index, nil, e)
 }

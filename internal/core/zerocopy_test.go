@@ -498,3 +498,30 @@ func BenchmarkParentCursorStep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCursorFillWarm is the server's refill as core runs it: a warm
+// cursor over /sessions (17 ids, every block decoded and cached) visiting
+// entries in batches of up to 256, restarting at the end of the log. One op
+// is one entry visited; the visitor reads the entry in place. It allocates
+// nothing per entry: only an entry whose fragments cross blocks is copied
+// together, about one byte per op here.
+func BenchmarkCursorFillWarm(b *testing.B) {
+	_, c, _ := parentStepSetup(b)
+	c.SeekStart()
+	var sum int
+	visit := func(e *Entry) bool { sum += len(e.Data); return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; {
+		k, err := c.NextEach(min(b.N-n, 256), visit)
+		n += k
+		if err == io.EOF {
+			c.SeekStart()
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+	if sum == 0 {
+		b.Fatal("no data visited")
+	}
+}

@@ -141,7 +141,7 @@ func dispatchFixture(t testing.TB, tenant string) (h *connHandler, id logapi.ID)
 			t.Fatal(err)
 		}
 	}
-	cur, err := srv.store.OpenCursor(ctx, path)
+	cur, err := srv.store.Cursor(ctx, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -529,7 +529,7 @@ type session struct {
 
 	mu         sync.Mutex
 	id         uint64
-	cursors    map[uint32]logapi.Cursor
+	cursors    map[uint32]shard.Cursor
 	nextCursor uint32
 	maxSeq     uint64
 	window     map[uint64]cachedResp
@@ -549,7 +549,7 @@ type cachedResp struct {
 func newSession(id uint64) *session {
 	return &session{
 		id:      id,
-		cursors: make(map[uint32]logapi.Cursor),
+		cursors: make(map[uint32]shard.Cursor),
 		window:  make(map[uint64]cachedResp),
 	}
 }
@@ -613,7 +613,7 @@ func (ss *session) retainLocked(seq uint64, r cachedResp) {
 	}
 }
 
-func (ss *session) addCursor(cur logapi.Cursor) uint32 {
+func (ss *session) addCursor(cur shard.Cursor) uint32 {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.nextCursor++
@@ -621,7 +621,7 @@ func (ss *session) addCursor(cur logapi.Cursor) uint32 {
 	return ss.nextCursor
 }
 
-func (ss *session) cursor(handle uint32) (logapi.Cursor, bool) {
+func (ss *session) cursor(handle uint32) (shard.Cursor, bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	cur, ok := ss.cursors[handle]
@@ -645,6 +645,9 @@ type connHandler struct {
 	// tenant hello succeeds (and always nil in open mode). Only the
 	// connection's own goroutine touches it.
 	tenant *tenantState
+	// fillBuf is the scratch fillReply encodes entries into; the connection
+	// answers one request at a time.
+	fillBuf []byte
 }
 
 // reply is the one response shape: the status byte, the payload, and — when
@@ -919,7 +922,7 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) reply {
 		if r.Err() != nil {
 			break
 		}
-		cur, err := store.OpenCursor(ctx, path)
+		cur, err := store.Cursor(ctx, path)
 		if err != nil {
 			return errReply(err)
 		}
@@ -940,7 +943,7 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) reply {
 		if !ok {
 			return errReply(fmt.Errorf("server: unknown cursor handle %d", handle))
 		}
-		return cursorOp(ctx, tr, op, cur, r, h.srv.met())
+		return cursorOp(ctx, tr, op, cur, r, h.srv.met(), &h.fillBuf)
 
 	case OpReadAt:
 		shardN, block, index := r.Uvarint(), r.Uvarint(), r.Uvarint()
@@ -987,8 +990,9 @@ func appendOptions(flags byte, tr *obs.Trace) core.AppendOptions {
 	}
 }
 
-// cursorOp runs one cursor request on cur; r stands after the handle.
-func cursorOp(ctx context.Context, tr *obs.Trace, op byte, cur logapi.Cursor, r *wire.Reader, m *serverMetrics) reply {
+// cursorOp runs one cursor request on cur; r stands after the handle. buf
+// is the connection's fill scratch.
+func cursorOp(ctx context.Context, tr *obs.Trace, op byte, cur shard.Cursor, r *wire.Reader, m *serverMetrics, buf *[]byte) reply {
 	switch op {
 	case OpNext, OpPrev:
 		// The optional second field: OpNext's want, OpPrev's back.
@@ -1002,7 +1006,7 @@ func cursorOp(ctx context.Context, tr *obs.Trace, op byte, cur logapi.Cursor, r 
 		}
 		defer tr.Span("core.read")()
 		if op == OpNext {
-			return fillEntries(ctx, cur.Next, hasArg, arg, m.nextEntries)
+			return fillReply(ctx, cur, hasArg, arg, m.nextEntries, buf)
 		}
 		// Step back over what the client read ahead and never consumed.
 		// They are entries this cursor itself returned — one batch at most
@@ -1016,7 +1020,14 @@ func cursorOp(ctx context.Context, tr *obs.Trace, op byte, cur logapi.Cursor, r 
 				return errReply(fmt.Errorf("server: stepping back over read-ahead entries: %w", err))
 			}
 		}
-		return fillEntries(ctx, cur.Prev, false, 0, nil)
+		e, err := cur.Prev(ctx)
+		if err == io.EOF {
+			return reply{status: StatusEOF}
+		}
+		if err != nil {
+			return errReply(err)
+		}
+		return reply{status: StatusOK, head: appendEntryHead(nil, e), body: e.Data}
 
 	case OpSeekTime:
 		ts := r.Int64()
@@ -1038,7 +1049,7 @@ func cursorOp(ctx context.Context, tr *obs.Trace, op byte, cur logapi.Cursor, r 
 		// that failed passed no entry, so the cursor is still in the gap
 		// the seek chose.
 		defer tr.Span("core.read")()
-		if rep := fillEntries(ctx, cur.Next, true, want, m.seekEntries); rep.status == StatusOK {
+		if rep := fillReply(ctx, cur, true, want, m.seekEntries, buf); rep.status == StatusOK {
 			return rep
 		}
 		return okReply(nil)
@@ -1059,46 +1070,44 @@ func cursorOp(ctx context.Context, tr *obs.Trace, op byte, cur logapi.Cursor, r 
 	return errReply(r.Err())
 }
 
-// fillEntries is the one loop that reads entries off a cursor for a response.
-// It has two framings. The bare form (batched false) answers with the first
-// entry as head + borrowed data. The batched form steps up to
-// min(max(want, 1), MaxBatchEntries) times, stops taking entries once it
-// holds MaxBatchBytes, and answers with every entry collected behind a count.
+// fillReply reads entries off a cursor for a response, in one run of the
+// cursor's forward loop (shard.Cursor.NextEach). It has two framings. The
+// bare form (batched false) answers with one entry. The batched form takes
+// up to min(max(want, 1), MaxBatchEntries) entries, stops taking entries once
+// it holds MaxBatchBytes, and answers with every entry taken behind a count.
 // EOF and errors are reported only by a call that found nothing before them;
 // a batch just ends there, so neither is ever held in a client's buffer.
 // delivered counts the entries answered.
-func fillEntries(ctx context.Context, step func(context.Context) (*logapi.Entry, error), batched bool, want uint64, delivered *obs.Counter) reply {
+//
+// Each entry's head and data are appended once, straight into *buf, the
+// connection's scratch. The answer is one exactly sized copy of it, because
+// the dedup window retains it.
+func fillReply(ctx context.Context, cur shard.Cursor, batched bool, want uint64, delivered *obs.Counter, buf *[]byte) reply {
 	limit := 1
 	if batched {
 		limit = int(min(max(want, 1), MaxBatchEntries))
 	}
-	var batch [MaxBatchEntries]*core.Entry
-	var head [64]byte // scratch: heads are encoded once to size the batch, once into it
-	n, size := 0, 0
-	for n < limit && size < MaxBatchBytes {
-		e, err := step(ctx)
-		if err != nil {
-			if n > 0 {
-				break
-			}
-			if err == io.EOF {
-				return reply{status: StatusEOF}
-			}
-			return errReply(err)
-		}
-		delivered.Inc()
-		if !batched {
-			return reply{status: StatusOK, head: appendEntryHead(nil, e), body: e.Data}
-		}
-		batch[n] = e
-		n++
-		size += len(appendEntryHead(head[:0], e)) + len(e.Data)
-	}
-	// Sized exactly: the dedup window retains this buffer.
-	count := wire.PutUvarint(head[:0], uint64(n))
-	out := append(make([]byte, 0, len(count)+size), count...)
-	for _, e := range batch[:n] {
+	out := (*buf)[:0]
+	n, err := cur.NextEach(ctx, limit, func(e *core.Entry) bool {
 		out = append(appendEntryHead(out, e), e.Data...)
+		return len(out) < MaxBatchBytes
+	})
+	if cap(out) <= 2*MaxBatchBytes {
+		*buf = out // an entry past that size is not worth keeping room for
 	}
-	return okReply(out)
+	if n == 0 {
+		if err == io.EOF {
+			return reply{status: StatusEOF}
+		}
+		return errReply(err)
+	}
+	delivered.Add(int64(n))
+	var count [binary.MaxVarintLen64]byte
+	head := count[:0]
+	if batched {
+		head = wire.PutUvarint(head, uint64(n))
+	}
+	resp := make([]byte, len(head)+len(out))
+	copy(resp[copy(resp, head):], out)
+	return okReply(resp)
 }

@@ -14,6 +14,19 @@ import (
 // position spans every shard and has no single (block, rec) coordinate.
 var ErrRootSeekPos = errors.New("shard: SeekPos is not defined on the merged root cursor")
 
+// Cursor is a store cursor: a logapi.Cursor that also runs core's forward
+// loop (core.Cursor.NextEach), visiting a run of entries in place. The
+// routed and the merged root cursor implement it alike, so a reader of
+// either fills a batch one way.
+type Cursor interface {
+	logapi.Cursor
+	// NextEach visits up to max entries after the cursor position, in
+	// order, advancing past each, until visit returns false or the log ends
+	// (io.EOF) or fails; it returns how many it visited. visit's entry is
+	// scratch: it must not be kept past the call (what it points to may).
+	NextEach(ctx context.Context, max int, visit func(*logapi.Entry) bool) (int, error)
+}
+
 // cursor is a routed cursor: every log file but the root lives on exactly
 // one shard, so its cursor is the shard's core cursor with the shard
 // ordinal stamped onto returned entries.
@@ -22,7 +35,7 @@ type cursor struct {
 	shard int
 }
 
-var _ logapi.Cursor = (*cursor)(nil)
+var _ Cursor = (*cursor)(nil)
 
 func (c *cursor) Next(ctx context.Context) (*logapi.Entry, error) {
 	if err := ctx.Err(); err != nil {
@@ -34,6 +47,16 @@ func (c *cursor) Next(ctx context.Context) (*logapi.Entry, error) {
 	}
 	e.Shard = c.shard
 	return e, nil
+}
+
+func (c *cursor) NextEach(ctx context.Context, max int, visit func(*logapi.Entry) bool) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return c.cur.NextEach(max, func(e *logapi.Entry) bool {
+		e.Shard = c.shard
+		return visit(e)
+	})
 }
 
 func (c *cursor) Prev(ctx context.Context) (*logapi.Entry, error) {
@@ -88,46 +111,45 @@ func (c *cursor) Close() error { return nil }
 type sub struct {
 	cur   *core.Cursor
 	shard int
-	pend  *logapi.Entry
-	dir   int // +1: pend fetched by Next; -1: by Prev; 0: no pend
+	pend  logapi.Entry // valid while dir != 0
+	dir   int          // +1: pend fetched by Next; -1: by Prev; 0: no pend
 }
 
 // peekNext returns the sub's next entry without consuming it, or nil at
-// EOF.
+// EOF. The entry is the sub's own, valid until it is consumed.
 func (s *sub) peekNext() (*logapi.Entry, error) {
-	if s.pend != nil && s.dir == +1 {
-		return s.pend, nil
+	if s.dir == +1 {
+		return &s.pend, nil
 	}
-	if s.pend != nil {
+	if s.dir != 0 {
 		// pend was fetched by Prev, so the gap sits before it; step
 		// forward across it to undo the peek.
 		if _, err := s.cur.Next(); err != nil {
 			return nil, err
 		}
-		s.pend, s.dir = nil, 0
+		s.dir = 0
 	}
-	e, err := s.cur.Next()
-	if err == io.EOF {
-		return nil, nil
-	}
-	if err != nil {
+	n, err := s.cur.NextEach(1, func(e *logapi.Entry) bool { s.pend = *e; return true })
+	if n == 0 {
+		if err == io.EOF {
+			err = nil
+		}
 		return nil, err
 	}
-	e.Shard = s.shard
-	s.pend, s.dir = e, +1
-	return e, nil
+	s.pend.Shard, s.dir = s.shard, +1
+	return &s.pend, nil
 }
 
 // peekPrev mirrors peekNext toward the start.
 func (s *sub) peekPrev() (*logapi.Entry, error) {
-	if s.pend != nil && s.dir == -1 {
-		return s.pend, nil
+	if s.dir == -1 {
+		return &s.pend, nil
 	}
-	if s.pend != nil {
+	if s.dir != 0 {
 		if _, err := s.cur.Prev(); err != nil {
 			return nil, err
 		}
-		s.pend, s.dir = nil, 0
+		s.dir = 0
 	}
 	e, err := s.cur.Prev()
 	if err == io.EOF {
@@ -136,14 +158,14 @@ func (s *sub) peekPrev() (*logapi.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.Shard = s.shard
-	s.pend, s.dir = e, -1
-	return e, nil
+	s.pend, s.dir = *e, -1
+	s.pend.Shard = s.shard
+	return &s.pend, nil
 }
 
-func (s *sub) consume() { s.pend, s.dir = nil, 0 }
+func (s *sub) consume() { s.dir = 0 }
 
-func (s *sub) reset() { s.pend, s.dir = nil, 0 }
+func (s *sub) reset() { s.dir = 0 }
 
 // rootCursor merges every shard's volume sequence log into one stream
 // ordered by (timestamp, shard): a K-way merge over peeked heads. Shard
@@ -155,7 +177,7 @@ type rootCursor struct {
 	subs []*sub
 }
 
-var _ logapi.Cursor = (*rootCursor)(nil)
+var _ Cursor = (*rootCursor)(nil)
 
 func (st *Store) openRootCursor() (*rootCursor, error) {
 	rc := &rootCursor{subs: make([]*sub, len(st.svcs))}
@@ -170,29 +192,45 @@ func (st *Store) openRootCursor() (*rootCursor, error) {
 }
 
 func (rc *rootCursor) Next(ctx context.Context) (*logapi.Entry, error) {
-	if err := ctx.Err(); err != nil {
+	var out logapi.Entry
+	if n, err := rc.NextEach(ctx, 1, func(e *logapi.Entry) bool { out = *e; return true }); n == 0 {
 		return nil, err
 	}
-	var best *sub
-	var bestE *logapi.Entry
-	for _, s := range rc.subs {
-		e, err := s.peekNext()
-		if err != nil {
-			return nil, err
+	return &out, nil
+}
+
+// NextEach runs the merge step up to max times: each step visits the
+// lowest (timestamp, shard) peeked head and consumes it.
+func (rc *rootCursor) NextEach(ctx context.Context, max int, visit func(*logapi.Entry) bool) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	n := 0
+	for {
+		var best *sub
+		var bestE *logapi.Entry
+		for _, s := range rc.subs {
+			e, err := s.peekNext()
+			if err != nil {
+				return n, err
+			}
+			if e == nil {
+				continue
+			}
+			if bestE == nil || e.Timestamp < bestE.Timestamp ||
+				(e.Timestamp == bestE.Timestamp && s.shard < best.shard) {
+				best, bestE = s, e
+			}
 		}
-		if e == nil {
-			continue
+		if bestE == nil {
+			return n, io.EOF
 		}
-		if bestE == nil || e.Timestamp < bestE.Timestamp ||
-			(e.Timestamp == bestE.Timestamp && s.shard < best.shard) {
-			best, bestE = s, e
+		best.consume()
+		n++
+		if !visit(bestE) || n >= max {
+			return n, nil
 		}
 	}
-	if bestE == nil {
-		return nil, io.EOF
-	}
-	best.consume()
-	return bestE, nil
 }
 
 func (rc *rootCursor) Prev(ctx context.Context) (*logapi.Entry, error) {
@@ -218,7 +256,8 @@ func (rc *rootCursor) Prev(ctx context.Context) (*logapi.Entry, error) {
 		return nil, io.EOF
 	}
 	best.consume()
-	return bestE, nil
+	out := *bestE
+	return &out, nil
 }
 
 func (rc *rootCursor) SeekStart(ctx context.Context) error {

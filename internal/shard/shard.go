@@ -345,6 +345,12 @@ func (st *Store) ReadAt(ctx context.Context, shard, block, index int) (*logapi.E
 }
 
 func (st *Store) OpenCursor(ctx context.Context, path string) (logapi.Cursor, error) {
+	return st.Cursor(ctx, path)
+}
+
+// Cursor is OpenCursor returning the store's own Cursor, which also runs
+// core's forward loop.
+func (st *Store) Cursor(ctx context.Context, path string) (Cursor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -353,7 +359,11 @@ func (st *Store) OpenCursor(ctx context.Context, path string) (logapi.Cursor, er
 		return nil, err
 	}
 	if seg == "" {
-		return st.openRootCursor()
+		rc, err := st.openRootCursor()
+		if err != nil {
+			return nil, err
+		}
+		return rc, nil
 	}
 	sh := hashSegment(seg, len(st.svcs))
 	cur, err := st.svcs[sh].OpenCursor(path)
