@@ -93,7 +93,22 @@ const (
 	// FlagVolumeSealed marks the final block of a full volume whose log
 	// continues on a successor volume.
 	FlagVolumeSealed = 1 << 3
+	// FlagsFragment is the footer's top four bits: in a block whose first
+	// record continues an entry, which fragment of that entry it is (see
+	// FragmentFlags). Zero in a block that continues nothing, and in every
+	// block of a build that did not number fragments: a reader takes zero as
+	// "not numbered" and checks nothing.
+	FlagsFragment = 0xF0
 )
+
+// FragmentFlags returns the FlagsFragment bits of fragment k >= 1 of an
+// entry (the first fragment is k = 0 and numbers nothing): k mod 15, plus
+// one, so that the bits are never zero. A chain reader expects the
+// fragments 1, 2, … in the blocks it follows: a block that was lost from
+// the middle of the chain shows as a number skipped, unless fifteen were
+// lost in a row. The number rides with the block image, so a block the
+// writer slid past a damaged one (§2.3.2) keeps it.
+func FragmentFlags(k int) uint8 { return uint8((k-1)%15+1) << 4 }
 
 // FooterSize is the byte size of the fixed block footer:
 // magic(2) version(1) flags(1) count(2) firstTS(8) blockIndex(4) crc(4).

@@ -188,8 +188,10 @@ type Client struct {
 	opt   Options
 	retry faults.RetryPolicy
 
-	mu         sync.Mutex
-	conn       net.Conn
+	mu sync.Mutex
+	// conn is the live connection's frame I/O, made with it: its reader
+	// holds bytes of that connection only, so a reconnect starts clean.
+	conn       *server.FrameConn
 	session    uint64
 	seq        uint64
 	epoch      uint64 // last observed server epoch; 0 = none yet
@@ -213,7 +215,7 @@ var _ logapi.Service = (*Client)(nil)
 // New wraps an established connection. A Client made this way has no dialer
 // and therefore cannot reconnect: the first connection error fails the call.
 func New(conn net.Conn) *Client {
-	return &Client{conn: conn, retry: faults.DefaultNetPolicy()}
+	return &Client{conn: server.NewFrameConn(conn), retry: faults.DefaultNetPolicy()}
 }
 
 // Dial connects to a TCP log server with default Options (in particular a
@@ -341,19 +343,20 @@ func (c *Client) reconnectLocked(ctx context.Context, ambiguous bool, opName str
 		ctx, cancel = context.WithTimeout(ctx, dt)
 		defer cancel()
 	}
-	var conn net.Conn
+	var raw net.Conn
 	var err error
 	var dialed string
 	if c.opt.Dialer != nil {
-		conn, err = c.opt.Dialer(ctx)
+		raw, err = c.opt.Dialer(ctx)
 	} else {
 		dialed = c.pickAddrLocked()
-		conn, err = c.opt.DialAddr(ctx, dialed)
+		raw, err = c.opt.DialAddr(ctx, dialed)
 	}
 	if err != nil {
 		c.addrFailedLocked(dialed)
 		return err
 	}
+	conn := server.NewFrameConn(raw)
 	hello := wire.Hello{Session: c.session, Tenant: c.opt.Tenant, Token: c.opt.Token}.Encode(nil)
 	status, r, err := c.roundTrip(ctx, conn, server.OpHello, 0, traceID(c.session, 0), hello)
 	if err != nil {
@@ -452,25 +455,35 @@ func traceID(session, seq uint64) uint64 {
 }
 
 // roundTrip performs one framed request/response on conn, bounded by the
-// context deadline and honoring cancellation.
-func (c *Client) roundTrip(ctx context.Context, conn net.Conn, op byte, seq, trace uint64, payload []byte) (byte, *wire.Reader, error) {
+// context deadline and honoring cancellation. The response payload is the
+// caller's: entries decoded from it alias it.
+func (c *Client) roundTrip(ctx context.Context, conn *server.FrameConn, op byte, seq, trace uint64, payload []byte) (byte, *wire.Reader, error) {
 	deadline, _ := ctx.Deadline() // the zero time when there is none: no deadline
 	conn.SetDeadline(deadline)
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				conn.SetDeadline(time.Unix(1, 0)) // unblock the read
-			case <-stop:
+	if ctx.Done() != nil {
+		// A cancellation unblocks the read by moving the deadline into the
+		// past, but only while this round trip runs: one that fired after
+		// it returned would time out the connection's next call.
+		var mu sync.Mutex
+		live := true
+		stop := context.AfterFunc(ctx, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if live {
+				conn.SetDeadline(time.Unix(1, 0))
 			}
+		})
+		defer func() {
+			stop()
+			mu.Lock()
+			live = false
+			mu.Unlock()
 		}()
 	}
-	if err := server.WriteFrame(conn, op, seq, trace, payload); err != nil {
+	if err := conn.WriteFrame(op, seq, trace, payload); err != nil {
 		return 0, nil, fmt.Errorf("client: send: %w", err)
 	}
-	status, rseq, _, resp, err := server.ReadFrame(conn)
+	status, rseq, _, resp, err := conn.ReadFrameOwned()
 	if err != nil {
 		return 0, nil, fmt.Errorf("client: recv: %w", err)
 	}

@@ -1,0 +1,162 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"clio/internal/faults"
+	"clio/internal/logapi"
+	"clio/internal/server"
+	"clio/internal/wire"
+)
+
+// helloAnswer is a handshake answer: epoch 1, nothing processed yet.
+func helloAnswer() []byte { return wire.PutUint64(wire.PutUint64(nil, 1), 0) }
+
+func appendFrame(t *testing.T, dst *bytes.Buffer, op byte, seq, trace uint64, payload []byte) {
+	t.Helper()
+	if err := server.WriteFrame(dst, op, seq, trace, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWatchReadsPushesBehindSubscribeAnswer: a server may put the subscribe
+// answer and the first pushes in one socket write, so the client reads them
+// in one read. The handshake and the receive loop read through the one
+// reader the connection was made with, so every push is delivered; a reader
+// per phase would drop the pushes the handshake's read took in.
+func TestWatchReadsPushesBehindSubscribeAnswer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const subID = 3
+	want := []string{"first", "second", "third"}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					op, seq, trace, _, err := server.ReadFrame(conn)
+					if err != nil {
+						return
+					}
+					var out bytes.Buffer
+					switch op {
+					case server.OpHello:
+						appendFrame(t, &out, server.StatusOK, seq, trace, helloAnswer())
+					case wire.OpStreamSubscribe:
+						appendFrame(t, &out, server.StatusOK, seq, trace, wire.PutUint32(nil, subID))
+						for i, data := range want {
+							d := wire.StreamDeliver{SubID: subID, LogID: 1, Timestamp: int64(i + 1), Index: uint64(i), Data: []byte(data)}
+							appendFrame(t, &out, wire.OpStreamDeliver, subID, 0, append(d.EncodeHead(nil), data...))
+						}
+						appendFrame(t, &out, wire.OpStreamEnd, subID, 0, (&wire.StreamEnd{SubID: subID, Msg: "done"}).Encode(nil))
+					default:
+						continue // credit grants, unsubscribe
+					}
+					if _, err := conn.Write(out.Bytes()); err != nil {
+						return
+					}
+					if op == wire.OpStreamSubscribe {
+						// Nothing follows: a reader that lost the pushes
+						// sees the end of the stream at once, not a hang.
+						conn.(*net.TCPConn).CloseWrite()
+					}
+				}
+			}()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	c, err := DialContext(ctx, "", Options{Dialer: func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", ln.Addr().String())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Watch(ctx, "/log", logapi.WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	for i, w := range want {
+		e, err := sub.Recv(ctx)
+		if err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+		if string(e.Data) != w || e.Timestamp != int64(i+1) {
+			t.Fatalf("push %d: %q at %d, want %q at %d", i, e.Data, e.Timestamp, w, i+1)
+		}
+	}
+	if _, err := sub.Recv(ctx); err == nil || !strings.Contains(err.Error(), "ended by server: done") {
+		t.Errorf("after the pushes: %v, want the server's end", err)
+	}
+}
+
+// TestReconnectReadsNothingOfTheDeadConnection: bytes a dead connection left
+// in its reader are never read as answers on the connection that replaces
+// it. The first connection's handshake answer arrives with a stale answer for
+// the next request behind it, and the connection dies before that request
+// is sent: the request must be answered by the second connection.
+func TestReconnectReadsNothingOfTheDeadConnection(t *testing.T) {
+	var dials atomic.Int32
+	serve := func(conn net.Conn, first bool) {
+		defer conn.Close()
+		for {
+			op, seq, trace, _, err := server.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			var out bytes.Buffer
+			switch op {
+			case server.OpHello:
+				appendFrame(t, &out, server.StatusOK, seq, trace, helloAnswer())
+				if first {
+					// A stale answer to the request the client sends next.
+					appendFrame(t, &out, server.StatusOK, seq+1, traceID(7, seq+1), wire.PutUint64(nil, 666))
+				}
+			case server.OpAppend:
+				appendFrame(t, &out, server.StatusOK, seq, trace, wire.PutUint64(nil, 42))
+			default:
+				appendFrame(t, &out, server.StatusErr, seq, trace, server.PutString(nil, fmt.Sprintf("op %d", op)))
+			}
+			if _, err := conn.Write(out.Bytes()); err != nil || first {
+				return // the first connection dies with its answer sent
+			}
+		}
+	}
+	dialer := func(ctx context.Context) (net.Conn, error) {
+		cConn, sConn := net.Pipe()
+		go serve(sConn, dials.Add(1) == 1)
+		return cConn, nil
+	}
+	retry := faults.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Multiplier: 1}
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	c, err := DialContext(ctx, "", Options{Dialer: dialer, SessionID: 7, Retry: &retry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ts, err := c.Append(ctx, 1, []byte("x"), AppendOptions{Forced: true})
+	if err != nil || ts != 42 {
+		t.Fatalf("append: timestamp %d, %v; want 42 from the live connection", ts, err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("%d connections dialed, want 2", n)
+	}
+}

@@ -31,10 +31,14 @@ var ErrSubClosed = errors.New("client: subscription closed")
 // traffic. A Client wrapped around a bare connection with New has no dialer
 // and cannot Watch.
 func (c *Client) Watch(ctx context.Context, path string, opts logapi.WatchOptions) (logapi.Subscription, error) {
-	conn, err := c.dialStream(ctx)
+	raw, err := c.dialStream(ctx)
 	if err != nil {
 		return nil, err
 	}
+	// One frame reader for the connection's life: the handshake's reads and
+	// the receive loop's share it, so a push that arrived in the same read
+	// as the subscribe answer is already buffered for the loop.
+	conn := server.NewFrameConn(raw)
 	if c.opt.Tenant != "" {
 		// The dedicated connection authenticates like the main one: a
 		// multi-tenant server refuses unauthenticated subscribes. Session 0
@@ -111,14 +115,15 @@ func (c *Client) dialStream(ctx context.Context) (net.Conn, error) {
 
 // remoteSub is a live subscription over its own connection.
 type remoteSub struct {
-	conn   net.Conn
+	conn   *server.FrameConn
 	subID  uint32
 	window int
 
 	out chan *Entry
 
 	// wmu serializes frame writes (credit grants from the Recv path,
-	// unsubscribe from Close) against each other.
+	// unsubscribe from Close) against each other, and guards conn's write
+	// buffer.
 	wmu sync.Mutex
 
 	// drained counts entries handed to the consumer since the last credit
@@ -139,7 +144,8 @@ var _ logapi.Subscription = (*remoteSub)(nil)
 func (s *remoteSub) recvLoop() {
 	defer close(s.out)
 	for {
-		status, _, _, payload, err := server.ReadFrame(s.conn)
+		// Borrowed: DecodeStreamDeliver copies the entry data it keeps.
+		status, _, _, payload, err := s.conn.ReadFrame()
 		if err != nil {
 			s.fail(err)
 			return
@@ -201,7 +207,7 @@ func (s *remoteSub) Recv(ctx context.Context) (*Entry, error) {
 			s.drained = 0
 			s.wmu.Lock()
 			// Best-effort: a dead connection surfaces in the receive loop.
-			server.WriteFrame(s.conn, wire.OpStreamCredit, 0, 0, grant.Encode(nil))
+			s.conn.WriteFrame(wire.OpStreamCredit, 0, 0, grant.Encode(nil))
 			s.wmu.Unlock()
 		}
 		return e, nil
@@ -228,7 +234,7 @@ func (s *remoteSub) Close() error {
 		s.mu.Unlock()
 		un := wire.StreamUnsubscribe{SubID: s.subID}
 		s.wmu.Lock()
-		server.WriteFrame(s.conn, wire.OpStreamUnsubscribe, 0, 0, un.Encode(nil))
+		s.conn.WriteFrame(wire.OpStreamUnsubscribe, 0, 0, un.Encode(nil))
 		s.wmu.Unlock()
 		s.conn.Close()
 	})

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -15,12 +14,6 @@ import (
 	"clio/internal/wire"
 	"clio/internal/wodev"
 )
-
-// folReadBuffer sizes the buffered reader on a follower's connections: one
-// read usually takes in everything a leader's socket write carried (a tail
-// image, its ReplAck, perhaps a sealed block), which is then applied frame by
-// frame and answered once.
-const folReadBuffer = 32 << 10
 
 // folAckEvery is the most frames a follower applies before answering even
 // though more are already buffered, so a saturated stream cannot keep the
@@ -120,9 +113,15 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 	// commit frames this node never saw.
 	var connApplied uint64
 	unacked := 0
-	br := bufio.NewReaderSize(conn, folReadBuffer)
+	// One read usually takes in everything a leader's socket write carried (a
+	// tail image, its ReplAck, perhaps a sealed block), which is then applied
+	// frame by frame and answered once. A payload is borrowed from fc: apply
+	// keeps nothing of it (the NVRAM and the device copy what they store, a
+	// ReplAck's response is copied), and every answer goes out through fc's
+	// write buffer, this goroutine being the connection's only writer.
+	fc := server.NewFrameConn(conn)
 	for {
-		op, seq, trace, payload, err := server.ReadFrame(br)
+		op, seq, trace, payload, err := fc.ReadFrame()
 		if err != nil {
 			return
 		}
@@ -200,7 +199,7 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 			} else {
 				status, resp = server.StatusOK, wire.PutUint64(nil, term)
 			}
-			server.WriteFrame(conn, status, seq, trace, resp)
+			fc.WriteFrame(status, seq, trace, resp)
 			return
 		case wire.OpReplStatus:
 			status, resp = server.StatusOK, n.statusPayload()
@@ -220,19 +219,19 @@ func (n *Node) serveFollowerConn(conn net.Conn) {
 			status, resp = server.StatusNotLeader, server.PutString(nil, leader)
 		}
 		if answer {
-			if err := server.WriteFrame(conn, status, seq, trace, resp); err != nil {
+			if err := fc.WriteFrame(status, seq, trace, resp); err != nil {
 				return
 			}
 			if fatal {
 				return
 			}
 		}
-		if unacked > 0 && (br.Buffered() == 0 || unacked >= folAckEvery) {
+		if unacked > 0 && (fc.Buffered() == 0 || unacked >= folAckEvery) {
 			unacked = 0
 			// Catch-up frames carry position 0: until the ReplBase there is
 			// nothing to report, and the leader ignores a zero ack anyway.
 			if connApplied > 0 {
-				if err := server.WriteFrame(conn, server.StatusOK, connApplied, 0, nil); err != nil {
+				if err := fc.WriteFrame(server.StatusOK, connApplied, 0, nil); err != nil {
 					return
 				}
 			}

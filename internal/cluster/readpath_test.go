@@ -21,7 +21,8 @@ import (
 // 4-block chain, a chain across a block the writer invalidated and slid
 // past (a client entry and a catalog record, so the scrubber's own replay
 // crosses one too), a chain running off the written end, a chain whose
-// continuation is missing, and a chain into a damaged block.
+// continuation is missing, a chain into a damaged block, and a chain whose
+// middle fragment an fsck repair invalidated.
 func TestSealedReadPathAgreement(t *testing.T) {
 	const bs = 256
 	now := int64(0)
@@ -160,6 +161,18 @@ func TestSealedReadPathAgreement(t *testing.T) {
 			dev := cloneDevice(t, base, base.Written(), nil)
 			if err := dev.Damage(places[chain4].blocks[1]+1, garbage); err != nil {
 				t.Fatal(err)
+			}
+			return dev
+		}, chain4},
+		{"middle fragment repaired", func() *wodev.MemDevice {
+			// An fsck repair invalidates the damaged block: the chain must
+			// not pass over it as it passes over a slide.
+			dev := cloneDevice(t, base, base.Written(), nil)
+			if err := dev.Damage(places[chain4].blocks[1]+1, garbage); err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := scrub.Volumes([]wodev.Device{dev}, scrub.Options{Repair: true}); err != nil || rep.Repaired != 1 {
+				t.Fatalf("repair: %+v, %v", rep, err)
 			}
 			return dev
 		}, chain4},

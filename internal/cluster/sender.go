@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -133,16 +131,19 @@ func (n *Node) runSender(p *peer) {
 // breaks.
 func (n *Node) streamTo(p *peer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.DialTimeout)
-	conn, err := n.dialPeer(ctx, p.addr)
+	raw, err := n.dialPeer(ctx, p.addr)
 	cancel()
 	if err != nil {
 		return err
 	}
-	if !p.setConn(conn) {
-		conn.Close()
+	if !p.setConn(raw) {
+		raw.Close()
 		return nil
 	}
-	defer conn.Close()
+	defer raw.Close()
+	// The handshake and then the ack reader read through conn; this
+	// goroutine is its only writer.
+	conn := server.NewFrameConn(raw)
 
 	n.mu.Lock()
 	if n.role != wire.RoleLeader || n.srv == nil {
@@ -160,10 +161,10 @@ func (n *Node) streamTo(p *peer) error {
 		Shards:     uint32(len(devs)),
 		BlockSize:  uint32(devs[0][0].BlockSize()),
 	}
-	if err := server.WriteFrame(conn, wire.OpReplHello, 0, 0, hello.Encode(nil)); err != nil {
+	if err := conn.WriteFrame(wire.OpReplHello, 0, 0, hello.Encode(nil)); err != nil {
 		return err
 	}
-	status, _, _, payload, err := server.ReadFrame(conn)
+	status, _, _, payload, err := conn.ReadFrame()
 	if err != nil {
 		return err
 	}
@@ -187,14 +188,14 @@ func (n *Node) streamTo(p *peer) error {
 	// The ack reader runs for the rest of the session so catch-up writes
 	// never deadlock against the follower's buffered responses. Acks are
 	// cumulative and a follower sends one per buffer it drained, so one read
-	// usually carries one ack covering a whole batch.
+	// usually carries one ack covering a whole batch. An ack is read in
+	// place, with no allocation.
 	errCh := make(chan error, 1)
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
-		br := bufio.NewReader(conn)
 		for {
-			st, seq, _, pl, err := server.ReadFrame(br)
+			st, seq, _, pl, err := conn.ReadFrame()
 			if err != nil {
 				errCh <- err
 				return
@@ -234,34 +235,14 @@ func (n *Node) streamTo(p *peer) error {
 	// it set across the reconnect's catch-up.
 	p.alive.Store(true)
 
-	var out bytes.Buffer // the frames of one socket write, reused
 	for {
 		select {
 		case batch, ok := <-sub.ch:
 			if !ok {
 				return errFellBehind
 			}
-			// One write carries the batch and whatever else is already
-			// queued behind it (the second writer's ReplAck of a group
-			// commit, a seal's block): the follower reads them in one
-			// buffer and answers once.
-			out.Reset()
-			for batch != nil {
-				for _, f := range batch {
-					if err := server.WriteFrame(&out, f.op, f.pos, 0, f.payload); err != nil {
-						return err
-					}
-				}
-				batch = nil
-				if out.Len() < maxStreamWrite {
-					select {
-					case batch = <-sub.ch: // nil when closed: the next receive reports it
-					default:
-					}
-				}
-			}
 			n.streamWrites.Add(1)
-			if _, err := conn.Write(out.Bytes()); err != nil {
+			if err := sendBatches(conn, sub.ch, batch); err != nil {
 				return err
 			}
 		case err := <-errCh:
@@ -272,13 +253,36 @@ func (n *Node) streamTo(p *peer) error {
 	}
 }
 
+// sendBatches writes batch and whatever else is already queued behind it on
+// ch (the second writer's ReplAck of a group commit, a seal's block) in one
+// socket write, gathering until maxStreamWrite: the follower reads them in
+// one buffer and answers once. The frames are appended into conn's write
+// buffer, so a write allocates nothing.
+func sendBatches(conn *server.FrameConn, ch <-chan []frame, batch []frame) error {
+	for batch != nil {
+		for _, f := range batch {
+			if err := conn.Queue(f.op, f.pos, 0, f.payload); err != nil {
+				return err
+			}
+		}
+		batch = nil
+		if conn.Queued() < maxStreamWrite {
+			select {
+			case batch = <-ch: // nil when closed: the next receive reports it
+			default:
+			}
+		}
+	}
+	return conn.Flush()
+}
+
 // catchUp ships everything the follower is missing below the subscription
 // base: per-device block suffixes (the checkpoint-bounded "newest state,
 // not full history" path — a follower that was briefly down receives only
 // what it missed), the current NVRAM tail images, and the session
 // duplicate-suppression table. It ends with a ReplBase frame whose ack
 // (seq=base) tells the quorum counter the follower is caught up.
-func (n *Node) catchUp(conn net.Conn, p *peer, srv *server.Server, theirDevs []wire.ReplDevState, base uint64) error {
+func (n *Node) catchUp(conn *server.FrameConn, p *peer, srv *server.Server, theirDevs []wire.ReplDevState, base uint64) error {
 	their := make(map[[2]uint32]wire.ReplDevState, len(theirDevs))
 	for _, d := range theirDevs {
 		their[[2]uint32{d.Shard, d.Dev}] = d
@@ -286,6 +290,15 @@ func (n *Node) catchUp(conn net.Conn, p *peer, srv *server.Server, theirDevs []w
 	n.mu.Lock()
 	devs := n.devs
 	n.mu.Unlock()
+	// Catch-up frames are gathered like live ones, a socket write per
+	// maxStreamWrite rather than per frame.
+	send := func(op byte, seq uint64, payload []byte) error {
+		if err := conn.Queue(op, seq, 0, payload); err != nil || conn.Queued() < maxStreamWrite {
+			return err
+		}
+		return conn.Flush()
+	}
+	var scratch []byte // a block's frame payload, copied out by send
 	for si, shardDevs := range devs {
 		for di, dev := range shardDevs {
 			st := their[[2]uint32{uint32(si), uint32(di)}]
@@ -304,7 +317,7 @@ func (n *Node) catchUp(conn net.Conn, p *peer, srv *server.Server, theirDevs []w
 				n.logf("cluster: replica %s shard %d dev %d diverged (%d blocks vs our %d); resetting",
 					p.addr, si, di, fw, lw)
 				rst := (&wire.ReplReset{Shard: uint32(si), Dev: uint32(di)}).Encode(nil)
-				if err := server.WriteFrame(conn, wire.OpReplReset, 0, 0, rst); err != nil {
+				if err := send(wire.OpReplReset, 0, rst); err != nil {
 					return err
 				}
 				fw = 0
@@ -315,14 +328,14 @@ func (n *Node) catchUp(conn net.Conn, p *peer, srv *server.Server, theirDevs []w
 				switch {
 				case errors.Is(err, wodev.ErrInvalidated):
 					inv := (&wire.ReplInvalidate{Shard: uint32(si), Dev: uint32(di), Index: uint64(idx)}).Encode(nil)
-					if err := server.WriteFrame(conn, wire.OpReplInvalidate, 0, 0, inv); err != nil {
+					if err := send(wire.OpReplInvalidate, 0, inv); err != nil {
 						return err
 					}
 				case err != nil:
 					return fmt.Errorf("shard %d dev %d block %d: %w", si, di, idx, err)
 				default:
-					w := (&wire.ReplWrite{Shard: uint32(si), Dev: uint32(di), Index: uint64(idx), Data: buf}).Encode(nil)
-					if err := server.WriteFrame(conn, wire.OpReplWrite, 0, 0, w); err != nil {
+					scratch = (&wire.ReplWrite{Shard: uint32(si), Dev: uint32(di), Index: uint64(idx), Data: buf}).Encode(scratch[:0])
+					if err := send(wire.OpReplWrite, 0, scratch); err != nil {
 						return err
 					}
 				}
@@ -344,7 +357,7 @@ func (n *Node) catchUp(conn net.Conn, p *peer, srv *server.Server, theirDevs []w
 			op = wire.OpReplTailClear
 			pl = (&wire.ReplTailClear{Shard: uint32(si)}).Encode(nil)
 		}
-		if err := server.WriteFrame(conn, op, 0, 0, pl); err != nil {
+		if err := send(op, 0, pl); err != nil {
 			return err
 		}
 	}
@@ -353,11 +366,14 @@ func (n *Node) catchUp(conn net.Conn, p *peer, srv *server.Server, theirDevs []w
 		k := min(len(states), sessionChunk)
 		rs := &wire.ReplSessions{Sessions: states[:k]}
 		states = states[k:]
-		if err := server.WriteFrame(conn, wire.OpReplSessions, 0, 0, rs.Encode(nil)); err != nil {
+		if err := send(wire.OpReplSessions, 0, rs.Encode(nil)); err != nil {
 			return err
 		}
 	}
-	return server.WriteFrame(conn, wire.OpReplBase, base, 0, (&wire.ReplBase{Pos: base}).Encode(nil))
+	if err := send(wire.OpReplBase, base, (&wire.ReplBase{Pos: base}).Encode(nil)); err != nil {
+		return err
+	}
+	return conn.Flush()
 }
 
 // addrSeed derives a per-peer jitter seed (FNV-1a) so sender backoffs

@@ -518,6 +518,7 @@ func (s *Service) endChainLocked() {
 func (s *Service) appendEntryLocked(id uint16, extras []uint16, data []byte, form, attr uint8, ts int64, footNow bool) (int, int, error) {
 	remaining := data
 	first := true
+	frag := 0 // the fragment the loop appends next
 	block, recIdx := -1, -1
 	s.awaitChainLocked()
 	s.midChain = true
@@ -585,6 +586,10 @@ func (s *Service) appendEntryLocked(id uint16, extras []uint16, data []byte, for
 		for _, ex := range recExtras {
 			s.tailIDs[ex] = true
 		}
+		if continued {
+			s.builder.SetFlags(blockfmt.FragmentFlags(frag))
+		}
+		frag++
 		remaining = remaining[take:]
 		first = false
 		if continues {
@@ -694,6 +699,7 @@ func (s *Service) appendSystemLocked(id uint16, data []byte, form, attr uint8, t
 	defer s.endChainLocked()
 	remaining := data
 	first := true
+	frag := 0 // the fragment the loop appends next
 	for {
 		if err := s.ensureTailLocked(); err != nil {
 			return err
@@ -742,6 +748,10 @@ func (s *Service) appendSystemLocked(id uint16, data []byte, form, attr uint8, t
 		if boundary {
 			s.builder.SetFlags(blockfmt.FlagEntrymapBoundary)
 		}
+		if continued {
+			s.builder.SetFlags(blockfmt.FragmentFlags(frag))
+		}
+		frag++
 		s.tailDirty = true
 		s.tailIDs[id] = true
 		remaining = remaining[take:]

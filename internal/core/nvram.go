@@ -17,7 +17,9 @@ import (
 // position matches the device's written end.
 type NVRAM interface {
 	// Store persists the staged tail block image for the given global
-	// data-block index, replacing any previous image.
+	// data-block index, replacing any previous image. It keeps no reference
+	// to image: a replication follower stores straight from a frame buffer
+	// it reuses.
 	Store(global int, image []byte) error
 	// Load returns the staged image, or (0, nil, nil) when none is staged.
 	Load() (global int, image []byte, err error)

@@ -387,35 +387,47 @@ func (s *scrubber) checkEntrymap(atBlock int, e *entrymap.Entry, occ map[uint16]
 // checkChains verifies fragment-chain structure block by block.
 func (s *scrubber) checkChains(end int) {
 	// A continuation is legal at the start of block b only if some record
-	// in a previous readable block continues into it.
-	expect := map[uint16]bool{} // ids with an open chain entering the next block
+	// in a previous readable block continues into it, and only as the
+	// fragment that chain expects next.
+	expect := map[uint16]int{} // open chain entering the next block -> its next fragment
 	for g := 0; g < end; g++ {
 		p, err := s.fetch(g)
 		if errors.Is(err, wodev.ErrInvalidated) {
-			// The writer invalidated this block and slid its staged contents
-			// to the next one (§2.3.2): open chains carry on past it, exactly
-			// as volume.Assemble reads them.
+			// Open chains carry on past an invalidated block, exactly as
+			// volume.Assemble reads them: the writer may have slid its
+			// staged contents past it (§2.3.2). A fragment invalidated after
+			// it was written shows in the next one's number.
 			continue
 		}
 		if err != nil {
 			// Damaged or unreadable block: any open chains die here;
 			// continuations after it are necessarily orphans but not
 			// re-reported.
-			expect = map[uint16]bool{}
+			expect = map[uint16]int{}
 			continue
 		}
 		seenCont := map[uint16]bool{}
 		for _, rec := range p.Records {
-			if rec.Continued {
-				if !expect[rec.LogID] || seenCont[rec.LogID] {
-					s.report.add(g, "orphan-fragment",
-						"continuation for id %d with no open chain", rec.LogID)
-				}
-				seenCont[rec.LogID] = true
-				if !rec.Continues {
-					delete(expect, rec.LogID)
-				}
+			if !rec.Continued {
 				continue
+			}
+			k, open := expect[rec.LogID]
+			switch {
+			case !open || seenCont[rec.LogID]:
+				s.report.add(g, "orphan-fragment",
+					"continuation for id %d with no open chain", rec.LogID)
+				k = int(p.Flags >> 4) // follow the chain from the fragment found
+			case !volume.InSequence(p, k):
+				s.report.add(g, "torn-chain",
+					"id %d chain expects fragment %d here, the block holds fragment %d: one was lost",
+					rec.LogID, k, p.Flags>>4)
+				k = int(p.Flags >> 4)
+			}
+			seenCont[rec.LogID] = true
+			if rec.Continues {
+				expect[rec.LogID] = k + 1
+			} else {
+				delete(expect, rec.LogID)
 			}
 		}
 		// Chains that expected a continuation here but found none are torn.
@@ -427,8 +439,8 @@ func (s *scrubber) checkChains(end int) {
 		}
 		// Open new chains.
 		for _, rec := range p.Records {
-			if rec.Continues {
-				expect[rec.LogID] = true
+			if rec.Continues && !rec.Continued {
+				expect[rec.LogID] = 1
 			}
 		}
 	}

@@ -31,10 +31,12 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"time"
 
 	"clio/internal/core"
 	"clio/internal/wire"
@@ -153,40 +155,31 @@ const (
 // ErrFrameTooLarge is returned for frames above MaxFrame.
 var ErrFrameTooLarge = errors.New("server: frame too large")
 
-// WriteFrame writes one length-prefixed frame (op byte + seq + traceID +
-// payload).
-func WriteFrame(w io.Writer, op byte, seq, trace uint64, payload []byte) error {
-	return WriteFrameChunks(w, op, seq, trace, payload, nil)
+// frameHeader is the fixed part of a frame: u32 length, op, seq, traceID.
+const frameHeader = 4 + 17
+
+// appendFrameHeader appends the header of a frame with an n-byte payload.
+func appendFrameHeader(dst []byte, op byte, seq, trace uint64, n int) []byte {
+	dst = wire.PutUint32(dst, uint32(n+17))
+	dst = append(dst, op)
+	dst = wire.PutUint64(dst, seq)
+	return wire.PutUint64(dst, trace)
 }
 
-// WriteFrameChunks writes one frame whose payload is head followed by body,
-// without concatenating them. body may be a subslice borrowed from the block
-// cache (a sealed entry's data): a read response then travels from the
-// immutable block image to the connection with no intermediate copy. On a
-// TCP connection the three pieces go out in a single writev.
-func WriteFrameChunks(w io.Writer, op byte, seq, trace uint64, head, body []byte) error {
-	n := len(head) + len(body)
-	if n+17 > MaxFrame {
+// WriteFrame writes one length-prefixed frame (op byte + seq + traceID +
+// payload) in one Write. A connection's frames go through its FrameConn;
+// this is for a caller with a bare writer and a frame or two to send.
+func WriteFrame(w io.Writer, op byte, seq, trace uint64, payload []byte) error {
+	if len(payload)+17 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [21]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(n+17))
-	hdr[4] = op
-	binary.LittleEndian.PutUint64(hdr[5:13], seq)
-	binary.LittleEndian.PutUint64(hdr[13:], trace)
-	bufs := net.Buffers{hdr[:]}
-	if len(head) > 0 {
-		bufs = append(bufs, head)
-	}
-	if len(body) > 0 {
-		bufs = append(bufs, body)
-	}
-	_, err := bufs.WriteTo(w)
+	_, err := w.Write(append(appendFrameHeader(nil, op, seq, trace, len(payload)), payload...))
 	return err
 }
 
 // ReadFrame reads one frame, returning its op byte, sequence number, trace
-// ID and payload.
+// ID and payload. Like WriteFrame it is for a bare reader; a connection's
+// frames go through its FrameConn.
 func ReadFrame(r io.Reader) (byte, uint64, uint64, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -204,6 +197,191 @@ func ReadFrame(r io.Reader) (byte, uint64, uint64, []byte, error) {
 		binary.LittleEndian.Uint64(buf[9:17]), buf[17:], nil
 }
 
+// Frame buffer sizes. A connection's reader is small, so a frame that does
+// not fit it (a 16 KiB cursor batch, say) is read straight into its payload
+// instead of being copied through the buffer, and a payload above
+// inlineMax is written by writev instead of being copied into the write
+// buffer. A buffer that grew past keepBuffer is dropped after its frame.
+const (
+	frameReadBuffer = 4 << 10
+	inlineMax       = 2 << 10
+	keepBuffer      = 128 << 10
+)
+
+// FrameConn is the frame I/O of one protocol connection: a buffered reader
+// made with the connection, so a frame costs one read system call however
+// many the connection holds, and a write buffer, so a frame costs one
+// write and no allocation. Every reader of the connection reads through it
+// (a handshake, then a receive loop), and it is never shared between
+// connections: bytes it holds belong to this connection only.
+//
+// Reads come from one goroutine at a time, and so do writes, under
+// whatever lock serializes the connection's writers; a read and a write
+// may run concurrently.
+type FrameConn struct {
+	conn net.Conn
+	br   *bufio.Reader
+	rbuf []byte // payload of a borrowed frame the reader cannot hold whole
+	wbuf []byte // frames queued for the next write
+	vec  net.Buffers
+	vecs [3][]byte // vec's backing array
+}
+
+// NewFrameConn wraps a connection.
+func NewFrameConn(conn net.Conn) *FrameConn {
+	return &FrameConn{conn: conn, br: bufio.NewReaderSize(conn, frameReadBuffer)}
+}
+
+// Close closes the connection.
+func (fc *FrameConn) Close() error { return fc.conn.Close() }
+
+// SetDeadline sets the connection's read and write deadlines.
+func (fc *FrameConn) SetDeadline(t time.Time) error { return fc.conn.SetDeadline(t) }
+
+// Buffered reports how many bytes of later frames the reader already holds.
+func (fc *FrameConn) Buffered() int { return fc.br.Buffered() }
+
+// peek returns the next n bytes of the stream without consuming them; a
+// stream that ends inside them is io.ErrUnexpectedEOF.
+func (fc *FrameConn) peek(n int) ([]byte, error) {
+	b, err := fc.br.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+// header consumes the next frame's header and returns its payload length.
+func (fc *FrameConn) header() (op byte, seq, trace uint64, n int, err error) {
+	b, err := fc.peek(4)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	size := binary.LittleEndian.Uint32(b)
+	if size < 17 || size > MaxFrame {
+		return 0, 0, 0, 0, ErrFrameTooLarge
+	}
+	if b, err = fc.peek(frameHeader); err != nil {
+		return 0, 0, 0, 0, err
+	}
+	op, seq, trace = b[4], binary.LittleEndian.Uint64(b[5:13]), binary.LittleEndian.Uint64(b[13:])
+	fc.br.Discard(frameHeader)
+	return op, seq, trace, int(size) - 17, nil
+}
+
+// ReadFrame reads the next frame. The payload is borrowed: it is valid only
+// until the next read, so a caller copies whatever it keeps. A frame the
+// reader holds whole is returned in place, with no copy; a larger one is
+// read into a buffer the connection reuses.
+func (fc *FrameConn) ReadFrame() (op byte, seq, trace uint64, payload []byte, err error) {
+	op, seq, trace, n, err := fc.header()
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	if n <= fc.br.Size() {
+		if payload, err = fc.peek(n); err != nil {
+			return 0, 0, 0, nil, err
+		}
+		fc.br.Discard(n)
+		return op, seq, trace, payload, nil
+	}
+	if cap(fc.rbuf) < n {
+		fc.rbuf = make([]byte, n)
+	}
+	payload = fc.rbuf[:n]
+	if cap(fc.rbuf) > keepBuffer {
+		fc.rbuf = nil
+	}
+	if _, err := io.ReadFull(fc.br, payload); err != nil {
+		return 0, 0, 0, nil, unexpectedEOF(err)
+	}
+	return op, seq, trace, payload, nil
+}
+
+// ReadFrameOwned reads the next frame into a payload of its own, which the
+// caller may keep. The payload is read straight into that allocation: only
+// the part already buffered is copied.
+func (fc *FrameConn) ReadFrameOwned() (op byte, seq, trace uint64, payload []byte, err error) {
+	op, seq, trace, n, err := fc.header()
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	payload = make([]byte, n)
+	if _, err := io.ReadFull(fc.br, payload); err != nil {
+		return 0, 0, 0, nil, unexpectedEOF(err)
+	}
+	return op, seq, trace, payload, nil
+}
+
+// unexpectedEOF reports a stream that ended inside a frame's payload.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// Queue appends one frame to the write buffer without writing it; Flush
+// writes everything queued in one Write.
+func (fc *FrameConn) Queue(op byte, seq, trace uint64, payload []byte) error {
+	if len(payload)+17 > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	fc.wbuf = append(appendFrameHeader(fc.wbuf, op, seq, trace, len(payload)), payload...)
+	return nil
+}
+
+// Queued returns the bytes queued for the next Flush.
+func (fc *FrameConn) Queued() int { return len(fc.wbuf) }
+
+// Flush writes the queued frames in one Write.
+func (fc *FrameConn) Flush() error {
+	_, err := fc.conn.Write(fc.wbuf)
+	fc.resetWrite()
+	return err
+}
+
+func (fc *FrameConn) resetWrite() {
+	fc.wbuf = fc.wbuf[:0]
+	if cap(fc.wbuf) > keepBuffer {
+		fc.wbuf = nil
+	}
+}
+
+// WriteFrame writes the queued frames and one more, in one Write.
+func (fc *FrameConn) WriteFrame(op byte, seq, trace uint64, payload []byte) error {
+	return fc.WriteFrameChunks(op, seq, trace, payload, nil)
+}
+
+// WriteFrameChunks writes the queued frames and one more whose payload is
+// head followed by body, without concatenating them in a new allocation. A
+// payload up to inlineMax is copied into the write buffer and goes out in one
+// Write. A larger one is not copied: the buffer, head and body go out in one
+// writev, so a body borrowed from the block cache (a sealed entry's data)
+// travels from the immutable block image to the connection with no
+// intermediate copy.
+func (fc *FrameConn) WriteFrameChunks(op byte, seq, trace uint64, head, body []byte) error {
+	n := len(head) + len(body)
+	if n+17 > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	fc.wbuf = appendFrameHeader(fc.wbuf, op, seq, trace, n)
+	if n <= inlineMax {
+		fc.wbuf = append(append(fc.wbuf, head...), body...)
+		return fc.Flush()
+	}
+	fc.vec = append(fc.vecs[:0], fc.wbuf)
+	for _, b := range [2][]byte{head, body} {
+		if len(b) > 0 {
+			fc.vec = append(fc.vec, b)
+		}
+	}
+	_, err := fc.vec.WriteTo(fc.conn)
+	fc.vecs = [3][]byte{} // keep no borrowed body alive
+	fc.resetWrite()
+	return err
+}
+
 // Entry layout.
 
 // EncodeEntry renders one entry in the protocol's entry-response layout.
@@ -217,7 +395,7 @@ func EncodeEntry(e *core.Entry) []byte {
 // prefix — shard-local LogID (u16), timestamp, flag byte, then the shard
 // ordinal and the shard-local (block, index) position as uvarints and the
 // extra member ids — so the data itself can be shipped as a separate
-// borrowed chunk (WriteFrameChunks): head + e.Data is EncodeEntry.
+// borrowed chunk (FrameConn.WriteFrameChunks): head + e.Data is EncodeEntry.
 func appendEntryHead(out []byte, e *core.Entry) []byte {
 	out = wire.PutUint16(out, e.LogID)
 	out = wire.PutUint64(out, uint64(e.Timestamp))

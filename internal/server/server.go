@@ -437,18 +437,20 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// Until an OpHello attaches a shared session, the connection gets a
 	// private one (seq-based dedup still works within the connection).
 	h := &connHandler{srv: s, sess: newSession(0)}
-	// Stream pushers interleave their frames with the inline answers; wmu
-	// keeps frames whole, inflight keeps pushers from outliving the
-	// connection: deferred calls run LIFO, so closeAll (registered below)
-	// cancels them, inflight.Wait() joins them, and only then do the
-	// conns-map delete and conn.Close() above run.
+	// The read loop below is the connection's only reader. Stream pushers
+	// interleave their frames with the inline answers; wmu keeps frames
+	// whole and guards fc's write buffer, inflight keeps pushers from
+	// outliving the connection: deferred calls run LIFO, so closeAll
+	// (registered below) cancels them, inflight.Wait() joins them, and only
+	// then do the conns-map delete and conn.Close() above run.
+	fc := NewFrameConn(conn)
 	var wmu sync.Mutex
 	var inflight sync.WaitGroup
 	defer inflight.Wait()
 	write := func(seq, trace uint64, rep reply) bool {
 		wmu.Lock()
 		defer wmu.Unlock()
-		if err := WriteFrameChunks(conn, rep.status, seq, trace, rep.head, rep.body); err != nil {
+		if err := fc.WriteFrameChunks(rep.status, seq, trace, rep.head, rep.body); err != nil {
 			s.logf("clio server: write: %v", err)
 			return false
 		}
@@ -480,7 +482,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 			streams.endAll("server shutting down")
 			return
 		}
-		op, seq, traceID, payload, err := ReadFrame(conn)
+		// The payload is borrowed from fc: a request keeps nothing of it
+		// past its answer (every decoder copies what it keeps).
+		op, seq, traceID, payload, err := fc.ReadFrame()
 		if err != nil {
 			if s.draining.Load() {
 				// Graceful drain: in-flight work already finished (it ran

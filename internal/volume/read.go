@@ -36,12 +36,19 @@ func (s *Set) ReadBlock(global int) (*blockfmt.Parsed, error) {
 //   - otherwise the entry continues as the first Continued record with the
 //     same log-file id in each following block, up to the first such record
 //     that does not itself continue;
-//   - a following block that reads as wodev.ErrInvalidated is one the writer
-//     found damaged, invalidated and slid its staged contents past (§2.3.2):
-//     the chain carries on in the block after it;
+//   - a following block that reads as wodev.ErrInvalidated is passed over:
+//     it may be one the writer found damaged, invalidated and slid its
+//     staged contents past (§2.3.2), and the chain then carries on in the
+//     block after it;
+//   - each continuation must be the fragment the chain expects next, by the
+//     number its block's footer carries (blockfmt.FragmentFlags): a
+//     fragment that was invalidated after its block was written — an fsck
+//     repair of a damaged block — leaves a number skipped, where a slide
+//     leaves none. A block whose footer numbers no fragment (one written
+//     before fragments were numbered) is taken as it comes;
 //   - any other failure to fetch a following block (damaged, unwritten, past
-//     the readable end), or a block without a continuation for the id, loses
-//     the entry: ErrChainLost.
+//     the readable end), a block without a continuation for the id, or a
+//     continuation out of sequence loses the entry: ErrChainLost.
 //
 // fetch is all that differs between readers: where a decoded block comes
 // from, and where the readable history ends. It must fail with something
@@ -52,6 +59,7 @@ func Assemble(first *blockfmt.Parsed, global, idx int, fetch func(global int) (*
 		return rec.Data, nil
 	}
 	out := append([]byte(nil), rec.Data...)
+	k := 0 // the fragment last appended to out
 	for b := global + 1; ; b++ {
 		p, err := fetch(b)
 		if errors.Is(err, wodev.ErrInvalidated) {
@@ -64,11 +72,21 @@ func Assemble(first *blockfmt.Parsed, global, idx int, fetch func(global int) (*
 		if next == nil {
 			return nil, ErrChainLost
 		}
+		if k++; !InSequence(p, k) {
+			return nil, ErrChainLost
+		}
 		out = append(out, next.Data...)
 		if !next.Continues {
 			return out, nil
 		}
 	}
+}
+
+// InSequence reports whether block p may hold fragment k >= 1 of the entry
+// a chain is following: its footer numbers that fragment, or no fragment.
+func InSequence(p *blockfmt.Parsed, k int) bool {
+	tag := p.Flags & blockfmt.FlagsFragment
+	return tag == 0 || tag == blockfmt.FragmentFlags(k)
 }
 
 // continuation returns the block's first Continued record for the id.

@@ -42,15 +42,6 @@ func (r *Reader) Fail(what string) {
 // Len returns the unconsumed byte count.
 func (r *Reader) Len() int { return len(r.buf) }
 
-// Rest returns the unconsumed bytes without consuming them (nil after a
-// failure), for a payload whose tail is another decoder's message.
-func (r *Reader) Rest() []byte {
-	if r.err != nil {
-		return nil
-	}
-	return r.buf
-}
-
 // take consumes n bytes, or fails naming kind.
 func (r *Reader) take(n uint64, kind string) []byte {
 	if r.err != nil || n > uint64(len(r.buf)) {

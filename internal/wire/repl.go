@@ -104,7 +104,8 @@ type ReplHelloResp struct {
 	Devs []ReplDevState
 }
 
-// ReplWrite is one replicated block write.
+// ReplWrite is one replicated block write. A decoded Data aliases the
+// payload: its one consumer, a device append, copies it.
 type ReplWrite struct {
 	Shard uint32
 	Dev   uint32
@@ -119,7 +120,8 @@ type ReplInvalidate struct {
 	Index uint64
 }
 
-// ReplTail is one replicated NVRAM tail staging.
+// ReplTail is one replicated NVRAM tail staging. A decoded Image aliases
+// the payload: its one consumer, an NVRAM Store, copies it.
 type ReplTail struct {
 	Shard  uint32
 	Global uint64
@@ -132,7 +134,8 @@ type ReplTailClear struct {
 }
 
 // ReplAck is one replicated session duplicate-suppression record: the
-// response the leader is about to return for (Session, Seq).
+// response the leader is about to return for (Session, Seq). A decoded Resp
+// is a copy, because the session window keeps it.
 type ReplAck struct {
 	Session uint64
 	Seq     uint64
@@ -263,7 +266,7 @@ func (w *ReplWrite) Encode(b []byte) []byte {
 // DecodeReplWrite parses a ReplWrite payload.
 func DecodeReplWrite(payload []byte) (*ReplWrite, error) {
 	r := NewReader(payload, ErrReplPayload)
-	w := &ReplWrite{Shard: r.shard(), Dev: r.shard(), Index: r.Uvarint(), Data: r.Bytes()}
+	w := &ReplWrite{Shard: r.shard(), Dev: r.shard(), Index: r.Uvarint(), Data: r.View()}
 	return w, r.Err()
 }
 
@@ -291,7 +294,7 @@ func (t *ReplTail) Encode(b []byte) []byte {
 // DecodeReplTail parses a ReplTail payload.
 func DecodeReplTail(payload []byte) (*ReplTail, error) {
 	r := NewReader(payload, ErrReplPayload)
-	t := &ReplTail{Shard: r.shard(), Global: r.Uvarint(), Image: r.Bytes()}
+	t := &ReplTail{Shard: r.shard(), Global: r.Uvarint(), Image: r.View()}
 	return t, r.Err()
 }
 

@@ -100,7 +100,9 @@ type Device interface {
 	// data with a nil error for blocks damaged after being written.
 	ReadBlock(idx int, dst []byte) error
 	// AppendBlock writes data as the next sequential block and returns its
-	// index. len(data) must equal BlockSize.
+	// index. len(data) must equal BlockSize. The device keeps no reference
+	// to data: a replication follower appends straight from a frame buffer
+	// it reuses.
 	AppendBlock(data []byte) (int, error)
 	// WriteAt writes data at exactly the given index, which must equal the
 	// current end of the written portion. This is AppendBlock with an
