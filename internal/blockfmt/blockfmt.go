@@ -461,8 +461,9 @@ func (p *Parsed) EffectiveFrom(i, j int, tsj int64) int64 {
 }
 
 // Validate cheaply checks a block image's magic and checksum without
-// decoding its records — the integrity test mirrored devices use to decide
-// whether a replica's copy is good (§5 footnote 11).
+// decoding its records — the integrity test every device block read applies
+// before an image is parsed or cached, since a device returns a block damaged
+// after it was written as garbage with no error.
 func Validate(block []byte) bool {
 	n := len(block)
 	if n < MinBlockSize {

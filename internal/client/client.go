@@ -766,6 +766,31 @@ func (c *Client) AppendMulti(ctx context.Context, ids []ID, data []byte, opts Ap
 	return appendResult(status, r)
 }
 
+// Writer appends each Write call as one log entry: a log file written
+// through io.Writer like a regular (append-only) file, the paper's uniform
+// I/O interface (§6). The construction context bounds every underlying call.
+type Writer struct {
+	ctx  context.Context
+	c    *Client
+	id   ID
+	opts AppendOptions
+}
+
+// NewWriter returns a Writer appending to the given log file.
+func NewWriter(ctx context.Context, c *Client, id ID, opts AppendOptions) *Writer {
+	return &Writer{ctx: ctx, c: c, id: id, opts: opts}
+}
+
+// Write implements io.Writer: one call, one log entry. Degraded completion
+// (the entry is durable but the service relocated past damaged blocks) is
+// not an error here.
+func (w *Writer) Write(p []byte) (int, error) {
+	if _, err := w.c.Append(w.ctx, w.id, p, w.opts); err != nil && !IsDegraded(err) {
+		return 0, err
+	}
+	return len(p), nil
+}
+
 // ReadAt fetches the entry previously reported at a shard-local
 // (block, index) position, as observed on an Entry from that shard.
 func (c *Client) ReadAt(ctx context.Context, shard, block, index int) (*Entry, error) {
@@ -974,6 +999,29 @@ func (cu *Cursor) SeekPos(ctx context.Context, block, rec int) error {
 	p = wire.PutUvarint(p, uint64(rec))
 	_, _, err := cu.reposition(ctx, server.OpSeekPos, "seekpos", p)
 	return err
+}
+
+// LocateUnique finds an entry by the client-generated unique identifier of
+// §2.1, mirroring the service-side cursor helper: seek to the client's own
+// timestamp minus the clock-skew bound, then scan forward until the match
+// function accepts an entry or the skew window passes. It is the
+// reconciliation read for an append that ended in *AmbiguousError.
+func (cu *Cursor) LocateUnique(ctx context.Context, clientTS, maxSkew int64, match func(*Entry) bool) (*Entry, error) {
+	if err := cu.SeekTime(ctx, clientTS-maxSkew); err != nil {
+		return nil, err
+	}
+	for {
+		e, err := cu.Next(ctx)
+		if err != nil {
+			return nil, err // io.EOF when the window is exhausted
+		}
+		if e.Timestamp > clientTS+maxSkew {
+			return nil, io.EOF
+		}
+		if match(e) {
+			return e, nil
+		}
+	}
 }
 
 // Close releases the server-side cursor.

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -296,20 +295,28 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestUIOReaderWriter: each Write through the UIO Writer is one entry, and
+// a cursor reads them back in order.
 func TestUIOReaderWriter(t *testing.T) {
 	cl, _ := pipePair(t)
 	id, _ := cl.CreateLog(bg, "/lines", 0, "")
 	w := NewWriter(bg, cl, id, AppendOptions{})
 	for _, line := range []string{"first", "second", "third"} {
-		if _, err := w.Write([]byte(line)); err != nil {
-			t.Fatal(err)
+		if n, err := w.Write([]byte(line)); err != nil || n != len(line) {
+			t.Fatalf("Write(%q) = %d, %v", line, n, err)
 		}
 	}
 	cur, _ := cl.OpenCursor(bg, "/lines")
-	r := bufio.NewScanner(NewReader(bg, cur, []byte("\n")))
 	var got []string
-	for r.Scan() {
-		got = append(got, r.Text())
+	for {
+		e, err := cur.Next(bg)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, string(e.Data))
 	}
 	if fmt.Sprint(got) != "[first second third]" {
 		t.Errorf("UIO read: %v", got)

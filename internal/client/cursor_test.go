@@ -723,8 +723,9 @@ func TestSeekTimeBuffersOnlyHistory(t *testing.T) {
 	}
 }
 
-// TestReaderAndLocateUniqueAcrossBatches runs the two helpers built on Next
-// over a log several batches long: neither may notice the batch boundaries.
+// TestReaderAndLocateUniqueAcrossBatches reads a log several batches long
+// with a plain Next loop, then with LocateUnique, which is built on Next:
+// neither may notice the batch boundaries.
 func TestReaderAndLocateUniqueAcrossBatches(t *testing.T) {
 	cl, st, _ := tcpStore(t, 1, 1024)
 	want := fillSublogs(t, cl, "/long", 3, 5*server.MaxBatchEntries+7)
@@ -733,12 +734,20 @@ func TestReaderAndLocateUniqueAcrossBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := io.ReadAll(NewReader(bg, cur, []byte("\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantStream := append(bytes.Join(want, []byte("\n")), '\n'); !bytes.Equal(got, wantStream) {
-		t.Fatalf("Reader streamed %d bytes, want %d", len(got), len(wantStream))
+	for i := 0; ; i++ {
+		e, err := cur.Next(bg)
+		if err == io.EOF {
+			if i != len(want) {
+				t.Fatalf("Next read %d entries, want %d", i, len(want))
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(want) || !bytes.Equal(e.Data, want[i]) {
+			t.Fatalf("Next entry %d = %q, not the one appended", i, e.Data)
+		}
 	}
 
 	// The target sits more than two batches into the skew window, and the

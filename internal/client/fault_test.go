@@ -506,4 +506,21 @@ func TestDegradedAppendSurfacesOverWire(t *testing.T) {
 	if err != nil || string(e.Data) != "x" {
 		t.Fatalf("degraded entry read back: %v", err)
 	}
+
+	// The UIO Writer counts a degraded append as written: the entry is
+	// durable, so a caller such as `clio append` goes on to the next line.
+	if err := dev.Damage(dev.Written(), nil); err != nil {
+		t.Fatal(err)
+	}
+	inval := dev.Stats().Invalidations
+	w := NewWriter(bg, cl, id, AppendOptions{Forced: true})
+	if n, err := w.Write([]byte("yz")); n != 2 || err != nil {
+		t.Fatalf("Writer over a damaged block = %d, %v; want 2, nil", n, err)
+	}
+	if dev.Stats().Invalidations == inval {
+		t.Fatal("the Writer's append met no damaged block; the case is vacuous")
+	}
+	if e, err = cur.Next(bg); err != nil || string(e.Data) != "yz" {
+		t.Fatalf("Writer's degraded entry read back: %v, %+v", err, e)
+	}
 }

@@ -334,7 +334,7 @@ func TestClusterFailover(t *testing.T) {
 // suffix fetch alone — no reset, because the refusal kept it from
 // diverging.
 func TestClusterPartition(t *testing.T) {
-	part := faults.NewPartition()
+	part := newPartition()
 	tcp := func(ctx context.Context, addr string) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", addr)

@@ -7,8 +7,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-
-	"clio/internal/wodev"
 )
 
 func TestLocateUnique(t *testing.T) {
@@ -49,75 +47,6 @@ func TestLocateUnique(t *testing.T) {
 		return bytes.HasPrefix(e.Data, []byte("seq=0049"))
 	}); err != io.EOF {
 		t.Errorf("out-of-window locate: %v", err)
-	}
-}
-
-func TestMirroredDeviceSurvivesReplicaDamage(t *testing.T) {
-	primary := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-	replica := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-	mirror, err := wodev.NewMirror(primary, replica)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := &testClock{}
-	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now, CacheBlocks: -1}
-	s, err := New(mirror, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := mustCreate(t, s, "/m")
-	var want []string
-	for i := 0; i < 60; i++ {
-		p := fmt.Sprintf("entry-%02d", i)
-		mustAppend(t, s, id, p, AppendOptions{Forced: true})
-		want = append(want, p)
-	}
-	// Silently corrupt several blocks on the PRIMARY only.
-	garbage := make([]byte, 256)
-	for i := range garbage {
-		garbage[i] = 0x99
-	}
-	for _, blk := range []int{2, 5, 9} {
-		if err := primary.Damage(blk, garbage); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.FlushCache()
-	if got := datas(readAll(t, s, "/m")); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("mirrored read lost entries: %d vs %d", len(got), len(want))
-	}
-	// Damage the same block on BOTH replicas: now it is really lost.
-	if err := replica.Damage(2, garbage); err != nil {
-		t.Fatal(err)
-	}
-	if err := primary.Damage(2, garbage); err != nil {
-		t.Fatal(err)
-	}
-	s.FlushCache()
-	got := datas(readAll(t, s, "/m"))
-	if len(got) >= len(want) {
-		t.Errorf("doubly-damaged block lost nothing")
-	}
-	s.Crash()
-	// Recovery over the mirror works too.
-	s2, err := Open([]wodev.Device{mirror}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := datas(readAll(t, s2, "/m")); len(got) == 0 {
-		t.Error("nothing recovered over mirror")
-	}
-}
-
-func TestMirrorGeometryChecks(t *testing.T) {
-	a := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 16})
-	b := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 16})
-	if _, err := wodev.NewMirror(a, b); err == nil {
-		t.Error("mismatched geometry accepted")
-	}
-	if _, err := wodev.NewMirror(); err == nil {
-		t.Error("empty mirror accepted")
 	}
 }
 

@@ -186,45 +186,6 @@ func TestNVRAMStoreRetried(t *testing.T) {
 	}
 }
 
-func TestMirroredServiceAccountsReplicaErrors(t *testing.T) {
-	tc := &testClock{}
-	a := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-	b := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-	m, err := wodev.NewMirror(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{BlockSize: 256, Degree: 4, Now: tc.Now, CacheBlocks: -1}
-	s, err := New(m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	id := mustCreate(t, s, "/mir")
-	var want []string
-	for i := 0; i < 20; i++ {
-		p := fmt.Sprintf("e%02d", i)
-		mustAppend(t, s, id, p, AppendOptions{Forced: true})
-		want = append(want, p)
-	}
-	// Silently corrupt a sealed block on the primary only: reads must fail
-	// over to the replica and the failover must be accounted.
-	if err := a.Damage(a.Written()-2, make([]byte, 256)); err != nil {
-		t.Fatal(err)
-	}
-	s.FlushCache()
-	if got := datas(readAll(t, s, "/mir")); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("mirror failed to mask damaged primary")
-	}
-	if m.Failovers() == 0 {
-		t.Fatal("no failovers accounted")
-	}
-	errs := m.ReplicaErrors()
-	if errs[0] == 0 || errs[1] != 0 {
-		t.Fatalf("ReplicaErrors = %v, want errors only on primary", errs)
-	}
-}
-
 func TestChainedEntryReadableAcrossRelocatedBlock(t *testing.T) {
 	// An entry fragmented across blocks whose continuation target turns out
 	// damaged: the seal slides the staged fragment to the next block

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"clio/internal/blockfmt"
 	"clio/internal/faults"
 	"clio/internal/volume"
 	"clio/internal/wodev"
@@ -83,17 +84,22 @@ func (d *DegradedError) at(ts int64) error {
 }
 
 // readDeviceBlock reads devIdx from the volume's device with the service
-// retry policy masking transient faults; mirrored devices route around
-// silently corrupted replicas via validated reads. It touches only
-// immutable/internally synchronized state, so the lock-free read path may
-// call it.
-func (s *Service) readDeviceBlock(v *volume.Volume, devIdx int, buf []byte, valid func([]byte) bool) error {
-	return s.retry.Do(func() error {
+// retry policy masking transient faults, and reports an image that fails
+// blockfmt.Validate — a block damaged after it was written — as
+// wodev.ErrCorrupt, so a damaged image never enters the block cache. It
+// touches only immutable/internally synchronized state, so the lock-free
+// read path may call it.
+func (s *Service) readDeviceBlock(v *volume.Volume, devIdx int, buf []byte) error {
+	err := s.retry.Do(func() error {
 		if ferr := s.opt.Faults.Fire(FaultReadBlock); ferr != nil {
 			return ferr
 		}
-		return wodev.ReadValidated(v.Dev, devIdx, buf, valid)
+		return v.Dev.ReadBlock(devIdx, buf)
 	})
+	if err == nil && !blockfmt.Validate(buf) {
+		return wodev.ErrCorrupt
+	}
+	return err
 }
 
 // writeTailBlockLocked writes img at devIdx with the service retry policy.

@@ -884,19 +884,19 @@ func (c *Cursor) LocateUnique(clientTS, maxSkew int64, match func(*Entry) bool) 
 // the writer lock.
 func (s *Service) ReadAt(block, index int) (*Entry, error) {
 	e := new(Entry)
-	if err := s.ReadAtInto(block, index, e); err != nil {
+	if err := s.readAtInto(block, index, e); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// ReadAtInto is ReadAt into a caller-provided Entry, so a warm read of a
+// readAtInto is ReadAt into a caller-provided Entry, so a warm read of a
 // sealed, unfragmented entry performs no allocation at all: the block's
 // decode is reused from the cache entry it is attached to, and e.Data is a
 // subslice of the cache-owned block image. The data must therefore be
 // treated as read-only and copied if retained past the block's cache
 // residency.
-func (s *Service) ReadAtInto(block, index int, e *Entry) error {
+func (s *Service) readAtInto(block, index int, e *Entry) error {
 	if m := s.met(); m != nil {
 		defer m.readLat.ObserveSince(time.Now())
 	}

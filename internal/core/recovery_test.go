@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"clio/internal/cache"
 	"clio/internal/wodev"
 )
 
@@ -264,6 +266,17 @@ func TestDamagedBlockSkippedOnRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.FlushCache() // drop the cached good copy
+	// The device returns the garbage with no error; the read path rejects
+	// it as ErrCorrupt, every time, and never caches it.
+	const g = 4
+	for try := 0; try < 2; try++ {
+		if _, err := s.readBlock(g); !errors.Is(err, wodev.ErrCorrupt) {
+			t.Fatalf("read %d of the damaged block: %v, want wodev.ErrCorrupt", try, err)
+		}
+		if img := s.blockCache().Lookup(cache.Key{Block: g}); img != nil {
+			t.Fatalf("read %d cached the damaged block", try)
+		}
+	}
 	after := datas(readAll(t, s, "/dmg"))
 	if len(after) >= len(before) {
 		t.Fatalf("damage lost nothing: %d vs %d", len(after), len(before))

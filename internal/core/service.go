@@ -79,8 +79,8 @@ type Options struct {
 	// Degree is the entrymap tree degree N; New defaults it to 16 (§3.2),
 	// Open to the mounted volumes'.
 	Degree int
-	// CacheBlocks bounds the block cache; 0 means unbounded; defaults to
-	// 4096 blocks (4 MiB at the default block size).
+	// CacheBlocks bounds the block cache: 0 means the default, 4096 blocks
+	// (4 MiB at the default block size), and a negative value unbounded.
 	CacheBlocks int
 	// Clock, when set, charges the paper's cost model for every operation so
 	// experiments can report deterministic virtual times. Nil charges

@@ -280,10 +280,7 @@ func (s *Service) readBlockMiss(global int) ([]byte, error) {
 	buf := make([]byte, s.opt.BlockSize)
 	s.opt.Clock.ChargeDeviceRead(s.opt.BlockSize)
 	devIdx := v.DeviceBlock(local)
-	// Transient faults are retried with backoff; mirrored devices (§5
-	// footnote 11) additionally route around a silently corrupted primary
-	// copy when a replica's copy still validates.
-	if err := s.readDeviceBlock(v, devIdx, buf, blockfmt.Validate); err != nil {
+	if err := s.readDeviceBlock(v, devIdx, buf); err != nil {
 		return nil, err
 	}
 	bc.Put(key, buf)

@@ -52,7 +52,7 @@ func zeroCopySetup(t testing.TB) (*Service, int, int) {
 		for i := range db.p.Records {
 			r := &db.p.Records[i]
 			if r.LogID == id && !r.Continued && !r.Continues {
-				if err := s.ReadAtInto(b, i, &e); err == nil {
+				if err := s.readAtInto(b, i, &e); err == nil {
 					return s, b, i
 				}
 			}
@@ -63,22 +63,22 @@ func zeroCopySetup(t testing.TB) (*Service, int, int) {
 }
 
 // TestZeroCopyWarmRead verifies both halves of the zero-copy contract: a
-// warm ReadAtInto performs no allocations, and the Entry.Data it returns is
+// warm readAtInto performs no allocations, and the Entry.Data it returns is
 // a subslice of the cache-owned block image rather than a copy.
 func TestZeroCopyWarmRead(t *testing.T) {
 	s, block, index := zeroCopySetup(t)
 
 	var e Entry
-	if err := s.ReadAtInto(block, index, &e); err != nil { // warm the decode
+	if err := s.readAtInto(block, index, &e); err != nil { // warm the decode
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := s.ReadAtInto(block, index, &e); err != nil {
+		if err := s.readAtInto(block, index, &e); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm ReadAtInto allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("warm readAtInto allocated %.1f objects/op, want 0", allocs)
 	}
 
 	// e.Data must alias the cached block image, not a copy of it.
@@ -353,13 +353,13 @@ func BenchmarkTimestampProbe(b *testing.B) {
 func BenchmarkReadAtWarm(b *testing.B) {
 	s, block, index := zeroCopySetup(b)
 	var e Entry
-	if err := s.ReadAtInto(block, index, &e); err != nil {
+	if err := s.readAtInto(block, index, &e); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.ReadAtInto(block, index, &e); err != nil {
+		if err := s.readAtInto(block, index, &e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,8 +10,7 @@
 // it merely survives (a torn tail after a crash). This package names those
 // classes so each layer can decide mechanically: Transient faults are
 // retried, Permanent faults are routed around (invalidate and relocate,
-// §2.3.2; fail over to a mirror replica), and Torn losses are skipped by
-// readers.
+// §2.3.2), and Torn losses are skipped by readers.
 package faults
 
 import (
@@ -279,7 +278,7 @@ func (c Crash) Error() string { return "faults: crash injected at " + c.Point }
 // three points under that name. core.TestFaultPointCensus reaches every
 // point listed here, and no other.
 //
-//	dev.read               – before every device ReadBlock and ReadValidated
+//	dev.read               – before every device ReadBlock
 //	dev.write              – before every device AppendBlock and WriteAt
 //	dev.invalidate         – before every device Invalidate
 //	core.read.block        – before every device block read

@@ -146,9 +146,7 @@ type readResult struct {
 }
 
 // fetch reads and decodes global block g once, remembering the outcome. The
-// read is a validated (mirror-aware) one: on a mirrored pair an intact
-// replica masks a damaged primary, and repair must NOT invalidate the block
-// — doing so would destroy the good copy too.
+// read is a validated one: a damaged image is wodev.ErrCorrupt.
 func (s *scrubber) fetch(g int) (*blockfmt.Parsed, error) {
 	if r, ok := s.blocks[g]; ok {
 		return r.p, r.err

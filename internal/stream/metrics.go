@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"time"
-
-	"clio/internal/obs"
-)
+import "clio/internal/obs"
 
 // Metrics holds the streaming-read instruments. All fields are nil-safe;
 // a nil *Metrics disables instrumentation entirely (the default).
@@ -42,15 +38,6 @@ func RegisterMetrics(reg *obs.Registry) *Metrics {
 		groupMembers: reg.Gauge("clio_stream_group_members", "Live consumer-group members."),
 		groupAcks:    reg.Counter("clio_stream_group_acks_total", "Consumer-group offset acknowledgements appended."),
 	}
-}
-
-// WakeToDeliverMean reports the mean wake-to-deliver latency observed so
-// far, or 0 when nothing was recorded — used by the latency harness.
-func (m *Metrics) WakeToDeliverMean() time.Duration {
-	if m == nil || m.wakeToDeliver.Count() == 0 {
-		return 0
-	}
-	return time.Duration(m.wakeToDeliver.Sum().Nanoseconds() / m.wakeToDeliver.Count())
 }
 
 // GroupMemberAdd adjusts the live-member gauge (called by stream/group).

@@ -12,17 +12,19 @@ import (
 var ErrChainLost = errors.New("volume: entry lost (fragment chain torn, broken or unreadable)")
 
 // ReadBlock reads and decodes global data block `global` from its mounted
-// volume. The read is a validated one, so on a mirrored device an intact
-// replica masks a damaged primary. An invalidated block is reported as
-// wodev.ErrInvalidated, a damaged one as wodev.ErrCorrupt or a parse error.
+// volume. An invalidated block is reported as wodev.ErrInvalidated, a
+// damaged one (its image fails blockfmt.Validate) as wodev.ErrCorrupt.
 func (s *Set) ReadBlock(global int) (*blockfmt.Parsed, error) {
 	v, local, err := s.Locate(global)
 	if err != nil {
 		return nil, err
 	}
 	buf := make([]byte, v.Dev.BlockSize())
-	if err := wodev.ReadValidated(v.Dev, v.DeviceBlock(local), buf, blockfmt.Validate); err != nil {
+	if err := v.Dev.ReadBlock(v.DeviceBlock(local), buf); err != nil {
 		return nil, err
+	}
+	if !blockfmt.Validate(buf) {
+		return nil, wodev.ErrCorrupt
 	}
 	return blockfmt.Parse(buf)
 }

@@ -6,8 +6,7 @@ import "clio/internal/faults"
 // one way a test makes a device fail, crash or slow down. A point that fires
 // stands in for the operation — the device never saw the call — so an
 // injected error is safe to retry: a retried append cannot double-write
-// (DESIGN.md's failure model). The points are name+".read" (ReadBlock, and
-// ReadValidated passed through so a Mirror underneath keeps its failover),
+// (DESIGN.md's failure model). The points are name+".read" (ReadBlock),
 // name+".write" (AppendBlock, WriteAt) and name+".invalidate"; what each
 // does is armed on reg with a faults.Fault.
 func Inject(dev Device, reg *faults.Registry, name string) Device {
@@ -27,14 +26,6 @@ func (d *injected) ReadBlock(idx int, dst []byte) error {
 		return err
 	}
 	return d.Device.ReadBlock(idx, dst)
-}
-
-// ReadValidated implements ValidatedReader.
-func (d *injected) ReadValidated(idx int, dst []byte, valid func([]byte) bool) error {
-	if err := d.reg.Fire(d.read); err != nil {
-		return err
-	}
-	return ReadValidated(d.Device, idx, dst, valid)
 }
 
 // AppendBlock implements Device.

@@ -59,40 +59,6 @@ func TestInjectErrorMeansTheOperationNeverRan(t *testing.T) {
 	}
 }
 
-// TestInjectKeepsMirrorFailover: ReadValidated passes through the decorator,
-// so a Mirror underneath still routes around a damaged primary copy.
-func TestInjectKeepsMirrorFailover(t *testing.T) {
-	a := NewMem(MemOptions{BlockSize: 64, Capacity: 16})
-	b := NewMem(MemOptions{BlockSize: 64, Capacity: 16})
-	m, err := NewMirror(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := faults.NewRegistry(0)
-	dev := Inject(m, reg, "dev")
-	if _, err := dev.AppendBlock(fill(64, 0xAB)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Damage(0, fill(64, 0xEE)); err != nil {
-		t.Fatal(err)
-	}
-	valid := func(p []byte) bool { return p[0] == 0xAB }
-	dst := make([]byte, 64)
-	if err := ReadValidated(dev, 0, dst, valid); err != nil || dst[0] != 0xAB {
-		t.Fatalf("validated read through Inject: %v, %x", err, dst[0])
-	}
-	if m.Failovers() != 1 || reg.Hits("dev.read") != 1 {
-		t.Fatalf("failovers %d, dev.read hits %d; want 1 and 1", m.Failovers(), reg.Hits("dev.read"))
-	}
-	reg.Arm("dev.read", faults.Fault{Err: ErrTransient, Times: 1})
-	if err := ReadValidated(dev, 0, dst, valid); !errors.Is(err, ErrTransient) {
-		t.Fatalf("armed validated read = %v, want ErrTransient", err)
-	}
-	if m.Failovers() != 1 {
-		t.Fatal("an injected read error reached the mirror")
-	}
-}
-
 // TestInjectRetryThrough: a 50 % write fault with a run bound of 3 is always
 // masked by a 4-attempt retry policy, and no append lands twice.
 func TestInjectRetryThrough(t *testing.T) {

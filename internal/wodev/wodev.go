@@ -19,18 +19,17 @@
 //     forcing recovery code to binary-search for the end (§2.3.1).
 //
 // Implementations: MemDevice (in-memory), FileDevice (file-backed, one file
-// per volume). Two wrappers compose over any Device: Mirror (replicated
-// copies with read failover) and Inject, the one fault decorator, which
-// fires a named faults.Registry point before each operation — transient
-// errors, crashes and real latency are all armed there. Permanent media
-// damage is MemDevice.Damage. Neither wrapper measures: the device counts
-// its own operations (Stats), the service charges the paper's cost model
-// for the reads it issues, and latency is observed by the service's
-// histograms and trace spans.
+// per volume). Inject is the one wrapper: a fault decorator that fires a
+// named faults.Registry point before each operation — transient errors,
+// crashes and real latency are all armed there. Permanent media damage is
+// MemDevice.Damage. Inject does not measure: the device counts its own
+// operations (Stats), the service charges the paper's cost model for the
+// reads it issues, and latency is observed by the service's histograms and
+// trace spans.
 //
-// Every reader that can tell an intact block from a damaged one reads through
-// ReadValidated, which is the one place that knows whether a device stack
-// offers a validating read (ValidatedReader) or only a plain one.
+// A device cannot tell a damaged written block from an intact one (ReadBlock
+// returns the garbage with a nil error); the readers above it validate the
+// image themselves and report a rejected one as ErrCorrupt.
 package wodev
 
 import (
@@ -56,7 +55,8 @@ var (
 	// ErrOutOfRange is returned for block indices beyond device capacity.
 	ErrOutOfRange = errors.New("wodev: block index out of range")
 	// ErrCorrupt is returned when appending onto a damaged unwritten block,
-	// and by ReadValidated for a block whose only copy fails validation.
+	// and by the block readers above the device for an image that fails
+	// validation.
 	ErrCorrupt = errors.New("wodev: block damaged, cannot be written")
 	// ErrClosed is returned after Close.
 	ErrClosed = errors.New("wodev: device closed")
@@ -117,30 +117,6 @@ type Device interface {
 	ResetStats()
 	// Close releases resources. Further operations return ErrClosed.
 	Close() error
-}
-
-// ValidatedReader is implemented by devices that can do more than return one
-// copy of a block when told how to recognise an intact one: Mirror tries each
-// replica until valid accepts a copy, and the pass-through wrappers forward
-// the call so a Mirror underneath keeps its failover.
-type ValidatedReader interface {
-	ReadValidated(idx int, dst []byte, valid func([]byte) bool) error
-}
-
-// ReadValidated reads block idx of dev into dst and returns nil only when
-// valid accepted the contents. A ValidatedReader chooses the copy itself;
-// any other device is read plainly and a rejected copy is ErrCorrupt.
-func ReadValidated(dev Device, idx int, dst []byte, valid func([]byte) bool) error {
-	if vr, ok := dev.(ValidatedReader); ok {
-		return vr.ReadValidated(idx, dst, valid)
-	}
-	if err := dev.ReadBlock(idx, dst); err != nil {
-		return err
-	}
-	if !valid(dst) {
-		return ErrCorrupt
-	}
-	return nil
 }
 
 type blockState uint8
