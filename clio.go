@@ -116,8 +116,9 @@ func NewCostClock() *vclock.Clock { return vclock.New(vclock.DefaultModel()) }
 // Reclamation and cold tiering: the compactor copies the live entries of
 // old sealed volumes forward, demotes the emptied volumes to an archive
 // backend, and serves reads of demoted blocks through the backend at
-// archival latency. File-backed stores wire the tier automatically
-// (DirOptions.ColdDir); other deployments set Options.Cold.
+// archival latency. File-backed stores wire the tier automatically (a
+// cold directory beside each shard's volumes); other deployments set
+// Options.Cold.
 
 // CompactOptions bounds one compaction pass (Store.CompactOnce).
 type CompactOptions = core.CompactOptions

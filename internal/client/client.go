@@ -117,7 +117,7 @@ func (e *ErrNotLeader) Error() string {
 // connection died while a mutating request was in flight and the server
 // restarted (losing its duplicate-suppression window) before the client
 // could replay it. The request may or may not have executed; the caller
-// must reconcile by reading (e.g. Cursor.LocateUnique, §2.1).
+// must reconcile by reading (e.g. logapi.LocateUnique, §2.1).
 type AmbiguousError struct {
 	// Op names the request.
 	Op string
@@ -865,8 +865,7 @@ type Cursor struct {
 var _ logapi.Cursor = (*Cursor)(nil)
 
 // OpenCursor opens a cursor positioned at the start of the log file. The
-// concrete type is *Cursor (reach it with a type assertion for
-// LocateUnique).
+// concrete type is *Cursor.
 func (c *Client) OpenCursor(ctx context.Context, path string) (logapi.Cursor, error) {
 	_, r, err := c.call(ctx, server.OpCursorOpen, "cursoropen", false, server.PutString(nil, path))
 	if err != nil {
@@ -999,29 +998,6 @@ func (cu *Cursor) SeekPos(ctx context.Context, block, rec int) error {
 	p = wire.PutUvarint(p, uint64(rec))
 	_, _, err := cu.reposition(ctx, server.OpSeekPos, "seekpos", p)
 	return err
-}
-
-// LocateUnique finds an entry by the client-generated unique identifier of
-// §2.1, mirroring the service-side cursor helper: seek to the client's own
-// timestamp minus the clock-skew bound, then scan forward until the match
-// function accepts an entry or the skew window passes. It is the
-// reconciliation read for an append that ended in *AmbiguousError.
-func (cu *Cursor) LocateUnique(ctx context.Context, clientTS, maxSkew int64, match func(*Entry) bool) (*Entry, error) {
-	if err := cu.SeekTime(ctx, clientTS-maxSkew); err != nil {
-		return nil, err
-	}
-	for {
-		e, err := cu.Next(ctx)
-		if err != nil {
-			return nil, err // io.EOF when the window is exhausted
-		}
-		if e.Timestamp > clientTS+maxSkew {
-			return nil, io.EOF
-		}
-		if match(e) {
-			return e, nil
-		}
-	}
 }
 
 // Close releases the server-side cursor.

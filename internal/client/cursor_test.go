@@ -770,16 +770,15 @@ func TestReaderAndLocateUniqueAcrossBatches(t *testing.T) {
 	first, target := 10, 10+2*server.MaxBatchEntries+30
 	clientTS := (stamps[first] + stamps[target+5]) / 2
 	skew := clientTS - stamps[first]
-	rc := cur.(*Cursor)
-	e, err := rc.LocateUnique(bg, clientTS, skew, func(e *Entry) bool { return bytes.Equal(e.Data, want[target]) })
+	e, err := logapi.LocateUnique(bg, cur, clientTS, skew, func(e *Entry) bool { return bytes.Equal(e.Data, want[target]) })
 	if err != nil || e.Timestamp != stamps[target] {
 		t.Fatalf("LocateUnique: %v, %+v", err, e)
 	}
 	// The scan resumes right after the match: nothing read ahead was lost.
-	if e, err = rc.Next(bg); err != nil || !bytes.Equal(e.Data, want[target+1]) {
+	if e, err = cur.Next(bg); err != nil || !bytes.Equal(e.Data, want[target+1]) {
 		t.Fatalf("Next after LocateUnique: %v", err)
 	}
-	if _, err := rc.LocateUnique(bg, clientTS, skew, func(*Entry) bool { return false }); err != io.EOF {
+	if _, err := logapi.LocateUnique(bg, cur, clientTS, skew, func(*Entry) bool { return false }); err != io.EOF {
 		t.Fatalf("LocateUnique without a match: %v, want io.EOF", err)
 	}
 }

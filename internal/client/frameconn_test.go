@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"clio/internal/core"
 	"clio/internal/faults"
 	"clio/internal/logapi"
 	"clio/internal/server"
@@ -59,8 +61,8 @@ func TestWatchReadsPushesBehindSubscribeAnswer(t *testing.T) {
 					case wire.OpStreamSubscribe:
 						appendFrame(t, &out, server.StatusOK, seq, trace, wire.PutUint32(nil, subID))
 						for i, data := range want {
-							d := wire.StreamDeliver{SubID: subID, LogID: 1, Timestamp: int64(i + 1), Index: uint64(i), Data: []byte(data)}
-							appendFrame(t, &out, wire.OpStreamDeliver, subID, 0, append(d.EncodeHead(nil), data...))
+							e := &core.Entry{LogID: 1, Timestamp: int64(i + 1), Index: i, Data: []byte(data)}
+							appendFrame(t, &out, wire.OpStreamDeliver, subID, 0, server.AppendDeliver(nil, subID, e))
 						}
 						appendFrame(t, &out, wire.OpStreamEnd, subID, 0, (&wire.StreamEnd{SubID: subID, Msg: "done"}).Encode(nil))
 					default:
@@ -158,5 +160,80 @@ func TestReconnectReadsNothingOfTheDeadConnection(t *testing.T) {
 	}
 	if n := dials.Load(); n != 2 {
 		t.Errorf("%d connections dialed, want 2", n)
+	}
+}
+
+// TestWatchWireBytes pins what a subscription puts on the wire against the
+// bytes of the earlier release: the subscribe payload Watch sends for a
+// resume, and the decoding of a deliver frame that release's server pushed.
+func TestWatchWireBytes(t *testing.T) {
+	const (
+		wantSubscribe = "\x05/feed\x80\x02\x01\x02\x01\x04\x02\x03\x84\a\x00\x80\x02"
+		deliver       = "\a*\x00\x01\x00*6\xfe\x9c\x97\x17\x03\x02\x85\a\x0e\x02\x05\x00\t\x00\fhello stream"
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	subscribed := make(chan []byte, 1)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					op, seq, trace, payload, err := server.ReadFrame(conn)
+					if err != nil {
+						return
+					}
+					var out bytes.Buffer
+					switch op {
+					case server.OpHello:
+						appendFrame(t, &out, server.StatusOK, seq, trace, helloAnswer())
+					case wire.OpStreamSubscribe:
+						subscribed <- payload
+						appendFrame(t, &out, server.StatusOK, seq, trace, wire.PutUint32(nil, 7))
+						appendFrame(t, &out, wire.OpStreamDeliver, 7, 0, []byte(deliver))
+					default:
+						continue
+					}
+					if _, err := conn.Write(out.Bytes()); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	c, err := DialContext(ctx, "", Options{Dialer: func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", ln.Addr().String())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Watch(ctx, "/feed", logapi.WatchOptions{FromStart: true,
+		From: []logapi.Position{{Shard: 1, Block: 4, Rec: 2}, {Shard: 3, Block: 900, Rec: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if got := string(<-subscribed); got != wantSubscribe {
+		t.Errorf("subscribe payload %q, want %q", got, wantSubscribe)
+	}
+	e, err := sub.Recv(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Entry{LogID: 42, Timestamp: 1_700_000_000_000_000_001, Timestamped: true, Forced: true,
+		Shard: 2, Block: 901, Index: 14, ExtraIDs: []uint16{5, 9}, Data: []byte("hello stream")}
+	if !reflect.DeepEqual(*e, want) {
+		t.Errorf("delivered %+v, want %+v", *e, want)
 	}
 }

@@ -13,23 +13,22 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clio/internal/logapi"
 	"clio/internal/server"
+	"clio/internal/stream"
 	"clio/internal/wire"
 )
 
 var _ logapi.StreamService = (*Client)(nil)
 
-// ErrSubClosed is returned by Recv after the subscription is closed.
-var ErrSubClosed = errors.New("client: subscription closed")
-
 // Watch opens a live tail subscription to the log file at path. The
 // subscription runs on its own connection (dialed with the client's dialer),
 // so delivers never interleave with the main connection's request/response
 // traffic. A Client wrapped around a bare connection with New has no dialer
-// and cannot Watch.
+// and cannot Watch. opts.Buffer is the credit window.
 func (c *Client) Watch(ctx context.Context, path string, opts logapi.WatchOptions) (logapi.Subscription, error) {
 	raw, err := c.dialStream(ctx)
 	if err != nil {
@@ -38,64 +37,52 @@ func (c *Client) Watch(ctx context.Context, path string, opts logapi.WatchOption
 	// One frame reader for the connection's life: the handshake's reads and
 	// the receive loop's share it, so a push that arrived in the same read
 	// as the subscribe answer is already buffered for the loop.
-	conn := server.NewFrameConn(raw)
+	s := &remoteSub{conn: server.NewFrameConn(raw), window: opts.Buffer}
+	if s.window <= 0 {
+		s.window = server.DefaultStreamCredit
+	}
+	if err := c.subscribe(ctx, s, path, opts); err != nil {
+		s.conn.Close()
+		return nil, err
+	}
+	s.conn.SetDeadline(time.Time{}) // the handshake's
+	s.out = make(chan *Entry, s.window)
+	go s.recvLoop()
+	return s, nil
+}
+
+// subscribe runs the handshake on the fresh connection: a hello for a
+// tenant, then the subscribe, whose answer is the subscription id. After it
+// succeeds the only frames the server sends are pushes.
+func (c *Client) subscribe(ctx context.Context, s *remoteSub, path string, opts logapi.WatchOptions) error {
 	if c.opt.Tenant != "" {
 		// The dedicated connection authenticates like the main one: a
 		// multi-tenant server refuses unauthenticated subscribes. Session 0
 		// keeps the binding connection-private.
 		hello := wire.Hello{Tenant: c.opt.Tenant, Token: c.opt.Token}.Encode(nil)
-		status, r, err := c.roundTrip(ctx, conn, server.OpHello, 0, 0, hello)
+		status, r, err := c.roundTrip(ctx, s.conn, server.OpHello, 0, 0, hello)
 		if err != nil {
-			conn.Close()
-			return nil, err
+			return err
 		}
 		if status != server.StatusOK {
-			conn.Close()
-			return nil, errors.New("client: " + statusMessage(r, fmt.Sprintf("watch handshake rejected (status %d)", status)))
+			return errors.New("client: " + statusMessage(r, fmt.Sprintf("watch handshake rejected (status %d)", status)))
 		}
 	}
-	window := opts.Buffer
-	if window <= 0 {
-		window = server.DefaultStreamCredit
-	}
-	req := wire.StreamSubscribe{
-		Path:      path,
-		Buffer:    uint32(window),
-		FromStart: opts.FromStart,
-		Credit:    uint32(window),
-	}
+	// Buffer repeats the window for servers that sized a buffer with it.
+	req := wire.StreamSubscribe{Path: path, Buffer: uint32(s.window), FromStart: opts.FromStart, Credit: uint32(s.window)}
 	for _, p := range opts.From {
 		req.From = append(req.From, wire.StreamPos{Shard: uint32(p.Shard), Block: uint64(p.Block), Rec: uint64(p.Rec)})
 	}
-	// The subscribe handshake is synchronous on the fresh connection; after
-	// it succeeds the only frames the server sends are pushes.
-	status, r, err := c.roundTrip(ctx, conn, wire.OpStreamSubscribe, 1, traceID(c.session, 1), req.Encode(nil))
+	status, r, err := c.roundTrip(ctx, s.conn, wire.OpStreamSubscribe, 1, traceID(c.session, 1), req.Encode(nil))
 	if err != nil {
-		conn.Close()
-		return nil, err
+		return err
 	}
 	if status != server.StatusOK {
-		conn.Close()
-		return nil, errors.New("client: " + statusMessage(r, fmt.Sprintf("subscribe rejected (status %d)", status)))
+		return errors.New("client: " + statusMessage(r, fmt.Sprintf("subscribe rejected (status %d)", status)))
 	}
-	subID := r.Uint32()
-	if r.Err() != nil {
-		conn.Close()
-		return nil, r.Err()
-	}
-	conn.SetDeadline(noDeadline)
-	s := &remoteSub{
-		conn:   conn,
-		subID:  subID,
-		window: window,
-		out:    make(chan *Entry, window),
-	}
-	go s.recvLoop()
-	return s, nil
+	s.subID = r.Uint32()
+	return r.Err()
 }
-
-// noDeadline clears a connection deadline set during the handshake.
-var noDeadline = func() (t time.Time) { return }()
 
 // dialStream establishes the dedicated subscription connection.
 func (c *Client) dialStream(ctx context.Context) (net.Conn, error) {
@@ -119,7 +106,10 @@ type remoteSub struct {
 	subID  uint32
 	window int
 
+	// out carries the pushed entries; the receive loop closes it when the
+	// subscription ends, after setting err to why.
 	out chan *Entry
+	err error
 
 	// wmu serializes frame writes (credit grants from the Recv path,
 	// unsubscribe from Close) against each other, and guards conn's write
@@ -130,11 +120,7 @@ type remoteSub struct {
 	// grant; at window/2 the receiver tops the server back up.
 	drained int
 
-	closeOnce sync.Once
-	closedFlg bool
-
-	mu      sync.Mutex
-	failure error
+	closed atomic.Bool
 }
 
 var _ logapi.Subscription = (*remoteSub)(nil)
@@ -144,40 +130,29 @@ var _ logapi.Subscription = (*remoteSub)(nil)
 func (s *remoteSub) recvLoop() {
 	defer close(s.out)
 	for {
-		// Borrowed: DecodeStreamDeliver copies the entry data it keeps.
-		status, _, _, payload, err := s.conn.ReadFrame()
+		// Owned: a delivered entry's data aliases its frame's payload.
+		status, _, _, payload, err := s.conn.ReadFrameOwned()
 		if err != nil {
-			s.fail(err)
+			s.err = err
 			return
 		}
 		switch status {
 		case wire.OpStreamDeliver:
-			d, err := wire.DecodeStreamDeliver(payload)
+			_, e, err := server.DecodeDeliver(payload)
 			if err != nil {
-				s.fail(err)
+				s.err = err
 				return
-			}
-			e := &Entry{
-				LogID:       d.LogID,
-				Timestamp:   d.Timestamp,
-				Timestamped: d.Flags&server.EntryTimestamped != 0,
-				Forced:      d.Flags&server.EntryForced != 0,
-				Shard:       int(d.Shard),
-				Block:       int(d.Block),
-				Index:       int(d.Index),
-				ExtraIDs:    d.ExtraIDs,
-				Data:        d.Data,
 			}
 			// The buffer is sized to the credit window, so this send cannot
 			// block for long: the server never has more than window entries
 			// outstanding.
 			s.out <- e
 		case wire.OpStreamEnd:
-			if end, err := wire.DecodeStreamEnd(payload); err == nil {
-				s.fail(fmt.Errorf("client: subscription ended by server: %s", end.Msg))
-			} else {
-				s.fail(err)
+			end, err := wire.DecodeStreamEnd(payload)
+			if err == nil {
+				err = fmt.Errorf("client: subscription ended by server: %s", end.Msg)
 			}
+			s.err = err
 			return
 		default:
 			// A stray status frame (late response); ignore.
@@ -185,21 +160,16 @@ func (s *remoteSub) recvLoop() {
 	}
 }
 
-func (s *remoteSub) fail(err error) {
-	s.mu.Lock()
-	if s.failure == nil && !s.closedFlg {
-		s.failure = err
-	}
-	s.mu.Unlock()
-}
-
 // Recv returns the next delivered entry, granting the server fresh credit
-// as the window drains.
+// as the window drains. After Close it returns stream.ErrClosed.
 func (s *remoteSub) Recv(ctx context.Context) (*Entry, error) {
 	select {
 	case e, ok := <-s.out:
 		if !ok {
-			return nil, s.endErr()
+			if s.closed.Load() {
+				return nil, stream.ErrClosed
+			}
+			return nil, s.err
 		}
 		s.drained++
 		if s.drained >= s.window/2 {
@@ -216,27 +186,16 @@ func (s *remoteSub) Recv(ctx context.Context) (*Entry, error) {
 	}
 }
 
-func (s *remoteSub) endErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failure != nil {
-		return s.failure
-	}
-	return ErrSubClosed
-}
-
 // Close ends the subscription: best-effort unsubscribe, then the connection
 // closes (which also stops the receive loop).
 func (s *remoteSub) Close() error {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closedFlg = true
-		s.mu.Unlock()
-		un := wire.StreamUnsubscribe{SubID: s.subID}
-		s.wmu.Lock()
-		s.conn.WriteFrame(wire.OpStreamUnsubscribe, 0, 0, un.Encode(nil))
-		s.wmu.Unlock()
-		s.conn.Close()
-	})
+	if s.closed.Swap(true) {
+		return nil
+	}
+	un := wire.StreamUnsubscribe{SubID: s.subID}
+	s.wmu.Lock()
+	s.conn.WriteFrame(wire.OpStreamUnsubscribe, 0, 0, un.Encode(nil))
+	s.wmu.Unlock()
+	s.conn.Close()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -217,5 +218,92 @@ func TestWatchResumeFromPosition(t *testing.T) {
 		if want := fmt.Sprintf("e%d", i); string(got.Data) != want {
 			t.Fatalf("resumed: %q, want %q", got.Data, want)
 		}
+	}
+}
+
+// TestWatchRootResume resumes a root subscription over the wire on a
+// 4-shard store: the From positions travel in the subscribe payload, each
+// listed shard continues right after its position, and the others follow
+// FromStart — their whole history first, or only later appends.
+func TestWatchRootResume(t *testing.T) {
+	for _, fromStart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("FromStart=%v", fromStart), func(t *testing.T) {
+			cl, st := watchPair(t, 4)
+			ids := make([]ID, st.Shards())
+			paths := make([]string, st.Shards())
+			for covered, i := 0, 0; covered < len(ids); i++ {
+				p := fmt.Sprintf("/seg%03d", i)
+				sh, err := st.ShardFor(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if paths[sh] != "" {
+					continue
+				}
+				paths[sh], covered = p, covered+1
+				if ids[sh], err = cl.CreateLog(bg, p, 0o644, "t"); err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < 3; j++ {
+					if _, err := cl.Append(bg, ids[sh], []byte(fmt.Sprintf("h%d-%d", sh, j)), AppendOptions{Forced: true}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Shard 1 resumes after its first entry, shard 3 after its second.
+			resume := map[int]int{1: 0, 3: 1}
+			var from []logapi.Position
+			for sh, after := range resume {
+				cur, err := cl.OpenCursor(bg, paths[sh])
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e *Entry
+				for j := 0; j <= after; j++ {
+					if e, err = cur.Next(bg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cur.Close()
+				from = append(from, logapi.Position{Shard: e.Shard, Block: e.Block, Rec: e.Index + 1})
+			}
+			sub, err := cl.Watch(bg, "/", logapi.WatchOptions{FromStart: fromStart, From: from})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			want := make([][]string, len(ids))
+			total := 0
+			for sh, id := range ids {
+				first, listed := resume[sh]
+				switch {
+				case listed:
+					first++
+				case !fromStart:
+					first = 3
+				}
+				for j := first; j < 3; j++ {
+					want[sh] = append(want[sh], fmt.Sprintf("h%d-%d", sh, j))
+				}
+				live := fmt.Sprintf("l%d", sh)
+				if _, err := cl.Append(bg, id, []byte(live), AppendOptions{Forced: true}); err != nil {
+					t.Fatal(err)
+				}
+				want[sh] = append(want[sh], live)
+				total += len(want[sh])
+			}
+			got := make([][]string, len(ids))
+			for n := 0; n < total; {
+				e := recvSub(t, sub)
+				if e.LogID != ids[e.Shard].Local() {
+					continue // the catalog's own records
+				}
+				got[e.Shard] = append(got[e.Shard], string(e.Data))
+				n++
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("delivered per shard %q, want %q", got, want)
+			}
+		})
 	}
 }

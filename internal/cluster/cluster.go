@@ -91,8 +91,6 @@ type Config struct {
 	// AckTimeout bounds the quorum wait per mutation; 0 uses
 	// DefaultAckTimeout.
 	AckTimeout time.Duration
-	// DialTimeout bounds one replication dial; 0 uses DefaultDialTimeout.
-	DialTimeout time.Duration
 	// Dial, when set, replaces net.Dial for replication streams (tests
 	// inject partitions here).
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
@@ -189,9 +187,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.AckTimeout == 0 {
 		cfg.AckTimeout = DefaultAckTimeout
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = DefaultDialTimeout
 	}
 	if cfg.StreamQueue == 0 {
 		cfg.StreamQueue = DefaultStreamQueue

@@ -130,7 +130,7 @@ func (n *Node) runSender(p *peer) {
 // NVRAM tails and the session table, then live frames until something
 // breaks.
 func (n *Node) streamTo(p *peer) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.DialTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultDialTimeout)
 	raw, err := n.dialPeer(ctx, p.addr)
 	cancel()
 	if err != nil {

@@ -1,54 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"testing"
 )
-
-func TestLocateUnique(t *testing.T) {
-	s, _ := newTestService(t, Options{})
-	defer s.Close()
-	id := mustCreate(t, s, "/async")
-	// An async client tags entries with its own sequence number and keeps
-	// its own (slightly skewed) clock.
-	type pending struct {
-		seq      int
-		clientTS int64
-	}
-	var writes []pending
-	for i := 0; i < 50; i++ {
-		serverTS := mustAppend(t, s, id, fmt.Sprintf("seq=%04d payload", i),
-			AppendOptions{Timestamped: true})
-		// Client clock runs 3 "ticks" behind the server.
-		writes = append(writes, pending{seq: i, clientTS: serverTS - 3000})
-	}
-	cur, err := s.OpenCursor("/async")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 7, 25, 49} {
-		want := fmt.Sprintf("seq=%04d payload", writes[w].seq)
-		e, err := cur.LocateUnique(writes[w].clientTS, 10_000, func(e *Entry) bool {
-			return bytes.HasPrefix(e.Data, []byte(fmt.Sprintf("seq=%04d", writes[w].seq)))
-		})
-		if err != nil {
-			t.Fatalf("LocateUnique(%d): %v", w, err)
-		}
-		if string(e.Data) != want {
-			t.Errorf("LocateUnique(%d) = %q", w, e.Data)
-		}
-	}
-	// Outside the skew window: not found.
-	if _, err := cur.LocateUnique(writes[10].clientTS, 500, func(e *Entry) bool {
-		return bytes.HasPrefix(e.Data, []byte("seq=0049"))
-	}); err != io.EOF {
-		t.Errorf("out-of-window locate: %v", err)
-	}
-}
 
 func TestConcurrentAppendersAndReaders(t *testing.T) {
 	var nowMu sync.Mutex

@@ -848,36 +848,6 @@ func (c *Cursor) SeekPos(block, rec int) error {
 	return nil
 }
 
-// LocateUnique finds an entry by the client-generated unique identifier of
-// §2.1: a client that writes asynchronously tags entries with its own
-// sequence number (inside the data) and remembers its own timestamp; the
-// server timestamp of the entry then lies within the clock skew of the
-// client's. The search seeks to clientTS−maxSkew and scans matching
-// entries until clientTS+maxSkew, returning the first entry `match`
-// accepts. As the paper notes, efficiency depends on clock synchronization
-// quality, and correctness on the client's sequence number not wrapping
-// within the skew window.
-func (c *Cursor) LocateUnique(clientTS, maxSkew int64, match func(*Entry) bool) (*Entry, error) {
-	if err := c.SeekTime(clientTS - maxSkew); err != nil {
-		return nil, err
-	}
-	for {
-		e, err := c.Next()
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		if e.Timestamp > clientTS+maxSkew {
-			return nil, io.EOF
-		}
-		if match(e) {
-			return e, nil
-		}
-	}
-}
-
 // ReadAt returns the single entry at the given (block, index) position, as
 // previously reported in an Entry. It allows a client to retain a compact
 // reference to an entry and fetch it later. Like cursors, it runs without

@@ -22,9 +22,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"clio/internal/core"
-	"clio/internal/stream"
 )
 
 // AppendOptions selects the append form and durability; it is the
@@ -145,8 +145,10 @@ type Position struct {
 
 // WatchOptions configures a live tail subscription.
 type WatchOptions struct {
-	// Buffer bounds the per-subscriber delivery buffer in entries; 0 uses
-	// the implementation default (stream.DefaultBuffer).
+	// Buffer is a remote subscription's credit window: how many entries
+	// the server may push ahead of the consumer (0 uses the server's
+	// default). An in-process subscription reads the store directly and
+	// ignores it.
 	Buffer int
 	// FromStart delivers the log's existing history before live entries.
 	// The default starts at the current end.
@@ -179,12 +181,30 @@ type StreamService interface {
 	Watcher
 }
 
-// StreamOptions converts WatchOptions to the stream engine's option struct
-// (shared by the in-process implementations).
-func StreamOptions(opts WatchOptions) stream.Options {
-	so := stream.Options{Buffer: opts.Buffer, FromStart: opts.FromStart}
-	for _, p := range opts.From {
-		so.From = append(so.From, stream.Pos{Shard: p.Shard, Block: p.Block, Rec: p.Rec})
+// LocateUnique finds an entry by the client-generated unique identifier of
+// §2.1: a client that writes asynchronously tags entries with its own
+// sequence number (inside the data) and remembers its own timestamp; the
+// server timestamp of the entry then lies within the clock skew of the
+// client's. The search seeks cur to clientTS−maxSkew and scans forward
+// until clientTS+maxSkew, returning the first entry match accepts, or
+// io.EOF when the window holds none. It is the reconciliation read for an
+// append whose outcome is unknown. As the paper notes, efficiency depends
+// on clock synchronization quality, and correctness on the client's
+// sequence number not wrapping within the skew window.
+func LocateUnique(ctx context.Context, cur Cursor, clientTS, maxSkew int64, match func(*Entry) bool) (*Entry, error) {
+	if err := cur.SeekTime(ctx, clientTS-maxSkew); err != nil {
+		return nil, err
 	}
-	return so
+	for {
+		e, err := cur.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if e.Timestamp > clientTS+maxSkew {
+			return nil, io.EOF
+		}
+		if match(e) {
+			return e, nil
+		}
+	}
 }

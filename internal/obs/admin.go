@@ -59,21 +59,21 @@ func NewAdminMux(reg *Registry, tracer *Tracer, statusFn func() any) *http.Serve
 	return mux
 }
 
+// processStats is one scrape's reading of the Go runtime.
+type processStats struct {
+	Goroutines int `metric:"clio_go_goroutines" help:"Number of live goroutines."`
+	HeapAlloc  int `metric:"clio_go_heap_alloc_bytes" help:"Bytes of allocated heap objects."`
+	GCCycles   int `metric:"clio_go_gc_cycles_total" help:"Completed GC cycles."`
+}
+
 // RegisterProcessMetrics adds Go runtime gauges to reg — the minimum needed
-// to correlate service counters with process health from one scrape.
+// to correlate service counters with process health from one scrape. A
+// scrape reads the runtime once: one ReadMemStats (which stops the world),
+// so the heap and GC-cycle series come from the same instant.
 func RegisterProcessMetrics(reg *Registry) {
-	reg.GaugeFunc("clio_go_goroutines", "Number of live goroutines.",
-		func() int64 { return int64(runtime.NumGoroutine()) })
-	reg.GaugeFunc("clio_go_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		func() int64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return int64(ms.HeapAlloc)
-		})
-	reg.CounterFunc("clio_go_gc_cycles_total", "Completed GC cycles.",
-		func() int64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return int64(ms.NumGC)
-		})
+	RegisterStruct(reg, func() processStats {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return processStats{Goroutines: runtime.NumGoroutine(), HeapAlloc: int(ms.HeapAlloc), GCCycles: int(ms.NumGC)}
+	})
 }

@@ -95,3 +95,30 @@ func TestSnapshotHistogramCumulative(t *testing.T) {
 		t.Errorf("round-trip = %+v", back)
 	}
 }
+
+// TestProcessMetricsFamilies pins the runtime families' names, types and
+// help — load generators parse clio_go_gc_cycles_total — and checks a
+// scrape reports a live process.
+func TestProcessMetricsFamilies(t *testing.T) {
+	reg := NewRegistry()
+	RegisterProcessMetrics(reg)
+	var b strings.Builder
+	if err := reg.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"# HELP clio_go_gc_cycles_total Completed GC cycles.\n# TYPE clio_go_gc_cycles_total counter\n",
+		"# HELP clio_go_goroutines Number of live goroutines.\n# TYPE clio_go_goroutines gauge\n",
+		"# HELP clio_go_heap_alloc_bytes Bytes of allocated heap objects.\n# TYPE clio_go_heap_alloc_bytes gauge\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, out)
+		}
+	}
+	for _, m := range reg.Snapshot() {
+		if m.Name != "clio_go_gc_cycles_total" && m.Value <= 0 {
+			t.Errorf("%s = %d in a running process", m.Name, m.Value)
+		}
+	}
+}

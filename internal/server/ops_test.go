@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -141,22 +142,26 @@ func TestSubscribeResponsePrecedesFirstDeliver(t *testing.T) {
 	var order []byte
 	delivered := make(chan struct{}, 1)
 	var pushers sync.WaitGroup
-	write := func(_, _ uint64, rep reply) bool {
-		if rep.status == StatusOK {
-			time.Sleep(20 * time.Millisecond) // the window a started pusher would use
-		}
-		mu.Lock()
-		order = append(order, rep.status)
-		mu.Unlock()
-		if rep.status == wire.OpStreamDeliver {
-			select {
-			case delivered <- struct{}{}:
-			default:
+	send := func(frames []byte) bool {
+		for len(frames) > 0 {
+			status := frames[4]
+			frames = frames[4+binary.LittleEndian.Uint32(frames):]
+			if status == StatusOK {
+				time.Sleep(20 * time.Millisecond) // the window a started pusher would use
+			}
+			mu.Lock()
+			order = append(order, status)
+			mu.Unlock()
+			if status == wire.OpStreamDeliver {
+				select {
+				case delivered <- struct{}{}:
+				default:
+				}
 			}
 		}
 		return true
 	}
-	cs := newConnStreams(srv, &connHandler{srv: srv, sess: newSession(0)}, write, func() {}, &pushers)
+	cs := newConnStreams(srv, &connHandler{srv: srv, sess: newSession(0)}, send, func() {}, &pushers)
 	sub := wire.StreamSubscribe{Path: "/l", FromStart: true}
 	if !cs.handle(wire.OpStreamSubscribe, 1, 0, sub.Encode(nil)) {
 		t.Fatal("subscribe refused")
@@ -166,7 +171,7 @@ func TestSubscribeResponsePrecedesFirstDeliver(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("history never delivered")
 	}
-	cs.closeAll()
+	cs.closeAll("")
 	pushers.Wait()
 	mu.Lock()
 	defer mu.Unlock()

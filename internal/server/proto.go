@@ -166,6 +166,11 @@ func appendFrameHeader(dst []byte, op byte, seq, trace uint64, n int) []byte {
 	return wire.PutUint64(dst, trace)
 }
 
+// appendFrame appends a whole frame.
+func appendFrame(dst []byte, op byte, seq, trace uint64, payload []byte) []byte {
+	return append(appendFrameHeader(dst, op, seq, trace, len(payload)), payload...)
+}
+
 // WriteFrame writes one length-prefixed frame (op byte + seq + traceID +
 // payload) in one Write. A connection's frames go through its FrameConn;
 // this is for a caller with a bare writer and a frame or two to send.
@@ -173,7 +178,7 @@ func WriteFrame(w io.Writer, op byte, seq, trace uint64, payload []byte) error {
 	if len(payload)+17 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	_, err := w.Write(append(appendFrameHeader(nil, op, seq, trace, len(payload)), payload...))
+	_, err := w.Write(appendFrame(nil, op, seq, trace, payload))
 	return err
 }
 
@@ -327,8 +332,19 @@ func (fc *FrameConn) Queue(op byte, seq, trace uint64, payload []byte) error {
 	if len(payload)+17 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	fc.wbuf = append(appendFrameHeader(fc.wbuf, op, seq, trace, len(payload)), payload...)
+	fc.wbuf = appendFrame(fc.wbuf, op, seq, trace, payload)
 	return nil
+}
+
+// WriteFrames writes the queued frames and b, one or more whole frames, in
+// one Write.
+func (fc *FrameConn) WriteFrames(b []byte) error {
+	if len(fc.wbuf) == 0 {
+		_, err := fc.conn.Write(b)
+		return err
+	}
+	fc.wbuf = append(fc.wbuf, b...)
+	return fc.Flush()
 }
 
 // Queued returns the bytes queued for the next Flush.
@@ -415,6 +431,25 @@ func appendEntryHead(out []byte, e *core.Entry) []byte {
 		out = wire.PutUint16(out, id)
 	}
 	return wire.PutUvarint(out, uint64(len(e.Data)))
+}
+
+// AppendDeliver appends a deliver frame's payload (wire.OpStreamDeliver):
+// the subscription id as a uvarint, then the entry in the entry-response
+// layout.
+func AppendDeliver(b []byte, subID uint32, e *core.Entry) []byte {
+	return append(appendEntryHead(wire.PutUvarint(b, uint64(subID)), e), e.Data...)
+}
+
+// DecodeDeliver parses a deliver frame's payload. The entry's data aliases
+// the payload, so a caller keeping the entry reads the frame into a payload
+// of its own (FrameConn.ReadFrameOwned).
+func DecodeDeliver(payload []byte) (subID uint32, e *core.Entry, err error) {
+	r := newReader(payload)
+	subID = r.Bounded(^uint32(0), "sub id range")
+	if e, err = DecodeEntry(r); err != nil {
+		return 0, nil, err
+	}
+	return subID, e, nil
 }
 
 // DecodeEntry consumes one entry in the entry-response layout. The entry's

@@ -457,8 +457,17 @@ func (s *Server) ServeConn(conn net.Conn) {
 		return true
 	}
 	// Streaming subscriptions are connection-domain.
-	streams := newConnStreams(s, h, write, func() { conn.Close() }, &inflight)
-	defer streams.closeAll()
+	send := func(frames []byte) bool {
+		wmu.Lock()
+		defer wmu.Unlock()
+		if err := fc.WriteFrames(frames); err != nil {
+			s.logf("clio server: write: %v", err)
+			return false
+		}
+		return true
+	}
+	streams := newConnStreams(s, h, send, func() { conn.Close() }, &inflight)
+	defer streams.closeAll("")
 	// A tenant session slot is held from hello to teardown; the release is
 	// deferred here so every exit path — EOF, error, idle drop, drain —
 	// returns it.
@@ -479,7 +488,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// the check below fires or the next ReadFrame returns immediately —
 		// the wake-up cannot be overwritten and slept through.
 		if s.draining.Load() {
-			streams.endAll("server shutting down")
+			streams.closeAll("server shutting down")
 			return
 		}
 		// The payload is borrowed from fc: a request keeps nothing of it
@@ -490,7 +499,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 				// Graceful drain: in-flight work already finished (it ran
 				// inline before this read), subscribers get stream-end
 				// frames, and nothing is logged as a failure.
-				streams.endAll("server shutting down")
+				streams.closeAll("server shutting down")
 				return
 			}
 			var ne net.Error

@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"clio/internal/logapi"
+	"clio/internal/shard"
 	"clio/internal/wire"
 )
 
@@ -14,8 +16,9 @@ import (
 // subscribe payload leaves Credit zero.
 const DefaultStreamCredit = 256
 
-// maxStreamBuffer caps the server-side delivery buffer a client may request.
-const maxStreamBuffer = 1 << 14
+// deliverBatch is about how many bytes of deliver frames a pusher writes at
+// once: it stops queueing after the frame that crosses it.
+const deliverBatch = 64 << 10
 
 // connStreams is one connection's subscription registry. Subscriptions are
 // connection-domain (like cursors are session-domain): tearing down the
@@ -26,12 +29,12 @@ type connStreams struct {
 	// h is the owning connection's handler; subscribe consults its tenant
 	// binding to scope watch paths.
 	h *connHandler
-	// write is the connection's serialized frame writer (ServeConn's
-	// closure); kill closes the connection to wake its read loop after a
-	// pusher's write failed.
-	write func(seq, trace uint64, rep reply) bool
-	kill  func()
-	wg    *sync.WaitGroup
+	// send writes whole frames under the connection's write lock
+	// (ServeConn's closure); kill closes the connection to wake its read
+	// loop after a pusher's write failed.
+	send func(frames []byte) bool
+	kill func()
+	wg   *sync.WaitGroup
 
 	mu     sync.Mutex
 	next   uint32
@@ -43,7 +46,7 @@ type connStreams struct {
 // delivery window.
 type connSub struct {
 	id     uint32
-	sub    logapi.Subscription
+	sub    *shard.Sub
 	ctx    context.Context
 	cancel context.CancelFunc
 	// credit is the remaining delivery window; the pusher parks on wake
@@ -52,17 +55,17 @@ type connSub struct {
 	wake   chan struct{}
 }
 
-func newConnStreams(srv *Server, h *connHandler, write func(uint64, uint64, reply) bool, kill func(), wg *sync.WaitGroup) *connStreams {
-	return &connStreams{srv: srv, h: h, write: write, kill: kill, wg: wg, subs: make(map[uint32]*connSub)}
+func newConnStreams(srv *Server, h *connHandler, send func([]byte) bool, kill func(), wg *sync.WaitGroup) *connStreams {
+	return &connStreams{srv: srv, h: h, send: send, kill: kill, wg: wg, subs: make(map[uint32]*connSub)}
 }
 
 // handle processes one streaming control frame inline in the read loop; the
-// return value mirrors write's (false ends the connection). A new
+// return value mirrors send's (false ends the connection). A new
 // subscription's pusher starts only after the subscribe response is written,
 // so its first deliver cannot overtake the response onto the wire.
 func (cs *connStreams) handle(op byte, seq, traceID uint64, payload []byte) bool {
 	rep, started := cs.control(op, payload)
-	ok := cs.write(seq, traceID, rep)
+	ok := cs.send(appendFrame(nil, rep.status, seq, traceID, rep.head))
 	if started != nil {
 		cs.wg.Add(1)
 		go cs.push(started)
@@ -125,14 +128,13 @@ func (cs *connStreams) subscribe(req *wire.StreamSubscribe) (*connSub, error) {
 			return nil, err
 		}
 	}
-	opts := logapi.WatchOptions{
-		Buffer:    int(min(req.Buffer, maxStreamBuffer)),
-		FromStart: req.FromStart,
-	}
+	// req.Buffer, a window older clients also send as Credit, sizes
+	// nothing: the subscription reads the store directly.
+	opts := logapi.WatchOptions{FromStart: req.FromStart}
 	for _, p := range req.From {
 		opts.From = append(opts.From, logapi.Position{Shard: int(p.Shard), Block: int(p.Block), Rec: int(p.Rec)})
 	}
-	sub, err := cs.srv.store.Watch(context.Background(), req.Path, opts)
+	sub, err := cs.srv.store.Subscribe(context.Background(), req.Path, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -156,13 +158,25 @@ func (cs *connStreams) subscribe(req *wire.StreamSubscribe) (*connSub, error) {
 	return c, nil
 }
 
-// push is the per-subscription pusher: wait for credit, receive from the
-// store-side subscription, write one deliver frame. The entry data rides as
-// a borrowed writev chunk — the same zero-copy path sealed reads use.
+// push is the per-subscription pusher: wait for credit, then queue the
+// deliver frames of as many entries as the credit allows and the
+// subscription has readable (about deliverBatch bytes at most) and write
+// them at once. It is the subscription's only goroutine: the store-side Sub
+// runs in it.
 func (cs *connStreams) push(c *connSub) {
 	defer cs.wg.Done()
+	var frames []byte
+	// A deliver frame is at most core.MaxEntrySize of data and a head, far
+	// below MaxFrame.
+	visit := func(e *logapi.Entry) bool {
+		at := len(frames)
+		frames = AppendDeliver(appendFrameHeader(frames, wire.OpStreamDeliver, uint64(c.id), 0, 0), c.id, e)
+		binary.LittleEndian.PutUint32(frames[at:], uint32(len(frames)-at-4))
+		return len(frames) < deliverBatch
+	}
 	for {
-		if c.credit.Load() <= 0 {
+		credit := c.credit.Load()
+		if credit <= 0 {
 			select {
 			case <-c.wake:
 			case <-c.ctx.Done():
@@ -170,7 +184,8 @@ func (cs *connStreams) push(c *connSub) {
 			}
 			continue
 		}
-		e, err := c.sub.Recv(c.ctx)
+		frames = frames[:0]
+		n, err := c.sub.RecvEach(c.ctx, int(credit), visit)
 		if err != nil {
 			if c.ctx.Err() != nil {
 				return // local unsubscribe or connection teardown
@@ -178,31 +193,18 @@ func (cs *connStreams) push(c *connSub) {
 			// The subscription ended underneath (service closed, media
 			// loss): tell the client, then retire the registration.
 			end := wire.StreamEnd{SubID: c.id, Msg: err.Error()}
-			cs.write(uint64(c.id), 0, reply{status: wire.OpStreamEnd, head: end.Encode(nil)})
+			cs.send(appendFrame(nil, wire.OpStreamEnd, uint64(c.id), 0, end.Encode(nil)))
 			cs.remove(c.id)
 			return
 		}
-		d := wire.StreamDeliver{
-			SubID:     c.id,
-			LogID:     e.LogID,
-			Timestamp: e.Timestamp,
-			Shard:     uint32(e.Shard),
-			Block:     uint64(e.Block),
-			Index:     uint64(e.Index),
-			ExtraIDs:  e.ExtraIDs,
-			Data:      e.Data,
-		}
-		if e.Timestamped {
-			d.Flags |= EntryTimestamped
-		}
-		if e.Forced {
-			d.Flags |= EntryForced
-		}
-		if !cs.write(uint64(c.id), 0, reply{status: wire.OpStreamDeliver, head: d.EncodeHead(nil), body: e.Data}) {
+		c.credit.Add(-int64(n))
+		if !cs.send(frames) {
 			cs.kill() // wake the read loop; teardown closes the subscription
 			return
 		}
-		c.credit.Add(-1)
+		if cap(frames) > keepBuffer {
+			frames = nil
+		}
 	}
 }
 
@@ -238,40 +240,24 @@ func (cs *connStreams) active() int {
 	return len(cs.subs)
 }
 
-// endAll gracefully retires every subscription for a server drain: each
-// pusher is cancelled first (so at most its in-progress deliver precedes the
-// end frame on the write mutex), then the client receives an OpStreamEnd
-// frame naming the reason — the subscription ends, the connection is not
-// reset. closeAll afterwards finds nothing left.
-func (cs *connStreams) endAll(msg string) {
-	cs.mu.Lock()
-	subs := make([]*connSub, 0, len(cs.subs))
-	for _, c := range cs.subs {
-		subs = append(subs, c)
-	}
-	cs.subs = map[uint32]*connSub{}
-	cs.mu.Unlock()
-	for _, c := range subs {
-		c.cancel()
-		end := wire.StreamEnd{SubID: c.id, Msg: msg}
-		cs.write(uint64(c.id), 0, reply{status: wire.OpStreamEnd, head: end.Encode(nil)})
-		c.sub.Close()
-	}
-}
-
-// closeAll tears down every subscription at connection end. Pushers observe
-// the canceled contexts and exit; the caller's inflight.Wait() joins them.
-func (cs *connStreams) closeAll() {
+// closeAll retires every subscription at connection end; the connection
+// takes no new one. Pushers observe the canceled contexts and exit, and the
+// caller's inflight.Wait() joins them. For a server drain, reason is set
+// and each client gets an OpStreamEnd frame naming it — the subscription
+// ends, the connection is not reset; its pusher is cancelled first, so at
+// most its in-progress batch precedes the end frame on the write mutex.
+func (cs *connStreams) closeAll(reason string) {
 	cs.mu.Lock()
 	cs.closed = true
-	subs := make([]*connSub, 0, len(cs.subs))
-	for _, c := range cs.subs {
-		subs = append(subs, c)
-	}
+	subs := cs.subs
 	cs.subs = map[uint32]*connSub{}
 	cs.mu.Unlock()
 	for _, c := range subs {
 		c.cancel()
+		if reason != "" {
+			end := wire.StreamEnd{SubID: c.id, Msg: reason}
+			cs.send(appendFrame(nil, wire.OpStreamEnd, uint64(c.id), 0, end.Encode(nil)))
+		}
 		c.sub.Close()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -185,5 +186,86 @@ func TestWatchRootLiveMerge(t *testing.T) {
 		if got[w] != 1 {
 			t.Fatalf("entry %q delivered %d times", w, got[w])
 		}
+	}
+}
+
+// TestWatchRootResume resumes a root subscription on a 4-shard store: each
+// shard listed in From continues right after its position, and the others
+// follow FromStart — their whole history first, or only later appends.
+func TestWatchRootResume(t *testing.T) {
+	for _, fromStart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("FromStart=%v", fromStart), func(t *testing.T) {
+			st := newStore(t, 4)
+			paths := shardedPaths(t, st)
+			ids := make([]logapi.ID, len(paths))
+			for sh, p := range paths {
+				id, err := st.CreateLog(bg, p, 0o644, "t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[sh] = id
+				for i := 0; i < 3; i++ {
+					if _, err := st.Append(bg, id, []byte(fmt.Sprintf("h%d-%d", sh, i)),
+						logapi.AppendOptions{Forced: true, Timestamped: true}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Shard 1 resumes after its first entry, shard 3 after its second.
+			resume := map[int]int{1: 0, 3: 1}
+			var from []logapi.Position
+			for sh, after := range resume {
+				cur, err := st.OpenCursor(bg, paths[sh])
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e *logapi.Entry
+				for i := 0; i <= after; i++ {
+					if e, err = cur.Next(bg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				from = append(from, logapi.Position{Shard: sh, Block: e.Block, Rec: e.Index + 1})
+			}
+			sub, err := st.Watch(bg, "/", logapi.WatchOptions{FromStart: fromStart, From: from})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			want := make([][]string, len(paths))
+			for sh, id := range ids {
+				first, listed := resume[sh]
+				switch {
+				case listed:
+					first++
+				case !fromStart:
+					first = 3
+				}
+				for i := first; i < 3; i++ {
+					want[sh] = append(want[sh], fmt.Sprintf("h%d-%d", sh, i))
+				}
+				live := fmt.Sprintf("l%d", sh)
+				if _, err := st.Append(bg, id, []byte(live), logapi.AppendOptions{Forced: true, Timestamped: true}); err != nil {
+					t.Fatal(err)
+				}
+				want[sh] = append(want[sh], live)
+			}
+			total := 0
+			for _, w := range want {
+				total += len(w)
+			}
+			got := make([][]string, len(paths))
+			for n := 0; n < total; {
+				e := recvWatch(t, sub)
+				if e.LogID != ids[e.Shard].Local() {
+					continue // the catalog's own records
+				}
+				got[e.Shard] = append(got[e.Shard], string(e.Data))
+				n++
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("delivered per shard %q, want %q", got, want)
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
-package stream
+package stream_test
 
 import (
 	"context"
@@ -8,9 +8,14 @@ import (
 	"time"
 
 	"clio/internal/core"
+	"clio/internal/logapi"
 	"clio/internal/obs"
+	"clio/internal/shard"
+	"clio/internal/stream"
 	"clio/internal/wodev"
 )
+
+var bg = context.Background()
 
 func newSvc(t *testing.T) *core.Service {
 	t.Helper()
@@ -39,15 +44,65 @@ func mustAppend(t *testing.T, svc *core.Service, id uint16, data string) {
 	}
 }
 
-func recvOne(t *testing.T, sub *Sub) *core.Entry {
+func watch(t *testing.T, svc *core.Service, path string, opts logapi.WatchOptions) logapi.Subscription {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	sub, err := shard.Single(svc).Watch(bg, path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+func recvOne(t *testing.T, sub logapi.Subscription) *core.Entry {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
 	defer cancel()
 	e, err := sub.Recv(ctx)
 	if err != nil {
 		t.Fatalf("Recv: %v", err)
 	}
 	return e
+}
+
+// parkCtx reports each call of Done on parked. A subscription consults
+// ctx.Done only when it parks, after it has taken its tail notifiers, so
+// once parked fires the receiver is waiting and a publish ends the wait as a
+// wake.
+type parkCtx struct {
+	context.Context
+	parked chan struct{}
+}
+
+func newParkCtx(ctx context.Context) parkCtx {
+	return parkCtx{Context: ctx, parked: make(chan struct{}, 1)}
+}
+
+func (c parkCtx) Done() <-chan struct{} {
+	select {
+	case c.parked <- struct{}{}:
+	default:
+	}
+	return c.Context.Done()
+}
+
+// recvParked starts a Recv and returns once it is parked; the result
+// arrives on the returned channel.
+func recvParked(t *testing.T, sub logapi.Subscription, ctx context.Context) <-chan error {
+	t.Helper()
+	pc := newParkCtx(ctx)
+	done := make(chan error, 1)
+	go func() {
+		_, err := sub.Recv(pc)
+		done <- err
+	}()
+	select {
+	case <-pc.parked:
+	case err := <-done:
+		t.Fatalf("Recv returned before it parked: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv never parked")
+	}
+	return done
 }
 
 // TestSubscribeReceivesLiveAppends is the core tentpole contract: a
@@ -58,14 +113,11 @@ func TestSubscribeReceivesLiveAppends(t *testing.T) {
 	id := mustCreate(t, svc, "/feed")
 	mustAppend(t, svc, id, "old")
 
-	sub, err := Open("/feed", Options{}, Leg{Svc: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := watch(t, svc, "/feed", logapi.WatchOptions{})
 	defer sub.Close()
 
 	// Nothing is pending: Recv blocks until an append.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
 	if _, err := sub.Recv(ctx); err != context.DeadlineExceeded {
 		cancel()
 		t.Fatalf("Recv before publish: %v", err)
@@ -89,10 +141,7 @@ func TestFromStartDeliversHistoryThenLive(t *testing.T) {
 	mustAppend(t, svc, id, "h0")
 	mustAppend(t, svc, id, "h1")
 
-	sub, err := Open("/feed", Options{FromStart: true}, Leg{Svc: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := watch(t, svc, "/feed", logapi.WatchOptions{FromStart: true})
 	defer sub.Close()
 	if e := recvOne(t, sub); string(e.Data) != "h0" {
 		t.Fatalf("history 0: %q", e.Data)
@@ -115,10 +164,7 @@ func TestSubscriptionSeesSublogCreatedAfterOpen(t *testing.T) {
 	a := mustCreate(t, svc, "/p/a")
 	filler := mustCreate(t, svc, "/filler")
 	mustAppend(t, svc, a, "a0")
-	sub, err := Open("/p", Options{}, Leg{Svc: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := watch(t, svc, "/p", logapi.WatchOptions{})
 	defer sub.Close()
 	mustAppend(t, svc, a, "a1")
 	if e := recvOne(t, sub); string(e.Data) != "a1" {
@@ -143,20 +189,14 @@ func TestResumeFromPosition(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		mustAppend(t, svc, id, fmt.Sprintf("e%d", i))
 	}
-	sub, err := Open("/feed", Options{FromStart: true}, Leg{Svc: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := watch(t, svc, "/feed", logapi.WatchOptions{FromStart: true})
 	e := recvOne(t, sub)
 	e = recvOne(t, sub) // stop after e1
 	sub.Close()
 
-	resumed, err := Open("/feed", Options{
-		From: []Pos{{Shard: 0, Block: e.Block, Rec: e.Index + 1}},
-	}, Leg{Svc: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	resumed := watch(t, svc, "/feed", logapi.WatchOptions{
+		From: []logapi.Position{{Shard: 0, Block: e.Block, Rec: e.Index + 1}},
+	})
 	defer resumed.Close()
 	for i := 2; i < 6; i++ {
 		got := recvOne(t, resumed)
@@ -166,16 +206,19 @@ func TestResumeFromPosition(t *testing.T) {
 	}
 }
 
-// TestSlowConsumerCatchUpNoGapsNoDuplicates overflows a tiny subscriber
-// buffer under concurrent forced appends, lets the consumer drain at its own
-// pace, and verifies every entry arrives exactly once, in order — the
-// overflow → catch-up → resume path.
+// TestSlowConsumerCatchUpNoGapsNoDuplicates runs a consumer that falls
+// behind concurrent forced appends every 50 entries and verifies every
+// entry arrives exactly once, in order: the cursor is the position, however
+// far behind the tail the consumer reads.
 func TestSlowConsumerCatchUpNoGapsNoDuplicates(t *testing.T) {
 	const total = 400
 	svc := newSvc(t)
 	id := mustCreate(t, svc, "/firehose")
+	st := shard.Single(svc)
+	reg := obs.NewRegistry()
+	st.RegisterStreamMetrics(reg)
 
-	sub, err := Open("/firehose", Options{Buffer: 4}, Leg{Svc: svc})
+	sub, err := st.Watch(bg, "/firehose", logapi.WatchOptions{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,15 +248,11 @@ func TestSlowConsumerCatchUpNoGapsNoDuplicates(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := sub.Stats()
-	if st.Delivered != total {
-		t.Errorf("delivered %d, want %d", st.Delivered, total)
-	}
-	if st.CatchUps == 0 {
-		t.Error("buffer of 4 under a 400-entry firehose never overflowed; catch-up path untested")
+	if n := reg.Counter("clio_stream_entries_delivered_total", "").Value(); n != total {
+		t.Errorf("delivered %d, want %d", n, total)
 	}
 	// Back at the live edge after draining everything.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
 	defer cancel()
 	if _, err := sub.Recv(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("Recv after drain: %v", err)
@@ -221,14 +260,17 @@ func TestSlowConsumerCatchUpNoGapsNoDuplicates(t *testing.T) {
 }
 
 // TestWakeToDeliverLatency checks the no-polling claim quantitatively: the
-// time from group-commit publish to the entry landing in the subscriber
-// buffer must be far below any polling interval (the pre-streaming tail
-// command polled at 500ms).
+// time from group-commit publish to the entry in the receiver's hands must
+// be far below any polling interval (the pre-streaming tail command polled
+// at 500ms). Each append is made while the receiver is parked, so every
+// round is a genuine wake.
 func TestWakeToDeliverLatency(t *testing.T) {
 	svc := newSvc(t)
 	id := mustCreate(t, svc, "/lat")
-	met := RegisterMetrics(obs.NewRegistry())
-	sub, err := Open("/lat", Options{Metrics: met}, Leg{Svc: svc})
+	st := shard.Single(svc)
+	reg := obs.NewRegistry()
+	st.RegisterStreamMetrics(reg)
+	sub, err := st.Watch(bg, "/lat", logapi.WatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,33 +278,31 @@ func TestWakeToDeliverLatency(t *testing.T) {
 
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
+		done := recvParked(t, sub, bg)
 		mustAppend(t, svc, id, "tick")
-		recvOne(t, sub)
-		// Let the pump park again so the next append is a genuine wake.
-		time.Sleep(200 * time.Microsecond)
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
 	}
-	n := met.wakeToDeliver.Count()
-	if n == 0 {
-		t.Fatal("no wake-to-deliver samples recorded")
+	wake := reg.Histogram("clio_stream_wake_to_deliver_seconds", "", nil)
+	if n := wake.Count(); n != rounds {
+		t.Fatalf("%d wake-to-deliver samples, want one per round (%d)", n, rounds)
 	}
-	mean := time.Duration(met.wakeToDeliver.Sum().Nanoseconds() / n)
+	mean := wake.Sum() / rounds
 	if mean > 50*time.Millisecond {
 		t.Errorf("mean wake-to-deliver %v; expected well under any polling interval", mean)
 	}
-	t.Logf("wake-to-deliver mean over %d wakes: %v", n, mean)
+	t.Logf("wake-to-deliver mean over %d wakes: %v", rounds, mean)
 }
 
 func TestRecvAfterCloseAndServiceClose(t *testing.T) {
 	svc := newSvc(t)
 	mustCreate(t, svc, "/x")
-	sub, err := Open("/x", Options{}, Leg{Svc: svc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub := watch(t, svc, "/x", logapi.WatchOptions{})
 	sub.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	ctx, cancel := context.WithTimeout(bg, time.Second)
 	defer cancel()
-	if _, err := sub.Recv(ctx); err != ErrClosed {
+	if _, err := sub.Recv(ctx); err != stream.ErrClosed {
 		t.Fatalf("Recv after Close: %v", err)
 	}
 
@@ -276,21 +316,51 @@ func TestRecvAfterCloseAndServiceClose(t *testing.T) {
 	if _, err := svc2.CreateLog("/y", 0, ""); err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := Open("/y", Options{}, Leg{Svc: svc2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sub2 := watch(t, svc2, "/y", logapi.WatchOptions{})
 	defer sub2.Close()
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_, err := sub2.Recv(ctx)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the pump park
+	ctx2, cancel2 := context.WithTimeout(bg, 5*time.Second)
+	defer cancel2()
+	done := recvParked(t, sub2, ctx2)
 	svc2.Close()
 	if err := <-done; err == nil || err == context.DeadlineExceeded {
 		t.Fatalf("Recv over closed service: %v", err)
+	}
+}
+
+// TestCloseWakesParkedRecv: Close from another goroutine ends a Recv parked
+// at the end of the log with ErrClosed — how the server retires a
+// subscription whose pusher is waiting — on a routed path and on the root
+// of a sharded store.
+func TestCloseWakesParkedRecv(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svcs := make([]*core.Service, shards)
+			for i := range svcs {
+				svcs[i] = newSvc(t)
+			}
+			st, err := shard.New(svcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.CreateLog(bg, "/x", 0o644, "t"); err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{"/x", "/"} {
+				sub, err := st.Watch(bg, path, logapi.WatchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := recvParked(t, sub, bg)
+				sub.Close()
+				select {
+				case err := <-done:
+					if err != stream.ErrClosed {
+						t.Fatalf("%s: parked Recv after Close: %v, want ErrClosed", path, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: Close did not wake the parked Recv", path)
+				}
+			}
+		})
 	}
 }

@@ -24,8 +24,9 @@ const (
 	// (u32).
 	OpStreamSubscribe = 0x60
 	// OpStreamDeliver carries one delivered entry (server → client, pushed).
-	// Payload: StreamDeliver. The frame's seq field echoes the subscription
-	// id.
+	// Payload: the subscription id (uvarint), then the entry in the server's
+	// entry-response layout (server.AppendDeliver/DecodeDeliver). The
+	// frame's seq field echoes the subscription id.
 	OpStreamDeliver = 0x61
 	// OpStreamCredit replenishes a subscription's delivery window (client →
 	// server). Payload: StreamCredit.
@@ -42,11 +43,9 @@ const (
 // ErrStreamPayload is wrapped by every streaming payload decode failure.
 var ErrStreamPayload = errors.New("wire: malformed stream payload")
 
-// Bounds a decoder will allocate for; anything larger is malformed.
-const (
-	maxStreamFrom  = 1 << 16
-	maxStreamExtra = 64
-)
+// maxStreamFrom bounds what a decoder will allocate for; anything larger is
+// malformed.
+const maxStreamFrom = 1 << 16
 
 // StreamPos is one shard's resume position inside a subscribe payload: the
 // gap position after the last entry the consumer has (Rec = Index + 1).
@@ -59,8 +58,9 @@ type StreamPos struct {
 // StreamSubscribe opens a subscription to the log file at Path.
 type StreamSubscribe struct {
 	Path string
-	// Buffer bounds the server-side delivery buffer in entries; 0 uses the
-	// server default.
+	// Buffer sized an older server's delivery buffer. It is still encoded
+	// and decoded, so the payload is unchanged, but it sizes nothing:
+	// Credit is the window.
 	Buffer uint32
 	// FromStart delivers existing history before live entries; the default
 	// starts at the current end.
@@ -71,21 +71,6 @@ type StreamSubscribe struct {
 	// Credit is the initial delivery window in entries; 0 uses the server
 	// default.
 	Credit uint32
-}
-
-// StreamDeliver is one pushed entry.
-type StreamDeliver struct {
-	SubID uint32
-	// Entry fields, mirroring core.Entry.
-	LogID     uint16
-	Timestamp int64
-	// Flags carries the EntryTimestamped/EntryForced bits.
-	Flags    byte
-	Shard    uint32
-	Block    uint64
-	Index    uint64
-	ExtraIDs []uint16
-	Data     []byte
 }
 
 // StreamCredit replenishes a subscription's delivery window.
@@ -138,41 +123,6 @@ func DecodeStreamSubscribe(payload []byte) (*StreamSubscribe, error) {
 	return s, r.Err()
 }
 
-// Encode appends the deliver's wire form.
-func (d *StreamDeliver) Encode(b []byte) []byte {
-	return append(d.EncodeHead(b), d.Data...)
-}
-
-// EncodeHead appends everything up to and including the data length prefix,
-// so the data itself can be shipped as a separate borrowed chunk (writev):
-// head + d.Data is byte-identical to Encode.
-func (d *StreamDeliver) EncodeHead(b []byte) []byte {
-	b = PutUvarint(b, uint64(d.SubID))
-	b = PutUint16(b, d.LogID)
-	b = PutUint64(b, uint64(d.Timestamp))
-	b = append(b, d.Flags)
-	b = PutUvarint(b, uint64(d.Shard))
-	b = PutUvarint(b, d.Block)
-	b = PutUvarint(b, d.Index)
-	b = PutUvarint(b, uint64(len(d.ExtraIDs)))
-	for _, id := range d.ExtraIDs {
-		b = PutUint16(b, id)
-	}
-	return PutUvarint(b, uint64(len(d.Data)))
-}
-
-// DecodeStreamDeliver parses a StreamDeliver payload.
-func DecodeStreamDeliver(payload []byte) (*StreamDeliver, error) {
-	r := NewReader(payload, ErrStreamPayload)
-	d := &StreamDeliver{SubID: r.subID(), LogID: r.Uint16(), Timestamp: r.Int64(), Flags: r.Byte(),
-		Shard: r.Bounded(maxStreamFrom, "shard range"), Block: r.Uvarint(), Index: r.Uvarint()}
-	for nx := r.Bounded(maxStreamExtra, "extra count range"); nx > 0 && r.Err() == nil; nx-- {
-		d.ExtraIDs = append(d.ExtraIDs, r.Uint16())
-	}
-	d.Data = r.Bytes()
-	return d, r.Err()
-}
-
 // Encode appends the credit grant's wire form.
 func (c *StreamCredit) Encode(b []byte) []byte {
 	b = PutUvarint(b, uint64(c.SubID))
@@ -213,13 +163,12 @@ func DecodeStreamEnd(payload []byte) (*StreamEnd, error) {
 
 // DecodeStream parses any streaming payload by opcode — the single entry
 // point protocol handlers (and the fuzz harness) use, so every streaming
-// decoder shares the no-panic guarantee. Unknown ops return an error.
+// decoder shares the no-panic guarantee. Unknown ops return an error, and so
+// does OpStreamDeliver, whose entry layout is the server's.
 func DecodeStream(op byte, payload []byte) (any, error) {
 	switch op {
 	case OpStreamSubscribe:
 		return DecodeStreamSubscribe(payload)
-	case OpStreamDeliver:
-		return DecodeStreamDeliver(payload)
 	case OpStreamCredit:
 		return DecodeStreamCredit(payload)
 	case OpStreamUnsubscribe:

@@ -35,27 +35,6 @@ func TestStreamSubscribeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamDeliverRoundTrip(t *testing.T) {
-	in := &StreamDeliver{
-		SubID:     7,
-		LogID:     42,
-		Timestamp: 1_700_000_000_000_000_001,
-		Flags:     3, // timestamped | forced
-		Shard:     2,
-		Block:     901,
-		Index:     14,
-		ExtraIDs:  []uint16{5, 9},
-		Data:      []byte("hello stream"),
-	}
-	out, err := DecodeStreamDeliver(in.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: %+v != %+v", out, in)
-	}
-}
-
 func TestStreamControlRoundTrips(t *testing.T) {
 	cr, err := DecodeStreamCredit((&StreamCredit{SubID: 3, Credit: 512}).Encode(nil))
 	if err != nil || cr.SubID != 3 || cr.Credit != 512 {
@@ -77,7 +56,6 @@ func TestDecodeStreamDispatch(t *testing.T) {
 		payload []byte
 	}{
 		{OpStreamSubscribe, (&StreamSubscribe{Path: "/x"}).Encode(nil)},
-		{OpStreamDeliver, (&StreamDeliver{SubID: 1, Data: []byte("d")}).Encode(nil)},
 		{OpStreamCredit, (&StreamCredit{SubID: 1, Credit: 1}).Encode(nil)},
 		{OpStreamUnsubscribe, (&StreamUnsubscribe{SubID: 1}).Encode(nil)},
 		{OpStreamEnd, (&StreamEnd{SubID: 1, Msg: "m"}).Encode(nil)},
@@ -89,6 +67,14 @@ func TestDecodeStreamDispatch(t *testing.T) {
 		if _, err := DecodeStream(c.op, c.payload); err != nil {
 			t.Errorf("DecodeStream(%#x): %v", c.op, err)
 		}
+	}
+	// Deliver frames carry the server's entry layout: a stream op, but not
+	// one DecodeStream parses.
+	if !IsStreamOp(OpStreamDeliver) {
+		t.Error("IsStreamOp(OpStreamDeliver) = false")
+	}
+	if _, err := DecodeStream(OpStreamDeliver, []byte{1}); !errors.Is(err, ErrStreamPayload) {
+		t.Errorf("DecodeStream(OpStreamDeliver): %v, want ErrStreamPayload", err)
 	}
 	if IsStreamOp(OpReplStatus) || IsStreamOp(OpStreamEnd+1) {
 		t.Error("IsStreamOp accepts non-stream ops")
@@ -107,7 +93,7 @@ func TestStreamDecodeRejectsMalformed(t *testing.T) {
 		{"subscribe truncated path", OpStreamSubscribe, []byte{0x05, 'a'}},
 		{"subscribe from-count overflow", OpStreamSubscribe,
 			append((&StreamSubscribe{Path: "/x"}).Encode(nil)[:4], 0xFF, 0xFF, 0xFF, 0x7F)},
-		{"deliver truncated data", OpStreamDeliver, (&StreamDeliver{SubID: 1, Data: []byte("abc")}).Encode(nil)[:8]},
+		{"end truncated message", OpStreamEnd, (&StreamEnd{SubID: 1, Msg: "abc"}).Encode(nil)[:3]},
 		{"empty credit", OpStreamCredit, nil},
 	}
 	for _, c := range cases {

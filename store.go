@@ -76,12 +76,6 @@ type DirOptions struct {
 	// Shards is the number of hash partitions; a create defaults it to 1,
 	// which keeps the flat single-sequence layout.
 	Shards int
-	// ColdDir overrides where demoted volume images are archived. The
-	// default keeps them beside the volumes they replace: <dir>/cold for a
-	// flat store, <dir>/shard-K/cold per shard. A sharded store splits an
-	// override the same way (ColdDir/shard-K), because each shard numbers
-	// its volumes from zero and the images must not collide.
-	ColdDir string
 }
 
 func volPath(dir string, index uint32) string {
@@ -177,16 +171,14 @@ func (o DirOptions) openVolume(path string) (wodev.Device, error) {
 }
 
 // dirColdTier wires the reclamation subsystem for one shard directory:
-// demoted volume images go to the cold archive directory, the compaction
-// sidecar lives beside the NVRAM sidecar, and releasing a demoted volume
-// deletes its local file — the act that actually reclaims the space.
-func dirColdTier(dir string, o DirOptions) *core.ColdTier {
-	cold := o.ColdDir
-	if cold == "" {
-		cold = filepath.Join(dir, coldDirName)
-	}
+// demoted volume images go to the cold archive beside the volumes they
+// replace (<dir>/cold, so each shard's images, numbered from zero, stay
+// apart), the compaction sidecar lives beside the NVRAM sidecar, and
+// releasing a demoted volume deletes its local file — the act that actually
+// reclaims the space.
+func dirColdTier(dir string) *core.ColdTier {
 	return &core.ColdTier{
-		Backend: archive.NewDir(cold),
+		Backend: archive.NewDir(filepath.Join(dir, coldDirName)),
 		State:   core.NewFileState(filepath.Join(dir, compactFile)),
 		Release: func(index uint32) error {
 			err := os.Remove(volPath(dir, index))
@@ -212,7 +204,7 @@ func openShard(dir string, o DirOptions, create bool) ([]wodev.Device, core.Opti
 		return o.openVolume(volPath(dir, index))
 	}
 	if opt.Cold == nil {
-		opt.Cold = dirColdTier(dir, o)
+		opt.Cold = dirColdTier(dir)
 	}
 	if create {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -265,8 +257,7 @@ func (a *storeShards) close() {
 // records, refusing a value in o that contradicts it. A store without a
 // manifest (older, or laid out by hand) opens at o's geometry as it always
 // did and is given one — once every shard's volumes mounted at that capacity,
-// so a wrong guess is never recorded. A ColdDir override is split per shard
-// the way the store is, because each shard numbers its volumes from zero.
+// so a wrong guess is never recorded.
 func openShards(dir string, o DirOptions, create bool) (*storeShards, error) {
 	a := &storeShards{dirs: []string{dir}}
 	// g is the geometry to open at; recorded, whether the manifest holds it.
@@ -309,11 +300,7 @@ func openShards(dir string, o DirOptions, create bool) (*storeShards, error) {
 	a.o = o
 	a.o.BlockSize, a.o.VolumeBlocks = g.blockSize, g.volumeBlocks
 	for i, sd := range a.dirs {
-		sub := a.o
-		if o.ColdDir != "" && len(a.dirs) > 1 {
-			sub.ColdDir = shardDir(o.ColdDir, i)
-		}
-		devs, opt, err := openShard(sd, sub, create)
+		devs, opt, err := openShard(sd, a.o, create)
 		if err == nil && !recorded {
 			_, err = volume.MountSet(devs) // ErrNotContiguous at a wrong capacity
 		}
