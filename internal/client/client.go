@@ -843,7 +843,7 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // cached block image; an entry from Prev or ReadAt aliases its own response
 // the same way. Nothing reuses a response frame, so an entry stays valid for
 // as long as the caller keeps it — and a retained entry pins its whole
-// batch: server.MaxBatchBytes (16 KiB, overshot by less than one entry) plus
+// batch: server.MaxBatchBytes (64 KiB, overshot by less than one entry) plus
 // the slab.
 //
 // The buffer makes Cursor stateful: a mutex guards it, and a Cursor may be

@@ -534,7 +534,7 @@ func TestReadAheadStepBackPastOldCap(t *testing.T) {
 // refills of the same size, a SeekStart and a Close.
 func TestReadAheadEntriesOutliveTheirBatch(t *testing.T) {
 	cl, _, _ := tcpStore(t, 1, 1024)
-	want := fillSublogs(t, cl, "/kept", 4, 1500)
+	want := fillSublogs(t, cl, "/kept", 4, 5*server.MaxBatchEntries) // a ramp to the cap and four refills at it
 	c, err := cl.OpenCursor(bg, "/kept")
 	if err != nil {
 		t.Fatal(err)

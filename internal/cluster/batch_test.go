@@ -267,10 +267,7 @@ func TestOneWritePerGatedForce(t *testing.T) {
 	var nodes [2]*Node
 	for i := range nodes {
 		devs, nvrams := roomyShard()
-		ln, err := net.Listen("tcp", addrs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		ln := listen(t, addrs[i])
 		n, err := New(Config{NodeID: addrs[i], Peers: []string{addrs[1-i]}, Quorum: 2, Devices: devs, NVRAMs: nvrams,
 			Opts: core.Options{BlockSize: 4096}, Create: i == 0, Dial: dial, Logf: t.Logf})
 		if err != nil {
@@ -357,10 +354,7 @@ func TestFollowerStatusReadsNoSidecar(t *testing.T) {
 		if i == 1 {
 			devs, nvrams = folDevs, []core.NVRAM{folNV}
 		}
-		ln, err := net.Listen("tcp", addrs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		ln := listen(t, addrs[i])
 		n, err := New(Config{NodeID: addrs[i], Peers: []string{addrs[1-i]}, Quorum: 2, Devices: devs, NVRAMs: nvrams,
 			Opts: core.Options{BlockSize: 4096}, Create: i == 0, Logf: t.Logf})
 		if err != nil {
@@ -940,11 +934,12 @@ func TestAppliedResetsOnLeaderChange(t *testing.T) {
 
 // TestFollowerDedupWindowByteBudget: the session table a follower builds
 // from its leader's stream is the server's own, so it honours the server's
-// byte budget (64 KiB of retained responses per session) on both ways in —
-// live ReplAcks and the window a catch-up installs, whose batched-read
-// responses run to 16 KiB each — instead of a count bound alone.
+// byte budget (one cursor batch, 64 KiB, of retained responses per session)
+// on both ways in — live ReplAcks and the window a catch-up installs, whose
+// batched-read responses run to that size each — instead of a count bound
+// alone.
 func TestFollowerDedupWindowByteBudget(t *testing.T) {
-	const budget = 64 << 10
+	const budget = server.MaxBatchBytes
 	fol := newFollowerState(&Node{})
 	big := make([]byte, budget/4)
 	installed := wire.ReplSession{ID: 7, MaxSeq: 10}

@@ -621,32 +621,34 @@ func (n *Node) preGate(op byte) (byte, []byte, bool) {
 
 // leaderExtOp serves the replication opcodes a leader can answer on a
 // client connection: status, promotion (a no-op returning the term), and a
-// rival leader's hello, which either reveals our own term is stale (step
-// down, asynchronously — this runs inside a request handler) or tells the
-// caller theirs is.
-func (n *Node) leaderExtOp(op byte, payload []byte) (byte, []byte, bool) {
+// rival leader's hello, which either reveals our own term is stale or loses
+// the same-term arbitration (step down) or tells the caller theirs is. A
+// step-down starts once the refusal is written (the server runs then after
+// the answer), on a goroutine of its own: it closes the server, which waits
+// for this request's handler.
+func (n *Node) leaderExtOp(op byte, payload []byte) (byte, []byte, func(), bool) {
 	switch op {
 	case wire.OpReplStatus:
-		return server.StatusOK, n.statusPayload(), true
+		return server.StatusOK, n.statusPayload(), nil, true
 	case wire.OpPromote:
 		n.mu.Lock()
 		term := n.term
 		n.mu.Unlock()
-		return server.StatusOK, wire.PutUint64(nil, term), true
+		return server.StatusOK, wire.PutUint64(nil, term), nil, true
 	case wire.OpReplHello:
 		h, err := wire.DecodeReplHello(payload)
 		if err != nil {
-			return server.StatusErr, server.PutString(nil, err.Error()), true
+			return server.StatusErr, server.PutString(nil, err.Error()), nil, true
 		}
 		n.mu.Lock()
 		term := n.term
 		n.mu.Unlock()
 		resp := &wire.ReplHelloResp{Accept: false, Term: term}
+		stepDown := func() { go n.stepDown(h.Term, h.LeaderAddr) }
 		switch {
 		case h.Term > term:
 			resp.Term = h.Term
 			resp.Reason = "stepping down to follower; retry"
-			go n.stepDown(h.Term, h.LeaderAddr)
 		case h.Term == term && h.LeaderAddr != n.cfg.NodeID && h.LeaderAddr > n.cfg.NodeID:
 			// Same-term rival (two concurrent promotions, or an operator
 			// double-start). Neither side outranks the other by term, so
@@ -654,13 +656,13 @@ func (n *Node) leaderExtOp(op byte, payload []byte) (byte, []byte, bool) {
 			// address keeps leadership. Both leaders dial each other, each
 			// evaluates the same comparison, and exactly one demotes.
 			resp.Reason = fmt.Sprintf("same-term rival %s wins arbitration; stepping down", h.LeaderAddr)
-			go n.stepDown(h.Term, h.LeaderAddr)
 		default:
 			resp.Reason = fmt.Sprintf("node is leader at term %d", term)
+			stepDown = nil
 		}
-		return server.StatusOK, resp.Encode(nil), true
+		return server.StatusOK, resp.Encode(nil), stepDown, true
 	}
-	return 0, nil, false
+	return 0, nil, nil, false
 }
 
 // waitCommitted blocks until the quorum commit point reaches pos, the

@@ -34,10 +34,7 @@ func startNode(t *testing.T, addr string, peers []string, devs [][]wodev.Device,
 	nvrams []core.NVRAM, leader, create bool,
 	dial func(ctx context.Context, addr string) (net.Conn, error)) *testNode {
 	t.Helper()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("listen %s: %v", addr, err)
-	}
+	ln := listen(t, addr)
 	n, err := New(Config{
 		NodeID:     ln.Addr().String(),
 		Peers:      peers,
@@ -76,9 +73,18 @@ func freshShards(shards int) ([][]wodev.Device, []core.NVRAM) {
 	return devs, nvrams
 }
 
-// freeAddrs reserves n distinct loopback addresses by listening and
-// immediately closing, so nodes can be configured with each other's
-// addresses before any of them serves.
+// reserved holds the listeners freeAddrs opened, by address, until the node
+// started on the address takes its own over (listen) or the test ends.
+var reserved = struct {
+	sync.Mutex
+	m map[string]net.Listener
+}{m: make(map[string]net.Listener)}
+
+// freeAddrs reserves n distinct loopback addresses, so nodes can be
+// configured with each other's addresses before any of them serves. Each
+// stays reserved by an open listener until its node takes it over: closing
+// it to listen again would let a test running in parallel take the port in
+// between.
 func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -88,9 +94,40 @@ func freeAddrs(t *testing.T, n int) []string {
 			t.Fatal(err)
 		}
 		addrs[i] = ln.Addr().String()
-		ln.Close()
+		reserved.Lock()
+		reserved.m[addrs[i]] = ln
+		reserved.Unlock()
 	}
+	t.Cleanup(func() {
+		for _, a := range addrs {
+			if ln := takeReserved(a); ln != nil {
+				ln.Close()
+			}
+		}
+	})
 	return addrs
+}
+
+func takeReserved(addr string) net.Listener {
+	reserved.Lock()
+	defer reserved.Unlock()
+	ln := reserved.m[addr]
+	delete(reserved.m, addr)
+	return ln
+}
+
+// listen returns the listener freeAddrs reserved for addr, or a new one on
+// addr: a node restarted on its own address listens again.
+func listen(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	if ln := takeReserved(addr); ln != nil {
+		return ln
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen %s: %v", addr, err)
+	}
+	return ln
 }
 
 func testClient(t *testing.T, session uint64, addrs []string,

@@ -356,10 +356,7 @@ func TestSlowFollowerStaysAliveThroughCatchup(t *testing.T) {
 
 	ldevs, lnv := freshShards(1)
 	fdevs, fnv := freshShards(1)
-	lln, err := net.Listen("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	lln := listen(t, addrs[0])
 	leader, err := New(Config{
 		NodeID:  lln.Addr().String(),
 		Peers:   []string{addrs[1]},

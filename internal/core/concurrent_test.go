@@ -327,14 +327,16 @@ func readAllEntries(t *testing.T, svc *Service, path string) map[string]int {
 }
 
 // TestConcurrentLocate runs SeekTime/Next/Prev on four cursors at once, each
-// over its own sparse sublog so that every step is a locator search, with no
-// lock between them. Beside a forced writer (on a fifth sublog, so the
-// readers' logs stand still while the write point, the accumulator and the
-// cache move under them) every cursor must answer call for call what a
-// single-threaded replay of its calls answers. Then, on the quiescent store
-// where a search's counts are a function of the call alone, the LocateStats
-// total of the concurrent run must equal the sum over the cursors' replays:
-// no count of any search lost or doubled.
+// over its own sparse sublog so that most block steps leave the run of the
+// search before and search again, with no lock between them. Beside a
+// forced writer (on a fifth sublog, so the readers' logs stand still while
+// the write point, the accumulator and the cache move under them) every
+// cursor must answer call for call what a single-threaded replay of its
+// calls answers. Then, on the quiescent store, where the searches a cursor
+// runs and their counts are a function of its calls alone (the run a block
+// step takes is the cursor's own state, which the replay rebuilds), the
+// LocateStats total of the concurrent run must equal the sum over the
+// cursors' replays: no count of any search lost or doubled.
 func TestConcurrentLocate(t *testing.T) {
 	const readers, calls = 4, 400
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 1 << 14})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -63,14 +64,16 @@ func (e *Entry) MemberOf(id uint16) bool {
 // allocated. An entry whose chain cannot be completed is ErrLost.
 func DecodeEntry(p *blockfmt.Parsed, block, idx int, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
 	var e Entry
-	err := decodeEntry(p, block, idx, nil, fetch, &e)
+	err := decodeEntry(p, block, idx, nil, fetch, nil, &e)
 	return e, err
 }
 
 // decodeEntry is DecodeEntry into e, taking the entry's timestamp from eff,
 // which may be nil. Every field of e is set, so a cursor decodes each entry
-// into the same scratch Entry; on failure e is left as it was.
-func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(global int) (*blockfmt.Parsed, error), e *Entry) error {
+// into the same scratch Entry; on failure e is left as it was. A fragmented
+// entry's data is joined in *frag's storage when frag is not nil, and *frag
+// keeps what it grew to; otherwise in an allocation of its own.
+func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(global int) (*blockfmt.Parsed, error), frag *[]byte, e *Entry) error {
 	if idx < 0 || idx >= len(p.Records) {
 		return fmt.Errorf("clio: no record %d in block %d", idx, block)
 	}
@@ -78,9 +81,16 @@ func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(gl
 	if r.Continued {
 		return fmt.Errorf("clio: record %d of block %d is a continuation fragment", idx, block)
 	}
-	data, err := volume.Assemble(p, block, idx, fetch)
+	var dst []byte
+	if frag != nil {
+		dst = *frag
+	}
+	data, err := volume.AssembleInto(dst, p, block, idx, fetch)
 	if err != nil {
 		return ErrLost
+	}
+	if frag != nil && r.Continues {
+		*frag = data
 	}
 	e.LogID = r.LogID
 	e.Timestamp = eff.at(p, idx)
@@ -94,9 +104,10 @@ func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(gl
 }
 
 // entryInto is DecodeEntry over the service's own read path, into e. A
-// cursor passes its memo as eff; a one-off read passes nil.
+// cursor passes its memo as eff; a one-off read passes nil. The entry's data
+// is the caller's to keep.
 func (s *Service) entryInto(db *decodedBlock, block, idx int, eff *effMemo, e *Entry) error {
-	return decodeEntry(db.p, block, idx, eff, s.chainBlock, e)
+	return decodeEntry(db.p, block, idx, eff, s.chainBlock, nil, e)
 }
 
 // effMemo remembers the effective timestamp (§2.1) of the record a cursor
@@ -157,10 +168,18 @@ type Cursor struct {
 
 	block int // current block (gap position)
 	rec   int // next record index to consider within block
-	eff   effMemo
+	// run is the written level-1 span the last block step's search answered
+	// from (entrymap.Run): the blocks after c.block in it that hold entries
+	// of the set are its set bits, so the steps through the span search
+	// nothing. It is built with the id set of generation gen and dropped
+	// when the set is rebuilt or the cursor is repositioned.
+	run entrymap.Run
+	eff effMemo
 	// ent is the scratch entry the forward loop decodes each entry into
-	// and hands to its visitor.
-	ent Entry
+	// and hands to its visitor; frag is where it joins the data of an entry
+	// whose fragments cross blocks.
+	ent  Entry
+	frag []byte
 
 	// redir, when non-nil, is the in-progress redirection of this cursor
 	// through a compacted volume's relocated copies: the volume's original
@@ -264,6 +283,7 @@ func (c *Cursor) buildIDs() error {
 		return err
 	}
 	c.gen, c.idSorted, c.linear = gen, ids, false
+	c.run = entrymap.Run{}
 	if c.ids == nil {
 		c.ids = new(idSet)
 	} else {
@@ -328,6 +348,7 @@ func (c *Cursor) decodeCached(block int) (*decodedBlock, error) {
 func (c *Cursor) SeekStart() {
 	c.block, c.rec = 0, 0
 	c.redir = nil
+	c.run = entrymap.Run{}
 }
 
 // SeekEnd positions the cursor after the last entry. The end is a gap, not
@@ -339,6 +360,7 @@ func (c *Cursor) SeekStart() {
 // resumes from.)
 func (c *Cursor) SeekEnd() {
 	c.redir = nil
+	c.run = entrymap.Run{}
 	sn := c.s.snap()
 	if sn.tailGlobal >= 0 {
 		if db, err := c.decodeCached(sn.tailGlobal); err == nil {
@@ -357,7 +379,19 @@ func (c *Cursor) Next() (*Entry, error) {
 	if n, err := c.NextEach(1, func(e *Entry) bool { out = *e; return true }); n == 0 {
 		return nil, err
 	}
+	c.Own(&out)
 	return &out, nil
+}
+
+// Own makes e, an entry this cursor's NextEach visited, the caller's to keep
+// across the cursor's later calls: the data of an entry whose fragments
+// cross blocks, which the loop joins in the cursor's scratch, is copied out;
+// any other entry's data is a view of an immutable block image and stays
+// as it is.
+func (c *Cursor) Own(e *Entry) {
+	if len(e.Data) > 0 && len(c.frag) > 0 && &e.Data[0] == &c.frag[0] {
+		e.Data = bytes.Clone(e.Data)
+	}
 }
 
 // NextEach is the cursor's one forward loop. It visits the matching entries
@@ -369,9 +403,15 @@ func (c *Cursor) Next() (*Entry, error) {
 //
 // The loop walks the records of each decoded block in place and decodes
 // each matching entry into one scratch Entry that it reuses: visit must not
-// keep the pointer past its return. What the entry points to — Data and
-// ExtraIDs, slices of the immutable block image — may be kept, as Next's
-// may.
+// keep the pointer past its return. What an unfragmented entry points to —
+// Data and ExtraIDs, slices of the immutable block image — may be kept, as
+// Next's may. The Data of an entry whose fragments cross blocks is joined in
+// the cursor's scratch, which the next fragmented entry the cursor reads
+// forward overwrites: a visitor that keeps an entry past that calls Own.
+//
+// Between blocks, the loop steps through the set bits of the written
+// level-1 span its last search answered from (advanceBlock), so a scan
+// searches the entrymap once per span of blocks, not once per block.
 //
 // Under the cost model every step is charged one IPC round trip, as if each
 // entry, and the step that finds none, were its own Next. The read-latency
@@ -485,7 +525,7 @@ func (c *Cursor) visitRecords(f *visits, db *decodedBlock, b int, rec *int, last
 			*rec = i + 1
 			continue
 		}
-		if err := c.s.entryInto(db, b, i, &c.eff, &c.ent); err != nil {
+		if err := decodeEntry(db.p, b, i, &c.eff, c.s.chainBlock, &c.frag, &c.ent); err != nil {
 			if edge >= 0 && c.chainOpen(db, b, i, edge) {
 				return io.EOF
 			}
@@ -559,15 +599,25 @@ func (rd *redirState) advance(r *copyRange) {
 
 // advanceBlock moves the cursor to the next block that may contain a
 // matching entry, using the entrymap tree when the cursor is selective.
-// When nothing lies ahead, the cursor parks on the staged tail block (it
-// can still grow) rather than past it.
+// Within the written level-1 span of its last search (c.run) the span's
+// bitmap answers; past it, or once a log file was created, it searches
+// again. When nothing lies ahead, the cursor parks on the staged tail block
+// (it can still grow) rather than past it.
 func (c *Cursor) advanceBlock(end, tail int) error {
 	if c.ids == nil || c.linear {
 		c.block++
 		c.rec = 0
 		return nil
 	}
-	next, err := c.s.locFindNext(c.idSorted, c.block+1)
+	from := c.block + 1
+	if c.run.Covers(from) && c.s.cat.Generation() == c.gen {
+		if next := c.run.Next(from); next >= 0 {
+			c.block, c.rec = next, 0
+			return nil
+		}
+		from = c.run.End
+	}
+	next, run, err := c.s.locFindNext(c.idSorted, from)
 	if err != nil {
 		return err
 	}
@@ -580,6 +630,7 @@ func (c *Cursor) advanceBlock(end, tail int) error {
 		}
 		return c.advanceBlock(end, tail)
 	}
+	c.run = run
 	if next == -1 {
 		if tail > c.block {
 			c.block, c.rec = tail, 0
@@ -611,6 +662,7 @@ func (c *Cursor) prev() (*Entry, error) {
 	if err := c.refreshIDs(); err != nil {
 		return nil, err
 	}
+	c.run = entrymap.Run{}
 	end := s.endShared()
 	if c.block > end {
 		c.block, c.rec = end, 0
@@ -788,6 +840,7 @@ func (c *Cursor) SeekTime(ts int64) error {
 	// leaving the cursor where it stood after the entry before it.
 	c.block, c.rec = b, 0
 	c.redir = nil
+	c.run = entrymap.Run{}
 	pos := c.savePos()
 	found := false
 	f := visits{max: math.MaxInt, visit: func(e *Entry) bool {
@@ -845,6 +898,7 @@ func (c *Cursor) SeekPos(block, rec int) error {
 	}
 	c.block, c.rec = block, rec
 	c.redir = nil
+	c.run = entrymap.Run{}
 	return nil
 }
 

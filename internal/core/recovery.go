@@ -364,7 +364,7 @@ func (s *Service) replayCatalog() error {
 // replayCatalogFrom applies the catalog records found in blocks at or after
 // `from` (checkpoint recovery replays only the suffix past the snapshot).
 func (s *Service) replayCatalogFrom(from int) error {
-	b, err := s.locFindNext(catalogSet, from)
+	b, _, err := s.locFindNext(catalogSet, from)
 	if err != nil {
 		return err
 	}
@@ -390,7 +390,7 @@ func (s *Service) replayCatalogFrom(from int) error {
 				s.recovery.CatalogEntries++
 			}
 		}
-		b, err = s.locFindNext(catalogSet, b+1)
+		b, _, err = s.locFindNext(catalogSet, b+1)
 		if err != nil {
 			return err
 		}
@@ -412,7 +412,7 @@ func (s *Service) replayBadBlocks() error {
 // after `from`.
 func (s *Service) readBadBlocksFrom(from int) ([]int, error) {
 	var out []int
-	b, err := s.locFindNext(badBlockSet, from)
+	b, _, err := s.locFindNext(badBlockSet, from)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func (s *Service) readBadBlocksFrom(from int) ([]int, error) {
 				}
 			}
 		}
-		b, err = s.locFindNext(badBlockSet, b+1)
+		b, _, err = s.locFindNext(badBlockSet, b+1)
 		if err != nil {
 			return nil, err
 		}

@@ -740,8 +740,9 @@ func (s *Service) ResetLocateStats() {
 // totals when it is done. The copy is a local of these functions, not of a
 // closure, so it stays on the stack. ids is the ascending set searched for,
 // a cursor's whole id set: one search, one latency sample and one fold of
-// the counts per block step, however many sublogs the set holds.
-func (s *Service) locFindNext(ids []uint16, from int) (int, error) {
+// the counts per search, however many sublogs the set holds — and a cursor
+// searches once per run of blocks (entrymap.Run), not once per block.
+func (s *Service) locFindNext(ids []uint16, from int) (int, entrymap.Run, error) {
 	l := s.loc
 	defer s.locateDone(&l.Stats, s.locateStart())
 	return l.FindNext(ids, from)

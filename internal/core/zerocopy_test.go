@@ -421,56 +421,72 @@ func parentStepSetup(tb testing.TB) (*Service, *Cursor, []int) {
 	return s, c, starts
 }
 
-// TestZeroCopyParentBlockStep pins the cost of a block step of a cursor over
-// a 17-id parent log: one locator search (one locate sample), at most one
-// entrymap entry per level on the way up and one on the way down — the
-// per-id steps this replaced examined every entry once per member id — and,
-// warm, no allocation at all.
+// TestZeroCopyParentBlockStep pins the cost of the block steps of a cursor
+// over a 17-id parent log: one locator descent per run of blocks — a step
+// inside the written level-1 span the last search answered from searches
+// nothing, a step out of it runs one search (one locate sample) — at most
+// one entrymap entry per level on the way up and one on the way down per
+// search — the per-id steps this replaced examined every entry once per
+// member id — and, warm, no allocation at all.
 func TestZeroCopyParentBlockStep(t *testing.T) {
 	s, c, starts := parentStepSetup(t)
 	s.RegisterMetrics(obs.NewRegistry())
 	end := s.endShared()
-	levels := entrymap.MaxLevel(s.opt.Degree, end) + 1
+	n := s.opt.Degree
+	levels := entrymap.MaxLevel(n, end) + 1
 	if len(starts) < 10 {
 		t.Fatalf("the scan visited %d blocks, want a few runs of them", len(starts))
 	}
-	var stepExamined, perIDExamined int
+	var stepExamined, perIDExamined, searches, inRun int
+	c.block, c.rec = starts[0], 0
+	c.run = entrymap.Run{}
 	for i, b := range starts {
 		want := end
 		if i+1 < len(starts) {
 			want = starts[i+1]
 		}
 		st0, n0 := s.LocateStats(), s.met().locateLat.Count()
-		c.block, c.rec = b, 0
 		if err := c.advanceBlock(end, -1); err != nil {
 			t.Fatal(err)
 		}
 		if c.block != want {
 			t.Fatalf("step from block %d went to %d, the next block of the set is %d", b, c.block, want)
 		}
-		if n := s.met().locateLat.Count() - n0; n != 1 {
-			t.Fatalf("step from block %d ran %d searches, want 1", b, n)
+		// The step before this one searched from inside b's span, or
+		// stepped through it, so its run is b's span when that is written.
+		wantSearches := 1
+		if i > 0 && want/n == b/n && (b/n+1)*n < end {
+			wantSearches = 0
+			inRun++
 		}
+		got := s.met().locateLat.Count() - n0
+		if int(got) != wantSearches {
+			t.Fatalf("step from block %d to %d ran %d searches, want %d", b, want, got, wantSearches)
+		}
+		searches += int(got)
 		st := s.LocateStats()
 		examined := st.EntriesExamined - st0.EntriesExamined + st.PendingExamined - st0.PendingExamined
-		if examined > 2*levels {
-			t.Fatalf("step from block %d examined %d entrymap entries, want at most %d (%d levels, up and down)", b, examined, 2*levels, levels)
+		if examined > 2*levels*wantSearches {
+			t.Fatalf("step from block %d examined %d entrymap entries, want at most %d (%d levels, up and down, per search)", b, examined, 2*levels*wantSearches, levels)
 		}
 		stepExamined += examined
 		for _, id := range c.idSorted { // what the per-id step did
 			st0 = s.LocateStats()
-			if _, err := s.locFindNext([]uint16{id}, b+1); err != nil {
+			if _, _, err := s.locFindNext([]uint16{id}, b+1); err != nil {
 				t.Fatal(err)
 			}
 			st = s.LocateStats()
 			perIDExamined += st.EntriesExamined - st0.EntriesExamined + st.PendingExamined - st0.PendingExamined
 		}
 	}
+	if inRun == 0 || searches >= len(starts) {
+		t.Fatalf("%d steps ran %d searches, %d of them inside a run: the runs saved nothing", len(starts), searches, inRun)
+	}
 	if stepExamined*len(c.idSorted)/2 > perIDExamined {
 		t.Fatalf("%d steps examined %d entrymap entries; searching id by id examined %d — want under 2/%d of that",
 			len(starts), stepExamined, perIDExamined, len(c.idSorted))
 	}
-	t.Logf("%d steps over %d ids: %d entrymap entries examined, %d id by id", len(starts), len(c.idSorted), stepExamined, perIDExamined)
+	t.Logf("%d steps over %d ids: %d searches, %d entrymap entries examined, %d id by id", len(starts), len(c.idSorted), searches, stepExamined, perIDExamined)
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, b := range starts {
 			c.block, c.rec = b, 0
@@ -503,8 +519,8 @@ func BenchmarkParentCursorStep(b *testing.B) {
 // cursor over /sessions (17 ids, every block decoded and cached) visiting
 // entries in batches of up to 256, restarting at the end of the log. One op
 // is one entry visited; the visitor reads the entry in place. It allocates
-// nothing per entry: only an entry whose fragments cross blocks is copied
-// together, about one byte per op here.
+// nothing: an entry whose fragments cross blocks is joined in the cursor's
+// own buffer, and a block step inside a run searches nothing.
 func BenchmarkCursorFillWarm(b *testing.B) {
 	_, c, _ := parentStepSetup(b)
 	c.SeekStart()

@@ -363,7 +363,7 @@ func TestFindNextMatchesNaive(t *testing.T) {
 		}
 		for id := uint16(FirstClientID); id < FirstClientID+6; id++ {
 			for from := -1; from <= f.End()+2; from++ {
-				got, err := loc.FindNext([]uint16{id}, from)
+				got, _, err := loc.FindNext([]uint16{id}, from)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -405,7 +405,7 @@ func TestFindPrevWithMissingEntries(t *testing.T) {
 				t.Fatalf("missing-entry FindPrev(%d,%d) = %d, want %d", id, before, got, want)
 			}
 		}
-		from, err := loc.FindNext([]uint16{id}, 0)
+		from, _, err := loc.FindNext([]uint16{id}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,7 +569,7 @@ func TestLocatorPropertyQuick(t *testing.T) {
 			if err != nil || got != f.naivePrev(id, before) {
 				return false
 			}
-			got, err = loc.FindNext([]uint16{id}, before)
+			got, _, err = loc.FindNext([]uint16{id}, before)
 			if err != nil || got != f.naiveNext(id, before) {
 				return false
 			}

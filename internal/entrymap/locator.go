@@ -254,10 +254,50 @@ func (l *Locator) probePrev(ids []uint16, level, spanStart, g, end int) (int, er
 	return l.descendPrev(ids, level-1, lo, end)
 }
 
+// Run is the level-1 span a FindNext answer was found in, with the span's
+// written bitmap: the union over the searched ids of the span's level-1
+// entrymap entry, bit g set when block Start+g holds an entry (or fragment)
+// of the set. A written entry never changes, so a scan that has taken the
+// answer can take the span's later blocks off the bitmap (Next) and search
+// again only from End. A run is empty (End == 0) when the answer came
+// without a written entry: from the in-progress span, whose bitmap still
+// gains bits as the writer fills it, or from a span searched block by block.
+type Run struct {
+	Start, End int
+	bits       unionBuf
+}
+
+// Next returns the first block at or after from, within the run's span,
+// that holds an entry of the set, or -1 when none does; from must lie in
+// [Start, End).
+func (r *Run) Next(from int) int {
+	if g := wire.Bitmap(r.bits[:]).FirstSet(from - r.Start); g >= 0 && r.Start+g < r.End {
+		return r.Start + g
+	}
+	return -1
+}
+
+// Covers reports whether block b lies in the run's span.
+func (r *Run) Covers(b int) bool { return b >= r.Start && b < r.End }
+
+// setRun records the written level-1 span at spanStart, its union in buf,
+// as the answer's run.
+func (l *Locator) setRun(run *Run, spanStart int, buf *unionBuf) {
+	run.Start, run.End, run.bits = spanStart, spanStart+l.n, *buf
+}
+
 // FindNext returns the smallest data-block index >= from containing at least
-// one entry (or fragment) of any log file in ids, or -1 if there is none.
+// one entry (or fragment) of any log file in ids, or -1 if there is none,
+// with the run the answer was found in (see Run). The run costs the search
+// nothing: it is the level-1 bitmap the descent read to reach the answer.
 // ids must be ascending.
-func (l *Locator) FindNext(ids []uint16, from int) (int, error) {
+func (l *Locator) FindNext(ids []uint16, from int) (int, Run, error) {
+	var run Run
+	b, err := l.findNext(ids, from, &run)
+	return b, run, err
+}
+
+func (l *Locator) findNext(ids []uint16, from int, run *Run) (int, error) {
 	end := l.src.End()
 	if from < 0 {
 		from = 0
@@ -272,7 +312,7 @@ func (l *Locator) FindNext(ids []uint16, from int) (int, error) {
 		childSpan := span / l.n
 		spanStart := (high / span) * span
 		gHigh := (high - spanStart) / childSpan // first group at/above high
-		bm, known, err := l.bitmapAt(level, spanStart, ids, end, &buf)
+		bm, known, partial, err := l.bitmapAtP(level, spanStart, ids, end, &buf)
 		if err != nil {
 			return -1, err
 		}
@@ -283,9 +323,12 @@ func (l *Locator) FindNext(ids []uint16, from int) (int, error) {
 			}
 			for g >= 0 {
 				if level == 1 {
+					if !partial {
+						l.setRun(run, spanStart, &buf)
+					}
 					return spanStart + g, nil
 				}
-				r, err := l.descendNext(ids, level-1, spanStart+g*childSpan, end)
+				r, err := l.descendNext(ids, level-1, spanStart+g*childSpan, end, run)
 				if err != nil {
 					return -1, err
 				}
@@ -296,7 +339,7 @@ func (l *Locator) FindNext(ids []uint16, from int) (int, error) {
 			}
 		} else {
 			for g := gHigh; g < l.n; g++ {
-				r, err := l.probeNext(ids, level, spanStart, g, end)
+				r, err := l.probeNext(ids, level, spanStart, g, end, run)
 				if err != nil {
 					return -1, err
 				}
@@ -312,14 +355,15 @@ func (l *Locator) FindNext(ids []uint16, from int) (int, error) {
 	}
 }
 
-// descendNext mirrors descendPrev for forward search.
-func (l *Locator) descendNext(ids []uint16, level, spanStart, end int) (int, error) {
+// descendNext mirrors descendPrev for forward search, recording the run of
+// an answer found through a written level-1 entry.
+func (l *Locator) descendNext(ids []uint16, level, spanStart, end int, run *Run) (int, error) {
 	if level == 0 {
 		return spanStart, nil
 	}
 	childSpan := pow(l.n, level-1)
 	var buf unionBuf
-	bm, known, err := l.bitmapAt(level, spanStart, ids, end, &buf)
+	bm, known, partial, err := l.bitmapAtP(level, spanStart, ids, end, &buf)
 	if err != nil {
 		return -1, err
 	}
@@ -329,9 +373,12 @@ func (l *Locator) descendNext(ids []uint16, level, spanStart, end int) (int, err
 		}
 		for g := bm.FirstSet(0); g >= 0; g = bm.FirstSet(g + 1) {
 			if level == 1 {
+				if !partial {
+					l.setRun(run, spanStart, &buf)
+				}
 				return spanStart + g, nil
 			}
-			r, err := l.descendNext(ids, level-1, spanStart+g*childSpan, end)
+			r, err := l.descendNext(ids, level-1, spanStart+g*childSpan, end, run)
 			if err != nil {
 				return -1, err
 			}
@@ -342,7 +389,7 @@ func (l *Locator) descendNext(ids []uint16, level, spanStart, end int) (int, err
 		return -1, nil
 	}
 	for g := 0; g < l.n; g++ {
-		r, err := l.probeNext(ids, level, spanStart, g, end)
+		r, err := l.probeNext(ids, level, spanStart, g, end, run)
 		if err != nil {
 			return -1, err
 		}
@@ -353,7 +400,7 @@ func (l *Locator) descendNext(ids []uint16, level, spanStart, end int) (int, err
 	return -1, nil
 }
 
-func (l *Locator) probeNext(ids []uint16, level, spanStart, g, end int) (int, error) {
+func (l *Locator) probeNext(ids []uint16, level, spanStart, g, end int, run *Run) (int, error) {
 	childSpan := pow(l.n, level-1)
 	lo := spanStart + g*childSpan
 	if lo >= end {
@@ -370,7 +417,7 @@ func (l *Locator) probeNext(ids []uint16, level, spanStart, g, end int) (int, er
 		}
 		return -1, nil
 	}
-	return l.descendNext(ids, level-1, lo, end)
+	return l.descendNext(ids, level-1, lo, end, run)
 }
 
 // FindByTime returns the greatest data-block index whose first-entry

@@ -99,7 +99,9 @@ func diffSets(seed int64) [][]uint16 {
 // the searches for its members answer between them — FindNext the least,
 // FindPrev the greatest — and what a scan of the blocks answers, from every
 // position, over stores with missing, displaced and pending-unknown entrymap
-// information at every level.
+// information at every level. FindNext's run answers, from every block after
+// the answer in its span, what the scan answers there, and comes only from a
+// written level-1 entry.
 func TestLocatorSetDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		f := buildDiffStore(t, seed)
@@ -113,18 +115,33 @@ func TestLocatorSetDifferential(t *testing.T) {
 		}
 		for _, set := range diffSets(seed) {
 			for from := -1; from <= f.End()+1; from++ {
-				got, err := loc.FindNext(set, from)
+				got, run, err := loc.FindNext(set, from)
 				if err != nil {
 					fail("FindNext(%v, %d): %v", set, from, err)
 				}
 				least := -1
 				for _, id := range set {
-					if b, _ := loc.FindNext([]uint16{id}, from); b >= 0 && (least < 0 || b < least) {
+					if b, _, _ := loc.FindNext([]uint16{id}, from); b >= 0 && (least < 0 || b < least) {
 						least = b
 					}
 				}
 				if naive := f.naiveNextSet(set, from); got != least || got != naive {
 					fail("FindNext(%v, %d) = %d; least over the ids %d, scan %d", set, from, got, least, naive)
+				}
+				if run.End == 0 {
+					continue
+				}
+				if !run.Covers(got) || run.End != run.Start+f.n || run.End >= f.End() {
+					fail("FindNext(%v, %d) = %d with the run [%d, %d) of a %d-block store", set, from, got, run.Start, run.End, f.End())
+				}
+				if k := [2]int{1, run.End}; f.missing[k] || f.entries[k] == nil || f.displaced[k] > f.limit || run.End+f.displaced[k] >= f.End() {
+					fail("FindNext(%v, %d): a run [%d, %d) from an entry that cannot be read", set, from, run.Start, run.End)
+				}
+				for b := got + 1; b < run.End; b++ {
+					want := f.naiveNextSet(set, b)
+					if next := run.Next(b); next != want && (next >= 0 || want >= 0 && want < run.End) {
+						fail("the run [%d, %d) of FindNext(%v, %d) answers %d from block %d, the scan %d", run.Start, run.End, set, from, next, b, want)
+					}
 				}
 			}
 			for before := 0; before <= f.End()+1; before++ {
@@ -171,7 +188,7 @@ func TestLocatorSingleIDUnchanged(t *testing.T) {
 		}
 		for id := uint16(FirstClientID); id < FirstClientID+diffIDs; id++ {
 			for from := -1; from <= f.End()+1; from++ {
-				if _, err := loc.FindNext([]uint16{id}, from); err != nil {
+				if _, _, err := loc.FindNext([]uint16{id}, from); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -135,6 +135,14 @@ const MaxFrame = 8 << 20
 // sends exactly what this one sends for 64, and a client asking for 64 gets at
 // most 64 back.
 //
+// MaxBatchBytes is also the byte budget of a session's dedup window, which
+// keeps the newest answer whole whatever its size: a refill is as large as
+// the window retains, one batch. MaxBatchEntries is high enough that the
+// bytes bind (a 64 KiB batch of ~78-byte entries is about 840 of them).
+// Builds with other caps interoperate: a client capped at 256 asks for at
+// most 256 and gets at most 256 back; a server capped at 256 answers a
+// larger want with 256, and the client's ramp simply stays there.
+//
 // After OpPrev's handle it is `back`: how many entries the client read ahead
 // and did not consume, which the server steps back over before the Prev it
 // answers. It is at most one batch, MaxBatchEntries.
@@ -148,8 +156,8 @@ const MaxFrame = 8 << 20
 // stands, the cursor is in the gap it chose, and the end of the log or the
 // error is reported by the OpNext that runs into it.
 const (
-	MaxBatchEntries = 256
-	MaxBatchBytes   = 16 << 10
+	MaxBatchEntries = 1024
+	MaxBatchBytes   = 64 << 10
 )
 
 // ErrFrameTooLarge is returned for frames above MaxFrame.
@@ -203,7 +211,7 @@ func ReadFrame(r io.Reader) (byte, uint64, uint64, []byte, error) {
 }
 
 // Frame buffer sizes. A connection's reader is small, so a frame that does
-// not fit it (a 16 KiB cursor batch, say) is read straight into its payload
+// not fit it (a 64 KiB cursor batch, say) is read straight into its payload
 // instead of being copied through the buffer, and a payload above
 // inlineMax is written by writev instead of being copied into the write
 // buffer. A buffer that grew past keepBuffer is dropped after its frame.

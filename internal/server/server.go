@@ -26,15 +26,13 @@ import (
 // goroutine forever.
 const DefaultIdleTimeout = 2 * time.Minute
 
-// dedupWindow and dedupBytes bound the per-session duplicate-suppression
+// dedupWindow and MaxBatchBytes bound the per-session duplicate-suppression
 // cache, in responses and in retained payload bytes. The client has one
 // request in flight per connection, so the window only needs to cover replay
 // after reconnect plus slack; the byte budget keeps that slack from growing
-// with response size (a batched OpNext answer is ~50× an append's).
-const (
-	dedupWindow = 128
-	dedupBytes  = 64 << 10
-)
+// with response size. The byte budget is one cursor batch: a full refill is
+// still kept whole, as the newest answer always is.
+const dedupWindow = 128
 
 // Server serves the Clio protocol over stream connections, fronting one log
 // store — a single service or a sharded set behind one namespace (the
@@ -79,8 +77,11 @@ type Server struct {
 	// recognize before the unknown-op error is returned; handled=false falls
 	// through to that error. The cluster layer uses it for the replication
 	// control ops that are valid on a leader (OpReplStatus, stale-leader
-	// demotion). Set before the first connection is served.
-	ExtOp func(op byte, payload []byte) (status byte, resp []byte, handled bool)
+	// demotion). A non-nil then runs on the connection's goroutine once the
+	// answer is written, or failed to be: a demotion starts there, so the
+	// refusal that announces it is on the wire before the demotion closes
+	// the connection. Set before the first connection is served.
+	ExtOp func(op byte, payload []byte) (status byte, resp []byte, then func(), handled bool)
 
 	// Sessions is the server's session table. A promoted replication
 	// follower replaces it with the table it replicated from the old leader,
@@ -520,7 +521,11 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if opTable[op].connScoped {
 			ok = streams.handle(op, seq, traceID, payload)
 		} else {
-			ok = write(seq, traceID, h.handle(tr, op, seq, payload))
+			rep := h.handle(tr, op, seq, payload)
+			ok = write(seq, traceID, rep)
+			if rep.then != nil {
+				rep.then()
+			}
 		}
 		s.Tracer.Finish(tr)
 		m.reqLat.ObserveSince(start)
@@ -605,11 +610,11 @@ func (ss *session) record(seq uint64, status byte, payload []byte) {
 }
 
 // retainLocked puts one response in the window and evicts oldest-first until
-// the window is back inside both bounds, dedupWindow responses and dedupBytes
-// of payload. The response just added is never evicted, whatever its size.
-// It is the only place the window grows, so live requests, replicated acks
-// and an installed handoff state (Sessions.Export → Install) are accounted
-// alike, on a leader and on a follower.
+// the window is back inside both bounds, dedupWindow responses and
+// MaxBatchBytes of payload. The response just added is never evicted,
+// whatever its size. It is the only place the window grows, so live
+// requests, replicated acks and an installed handoff state (Sessions.Export
+// → Install) are accounted alike, on a leader and on a follower.
 func (ss *session) retainLocked(seq uint64, r cachedResp) {
 	if old, ok := ss.window[seq]; ok {
 		ss.retained -= len(old.payload)
@@ -618,7 +623,7 @@ func (ss *session) retainLocked(seq uint64, r cachedResp) {
 	}
 	ss.window[seq] = r
 	ss.retained += len(r.payload)
-	for len(ss.order) > 1 && (len(ss.order) > dedupWindow || ss.retained > dedupBytes) {
+	for len(ss.order) > 1 && (len(ss.order) > dedupWindow || ss.retained > MaxBatchBytes) {
 		evict := ss.order[0]
 		ss.order = ss.order[1:]
 		ss.retained -= len(ss.window[evict].payload)
@@ -671,6 +676,8 @@ type connHandler struct {
 type reply struct {
 	status     byte
 	head, body []byte
+	// then, when set, runs after the answer is written (ExtOp).
+	then func()
 }
 
 func okReply(head []byte) reply { return reply{status: StatusOK, head: head} }
@@ -986,8 +993,8 @@ func (h *connHandler) dispatchOp(tr *obs.Trace, op byte, payload []byte) reply {
 
 	default:
 		if ext := h.srv.ExtOp; ext != nil {
-			if status, resp, handled := ext(op, payload); handled {
-				return reply{status: status, head: resp}
+			if status, resp, then, handled := ext(op, payload); handled {
+				return reply{status: status, head: resp, then: then}
 			}
 		}
 		return errReply(fmt.Errorf("server: unknown op %d", op))

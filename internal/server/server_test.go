@@ -562,10 +562,11 @@ func TestBatchCountOldClientWant(t *testing.T) {
 func TestBatchedNextByteBudget(t *testing.T) {
 	_, conn := testServer(t)
 	pad := strings.Repeat("x", 1000)
-	hb := cursorFixture(t, conn, 40, pad)
+	n := 2 * MaxBatchBytes / len(pad) // two budgets' worth
+	hb := cursorFixture(t, conn, n, pad)
 	status, resp := roundTrip(t, conn, OpNext, wire.PutUvarint(append([]byte(nil), hb...), MaxBatchEntries))
 	got := batchData(t, resp)
-	if status != StatusOK || len(got) < 2 || len(got) >= 40 {
+	if status != StatusOK || len(got) < 2 || len(got) >= n {
 		t.Fatalf("status %d, %d entries", status, len(got))
 	}
 	if len(resp) < MaxBatchBytes || len(resp) >= MaxBatchBytes+len(pad)+64 {
@@ -609,16 +610,16 @@ func TestPrevStepsBackOverReadAhead(t *testing.T) {
 	}
 }
 
-// TestDedupWindowByteBudget: the window holds at most dedupBytes of payload
+// TestDedupWindowByteBudget: the window holds at most MaxBatchBytes of payload
 // whatever the responses' size, always keeps the newest, and answers an
 // evicted seq with the explicit error instead of re-executing.
 func TestDedupWindowByteBudget(t *testing.T) {
 	ss := newSession(1)
-	big := make([]byte, dedupBytes/4)
+	big := make([]byte, MaxBatchBytes/4)
 	for seq := uint64(1); seq <= 10; seq++ {
 		ss.record(seq, StatusOK, big)
 	}
-	if ss.retained > dedupBytes || ss.retained != len(ss.window)*len(big) || len(ss.window) != 4 {
+	if ss.retained > MaxBatchBytes || ss.retained != len(ss.window)*len(big) || len(ss.window) != 4 {
 		t.Fatalf("window holds %d responses, %d bytes accounted", len(ss.window), ss.retained)
 	}
 	if _, seen, stale := ss.lookup(10); !seen || stale {
@@ -628,8 +629,8 @@ func TestDedupWindowByteBudget(t *testing.T) {
 		t.Fatalf("evicted seq: seen=%v stale=%v, want the stale answer", seen, stale)
 	}
 	// One response larger than the whole budget is still kept — alone.
-	ss.record(11, StatusOK, make([]byte, 2*dedupBytes))
-	if _, seen, _ := ss.lookup(11); !seen || len(ss.window) != 1 || ss.retained != 2*dedupBytes {
+	ss.record(11, StatusOK, make([]byte, 2*MaxBatchBytes))
+	if _, seen, _ := ss.lookup(11); !seen || len(ss.window) != 1 || ss.retained != 2*MaxBatchBytes {
 		t.Fatalf("oversize response: window %d, %d bytes accounted", len(ss.window), ss.retained)
 	}
 	// Re-recording a seq replaces its bytes instead of counting them twice.

@@ -23,7 +23,10 @@ type Cursor interface {
 	// NextEach visits up to max entries after the cursor position, in
 	// order, advancing past each, until visit returns false or the log ends
 	// (io.EOF) or fails; it returns how many it visited. visit's entry is
-	// scratch: it must not be kept past the call (what it points to may).
+	// scratch: it must not be kept past the call. What an unfragmented
+	// entry points to may be; the data of an entry whose fragments cross
+	// blocks is the core cursor's scratch, overwritten by the next such
+	// entry (core.Cursor.NextEach).
 	NextEach(ctx context.Context, max int, visit func(*logapi.Entry) bool) (int, error)
 }
 
@@ -193,15 +196,25 @@ func (st *Store) openRootCursor() (*rootCursor, error) {
 
 func (rc *rootCursor) Next(ctx context.Context) (*logapi.Entry, error) {
 	var out logapi.Entry
-	if n, err := rc.NextEach(ctx, 1, func(e *logapi.Entry) bool { out = *e; return true }); n == 0 {
+	var leg *core.Cursor
+	if n, err := rc.each(ctx, 1, func(s *sub) bool { out, leg = s.pend, s.cur; return true }); n == 0 {
 		return nil, err
 	}
+	leg.Own(&out)
 	return &out, nil
 }
 
 // NextEach runs the merge step up to max times: each step visits the
-// lowest (timestamp, shard) peeked head and consumes it.
+// lowest (timestamp, shard) peeked head and consumes it. A peeked head is
+// its leg's cursor's entry as NextEach visited it: its data may be in the
+// leg's scratch, which stays as it is until the head is consumed, as the
+// leg is stepped forward only to peek again.
 func (rc *rootCursor) NextEach(ctx context.Context, max int, visit func(*logapi.Entry) bool) (int, error) {
+	return rc.each(ctx, max, func(s *sub) bool { return visit(&s.pend) })
+}
+
+// each is the merge loop: visit gets the leg whose head is next.
+func (rc *rootCursor) each(ctx context.Context, max int, visit func(*sub) bool) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -227,7 +240,7 @@ func (rc *rootCursor) NextEach(ctx context.Context, max int, visit func(*logapi.
 		}
 		best.consume()
 		n++
-		if !visit(bestE) || n >= max {
+		if !visit(best) || n >= max {
 			return n, nil
 		}
 	}

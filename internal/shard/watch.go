@@ -117,8 +117,7 @@ func (s *Sub) Recv(ctx context.Context) (*logapi.Entry, error) {
 // visit returns false — in place, in the style of Cursor.NextEach; it
 // returns how many it visited. After a wait it visits the woken entry
 // alone, so a live entry costs no second probe of the end of the log.
-// visit's entry is scratch: it must not be kept past the call (what it
-// points to may).
+// visit's entry is scratch, as Cursor.NextEach's is.
 func (s *Sub) RecvEach(ctx context.Context, max int, visit func(*logapi.Entry) bool) (int, error) {
 	if s.met != nil {
 		inner := visit

@@ -56,11 +56,18 @@ func (s *Set) ReadBlock(global int) (*blockfmt.Parsed, error) {
 // from, and where the readable history ends. It must fail with something
 // other than wodev.ErrInvalidated past that end.
 func Assemble(first *blockfmt.Parsed, global, idx int, fetch func(global int) (*blockfmt.Parsed, error)) ([]byte, error) {
+	return AssembleInto(nil, first, global, idx, fetch)
+}
+
+// AssembleInto is Assemble joining a fragmented entry's data in dst's
+// storage, which it grows as needed, rather than in a new allocation; the
+// data of an unfragmented entry is still the record's own.
+func AssembleInto(dst []byte, first *blockfmt.Parsed, global, idx int, fetch func(global int) (*blockfmt.Parsed, error)) ([]byte, error) {
 	rec := &first.Records[idx]
 	if !rec.Continues {
 		return rec.Data, nil
 	}
-	out := append([]byte(nil), rec.Data...)
+	out := append(dst[:0], rec.Data...)
 	k := 0 // the fragment last appended to out
 	for b := global + 1; ; b++ {
 		p, err := fetch(b)
