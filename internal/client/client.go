@@ -826,25 +826,29 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // restarts.
 //
 // A Cursor reads ahead: one OpNext round trip asks for up to `want` entries
-// and Next drains them locally. want is 1 after OpenCursor and after any
-// repositioning call, and doubles with each consecutive refill up to
+// and Next drains them locally. want is 1 after OpenCursor, SeekTime,
+// SeekPos, SeekEnd and Prev, and doubles with each consecutive refill up to
 // server.MaxBatchEntries — a property of the access pattern, like kernel
-// read-ahead, not a setting — so a scan costs one round trip per batch.
-// SeekTime is the first step of that ramp itself: its request carries
-// want=1, the entry the seek lands on comes back with the answer, and a seek
-// followed by one Next is one round trip. What
+// read-ahead, not a setting — so a scan costs one round trip per full batch.
+// SeekStart drops the buffered entries but keeps want where it stands:
+// rewinding a scanning cursor is still a scan, and its next pass asks for
+// full batches from the first refill. SeekTime is the first step of the ramp
+// itself: its request carries want=1, the entry the seek lands on comes back
+// with the answer, and a seek followed by one Next is one round trip. What
 // the caller observes is what an unbuffered cursor would show: buffered
 // entries are log history, which never changes, and the end of the log and
 // errors are never buffered — a Next that finds the buffer empty always asks
 // the server, so an entry acknowledged before the call is seen by it.
 //
-// A batch is decoded in one allocation: its entries share one slab and their
-// Data aliases the response frame, as a local cursor's Data aliases the
-// cached block image; an entry from Prev or ReadAt aliases its own response
-// the same way. Nothing reuses a response frame, so an entry stays valid for
-// as long as the caller keeps it — and a retained entry pins its whole
-// batch: server.MaxBatchBytes (64 KiB, overshot by less than one entry) plus
-// the slab.
+// A batch is decoded in one allocation: its entries are one slab of values,
+// Next hands out pointers into it, and their Data aliases the response
+// frame, as a local cursor's Data aliases the cached block image; an entry
+// from Prev or ReadAt aliases its own response the same way. Nothing reuses a
+// response frame or a slab, so an entry stays valid for as long as the
+// caller keeps it — and a retained entry pins its whole batch:
+// server.MaxBatchBytes (64 KiB, overshot by less than one entry) plus the
+// slab. The cursor drops the slab once it has handed out the last entry, so
+// a cursor idling at the end of the log pins nothing.
 //
 // The buffer makes Cursor stateful: a mutex guards it, and a Cursor may be
 // shared by goroutines the way a Client may (each call is atomic; interleaved
@@ -856,8 +860,9 @@ type Cursor struct {
 	mu sync.Mutex
 	// buf[pos:] are entries the server cursor has already stepped past and
 	// the caller has not been given: the server is len(buf)-pos entries
-	// ahead of the position the caller sees.
-	buf  []*Entry
+	// ahead of the position the caller sees. buf is one batch's slab, nil
+	// once its last entry is handed out.
+	buf  []Entry
 	pos  int
 	want int // size of the next refill request
 }
@@ -887,14 +892,13 @@ func (cu *Cursor) Next(ctx context.Context) (*Entry, error) {
 			return nil, err
 		}
 	}
-	e := cu.buf[cu.pos]
-	// The caller owns it now. Clearing the slot frees nothing by itself: the
-	// entry lives in its batch's slab, which every entry still buffered
-	// pins. Once the last one is handed out, though, the buffer holds no
-	// pointer into the batch, so a cursor idling at the end of the log does
-	// not keep it alive.
-	cu.buf[cu.pos] = nil
-	cu.pos++
+	// The caller owns the entry now; it pins its batch's slab for as long
+	// as it is kept. Once the last one is handed out the cursor drops the
+	// slab, so a cursor idling at the end of the log keeps no batch alive.
+	e := &cu.buf[cu.pos]
+	if cu.pos++; cu.pos == len(cu.buf) {
+		cu.buf, cu.pos = nil, 0
+	}
 	return e, nil
 }
 
@@ -910,9 +914,7 @@ func (cu *Cursor) refill(ctx context.Context) error {
 	if status == server.StatusEOF {
 		return io.EOF
 	}
-	cu.buf, err = server.DecodeEntryBatch(cu.buf[:0], r)
-	cu.pos = 0
-	if err != nil {
+	if cu.buf, err = server.DecodeEntryBatch(r); err != nil {
 		return err
 	}
 	cu.want = min(2*cu.want, server.MaxBatchEntries)
@@ -926,7 +928,7 @@ func (cu *Cursor) refill(ctx context.Context) error {
 func (cu *Cursor) reposition(ctx context.Context, op byte, opName string, p []byte) (byte, *wire.Reader, error) {
 	status, r, err := cu.c.call(ctx, op, opName, false, p)
 	if err == nil {
-		cu.buf, cu.pos, cu.want = cu.buf[:0], 0, 1
+		cu.buf, cu.pos, cu.want = nil, 0, 1
 	}
 	return status, r, err
 }
@@ -965,18 +967,22 @@ func (cu *Cursor) SeekTime(ctx context.Context, ts int64) error {
 	if err != nil || r.Len() == 0 {
 		return err
 	}
-	if cu.buf, err = server.DecodeEntryBatch(cu.buf, r); err != nil {
+	if cu.buf, err = server.DecodeEntryBatch(r); err != nil {
 		return err
 	}
 	cu.want = 2
 	return nil
 }
 
-// SeekStart positions the cursor before the first entry.
+// SeekStart positions the cursor before the first entry. The ramp stands:
+// rewinding a scanning cursor is still a scan, so the pass after it asks for
+// full batches from its first refill.
 func (cu *Cursor) SeekStart(ctx context.Context) error {
 	cu.mu.Lock()
 	defer cu.mu.Unlock()
+	want := cu.want
 	_, _, err := cu.reposition(ctx, server.OpSeekStart, "seekstart", wire.PutUvarint(nil, uint64(cu.handle)))
+	cu.want = want
 	return err
 }
 

@@ -475,6 +475,64 @@ func TestReadAheadRamp(t *testing.T) {
 	}
 }
 
+// TestReadAheadRampSurvivesRewind: SeekStart drops the read-ahead but not the
+// ramp, so a scan that rewinds at the end of the log (as scan_live does) asks
+// for full batches from the first refill of its second pass: one request per
+// cap's worth of entries, and one more for the end of the log.
+func TestReadAheadRampSurvivesRewind(t *testing.T) {
+	cl, _, srv := tcpStore(t, 1, 1024)
+	reg := obs.NewRegistry()
+	srv.RegisterMetrics(reg)
+	const capped = server.MaxBatchEntries
+	want := fillSublogsPadded(t, cl, "/rewind", 4, 4*capped, "") // short: a batch at the cap fits the byte budget
+	c, err := cl.OpenCursor(bg, "/rewind")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := c.(*Cursor)
+	pass := func() {
+		t.Helper()
+		for i := 0; ; i++ {
+			e, err := cur.Next(bg)
+			if err == io.EOF {
+				if i != len(want) {
+					t.Fatalf("a pass ended after %d entries, want %d", i, len(want))
+				}
+				return
+			}
+			if err != nil || !bytes.Equal(e.Data, want[i]) {
+				t.Fatalf("entry %d: %v", i, err)
+			}
+		}
+	}
+	pass()
+	if cur.buf != nil {
+		t.Fatal("a cursor that handed out its last buffered entry still holds the batch")
+	}
+	if cur.want != capped {
+		t.Fatalf("after a pass of %d entries the ramp stands at %d, want the cap %d", len(want), cur.want, capped)
+	}
+	if err := cur.SeekStart(bg); err != nil {
+		t.Fatal(err)
+	}
+	req0, ent0 := nextRequests(reg)
+	if _, err := cur.Next(bg); err != nil {
+		t.Fatal(err)
+	}
+	if req, ent := nextRequests(reg); req-req0 != 1 || ent-ent0 != capped {
+		t.Fatalf("the first refill after SeekStart: %d requests carrying %d entries, want 1 carrying %d", req-req0, ent-ent0, capped)
+	}
+	if err := cur.SeekStart(bg); err != nil {
+		t.Fatal(err)
+	}
+	req0, ent0 = nextRequests(reg)
+	pass()
+	if req, ent := nextRequests(reg); req-req0 != int64(len(want)/capped+1) || ent-ent0 != int64(len(want)) {
+		t.Fatalf("a pass after SeekStart: %d requests carrying %d entries, want %d carrying %d",
+			req-req0, ent-ent0, len(want)/capped+1, len(want))
+	}
+}
+
 // TestReadAheadStepBackPastOldCap: a Prev taken a few entries into a refill
 // of more than 64 sends a back count above 64, which a server capped at 64
 // refused. It must return the entry just before the caller's position — the

@@ -108,6 +108,19 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
+// deadAddr returns a loopback address that nothing listens on: a port
+// reserved and closed again. A peer named by it is refused at once on every
+// dial, with no resolver asked.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
 func takeReserved(addr string) net.Listener {
 	reserved.Lock()
 	defer reserved.Unlock()

@@ -206,9 +206,10 @@ func TestDuplicateWriteDivergence(t *testing.T) {
 func TestTermPersistence(t *testing.T) {
 	termPath := filepath.Join(t.TempDir(), "term")
 	devs, nvrams := freshShards(1)
+	peer := deadAddr(t)
 	cfg := func() Config {
 		return Config{
-			Peers:    []string{"unused:1"},
+			Peers:    []string{peer},
 			Quorum:   2,
 			Devices:  devs,
 			NVRAMs:   nvrams,
@@ -282,7 +283,7 @@ func TestEqualTermRivalRefused(t *testing.T) {
 func TestSameTermLeaderArbitration(t *testing.T) {
 	devs, nvrams := freshShards(1)
 	n, addr := startNodeCfg(t, Config{
-		Peers:   []string{"unused:1"},
+		Peers:   []string{deadAddr(t)},
 		Quorum:  2,
 		Devices: devs,
 		NVRAMs:  nvrams,

@@ -173,7 +173,7 @@ func batchLen(t *testing.T, payload []byte, batched bool) int {
 	if !batched {
 		return 1
 	}
-	got, err := DecodeEntryBatch(nil, newReader(payload))
+	got, err := DecodeEntryBatch(newReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

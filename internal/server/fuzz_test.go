@@ -81,7 +81,7 @@ func FuzzDecodeEntryBatch(f *testing.F) {
 	f.Add(good[:len(good)-2])             // entry length past the frame
 	f.Add(append(good[:len(good):len(good)], 7))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		entries, err := DecodeEntryBatch(nil, newReader(payload))
+		entries, err := DecodeEntryBatch(newReader(payload))
 		if err != nil {
 			if len(entries) != 0 {
 				t.Fatalf("rejected batch returned %d entries", len(entries))
@@ -93,7 +93,7 @@ func FuzzDecodeEntryBatch(f *testing.F) {
 		}
 		// Uvarints have non-canonical encodings, so compare through a second
 		// decode rather than byte for byte.
-		again, err := DecodeEntryBatch(nil, newReader(encodeBatch(entries)))
+		again, err := DecodeEntryBatch(newReader(encodeBatch(entryPtrs(entries))))
 		if err != nil || len(again) != len(entries) {
 			t.Fatalf("accepted batch does not re-encode: %d entries, %v", len(again), err)
 		}

@@ -106,7 +106,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		}
 	}
 	status, resp = tracedRoundTrip(t, cConn, OpNext, 0, 0, wire.PutUvarint(wire.PutUvarint(nil, uint64(handle)), 8))
-	if entries, err := DecodeEntryBatch(nil, newReader(resp)); status != StatusOK || err != nil || len(entries) != 2 {
+	if entries, err := DecodeEntryBatch(newReader(resp)); status != StatusOK || err != nil || len(entries) != 2 {
 		t.Fatalf("batched next: status %d, %d entries, %v", status, len(entries), err)
 	}
 

@@ -471,17 +471,23 @@ func DecodeEntry(r *wire.Reader) (*core.Entry, error) {
 	return e, nil
 }
 
-// minEntryBytes is the smallest entry in the entry-response layout: LogID and
-// timestamp, the flag byte, and five one-byte uvarints (shard, block, index,
-// no extra ids, empty data).
-const minEntryBytes = 2 + 8 + 1 + 5
+// minEntryBytes is the smallest entry in the entry-response layout: the fixed
+// head (LogID, timestamp, flag byte) and five one-byte uvarints (shard, block,
+// index, no extra ids, empty data).
+const (
+	entryHeadBytes = 2 + 8 + 1
+	minEntryBytes  = entryHeadBytes + 5
+)
 
 // readEntry is DecodeEntry into e, with the failure left in r.
 func readEntry(r *wire.Reader, e *core.Entry) {
-	e.LogID, e.Timestamp = r.Uint16(), r.Int64()
-	flags := r.Byte()
-	e.Timestamped = flags&EntryTimestamped != 0
-	e.Forced = flags&EntryForced != 0
+	if h := r.Fixed(entryHeadBytes, "entry head"); h != nil {
+		h = h[:entryHeadBytes]
+		e.LogID = binary.LittleEndian.Uint16(h)
+		e.Timestamp = int64(binary.LittleEndian.Uint64(h[2:]))
+		e.Timestamped = h[10]&EntryTimestamped != 0
+		e.Forced = h[10]&EntryForced != 0
+	}
 	e.Shard, e.Block, e.Index = int(r.Uvarint()), int(r.Uvarint()), int(r.Uvarint())
 	nExtra := r.Uvarint()
 	if nExtra > uint64(r.Len())/2 {
@@ -495,20 +501,20 @@ func readEntry(r *wire.Reader, e *core.Entry) {
 }
 
 // DecodeEntryBatch consumes a batched OpNext response — a uvarint count
-// followed by that many entries, to the end of the payload — appending the
-// entries to dst. The entries share one allocation and their data aliases the
-// payload, so a batch costs one slab however many entries it carries, and any
-// entry kept pins the whole batch. The whole payload is validated before
-// anything is returned: a batch that is empty, claims more than
-// MaxBatchEntries or more than its bytes could hold, is truncated, or is
-// followed by trailing bytes is an error, and dst comes back unextended.
-func DecodeEntryBatch(dst []*core.Entry, r *wire.Reader) ([]*core.Entry, error) {
+// followed by that many entries, to the end of the payload. The entries are
+// one slab of values and their data aliases the payload, so a batch costs one
+// allocation however many entries it carries, and any entry kept pins the
+// whole batch. The whole payload is validated before anything is returned: a
+// batch that is empty, claims more than MaxBatchEntries or more than its
+// bytes could hold, is truncated, or is followed by trailing bytes is an
+// error, and no entry comes back.
+func DecodeEntryBatch(r *wire.Reader) ([]core.Entry, error) {
 	n := r.Uvarint()
 	if n == 0 || n > MaxBatchEntries || n > uint64(r.Len()/minEntryBytes) {
 		r.Fail("entry batch count")
 	}
 	if r.Err() != nil {
-		return dst, r.Err()
+		return nil, r.Err()
 	}
 	slab := make([]core.Entry, n)
 	for i := 0; i < len(slab) && r.Err() == nil; i++ {
@@ -518,12 +524,9 @@ func DecodeEntryBatch(dst []*core.Entry, r *wire.Reader) ([]*core.Entry, error) 
 		r.Fail("trailing bytes after entry batch")
 	}
 	if r.Err() != nil {
-		return dst, r.Err()
+		return nil, r.Err()
 	}
-	for i := range slab {
-		dst = append(dst, &slab[i])
-	}
-	return dst, nil
+	return slab, nil
 }
 
 // Payload encoding helpers.
@@ -547,7 +550,7 @@ var errMalformed = errors.New("server: malformed payload")
 func newReader(payload []byte) *wire.Reader { return wire.NewReader(payload, errMalformed) }
 
 // Decoder is wire.Reader behind the two (value, error) methods
-// bench/ladder.go calls; nothing else uses it. Delete it with ROADMAP item 4's
+// bench/ladder.go calls; nothing else uses it. Delete it with ROADMAP item 6B's
 // bench/ edit.
 type Decoder struct{ r *wire.Reader }
 

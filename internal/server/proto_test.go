@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -164,7 +165,7 @@ func encodeBatch(entries []*core.Entry) []byte {
 func TestEntryBatchDecode(t *testing.T) {
 	entries := sampleEntries()
 	good := encodeBatch(entries)
-	got, err := DecodeEntryBatch(nil, newReader(good))
+	got, err := DecodeEntryBatch(newReader(good))
 	if err != nil || len(got) != len(entries) {
 		t.Fatalf("good batch: %d entries, %v", len(got), err)
 	}
@@ -196,15 +197,55 @@ func TestEntryBatchDecode(t *testing.T) {
 		{"entry length past the frame", lenPastFrame, "bytes body"},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), "trailing"},
 	}
-	keep := []*core.Entry{{LogID: 1}}
 	for _, tc := range bad {
-		out, err := DecodeEntryBatch(keep, newReader(tc.payload))
+		out, err := DecodeEntryBatch(newReader(tc.payload))
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.wantErr)
 		}
-		if len(out) != 1 || out[0] != keep[0] {
-			t.Errorf("%s: a rejected batch changed dst (now %d entries)", tc.name, len(out))
+		if out != nil {
+			t.Errorf("%s: a rejected batch returned %d entries", tc.name, len(out))
 		}
+	}
+}
+
+// entryPtrs points at each entry of a decoded batch.
+func entryPtrs(slab []core.Entry) []*core.Entry {
+	out := make([]*core.Entry, len(slab))
+	for i := range slab {
+		out[i] = &slab[i]
+	}
+	return out
+}
+
+// TestEntryBatchDecodeOneAllocation: a full batch — a MaxBatchBytes payload
+// of session-sized entries, as a scan at the cap receives — decodes in exactly
+// one allocation, the slab of entry values; the reader and the entries' data
+// borrow the payload.
+func TestEntryBatchDecodeOneAllocation(t *testing.T) {
+	var entries []*core.Entry
+	for size := 1; size < MaxBatchBytes; {
+		e := &core.Entry{LogID: 7, Timestamp: int64(1e9 + len(entries)), Forced: true,
+			Data:  []byte(fmt.Sprintf("/sessions entry %06d, padded to a session record", len(entries))),
+			Block: 4000 + len(entries)/12, Index: len(entries) % 12}
+		entries = append(entries, e)
+		size += len(EncodeEntry(e))
+	}
+	payload := encodeBatch(entries)
+	if len(payload) < MaxBatchBytes || len(entries) > MaxBatchEntries {
+		t.Fatalf("fixture: %d entries in %d bytes, want a full batch", len(entries), len(payload))
+	}
+	var got []core.Entry
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if got, err = DecodeEntryBatch(newReader(payload)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("decoding a batch of %d entries (%d bytes) allocated %.1f times, want 1", len(entries), len(payload), allocs)
+	}
+	if !sameEntries(entryPtrs(got), entries) {
+		t.Fatal("the batch did not decode to the entries sent")
 	}
 }
 
@@ -256,12 +297,12 @@ func TestBatchCountTwoBytes(t *testing.T) {
 	if !bytes.Equal(rep.head[:2], []byte{0xC8, 0x01} /* 200 */) || len(rep.head) != 2+len(entries)*minEntryBytes {
 		t.Fatalf("batch of %d minimal entries: count bytes %x, %d bytes in all", len(entries), rep.head[:2], len(rep.head))
 	}
-	got, err := DecodeEntryBatch(nil, newReader(rep.head))
-	if err != nil || !sameEntries(got, entries) {
+	got, err := DecodeEntryBatch(newReader(rep.head))
+	if err != nil || !sameEntries(entryPtrs(got), entries) {
 		t.Fatalf("decoded %d entries, %v; want the %d sent", len(got), err, len(entries))
 	}
 	// One byte short of the last entry: the count no longer fits the bytes.
-	if _, err := DecodeEntryBatch(nil, newReader(rep.head[:len(rep.head)-1])); err == nil || !strings.Contains(err.Error(), "batch count") {
+	if _, err := DecodeEntryBatch(newReader(rep.head[:len(rep.head)-1])); err == nil || !strings.Contains(err.Error(), "batch count") {
 		t.Fatalf("a count the bytes cannot back: %v", err)
 	}
 }
@@ -279,8 +320,8 @@ func TestBatchCountOneByteOldServer(t *testing.T) {
 		if !bytes.Equal(old, encodeBatch(entries)) {
 			t.Fatalf("%d entries: a one-byte count differs from the uvarint", n)
 		}
-		got, err := DecodeEntryBatch(nil, newReader(old))
-		if err != nil || !sameEntries(got, entries) {
+		got, err := DecodeEntryBatch(newReader(old))
+		if err != nil || !sameEntries(entryPtrs(got), entries) {
 			t.Fatalf("%d entries behind a one-byte count: decoded %d, %v", n, len(got), err)
 		}
 	}

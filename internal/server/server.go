@@ -154,7 +154,7 @@ func (s *Server) SetEpoch(e uint64) { s.epoch = e }
 // keeps for its clients and a replication follower keeps of its leader's, so
 // every copy of a dedup window is bounded by the same code
 // (session.retainLocked). Cursors are connection-domain and do not replicate.
-// Sessions are never evicted (session expiry, ROADMAP item 1(iii), is open).
+// Sessions are never evicted (session expiry, ROADMAP item 1, is open).
 type Sessions struct {
 	mu sync.Mutex
 	m  map[uint64]*session

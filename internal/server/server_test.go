@@ -316,7 +316,7 @@ func cursorFixture(t *testing.T, conn net.Conn, n int, pad string) []byte {
 // batchData decodes a batched OpNext response into its entries' data.
 func batchData(t *testing.T, resp []byte) []string {
 	t.Helper()
-	entries, err := DecodeEntryBatch(nil, newReader(resp))
+	entries, err := DecodeEntryBatch(newReader(resp))
 	if err != nil {
 		t.Fatalf("decode batch: %v", err)
 	}

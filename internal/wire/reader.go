@@ -17,8 +17,13 @@ import (
 // kind of value that was cut short ("uvarint", "bytes body") or the text given
 // to Fail. Fixed-offset layouts (block images, entrymap views, the NVRAM slot,
 // the volume header) do not use it: they index, they do not scan.
+//
+// A read advances an integer offset and writes no pointer: the payload slice
+// is set once, so a decoder that makes eight reads per entry pays no write
+// barrier for them.
 type Reader struct {
 	buf      []byte
+	off      int // buf[off:] is unconsumed
 	sentinel error
 	err      error
 }
@@ -40,17 +45,24 @@ func (r *Reader) Fail(what string) {
 }
 
 // Len returns the unconsumed byte count.
-func (r *Reader) Len() int { return len(r.buf) }
+func (r *Reader) Len() int { return len(r.buf) - r.off }
 
 // take consumes n bytes, or fails naming kind.
 func (r *Reader) take(n uint64, kind string) []byte {
-	if r.err != nil || n > uint64(len(r.buf)) {
+	if r.err != nil || n > uint64(r.Len()) {
 		r.Fail(kind)
 		return nil
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
+	b := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
 	return b
+}
+
+// Fixed consumes n bytes of a fixed-width layout, or fails with what, and
+// returns them as a subslice of the payload: a decoder reads several
+// fixed-width fields with one bounds check.
+func (r *Reader) Fixed(n int, what string) []byte {
+	return r.take(uint64(n), what) // a negative n is huge, and fails
 }
 
 // Uvarint consumes an unsigned varint.
@@ -58,12 +70,16 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n, err := Uvarint(r.buf)
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 { // one byte: a count, an ordinal, a short length
+		r.off++
+		return uint64(r.buf[r.off-1])
+	}
+	v, n, err := Uvarint(r.buf[r.off:])
 	if err != nil {
 		r.Fail("uvarint")
 		return 0
 	}
-	r.buf = r.buf[n:]
+	r.off += n
 	return v
 }
 
