@@ -417,7 +417,10 @@ func runStatus(adminAddr, addr string) {
 	for _, p := range st.Peers {
 		state := "down"
 		if p.Alive {
-			state = "streaming"
+			state = "streaming (trailing)"
+			if p.Quorum {
+				state = "streaming (quorum)"
+			}
 		}
 		fmt.Printf("replica %s: %s, lag %d (acked %d, catch-up blocks %d, resets %d)\n",
 			p.Addr, state, p.Lag, p.Acked, p.CatchupBlocks, p.Resets)

@@ -162,7 +162,11 @@ func (e *DegradedError) Error() string {
 }
 
 // IsDegraded reports whether err (or anything it wraps) is a *DegradedError.
+// A nil err is answered without the errors.As probe, which allocates.
 func IsDegraded(err error) bool {
+	if err == nil {
+		return false
+	}
 	var d *DegradedError
 	return errors.As(err, &d)
 }

@@ -524,3 +524,18 @@ func TestDegradedAppendSurfacesOverWire(t *testing.T) {
 		t.Fatalf("Writer's degraded entry read back: %v, %+v", err, e)
 	}
 }
+
+// TestIsDegradedNilAllocatesNothing: a successful append's nil error is
+// answered without the errors.As probe, which would allocate.
+func TestIsDegradedNilAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if IsDegraded(nil) {
+			t.Fatal("nil reported degraded")
+		}
+	}); allocs != 0 {
+		t.Errorf("IsDegraded(nil) allocated %.1f times, want 0", allocs)
+	}
+	if !IsDegraded(fmt.Errorf("append: %w", &DegradedError{})) {
+		t.Error("a wrapped degraded notice was not recognised")
+	}
+}

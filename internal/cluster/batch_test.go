@@ -1,10 +1,12 @@
 package cluster
 
 // Tests for the batched replication stream: a forced tail rides with the
-// ReplAck that needs it (one socket write per follower per gated force, one
-// cumulative ack back), without reordering, without a held frame ever being
-// stranded or delivered below a subscriber's base, and with the follower
-// acking only what it applied on the connection it answers on. The two
+// ReplAck that needs it (one socket write per quorum follower per gated
+// force, one cumulative ack back; a trailing follower gets a batch per
+// flush period, see quorumset_test.go), without reordering, without a held
+// frame ever being stranded or delivered below a subscriber's base, and
+// with the follower acking only what it applied on the connection it
+// answers on. The two
 // compatibility tests speak the parent commit's side of the wire by hand:
 // frames and acks are byte-for-byte what they were, only their grouping into
 // socket writes changed.
@@ -46,16 +48,38 @@ func drain(sub *subscriber) []frame {
 	}
 }
 
+// manualStream is a stream whose timer never fires: the test drives every
+// expiry by hand, so no delivery depends on how fast it runs.
+func manualStream(queue, quorum int) *stream {
+	st := newStream(queue, quorum)
+	st.timer = time.AfterFunc(time.Hour, func() {})
+	st.timer.Stop()
+	return st
+}
+
+// readySub subscribes a caught-up subscriber, as a sender does after its
+// catch-up: it joins the quorum set if there is room.
+func readySub(st *stream, addr string) *subscriber {
+	sub, _ := st.subscribe(newPeer(addr))
+	st.ready(sub)
+	return sub
+}
+
 // TestStreamDeliversInEmitOrder: held and eager frames from four writers
-// reach a subscriber in position order — within a batch and across batches
-// — so a ReplTail is never delivered after an eager frame that was emitted
-// after it.
+// reach a quorum subscriber and a trailing one in position order — within a
+// batch and across batches — so a ReplTail is never delivered after an
+// eager frame that was emitted after it.
 func TestStreamDeliversInEmitOrder(t *testing.T) {
 	const writers, each = 4, 500
-	st := newStream(writers*each + 1)
-	sub, base := st.subscribe()
+	st := manualStream(writers*each+1, 1)
+	sub, base := st.subscribe(newPeer("q"))
 	if base != 0 {
 		t.Fatalf("fresh stream base = %d", base)
+	}
+	st.ready(sub)
+	trailing := readySub(st, "t")
+	if !sub.quorum || trailing.quorum {
+		t.Fatal("test premise: the first ready subscriber fills the quorum set of one")
 	}
 	var ops sync.Map // pos -> op, as the emitters were told
 	var wg sync.WaitGroup
@@ -74,16 +98,20 @@ func TestStreamDeliversInEmitOrder(t *testing.T) {
 	}
 	wg.Wait()
 	st.flush()
-	got := drain(sub)
-	if len(got) != writers*each {
-		t.Fatalf("delivered %d frames, emitted %d", len(got), writers*each)
-	}
-	for i, f := range got {
-		if f.pos != uint64(i+1) {
-			t.Fatalf("frame %d has position %d: delivery order is not emit order", i, f.pos)
+	st.expire() // the trailing subscriber's frames: the first expiry notes them,
+	st.expire() // the second finds them held a period and delivers
+	for name, s := range map[string]*subscriber{"quorum": sub, "trailing": trailing} {
+		got := drain(s)
+		if len(got) != writers*each {
+			t.Fatalf("%s: delivered %d frames, emitted %d", name, len(got), writers*each)
 		}
-		if want, _ := ops.Load(f.pos); want != f.op {
-			t.Fatalf("position %d delivered as op 0x%x, emitted as 0x%x", f.pos, f.op, want)
+		for i, f := range got {
+			if f.pos != uint64(i+1) {
+				t.Fatalf("%s: frame %d has position %d: delivery order is not emit order", name, i, f.pos)
+			}
+			if want, _ := ops.Load(f.pos); want != f.op {
+				t.Fatalf("%s: position %d delivered as op 0x%x, emitted as 0x%x", name, f.pos, f.op, want)
+			}
 		}
 	}
 }
@@ -92,8 +120,8 @@ func TestStreamDeliversInEmitOrder(t *testing.T) {
 // with the next eager one as a single batch, and when nothing follows is
 // flushed by the timer.
 func TestStreamHeldFrame(t *testing.T) {
-	st := newStream(16)
-	sub, _ := st.subscribe()
+	st := newStream(16, 1)
+	sub := readySub(st, "q")
 
 	st.emit(wire.OpReplTail, nil, true)
 	if len(sub.ch) != 0 {
@@ -169,31 +197,152 @@ func TestStreamHeldFrame(t *testing.T) {
 
 // TestStreamSubscribeWhileHeld: a subscriber's base counts held frames, and
 // it never receives one of them — its catch-up reads state that already
-// includes them.
+// includes them — whether it joins the quorum set or trails.
 func TestStreamSubscribeWhileHeld(t *testing.T) {
-	st := newStream(16)
-	early, _ := st.subscribe()
-	st.emit(wire.OpReplTail, nil, true)
-	st.emit(wire.OpReplTail, nil, true)
-	late, base := st.subscribe()
-	if base != 2 {
-		t.Fatalf("base = %d, want 2 (the held frames' positions are taken)", base)
-	}
-	st.emit(wire.OpReplAck, nil, false)
-	if got := drain(early); len(got) != 3 {
-		t.Fatalf("early subscriber got %d frames, want 3", len(got))
-	}
-	got := drain(late)
-	if len(got) != 1 || got[0].pos != 3 {
-		t.Fatalf("late subscriber got %+v, want only position 3", got)
+	for _, quorum := range []int{2, 1} {
+		st := manualStream(16, quorum)
+		early := readySub(st, "early")
+		st.emit(wire.OpReplTail, nil, true)
+		st.emit(wire.OpReplTail, nil, true)
+		late, base := st.subscribe(newPeer("late"))
+		if base != 2 {
+			t.Fatalf("quorum %d: base = %d, want 2 (the held frames' positions are taken)", quorum, base)
+		}
+		st.ready(late)
+		if late.quorum != (quorum == 2) {
+			t.Fatalf("quorum set of %d: late subscriber in it = %v", quorum, late.quorum)
+		}
+		st.emit(wire.OpReplAck, nil, false)
+		if !late.quorum {
+			st.expire() // a trailing subscriber is fed by the timer: two
+			st.expire() // expiries find its frame held a whole period
+		}
+		if got := drain(early); len(got) != 3 {
+			t.Fatalf("quorum %d: early subscriber got %d frames, want 3", quorum, len(got))
+		}
+		got := drain(late)
+		if len(got) != 1 || got[0].pos != 3 {
+			t.Fatalf("quorum %d: late subscriber got %+v, want only position 3", quorum, got)
+		}
 	}
 	// A batch wholly at or below the base delivers nothing, not an empty batch.
-	st2 := newStream(16)
+	st2 := manualStream(16, 1)
 	st2.emit(wire.OpReplTail, nil, true)
-	late2, _ := st2.subscribe()
+	late2 := readySub(st2, "late")
 	st2.flush()
+	st2.expire()
+	st2.expire()
 	if len(late2.ch) != 0 {
 		t.Fatal("a subscriber received a batch of frames below its base")
+	}
+}
+
+// TestStreamCatchingUpNeverInQuorum: a subscriber still catching up is
+// never in the quorum set, however much room it has; it trails until ready,
+// and then joins at once.
+func TestStreamCatchingUpNeverInQuorum(t *testing.T) {
+	st := manualStream(16, 2)
+	p := newPeer("catching-up")
+	sub, _ := st.subscribe(p)
+	other := readySub(st, "caught-up") // the set is refilled: a vacancy stays
+	st.emit(wire.OpReplTail, nil, true)
+	st.emit(wire.OpReplAck, nil, false)
+	if sub.quorum || p.quorum.Load() {
+		t.Fatal("a subscriber still catching up is in the quorum set")
+	}
+	if !other.quorum {
+		t.Fatal("test premise: the caught-up subscriber is not in the quorum set")
+	}
+	if len(sub.ch) != 0 {
+		t.Fatal("an eager frame reached a subscriber still catching up at once")
+	}
+	st.ready(sub)
+	if !sub.quorum || !p.quorum.Load() {
+		t.Fatal("a caught-up subscriber did not join a quorum set with room")
+	}
+	if got := drain(sub); len(got) != 2 || got[0].pos != 1 || got[1].pos != 2 {
+		t.Fatalf("on joining, the subscriber got %+v, want its held frames 1 and 2", got)
+	}
+	// A vacancy left by an unsubscribe, and the expiry's refill, pass over
+	// a subscriber still catching up too.
+	late, _ := st.subscribe(newPeer("late"))
+	st.unsubscribe(other)
+	st.emit(wire.OpReplAck, nil, false)
+	st.expire()
+	st.expire()
+	if late.quorum || late.p.quorum.Load() {
+		t.Fatal("a vacancy went to a subscriber still catching up")
+	}
+}
+
+// TestStreamSwapsStalledQuorumSub: at an expiry, a quorum subscriber whose
+// follower has not acked a frame handed over before the previous expiry
+// trades places with a trailing one whose follower has; not while the
+// trailing follower is no further along.
+func TestStreamSwapsStalledQuorumSub(t *testing.T) {
+	st := manualStream(16, 1)
+	q, tr := readySub(st, "q"), readySub(st, "t")
+	st.emit(wire.OpReplAck, nil, false) // q is handed position 1 at once
+	st.expire()                         // tr is handed it; q's mark is 1
+	st.expire()
+	if !q.quorum || tr.quorum {
+		t.Fatal("the roles swapped while neither follower had acked anything")
+	}
+	tr.p.acked.Store(1)
+	st.expire()
+	if q.quorum || !tr.quorum || q.p.quorum.Load() || !tr.p.quorum.Load() {
+		t.Fatal("a quorum follower that left position 1 unacked for a period kept its role from one that acked it")
+	}
+	st.emit(wire.OpReplAck, nil, false)
+	if got := drain(tr); len(got) != 2 || got[1].pos != 2 {
+		t.Fatalf("after the swap the new quorum subscriber got %+v, want position 2 at once", got)
+	}
+}
+
+// TestStreamDroppedQuorumSubReplaced: a quorum subscriber that is dropped —
+// here for a full queue — passes its role at once to a caught-up trailing
+// one, whose held frames go out first, in order, with the frame whose
+// delivery dropped the other; one still catching up is passed over.
+func TestStreamDroppedQuorumSubReplaced(t *testing.T) {
+	st := manualStream(2, 1)
+	q := readySub(st, "q")
+	t1 := readySub(st, "t1")
+	t2, _ := st.subscribe(newPeer("t2")) // catching up
+	if !q.quorum || t1.quorum || t2.quorum {
+		t.Fatal("test premise: q is the quorum set")
+	}
+	st.emit(wire.OpReplTail, nil, true)
+	st.emit(wire.OpReplAck, nil, false) // q: batch 1
+	st.emit(wire.OpReplAck, nil, false) // q: batch 2, its queue is full
+	if len(t1.ch) != 0 {
+		t.Fatal("test premise: the trailing subscriber was fed")
+	}
+	st.emit(wire.OpReplAck, nil, false) // q's queue overflows: dropped
+	if _, ok := <-q.ch; !ok {
+		t.Fatal("the dropped subscriber's queued batches were lost")
+	}
+	drain(q)
+	if _, ok := <-q.ch; ok {
+		t.Fatal("the overflowing subscriber was not dropped")
+	}
+	if q.p.quorum.Load() {
+		t.Fatal("a dropped subscriber's peer still reports the quorum role")
+	}
+	if !t1.quorum || !t1.p.quorum.Load() || t2.quorum {
+		t.Fatal("the quorum role did not pass to the caught-up trailing subscriber")
+	}
+	got := drain(t1)
+	if len(got) != 4 {
+		t.Fatalf("the replacement got %+v, want its 4 held frames at once", got)
+	}
+	for i, f := range got {
+		if f.pos != uint64(i+1) {
+			t.Fatalf("the replacement's frame %d has position %d", i, f.pos)
+		}
+	}
+	st.emit(wire.OpReplAck, nil, false)
+	if got := drain(t1); len(got) != 1 || got[0].pos != 5 {
+		t.Fatalf("after taking the role the replacement got %+v, want position 5 at once", got)
 	}
 }
 
@@ -206,7 +355,7 @@ func TestGateFlushesOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, _ := n.stream.subscribe()
+	sub := readySub(n.stream, "peer") // in the quorum set: the gate's flush reaches it
 	tap := &tapNVRAM{NVRAM: nvrams[0], n: n}
 	if err := tap.Store(3, []byte("staged before the failure")); err != nil {
 		t.Fatal(err)

@@ -59,7 +59,8 @@ type Config struct {
 	Peers []string
 	// Quorum is how many replicas (the leader included) must have durably
 	// staged a mutation before the client is acked. 0 defaults to 2
-	// (leader + 1 follower); 1 disables waiting. It must not exceed
+	// (leader + 1 follower); 1 disables waiting, and every follower then
+	// trails, fed once per flush period (see stream). It must not exceed
 	// 1+len(Peers).
 	Quorum int
 	// Devices holds the node's write-once devices, per shard then per
@@ -82,11 +83,13 @@ type Config struct {
 	// indistinguishable from the legitimate one.
 	TermPath string
 	// StreamQueue is each replication subscriber's buffer, counted in
-	// batches — what one eager frame delivers: itself plus the tail frames
-	// held before it, so a gated force is one batch of two frames and a
-	// sealed block one of one. A sender that falls this far behind is cut
-	// loose and restarts with a suffix catch-up. Size it against the
-	// group-commit rate to make that rare. 0 uses DefaultStreamQueue.
+	// batches — what one eager frame delivers to a quorum subscriber:
+	// itself plus the tail frames held before it, so a gated force is one
+	// batch of two frames and a sealed block one of one; a trailing
+	// subscriber gets one batch per flush period. A sender that falls this
+	// far behind is cut loose and restarts with a suffix catch-up. Size it
+	// against the group-commit rate to make that rare. 0 uses
+	// DefaultStreamQueue.
 	StreamQueue int
 	// AckTimeout bounds the quorum wait per mutation; 0 uses
 	// DefaultAckTimeout.
@@ -197,7 +200,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:      cfg,
-		stream:   newStream(cfg.StreamQueue),
+		stream:   newStream(cfg.StreamQueue, cfg.Quorum-1),
 		devs:     devs,
 		role:     wire.RoleFollower,
 		conns:    make(map[net.Conn]struct{}),

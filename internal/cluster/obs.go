@@ -11,6 +11,10 @@ type PeerStatus struct {
 	// Alive means the replication stream is established and caught up past
 	// its base (the pre-gate's liveness input).
 	Alive bool `json:"alive"`
+	// Quorum means the replica is in the quorum set: it receives each
+	// force's frames at once and its acks are the ones the gate waits on.
+	// A live replica outside it trails, fed once per flush period.
+	Quorum bool `json:"quorum"`
 	// Acked is the replica's cumulative ack position; Lag is the stream
 	// head minus it.
 	Acked uint64 `json:"acked"`
@@ -106,6 +110,7 @@ func (n *Node) Status() NodeStatus {
 		ps := PeerStatus{
 			Addr:          p.addr,
 			Alive:         p.alive.Load(),
+			Quorum:        p.quorum.Load(),
 			Acked:         p.acked.Load(),
 			CatchupBlocks: p.catchupBlocks.Load(),
 			Resets:        p.resets.Load(),

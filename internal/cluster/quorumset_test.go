@@ -1,0 +1,323 @@
+package cluster
+
+// Tests for thrifty delivery: a force goes out at once only to the followers
+// the quorum counts, the others are fed by the flush timer, and a quorum
+// follower that stops acking trades places with one that does.
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"clio/internal/client"
+	"clio/internal/core"
+)
+
+// peerConns wraps the leader's replication connections, per follower
+// address: it counts their socket writes and can stall them.
+type peerConns struct {
+	mu      sync.Mutex
+	writes  map[string]*atomic.Int64
+	stalled map[string]chan struct{} // closed to release
+}
+
+func newPeerConns() *peerConns {
+	return &peerConns{writes: make(map[string]*atomic.Int64), stalled: make(map[string]chan struct{})}
+}
+
+func (pc *peerConns) dial(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.writes[addr] == nil {
+		pc.writes[addr] = new(atomic.Int64)
+	}
+	return &peerConn{Conn: c, pc: pc, addr: addr, closed: make(chan struct{})}, nil
+}
+
+func (pc *peerConns) count(addr string) int64 {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if w := pc.writes[addr]; w != nil {
+		return w.Load()
+	}
+	return 0
+}
+
+// stall makes every write to addr block until release or the connection's
+// Close: the follower stops receiving, and the connection stays open.
+func (pc *peerConns) stall(addr string) {
+	pc.mu.Lock()
+	pc.stalled[addr] = make(chan struct{})
+	pc.mu.Unlock()
+}
+
+func (pc *peerConns) release(addr string) {
+	pc.mu.Lock()
+	if ch := pc.stalled[addr]; ch != nil {
+		close(ch)
+		delete(pc.stalled, addr)
+	}
+	pc.mu.Unlock()
+}
+
+type peerConn struct {
+	net.Conn
+	pc        *peerConns
+	addr      string
+	closeOnce sync.Once
+	closed    chan struct{}
+}
+
+func (c *peerConn) Write(b []byte) (int, error) {
+	c.pc.mu.Lock()
+	gate := c.pc.stalled[c.addr]
+	w := c.pc.writes[c.addr]
+	c.pc.mu.Unlock()
+	if gate != nil {
+		select {
+		case <-gate:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
+	}
+	w.Add(1)
+	return c.Conn.Write(b)
+}
+
+func (c *peerConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// startThree starts a leader and two followers, quorum 2, on roomy shards
+// (no append in these tests seals a block), the leader dialing through pc.
+func startThree(t *testing.T, pc *peerConns) (addrs []string, nodes [3]*Node) {
+	t.Helper()
+	addrs = freeAddrs(t, 3)
+	for i := range nodes {
+		devs, nvrams := roomyShard()
+		var peers []string
+		for j, a := range addrs {
+			if j != i {
+				peers = append(peers, a)
+			}
+		}
+		ln := listen(t, addrs[i])
+		n, err := New(Config{NodeID: addrs[i], Peers: peers, Quorum: 2, Devices: devs, NVRAMs: nvrams,
+			Opts: core.Options{BlockSize: 4096}, Create: i == 0, Dial: pc.dial, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(i == 0); err != nil {
+			t.Fatal(err)
+		}
+		go n.Serve(ln)
+		t.Cleanup(n.Kill)
+		nodes[i] = n
+	}
+	return addrs, nodes
+}
+
+// roles returns the addresses of the leader's quorum follower and its
+// trailing one, once both are caught up with the stream head and exactly
+// one is in the quorum set.
+func roles(leader *Node) (quorum, trailing string, ok bool) {
+	st := leader.Status()
+	if len(st.Peers) != 2 {
+		return "", "", false
+	}
+	for _, p := range st.Peers {
+		if !p.Alive || p.Acked != st.StreamPos {
+			return "", "", false
+		}
+		if p.Quorum {
+			quorum = p.Addr
+		} else {
+			trailing = p.Addr
+		}
+	}
+	return quorum, trailing, quorum != "" && trailing != ""
+}
+
+// TestQuorumFollowerCarriesTheForce: with quorum 2 of 3, each gated force
+// costs the quorum follower one socket write, and the trailing follower at
+// most one per flush period; both still converge on the stream head within
+// a few periods of the last force.
+//
+// A loop during which the roles swapped, or in which the quorum follower's
+// count is off while some force took longer than a flush period, measured
+// the host, not the stream: a follower descheduled for a whole period is
+// rightly swapped out, and a tail held that long is rightly flushed without
+// its ReplAck. Such a loop is run again, up to five times (it happens under
+// -race on two CPUs, about one loop in ten).
+func TestQuorumFollowerCarriesTheForce(t *testing.T) {
+	pc := newPeerConns()
+	addrs, nodes := startThree(t, pc)
+	leader := nodes[0]
+	ctx := context.Background()
+	c := testClient(t, 51, addrs[:1], nil)
+	id, err := c.CreateLog(ctx, "/thrifty", 0o644, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := map[string]*Node{addrs[1]: nodes[1], addrs[2]: nodes[2]}
+
+	const forces = 40
+	for attempt := 1; ; attempt++ {
+		var qa, ta string
+		waitFor(t, "both followers caught up, one in the quorum set", 10*time.Second, func() bool {
+			var ok bool
+			qa, ta, ok = roles(leader)
+			return ok
+		})
+		q0, t0 := pc.count(qa), pc.count(ta)
+		swapped, slowest := false, time.Duration(0)
+		start := time.Now()
+		for i := 0; i < forces; i++ {
+			begin := time.Now()
+			if _, err := c.Append(ctx, id, []byte(fmt.Sprintf("force %d.%02d", attempt, i)), client.AppendOptions{Forced: true}); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			slowest = max(slowest, time.Since(begin))
+			swapped = swapped || !peerQuorum(leader.Status().Peers, qa)
+		}
+		qw, tw := pc.count(qa)-q0, pc.count(ta)-t0
+		elapsed := time.Since(start)
+		head := leader.stream.Pos()
+		t.Logf("%d forces in %v (slowest %v): quorum follower %d writes, trailing %d", forces, elapsed, slowest, qw, tw)
+		if (swapped || (qw != forces && slowest > heldFlushAfter)) && attempt < 5 {
+			t.Logf("attempt %d disturbed (roles swapped: %v); again", attempt, swapped)
+			continue
+		}
+
+		if swapped {
+			t.Fatalf("the quorum set changed during the loop: %+v", leader.Status().Peers)
+		}
+		if qw != forces {
+			t.Errorf("the quorum follower got %d socket writes for %d gated forces, want one each", qw, forces)
+		}
+		periods := int64(elapsed / heldFlushAfter)
+		if tw > periods+1 {
+			t.Errorf("the trailing follower got %d socket writes in %v (%d flush periods), want at most %d",
+				tw, elapsed, periods, periods+1)
+		}
+
+		settle := time.Now()
+		for follower[qa].Applied() < head || follower[ta].Applied() < head {
+			if time.Since(settle) > 10*heldFlushAfter {
+				t.Fatalf("after %v the followers applied %d (quorum) and %d (trailing) of %d",
+					time.Since(settle), follower[qa].Applied(), follower[ta].Applied(), head)
+			}
+			time.Sleep(heldFlushAfter / 10)
+		}
+		return
+	}
+}
+
+func peerQuorum(peers []PeerStatus, addr string) bool {
+	for _, p := range peers {
+		if p.Addr == addr {
+			return p.Quorum
+		}
+	}
+	return false
+}
+
+// TestStalledQuorumFollowerIsReplaced: a quorum follower whose connection
+// stops carrying frames, without closing, trades places with the trailing
+// follower within a few flush periods; no force waits out the quorum
+// timeout meanwhile, and promoting the follower that applied the most
+// loses no acked entry.
+func TestStalledQuorumFollowerIsReplaced(t *testing.T) {
+	pc := newPeerConns()
+	addrs, nodes := startThree(t, pc)
+	leader := nodes[0]
+	ctx := context.Background()
+	c := testClient(t, 52, addrs[:1], nil)
+	id, err := c.CreateLog(ctx, "/stalled", 0o644, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var qa, ta string
+	waitFor(t, "both followers caught up, one in the quorum set", 10*time.Second, func() bool {
+		var ok bool
+		qa, ta, ok = roles(leader)
+		return ok
+	})
+	t.Cleanup(func() { pc.release(qa) })
+
+	var acked []string
+	appendOne := func() {
+		t.Helper()
+		payload := fmt.Sprintf("entry %03d", len(acked))
+		if _, err := c.Append(ctx, id, []byte(payload), client.AppendOptions{Forced: true}); err != nil {
+			t.Fatalf("append %d: %v", len(acked), err)
+		}
+		acked = append(acked, payload)
+	}
+	for i := 0; i < 10; i++ {
+		appendOne()
+	}
+
+	pc.stall(qa)
+	stalled := time.Now()
+	var swapped time.Duration
+	for i := 0; i < 400 && swapped == 0; i++ {
+		appendOne()
+		if st := leader.Status(); peerQuorum(st.Peers, ta) && !peerQuorum(st.Peers, qa) {
+			swapped = time.Since(stalled)
+		}
+	}
+	if swapped == 0 {
+		t.Fatalf("the roles did not swap within %d forces (%v) of the stall: %+v",
+			len(acked), time.Since(stalled), leader.Status().Peers)
+	}
+	if periods := swapped / heldFlushAfter; periods > 20 {
+		t.Errorf("the roles swapped %v (%d flush periods) after the stall, want a few", swapped, periods)
+	}
+	// In its new role the former trailing follower carries each force.
+	for i := 0; i < 20; i++ {
+		appendOne()
+	}
+	if n := leader.Status().QuorumTimeouts; n != 0 {
+		t.Fatalf("%d forces waited out the quorum timeout", n)
+	}
+	t.Logf("swapped %v after the stall; %d entries acked", swapped, len(acked))
+
+	// Promote the follower that applied the most: it holds every acked entry.
+	leader.Kill()
+	promoted := nodes[1]
+	if nodes[2].Applied() > nodes[1].Applied() {
+		promoted = nodes[2]
+	}
+	if promoted.cfg.NodeID != ta {
+		t.Fatalf("the stalled follower %s applied more (%d) than the live one", promoted.cfg.NodeID, promoted.Applied())
+	}
+	if _, err := promoted.Promote(); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	reader := testClient(t, 53, []string{ta}, nil)
+	cur, err := reader.OpenCursor(ctx, "/stalled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	for i, want := range acked {
+		e, err := cur.Next(ctx)
+		if err != nil {
+			t.Fatalf("acked entry %d (%q) lost after promotion: %v", i, want, err)
+		}
+		if string(e.Data) != want {
+			t.Fatalf("entry %d = %q, want %q", i, e.Data, want)
+		}
+	}
+}

@@ -38,6 +38,7 @@ type peer struct {
 	addr          string
 	acked         atomic.Uint64
 	alive         atomic.Bool
+	quorum        atomic.Bool // its subscriber is in the stream's quorum set
 	catchupBlocks atomic.Int64
 	resets        atomic.Int64
 
@@ -224,7 +225,7 @@ func (n *Node) streamTo(p *peer) error {
 	// Subscribe BEFORE snapshotting device extents: anything written after
 	// the snapshot is covered twice (suffix copy + stream frame) and the
 	// follower's apply is idempotent; subscribing after would leave a gap.
-	sub, base := n.stream.subscribe()
+	sub, base := n.stream.subscribe(p)
 	defer n.stream.unsubscribe(sub)
 
 	if err := n.catchUp(conn, p, srv, hr.Devs, base); err != nil {
@@ -232,8 +233,10 @@ func (n *Node) streamTo(p *peer) error {
 	}
 
 	// alive is cleared by runSender, not here: a fell-behind restart keeps
-	// it set across the reconnect's catch-up.
+	// it set across the reconnect's catch-up. Only now may the subscriber
+	// join the quorum set: one still catching up could not ack in time.
 	p.alive.Store(true)
+	n.stream.ready(sub)
 
 	for {
 		select {

@@ -17,45 +17,75 @@ type frame struct {
 	payload []byte
 }
 
-// subscriber is one sender's feed. base is the stream position its catch-up
-// covers: nothing at or below it is ever delivered (a frame held when the
-// sender subscribed is already in the device and NVRAM state the catch-up
-// reads, and arriving after the catch-up's newer tail image it would regress
-// it).
+// subscriber is one sender's feed. next is the first position not yet
+// handed to ch: the frames from next to the stream head are the ones held
+// for it. It starts just above the subscription's base, the stream position
+// its catch-up covers: nothing at or below the base is ever delivered (a
+// frame held when the sender subscribed is already in the device and NVRAM
+// state the catch-up reads, and arriving after the catch-up's newer tail
+// image it would regress it).
 type subscriber struct {
-	ch   chan []frame
-	base uint64
+	ch    chan []frame
+	p     *peer // whose acks the swap check reads, and whose role Status reports
+	next  uint64
+	bytes uint64 // st.bytes when next last moved: held payload = st.bytes - bytes
+
+	ready  bool   // caught up: may join the quorum set
+	quorum bool   // in the quorum set: eager frames reach it at once
+	mark   uint64 // last position handed over as of the previous expiry (quorum only)
 }
 
-// heldFlushAfter is the period of the timer that bounds how long a lazily
-// emitted frame waits for an eager one to ride with: a frame is flushed by
-// the first expiry that finds it held a whole period — this long after its
-// emit on a quiet stream, at most twice this on a busy one. A
-// gated force follows its tail store with a ReplAck within microseconds; the
-// timer only serves a store no gate follows (a forced append made on the
-// store itself rather than through the server), so Applied() always
-// converges on Pos().
+// heldFlushAfter is the period of the timer that bounds how long a held
+// frame waits: a frame is flushed by the first expiry that finds it held a
+// whole period — this long after its emit on a quiet stream, at most twice
+// this on a busy one. A quorum subscriber holds only lazily emitted tail
+// frames, and a gated force follows its tail store with a ReplAck within
+// microseconds, so for it the timer only serves a store no gate follows (a
+// forced append made on the store itself rather than through the server),
+// so Applied() always converges on Pos(). A trailing subscriber holds every
+// frame, and the timer is what feeds it.
 //
-// The timer is kept off the force path: it is armed by a lazy emit only when
-// it is not already pending, never stopped, and disarms itself when it
-// expires with nothing held — one arm and one expiry per period under any
-// load. A Reset and a Stop per force would each be a runtime timer operation
-// on the commit path, and every Reset of a P's earliest timer breaks the
-// netpoller's sleep: it wakes the leader's idle thread on hosts whose cores
-// the followers need.
+// The timer is kept off the force path: it is armed by an emit that leaves a
+// frame held only when it is not already pending, never stopped, and
+// disarms itself when it expires with nothing held — one arm and one expiry
+// per period under any load. A Reset and a Stop per force would each be a
+// runtime timer operation on the commit path, and every Reset of a P's
+// earliest timer breaks the netpoller's sleep: it wakes the leader's idle
+// thread on hosts whose cores the followers need.
 const heldFlushAfter = time.Millisecond
 
 // stream is the leader's totally ordered mutation log, existing only as a
-// position counter and live fan-out: frames are not retained, because every
-// prefix of the stream is equivalent to the device state that produced it.
+// position counter and live fan-out: frames are not retained once every
+// subscriber has been handed them, because every prefix of the stream is
+// equivalent to the device state that produced it.
 //
-// Delivery is in batches. An eager emit delivers its frame at once, together
-// with every frame held before it; a lazy emit takes its position at once
-// but is held, in order, for the next eager frame — so the tail image a
-// force staged and the ReplAck the quorum gate emits for it reach each
-// sender as one batch, one socket write, and come back as one ack. A batch
-// is what one channel send carries: positions are consecutive and
-// ascending within it and across batches (= emit order).
+// Delivery is in batches, and what a subscriber is handed when depends on
+// its role. The quorum set is at most quorum subscribers (Config.Quorum−1)
+// that have finished catch-up: only their acks can be the ones a gate
+// waits for. An eager emit delivers its frame to each of them at once,
+// together with every frame held for it before; a lazy emit takes its
+// position at once but is held, in order, for the next eager frame — so the
+// tail image a force staged and the ReplAck the quorum gate emits for it
+// reach a quorum sender as one batch, one socket write, and come back as one
+// ack. Every other subscriber is trailing: it holds every frame until the
+// timer finds one held a whole period, or until its held payload reaches
+// maxStreamWrite, and then receives them all as one batch — the leader
+// pays one socket write per period for a follower no commit waits on, not
+// one per force, and the follower one ack per buffer it drains. With quorum
+// 0 (Config.Quorum 1) every subscriber trails and no gate waits.
+//
+// The set repairs itself. A quorum subscriber that is dropped or
+// unsubscribes is replaced at once by a caught-up trailing one, whose held
+// frames are delivered first. And at each expiry, a quorum subscriber whose
+// follower has left a frame unacked for a whole period, while a trailing
+// follower has acked it, trades places with that follower: a stalled but
+// unclosed connection holds commits to the timer's pace for one or two
+// periods, not for good.
+//
+// A batch is what one channel send carries: positions are consecutive and
+// ascending within it and across batches (= emit order), and every frame
+// above a subscriber's base reaches it, whatever its role. Batches are
+// windows on one shared frame log, read-only to the senders.
 //
 // queue is each subscriber's buffer in batches (Config.StreamQueue): a
 // sender that falls this far behind is cut loose and restarts with a fresh
@@ -65,121 +95,269 @@ const heldFlushAfter = time.Millisecond
 // counted live across that restart (see errFellBehind), so a merely slow
 // follower does not flap the pre-gate's quorum estimate.
 type stream struct {
-	queue int
+	queue  int
+	quorum int // size of the quorum set
 
 	mu    sync.Mutex
 	pos   uint64
-	held  []frame // lazily emitted, not yet delivered
+	bytes uint64 // payload bytes emitted
+	// log holds the frames from the oldest position some subscriber has
+	// not been handed yet to pos. It only ever grows at its end, so a
+	// batch handed out (a window below len) is never written again.
+	log   []frame
 	timer *time.Timer
 	armed bool   // timer pending
-	seen  uint64 // oldest held position when the timer was last set
-	subs  map[*subscriber]struct{}
+	seen  uint64 // stream head when the timer was last set
+	subs  []*subscriber
 }
 
-func newStream(queue int) *stream {
-	st := &stream{queue: queue, subs: make(map[*subscriber]struct{})}
+func newStream(queue, quorum int) *stream {
+	st := &stream{queue: queue, quorum: quorum}
 	st.timer = time.AfterFunc(time.Hour, st.expire)
 	st.timer.Stop()
 	return st
 }
 
 // emit assigns the next position. Eager (lazy false): the frame and every
-// held one before it are delivered now, as one batch. Lazy: the frame is
-// held for the next eager emit, flush, or the timer.
+// frame held before it are delivered now to the quorum set, as one batch
+// each. Lazy: the frame is held for the next eager emit, flush, or the
+// timer. Trailing subscribers hold it either way.
 func (st *stream) emit(op byte, payload []byte, lazy bool) uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.pos++
-	if lazy && !st.armed {
-		// Nothing is held (the timer only lapses then), so this frame is the
-		// oldest: if the expiry still finds it, it waited the whole period.
+	st.bytes += uint64(len(payload))
+	if len(st.subs) == 0 {
+		return st.pos
+	}
+	if len(st.log) == cap(st.log) {
+		// Grow in steps of at least 64 frames: a log every subscriber has
+		// drained keeps its spare capacity, so a quorum-only stream
+		// allocates once per 32 forces, not once per batch.
+		grown := make([]frame, len(st.log), max(2*len(st.log), 64))
+		copy(grown, st.log)
+		st.log = grown
+	}
+	st.log = append(st.log, frame{pos: st.pos, op: op, payload: payload})
+	dropped := false
+	for i := len(st.subs) - 1; i >= 0; i-- { // backwards: a drop moves the last one here
+		sub := st.subs[i]
+		if (sub.quorum && !lazy) || st.bytes-sub.bytes >= maxStreamWrite {
+			dropped = !st.deliverLocked(sub) || dropped
+		}
+	}
+	if dropped {
+		st.fillLocked()
+	}
+	if !st.armed && st.heldLocked() {
+		// Nothing was held (the timer only lapses then), so this frame is
+		// the oldest: if the expiry still finds it, it waited the whole period.
 		st.armed, st.seen = true, st.pos
 		st.timer.Reset(heldFlushAfter)
 	}
-	if st.held == nil {
-		st.held = make([]frame, 0, 2) // the common batch: a tail and its ack
-	}
-	st.held = append(st.held, frame{pos: st.pos, op: op, payload: payload})
-	if !lazy {
-		st.deliverLocked()
-	}
+	st.trimLocked()
 	return st.pos
 }
 
-// flush delivers whatever is held; the gate calls it on the paths that emit
-// no ReplAck.
+// flush delivers whatever the quorum set holds; the gate calls it on the
+// paths that emit no ReplAck.
 func (st *stream) flush() {
 	st.mu.Lock()
-	st.deliverLocked()
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	dropped := false
+	for i := len(st.subs) - 1; i >= 0; i-- {
+		if sub := st.subs[i]; sub.quorum {
+			dropped = !st.deliverLocked(sub) || dropped
+		}
+	}
+	if dropped {
+		st.fillLocked()
+	}
+	st.trimLocked()
 }
 
-// expire is the timer: it flushes a frame it already saw held one period
-// ago, and otherwise only notes the oldest one held now — a frame whose gate
-// is microseconds away is never split from it. With nothing held it lets the
-// timer lapse; the next lazy emit arms it again.
+// expire is the timer. It delivers to every subscriber holding a frame it
+// already saw held one period ago — a frame whose gate is microseconds away
+// is never split from it — then makes the swap check, and notes the head for
+// the next expiry. With nothing held it lets the timer lapse; the next emit
+// that holds a frame arms it again.
 func (st *stream) expire() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	switch {
-	case len(st.held) == 0:
-		st.armed = false
-	case st.held[0].pos == st.seen:
-		st.deliverLocked()
-		st.armed = false
-	default:
-		st.seen = st.held[0].pos
-		st.timer.Reset(heldFlushAfter)
+	for i := len(st.subs) - 1; i >= 0; i-- {
+		if sub := st.subs[i]; sub.next <= st.seen {
+			st.deliverLocked(sub)
+		}
 	}
+	st.swapLocked()
+	st.fillLocked()
+	for _, sub := range st.subs {
+		if sub.quorum {
+			sub.mark = sub.next - 1
+		}
+	}
+	if st.heldLocked() {
+		st.seen = st.pos
+		st.timer.Reset(heldFlushAfter)
+	} else {
+		st.armed = false
+	}
+	st.trimLocked()
 }
 
-// deliverLocked hands the held frames to every live subscriber as one batch
-// (shared, read-only). A subscriber with a full queue is dropped on the spot
-// (its channel closed); blocking here would stall the group-commit path on
-// the slowest replica.
-func (st *stream) deliverLocked() {
-	if len(st.held) == 0 {
-		return
-	}
-	batch := st.held
-	st.held = nil
-	for sub := range st.subs {
-		b := batch
-		for len(b) > 0 && b[0].pos <= sub.base {
-			b = b[1:]
-		}
-		if len(b) == 0 {
+// swapLocked trades each quorum subscriber whose follower has not acked the
+// first frame after its ack, though it was handed over before the previous
+// expiry, for the caught-up trailing subscriber furthest ahead, if that one
+// has acked it.
+func (st *stream) swapLocked() {
+	for i := len(st.subs) - 1; i >= 0; i-- { // backwards: a newcomer's drop moves the last one
+		q := st.subs[i]
+		if !q.quorum {
 			continue
 		}
-		select {
-		case sub.ch <- b:
-		default:
-			delete(st.subs, sub)
-			close(sub.ch)
+		acked := q.p.acked.Load()
+		if acked >= q.mark {
+			continue
+		}
+		if t := st.leadingTrailerLocked(); t != nil && t.p.acked.Load() > acked {
+			st.setRoleLocked(q, false)
+			st.setRoleLocked(t, true)
+			st.deliverLocked(t) // a drop leaves a vacancy; the caller refills
 		}
 	}
 }
 
-// subscribe registers a new consumer and returns the current position,
-// held frames included: the caller owns catching the follower up to it by
-// other means (device suffix copy, NVRAM tails); everything after arrives on
-// the channel.
-func (st *stream) subscribe() (*subscriber, uint64) {
-	sub := &subscriber{ch: make(chan []frame, st.queue)}
+// fillLocked tops the quorum set up from the caught-up trailing
+// subscribers, furthest acked first, and hands each newcomer its held frames
+// at once: the gate may already be waiting on one of them.
+func (st *stream) fillLocked() {
+	for {
+		n := 0
+		for _, sub := range st.subs {
+			if sub.quorum {
+				n++
+			}
+		}
+		if n >= st.quorum {
+			return
+		}
+		t := st.leadingTrailerLocked()
+		if t == nil {
+			return
+		}
+		st.setRoleLocked(t, true)
+		st.deliverLocked(t) // dropped: the loop looks again
+	}
+}
+
+// leadingTrailerLocked returns the caught-up trailing subscriber whose
+// follower has acked the most, or nil.
+func (st *stream) leadingTrailerLocked() *subscriber {
+	var best *subscriber
+	for _, sub := range st.subs {
+		if sub.ready && !sub.quorum && (best == nil || sub.p.acked.Load() > best.p.acked.Load()) {
+			best = sub
+		}
+	}
+	return best
+}
+
+func (st *stream) setRoleLocked(sub *subscriber, quorum bool) {
+	sub.quorum = quorum
+	sub.mark = 0 // a whole period in the role before the swap check applies
+	sub.p.quorum.Store(quorum)
+}
+
+// heldLocked reports whether any subscriber holds a frame.
+func (st *stream) heldLocked() bool {
+	for _, sub := range st.subs {
+		if sub.next <= st.pos {
+			return true
+		}
+	}
+	return false
+}
+
+// deliverLocked hands sub every frame held for it as one batch (shared,
+// read-only). A subscriber with a full queue is dropped on the spot (its
+// channel closed) and false returned; blocking here would stall the
+// group-commit path on the slowest replica.
+func (st *stream) deliverLocked(sub *subscriber) bool {
+	if sub.next > st.pos {
+		return true
+	}
+	first := st.pos + 1 - uint64(len(st.log))
+	select {
+	case sub.ch <- st.log[sub.next-first : len(st.log) : len(st.log)]:
+		sub.next, sub.bytes = st.pos+1, st.bytes
+		return true
+	default:
+		st.removeLocked(sub)
+		return false
+	}
+}
+
+// trimLocked forgets the frames every subscriber has been handed.
+func (st *stream) trimLocked() {
+	low := st.pos + 1
+	for _, sub := range st.subs {
+		low = min(low, sub.next)
+	}
+	first := st.pos + 1 - uint64(len(st.log))
+	st.log = st.log[low-first:]
+}
+
+// removeLocked takes sub out of the stream and closes its channel. The
+// caller refills the quorum set.
+func (st *stream) removeLocked(sub *subscriber) {
+	for i, s := range st.subs {
+		if s == sub {
+			last := len(st.subs) - 1
+			st.subs[i], st.subs[last] = st.subs[last], nil
+			st.subs = st.subs[:last]
+			close(sub.ch)
+			if sub.quorum {
+				st.setRoleLocked(sub, false)
+			}
+			return
+		}
+	}
+}
+
+// subscribe registers a new consumer for p and returns the current
+// position, held frames included: the caller owns catching the follower up
+// to it by other means (device suffix copy, NVRAM tails); everything after
+// arrives on the channel. The subscriber trails until ready.
+func (st *stream) subscribe(p *peer) (*subscriber, uint64) {
+	sub := &subscriber{ch: make(chan []frame, st.queue), p: p}
 	st.mu.Lock()
-	sub.base = st.pos
-	st.subs[sub] = struct{}{}
+	base := st.pos
+	sub.next, sub.bytes = base+1, st.bytes
+	st.subs = append(st.subs, sub)
 	st.mu.Unlock()
-	return sub, sub.base
+	return sub, base
+}
+
+// ready marks sub caught up, so it may join the quorum set.
+func (st *stream) ready(sub *subscriber) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sub.ready = true
+	st.fillLocked()
+	st.trimLocked()
 }
 
 func (st *stream) unsubscribe(sub *subscriber) {
 	st.mu.Lock()
-	if _, ok := st.subs[sub]; ok {
-		delete(st.subs, sub)
-		close(sub.ch)
+	defer st.mu.Unlock()
+	for _, s := range st.subs {
+		if s == sub {
+			st.removeLocked(sub)
+			st.fillLocked()
+			st.trimLocked()
+			return
+		}
 	}
-	st.mu.Unlock()
 }
 
 func (st *stream) Pos() uint64 {
@@ -246,7 +424,10 @@ func (t *tapDevice) Invalidate(idx int) error {
 // StoreSealed and DropSealed (a sidecar write each) the pipeline would add;
 // the cluster's cost was syscalls — then one rename per force in the sidecar,
 // one socket write and one ack per frame — which is what the held tail frame
-// below and the one-write sidecar remove.
+// below and the one-write sidecar remove. Only the quorum set's followers
+// stage each force's tail as it happens; a trailing follower stages a
+// period's images from one batch, so a promotion must take the follower
+// that applied the most (DESIGN.md, Replication).
 type tapNVRAM struct {
 	core.NVRAM
 	n     *Node
@@ -257,7 +438,8 @@ type tapNVRAM struct {
 // force that staged this image cannot be acked before its ReplAck frame, so
 // the tail rides in that frame's batch instead of costing its own socket
 // write and its own ack. Without a gate (quorum 1) nothing would follow, and
-// the frame goes out at once.
+// the frame is eager — though with no quorum set there, every follower
+// trails and receives it with the timer's next batch.
 func (t *tapNVRAM) Store(global int, image []byte) error {
 	err := t.NVRAM.Store(global, image)
 	if err == nil {
@@ -278,7 +460,8 @@ func (t *tapNVRAM) Clear() error {
 }
 
 // emitFrame emits an eager frame: it, and any tail frame held before it,
-// reach every sender now.
+// reach the quorum set's senders now, and the trailing ones with their next
+// batch.
 func (n *Node) emitFrame(op byte, payload []byte) uint64 {
 	return n.stream.emit(op, payload, false)
 }

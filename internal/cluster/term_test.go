@@ -411,6 +411,10 @@ func TestSlowFollowerStaysAliveThroughCatchup(t *testing.T) {
 			pause.Unlock()
 			t.Fatalf("append %d: %v", i, err)
 		}
+		// With quorum 1 the follower trails: the timer hands it one batch
+		// per flush period, so each append must outlast two periods to fill
+		// a queue slot of its own.
+		time.Sleep(3 * heldFlushAfter)
 	}
 	if !peerAlive() {
 		t.Error("peer marked dead while the sender was merely stalled")

@@ -237,3 +237,23 @@ func TestChainedEntryReadableAcrossRelocatedBlock(t *testing.T) {
 		t.Fatal("no block was ever relocated; test is vacuous")
 	}
 }
+
+// TestIsDegradedNilAllocatesNothing: the server asks IsDegraded of every
+// append's result, nearly always nil; that answer must not allocate the
+// errors.As probe. A notice, bare or wrapped, is still recognised.
+func TestIsDegradedNilAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if IsDegraded(nil) {
+			t.Fatal("nil reported degraded")
+		}
+	}); allocs != 0 {
+		t.Errorf("IsDegraded(nil) allocated %.1f times, want 0", allocs)
+	}
+	d := &DegradedError{Relocated: []int{3}, Cause: errors.New("bad block")}
+	if !IsDegraded(d) || !IsDegraded(fmt.Errorf("append: %w", d)) {
+		t.Error("a degraded notice was not recognised")
+	}
+	if IsDegraded(errors.New("plain failure")) {
+		t.Error("a plain error reported degraded")
+	}
+}

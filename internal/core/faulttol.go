@@ -53,8 +53,12 @@ func (e *DegradedError) Error() string {
 func (e *DegradedError) Unwrap() error { return e.Cause }
 
 // IsDegraded reports whether err is a degraded-completion notice (the
-// operation succeeded).
+// operation succeeded). A nil err is answered before errors.As, whose
+// target would escape: a successful append allocates nothing here.
 func IsDegraded(err error) bool {
+	if err == nil {
+		return false
+	}
 	var d *DegradedError
 	return errors.As(err, &d)
 }

@@ -337,3 +337,19 @@ func TestDecodeEntryBoundsExtraIDs(t *testing.T) {
 		t.Fatal("oversize extra-id count accepted")
 	}
 }
+
+// TestAppendReplyAllocatesOnlyItsHead: mapping a successful append to its
+// reply allocates the 8-byte timestamp head and nothing else — no error
+// probe — and a degraded notice still maps to StatusDegraded.
+func TestAppendReplyAllocatesOnlyItsHead(t *testing.T) {
+	var rep reply
+	if allocs := testing.AllocsPerRun(100, func() { rep = appendReply(42, nil) }); allocs != 1 {
+		t.Errorf("appendReply(ts, nil) allocated %.1f times, want 1 (its head)", allocs)
+	}
+	if rep.status != StatusOK || len(rep.head) != 8 {
+		t.Errorf("appendReply(ts, nil) = status %d, %d-byte head", rep.status, len(rep.head))
+	}
+	if rep := appendReply(42, &core.DegradedError{Relocated: []int{1}}); rep.status != StatusDegraded {
+		t.Errorf("a degraded append replied status %d, want StatusDegraded", rep.status)
+	}
+}
