@@ -216,8 +216,9 @@ func main() {
 		}
 		if *follow {
 			// Live tail: subscribe from the gap position after the newest
-			// printed entry on each shard. The server pushes entries as group
-			// commit publishes them — no polling.
+			// printed entry on each shard. Each Recv that runs out of
+			// entries finds a pull parked on the server, answered as group
+			// commit publishes — no polling.
 			var from []logapi.Position
 			seen := make(map[int]bool)
 			for _, e := range entries { // newest-first, so first hit per shard wins

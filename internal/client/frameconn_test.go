@@ -28,18 +28,28 @@ func appendFrame(t *testing.T, dst *bytes.Buffer, op byte, seq, trace uint64, pa
 	}
 }
 
-// TestWatchReadsPushesBehindSubscribeAnswer: a server may put the subscribe
-// answer and the first pushes in one socket write, so the client reads them
-// in one read. The handshake and the receive loop read through the one
-// reader the connection was made with, so every push is delivered; a reader
-// per phase would drop the pushes the handshake's read took in.
+// entryBatch is a pull's answer: a count, then the entries.
+func entryBatch(entries ...*core.Entry) []byte {
+	b := wire.PutUvarint(nil, uint64(len(entries)))
+	for _, e := range entries {
+		b = append(b, server.EncodeEntry(e)...)
+	}
+	return b
+}
+
+// TestWatchReadsPushesBehindSubscribeAnswer: a server may write the
+// subscribe answer and the answers to the pulls it expects next in one
+// socket write, so the client reads them in one read. The handshake and the
+// pulls read through the one reader the connection was made with, so every
+// answer is delivered; a reader per phase would drop the answers the
+// handshake's read took in.
 func TestWatchReadsPushesBehindSubscribeAnswer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	const subID = 3
+	const handle = 3
 	want := []string{"first", "second", "third"}
 	go func() {
 		for {
@@ -58,21 +68,23 @@ func TestWatchReadsPushesBehindSubscribeAnswer(t *testing.T) {
 					switch op {
 					case server.OpHello:
 						appendFrame(t, &out, server.StatusOK, seq, trace, helloAnswer())
-					case wire.OpStreamSubscribe:
-						appendFrame(t, &out, server.StatusOK, seq, trace, wire.PutUint32(nil, subID))
+					case wire.OpSubscribe:
+						appendFrame(t, &out, server.StatusOK, seq, trace, wire.PutUint32(nil, handle))
+						var entries []*core.Entry
 						for i, data := range want {
-							e := &core.Entry{LogID: 1, Timestamp: int64(i + 1), Index: i, Data: []byte(data)}
-							appendFrame(t, &out, wire.OpStreamDeliver, subID, 0, server.AppendDeliver(nil, subID, e))
+							entries = append(entries, &core.Entry{LogID: 1, Timestamp: int64(i + 1), Index: i, Data: []byte(data)})
 						}
-						appendFrame(t, &out, wire.OpStreamEnd, subID, 0, (&wire.StreamEnd{SubID: subID, Msg: "done"}).Encode(nil))
+						// The answers to the two pulls that follow.
+						appendFrame(t, &out, server.StatusOK, seq+1, 0, entryBatch(entries...))
+						appendFrame(t, &out, server.StatusErr, seq+2, 0, server.PutString(nil, "done"))
 					default:
-						continue // credit grants, unsubscribe
+						continue // the pulls, answered above
 					}
 					if _, err := conn.Write(out.Bytes()); err != nil {
 						return
 					}
-					if op == wire.OpStreamSubscribe {
-						// Nothing follows: a reader that lost the pushes
+					if op == wire.OpSubscribe {
+						// Nothing follows: a reader that lost the answers
 						// sees the end of the stream at once, not a hang.
 						conn.(*net.TCPConn).CloseWrite()
 					}
@@ -98,14 +110,14 @@ func TestWatchReadsPushesBehindSubscribeAnswer(t *testing.T) {
 	for i, w := range want {
 		e, err := sub.Recv(ctx)
 		if err != nil {
-			t.Fatalf("push %d: %v", i, err)
+			t.Fatalf("entry %d: %v", i, err)
 		}
 		if string(e.Data) != w || e.Timestamp != int64(i+1) {
-			t.Fatalf("push %d: %q at %d, want %q at %d", i, e.Data, e.Timestamp, w, i+1)
+			t.Fatalf("entry %d: %q at %d, want %q at %d", i, e.Data, e.Timestamp, w, i+1)
 		}
 	}
 	if _, err := sub.Recv(ctx); err == nil || !strings.Contains(err.Error(), "ended by server: done") {
-		t.Errorf("after the pushes: %v, want the server's end", err)
+		t.Errorf("after the batch: %v, want the server's end", err)
 	}
 }
 
@@ -163,20 +175,22 @@ func TestReconnectReadsNothingOfTheDeadConnection(t *testing.T) {
 	}
 }
 
-// TestWatchWireBytes pins what a subscription puts on the wire against the
-// bytes of the earlier release: the subscribe payload Watch sends for a
-// resume, and the decoding of a deliver frame that release's server pushed.
+// TestWatchWireBytes pins what a subscription puts on the wire: the
+// subscribe payload Watch sends for a resume and the pull after it (the
+// handle, then a full batch wanted), and the decoding of a pull's answer,
+// a cursor's entry batch.
 func TestWatchWireBytes(t *testing.T) {
 	const (
-		wantSubscribe = "\x05/feed\x80\x02\x01\x02\x01\x04\x02\x03\x84\a\x00\x80\x02"
-		deliver       = "\a*\x00\x01\x00*6\xfe\x9c\x97\x17\x03\x02\x85\a\x0e\x02\x05\x00\t\x00\fhello stream"
+		wantSubscribe = "\x05/feed\x01\x02\x01\x04\x02\x03\x84\a\x00"
+		wantPull      = "\a\x80\x08"
+		answer        = "\x01*\x00\x01\x00*6\xfe\x9c\x97\x17\x03\x02\x85\a\x0e\x02\x05\x00\t\x00\fhello stream"
 	)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	subscribed := make(chan []byte, 1)
+	requests := make(chan []byte, 2)
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -194,10 +208,12 @@ func TestWatchWireBytes(t *testing.T) {
 					switch op {
 					case server.OpHello:
 						appendFrame(t, &out, server.StatusOK, seq, trace, helloAnswer())
-					case wire.OpStreamSubscribe:
-						subscribed <- payload
+					case wire.OpSubscribe:
+						requests <- payload
 						appendFrame(t, &out, server.StatusOK, seq, trace, wire.PutUint32(nil, 7))
-						appendFrame(t, &out, wire.OpStreamDeliver, 7, 0, []byte(deliver))
+					case server.OpNext:
+						requests <- payload
+						appendFrame(t, &out, server.StatusOK, seq, trace, []byte(answer))
 					default:
 						continue
 					}
@@ -224,8 +240,11 @@ func TestWatchWireBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if got := string(<-subscribed); got != wantSubscribe {
+	if got := string(<-requests); got != wantSubscribe {
 		t.Errorf("subscribe payload %q, want %q", got, wantSubscribe)
+	}
+	if got := string(<-requests); got != wantPull {
+		t.Errorf("pull payload %q, want %q", got, wantPull)
 	}
 	e, err := sub.Recv(ctx)
 	if err != nil {

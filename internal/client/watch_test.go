@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"clio/internal/core"
 	"clio/internal/logapi"
+	"clio/internal/obs"
 	"clio/internal/server"
 	"clio/internal/shard"
 	"clio/internal/wodev"
@@ -96,41 +99,172 @@ func TestWatchOverWire(t *testing.T) {
 	}
 }
 
-// TestWatchCreditFlowControl drives far more entries than the credit window
-// through a deliberately tiny window; the Recv-path credit grants must keep
-// the stream moving and in order.
-func TestWatchCreditFlowControl(t *testing.T) {
-	const total = 300
-	cl, _ := watchPair(t, 1)
+// serverGoroutines counts the goroutines running server code or a remote
+// subscription's: whatever of a subscription could outlive a request.
+func serverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "clio/internal/server.") || strings.Contains(g, "clio/internal/client.(*remoteSub)") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWatchStalledConsumerCostsNothing: flow control is the pull. A
+// consumer takes 300 entries in order while they are appended, then stops
+// calling Recv while 10,000 more are: the server answers at most the one
+// pull outstanding, one batch, and then holds no parked pull and no
+// goroutine for the subscription but its connection's. When the consumer
+// comes back, every entry arrives, in order.
+func TestWatchStalledConsumerCostsNothing(t *testing.T) {
+	const first, more = 300, 10000
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 1 << 14})
+	svc, err := core.New(dev, core.Options{BlockSize: 512, Degree: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := shard.Single(svc)
+	reg := obs.NewRegistry()
+	st.RegisterStreamMetrics(reg)
+	delivered := reg.Counter("clio_stream_entries_delivered_total", "Entries delivered to subscribers.")
+	srv := server.NewStore(st)
+	// TCP: a stalled consumer's socket holds the one answer it was sent,
+	// where a pipe would hold the server's write.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	cl, err := DialOptions(ln.Addr().String(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close(); srv.Close(); st.Close() })
 	id, err := cl.CreateLog(bg, "/firehose", 0o644, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := cl.Watch(bg, "/firehose", logapi.WatchOptions{Buffer: 8})
+	baseline := serverGoroutines()
+	sub, err := cl.Watch(bg, "/firehose", logapi.WatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
 
-	errc := make(chan error, 1)
-	go func() {
-		for i := 0; i < total; i++ {
-			if _, err := cl.Append(bg, id, []byte(fmt.Sprintf("%06d", i)),
-				AppendOptions{Forced: true}); err != nil {
-				errc <- fmt.Errorf("append %d: %w", i, err)
+	appendN := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if _, err := st.Append(bg, id, []byte(fmt.Sprintf("%06d", i)), logapi.AppendOptions{Forced: true}); err != nil {
+				t.Errorf("append %d: %v", i, err)
 				return
 			}
 		}
-		errc <- nil
-	}()
-	for i := 0; i < total; i++ {
-		e := recvSub(t, sub)
-		if want := fmt.Sprintf("%06d", i); string(e.Data) != want {
-			t.Fatalf("entry %d: %q (gap, duplicate, or reorder)", i, e.Data)
+	}
+	recvN := func(from, n int) {
+		t.Helper()
+		for i := from; i < from+n; i++ {
+			e := recvSub(t, sub)
+			if want := fmt.Sprintf("%06d", i); string(e.Data) != want {
+				t.Fatalf("entry %d: %q (gap, duplicate, or reorder)", i, e.Data)
+			}
 		}
 	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	done := make(chan struct{})
+	go func() { defer close(done); appendN(0, first) }()
+	recvN(0, first)
+	<-done
+
+	stalled := delivered.Value()
+	appendN(first, more)
+	// The one pull outstanding is answered; then the subscription's
+	// connection handler is all the server runs for it.
+	for deadline := time.Now().Add(5 * time.Second); serverGoroutines() != baseline+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d server goroutines with the consumer stalled, want %d: a pull parked, or a pusher", serverGoroutines(), baseline+1)
+		}
+	}
+	if n := delivered.Value() - stalled; n > server.MaxBatchEntries {
+		t.Fatalf("the server read %d entries for a consumer that stopped, want one batch at most (%d)", n, server.MaxBatchEntries)
+	} else {
+		t.Logf("a stalled consumer was sent %d entries", n)
+	}
+	recvN(first, more)
+}
+
+// TestWatchReleasedAtOnce: on an idle log, a subscription's Close and its
+// client's connection dying each end the pull parked on the server at once:
+// within a second the server's handler for the connection has returned and
+// clio_stream_subscriptions is back where it was.
+func TestWatchReleasedAtOnce(t *testing.T) {
+	for _, how := range []string{"close", "drop"} {
+		t.Run(how, func(t *testing.T) {
+			dev := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 1 << 14})
+			svc, err := core.New(dev, core.Options{BlockSize: 512, Degree: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := shard.Single(svc)
+			reg := obs.NewRegistry()
+			st.RegisterStreamMetrics(reg)
+			subs := reg.Gauge("clio_stream_subscriptions", "Active tail subscriptions.")
+			srv := server.NewStore(st)
+			type served struct {
+				conn    net.Conn // the client's end
+				handled chan struct{}
+			}
+			dials := make(chan served, 2)
+			dialer := func(ctx context.Context) (net.Conn, error) {
+				cConn, sConn := net.Pipe()
+				handled := make(chan struct{})
+				go func() { srv.ServeConn(sConn); close(handled) }()
+				dials <- served{cConn, handled}
+				return cConn, nil
+			}
+			cl, err := DialContext(bg, "", Options{Dialer: dialer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The store closes first: its closing ends a pull parked for good, so a
+			// server that failed to end it fails the test instead of hanging it.
+			t.Cleanup(func() { cl.Close(); st.Close(); srv.Close() })
+			<-dials // the main connection
+			if _, err := cl.CreateLog(bg, "/idle", 0o644, "t"); err != nil {
+				t.Fatal(err)
+			}
+			before := subs.Value()
+			sub, err := cl.Watch(bg, "/idle", logapi.WatchOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			watched := <-dials
+			if subs.Value() != before+1 {
+				t.Fatalf("clio_stream_subscriptions %d with the subscription open, want %d", subs.Value(), before+1)
+			}
+			recvd := make(chan error, 1)
+			go func() {
+				_, err := sub.Recv(bg)
+				recvd <- err
+			}()
+			if how == "close" {
+				sub.Close()
+			} else {
+				watched.conn.Close()
+			}
+			select {
+			case <-watched.handled:
+			case <-time.After(time.Second):
+				t.Fatal("the server's handler for the subscription's connection still runs a second later")
+			}
+			if n := subs.Value(); n != before {
+				t.Fatalf("clio_stream_subscriptions %d after the %s, want %d", n, how, before)
+			}
+			if err := <-recvd; err == nil {
+				t.Fatal("Recv returned an entry from an idle log")
+			}
+		})
 	}
 }
 

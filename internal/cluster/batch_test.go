@@ -299,6 +299,35 @@ func TestStreamSwapsStalledQuorumSub(t *testing.T) {
 	}
 }
 
+// TestStreamKeepsQuorumSubThroughOneStalePeriod: a quorum follower that is
+// behind at one expiry, and acks before the next, keeps its role — a
+// follower descheduled for a period is not a stalled one. Behind at two
+// expiries in a row, it trades places with the trailing follower that has
+// acked further.
+func TestStreamKeepsQuorumSubThroughOneStalePeriod(t *testing.T) {
+	st := manualStream(16, 1)
+	q, tr := readySub(st, "q"), readySub(st, "t")
+	st.emit(wire.OpReplAck, nil, false) // q is handed position 1 at once
+	st.expire()                         // tr is handed it; q's mark is 1
+	tr.p.acked.Store(1)
+	st.expire() // q is behind once
+	if !q.quorum || tr.quorum {
+		t.Fatal("the roles swapped after one stale expiry")
+	}
+	q.p.acked.Store(1)
+	st.emit(wire.OpReplAck, nil, false)
+	st.expire() // q is current: its count clears; its mark is 2
+	tr.p.acked.Store(2)
+	st.expire() // behind once again, not twice in a row
+	if !q.quorum || tr.quorum {
+		t.Fatal("the roles swapped though the quorum follower acked between two stale expiries")
+	}
+	st.expire() // behind at two expiries in a row
+	if q.quorum || !tr.quorum || q.p.quorum.Load() || !tr.p.quorum.Load() {
+		t.Fatal("a quorum follower behind at two expiries in a row kept its role from one that acked")
+	}
+}
+
 // TestStreamDroppedQuorumSubReplaced: a quorum subscriber that is dropped —
 // here for a full queue — passes its role at once to a caught-up trailing
 // one, whose held frames go out first, in order, with the frame whose

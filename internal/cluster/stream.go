@@ -33,7 +33,12 @@ type subscriber struct {
 	ready  bool   // caught up: may join the quorum set
 	quorum bool   // in the quorum set: eager frames reach it at once
 	mark   uint64 // last position handed over as of the previous expiry (quorum only)
+	stale  int    // expiries in a row that found the follower's ack below mark (quorum only)
 }
+
+// staleExpiries is how many expiries in a row must find a quorum follower
+// behind before it trades places: one is a descheduled follower, two a stall.
+const staleExpiries = 2
 
 // heldFlushAfter is the period of the timer that bounds how long a held
 // frame waits: a frame is flushed by the first expiry that finds it held a
@@ -76,11 +81,11 @@ const heldFlushAfter = time.Millisecond
 //
 // The set repairs itself. A quorum subscriber that is dropped or
 // unsubscribes is replaced at once by a caught-up trailing one, whose held
-// frames are delivered first. And at each expiry, a quorum subscriber whose
-// follower has left a frame unacked for a whole period, while a trailing
+// frames are delivered first. And a quorum subscriber whose follower has
+// left a frame unacked at staleExpiries expiries in a row, while a trailing
 // follower has acked it, trades places with that follower: a stalled but
-// unclosed connection holds commits to the timer's pace for one or two
-// periods, not for good.
+// unclosed connection holds commits to the timer's pace for a few periods,
+// not for good.
 //
 // A batch is what one channel send carries: positions are consecutive and
 // ascending within it and across batches (= emit order), and every frame
@@ -207,8 +212,8 @@ func (st *stream) expire() {
 
 // swapLocked trades each quorum subscriber whose follower has not acked the
 // first frame after its ack, though it was handed over before the previous
-// expiry, for the caught-up trailing subscriber furthest ahead, if that one
-// has acked it.
+// expiry, at staleExpiries expiries in a row, for the caught-up trailing
+// subscriber furthest ahead, if that one has acked it.
 func (st *stream) swapLocked() {
 	for i := len(st.subs) - 1; i >= 0; i-- { // backwards: a newcomer's drop moves the last one
 		q := st.subs[i]
@@ -217,6 +222,10 @@ func (st *stream) swapLocked() {
 		}
 		acked := q.p.acked.Load()
 		if acked >= q.mark {
+			q.stale = 0
+			continue
+		}
+		if q.stale++; q.stale < staleExpiries {
 			continue
 		}
 		if t := st.leadingTrailerLocked(); t != nil && t.p.acked.Load() > acked {
@@ -264,7 +273,7 @@ func (st *stream) leadingTrailerLocked() *subscriber {
 
 func (st *stream) setRoleLocked(sub *subscriber, quorum bool) {
 	sub.quorum = quorum
-	sub.mark = 0 // a whole period in the role before the swap check applies
+	sub.mark, sub.stale = 0, 0 // a whole period in the role before the swap check applies
 	sub.p.quorum.Store(quorum)
 }
 

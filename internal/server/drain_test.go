@@ -178,8 +178,8 @@ func TestServeReturnsErrServerClosed(t *testing.T) {
 }
 
 // TestDrainEndsSubscriptionsWithStreamEnd: a live tail subscriber riding
-// out a SIGTERM drain receives an explicit OpStreamEnd frame — "ended by
-// server", never a connection reset.
+// out a SIGTERM drain has its parked pull answered "server shutting down" —
+// an explicit end, never a connection reset.
 func TestDrainEndsSubscriptionsWithStreamEnd(t *testing.T) {
 	srv, logs := drainServer(t)
 	cConn, sConn := net.Pipe()
@@ -187,10 +187,14 @@ func TestDrainEndsSubscriptionsWithStreamEnd(t *testing.T) {
 	defer cConn.Close()
 	mustOK(t, cConn, OpCreate, createPayload("/l"))
 
-	sub := wire.StreamSubscribe{Path: "/l", Buffer: 8, Credit: 8}
-	resp := mustOK(t, cConn, wire.OpStreamSubscribe, sub.Encode(nil))
-	subID, err := NewDecoder(resp).Uint32()
+	sub := wire.StreamSubscribe{Path: "/l"}
+	handle, err := NewDecoder(mustOK(t, cConn, wire.OpSubscribe, sub.Encode(nil))).Uint32()
 	if err != nil {
+		t.Fatal(err)
+	}
+	// The log is empty: the pull parks. A pipe write returns once the
+	// server has read it, so the pull is the server's before the drain.
+	if err := WriteFrame(cConn, OpNext, 2, 0, wire.PutUvarint(wire.PutUvarint(nil, uint64(handle)), 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,19 +206,13 @@ func TestDrainEndsSubscriptionsWithStreamEnd(t *testing.T) {
 	}()
 
 	cConn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	op, _, _, payload, err := ReadFrame(cConn)
+	status, seq, _, payload, err := ReadFrame(cConn)
 	if err != nil {
-		t.Fatalf("subscriber saw %v, want a stream-end frame", err)
+		t.Fatalf("subscriber saw %v, want the pull's answer", err)
 	}
-	if op != wire.OpStreamEnd {
-		t.Fatalf("subscriber got op %d, want OpStreamEnd", op)
-	}
-	end, err := wire.DecodeStreamEnd(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end.SubID != subID || !strings.Contains(end.Msg, "shutting down") {
-		t.Errorf("stream end = %+v, want sub %d shutting down", end, subID)
+	msg, _ := NewDecoder(payload).String()
+	if status != StatusErr || seq != 2 || !strings.Contains(msg, "shutting down") {
+		t.Errorf("pull answered status %d, seq %d, %q; want an error for seq 2 naming the shutdown", status, seq, msg)
 	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)

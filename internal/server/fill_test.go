@@ -45,7 +45,7 @@ func (c stepCursor) NextEach(ctx context.Context, max int, visit func(*core.Entr
 // fillEntries runs fillReply over a step function, with a fresh scratch.
 func fillEntries(ctx context.Context, step func(context.Context) (*core.Entry, error), batched bool, want uint64, delivered *obs.Counter) reply {
 	var buf []byte
-	return fillReply(ctx, stepCursor{step: step}, batched, want, delivered, &buf)
+	return fillReply(ctx, stepCursor{step: step}.NextEach, batched, want, delivered, &buf)
 }
 
 // twoPassFill is the fill loop as it was before the cursor's forward loop
@@ -149,7 +149,7 @@ func TestFillReplyKeepsItsBytes(t *testing.T) {
 		for req := 0; ; req++ {
 			was := twoPassFill(context.Background(), oldStep, batched, want).flatten()
 			var delivered obs.Counter
-			rep := fillReply(context.Background(), stepCursor{step: newStep}, batched, want, &delivered, &scratch).flatten()
+			rep := fillReply(context.Background(), stepCursor{step: newStep}.NextEach, batched, want, &delivered, &scratch).flatten()
 			if rep.status != was.status || !bytes.Equal(rep.head, was.head) || *newAt != *oldAt {
 				t.Fatalf("trial %d request %d (batched %v, want %d): status %d, %d bytes, cursor at %d; two-pass: status %d, %d bytes, cursor at %d",
 					trial, req, batched, want, rep.status, len(rep.head), *newAt, was.status, len(was.head), *oldAt)
@@ -242,7 +242,7 @@ func TestFillReplyOverStoreCursors(t *testing.T) {
 			batched := rng.Intn(6) != 0
 			want := uint64(rng.Intn(MaxBatchEntries + 20))
 			was := twoPassFill(ctx, oldCur.Next, batched, want).flatten()
-			rep := fillReply(ctx, newCur, batched, want, nil, &scratch).flatten()
+			rep := fillReply(ctx, newCur.NextEach, batched, want, nil, &scratch).flatten()
 			if rep.status != was.status || !bytes.Equal(rep.head, was.head) {
 				t.Fatalf("%s request %d (batched %v, want %d): status %d, %d bytes; two-pass: status %d, %d bytes",
 					path, req, batched, want, rep.status, len(rep.head), was.status, len(was.head))

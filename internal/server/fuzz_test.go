@@ -182,13 +182,11 @@ func dispatchSeeds(path string, id logapi.ID) map[byte][]byte {
 		OpSeekPos:     with(handle, 1, 1),
 		OpHello:       wire.Hello{Session: 9}.Encode(nil),
 
-		wire.OpStreamSubscribe:   (&wire.StreamSubscribe{Path: path}).Encode(nil),
-		wire.OpStreamCredit:      (&wire.StreamCredit{SubID: 1, Credit: 1}).Encode(nil),
-		wire.OpStreamUnsubscribe: (&wire.StreamUnsubscribe{SubID: 1}).Encode(nil),
+		wire.OpSubscribe: (&wire.StreamSubscribe{Path: path}).Encode(nil),
 	}
 	for op, row := range opTable {
 		if _, ok := seeds[byte(op)]; row.name != "" && !ok {
-			seeds[byte(op)] = nil // OpPing, OpStats, OpForce; peers' and pushed ops mean nothing to dispatch
+			seeds[byte(op)] = nil // OpPing, OpStats, OpForce; peers' ops mean nothing to dispatch
 		}
 	}
 	return seeds
@@ -218,6 +216,13 @@ func FuzzDispatch(f *testing.F) {
 	// Cursor requests on a handle that only aliases the open one modulo 2^32.
 	f.Add(byte(OpNext), wire.PutUvarint(nil, 1<<32+1))
 	f.Add(byte(OpSeekPos), wire.PutUvarint(wire.PutUvarint(wire.PutUvarint(nil, 1), 1<<62), 1<<63))
+	// Subscriptions: the root from its start, a resume on the log's shard
+	// and one on a shard the store lacks, and an earlier release's payload
+	// (a Buffer after the path, a Credit at the end).
+	f.Add(byte(wire.OpSubscribe), (&wire.StreamSubscribe{Path: "/", FromStart: true}).Encode(nil))
+	f.Add(byte(wire.OpSubscribe), (&wire.StreamSubscribe{Path: "/l", From: []wire.StreamPos{{Shard: 0, Block: 1, Rec: 1}}}).Encode(nil))
+	f.Add(byte(wire.OpSubscribe), (&wire.StreamSubscribe{Path: "/l", From: []wire.StreamPos{{Shard: 7, Block: 0, Rec: 0}}}).Encode(nil))
+	f.Add(byte(wire.OpSubscribe), []byte("\x02/l\x80\x02\x01\x00\x40"))
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
 		for _, tenant := range []string{"", "l"} {
 			h, _ := dispatchFixture(t, tenant)
@@ -244,9 +249,8 @@ func FuzzDispatch(f *testing.F) {
 func TestDispatchSeedsAreWellFormed(t *testing.T) {
 	for _, tenant := range []string{"", "l"} {
 		for op, row := range opTable {
-			pushed := op == wire.OpStreamDeliver || op == wire.OpStreamEnd
-			if row.name == "" || row.connScoped || op == OpHello || wire.IsReplOp(byte(op)) || pushed {
-				continue // not dispatch's: the stream registry's, handle's, a peer's
+			if row.name == "" || op == OpHello || wire.IsReplOp(byte(op)) {
+				continue // not dispatch's: handle's, a peer's
 			}
 			h, id := dispatchFixture(t, tenant)
 			rep := h.dispatch(nil, byte(op), dispatchSeeds("/l", id)[byte(op)])

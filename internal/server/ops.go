@@ -25,8 +25,8 @@ const (
 
 // opInfo is everything the request path knows about an opcode apart from what
 // executing it does (dispatchOp's switch). An opcode is declared here once;
-// the metric label, the write-class test, the dedup bypass, the stream
-// registry's ops and the tenant gate are all lookups in opTable.
+// the metric label, the write-class test, the dedup bypass and the tenant
+// gate are all lookups in opTable.
 type opInfo struct {
 	// name is the metric label and trace operation name; "" marks an
 	// opcode nobody declared.
@@ -39,9 +39,6 @@ type opInfo struct {
 	// answer with a body borrowed from the block cache. Cursor steps are NOT
 	// unsequenced: they move the cursor, so a replay must hit the window.
 	unsequenced bool
-	// connScoped ops belong to the connection's stream registry, not to
-	// dispatch.
-	connScoped bool
 	// preAuth ops are answered on a multi-tenant server before the
 	// connection has authenticated.
 	preAuth bool
@@ -84,11 +81,7 @@ var opTable = [256]opInfo{
 	wire.OpPromote:        {name: "promote"},
 	wire.OpReplStatus:     {name: "repl_status"},
 
-	wire.OpStreamSubscribe:   {name: "stream_subscribe", connScoped: true},
-	wire.OpStreamDeliver:     {name: "stream_deliver"},
-	wire.OpStreamCredit:      {name: "stream_credit", connScoped: true},
-	wire.OpStreamUnsubscribe: {name: "stream_unsubscribe", connScoped: true},
-	wire.OpStreamEnd:         {name: "stream_end"},
+	wire.OpSubscribe: {name: "subscribe", scope: scopePath},
 }
 
 func opName(op byte) string {

@@ -1,16 +1,13 @@
 package server
 
 import (
-	"encoding/binary"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"clio/internal/wire"
 )
@@ -125,57 +122,5 @@ func TestCursorHandleRange(t *testing.T) {
 	// Closing an in-range handle stays idempotent.
 	for i := 0; i < 2; i++ {
 		mustOK(t, conn, OpCursorEnd, wire.PutUvarint(nil, uint64(h)))
-	}
-}
-
-// TestSubscribeResponsePrecedesFirstDeliver: the subscribe response must be on
-// the wire before the subscription's first pushed frame — the client reads it
-// as the answer to its subscribe. The pusher used to start before the response
-// was written and could overtake it whenever the connection goroutine was
-// slow to reach the write; the write below is slow on purpose.
-func TestSubscribeResponsePrecedesFirstDeliver(t *testing.T) {
-	srv, conn := testServer(t)
-	id := newReader(mustOK(t, conn, OpCreate, createPayload("/l"))).Uvarint()
-	mustOK(t, conn, OpAppend, appendPayload(id, "history"))
-
-	var mu sync.Mutex
-	var order []byte
-	delivered := make(chan struct{}, 1)
-	var pushers sync.WaitGroup
-	send := func(frames []byte) bool {
-		for len(frames) > 0 {
-			status := frames[4]
-			frames = frames[4+binary.LittleEndian.Uint32(frames):]
-			if status == StatusOK {
-				time.Sleep(20 * time.Millisecond) // the window a started pusher would use
-			}
-			mu.Lock()
-			order = append(order, status)
-			mu.Unlock()
-			if status == wire.OpStreamDeliver {
-				select {
-				case delivered <- struct{}{}:
-				default:
-				}
-			}
-		}
-		return true
-	}
-	cs := newConnStreams(srv, &connHandler{srv: srv, sess: newSession(0)}, send, func() {}, &pushers)
-	sub := wire.StreamSubscribe{Path: "/l", FromStart: true}
-	if !cs.handle(wire.OpStreamSubscribe, 1, 0, sub.Encode(nil)) {
-		t.Fatal("subscribe refused")
-	}
-	select {
-	case <-delivered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("history never delivered")
-	}
-	cs.closeAll("")
-	pushers.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) < 2 || order[0] != StatusOK || order[1] != wire.OpStreamDeliver {
-		t.Fatalf("frames written in order %v, want the subscribe response (0) first", order)
 	}
 }

@@ -225,8 +225,9 @@ const (
 // made with the connection, so a frame costs one read system call however
 // many the connection holds, and a write buffer, so a frame costs one
 // write and no allocation. Every reader of the connection reads through it
-// (a handshake, then a receive loop), and it is never shared between
-// connections: bytes it holds belong to this connection only.
+// (a handshake, then whatever reads the connection after it), and it is
+// never shared between connections: bytes it holds belong to this
+// connection only.
 //
 // Reads come from one goroutine at a time, and so do writes, under
 // whatever lock serializes the connection's writers; a read and a write
@@ -253,6 +254,13 @@ func (fc *FrameConn) SetDeadline(t time.Time) error { return fc.conn.SetDeadline
 
 // Buffered reports how many bytes of later frames the reader already holds.
 func (fc *FrameConn) Buffered() int { return fc.br.Buffered() }
+
+// Wait blocks until the connection has a byte to read or its read fails. It
+// consumes nothing: the next read still reads the frame whole.
+func (fc *FrameConn) Wait() error {
+	_, err := fc.br.Peek(1)
+	return err
+}
 
 // peek returns the next n bytes of the stream without consuming them; a
 // stream that ends inside them is io.ErrUnexpectedEOF.
@@ -344,17 +352,6 @@ func (fc *FrameConn) Queue(op byte, seq, trace uint64, payload []byte) error {
 	return nil
 }
 
-// WriteFrames writes the queued frames and b, one or more whole frames, in
-// one Write.
-func (fc *FrameConn) WriteFrames(b []byte) error {
-	if len(fc.wbuf) == 0 {
-		_, err := fc.conn.Write(b)
-		return err
-	}
-	fc.wbuf = append(fc.wbuf, b...)
-	return fc.Flush()
-}
-
 // Queued returns the bytes queued for the next Flush.
 func (fc *FrameConn) Queued() int { return len(fc.wbuf) }
 
@@ -439,25 +436,6 @@ func appendEntryHead(out []byte, e *core.Entry) []byte {
 		out = wire.PutUint16(out, id)
 	}
 	return wire.PutUvarint(out, uint64(len(e.Data)))
-}
-
-// AppendDeliver appends a deliver frame's payload (wire.OpStreamDeliver):
-// the subscription id as a uvarint, then the entry in the entry-response
-// layout.
-func AppendDeliver(b []byte, subID uint32, e *core.Entry) []byte {
-	return append(appendEntryHead(wire.PutUvarint(b, uint64(subID)), e), e.Data...)
-}
-
-// DecodeDeliver parses a deliver frame's payload. The entry's data aliases
-// the payload, so a caller keeping the entry reads the frame into a payload
-// of its own (FrameConn.ReadFrameOwned).
-func DecodeDeliver(payload []byte) (subID uint32, e *core.Entry, err error) {
-	r := newReader(payload)
-	subID = r.Bounded(^uint32(0), "sub id range")
-	if e, err = DecodeEntry(r); err != nil {
-		return 0, nil, err
-	}
-	return subID, e, nil
 }
 
 // DecodeEntry consumes one entry in the entry-response layout. The entry's

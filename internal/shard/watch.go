@@ -19,19 +19,9 @@ var _ logapi.StreamService = (*Store)(nil)
 // Watch opens a live tail subscription to the log file at path: the
 // store's own cursor for path — the routed cursor, or the merged root
 // cursor for "/" — that waits at the end of the log instead of returning
-// io.EOF.
+// io.EOF. The subscription is a *Sub, whose RecvEach also visits a run of
+// entries in place.
 func (st *Store) Watch(ctx context.Context, path string, opts logapi.WatchOptions) (logapi.Subscription, error) {
-	s, err := st.Subscribe(ctx, path, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Subscribe is Watch returning the store's own subscription, whose
-// RecvEach also visits a run of entries in place. opts.Buffer sizes
-// nothing in process.
-func (st *Store) Subscribe(ctx context.Context, path string, opts logapi.WatchOptions) (*Sub, error) {
 	cur, err := st.Cursor(ctx, path)
 	if err != nil {
 		return nil, err
@@ -101,7 +91,7 @@ var _ logapi.Subscription = (*Sub)(nil)
 // cursor's error (a closed service, lost media) as is.
 func (s *Sub) Recv(ctx context.Context) (*logapi.Entry, error) {
 	var e *logapi.Entry
-	_, err := s.await(ctx, func(bool) (int, error) {
+	_, err := s.await(ctx, nil, func(bool) (int, error) {
 		var err error
 		if e, err = s.cur.Next(ctx); err != nil {
 			return 0, err
@@ -118,12 +108,18 @@ func (s *Sub) Recv(ctx context.Context) (*logapi.Entry, error) {
 // returns how many it visited. After a wait it visits the woken entry
 // alone, so a live entry costs no second probe of the end of the log.
 // visit's entry is scratch, as Cursor.NextEach's is.
-func (s *Sub) RecvEach(ctx context.Context, max int, visit func(*logapi.Entry) bool) (int, error) {
+//
+// watch, when set, is for a receiver with more to wait on than ctx: each
+// park calls it, waits on the context it returns instead of ctx — a park
+// that context ends returns its cause — and calls the stop it returns as
+// the park ends. Whatever watch starts lives only while the subscription
+// waits; a call that finds entries readable never calls it.
+func (s *Sub) RecvEach(ctx context.Context, max int, visit func(*logapi.Entry) bool, watch func() (context.Context, func())) (int, error) {
 	if s.met != nil {
 		inner := visit
 		visit = func(e *logapi.Entry) bool { s.delivered(e); return inner(e) }
 	}
-	return s.await(ctx, func(waited bool) (int, error) {
+	return s.await(ctx, watch, func(waited bool) (int, error) {
 		if waited {
 			max = 1
 		}
@@ -136,10 +132,10 @@ func (s *Sub) RecvEach(ctx context.Context, max int, visit func(*logapi.Entry) b
 }
 
 // await runs step, a read of the cursor, until it yields entries or fails
-// with anything but io.EOF, parking between tries. Before each try it
-// refuses a closed subscription and snapshots the shards' tail sequences;
-// waited tells step a park came before it.
-func (s *Sub) await(ctx context.Context, step func(waited bool) (int, error)) (int, error) {
+// with anything but io.EOF, parking between tries (on watch's context, if
+// set). Before each try it refuses a closed subscription and snapshots the
+// shards' tail sequences; waited tells step a park came before it.
+func (s *Sub) await(ctx context.Context, watch func() (context.Context, func()), step func(waited bool) (int, error)) (int, error) {
 	for waited := false; ; waited = true {
 		select {
 		case <-s.stop:
@@ -152,7 +148,13 @@ func (s *Sub) await(ctx context.Context, step func(waited bool) (int, error)) (i
 		if n, err := step(waited); err != io.EOF {
 			return n, err
 		}
-		if err := s.park(ctx); err != nil {
+		pctx, stop := ctx, func() {}
+		if watch != nil {
+			pctx, stop = watch()
+		}
+		err := s.park(pctx)
+		stop()
+		if err != nil {
 			return 0, err
 		}
 	}
@@ -191,7 +193,7 @@ func (s *Sub) park(ctx context.Context) error {
 		}
 		return nil
 	case ctx.Err() != nil:
-		return ctx.Err()
+		return context.Cause(ctx)
 	}
 	return stream.ErrClosed
 }

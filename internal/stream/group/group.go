@@ -513,7 +513,7 @@ func (c *Consumer) startConfirmed(p int) {
 func (c *Consumer) runPump(ctx context.Context, p int, gen uint64, st ackPos, pu *pump) {
 	defer c.wg.Done()
 	defer close(pu.done)
-	opts := logapi.WatchOptions{Buffer: c.opt.Buffer}
+	var opts logapi.WatchOptions
 	if st.valid {
 		opts.From = []logapi.Position{{Shard: st.shard, Block: st.block, Rec: st.rec}}
 	} else {

@@ -218,7 +218,7 @@ func TestSlowConsumerCatchUpNoGapsNoDuplicates(t *testing.T) {
 	reg := obs.NewRegistry()
 	st.RegisterStreamMetrics(reg)
 
-	sub, err := st.Watch(bg, "/firehose", logapi.WatchOptions{Buffer: 4})
+	sub, err := st.Watch(bg, "/firehose", logapi.WatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
