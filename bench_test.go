@@ -301,7 +301,9 @@ func BenchmarkTailGrowth(b *testing.B) {
 			return name
 		}
 		name := newFile()
-		limit := fs.MaxFileSize() - 64*1024
+		bs := store.BlockSize()
+		maxFileSize := (rewritefs.NumDirect + bs/4 + (bs/4)*(bs/4)) * bs
+		limit := maxFileSize - 64*1024
 		b.SetBytes(1024)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -470,10 +472,9 @@ func BenchmarkScrub(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := svc.SealTail(); err != nil {
+	if err := svc.Close(); err != nil {
 		b.Fatal(err)
 	}
-	svc.Crash()
 	b.SetBytes(int64(2000 * 1024))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -505,10 +506,9 @@ func BenchmarkBackup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if err := svc.SealTail(); err != nil {
+	if err := svc.Close(); err != nil {
 		b.Fatal(err)
 	}
-	svc.Crash()
 	ctx := context.Background()
 	be := archive.NewDir(b.TempDir())
 	if _, err := archive.Backup(ctx, []wodev.Device{dev}, be); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestFullSystemIntegration(t *testing.T) {
 	wg.Add(1)
 	go func() { // the mail agent
 		defer wg.Done()
-		cl, err := client.Dial(addr)
+		cl, err := client.DialOptions(addr, client.Options{})
 		if err != nil {
 			errs <- err
 			return
@@ -74,7 +75,7 @@ func TestFullSystemIntegration(t *testing.T) {
 	wg.Add(1)
 	go func() { // the versioned-file service
 		defer wg.Done()
-		cl, err := client.Dial(addr)
+		cl, err := client.DialOptions(addr, client.Options{})
 		if err != nil {
 			errs <- err
 			return
@@ -105,7 +106,7 @@ func TestFullSystemIntegration(t *testing.T) {
 	wg.Add(1)
 	go func() { // a plain audit logger
 		defer wg.Done()
-		cl, err := client.Dial(addr)
+		cl, err := client.DialOptions(addr, client.Options{})
 		if err != nil {
 			errs <- err
 			return
@@ -196,11 +197,7 @@ func TestFullSystemIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Seal the staged tail onto the medium (as one would before removing
-	// a volume), close cleanly, then fsck the store on disk.
-	if err := st2.Service(0).SealTail(); err != nil {
-		t.Fatal(err)
-	}
+	// Close cleanly, then fsck the store on disk.
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +213,14 @@ func TestFullSystemIntegration(t *testing.T) {
 		t.Errorf("fsck: %s", p)
 	}
 
-	// Incremental backup, then restore and compare the audit log.
-	arch := archive.NewDir(t.TempDir())
+	// Incremental backup carrying the staged tail in the NVRAM sidecar (as
+	// `clio backup` does), then restore and compare the audit log.
+	archDir := t.TempDir()
+	arch := archive.NewDir(archDir)
 	if _, err := archive.Backup(ctx, devs, arch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.NewFileNVRAM(filepath.Join(dir, "nvram.clio")).CopyTo(archDir); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range devs {
@@ -228,7 +230,8 @@ func TestFullSystemIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc3, err := core.Open(restored, core.Options{BlockSize: 1024})
+	svc3, err := core.Open(restored, core.Options{BlockSize: 1024,
+		NVRAM: core.NewFileNVRAM(filepath.Join(archDir, "nvram.clio"))})
 	if err != nil {
 		t.Fatal(err)
 	}

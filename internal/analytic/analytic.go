@@ -74,32 +74,6 @@ func SpaceOverheadBound(h float64, n int, a, c, cPrime float64) float64 {
 	return c * EntrymapEntrySize(h, n, a, cPrime) / float64(n-1)
 }
 
-// HeaderOverheadPercent is §2.2's header-overhead figure: with the minimal
-// 4-byte header, the overhead for an entry with d bytes of client data is
-// 400/(d+4) percent.
-func HeaderOverheadPercent(d float64) float64 {
-	return 400 / (d + 4)
-}
-
-// BinaryTreeLocateReads models the Daniels et al. comparison (§5): a binary
-// tree over m entries needs ~log2(distance) reads to locate a distant
-// entry.
-func BinaryTreeLocateReads(distance float64) float64 {
-	if distance < 1 {
-		return 1
-	}
-	return math.Log2(distance) + 1
-}
-
-// FindEndProbes is the §3.4 cost of locating the end of the written portion
-// by binary search: log2(V) probing reads for a V-block volume.
-func FindEndProbes(v float64) float64 {
-	if v <= 1 {
-		return 1
-	}
-	return math.Log2(v)
-}
-
 // Section4ReadCost is §4's storage-model cost example: the expected cost of
 // a 1-kilobyte retrieval given a cache hit ratio h, a cache access cost, and
 // the log-device miss cost ("100 ms if the data is read from a log device

@@ -74,22 +74,48 @@ func TestSpaceOverheadPaperNumbers(t *testing.T) {
 	}
 }
 
+// headerOverheadPercent is §2.2's header-overhead figure: with the minimal
+// 4-byte header, the overhead for an entry with d bytes of client data is
+// 400/(d+4) percent.
+func headerOverheadPercent(d float64) float64 {
+	return 400 / (d + 4)
+}
+
+// binaryTreeLocateReads models the Daniels et al. comparison (§5): a binary
+// tree over m entries needs ~log2(distance) reads to locate a distant
+// entry.
+func binaryTreeLocateReads(distance float64) float64 {
+	if distance < 1 {
+		return 1
+	}
+	return math.Log2(distance) + 1
+}
+
+// findEndProbes is the §3.4 cost of locating the end of the written portion
+// by binary search: log2(V) probing reads for a V-block volume.
+func findEndProbes(v float64) float64 {
+	if v <= 1 {
+		return 1
+	}
+	return math.Log2(v)
+}
+
 func TestHeaderOverheadPercent(t *testing.T) {
 	// "less than 10% for entries with more than 36 bytes of client data".
-	if got := HeaderOverheadPercent(36); got > 10 {
+	if got := headerOverheadPercent(36); got > 10 {
 		t.Errorf("36-byte overhead = %v%%", got)
 	}
-	if got := HeaderOverheadPercent(0); got != 100 {
+	if got := headerOverheadPercent(0); got != 100 {
 		t.Errorf("null entry overhead = %v%%, want 100", got)
 	}
 }
 
 func TestBinaryTreeAndProbes(t *testing.T) {
-	if BinaryTreeLocateReads(1024) < 10 {
+	if binaryTreeLocateReads(1024) < 10 {
 		t.Error("binary tree reads too low")
 	}
-	if FindEndProbes(1<<20) != 20 {
-		t.Errorf("FindEndProbes(1M) = %v", FindEndProbes(1<<20))
+	if findEndProbes(1<<20) != 20 {
+		t.Errorf("findEndProbes(1M) = %v", findEndProbes(1<<20))
 	}
 }
 

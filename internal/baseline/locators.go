@@ -6,9 +6,6 @@
 //     entries that are members of a particular log file by examining every
 //     entry in every block of the volume sequence. This, of course, would be
 //     prohibitively expensive."
-//   - ChainLocator: Swallow's scheme (§5) — each entry links only to the
-//     previous version/entry, so locating by position or time from the end
-//     walks one hop per entry.
 //   - BinaryTreeLocator: the Daniels et al. distributed-logging scheme
 //     (§5) — a binary tree over each log file's entries. "The performance of
 //     this scheme is within a constant factor of ours (both schemes have
@@ -50,29 +47,6 @@ func (l *LinearLocator) FindPrev(occ Occurrences, before int) (block, reads int)
 		return -1, before // scanned everything back to the start
 	}
 	return occ[i], before - occ[i]
-}
-
-// ChainLocator follows per-entry back-pointers (Swallow). Locating the k-th
-// most recent entry costs k hops; each hop is a block read. Scanning
-// *forwards* is impossible "without reading every subsequent block on the
-// storage device" (§5), which ForwardScanReads quantifies.
-type ChainLocator struct {
-	End int
-}
-
-// FindKthPrev returns the block of the k-th most recent entry (k=1 is the
-// newest) and the reads: one per hop along the chain.
-func (c *ChainLocator) FindKthPrev(occ Occurrences, k int) (block, reads int) {
-	if k < 1 || k > len(occ) {
-		return -1, len(occ)
-	}
-	return occ[len(occ)-k], k
-}
-
-// ForwardScanReads is the cost of moving one step forward through an
-// object history in Swallow: every subsequent block must be read.
-func (c *ChainLocator) ForwardScanReads(fromBlock int) int {
-	return c.End - fromBlock
 }
 
 // BinaryTreeLocator models the Daniels et al. structure: a balanced binary

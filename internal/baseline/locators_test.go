@@ -31,6 +31,29 @@ func TestLinearLocator(t *testing.T) {
 	}
 }
 
+// ChainLocator follows per-entry back-pointers (Swallow). Locating the k-th
+// most recent entry costs k hops; each hop is a block read. Scanning
+// *forwards* is impossible "without reading every subsequent block on the
+// storage device" (§5), which ForwardScanReads quantifies.
+type ChainLocator struct {
+	End int
+}
+
+// FindKthPrev returns the block of the k-th most recent entry (k=1 is the
+// newest) and the reads: one per hop along the chain.
+func (c *ChainLocator) FindKthPrev(occ Occurrences, k int) (block, reads int) {
+	if k < 1 || k > len(occ) {
+		return -1, len(occ)
+	}
+	return occ[len(occ)-k], k
+}
+
+// ForwardScanReads is the cost of moving one step forward through an
+// object history in Swallow: every subsequent block must be read.
+func (c *ChainLocator) ForwardScanReads(fromBlock int) int {
+	return c.End - fromBlock
+}
+
 func TestChainLocator(t *testing.T) {
 	occ := occEvery(2, 100) // 50 entries
 	c := &ChainLocator{End: 100}

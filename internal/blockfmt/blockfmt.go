@@ -205,12 +205,6 @@ func (r *Record) HeaderLen() int {
 	return HeaderLen(r.Form)
 }
 
-// Overhead returns the total block bytes the record consumes: header bytes,
-// data bytes and its trailer size slot.
-func (r *Record) Overhead() int {
-	return r.HeaderLen() + len(r.Data) + 2
-}
-
 // Builder accumulates records into a block image.
 type Builder struct {
 	blockSize  int
@@ -263,9 +257,6 @@ func (b *Builder) Flags() uint8 { return b.flags }
 // Count returns the number of records placed so far.
 func (b *Builder) Count() int { return len(b.slots) }
 
-// Used returns the payload bytes consumed so far (headers + data).
-func (b *Builder) Used() int { return len(b.payload) }
-
 // Free returns the bytes available for the next record's header+data,
 // accounting for the record's own 2-byte size slot and the footer.
 func (b *Builder) Free() int {
@@ -284,12 +275,6 @@ func (b *Builder) FreeData(form uint8) int {
 		return 0
 	}
 	return n
-}
-
-// MaxData returns the largest client-data fragment an empty block of size
-// blockSize can hold under the given header form.
-func MaxData(blockSize int, form uint8) int {
-	return blockSize - FooterSize - 2 - HeaderLen(form)
 }
 
 // Append places a record fragment in the block. The caller must have sized

@@ -59,15 +59,19 @@ func TestBuildParseRoundTrip(t *testing.T) {
 	}
 }
 
+// overhead is the total block bytes a record consumes: header bytes, data
+// bytes and its trailer size slot.
+func overhead(r Record) int { return r.HeaderLen() + len(r.Data) + 2 }
+
 func TestHeaderSizesMatchPaper(t *testing.T) {
 	// §2.2: minimal header is 4 bytes (2 in payload + 2-byte size slot);
 	// §3.2: the complete timestamped header is 14 bytes.
 	min := Record{LogID: 1, Form: FormMinimal}
-	if got := min.Overhead(); got != 4 {
+	if got := overhead(min); got != 4 {
 		t.Errorf("minimal header overhead = %d, want 4", got)
 	}
 	full := Record{LogID: 1, Form: FormFull, Timestamp: 1}
-	if got := full.Overhead(); got != 14 {
+	if got := overhead(full); got != 14 {
 		t.Errorf("full header overhead = %d, want 14", got)
 	}
 }
@@ -102,12 +106,10 @@ func TestBuilderCapacityAccounting(t *testing.T) {
 }
 
 func TestMaxData(t *testing.T) {
-	if MaxData(1024, FormMinimal) != 1024-FooterSize-4 {
-		t.Errorf("MaxData minimal = %d", MaxData(1024, FormMinimal))
-	}
+	// An empty block holds all but its footer, one size slot and a header.
 	b, _ := NewBuilder(1024, 0)
-	if b.FreeData(FormMinimal) != MaxData(1024, FormMinimal) {
-		t.Error("MaxData disagrees with empty builder FreeData")
+	if got := b.FreeData(FormMinimal); got != 1024-FooterSize-4 {
+		t.Errorf("empty builder FreeData minimal = %d", got)
 	}
 }
 
@@ -174,7 +176,7 @@ func TestBuilderReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Reset(2)
-	if b.Count() != 0 || b.Used() != 0 || b.Flags() != 0 {
+	if b.Count() != 0 || len(b.payload) != 0 || b.Flags() != 0 {
 		t.Error("Reset left state")
 	}
 	if _, ok := b.FirstTimestamp(); ok {
@@ -308,7 +310,7 @@ func TestSpaceOverheadFigure(t *testing.T) {
 	// 400/(d+4) percent — under 10% for entries above 36 bytes.
 	d := 36
 	rec := Record{LogID: 1, Form: FormMinimal, Data: make([]byte, d)}
-	overheadPct := float64(rec.Overhead()-d) / float64(d+4) * 100
+	overheadPct := float64(overhead(rec)-d) / float64(d+4) * 100
 	if overheadPct > 10.0 {
 		t.Errorf("overhead for 36-byte entry = %.1f%%, paper says <10%%", overheadPct)
 	}
@@ -324,7 +326,7 @@ func TestFormMultiRoundTrip(t *testing.T) {
 		Data:      []byte("shared entry"),
 		ExtraIDs:  []uint16{9, 4000, 42},
 	}
-	if got, want := rec.Overhead(), 12+6+12+2; got != want {
+	if got, want := overhead(rec), 12+6+12+2; got != want {
 		t.Errorf("multi overhead = %d, want %d", got, want)
 	}
 	if err := b.Append(rec); err != nil {

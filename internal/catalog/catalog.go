@@ -318,20 +318,6 @@ func (t *Table) SetPerms(id uint16, perms uint16) (*Record, error) {
 	return rec, nil
 }
 
-// SetOwner returns the record for an ownership change and applies it.
-func (t *Table) SetOwner(id uint16, owner string) (*Record, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, err := t.mutable(id); err != nil {
-		return nil, err
-	}
-	rec := &Record{Kind: kindSetOwn, ID: id, Owner: owner}
-	if err := t.applyLocked(rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
 // Retire marks a log file closed for further appends. Its entries remain
 // readable forever — nothing is ever deleted from a log volume — and its id
 // is never reused within the volume sequence ("distinct from that of all

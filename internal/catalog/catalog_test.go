@@ -137,7 +137,8 @@ func TestAttrChangesAndRetire(t *testing.T) {
 	if got, _ := tab.Get(d.ID); got.Perms != 0o644 {
 		t.Errorf("perms = %o", got.Perms)
 	}
-	if _, err := tab.SetOwner(d.ID, "ops"); err != nil {
+	// No operation writes an ownership change; one in the log replays.
+	if err := tab.Apply(&Record{Kind: kindSetOwn, ID: d.ID, Owner: "ops"}); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := tab.Get(d.ID); got.Owner != "ops" {

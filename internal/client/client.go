@@ -143,12 +143,6 @@ type QuotaError struct {
 
 func (e *QuotaError) Error() string { return "client: " + e.Msg }
 
-// IsQuota reports whether err (or anything it wraps) is a *QuotaError.
-func IsQuota(err error) bool {
-	var q *QuotaError
-	return errors.As(err, &q)
-}
-
 // DegradedError reports an append that COMPLETED — the entry is durable and
 // Timestamp is its server timestamp — but required the service to relocate
 // past damaged storage (§2.3.2). Callers that ignore it lose nothing but
@@ -195,12 +189,11 @@ type Client struct {
 	mu sync.Mutex
 	// conn is the live connection's frame I/O, made with it: its reader
 	// holds bytes of that connection only, so a reconnect starts clean.
-	conn       *server.FrameConn
-	session    uint64
-	seq        uint64
-	epoch      uint64 // last observed server epoch; 0 = none yet
-	closed     bool
-	reconnects int64
+	conn    *server.FrameConn
+	session uint64
+	seq     uint64
+	epoch   uint64 // last observed server epoch; 0 = none yet
+	closed  bool
 
 	// Failover state (only used when addrs is non-empty).
 	addrs     []string
@@ -220,12 +213,6 @@ var _ logapi.Service = (*Client)(nil)
 // and therefore cannot reconnect: the first connection error fails the call.
 func New(conn net.Conn) *Client {
 	return &Client{conn: server.NewFrameConn(conn), retry: faults.DefaultNetPolicy()}
-}
-
-// Dial connects to a TCP log server with default Options (in particular a
-// DefaultDialTimeout bound on connection establishment).
-func Dial(addr string) (*Client, error) {
-	return DialOptions(addr, Options{})
 }
 
 // DialOptions connects to a TCP log server.
@@ -314,14 +301,6 @@ func (c *Client) Epoch() uint64 {
 	return c.epoch
 }
 
-// Reconnects returns how many times the Client established a connection
-// (the initial dial included).
-func (c *Client) Reconnects() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reconnects
-}
-
 // Close closes the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -393,7 +372,6 @@ func (c *Client) reconnectLocked(ctx context.Context, ambiguous bool, opName str
 	c.seq = max(c.seq, maxSeq)
 	c.conn = conn
 	c.connAddr = dialed
-	c.reconnects++
 	if ambiguous && prev != 0 && epoch != prev {
 		return &AmbiguousError{Op: opName, Err: net.ErrClosed}
 	}

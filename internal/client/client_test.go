@@ -183,7 +183,7 @@ func TestClientOverTCP(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	cl, err := Dial(ln.Addr().String())
+	cl, err := DialOptions(ln.Addr().String(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			cl, err := Dial(ln.Addr().String())
+			cl, err := DialOptions(ln.Addr().String(), Options{})
 			if err != nil {
 				errs <- err
 				return
@@ -269,7 +269,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each client's log reads back intact and ordered.
-	cl, err := Dial(ln.Addr().String())
+	cl, err := DialOptions(ln.Addr().String(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

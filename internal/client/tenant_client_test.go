@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -58,7 +59,8 @@ func TestClientTenantSession(t *testing.T) {
 
 	// Over budget: the typed quota error comes back once, un-retried.
 	_, err = cl.Append(bg, id, []byte(strings.Repeat("y", 40)), AppendOptions{Forced: true})
-	if !IsQuota(err) {
+	var q *QuotaError
+	if !errors.As(err, &q) {
 		t.Fatalf("append over budget: %v, want QuotaError", err)
 	}
 	if !strings.Contains(err.Error(), "over bytes quota") {
@@ -292,7 +294,8 @@ func TestClientTenantGroupRecordsChargeBytes(t *testing.T) {
 	if err := c.Ack(bg, recvGroup(t, c)); err != nil {
 		t.Fatalf("ack inside budget: %v", err)
 	}
-	if err := c.Ack(bg, recvGroup(t, c)); !IsQuota(err) {
+	var q *QuotaError
+	if err := c.Ack(bg, recvGroup(t, c)); !errors.As(err, &q) {
 		t.Fatalf("ack over budget: %v, want QuotaError", err)
 	}
 }

@@ -1077,7 +1077,7 @@ func TestAppliedResetsOnLeaderChange(t *testing.T) {
 		return tns[1].node.Applied() == oldHead && tns[2].node.Applied() == oldHead
 	})
 	tns[0].node.Kill()
-	if _, err := tns[1].node.Promote(); err != nil {
+	if _, err := tns[1].node.promoteExcept(nil); err != nil {
 		t.Fatal(err)
 	}
 	newLeader, third := tns[1].node, tns[2].node

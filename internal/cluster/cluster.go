@@ -246,7 +246,7 @@ func loadTerm(path string) (uint64, error) {
 // cfg.Create, formats) the store and begins streaming to its peers, at one
 // past the highest persisted term — starting a node as leader is an
 // operator's explicit claim of authority over anything it has seen before;
-// a follower waits for a leader's stream and for Promote.
+// a follower waits for a leader's stream and for OpPromote.
 func (n *Node) Start(leader bool) error {
 	n.roleMu.Lock()
 	defer n.roleMu.Unlock()
@@ -370,17 +370,14 @@ func (n *Node) becomeLeader(term, epoch uint64, sessions *server.Sessions, creat
 	return nil
 }
 
-// Promote turns a follower into the leader: it fences and drains the
+// promoteExcept turns a follower into the leader: it fences and drains the
 // replication apply path, recovers a live store over the replicated devices
 // and NVRAM tails (checkpoint-bounded, exactly the single-node restart
 // path), installs the replicated session table under the preserved cluster
 // epoch, bumps the term, and starts streaming to peers. Returns the new
-// term.
-func (n *Node) Promote() (uint64, error) { return n.promoteExcept(nil) }
-
-// promoteExcept is Promote with one connection exempt from the fence's
-// connection sweep: the follower handler that received OpPromote calls this
-// with its own connection so it can still write the response.
+// term. keep, when not nil, is exempt from the fence's connection sweep:
+// the follower handler that received OpPromote passes its own connection
+// so it can still write the response.
 func (n *Node) promoteExcept(keep net.Conn) (uint64, error) {
 	n.roleMu.Lock()
 	defer n.roleMu.Unlock()

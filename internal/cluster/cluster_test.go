@@ -262,7 +262,7 @@ func TestClusterFailover(t *testing.T) {
 	if tns[2].node.Applied() > tns[1].node.Applied() {
 		promoted, other = tns[2], tns[1]
 	}
-	newTerm, err := promoted.node.Promote()
+	newTerm, err := promoted.node.promoteExcept(nil)
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}

@@ -30,7 +30,7 @@ type followerState struct {
 	applied atomic.Uint64
 	resets  atomic.Int64
 
-	// wg counts connection handlers that may touch devices; Promote waits
+	// wg counts connection handlers that may touch devices; a promotion waits
 	// it out after freezing. mu guards vsets and the frozen/Add handoff in
 	// serveFollowerConn.
 	wg sync.WaitGroup

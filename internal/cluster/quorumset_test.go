@@ -187,8 +187,9 @@ func roles(leader *Node) (quorum, trailing string, ok bool) {
 
 // TestQuorumFollowerCarriesTheForce: with quorum 2 of 3, each gated force
 // costs the quorum follower one socket write, and the trailing follower at
-// most one per flush period; both still converge on the stream head within
-// a few periods of the last force.
+// most one per flush period; after the last force both still converge on
+// the stream head, the quorum follower with no further socket write and
+// the trailing one with at most one.
 //
 // During the loop the leader hears none of the trailing follower's acks,
 // so every force commits on the quorum follower's, and the roles cannot
@@ -232,7 +233,9 @@ func TestQuorumFollowerCarriesTheForce(t *testing.T) {
 			swapped = swapped || !peerQuorum(leader.Status().Peers, qa)
 		}
 		pc.passAcks(ta)
-		qw, tw := pc.count(qa)-q0, pc.count(ta)-t0
+		qEnd := pc.count(qa)
+		tHanded := handedTo(leader, ta)
+		qw, tw := qEnd-q0, pc.count(ta)-t0
 		elapsed := time.Since(start)
 		head := leader.stream.Pos()
 		t.Logf("%d forces in %v (slowest %v): quorum follower %d writes, trailing %d", forces, elapsed, slowest, qw, tw)
@@ -253,15 +256,55 @@ func TestQuorumFollowerCarriesTheForce(t *testing.T) {
 				tw, elapsed, periods, periods+1)
 		}
 
-		settle := time.Now()
-		for follower[qa].Applied() < head || follower[ta].Applied() < head {
-			if time.Since(settle) > 10*heldFlushAfter {
-				t.Fatalf("after %v the followers applied %d (quorum) and %d (trailing) of %d",
-					time.Since(settle), follower[qa].Applied(), follower[ta].Applied(), head)
-			}
-			time.Sleep(heldFlushAfter / 10)
+		// Settling is counted in socket writes and stream positions, units
+		// the stream controls: the quorum follower was handed and sent every
+		// frame with its force; the trailing one, once it has applied what
+		// the stream had handed its sender by the last force, is handed what
+		// it still holds as one batch at the next expiry. The deadlines only
+		// stop a hang.
+		settle(t, "the trailing follower to apply what its sender was handed", func() bool {
+			return follower[ta].Applied() >= tHanded
+		})
+		tEnd := pc.count(ta)
+		settle(t, "both followers to apply the stream head", func() bool {
+			return follower[qa].Applied() >= head && follower[ta].Applied() >= head
+		})
+		if n := pc.count(qa) - qEnd; n != 0 {
+			t.Errorf("the quorum follower got %d socket writes after the last force, want none", n)
+		}
+		if n := pc.count(ta) - tEnd; n > 1 {
+			t.Errorf("the trailing follower got %d socket writes for what it still held after the last force, want at most one", n)
 		}
 		return
+	}
+}
+
+// handedTo returns the last stream position the leader's stream has handed
+// to addr's sender.
+func handedTo(leader *Node, addr string) uint64 {
+	st := leader.stream
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, sub := range st.subs {
+		if sub.p.addr == addr {
+			return sub.next - 1
+		}
+	}
+	return 0
+}
+
+// settle waits until cond holds and fails the test after 10 s. It polls at
+// a tenth of a flush period, not at waitFor's 20 ms, so that what the
+// trailing follower still holds after the last force is usually counted
+// after it, not absorbed before the count is taken.
+func settle(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s still waiting for %s", what)
+		}
+		time.Sleep(heldFlushAfter / 10)
 	}
 }
 
@@ -344,7 +387,7 @@ func TestStalledQuorumFollowerIsReplaced(t *testing.T) {
 	if promoted.cfg.NodeID != ta {
 		t.Fatalf("the stalled follower %s applied more (%d) than the live one", promoted.cfg.NodeID, promoted.Applied())
 	}
-	if _, err := promoted.Promote(); err != nil {
+	if _, err := promoted.promoteExcept(nil); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
 	reader := testClient(t, 53, []string{ta}, nil)

@@ -417,46 +417,6 @@ func (s *Service) runForceBatch() {
 	completed = true
 }
 
-// SealTail forces the staged tail block onto the write-once medium itself,
-// padding the remainder — used before unmounting a volume or taking a
-// media-level backup, when the NVRAM staging must be emptied onto the
-// removable medium.
-func (s *Service) SealTail() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closedFlag.Load() {
-		return ErrClosed
-	}
-	// Sealing "onto the medium itself" means the device, not the staging
-	// NVRAM: seal until the tail is gone (a slide during the pipeline's slot
-	// wait renumbers it, which makes one enqueue attempt a no-op), then wait
-	// out the pipelined writes. A slide along the way queued a bad-block
-	// record that belongs on the medium too; writing it reopens the tail,
-	// so go round again.
-	for {
-		s.awaitChainLocked()
-		if s.closedFlag.Load() {
-			return ErrClosed
-		}
-		if err := s.flushDueLocked(); err != nil {
-			return err
-		}
-		if s.tailGlobal >= 0 {
-			if err := s.sealTailLocked(true); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := s.drainPipeLocked(); err != nil {
-			return err
-		}
-		if len(s.pendingBad) == 0 {
-			break
-		}
-	}
-	return s.maybeCheckpointLocked()
-}
-
 // Force makes everything appended so far durable (a group commit). A force
 // that finds the staged tail already durable — or nothing staged at all —
 // performs no device or NVRAM work and is not counted as a forced write.

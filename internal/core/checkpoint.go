@@ -132,7 +132,7 @@ const maxSidecarIDs = 2 * (wire.MaxLogID + 1)
 // maybeCheckpointLocked emits a checkpoint when the every-K-sealed-blocks
 // policy says one is due. It runs under s.mu at operation-completion points
 // only — after a group commit's force, after an unforced append, after an
-// explicit Force or SealTail — so a checkpoint can never interleave with,
+// explicit Force — so a checkpoint can never interleave with,
 // or reorder, a client entry.
 func (s *Service) maybeCheckpointLocked() error {
 	k := s.opt.CheckpointInterval

@@ -25,7 +25,7 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		mustAppend(t, s, id, fmt.Sprintf("entry-%02d", i), AppendOptions{Forced: i%7 == 0})
 	}
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,7 +210,7 @@ func TestCheckpointOnCleanClose(t *testing.T) {
 // [from, to) its records landed in.
 func checkpointSpan(t *testing.T, s *Service) (int, int) {
 	t.Helper()
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 	from := s.End()

@@ -441,18 +441,6 @@ func encodeCompactMarker(index uint32, ids []uint16) []byte {
 	return out
 }
 
-// DecodeCompactMarker decodes a ".compact" marker entry's payload.
-func DecodeCompactMarker(data []byte) (index uint32, ids []uint16, err error) {
-	r := wire.NewReader(data, errBadMarker)
-	index, ids = r.Uint32(), readSidecarIDs(r)
-	if r.Err() != nil {
-		return 0, nil, r.Err()
-	}
-	return index, ids, nil
-}
-
-var errBadMarker = errors.New("clio: malformed compaction marker")
-
 // foldRanges turns the placed copies into per-origin ranges and folds them
 // into the prepared state: the compacted volume gains its own ranges; every
 // origin volume whose copies were hosted in [start, start+written) has

@@ -624,9 +624,20 @@ func TestCompactFileStateRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeCompactMarker decodes a ".compact" marker entry's payload, the
+// inverse of encodeCompactMarker.
+func decodeCompactMarker(data []byte) (index uint32, ids []uint16, err error) {
+	r := wire.NewReader(data, errors.New("clio: malformed compaction marker"))
+	index, ids = r.Uint32(), readSidecarIDs(r)
+	if r.Err() != nil {
+		return 0, nil, r.Err()
+	}
+	return index, ids, nil
+}
+
 func TestCompactMarkerRoundTrip(t *testing.T) {
 	enc := encodeCompactMarker(7, []uint16{4, 9, 200})
-	idx, ids, err := DecodeCompactMarker(enc)
+	idx, ids, err := decodeCompactMarker(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,11 +663,11 @@ func TestCompactMarkerRoundTrip(t *testing.T) {
 		{"count past the ids present", marker(3, 4, 9)},
 		{"truncated index", []byte{7, 0}},
 	} {
-		if idx, ids, err := DecodeCompactMarker(tc.payload); err == nil {
+		if idx, ids, err := decodeCompactMarker(tc.payload); err == nil {
 			t.Errorf("%s: decoded as volume %d ids %v", tc.name, idx, ids)
 		}
 	}
-	if _, ids, err := DecodeCompactMarker(marker(1, wire.MaxLogID)); err != nil || len(ids) != 1 {
+	if _, ids, err := decodeCompactMarker(marker(1, wire.MaxLogID)); err != nil || len(ids) != 1 {
 		t.Errorf("id MaxLogID refused: %v %v", ids, err)
 	}
 }

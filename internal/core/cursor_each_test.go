@@ -63,8 +63,7 @@ func TestCursorWaitsOutAChainBeingAppended(t *testing.T) {
 		}()
 		mustAppend(t, s, id, string(big), AppendOptions{Forced: true, Timestamped: true})
 		if err := <-got; err != nil {
-			b, r := c.Position()
-			t.Fatalf("iteration %d: the reader never got the entry (%v), cursor at %d.%d", iter, err, b, r)
+			t.Fatalf("iteration %d: the reader never got the entry (%v), cursor at %d.%d", iter, err, c.block, c.rec)
 		}
 		s.Close()
 	}
@@ -82,7 +81,7 @@ func TestNextEachCostsAsSteps(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			mustAppend(t, s, id, fmt.Sprintf("entry %02d", i), AppendOptions{})
 		}
-		if err := s.SealTail(); err != nil {
+		if err := sealTail(s); err != nil {
 			t.Fatal(err)
 		}
 		c, err := s.OpenCursor("/l")
@@ -141,7 +140,7 @@ func TestNextKeepsFragmentedEntry(t *testing.T) {
 		want = append(want, data)
 		mustAppend(t, s, id, string(data), AppendOptions{})
 	}
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 	c, err := s.OpenCursorID(id)

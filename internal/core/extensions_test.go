@@ -115,7 +115,7 @@ func TestSeekPosResume(t *testing.T) {
 		}
 		last = e
 	}
-	block, rec := cur.Position()
+	block, rec := cur.block, cur.rec
 
 	// A fresh cursor (a later monitoring run) resumes from there.
 	cur2, _ := s.OpenCursor("/resume")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -110,12 +111,19 @@ func TestOpenWithOnlyNewestVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mounting the older volumes on demand restores full history.
-	for _, d := range devs[:len(devs)-1] {
-		if err := s.MountVolume(d); err != nil {
-			t.Fatalf("MountVolume: %v", err)
-		}
+	// Opening with every volume of the sequence restores full history.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
+	vols := make([]wodev.Device, len(devs))
+	for i, d := range devs {
+		vols[i] = d
+	}
+	s, err = Open(vols, opt)
+	if err != nil {
+		t.Fatalf("open all volumes: %v", err)
+	}
+	defer s.Close()
 	cur2, _ := s.OpenCursor("/span")
 	var all []string
 	for {
@@ -134,50 +142,8 @@ func TestOpenWithOnlyNewestVolume(t *testing.T) {
 	}
 }
 
-func TestUnmountVolume(t *testing.T) {
-	devs, opt, _, want := buildMultiVolume(t, 120)
-	all := make([]wodev.Device, len(devs))
-	for i, d := range devs {
-		all[i] = d
-	}
-	s, err := Open(all, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Everything visible with all volumes mounted.
-	if got := datas(readAll(t, s, "/span")); len(got) != len(want) {
-		t.Fatalf("full mount: %d vs %d", len(got), len(want))
-	}
-	// Unmount volume 0: its entries disappear; unmounting the active
-	// volume is refused.
-	if err := s.UnmountVolume(0); err != nil {
-		t.Fatal(err)
-	}
-	s.FlushCache()
-	if got := datas(readAll(t, s, "/span")); len(got) >= len(want) {
-		t.Errorf("unmount hid nothing: %d", len(got))
-	}
-	active := uint32(len(devs) - 1)
-	if err := s.UnmountVolume(active); err == nil {
-		t.Error("unmounted the active volume")
-	}
-	// Mount it back.
-	if err := s.MountVolume(devs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if got := datas(readAll(t, s, "/span")); len(got) != len(want) {
-		t.Errorf("after remount: %d vs %d", len(got), len(want))
-	}
-}
-
 func TestMountRejectsForeignVolume(t *testing.T) {
 	devs, opt, _, _ := buildMultiVolume(t, 60)
-	s, err := Open([]wodev.Device{devs[len(devs)-1]}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	// A volume from a different sequence.
 	foreignDev := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 24})
 	now := int64(1)
@@ -187,8 +153,12 @@ func TestMountRejectsForeignVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
-	if err := s.MountVolume(foreignDev); err == nil {
-		t.Error("foreign volume mounted")
+	s, err := Open([]wodev.Device{foreignDev, devs[len(devs)-1]}, opt)
+	if err == nil {
+		s.Close()
+	}
+	if !errors.Is(err, volume.ErrSequenceMismatch) {
+		t.Errorf("open with a foreign volume: %v, want %v", err, volume.ErrSequenceMismatch)
 	}
 }
 

@@ -74,12 +74,6 @@ func TestClosedServiceRefusesEverything(t *testing.T) {
 	if err := s.Force(); err != ErrClosed {
 		t.Errorf("force: %v", err)
 	}
-	if err := s.SealTail(); err != ErrClosed {
-		t.Errorf("seal: %v", err)
-	}
-	if err := s.MountVolume(wodev.NewMem(wodev.MemOptions{BlockSize: 256})); err != ErrClosed {
-		t.Errorf("mount: %v", err)
-	}
 }
 
 func TestCatalogPathValidationThroughService(t *testing.T) {

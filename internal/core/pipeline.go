@@ -41,8 +41,8 @@ package core
 // operation itself when the seal is inline, a later one when the ack
 // preceded the background write. pendingBad is written by flushDueLocked:
 // at the sliding append's chain completion, or, for a seal outside any
-// append, by the operation that ran it (forceLocked's padded seal, SealTail,
-// Close — the latter two also pick up what a background slide left queued).
+// append, by the operation that ran it (forceLocked's padded seal, or
+// Close, which also picks up what a background slide left queued).
 
 import (
 	"errors"

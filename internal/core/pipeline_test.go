@@ -148,7 +148,7 @@ func TestStagedSealAlreadyOnDeviceIdempotentReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := svc.SealTail(); err != nil {
+	if err := sealTail(svc); err != nil {
 		t.Fatal(err)
 	}
 	end := svc.End() // tail sealed and pipeline drained: all blocks on device
@@ -228,7 +228,7 @@ func TestPipelineStatsAndReset(t *testing.T) {
 		t.Errorf("StagedBytes = %d, want >= one block image", st.StagedBytes)
 	}
 
-	if err := svc.SealTail(); err != nil {
+	if err := sealTail(svc); err != nil {
 		t.Fatal(err)
 	}
 	st = svc.Stats()

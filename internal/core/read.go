@@ -877,10 +877,6 @@ func (c *Cursor) restorePos(p cursorPos) {
 	c.block, c.rec, c.redir = p.block, p.rec, p.redir
 }
 
-// Position returns the cursor's gap position (global block, record index)
-// for diagnostics and tests.
-func (c *Cursor) Position() (block, rec int) { return c.block, c.rec }
-
 // SeekPos restores a cursor to a previously observed gap position, so a
 // client can persist (block, rec) and resume iteration later — e.g. a
 // monitoring process that periodically drains new entries (§3's "audit and

@@ -20,6 +20,41 @@ import (
 	"clio/internal/wodev"
 )
 
+// sealTail forces the staged tail block onto the device itself, padding
+// the remainder, and waits out the pipelined writes: what Close does
+// without an NVRAM, on a service that stays open. A slide along the way
+// queued a bad-block record that belongs on the medium too; writing it
+// reopens the tail, so it goes round again.
+func sealTail(s *Service) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closedFlag.Load() {
+		return ErrClosed
+	}
+	for {
+		s.awaitChainLocked()
+		if s.closedFlag.Load() {
+			return ErrClosed
+		}
+		if err := s.flushDueLocked(); err != nil {
+			return err
+		}
+		if s.tailGlobal >= 0 {
+			if err := s.sealTailLocked(true); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := s.drainPipeLocked(); err != nil {
+			return err
+		}
+		if len(s.pendingBad) == 0 {
+			break
+		}
+	}
+	return s.maybeCheckpointLocked()
+}
+
 // sealScriptResult is what one run of the script left behind.
 type sealScriptResult struct {
 	devs    []wodev.Device
@@ -79,12 +114,12 @@ func runSealScript(t *testing.T, hideStaging bool, volBlocks, damageDev int) sea
 		}
 		mustAppend(t, s, ids[rng.Intn(2)], string(data), ao)
 		if step%37 == 0 {
-			if err := s.SealTail(); err != nil {
-				t.Fatalf("step %d SealTail: %v", step, err)
+			if err := sealTail(s); err != nil {
+				t.Fatalf("step %d sealTail: %v", step, err)
 			}
 		}
 	}
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -178,8 +213,8 @@ func TestSealPathAgreement(t *testing.T) {
 
 // TestSlideLoggedWithoutFollowingAppend: a slide's bad-block record must
 // reach the bad-block log even when no append follows the sliding seal —
-// the seal was a force's padded block, SealTail's, Close's own, or a
-// background write that Close (or SealTail) waited out. Each case damages
+// the seal was a force's padded block, sealTail's, Close's own, or a
+// background write that Close (or sealTail) waited out. Each case damages
 // the next unwritten block, runs one operation over it, ends the service and
 // reopens: recovery must report exactly that dead block, and the entries
 // must all be there.
@@ -217,7 +252,7 @@ func TestSlideLoggedWithoutFollowingAppend(t *testing.T) {
 		}, false, true},
 		{"SealTail, crash", func(t *testing.T, s *Service, id uint16) {
 			mustAppend(t, s, id, "small", AppendOptions{})
-			if err := s.SealTail(); err != nil {
+			if err := sealTail(s); err != nil {
 				t.Fatal(err)
 			}
 		}, true, false},
@@ -237,7 +272,7 @@ func TestSlideLoggedWithoutFollowingAppend(t *testing.T) {
 				}
 				id := mustCreate(t, s, "/s")
 				mustAppend(t, s, id, "first", AppendOptions{Forced: true})
-				if err := s.SealTail(); err != nil {
+				if err := sealTail(s); err != nil {
 					t.Fatal(err)
 				}
 				dead := dev.Written()
@@ -246,7 +281,7 @@ func TestSlideLoggedWithoutFollowingAppend(t *testing.T) {
 				}
 				c.op(t, s, id)
 				want := len(readAll(t, s, "/s"))
-				// An inline slide, or one SealTail waited out, is logged by the
+				// An inline slide, or one sealTail waited out, is logged by the
 				// operation it happened in (only a background slide may still
 				// be queued when its operation has returned).
 				s.mu.Lock()

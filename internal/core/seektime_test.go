@@ -259,7 +259,7 @@ func TestSeekTimeWarmTableDamagedAfterDated(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		mustAppend(t, s, []uint16{a, b}[i%2], fmt.Sprintf("e%03d-padding", i), AppendOptions{Timestamped: i%2 == 0})
 	}
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 	paths := []string{"/p", "/p/a"}
@@ -360,7 +360,7 @@ func TestSeekTimeSlideNeverDatesUnsealed(t *testing.T) {
 		}
 	}
 	appendSome(60)
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 	probeAll()
@@ -390,7 +390,7 @@ func TestSeekTimeSlideNeverDatesUnsealed(t *testing.T) {
 		}
 	}()
 	dev.hold.Unlock()
-	if err := s.SealTail(); err != nil && !IsDegraded(err) {
+	if err := sealTail(s); err != nil && !IsDegraded(err) {
 		t.Fatal(err)
 	}
 	<-done

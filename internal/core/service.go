@@ -857,35 +857,6 @@ func (s *Service) Crash() {
 // Volumes returns the mounted volumes.
 func (s *Service) Volumes() []*volume.Volume { return s.set.Volumes() }
 
-// MountVolume brings a previously offline volume of this sequence online
-// for reading ("previous volumes ... may be made available on demand,
-// either automatically or manually", §2.1).
-func (s *Service) MountVolume(dev wodev.Device) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closedFlag.Load() {
-		return ErrClosed
-	}
-	v, err := volume.Mount(dev, s.nextTag)
-	if err != nil {
-		return err
-	}
-	if v.Hdr.Seq != s.set.Seq() {
-		return volume.ErrSequenceMismatch
-	}
-	s.nextTag++
-	return s.set.Add(v)
-}
-
-// UnmountVolume takes a non-active volume offline; its blocks become
-// unreadable until it is mounted again.
-func (s *Service) UnmountVolume(index uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.set.Remove(index)
-	return err
-}
-
 // Catalog surface.
 
 // CreateLog creates a log file at the given absolute path; the parent path

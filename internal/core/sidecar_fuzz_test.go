@@ -30,7 +30,7 @@ func liveCheckpoint(t testing.TB) []byte {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
@@ -98,8 +98,8 @@ func FuzzSidecarDecode(f *testing.F) {
 			}
 		}
 
-		if index, ids, err := DecodeCompactMarker(data); err == nil {
-			index2, ids2, err := DecodeCompactMarker(encodeCompactMarker(index, ids))
+		if index, ids, err := decodeCompactMarker(data); err == nil {
+			index2, ids2, err := decodeCompactMarker(encodeCompactMarker(index, ids))
 			if err != nil || index2 != index || !reflect.DeepEqual(ids2, ids) {
 				t.Fatalf("marker changed across re-encode (%v): %d %v -> %d %v", err, index, ids, index2, ids2)
 			}

@@ -39,7 +39,7 @@ func zeroCopySetup(t testing.TB) (*Service, int, int) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		t.Fatal(err)
 	}
 	// Find a sealed entry to read back.
@@ -395,7 +395,7 @@ func parentStepSetup(tb testing.TB) (*Service, *Cursor, []int) {
 			tb.Fatal(err)
 		}
 	}
-	if err := s.SealTail(); err != nil {
+	if err := sealTail(s); err != nil {
 		tb.Fatal(err)
 	}
 	c, err := s.OpenCursor("/sessions")

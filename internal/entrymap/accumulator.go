@@ -130,26 +130,6 @@ func (a *Accumulator) Pending(level int, id uint16) (wire.Bitmap, int) {
 	return l.maps[id], l.spanStart
 }
 
-// PendingIDs returns every id with a set bit in the given level's partial
-// span, sorted.
-func (a *Accumulator) PendingIDs(level int) []uint16 {
-	if level < 1 || level > len(a.levels) {
-		return nil
-	}
-	l := a.levels[level-1]
-	ids := make([]uint16, 0, len(l.maps))
-	for id, bm := range l.maps {
-		if !bm.Empty() {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Levels returns the number of levels currently materialized.
-func (a *Accumulator) Levels() int { return len(a.levels) }
-
 // Reset clears all accumulated state (used before recovery reconstruction).
 func (a *Accumulator) Reset() { a.levels = nil }
 

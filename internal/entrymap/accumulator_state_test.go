@@ -2,8 +2,26 @@ package entrymap
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
+
+// pendingIDs returns every id with a set bit in the given level's partial
+// span, sorted.
+func pendingIDs(a *Accumulator, level int) []uint16 {
+	if level < 1 || level > len(a.levels) {
+		return nil
+	}
+	l := a.levels[level-1]
+	ids := make([]uint16, 0, len(l.maps))
+	for id, bm := range l.maps {
+		if !bm.Empty() {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
 
 // stateEqual compares two accumulators by observable behaviour: pending
 // bitmaps per level and the entries emitted at the next boundaries.
@@ -12,15 +30,15 @@ func stateEqual(t *testing.T, a, b *Accumulator) {
 	if a.N() != b.N() {
 		t.Fatalf("degree mismatch: %d vs %d", a.N(), b.N())
 	}
-	if a.Levels() != b.Levels() {
-		t.Fatalf("level count mismatch: %d vs %d", a.Levels(), b.Levels())
+	if len(a.levels) != len(b.levels) {
+		t.Fatalf("level count mismatch: %d vs %d", len(a.levels), len(b.levels))
 	}
-	for lvl := 1; lvl <= a.Levels(); lvl++ {
-		if !reflect.DeepEqual(a.PendingIDs(lvl), b.PendingIDs(lvl)) {
+	for lvl := 1; lvl <= len(a.levels); lvl++ {
+		if !reflect.DeepEqual(pendingIDs(a, lvl), pendingIDs(b, lvl)) {
 			t.Fatalf("level %d pending ids differ: %v vs %v",
-				lvl, a.PendingIDs(lvl), b.PendingIDs(lvl))
+				lvl, pendingIDs(a, lvl), pendingIDs(b, lvl))
 		}
-		for _, id := range a.PendingIDs(lvl) {
+		for _, id := range pendingIDs(a, lvl) {
 			abm, aspan := a.Pending(lvl, id)
 			bbm, bspan := b.Pending(lvl, id)
 			if aspan != bspan || !reflect.DeepEqual(abm, bbm) {
@@ -50,8 +68,8 @@ func TestAccumulatorStateRoundTrip(t *testing.T) {
 		}
 		a.NoteBlock(blk, ids)
 	}
-	if len(emitted) == 0 || a.Levels() < 3 {
-		t.Fatalf("test did not exercise multiple levels (levels=%d)", a.Levels())
+	if len(emitted) == 0 || len(a.levels) < 3 {
+		t.Fatalf("test did not exercise multiple levels (levels=%d)", len(a.levels))
 	}
 
 	buf := a.EncodeState([]byte("prefix"))

@@ -130,25 +130,6 @@ func (e *Entry) Encode(dst []byte) []byte {
 	return dst
 }
 
-// EncodedSize returns the byte length Encode would append.
-func (e *Entry) EncodedSize() int {
-	n := 1 + 4 + 2 + uvarintLen(uint64(len(e.Maps)))
-	mapBytes := (e.N + 7) / 8
-	for _, m := range e.Maps {
-		n += uvarintLen(uint64(m.ID)) + mapBytes
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // Decode parses an entrymap entry from data. The entry owns its bitmaps.
 func Decode(data []byte) (*Entry, error) {
 	v, err := DecodeView(data)
@@ -293,9 +274,6 @@ func pow(n, i int) int {
 	}
 	return out
 }
-
-// SpanSize returns N^level, the number of data blocks a level's entry covers.
-func SpanSize(n, level int) int { return pow(n, level) }
 
 // MaxLevel returns the highest level whose span fits within blocks data
 // blocks, minimum 1.

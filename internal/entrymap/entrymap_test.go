@@ -28,9 +28,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		},
 	}
 	enc := e.Encode(nil)
-	if len(enc) != e.EncodedSize() {
-		t.Errorf("EncodedSize = %d, len = %d", e.EncodedSize(), len(enc))
-	}
 	got, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -484,9 +481,9 @@ func TestReconstructMatchesLiveAccumulator(t *testing.T) {
 			if err != nil {
 				t.Fatalf("N=%d end=%d: %v", n, end, err)
 			}
-			for lvl := 1; lvl <= f.acc.Levels(); lvl++ {
-				wantIDs := f.acc.PendingIDs(lvl)
-				gotIDs := acc.PendingIDs(lvl)
+			for lvl := 1; lvl <= len(f.acc.levels); lvl++ {
+				wantIDs := pendingIDs(f.acc, lvl)
+				gotIDs := pendingIDs(acc, lvl)
 				if !reflect.DeepEqual(gotIDs, wantIDs) {
 					t.Fatalf("N=%d end=%d lvl=%d ids: got %v want %v", n, end, lvl, gotIDs, wantIDs)
 				}
@@ -514,8 +511,8 @@ func TestReconstructWithMissingEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lvl := 1; lvl <= f.acc.Levels(); lvl++ {
-		if !reflect.DeepEqual(acc.PendingIDs(lvl), f.acc.PendingIDs(lvl)) {
+	for lvl := 1; lvl <= len(f.acc.levels); lvl++ {
+		if !reflect.DeepEqual(pendingIDs(acc, lvl), pendingIDs(f.acc, lvl)) {
 			t.Fatalf("lvl %d ids mismatch", lvl)
 		}
 	}
@@ -544,8 +541,8 @@ func TestReconstructCostBounded(t *testing.T) {
 }
 
 func TestMaxLevelAndSpanSize(t *testing.T) {
-	if SpanSize(16, 2) != 256 {
-		t.Error("SpanSize")
+	if pow(16, 2) != 256 {
+		t.Error("pow")
 	}
 	cases := []struct{ n, blocks, want int }{
 		{16, 10, 1}, {16, 255, 1}, {16, 256, 2}, {16, 4096, 3}, {4, 64, 3},

@@ -64,7 +64,7 @@ func buildDiffStore(t *testing.T, seed int64) *fakeStore {
 			f.displaced[k] = 1 + rng.Intn(4)
 		}
 	}
-	for lvl := 1; lvl <= f.acc.Levels(); lvl++ {
+	for lvl := 1; lvl <= len(f.acc.levels); lvl++ {
 		for i := 0; i < diffIDs; i++ {
 			if rng.Intn(8) == 0 {
 				f.unknown[[2]int{lvl, FirstClientID + i}] = true

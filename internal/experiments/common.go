@@ -204,25 +204,3 @@ func ms(d interface{ Nanoseconds() int64 }) float64 {
 func fprintf(w io.Writer, format string, args ...any) {
 	fmt.Fprintf(w, format, args...)
 }
-
-// Occurrences of a log file's entries, for the baseline comparisons: scan
-// the whole volume once (ground truth).
-func (dv *DistanceVolume) Occurrences(path string) ([]int, error) {
-	id, err := dv.Svc.Resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := dv.Svc.OpenCursorID(id)
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for {
-		e, err := cur.Next()
-		if err != nil {
-			break
-		}
-		out = append(out, e.Block)
-	}
-	return out, nil
-}

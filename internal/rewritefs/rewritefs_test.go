@@ -164,10 +164,17 @@ func TestScatteredAllocationSeeks(t *testing.T) {
 
 func TestMaxFileSize(t *testing.T) {
 	fs := newFS(t)
-	bs := fs.Store().BlockSize()
-	want := (NumDirect + bs/4 + (bs/4)*(bs/4)) * bs
-	if fs.MaxFileSize() != want {
-		t.Errorf("MaxFileSize = %d", fs.MaxFileSize())
+	if err := fs.Create("f"); err != nil {
+		t.Fatal(err)
+	}
+	// Direct, single-indirect and double-indirect blocks, 4-byte pointers.
+	ptrs := fs.Store().BlockSize() / 4
+	blocks := NumDirect + ptrs + ptrs*ptrs
+	if _, err := fs.blockFor(fs.files["f"], blocks-1, true); err != nil {
+		t.Fatalf("last file block: %v", err)
+	}
+	if _, err := fs.blockFor(fs.files["f"], blocks, true); err == nil {
+		t.Error("a file block past the double-indirect range was mapped")
 	}
 }
 

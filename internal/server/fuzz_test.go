@@ -20,6 +20,10 @@ func frameBytes(op byte, seq, trace uint64, payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// isReplOp reports whether op is in the replication extension's range,
+// whose frames a peer, not a client, sends.
+func isReplOp(op byte) bool { return op >= wire.OpReplHello && op <= wire.OpReplStatus }
+
 // FuzzReadFrame throws arbitrary byte streams at the frame reader and, when
 // a frame parses, at the replication payload decoders behind it. A malformed
 // frame from a confused peer must surface as an error, never a panic — the
@@ -51,7 +55,7 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			_ = seq
 			_ = trace
-			if wire.IsReplOp(op) {
+			if isReplOp(op) {
 				// Whatever a peer stuffed in a replication frame must decode
 				// or error, never panic.
 				_, _ = wire.DecodeRepl(op, payload)
@@ -249,7 +253,7 @@ func FuzzDispatch(f *testing.F) {
 func TestDispatchSeedsAreWellFormed(t *testing.T) {
 	for _, tenant := range []string{"", "l"} {
 		for op, row := range opTable {
-			if row.name == "" || op == OpHello || wire.IsReplOp(byte(op)) {
+			if row.name == "" || op == OpHello || isReplOp(byte(op)) {
 				continue // not dispatch's: handle's, a peer's
 			}
 			h, id := dispatchFixture(t, tenant)

@@ -90,9 +90,3 @@ func opName(op byte) string {
 	}
 	return "unknown"
 }
-
-// IsMutating reports whether op changes store state (as opposed to reads and
-// cursor motion). Mutating ops are the write class: replication followers
-// refuse them with StatusNotLeader, and a cluster leader acks them only
-// after a quorum has durably staged their effects.
-func IsMutating(op byte) bool { return opTable[op].mutating }

@@ -55,7 +55,7 @@ type Server struct {
 	// tracing at zero cost. Set before the first connection is served.
 	Tracer *obs.Tracer
 	// Gate, when set, intercepts the response of every mutating request
-	// (IsMutating) after it executed but before it is recorded in the dedup
+	// (opTable's write class) after it executed but before it is recorded in the dedup
 	// window and returned. The cluster layer uses it to hold the ack until a
 	// quorum of replicas has durably staged the mutation, and to rewrite the
 	// response if the quorum cannot be reached. The returned record flag
@@ -390,23 +390,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		return ctx.Err()
 	}
-}
-
-// KillConns forcibly closes every live client connection — listeners and
-// session state are untouched, so clients reconnect into their sessions.
-// This is the connection-loss chaos hook; it returns how many connections
-// were killed.
-func (s *Server) KillConns() int {
-	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	return len(conns)
 }
 
 // ServeConn handles one connection until EOF, error, or idle timeout.

@@ -747,21 +747,3 @@ func TestDegradedAppendStatus(t *testing.T) {
 		t.Fatal("degraded append carried no timestamp")
 	}
 }
-
-func TestKillConns(t *testing.T) {
-	srv, conn := testServer(t)
-	if status, _ := roundTrip(t, conn, OpPing, nil); status != StatusOK {
-		t.Fatal("ping failed")
-	}
-	if n := srv.KillConns(); n != 1 {
-		t.Fatalf("KillConns = %d, want 1", n)
-	}
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	err := WriteFrame(conn, OpPing, 0, 0, nil)
-	if err == nil {
-		_, _, _, _, err = ReadFrame(conn)
-	}
-	if err == nil {
-		t.Fatal("connection alive after KillConns")
-	}
-}

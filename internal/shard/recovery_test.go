@@ -33,7 +33,7 @@ func TestParallelRecovery(t *testing.T) {
 
 	// Build the shards with plain memory devices (fast), sealing an
 	// increasing number of blocks on each so one shard is clearly the
-	// slowest to recover, then crash them.
+	// slowest to recover, then close them.
 	mems := make([]*wodev.MemDevice, shards)
 	payload := make([]byte, 200) // ~1 entry per 256-byte block
 	for i := range mems {
@@ -56,10 +56,9 @@ func TestParallelRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := svc.SealTail(); err != nil {
+		if err := svc.Close(); err != nil {
 			t.Fatal(err)
 		}
-		svc.Crash()
 	}
 
 	// Reopen all shards as one store: every device read now sleeps

@@ -600,19 +600,6 @@ func (c *Consumer) Ack(ctx context.Context, m *Msg) error {
 	return nil
 }
 
-// Assigned returns the partitions currently assigned to this member,
-// sorted.
-func (c *Consumer) Assigned() []int {
-	c.mu.Lock()
-	out := make([]int, 0, len(c.assigned))
-	for p := range c.assigned {
-		out = append(out, p)
-	}
-	c.mu.Unlock()
-	sort.Ints(out)
-	return out
-}
-
 // Members returns the sorted live-member list as this member sees it.
 func (c *Consumer) Members() []string {
 	c.mu.Lock()

@@ -288,7 +288,16 @@ func TestWakeToDeliverLatency(t *testing.T) {
 	if n := wake.Count(); n != rounds {
 		t.Fatalf("%d wake-to-deliver samples, want one per round (%d)", n, rounds)
 	}
-	mean := wake.Sum() / rounds
+	var sum time.Duration
+	for _, m := range reg.Snapshot() {
+		if m.Name == "clio_stream_wake_to_deliver_seconds" {
+			sum = time.Duration(m.SumSec * float64(time.Second))
+		}
+	}
+	if sum <= 0 {
+		t.Fatal("the registry snapshot holds no wake-to-deliver sum")
+	}
+	mean := sum / rounds
 	if mean > 50*time.Millisecond {
 		t.Errorf("mean wake-to-deliver %v; expected well under any polling interval", mean)
 	}
@@ -329,8 +338,8 @@ func TestRecvAfterCloseAndServiceClose(t *testing.T) {
 
 // TestCloseWakesParkedRecv: Close from another goroutine ends a Recv parked
 // at the end of the log with ErrClosed — how the server retires a
-// subscription whose pusher is waiting — on a routed path and on the root
-// of a sharded store.
+// subscription whose pull is parked when its connection ends — on a routed
+// path and on the root of a sharded store.
 func TestCloseWakesParkedRecv(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

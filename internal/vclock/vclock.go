@@ -17,7 +17,6 @@
 package vclock
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -272,10 +271,4 @@ func (c *Clock) ChargeServerFixed() {
 		return
 	}
 	c.Charge(CatServer, c.Model().ServerFixed)
-}
-
-// Ms renders a duration as milliseconds with two decimals, the unit used
-// throughout the paper's tables.
-func Ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
 }

@@ -126,9 +126,3 @@ func TestConcurrentCharges(t *testing.T) {
 		t.Errorf("concurrent charges lost: %v", c.Elapsed())
 	}
 }
-
-func TestMs(t *testing.T) {
-	if got := Ms(1460 * time.Microsecond); got != "1.46" {
-		t.Errorf("Ms = %q", got)
-	}
-}

@@ -438,6 +438,3 @@ func DecodeRepl(op byte, payload []byte) (any, error) {
 		return nil, fmt.Errorf("%w: unknown replication op %#x", ErrReplPayload, op)
 	}
 }
-
-// IsReplOp reports whether op belongs to the replication extension.
-func IsReplOp(op byte) bool { return op >= OpReplHello && op <= OpReplStatus }

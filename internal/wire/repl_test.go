@@ -159,16 +159,3 @@ func TestReplDecodeHugeCountsDoNotAllocate(t *testing.T) {
 		t.Fatal("huge dev count accepted")
 	}
 }
-
-func TestIsReplOp(t *testing.T) {
-	for _, op := range []byte{OpReplHello, OpReplWrite, OpReplStatus, OpPromote} {
-		if !IsReplOp(op) {
-			t.Fatalf("op %#x not classified as replication", op)
-		}
-	}
-	for _, op := range []byte{0x01, 0x15, 0x3F, 0x4B, 0xFF} {
-		if IsReplOp(op) {
-			t.Fatalf("op %#x wrongly classified as replication", op)
-		}
-	}
-}

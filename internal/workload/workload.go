@@ -10,7 +10,6 @@
 //     mailboxes with bursty arrivals and larger bodies.
 //   - TxnTrace models the transaction-commit logging of §2.3.1: small
 //     records, every one forced.
-//   - GrowthTrace grows one large file for the §1 motivation experiment.
 //
 // Generators are pure: the same seed yields the same op sequence.
 package workload
@@ -151,22 +150,6 @@ func (t *TxnTrace) Next() Op {
 	data := make([]byte, t.size)
 	copy(data, fmt.Sprintf("commit txid=%08d", t.seq))
 	return Op{Log: "/txnlog", Data: data, Forced: true, Timestamped: true}
-}
-
-// GrowthTrace appends fixed-size chunks to one ever-growing log.
-type GrowthTrace struct {
-	chunk int
-}
-
-// NewGrowthTrace returns a trace appending chunkSize-byte entries.
-func NewGrowthTrace(chunkSize int) *GrowthTrace { return &GrowthTrace{chunk: chunkSize} }
-
-// Logs implements Trace.
-func (t *GrowthTrace) Logs() []string { return []string{"/growing"} }
-
-// Next implements Trace.
-func (t *GrowthTrace) Next() Op {
-	return Op{Log: "/growing", Data: make([]byte, t.chunk)}
 }
 
 // MixedTrace interleaves several traces with weights.

@@ -67,8 +67,24 @@ func TestTxnTrace(t *testing.T) {
 	}
 }
 
+// growthTrace appends fixed-size chunks to one ever-growing log.
+type growthTrace struct {
+	chunk int
+}
+
+// newGrowthTrace returns a trace appending chunkSize-byte entries.
+func newGrowthTrace(chunkSize int) *growthTrace { return &growthTrace{chunk: chunkSize} }
+
+// Logs implements Trace.
+func (t *growthTrace) Logs() []string { return []string{"/growing"} }
+
+// Next implements Trace.
+func (t *growthTrace) Next() Op {
+	return Op{Log: "/growing", Data: make([]byte, t.chunk)}
+}
+
 func TestGrowthTrace(t *testing.T) {
-	tr := NewGrowthTrace(512)
+	tr := newGrowthTrace(512)
 	op := tr.Next()
 	if len(op.Data) != 512 || op.Log != "/growing" {
 		t.Fatalf("op: %+v", op)
@@ -76,7 +92,7 @@ func TestGrowthTrace(t *testing.T) {
 }
 
 func TestMixedTrace(t *testing.T) {
-	m := NewMixedTrace(5, []Trace{NewTxnTrace(1, 50), NewGrowthTrace(100)}, []int{1, 3})
+	m := NewMixedTrace(5, []Trace{NewTxnTrace(1, 50), newGrowthTrace(100)}, []int{1, 3})
 	counts := map[string]int{}
 	for i := 0; i < 400; i++ {
 		counts[m.Next().Log]++
