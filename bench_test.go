@@ -25,7 +25,6 @@ import (
 	"clio/internal/scrub"
 	"clio/internal/server"
 	"clio/internal/shard"
-	"clio/internal/vclock"
 	"clio/internal/wodev"
 	"clio/internal/workload"
 )
@@ -134,8 +133,7 @@ var (
 func sharedDV(b *testing.B) *experiments.DistanceVolume {
 	b.Helper()
 	dvOnce.Do(func() {
-		clk := vclock.New(vclock.DefaultModel())
-		dv, dvErr = experiments.BuildDistanceVolume(256, 16, 3, clk)
+		dv, dvErr = experiments.BuildDistanceVolume(256, 16, 3)
 	})
 	if dvErr != nil {
 		b.Fatal(dvErr)

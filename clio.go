@@ -42,7 +42,6 @@ import (
 	"clio/internal/core"
 	"clio/internal/logapi"
 	"clio/internal/shard"
-	"clio/internal/vclock"
 	"clio/internal/volume"
 	"clio/internal/wodev"
 )
@@ -108,10 +107,6 @@ func NewMemNVRAM() *core.MemNVRAM { return core.NewMemNVRAM() }
 
 // NewFileNVRAM returns an NVRAM persisted in a sidecar file.
 func NewFileNVRAM(path string) *core.FileNVRAM { return core.NewFileNVRAM(path) }
-
-// NewCostClock returns a virtual clock charging the paper-calibrated cost
-// model, for use as Options.Clock in experiments.
-func NewCostClock() *vclock.Clock { return vclock.New(vclock.DefaultModel()) }
 
 // Reclamation and cold tiering: the compactor copies the live entries of
 // old sealed volumes forward, demotes the emptied volumes to an archive

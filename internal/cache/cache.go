@@ -30,8 +30,8 @@
 // The Table 1 experiments depend on the distinction between a cached block
 // access (~0.6 ms to access and interpret) and a device read (~150 ms seek).
 // The cache counts hits and misses; the one read-through path, in core,
-// charges the virtual clock for whichever it was. A date read is neither a
-// hit nor a miss and charges nothing: it counts as a date hit.
+// counts the cost unit of whichever it was. A date read is neither a hit
+// nor a miss and costs nothing: it counts as a date hit.
 package cache
 
 import (
@@ -190,8 +190,8 @@ func (c *Cache) get(key Key) *entry {
 }
 
 // Lookup returns the cached image for key and promotes it, or nil on a
-// miss. It counts a hit or miss but charges no virtual time; callers that
-// model costs charge separately.
+// miss. It counts a hit or miss; callers count the cost units of the
+// access themselves.
 func (c *Cache) Lookup(key Key) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -309,8 +309,7 @@ func (c *Cache) page(key Key) (*datePage, int) {
 }
 
 // Date returns the date noted for key's block, if the table holds one. It
-// takes no lock, reads no image and charges nothing; a date returned counts
-// as a date hit.
+// takes no lock and reads no image; a date returned counts as a date hit.
 func (c *Cache) Date(key Key) (int64, bool) {
 	p, i := c.page(key)
 	if p == nil {

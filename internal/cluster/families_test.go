@@ -14,7 +14,6 @@ import (
 	"clio/internal/obs"
 	"clio/internal/server"
 	"clio/internal/shard"
-	"clio/internal/vclock"
 	"clio/internal/wodev"
 )
 
@@ -101,7 +100,6 @@ func TestMetricFamiliesGolden(t *testing.T) {
 			dev := wodev.NewMem(wodev.MemOptions{BlockSize: testBlockSize, Capacity: 64})
 			svc, err := core.New(dev, core.Options{
 				BlockSize: testBlockSize,
-				Clock:     vclock.New(vclock.DefaultModel()),
 				Faults:    faults.NewRegistry(0),
 			})
 			if err != nil {
@@ -114,8 +112,8 @@ func TestMetricFamiliesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		// One forced append, so the dynamically labelled families (vclock
-		// categories, fault points) have series.
+		// One forced append, so the dynamically labelled families (fault
+		// points) have series.
 		id, err := st.CreateLog(context.Background(), "/fam", 0o644, "t")
 		if err != nil {
 			t.Fatal(err)

@@ -56,24 +56,10 @@ func (s *Service) AppendMulti(ids []uint16, data []byte, opts AppendOptions) (in
 }
 
 func (s *Service) appendClient(ids []uint16, data []byte, opts AppendOptions) (int64, error) {
-	m := s.met()
-	var start time.Time
-	var v0 time.Duration
-	if m != nil {
-		start = time.Now()
-		v0 = s.vElapsed(m)
+	if m := s.met(); m != nil {
+		defer m.appendLat.ObserveSince(time.Now())
 	}
-	ts, err := s.appendClientInner(ids, data, opts)
-	if m != nil {
-		m.appendLat.ObserveSince(start)
-		// The vclock histogram records the virtual time the cost model
-		// charged this operation — reads only, never a charge, so the
-		// modeled workload is untouched. Under concurrency another
-		// operation's charges can land inside the window; the experiments
-		// that depend on exact virtual times run single-client.
-		m.appendV.Observe(s.vElapsed(m) - v0)
-	}
-	return ts, err
+	return s.appendClientInner(ids, data, opts)
 }
 
 func (s *Service) appendClientInner(ids []uint16, data []byte, opts AppendOptions) (int64, error) {
@@ -101,8 +87,8 @@ func (s *Service) appendClientInner(ids []uint16, data []byte, opts AppendOption
 }
 
 // appendOneLocked validates and appends one client entry under s.mu,
-// performing every per-entry cost-model charge and stat update. How the
-// entry becomes durable (staged vs forced) is the caller's business.
+// performing every per-entry stat update. How the entry becomes durable
+// (staged vs forced) is the caller's business.
 func (s *Service) appendOneLocked(ids []uint16, data []byte, opts AppendOptions) (int64, error) {
 	if s.closedFlag.Load() {
 		return 0, ErrClosed
@@ -144,15 +130,13 @@ func (s *Service) appendOneLocked(ids []uint16, data []byte, opts AppendOptions)
 	// otherwise let a later-stamped append overtake this one into the log,
 	// breaking the block-order monotonicity of first timestamps.
 	s.awaitChainLocked()
-	ts := s.nextTS(form != blockfmt.FormMinimal)
-	clk := s.opt.Clock
-	clk.ChargeIPC(s.opt.RemoteIPC) // the synchronous client write IPC (§3.2)
-	clk.ChargeWriteFixed()
-	clk.ChargeCopy(len(data))
+	ts := s.nextTS()
 	if _, _, err := s.appendEntryLocked(ids[0], extras, data, form, attr, ts, false); err != nil {
 		return 0, err
 	}
-	clk.ChargeEntrymapMaint()
+	if form != blockfmt.FormMinimal {
+		s.stats.Timestamps++
+	}
 	s.stats.EntriesAppended++
 	s.stats.ClientBytes += int64(len(data))
 	s.stats.HeaderBytes += int64(blockfmt.HeaderLen(form) + 2*len(extras) + 2)
@@ -520,7 +504,7 @@ func (s *Service) appendEntryLocked(id uint16, extras []uint16, data []byte, for
 		if _, ok := s.builder.FirstTimestamp(); !ok {
 			stamp := ts
 			if footNow {
-				stamp = s.nextTS(false)
+				stamp = s.nextTS()
 			}
 			s.builder.SetFirstTimestamp(stamp)
 		}
@@ -839,7 +823,7 @@ func (s *Service) extendLocked() error {
 		StartOffset: start,
 		BlockSize:   uint32(s.opt.BlockSize),
 		N:           uint16(s.opt.Degree),
-		Created:     s.nextTS(false),
+		Created:     s.nextTS(),
 	}
 	if err := volume.Format(dev, hdr); err != nil {
 		return err

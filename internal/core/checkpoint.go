@@ -154,7 +154,7 @@ func (s *Service) emitCheckpointLocked() error {
 	}
 	payload := s.encodeCheckpointLocked()
 	if err := s.appendSystemLocked(entrymap.CheckpointID, payload,
-		blockfmt.FormFull, blockfmt.AttrSystem, s.nextTS(false), false); err != nil {
+		blockfmt.FormFull, blockfmt.AttrSystem, s.nextTS(), false); err != nil {
 		return err
 	}
 	// Appending the checkpoint may itself cross entrymap boundaries.

@@ -401,7 +401,7 @@ func (s *Service) relocateLocked(v *volume.Volume, live []liveEntry, nv *relocVo
 	sort.Slice(nv.IDs, func(i, j int) bool { return nv.IDs[i] < nv.IDs[j] })
 	marker := encodeCompactMarker(v.Hdr.Index, nv.IDs)
 	if err := s.appendSystemLocked(entrymap.CompactID, marker,
-		blockfmt.FormFull, blockfmt.AttrSystem, s.nextTS(false), false); err != nil {
+		blockfmt.FormFull, blockfmt.AttrSystem, s.nextTS(), false); err != nil {
 		return nil, err
 	}
 	if err := s.flushDueLocked(); err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"clio/internal/entrymap"
 	"clio/internal/obs"
-	"clio/internal/vclock"
 	"clio/internal/wodev"
 )
 
@@ -70,12 +69,11 @@ func TestCursorWaitsOutAChainBeingAppended(t *testing.T) {
 }
 
 // TestNextEachCostsAsSteps: a batch is one sample of the read histogram,
-// and under the cost model it is charged as the Nexts it replaces — one step
+// and it counts the cost units of the Nexts it replaces — one cursor step
 // per entry, and one for the step that finds the end.
 func TestNextEachCostsAsSteps(t *testing.T) {
-	open := func() (*Service, *vclock.Clock, *Cursor) {
-		clk := vclock.New(vclock.DefaultModel())
-		s, _ := newTestService(t, Options{Clock: clk})
+	open := func() (*Service, *Cursor) {
+		s, _ := newTestService(t, Options{})
 		s.RegisterMetrics(obs.NewRegistry())
 		id := mustCreate(t, s, "/l")
 		for i := 0; i < 40; i++ {
@@ -88,11 +86,11 @@ func TestNextEachCostsAsSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clk.Reset()
-		return s, clk, c
+		s.ResetCounters()
+		return s, c
 	}
-	sa, batched, a := open()
-	sb, stepped, b := open()
+	sa, a := open()
+	sb, b := open()
 	var got []string
 	for _, max := range []int{25, 100} {
 		a.NextEach(max, func(e *Entry) bool { got = append(got, string(e.Data)); return true })
@@ -109,15 +107,12 @@ func TestNextEachCostsAsSteps(t *testing.T) {
 			t.Fatalf("entry %d: Next %v %v, the batches visited %q", i, e, err, got[i])
 		}
 	}
-	if batched.Elapsed() != stepped.Elapsed() {
-		t.Errorf("two batches charged %v, 41 Nexts %v", batched.Elapsed(), stepped.Elapsed())
+	batched, stepped := sa.Stats(), sb.Stats()
+	if stepped.CursorSteps != 41 || stepped.BlocksInterpreted == 0 {
+		t.Errorf("41 Nexts counted %d steps over %d blocks", stepped.CursorSteps, stepped.BlocksInterpreted)
 	}
-	for _, cat := range stepped.Categories() {
-		d1, n1 := batched.CategoryTotal(cat)
-		d2, n2 := stepped.CategoryTotal(cat)
-		if d1 != d2 || n1 != n2 {
-			t.Errorf("%s: batches %v in %d charges, Nexts %v in %d", cat, d1, n1, d2, n2)
-		}
+	if batched != stepped {
+		t.Errorf("two batches counted %+v,\n41 Nexts %+v", batched, stepped)
 	}
 	if n := sa.met().readLat.Count(); n != 2 {
 		t.Errorf("two batches took %d read samples", n)

@@ -20,7 +20,6 @@ type coreMetrics struct {
 	locateLat *obs.Histogram // one locator search, wall clock
 	sealLat   *obs.Histogram // sealTailLocked incl. damaged-block slides
 	nvramLat  *obs.Histogram // one NVRAM tail store
-	appendV   *obs.Histogram // whole client append, vclock-simulated time
 
 	batchEntries *obs.Histogram // entries per committed force batch (count, not time)
 }
@@ -31,19 +30,10 @@ type coreMetrics struct {
 // per operation.
 func (s *Service) met() *coreMetrics { return s.obsM.Load() }
 
-// vElapsed reads the virtual clock only when metrics are registered —
-// Elapsed takes the clock's mutex, and the un-instrumented path must not.
-func (s *Service) vElapsed(m *coreMetrics) time.Duration {
-	if m == nil {
-		return 0
-	}
-	return s.opt.Clock.Elapsed()
-}
-
 // RegisterMetrics registers every service counter — core, cache, device,
-// entrymap locator, fault points and vclock charge categories — plus the
-// append/force/read/locate latency histograms in reg, and enables histogram
-// recording. Call once per registry, after Open.
+// entrymap locator and fault points — plus the append/force/read/locate
+// latency histograms in reg, and enables histogram recording. Call once per
+// registry, after Open.
 func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	s.RegisterMetricsLabeled(reg)
 }
@@ -57,7 +47,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 // torn struct) and takes each subsystem's lock once; distinct subsystems are
 // sampled at slightly different instants, which is inherent to any scrape
 // of a live system. Registration itself must not perturb the modeled
-// workload: a scrape only reads, and nothing here ever charges the vclock.
+// workload: a scrape only reads.
 func (s *Service) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label) {
 	m := &coreMetrics{
 		appendLat: reg.Histogram("clio_core_append_seconds",
@@ -72,8 +62,6 @@ func (s *Service) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label)
 			"Wall-clock latency of sealing a tail block to the device, damaged-block slides included.", nil, labels...),
 		nvramLat: reg.Histogram("clio_core_nvram_store_seconds",
 			"Wall-clock latency of staging the tail block to NVRAM.", nil, labels...),
-		appendV: reg.Histogram("clio_core_append_vtime_seconds",
-			"Vclock-simulated (paper cost model) time of client appends.", nil, labels...),
 		// Batch sizes ride the histogram machinery as raw counts: one
 		// "nanosecond" per entry, power-of-two buckets.
 		batchEntries: reg.Histogram("clio_core_force_batch_entries",
@@ -111,27 +99,6 @@ func (s *Service) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label)
 				add(append([]obs.Label{obs.L("point", p.Name)}, labels...), p.Fired)
 			}
 		})
-
-	if clk := s.opt.Clock; clk != nil {
-		reg.GaugeFunc("clio_vclock_elapsed_nanoseconds", "Total virtual time accumulated by the cost model.",
-			func() int64 { return int64(clk.Elapsed()) }, labels...)
-		reg.CollectorFunc("clio_vclock_charge_nanoseconds_total",
-			"Virtual time charged per cost-model category.",
-			func(add func(ls []obs.Label, value int64)) {
-				for _, cat := range clk.Categories() {
-					d, _ := clk.CategoryTotal(cat)
-					add(append([]obs.Label{obs.L("category", cat)}, labels...), int64(d))
-				}
-			})
-		reg.CollectorFunc("clio_vclock_charges_total",
-			"Cost-model charge events per category.",
-			func(add func(ls []obs.Label, value int64)) {
-				for _, cat := range clk.Categories() {
-					_, n := clk.CategoryTotal(cat)
-					add(append([]obs.Label{obs.L("category", cat)}, labels...), n)
-				}
-			})
-	}
 
 	s.obsM.Store(m)
 }

@@ -5,11 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"clio/internal/faults"
 	"clio/internal/obs"
-	"clio/internal/vclock"
 	"clio/internal/wodev"
 )
 
@@ -20,11 +18,9 @@ import (
 // never tears a struct badly enough to lose completed operations.
 func TestScrapeWhileAppending(t *testing.T) {
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 1024, Capacity: 1 << 12})
-	clk := vclock.New(vclock.DefaultModel())
 	svc, err := New(dev, Options{
 		BlockSize: 1024, Degree: 4, CacheBlocks: 64,
 		Now:    lockedNow(),
-		Clock:  clk,
 		Faults: faults.NewRegistry(0),
 	})
 	if err != nil {
@@ -116,10 +112,6 @@ func TestScrapeWhileAppending(t *testing.T) {
 	if svc.met().appendLat.Count() != int64(writers*appendsEach) {
 		t.Errorf("append histogram count = %d, want %d",
 			svc.met().appendLat.Count(), writers*appendsEach)
-	}
-	if svc.met().appendV.Count() != svc.met().appendLat.Count() {
-		t.Errorf("vclock histogram count %d != wall histogram count %d",
-			svc.met().appendV.Count(), svc.met().appendLat.Count())
 	}
 }
 
@@ -290,13 +282,13 @@ func TestAppendTraceSpans(t *testing.T) {
 
 // TestInstrumentationPreservesOpCounts runs the same workload on an
 // instrumented and an un-instrumented service and requires identical
-// operation counters — the acceptance bar for cmd/experiments.
+// operation counters — the acceptance bar for cmd/experiments, which
+// prices the paper's cost units from these Stats.
 func TestInstrumentationPreservesOpCounts(t *testing.T) {
-	run := func(register bool) (Stats, wodev.Stats, time.Duration) {
+	run := func(register bool) (Stats, wodev.Stats) {
 		dev := wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12})
-		clk := vclock.New(vclock.DefaultModel())
 		tcl := &testClock{}
-		svc, err := New(dev, Options{BlockSize: 256, Degree: 4, Now: tcl.Now, Clock: clk})
+		svc, err := New(dev, Options{BlockSize: 256, Degree: 4, Now: tcl.Now})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,17 +309,18 @@ func TestInstrumentationPreservesOpCounts(t *testing.T) {
 				break
 			}
 		}
-		return svc.Stats(), svc.DeviceStats(), clk.Elapsed()
+		return svc.Stats(), svc.DeviceStats()
 	}
-	plainS, plainD, plainV := run(false)
-	instS, instD, instV := run(true)
+	plainS, plainD := run(false)
+	instS, instD := run(true)
+	if plainS.Timestamps != 10 || plainS.CursorSteps != 101 || plainS.BlocksInterpreted == 0 {
+		t.Errorf("cost units: %d timestamps (want 10, one per forced append), %d cursor steps (want 101), %d blocks interpreted",
+			plainS.Timestamps, plainS.CursorSteps, plainS.BlocksInterpreted)
+	}
 	if plainS != instS {
 		t.Errorf("service stats diverge:\nplain = %+v\ninst  = %+v", plainS, instS)
 	}
 	if plainD != instD {
 		t.Errorf("device stats diverge:\nplain = %+v\ninst  = %+v", plainD, instD)
-	}
-	if plainV != instV {
-		t.Errorf("vclock diverges: plain %v, instrumented %v", plainV, instV)
 	}
 }

@@ -28,32 +28,13 @@ import (
 // staged seal images awaiting their device write, and the staged tail.
 // Reopening over the same NVRAM must recover all of them exactly once.
 //
-// The crash lands while earlier seals are in flight, so at least one staged
-// image must be replayed; the test retries the storm until a run proves the
-// overlap (two or more staged seals pending at the crash).
+// The test makes the overlap rather than waiting for it: the device holds
+// the sealer's first write until the in-flight window is full, then the
+// crash is armed and the device released. The held write lands, and the
+// next head's write crashes with the rest of the window still staged.
 func TestCrashMidPipelineRecovery(t *testing.T) {
-	overlapSeen := false
-	for attempt := 0; attempt < 6 && !overlapSeen; attempt++ {
-		staged := crashMidPipelineOnce(t)
-		if staged >= 2 {
-			overlapSeen = true
-		}
-		t.Logf("attempt %d: %d staged seals replayed", attempt, staged)
-	}
-	if !overlapSeen {
-		t.Error("no run crashed with >=2 staged seals in flight; pipeline overlap never exercised")
-	}
-}
-
-// crashMidPipelineOnce runs one storm-crash-recover cycle and returns how
-// many staged seal images recovery replayed. Acked-entry loss fails the
-// test immediately.
-func crashMidPipelineOnce(t *testing.T) int {
-	t.Helper()
 	const goroutines = 8
-	// Slow device writes keep the sealer busy so the pipe fills; small
-	// blocks make seals frequent.
-	dev := latentMem(256, 300*time.Microsecond)
+	dev := &gatedDevice{Device: wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 18})}
 	nv := NewMemNVRAM()
 	reg := faults.NewRegistry(0)
 	svc, err := New(dev, Options{BlockSize: 256, Degree: 16, CacheBlocks: -1,
@@ -66,6 +47,7 @@ func crashMidPipelineOnce(t *testing.T) int {
 		t.Fatal(err)
 	}
 
+	dev.hold()
 	var mu sync.Mutex
 	acked := make(map[string]int64)
 	var wg sync.WaitGroup
@@ -90,10 +72,21 @@ func crashMidPipelineOnce(t *testing.T) int {
 		}(g)
 	}
 
-	// Let the pipe saturate, then crash the next head device write.
-	time.Sleep(15 * time.Millisecond)
+	// Small blocks fill fast: the appenders seal until the window is full
+	// behind the held write, then wait for a slot.
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Stats().InflightSeals < maxPipeline {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight window never filled: %d seals in flight", svc.Stats().InflightSeals)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	reg.Arm(FaultSealWrite, faults.Fault{Crash: true, Times: 1})
+	dev.release()
 	wg.Wait()
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close after the sealer crash: %v", err)
+	}
 	if reg.Fired(FaultSealWrite) != 1 {
 		t.Fatalf("crash point fired %d times, want 1", reg.Fired(FaultSealWrite))
 	}
@@ -103,7 +96,7 @@ func crashMidPipelineOnce(t *testing.T) int {
 
 	// Reopen over the same device AND the same NVRAM: staged seals and the
 	// staged tail are what recovery has to replay.
-	svc2, err := Open([]wodev.Device{dev}, Options{BlockSize: 256, Degree: 16,
+	svc2, err := Open([]wodev.Device{dev.Device}, Options{BlockSize: 256, Degree: 16,
 		CacheBlocks: -1, Now: lockedNow(), NVRAM: nv})
 	if err != nil {
 		t.Fatalf("reopen after pipeline crash: %v", err)
@@ -118,10 +111,78 @@ func crashMidPipelineOnce(t *testing.T) int {
 			t.Errorf("entry %q recovered %d times, want exactly once", payload, n)
 		}
 	}
-	if t.Failed() {
-		t.FailNow()
+	if staged := svc2.LastRecovery().StagedSeals; staged < 2 {
+		t.Errorf("recovery replayed %d staged seals, want >= 2: the crash missed the overlap", staged)
 	}
-	return svc2.LastRecovery().StagedSeals
+}
+
+// gatedDevice is a device whose writes can be held: between hold and
+// release every WriteAt waits.
+type gatedDevice struct {
+	wodev.Device
+	mu   sync.Mutex
+	gate chan struct{} // nil: writes pass
+}
+
+func (d *gatedDevice) hold() {
+	d.mu.Lock()
+	d.gate = make(chan struct{})
+	d.mu.Unlock()
+}
+
+func (d *gatedDevice) release() {
+	d.mu.Lock()
+	close(d.gate)
+	d.gate = nil
+	d.mu.Unlock()
+}
+
+func (d *gatedDevice) WriteAt(idx int, data []byte) error {
+	d.mu.Lock()
+	gate := d.gate
+	d.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return d.Device.WriteAt(idx, data)
+}
+
+// TestCloseAfterSealerCrashStopsSealer: a crash absorbed by the background
+// sealer closes the service; Close must still stop the sealer, which would
+// otherwise stay parked waiting for work that never comes.
+func TestCloseAfterSealerCrashStopsSealer(t *testing.T) {
+	reg := faults.NewRegistry(0)
+	svc, err := New(wodev.NewMem(wodev.MemOptions{BlockSize: 256, Capacity: 1 << 12}),
+		Options{BlockSize: 256, Degree: 16, Now: lockedNow(), NVRAM: NewMemNVRAM(), Faults: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := svc.CreateLog("/crash", 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Arm(FaultSealWrite, faults.Fault{Crash: true, Times: 1})
+	payload := make([]byte, 100)
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("1000 forced appends and none failed after the crash")
+		}
+		if _, err := svc.Append(id, payload, AppendOptions{Forced: true}); err != nil {
+			break
+		}
+	}
+	if reg.Fired(FaultSealWrite) != 1 {
+		t.Fatalf("crash point fired %d times, want 1", reg.Fired(FaultSealWrite))
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("close after the sealer crash: %v", err)
+	}
+	svc.mu.Lock()
+	running := svc.sealerOn
+	svc.mu.Unlock()
+	if running {
+		t.Error("Close returned with the sealer still running")
+	}
 }
 
 // TestStagedSealAlreadyOnDeviceIdempotentReplay simulates a crash in the

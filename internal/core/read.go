@@ -413,32 +413,30 @@ func (c *Cursor) Own(e *Entry) {
 // level-1 span its last search answered from (advanceBlock), so a scan
 // searches the entrymap once per span of blocks, not once per block.
 //
-// Under the cost model every step is charged one IPC round trip, as if each
-// entry, and the step that finds none, were its own Next. The read-latency
-// histogram takes one sample per call, a single step or a whole batch.
+// Stats.CursorSteps counts the call as if each entry, and the step that
+// finds none, were its own Next: 1 + n, less the last entry when the call
+// stopped on it. The read-latency histogram takes one sample per call, a
+// single step or a whole batch.
 func (c *Cursor) NextEach(max int, visit func(*Entry) bool) (int, error) {
 	if m := c.s.met(); m != nil {
 		defer m.readLat.ObserveSince(time.Now())
 	}
-	c.chargeStep()
-	f := visits{max: max, visit: visit, charge: true}
+	f := visits{max: max, visit: visit}
 	err := c.each(&f)
+	steps := 1 + f.n
+	if f.done {
+		steps--
+	}
+	c.s.cursorSteps.Add(int64(steps))
 	return f.n, err
-}
-
-// chargeStep charges one cursor step under the cost model.
-func (c *Cursor) chargeStep() {
-	c.s.opt.Clock.ChargeIPC(c.s.opt.RemoteIPC)
-	c.s.opt.Clock.ChargeServerFixed()
 }
 
 // visits is the state of one run of the forward loop.
 type visits struct {
-	max    int
-	n      int // entries visited
-	visit  func(*Entry) bool
-	charge bool // charge a step for every entry past the first
-	done   bool // max reached or visit declined
+	max   int
+	n     int // entries visited
+	visit func(*Entry) bool
+	done  bool // max reached or visit declined
 }
 
 // each runs the forward loop for f. The catalog generation is re-checked
@@ -537,9 +535,6 @@ func (c *Cursor) visitRecords(f *visits, db *decodedBlock, b int, rec *int, last
 		if !f.visit(&c.ent) || f.n >= f.max {
 			f.done = true
 			return nil
-		}
-		if f.charge {
-			c.chargeStep()
 		}
 	}
 	return nil
@@ -649,8 +644,7 @@ func (c *Cursor) Prev() (*Entry, error) {
 	if m := c.s.met(); m != nil {
 		defer m.readLat.ObserveSince(time.Now())
 	}
-	c.s.opt.Clock.ChargeIPC(c.s.opt.RemoteIPC)
-	c.s.opt.Clock.ChargeServerFixed()
+	c.s.cursorSteps.Add(1)
 	return c.prev()
 }
 
@@ -824,8 +818,7 @@ func (c *Cursor) retreatBlock() error {
 // the last matching entry before that point). The block is located with the
 // entrymap-landmark timestamp search of §2.1.
 func (c *Cursor) SeekTime(ts int64) error {
-	c.s.opt.Clock.ChargeIPC(c.s.opt.RemoteIPC)
-	c.s.opt.Clock.ChargeServerFixed()
+	c.s.cursorSteps.Add(1)
 	// The last block dated before ts; the subtraction saturates, so a ts at
 	// the bottom of the range positions at the start rather than wrapping.
 	b, err := c.s.locFindByTime(max(ts, math.MinInt64+1) - 1)

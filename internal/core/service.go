@@ -43,7 +43,6 @@ import (
 	"clio/internal/entrymap"
 	"clio/internal/faults"
 	"clio/internal/obs"
-	"clio/internal/vclock"
 	"clio/internal/volume"
 	"clio/internal/wodev"
 )
@@ -82,10 +81,6 @@ type Options struct {
 	// CacheBlocks bounds the block cache: 0 means the default, 4096 blocks
 	// (4 MiB at the default block size), and a negative value unbounded.
 	CacheBlocks int
-	// Clock, when set, charges the paper's cost model for every operation so
-	// experiments can report deterministic virtual times. Nil charges
-	// nothing.
-	Clock *vclock.Clock
 	// NVRAM, when non-nil, stages the partial tail block in rewriteable
 	// non-volatile storage so forced writes need not pad out blocks
 	// (§2.3.1). Nil disables the tail: forced writes seal immediately.
@@ -105,8 +100,6 @@ type Options struct {
 	// Allocate provides successor volumes; nil limits the sequence to the
 	// initially mounted volumes.
 	Allocate Allocator
-	// RemoteIPC selects the cross-machine IPC charge for the cost model.
-	RemoteIPC bool
 	// Retry bounds the retry-with-backoff schedule applied to device reads,
 	// tail-block writes and NVRAM stores when they fail with a transient
 	// fault (wodev.ErrTransient and friends); nil uses
@@ -177,6 +170,13 @@ type Stats struct {
 	EntriesRelocated int64 `metric:"clio_compact_entries_relocated_total" help:"Live entries copied forward by the compactor."`
 	BytesRelocated   int64 `metric:"clio_compact_bytes_relocated_total" help:"Data bytes of relocated entries."`
 	ColdFetches      int64 `metric:"clio_cold_fetches_total" help:"Block reads served from the cold backend."`
+
+	// The paper's §3 cost units that no field above counts: each is one
+	// event the cost model prices (vclock.Price).
+	Timestamps        int64 `metric:"clio_core_timestamps_total" help:"Client-visible timestamps generated."`
+	CursorSteps       int64 `metric:"clio_core_cursor_steps_total" help:"Cursor requests, each entry of a batched read counted as its own step."`
+	BlocksInterpreted int64 `metric:"clio_core_blocks_interpreted_total" help:"Block accesses served through the block cache and interpreted."`
+	DeviceReads       int64 `metric:"clio_core_device_reads_total" help:"Blocks the read path fetched from the log device."`
 
 	// Gauges sampled at Stats() time (not cumulative; ResetCounters leaves
 	// them, they re-derive from live state).
@@ -302,6 +302,9 @@ type Service struct {
 	cmpState    *compactState
 	cmpView     atomic.Pointer[compactView]
 	coldFetches atomic.Int64
+
+	// Read-path cost units (Stats), counted off the writer lock.
+	cursorSteps, blocksInterpreted, deviceReads atomic.Int64
 
 	// Observability: obsM holds the registered latency instruments (nil
 	// until RegisterMetrics — the same swap-able pattern as cacheP); tr is
@@ -586,16 +589,19 @@ type offLockCounter struct {
 }
 
 // offLockCounters lists the counters whose increment sites do not hold s.mu
-// — the commit leader, the sealer, the cold read path. statsLocked folds
-// them into its copy and ResetCounters zeroes them, both from this one
-// list, so a counter cannot be in one and missing from the other.
-func (s *Service) offLockCounters(st *Stats) [5]offLockCounter {
-	return [5]offLockCounter{
+// — the commit leader, the sealer, the read path. statsLocked folds them
+// into its copy and ResetCounters zeroes them, both from this one list, so
+// a counter cannot be in one and missing from the other.
+func (s *Service) offLockCounters(st *Stats) [8]offLockCounter {
+	return [8]offLockCounter{
 		{&st.GroupCommits, &s.groupCommits},
 		{&st.BatchedForces, &s.batchedForces},
 		{&st.AdaptiveWaits, &s.adaptiveWaits},
 		{&st.PipelinedSeals, &s.pipelinedSeals},
 		{&st.ColdFetches, &s.coldFetches},
+		{&st.CursorSteps, &s.cursorSteps},
+		{&st.BlocksInterpreted, &s.blocksInterpreted},
+		{&st.DeviceReads, &s.deviceReads},
 	}
 }
 
@@ -796,6 +802,9 @@ func (s *Service) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closedFlag.Load() {
+		// Closed by a crash the sealer absorbed, or by an earlier Close or
+		// Crash: the sealer may still be parked, waiting for work.
+		s.stopSealerLocked()
 		return nil
 	}
 	// A clean close with the checkpoint policy active emits a final
@@ -878,7 +887,7 @@ func (s *Service) CreateLog(path string, perms uint16, owner string) (uint16, er
 		return 0, err
 	}
 	s.awaitChainLocked()
-	ts := s.nextTS(false)
+	ts := s.nextTS()
 	d, rec, err := s.cat.Create(parent, name, perms, owner, ts)
 	if err != nil {
 		return 0, err
@@ -936,7 +945,7 @@ func (s *Service) SetPerms(path string, perms uint16) error {
 		return err
 	}
 	s.awaitChainLocked()
-	return s.appendCatalogLocked(rec, s.nextTS(false))
+	return s.appendCatalogLocked(rec, s.nextTS())
 }
 
 // Retire closes a log file for further appends. Its entries remain readable
@@ -954,7 +963,7 @@ func (s *Service) Retire(path string) error {
 		return err
 	}
 	s.awaitChainLocked()
-	return s.appendCatalogLocked(rec, s.nextTS(false))
+	return s.appendCatalogLocked(rec, s.nextTS())
 }
 
 // splitPath separates an absolute path into its parent directory and final
@@ -975,16 +984,12 @@ func splitPath(path string) (dir, name string) {
 	return path[:last], path[last+1:]
 }
 
-// nextTS returns a strictly increasing timestamp, charging the cost model
-// when the timestamp is client-visible.
-func (s *Service) nextTS(charge bool) int64 {
+// nextTS returns a strictly increasing timestamp.
+func (s *Service) nextTS() int64 {
 	ts := s.opt.Now()
 	if ts <= s.lastTS {
 		ts = s.lastTS + 1
 	}
 	s.lastTS = ts
-	if charge {
-		s.opt.Clock.ChargeTimestamp()
-	}
 	return ts
 }

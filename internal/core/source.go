@@ -238,7 +238,7 @@ func (s *Service) readBlock(global int) ([]byte, error) {
 	key := cache.Key{Block: global}
 	bc := s.blockCache()
 	if img := bc.Lookup(key); img != nil {
-		s.opt.Clock.ChargeCachedBlock()
+		s.blocksInterpreted.Add(1)
 		return img, nil
 	}
 	return s.readBlockMiss(global)
@@ -267,7 +267,7 @@ func (s *Service) readBlockMiss(global int) ([]byte, error) {
 			}
 			s.mu.Unlock()
 		}
-		s.opt.Clock.ChargeCachedBlock()
+		s.blocksInterpreted.Add(1)
 		return img, nil
 	}
 	v, local, err := s.set.Locate(global)
@@ -278,13 +278,13 @@ func (s *Service) readBlockMiss(global int) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, s.opt.BlockSize)
-	s.opt.Clock.ChargeDeviceRead(s.opt.BlockSize)
+	s.deviceReads.Add(1)
 	devIdx := v.DeviceBlock(local)
 	if err := s.readDeviceBlock(v, devIdx, buf); err != nil {
 		return nil, err
 	}
 	bc.Put(key, buf)
-	s.opt.Clock.ChargeCachedBlock()
+	s.blocksInterpreted.Add(1)
 	return buf, nil
 }
 
@@ -302,7 +302,6 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 		return nil, fmt.Errorf("clio: block %d: %w", global, volume.ErrOffline)
 	}
 	buf := make([]byte, s.opt.BlockSize)
-	s.opt.Clock.ChargeColdFetch(s.opt.BlockSize)
 	devBlock := (global - v.Start) + 1 // past the volume header
 	if err := archive.ReadVolumeBlock(context.Background(), s.opt.Cold.Backend, v.Index, devBlock, buf); err != nil {
 		return nil, err
@@ -364,7 +363,7 @@ func (s *Service) decodeBlock(global int) (*decodedBlock, error) {
 	bc := s.blockCache()
 	img, dec := bc.LookupDecoded(key)
 	if img != nil {
-		s.opt.Clock.ChargeCachedBlock()
+		s.blocksInterpreted.Add(1)
 		if db, ok := dec.(*decodedBlock); ok {
 			return db, nil
 		}

@@ -35,8 +35,7 @@ func RunCacheSweep(blockSize, blocks int, sizes []int) ([]CacheRow, float64, err
 	if blocks <= 0 {
 		blocks = 2000
 	}
-	clk := vclock.New(vclock.DefaultModel())
-	svc, _, err := newService(blockSize, 16, blocks+256, clk, core.NewMemNVRAM())
+	svc, _, err := newService(blockSize, 16, blocks+256, core.NewMemNVRAM())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -72,7 +71,6 @@ func RunCacheSweep(blockSize, blocks int, sizes []int) ([]CacheRow, float64, err
 			}
 		}
 		svc.ResetCounters()
-		clk.Reset()
 		for i := 0; i < reads; i++ {
 			if err := seekRead(cur, stamps, rng); err != nil {
 				return nil, 0, err
@@ -82,12 +80,13 @@ func RunCacheSweep(blockSize, blocks int, sizes []int) ([]CacheRow, float64, err
 		// device did not serve: §4's hit ratio counts it as a hit.
 		cs := svc.CacheStats()
 		cs.Hits += cs.DateHits
+		virtual, _ := price(svc, false)
 		row := CacheRow{
 			CacheBlocks: size,
 			HitRatio:    cs.HitRatio(),
-			AvgReadMs:   ms(clk.Elapsed()) / reads,
+			AvgReadMs:   ms(virtual) / reads,
 		}
-		m := clk.Model()
+		m := vclock.DefaultModel()
 		row.TheoryMs = analytic.Section4ReadCost(row.HitRatio,
 			float64(m.CachedBlock.Microseconds())/1000,
 			float64((m.DeviceSeek+m.CachedBlock).Microseconds())/1000)

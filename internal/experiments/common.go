@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"clio/internal/core"
 	"clio/internal/vclock"
@@ -26,9 +27,9 @@ func testNow() func() int64 {
 
 // inlineNVRAM hides an NVRAM's staging slots (core.StagingNVRAM), which is
 // what selects core's seal pipeline: behind it every seal is a synchronous
-// device write. The paper-table experiments count seals and device writes
-// on the virtual clock, and a background sealer would make those counts
-// depend on real-time scheduling; the force experiment compares both.
+// device write. The paper-table experiments count seals and device writes,
+// and a background sealer would make those counts depend on real-time
+// scheduling; the force experiment compares both.
 func inlineNVRAM(nv core.NVRAM) core.NVRAM {
 	if nv == nil {
 		return nil
@@ -37,17 +38,22 @@ func inlineNVRAM(nv core.NVRAM) core.NVRAM {
 }
 
 // newService builds an in-memory service for experiments.
-func newService(blockSize, degree, capacityBlocks int, clk *vclock.Clock, nv core.NVRAM) (*core.Service, *wodev.MemDevice, error) {
+func newService(blockSize, degree, capacityBlocks int, nv core.NVRAM) (*core.Service, *wodev.MemDevice, error) {
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: capacityBlocks})
 	svc, err := core.New(dev, core.Options{
 		BlockSize:   blockSize,
 		Degree:      degree,
 		CacheBlocks: -1, // unbounded: experiments control caching explicitly
-		Clock:       clk,
 		NVRAM:       inlineNVRAM(nv),
 		Now:         testNow(),
 	})
 	return svc, dev, err
+}
+
+// price returns the virtual time, in total and by category, of what svc
+// counted since its last ResetCounters, under the paper's cost model.
+func price(svc *core.Service, remote bool) (time.Duration, map[string]time.Duration) {
+	return vclock.Price(vclock.DefaultModel(), svc.BlockSize(), remote, svc.Stats())
 }
 
 // fillTo appends filler entries to fillerID until the service's readable
@@ -80,7 +86,6 @@ type Target struct {
 type DistanceVolume struct {
 	Svc     *core.Service
 	Dev     *wodev.MemDevice
-	Clock   *vclock.Clock
 	Targets []Target
 	// EndBlock is the final readable end.
 	EndBlock int
@@ -89,9 +94,9 @@ type DistanceVolume struct {
 // BuildDistanceVolume writes a volume of about N^maxK blocks with targets
 // at distances N^0..N^maxK from the end. Filler entries go to a separate
 // log file so target locates exercise the entrymap tree.
-func BuildDistanceVolume(blockSize, degree, maxK int, clk *vclock.Clock) (*DistanceVolume, error) {
+func BuildDistanceVolume(blockSize, degree, maxK int) (*DistanceVolume, error) {
 	total := pow(degree, maxK) + degree/2 + 3 // margin past the last boundary
-	svc, dev, err := newService(blockSize, degree, total+64, clk, core.NewMemNVRAM())
+	svc, dev, err := newService(blockSize, degree, total+64, core.NewMemNVRAM())
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +132,7 @@ func BuildDistanceVolume(blockSize, degree, maxK int, clk *vclock.Clock) (*Dista
 	if err := fillTo(svc, fillerID, total, fillerSize); err != nil {
 		return nil, err
 	}
-	dv := &DistanceVolume{Svc: svc, Dev: dev, Clock: clk, EndBlock: svc.End()}
+	dv := &DistanceVolume{Svc: svc, Dev: dev, EndBlock: svc.End()}
 	// Record where each target actually landed.
 	for _, t := range targets {
 		cur, err := svc.OpenCursor(t.Path)
@@ -177,7 +182,6 @@ func (dv *DistanceVolume) MeasureLocate(t Target, cold bool) (LocateCost, error)
 	cur.SeekEnd()
 	svc.ResetLocateStats()
 	svc.ResetCounters()
-	dv.Clock.Reset()
 	e, err := cur.Prev()
 	if err != nil {
 		return LocateCost{}, err
@@ -185,14 +189,13 @@ func (dv *DistanceVolume) MeasureLocate(t Target, cold bool) (LocateCost, error)
 	if e.Block != t.Block {
 		return LocateCost{}, fmt.Errorf("located block %d, want %d", e.Block, t.Block)
 	}
-	ls := svc.LocateStats()
-	_, cachedCount := dv.Clock.CategoryTotal(vclock.CatCached)
+	virtual, _ := price(svc, false)
 	return LocateCost{
 		Distance:       dv.EndBlock - 1 - t.Block,
-		EntriesRead:    ls.EntriesExamined,
-		CachedAccesses: cachedCount,
+		EntriesRead:    svc.LocateStats().EntriesExamined,
+		CachedAccesses: svc.Stats().BlocksInterpreted,
 		DeviceReads:    svc.DeviceStats().Reads,
-		VirtualMs:      ms(dv.Clock.Elapsed()),
+		VirtualMs:      ms(virtual),
 	}, nil
 }
 

@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"testing"
-
-	"clio/internal/vclock"
 )
 
 func TestRunWriteMatchesPaperShape(t *testing.T) {
@@ -38,8 +36,7 @@ func TestRunWriteMatchesPaperShape(t *testing.T) {
 }
 
 func TestBuildDistanceVolumeGeometry(t *testing.T) {
-	clk := vclock.New(vclock.DefaultModel())
-	dv, err := BuildDistanceVolume(256, 16, 2, clk)
+	dv, err := BuildDistanceVolume(256, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +88,7 @@ func TestRunTable1Shape(t *testing.T) {
 }
 
 func TestRunFig3MeasuredTracksTheory(t *testing.T) {
-	clk := vclock.New(vclock.DefaultModel())
-	dv, err := BuildDistanceVolume(256, 16, 3, clk)
+	dv, err := BuildDistanceVolume(256, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"clio/internal/analytic"
 	"clio/internal/baseline"
 	"clio/internal/core"
-	"clio/internal/vclock"
 )
 
 // Table1Row is one line of the paper's Table 1: the measured cost of a log
@@ -29,8 +28,7 @@ type Table1Row struct {
 // uses N=16 and distances up to N^5; maxK trades memory for reach (maxK=4
 // is a 65,536-block volume).
 func RunTable1(blockSize, maxK int) ([]Table1Row, *DistanceVolume, error) {
-	clk := vclock.New(vclock.DefaultModel())
-	dv, err := BuildDistanceVolume(blockSize, 16, maxK, clk)
+	dv, err := BuildDistanceVolume(blockSize, 16, maxK)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -170,7 +168,7 @@ func RunBaselines(blockSize, maxK, stride int) ([]BaselineRow, error) {
 		stride = n
 	}
 	total := pow(n, maxK) + 3
-	svc, dev, err := newService(blockSize, n, total+64, nil, nil)
+	svc, dev, err := newService(blockSize, n, total+64, nil)
 	if err != nil {
 		return nil, err
 	}

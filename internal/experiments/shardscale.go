@@ -9,15 +9,14 @@ import (
 	"clio/internal/core"
 	"clio/internal/logapi"
 	"clio/internal/shard"
-	"clio/internal/vclock"
 )
 
 // ShardRow is one line of the shard-scaling experiment: a fixed forced-
 // append workload spread across one store, measured in virtual time under
 // the calibrated cost model. Because the shards are independent volume
-// sequences (each with its own vclock), the store-wide virtual elapsed
-// time is the slowest shard's elapsed time — the parallel completion time
-// — while the summed charge is what one sequence would have paid.
+// sequences (each priced from its own counts), the store-wide virtual
+// elapsed time is the slowest shard's — the parallel completion time —
+// while the summed price is what one sequence would have paid.
 type ShardRow struct {
 	Shards     int
 	Entries    int
@@ -31,8 +30,8 @@ type ShardRow struct {
 // each requested shard count. The workload is `entries` synchronous 50-byte
 // forced writes round-robined over 4×max(shardCounts) log files whose root
 // segments spread across shards by the store's own hash. Everything is
-// deterministic: memory devices, monotonic timestamp sources, and one
-// virtual clock per shard.
+// deterministic: memory devices, monotonic timestamp sources, and each
+// shard's counts priced on their own.
 func RunShardScaling(shardCounts []int, entries int) ([]ShardRow, error) {
 	if entries <= 0 {
 		entries = 2000
@@ -47,11 +46,9 @@ func RunShardScaling(shardCounts []int, entries int) ([]ShardRow, error) {
 	var rows []ShardRow
 	var baseline float64
 	for _, n := range shardCounts {
-		clks := make([]*vclock.Clock, n)
 		svcs := make([]*core.Service, n)
 		for i := range svcs {
-			clks[i] = vclock.New(vclock.DefaultModel())
-			svc, _, err := newService(1024, 16, 1<<16, clks[i], core.NewMemNVRAM())
+			svc, _, err := newService(1024, 16, 1<<16, core.NewMemNVRAM())
 			if err != nil {
 				return nil, err
 			}
@@ -69,8 +66,8 @@ func RunShardScaling(shardCounts []int, entries int) ([]ShardRow, error) {
 			}
 			ids[j] = id
 		}
-		for i := range clks {
-			clks[i].Reset() // charge only the appends below
+		for _, svc := range svcs {
+			svc.ResetCounters() // price only the appends below
 		}
 		payload := make([]byte, 50)
 		perShard := make([]int, n)
@@ -82,8 +79,8 @@ func RunShardScaling(shardCounts []int, entries int) ([]ShardRow, error) {
 			perShard[id.Shard()]++
 		}
 		var slowest, summed time.Duration
-		for _, clk := range clks {
-			e := clk.Elapsed()
+		for _, svc := range svcs {
+			e, _ := price(svc, false)
 			summed += e
 			if e > slowest {
 				slowest = e

@@ -35,7 +35,7 @@ func RunSpace(entries int) (*SpaceRow, error) {
 	}
 	blockSize := 1024
 	n := 16
-	svc, _, err := newService(blockSize, n, entries/4+1024, nil, core.NewMemNVRAM())
+	svc, _, err := newService(blockSize, n, entries/4+1024, core.NewMemNVRAM())
 	if err != nil {
 		return nil, err
 	}

@@ -48,7 +48,7 @@ func RunTailGrowth(blockSize int, checkpoints []int) ([]TailRow, error) {
 	}
 
 	// Clio log file.
-	svc, dev, err := newService(blockSize, 16, maxBlocks*4+1024, nil, core.NewMemNVRAM())
+	svc, dev, err := newService(blockSize, 16, maxBlocks*4+1024, core.NewMemNVRAM())
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"io"
+	"time"
 
 	"clio/internal/core"
 	"clio/internal/vclock"
-	"clio/internal/wodev"
 	"clio/internal/workload"
 )
 
@@ -27,13 +27,7 @@ func RunWrite(entries int) ([]WriteRow, error) {
 		entries = 2000
 	}
 	measure := func(size int, remote bool) (perOp, tsCost, emCost float64, err error) {
-		clk := vclock.New(vclock.DefaultModel())
-		dev := wodev.NewMem(wodev.MemOptions{BlockSize: 1024, Capacity: 1 << 16})
-		svc, err := core.New(dev, core.Options{
-			BlockSize: 1024, Degree: 16, CacheBlocks: -1,
-			Clock: clk, NVRAM: inlineNVRAM(core.NewMemNVRAM()), Now: testNow(),
-			RemoteIPC: remote,
-		})
+		svc, _, err := newService(1024, 16, 1<<16, core.NewMemNVRAM())
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -43,16 +37,15 @@ func RunWrite(entries int) ([]WriteRow, error) {
 			return 0, 0, 0, err
 		}
 		payload := make([]byte, size)
-		clk.Reset()
+		svc.ResetCounters()
 		for i := 0; i < entries; i++ {
 			if _, err := svc.Append(id, payload, core.AppendOptions{Timestamped: true, Forced: true}); err != nil {
 				return 0, 0, 0, err
 			}
 		}
-		total := ms(clk.Elapsed()) / float64(entries)
-		tsDur, _ := clk.CategoryTotal(vclock.CatTimestamp)
-		emDur, _ := clk.CategoryTotal(vclock.CatEntrymap)
-		return total, ms(tsDur) / float64(entries), ms(emDur) / float64(entries), nil
+		total, split := price(svc, remote)
+		per := func(d time.Duration) float64 { return ms(d) / float64(entries) }
+		return per(total), per(split[vclock.CatTimestamp]), per(split[vclock.CatEntrymap]), nil
 	}
 	null, tsCost, emCost, err := measure(0, false)
 	if err != nil {
@@ -106,7 +99,7 @@ func RunNVRAM(entries int) ([]NVRAMRow, error) {
 		entries = 2000
 	}
 	run := func(mode string, nv core.NVRAM, forceEvery int) (NVRAMRow, error) {
-		svc, dev, err := newService(1024, 16, 1<<16, nil, nv)
+		svc, dev, err := newService(1024, 16, 1<<16, nv)
 		if err != nil {
 			return NVRAMRow{}, err
 		}

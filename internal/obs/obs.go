@@ -14,23 +14,22 @@
 // /statusz and the in-process Stats() all read the same copy, and no scrape
 // shows two fields of one struct from different instants.
 //
-// # Time domains
+// # Time and counts
 //
-// Histograms are unit-agnostic int64-nanosecond recorders, so the same type
-// serves both time domains the repository runs in: wall-clock time (the
-// concurrent hot path, PR 2) and vclock-simulated time (the paper's §3 cost
-// model). Core registers separate families per domain (`*_seconds` for wall
-// clock, `*_vtime_seconds` for the virtual clock) rather than mixing units
-// within one series.
+// Histograms are unit-agnostic int64-nanosecond recorders: the `*_seconds`
+// families carry wall-clock time, and a family that records a count (core's
+// force batch sizes) says so in its help. The paper's §3 cost units are
+// plain counters; the virtual time the experiments report is priced from
+// them outside the service (internal/vclock), never recorded here.
 //
 // # Cost discipline
 //
 // Recording is a few atomic adds; a nil *Histogram, *Counter or *Trace is a
 // no-op receiver, so un-instrumented deployments (a Service whose
 // RegisterMetrics was never called) pay only a pointer load per site.
-// Instrumentation never performs device, cache or entrymap operations and
-// never charges the vclock: the modeled workloads of cmd/experiments are
-// byte-identical with or without a registry attached.
+// Instrumentation never performs device, cache or entrymap operations: the
+// modeled workloads of cmd/experiments are byte-identical with or without a
+// registry attached.
 package obs
 
 import (
@@ -79,7 +78,7 @@ func (t MetricType) String() string {
 }
 
 // DefaultLatencyBuckets spans 1 µs to ~4.2 s in powers of four — wide enough
-// for both wall-clock syscall latencies and vclock device seeks (~150 ms).
+// for syscall latencies and for a device seek of the paper's era (~150 ms).
 var DefaultLatencyBuckets = func() []time.Duration {
 	out := make([]time.Duration, 12)
 	d := time.Microsecond
@@ -91,9 +90,8 @@ var DefaultLatencyBuckets = func() []time.Duration {
 }()
 
 // Histogram is a fixed-bucket latency distribution with atomic buckets. It
-// records int64 nanoseconds, so it can carry wall-clock durations or
-// vclock-simulated durations alike; the exposition renders seconds. A nil
-// *Histogram ignores observations.
+// records int64 nanoseconds, so it can carry durations or plain counts; the
+// exposition renders seconds. A nil *Histogram ignores observations.
 type Histogram struct {
 	uppers []time.Duration // sorted inclusive upper bounds
 	counts []atomic.Int64  // len(uppers)+1; last is +Inf
@@ -429,7 +427,7 @@ func (r *Registry) Histogram(name, help string, buckets []time.Duration, labels 
 // CollectorFunc registers a gauge-typed family whose series are produced
 // dynamically at scrape time: fn is invoked with an `add` callback and emits
 // zero or more labeled values. Used for families whose label space is not
-// known up front (fault-injection points, vclock charge categories).
+// known up front (fault-injection points).
 // Registering the same family again appends another collector; a scrape
 // runs them all in registration order, so independent components (e.g. the
 // shards of a sharded store) can each contribute their own labeled series.

@@ -12,7 +12,7 @@ type Metrics struct {
 	subs          *obs.Gauge     // active subscriptions
 	delivered     *obs.Counter   // entries delivered to subscribers
 	wakeToDeliver *obs.Histogram // tail wake → entry handed to the receiver
-	lag           *obs.Histogram // entry timestamp → delivery (vclock/wall lag)
+	lag           *obs.Histogram // entry timestamp → delivery (wall lag)
 	groupMembers  *obs.Gauge     // live consumer-group members (all groups)
 	groupAcks     *obs.Counter   // offset acknowledgements appended
 }

@@ -1,25 +1,23 @@
-// Package vclock provides the virtual clock and device cost model used by the
-// deterministic experiments in this repository.
+// Package vclock is the price list of the deterministic experiments in this
+// repository: the paper's cost model, and Price, which turns a run's
+// operation counts into virtual time.
 //
 // The paper measured Clio on a Sun-3 with V-System IPC and analysed optical
 // disk behaviour with a simple cost model (≈150 ms average seek, ≈0.6 ms to
 // access and interpret a cached block, 0.5–1 ms local IPC, ≈400 µs to obtain
 // a kernel timestamp, ≈70 µs of entrymap maintenance per logged entry). We do
-// not have a 1987 optical drive, so the timed experiments run against a
-// virtual clock: every component charges the model cost of each operation,
-// and "measured time" is virtual elapsed time. The *shape* of every result —
-// who wins, the slope against search distance, where crossovers fall — is a
-// function of the operation counts, which the real implementation produces,
+// not have a 1987 optical drive, so the timed experiments report virtual
+// time: the service counts each cost unit in core.Stats, and an experiment
+// prices the counts its run added. The *shape* of every result — who wins,
+// the slope against search distance, where crossovers fall — is a function
+// of the operation counts, which the real implementation produces,
 // multiplied by these constants.
-//
-// A Clock is optional everywhere: the nil *Clock charges nothing, so the
-// production code paths run untimed at full speed.
 package vclock
 
 import (
-	"sort"
-	"sync"
 	"time"
+
+	"clio/internal/core"
 )
 
 // CostModel holds the per-operation charges. The defaults are calibrated to
@@ -81,103 +79,7 @@ func DefaultModel() CostModel {
 	}
 }
 
-// Clock is a virtual clock accumulating charged costs. The zero value is
-// ready to use with the default model; a nil *Clock ignores all charges.
-type Clock struct {
-	mu      sync.Mutex
-	model   CostModel
-	modelOK bool
-	elapsed time.Duration
-	// charges tallies per-category totals for reporting.
-	charges map[string]time.Duration
-	counts  map[string]int64
-}
-
-// New returns a Clock using the given cost model.
-func New(m CostModel) *Clock {
-	return &Clock{model: m, modelOK: true,
-		charges: make(map[string]time.Duration), counts: make(map[string]int64)}
-}
-
-// Model returns the clock's cost model (the default model for a zero clock).
-func (c *Clock) Model() CostModel {
-	if c == nil {
-		return CostModel{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.modelOK {
-		c.model = DefaultModel()
-		c.modelOK = true
-	}
-	return c.model
-}
-
-// Charge advances the clock by d under the named category.
-func (c *Clock) Charge(category string, d time.Duration) {
-	if c == nil || d == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.elapsed += d
-	if c.charges == nil {
-		c.charges = make(map[string]time.Duration)
-		c.counts = make(map[string]int64)
-	}
-	c.charges[category] += d
-	c.counts[category]++
-}
-
-// Elapsed returns total virtual time accumulated.
-func (c *Clock) Elapsed() time.Duration {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.elapsed
-}
-
-// Reset zeroes the elapsed time and per-category tallies, keeping the model.
-func (c *Clock) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.elapsed = 0
-	c.charges = make(map[string]time.Duration)
-	c.counts = make(map[string]int64)
-}
-
-// CategoryTotal returns the accumulated charge and event count for a category.
-func (c *Clock) CategoryTotal(category string) (time.Duration, int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.charges[category], c.counts[category]
-}
-
-// Categories returns the names of every category charged so far, sorted. A
-// nil clock returns nil.
-func (c *Clock) Categories() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	out := make([]string, 0, len(c.charges))
-	for name := range c.charges {
-		out = append(out, name)
-	}
-	c.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// Charge category names used across the repository.
+// Cost categories: the keys of Price's split.
 const (
 	CatSeek      = "device-seek"
 	CatTransfer  = "device-transfer"
@@ -191,84 +93,37 @@ const (
 	CatWrite     = "write-fixed"
 )
 
-// ChargeWriteFixed charges the fixed log-write path cost.
-func (c *Clock) ChargeWriteFixed() {
-	if c == nil {
-		return
-	}
-	c.Charge(CatWrite, c.Model().WriteFixed)
-}
-
-// ChargeDeviceRead charges a cold device read of n bytes (seek + transfer).
-func (c *Clock) ChargeDeviceRead(n int) {
-	if c == nil {
-		return
-	}
-	m := c.Model()
-	c.Charge(CatSeek, m.DeviceSeek)
-	c.Charge(CatTransfer, m.DeviceReadPerKB*time.Duration(n)/1024)
-}
-
-// ChargeCachedBlock charges one cached-block access.
-func (c *Clock) ChargeCachedBlock() {
-	if c == nil {
-		return
-	}
-	c.Charge(CatCached, c.Model().CachedBlock)
-}
-
-// ChargeIPC charges one IPC round trip; remote selects the cross-machine cost.
-func (c *Clock) ChargeIPC(remote bool) {
-	if c == nil {
-		return
-	}
-	m := c.Model()
+// Price returns the virtual time of the operations counted in st under m,
+// in total and split by category. st holds one run's counts: the Stats of
+// a service whose counters were reset before the run. blockSize is the
+// service's block size, which every device read and cold fetch transfers;
+// remote prices each IPC round trip — one per client append and one per
+// cursor step — at the cross-machine cost.
+//
+// Each category is linear in its count, so pricing a run's totals equals
+// summing per-operation charges; the copy term does so exactly when
+// CopyPerKB is a whole number of nanoseconds per byte, as in DefaultModel.
+func Price(m CostModel, blockSize int, remote bool, st core.Stats) (time.Duration, map[string]time.Duration) {
+	ipc := m.LocalIPC
 	if remote {
-		c.Charge(CatIPC, m.RemoteIPC)
-	} else {
-		c.Charge(CatIPC, m.LocalIPC)
+		ipc = m.RemoteIPC
 	}
-}
-
-// ChargeTimestamp charges one kernel timestamp generation.
-func (c *Clock) ChargeTimestamp() {
-	if c == nil {
-		return
+	n := func(c int64) time.Duration { return time.Duration(c) }
+	split := map[string]time.Duration{
+		CatIPC:       ipc * n(st.EntriesAppended+st.CursorSteps),
+		CatWrite:     m.WriteFixed * n(st.EntriesAppended),
+		CatEntrymap:  m.EntrymapMaint * n(st.EntriesAppended),
+		CatCopy:      m.CopyPerKB * n(st.ClientBytes) / 1024,
+		CatTimestamp: m.Timestamp * n(st.Timestamps),
+		CatServer:    m.ServerFixed * n(st.CursorSteps),
+		CatCached:    m.CachedBlock * n(st.BlocksInterpreted),
+		CatSeek:      m.DeviceSeek * n(st.DeviceReads),
+		CatCold:      m.ColdFetch * n(st.ColdFetches),
+		CatTransfer:  m.DeviceReadPerKB * n(int64(blockSize)) / 1024 * n(st.DeviceReads+st.ColdFetches),
 	}
-	c.Charge(CatTimestamp, c.Model().Timestamp)
-}
-
-// ChargeEntrymapMaint charges the per-entry entrymap maintenance cost.
-func (c *Clock) ChargeEntrymapMaint() {
-	if c == nil {
-		return
+	var total time.Duration
+	for _, d := range split {
+		total += d
 	}
-	c.Charge(CatEntrymap, c.Model().EntrymapMaint)
-}
-
-// ChargeColdFetch charges staging n bytes from the cold (archival) tier:
-// the autochanger fetch plus the per-KiB transfer.
-func (c *Clock) ChargeColdFetch(n int) {
-	if c == nil {
-		return
-	}
-	m := c.Model()
-	c.Charge(CatCold, m.ColdFetch)
-	c.Charge(CatTransfer, m.DeviceReadPerKB*time.Duration(n)/1024)
-}
-
-// ChargeCopy charges copying n bytes of client data.
-func (c *Clock) ChargeCopy(n int) {
-	if c == nil {
-		return
-	}
-	c.Charge(CatCopy, c.Model().CopyPerKB*time.Duration(n)/1024)
-}
-
-// ChargeServerFixed charges the fixed server request-handling cost.
-func (c *Clock) ChargeServerFixed() {
-	if c == nil {
-		return
-	}
-	c.Charge(CatServer, c.Model().ServerFixed)
+	return total, split
 }

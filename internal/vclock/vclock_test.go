@@ -1,48 +1,11 @@
 package vclock
 
 import (
-	"sync"
 	"testing"
 	"time"
+
+	"clio/internal/core"
 )
-
-func TestNilClockIsNoOp(t *testing.T) {
-	var c *Clock
-	c.Charge("x", time.Second)
-	c.ChargeDeviceRead(1024)
-	c.ChargeCachedBlock()
-	c.ChargeIPC(false)
-	c.ChargeTimestamp()
-	c.ChargeEntrymapMaint()
-	c.ChargeCopy(100)
-	c.ChargeServerFixed()
-	c.ChargeWriteFixed()
-	c.Reset()
-	if c.Elapsed() != 0 {
-		t.Error("nil clock accumulated time")
-	}
-	if d, n := c.CategoryTotal("x"); d != 0 || n != 0 {
-		t.Error("nil clock has categories")
-	}
-}
-
-func TestChargeAccumulates(t *testing.T) {
-	c := New(DefaultModel())
-	c.Charge("a", time.Millisecond)
-	c.Charge("a", time.Millisecond)
-	c.Charge("b", 2*time.Millisecond)
-	if c.Elapsed() != 4*time.Millisecond {
-		t.Errorf("Elapsed = %v", c.Elapsed())
-	}
-	d, n := c.CategoryTotal("a")
-	if d != 2*time.Millisecond || n != 2 {
-		t.Errorf("a: %v, %d", d, n)
-	}
-	c.Reset()
-	if c.Elapsed() != 0 {
-		t.Error("Reset did not zero")
-	}
-}
 
 func TestDefaultModelMatchesPaperConstants(t *testing.T) {
 	m := DefaultModel()
@@ -82,47 +45,94 @@ func TestDefaultModelMatchesPaperConstants(t *testing.T) {
 	}
 }
 
-func TestChargeHelpers(t *testing.T) {
-	c := New(DefaultModel())
-	c.ChargeDeviceRead(1024)
-	want := c.Model().DeviceSeek + c.Model().DeviceReadPerKB
-	if c.Elapsed() != want {
-		t.Errorf("device read charged %v, want %v", c.Elapsed(), want)
-	}
-	c.Reset()
-	c.ChargeIPC(true)
-	if c.Elapsed() != c.Model().RemoteIPC {
-		t.Errorf("remote IPC charged %v", c.Elapsed())
-	}
-	c.Reset()
-	c.ChargeIPC(false)
-	if c.Elapsed() != c.Model().LocalIPC {
-		t.Errorf("local IPC charged %v", c.Elapsed())
-	}
-}
-
-func TestZeroValueClock(t *testing.T) {
-	var c Clock
-	c.ChargeCachedBlock()
-	if c.Elapsed() != DefaultModel().CachedBlock {
-		t.Errorf("zero-value clock: %v", c.Elapsed())
-	}
-}
-
-func TestConcurrentCharges(t *testing.T) {
-	c := New(DefaultModel())
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Charge("x", time.Microsecond)
+// TestNilClockIsNoOp: a run that counted nothing costs nothing, local or
+// remote, and every category of its split is zero.
+func TestNilClockIsNoOp(t *testing.T) {
+	for _, remote := range []bool{false, true} {
+		total, split := Price(DefaultModel(), 1024, remote, core.Stats{})
+		if total != 0 {
+			t.Errorf("remote=%v: empty counts priced %v", remote, total)
+		}
+		for cat, d := range split {
+			if d != 0 {
+				t.Errorf("remote=%v: empty counts charged %s %v", remote, cat, d)
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	if c.Elapsed() != 8*1000*time.Microsecond {
-		t.Errorf("concurrent charges lost: %v", c.Elapsed())
+}
+
+// TestChargeHelpers prices single events in their own categories: a device
+// read of a 1 KiB block costs a seek plus its transfer, and each IPC round
+// trip costs the local or the remote IPC time.
+func TestChargeHelpers(t *testing.T) {
+	m := DefaultModel()
+	total, split := Price(m, 1024, false, core.Stats{DeviceReads: 1})
+	if want := m.DeviceSeek + m.DeviceReadPerKB; total != want {
+		t.Errorf("device read priced %v, want %v", total, want)
+	}
+	if split[CatSeek] != m.DeviceSeek || split[CatTransfer] != m.DeviceReadPerKB {
+		t.Errorf("device read split seek %v transfer %v", split[CatSeek], split[CatTransfer])
+	}
+	step := core.Stats{CursorSteps: 1}
+	if _, split := Price(m, 1024, true, step); split[CatIPC] != m.RemoteIPC {
+		t.Errorf("remote IPC priced %v, want %v", split[CatIPC], m.RemoteIPC)
+	}
+	if _, split := Price(m, 1024, false, step); split[CatIPC] != m.LocalIPC {
+		t.Errorf("local IPC priced %v, want %v", split[CatIPC], m.LocalIPC)
+	}
+}
+
+// TestPriceHandBuiltCounts prices count sets whose cost the paper states:
+// a null and a 50-byte synchronous write (§3.2), local and remote, Table
+// 1's distance-0 read, and a cache miss that reads a 1 KiB block from the
+// device.
+func TestPriceHandBuiltCounts(t *testing.T) {
+	m := DefaultModel()
+	for _, c := range []struct {
+		name   string
+		remote bool
+		st     core.Stats
+		want   time.Duration
+	}{
+		{"null write", false, core.Stats{EntriesAppended: 1, Timestamps: 1}, 2 * time.Millisecond},
+		{"50-byte write", false, core.Stats{EntriesAppended: 1, Timestamps: 1, ClientBytes: 50}, 2900 * time.Microsecond},
+		{"null write, remote", true, core.Stats{EntriesAppended: 1, Timestamps: 1}, 4050 * time.Microsecond},
+		{"distance-0 read", false, core.Stats{CursorSteps: 1, BlocksInterpreted: 1}, 1460 * time.Microsecond},
+		{"cold read", false, core.Stats{CursorSteps: 1, BlocksInterpreted: 1, DeviceReads: 1},
+			1460*time.Microsecond + m.DeviceSeek + m.DeviceReadPerKB},
+		{"cold-tier fetch", false, core.Stats{ColdFetches: 1}, m.ColdFetch + m.DeviceReadPerKB},
+	} {
+		total, split := Price(m, 1024, c.remote, c.st)
+		if total != c.want {
+			t.Errorf("%s: priced %v, want %v", c.name, total, c.want)
+		}
+		var sum time.Duration
+		for _, d := range split {
+			sum += d
+		}
+		if sum != total {
+			t.Errorf("%s: split sums to %v, total %v", c.name, sum, total)
+		}
+	}
+}
+
+// TestPriceIsLinear: pricing the totals of many operations equals summing
+// the price of each, category by category — what lets an experiment price
+// a whole run's counts at once.
+func TestPriceIsLinear(t *testing.T) {
+	m := DefaultModel()
+	one := core.Stats{EntriesAppended: 1, Timestamps: 1, ClientBytes: 37,
+		CursorSteps: 3, BlocksInterpreted: 5, DeviceReads: 2, ColdFetches: 1}
+	many := core.Stats{EntriesAppended: 1000, Timestamps: 1000, ClientBytes: 37000,
+		CursorSteps: 3000, BlocksInterpreted: 5000, DeviceReads: 2000, ColdFetches: 1000}
+	t1, s1 := Price(m, 256, false, one)
+	tn, sn := Price(m, 256, false, many)
+	if tn != 1000*t1 {
+		t.Errorf("1000 operations priced %v, one %v", tn, t1)
+	}
+	for cat, d := range s1 {
+		if sn[cat] != 1000*d {
+			t.Errorf("%s: 1000 operations priced %v, one %v", cat, sn[cat], d)
+		}
 	}
 }

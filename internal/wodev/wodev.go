@@ -23,7 +23,7 @@
 // named faults.Registry point before each operation — transient errors,
 // crashes and real latency are all armed there. Permanent media damage is
 // MemDevice.Damage. Inject does not measure: the device counts its own
-// operations (Stats), the service charges the paper's cost model for the
+// operations (Stats), the service counts the paper's cost units for the
 // reads it issues, and latency is observed by the service's histograms and
 // trace spans.
 //
