@@ -205,15 +205,21 @@ func (r *Record) HeaderLen() int {
 	return HeaderLen(r.Form)
 }
 
-// Builder accumulates records into a block image.
+// Builder accumulates records into a block image. It is append-only: a
+// record once placed is never moved or rewritten, and every block is built
+// in a buffer of its own (NewBuilder, Reset), so a View taken of the block
+// stays valid while the builder goes on appending.
 type Builder struct {
 	blockSize  int
 	blockIndex uint32
 	flags      uint8
-	payload    []byte
-	slots      []uint16
-	firstTS    int64
-	haveTS     bool
+	// payload holds the records packed from the front; its backing array
+	// is the whole blockSize image, whose back the size slots fill
+	// downwards from the footer as records are placed.
+	payload []byte
+	count   int
+	firstTS int64
+	haveTS  bool
 }
 
 // NewBuilder returns a builder for a block of the given size at the given
@@ -225,19 +231,14 @@ func NewBuilder(blockSize int, blockIndex uint32) (*Builder, error) {
 	return &Builder{
 		blockSize:  blockSize,
 		blockIndex: blockIndex,
-		payload:    make([]byte, 0, blockSize-FooterSize),
+		payload:    make([]byte, 0, blockSize),
 	}, nil
 }
 
-// Reset prepares the builder for a new block at the given index, retaining
-// allocated buffers.
+// Reset prepares the builder for a new block at the given index, in a fresh
+// buffer: views of the previous block keep theirs.
 func (b *Builder) Reset(blockIndex uint32) {
-	b.blockIndex = blockIndex
-	b.flags = 0
-	b.payload = b.payload[:0]
-	b.slots = b.slots[:0]
-	b.firstTS = 0
-	b.haveTS = false
+	*b = Builder{blockSize: b.blockSize, blockIndex: blockIndex, payload: make([]byte, 0, b.blockSize)}
 }
 
 // BlockIndex returns the volume-relative index the builder is building.
@@ -255,12 +256,12 @@ func (b *Builder) SetFlags(flags uint8) { b.flags |= flags }
 func (b *Builder) Flags() uint8 { return b.flags }
 
 // Count returns the number of records placed so far.
-func (b *Builder) Count() int { return len(b.slots) }
+func (b *Builder) Count() int { return b.count }
 
 // Free returns the bytes available for the next record's header+data,
 // accounting for the record's own 2-byte size slot and the footer.
 func (b *Builder) Free() int {
-	free := b.blockSize - FooterSize - len(b.payload) - 2*len(b.slots) - 2
+	free := b.blockSize - FooterSize - len(b.payload) - 2*b.count - 2
 	if free < 0 {
 		return 0
 	}
@@ -295,6 +296,13 @@ func (b *Builder) Append(rec Record) error {
 	if err != nil {
 		return err
 	}
+	for _, id := range rec.ExtraIDs {
+		if id > wire.MaxLogID {
+			return wire.ErrIDRange
+		}
+	}
+	// Free left room for the record and its slot: the appends stay inside
+	// the backing array, short of the slots.
 	b.payload = append(b.payload, verID[0], verID[1])
 	switch rec.Form {
 	case FormFull:
@@ -304,9 +312,6 @@ func (b *Builder) Append(rec Record) error {
 		b.payload = append(b.payload, rec.AttrFlags, byte(len(rec.ExtraIDs)))
 		b.payload = wire.PutUint64(b.payload, uint64(rec.Timestamp))
 		for _, id := range rec.ExtraIDs {
-			if id > wire.MaxLogID {
-				return wire.ErrIDRange
-			}
 			b.payload = wire.PutUint16(b.payload, id)
 		}
 	}
@@ -318,7 +323,12 @@ func (b *Builder) Append(rec Record) error {
 	if rec.Continues {
 		slot |= slotContinues
 	}
-	b.slots = append(b.slots, slot)
+	// Trailer index: s_k ... s_2 s_1 growing down from the footer.
+	b.count++
+	off := b.blockSize - FooterSize - 2*b.count
+	img := b.payload[:b.blockSize]
+	img[off] = byte(slot)
+	img[off+1] = byte(slot >> 8)
 	if !b.haveTS && rec.Timestamp != 0 {
 		// The footer carries the mandatory first-entry timestamp even when
 		// the entry itself uses the minimal (untimestamped) header form.
@@ -346,27 +356,71 @@ func (b *Builder) FirstTimestamp() (int64, bool) { return b.firstTS, b.haveTS }
 // builder remains valid (and unchanged) after Seal, so a caller staging the
 // current partial block in rewriteable storage (the NVRAM tail, §2.3.1) can
 // seal speculatively and keep appending.
-func (b *Builder) Seal() []byte {
-	out := make([]byte, b.blockSize)
-	copy(out, b.payload)
-	// Trailer index: s_k ... s_2 s_1 growing down from the footer.
-	for i, slot := range b.slots {
-		off := b.blockSize - FooterSize - 2*(i+1)
-		out[off] = byte(slot)
-		out[off+1] = byte(slot >> 8)
+func (b *Builder) Seal() []byte { return b.View().Seal() }
+
+// View is the block a Builder held when the view was taken: the lengths of
+// its record and slot prefixes, and its footer fields, over the builder's
+// own buffer. Taking one copies nothing. The builder only ever writes past
+// those prefixes, so the view may be sealed later, from another goroutine,
+// while the builder goes on appending — provided the view reached that
+// goroutine through a synchronizing hand-over (an atomic store and load).
+type View struct {
+	buf        []byte // the builder's whole blockSize buffer
+	used       int    // record bytes
+	count      int    // records
+	firstTS    int64
+	blockIndex uint32
+	flags      uint8
+}
+
+// View returns the block as it stands now.
+func (b *Builder) View() View {
+	return View{
+		buf:        b.payload[:b.blockSize],
+		used:       len(b.payload),
+		count:      b.count,
+		firstTS:    b.firstTS,
+		blockIndex: b.blockIndex,
+		flags:      b.flags,
 	}
-	foot := out[b.blockSize-FooterSize:]
+}
+
+// Seal returns the view's block image in a fresh buffer: records, zero
+// padding, trailer index and footer, with its checksum.
+func (v View) Seal() []byte {
+	n := len(v.buf)
+	out := make([]byte, n)
+	copy(out, v.buf[:v.used])
+	idx := n - FooterSize - 2*v.count
+	copy(out[idx:n-FooterSize], v.buf[idx:n-FooterSize])
+	v.footer(out)
+	return out
+}
+
+// Finish seals the block in the builder's own buffer and returns it, with
+// no copy: the free space of a buffer no record reached is still zero, so
+// only the footer is written, which no View reads. Nothing may write the
+// image. The builder stays as it was, and appending to it again is for a
+// caller that has dropped the image: a later Finish rewrites the footer.
+func (b *Builder) Finish() []byte {
+	img := b.payload[:b.blockSize]
+	b.View().footer(img)
+	return img
+}
+
+// footer writes the view's footer and checksum into img.
+func (v View) footer(img []byte) {
+	n := len(img)
+	foot := img[n-FooterSize:]
 	foot[0] = byte(Magic & 0xFF)
 	foot[1] = byte(Magic >> 8)
 	foot[2] = FormatVersion
-	foot[3] = b.flags
-	foot[4] = byte(len(b.slots))
-	foot[5] = byte(len(b.slots) >> 8)
-	putU64(foot[6:], uint64(b.firstTS))
-	putU32(foot[14:], b.blockIndex)
-	crc := wire.Checksum(out[:b.blockSize-4])
-	putU32(foot[18:], crc)
-	return out
+	foot[3] = v.flags
+	foot[4] = byte(v.count)
+	foot[5] = byte(v.count >> 8)
+	putU64(foot[6:], uint64(v.firstTS))
+	putU32(foot[14:], v.blockIndex)
+	putU32(foot[18:], wire.Checksum(img[:n-4]))
 }
 
 // Reindex returns a copy of a sealed block image relocated to a new

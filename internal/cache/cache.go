@@ -5,8 +5,11 @@
 // The cache maps (volume, block index) to immutable block images. Log-device
 // blocks are written once and never change, so the cache never needs a dirty
 // list or write-back: a block enters the cache either when it is read from
-// the device or at the moment the writer seals it (write-through on append),
-// and is evicted purely by LRU.
+// the device or when the writer's device write of it completes
+// (write-through on seal), and is evicted purely by LRU. Only
+// device-durable images enter it: the block the writer is still filling and
+// the sealed blocks on their way to the device are served from core's
+// reader snapshot.
 //
 // One mutex guards a map and an intrusive doubly linked list in recency
 // order, so eviction takes the list's back in O(1) and the replacement order
@@ -216,10 +219,9 @@ func (c *Cache) LookupDecoded(key Key) ([]byte, any) {
 
 // Attach records a decoded form for the block image img, as returned by
 // Lookup or LookupDecoded for key or as handed to Put. The attach succeeds
-// only if the entry still holds that exact slice — a concurrent Put (the
-// staged tail being re-sealed) replaces the slice and must not inherit a
-// decode of the older image. The identity check makes a stale attach a
-// harmless no-op.
+// only if the entry still holds that exact slice — a concurrent Put of the
+// same block replaces the slice and must not inherit a decode of the other
+// one. The identity check makes a stale attach a harmless no-op.
 func (c *Cache) Attach(key Key, img []byte, dec any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -239,19 +241,18 @@ func (c *Cache) Peek(key Key) bool {
 
 // Put inserts an immutable block image and takes ownership of it: the cache
 // keeps data itself, and the caller must never write to it again. Every
-// caller hands over an image nothing else writes: a buffer it just read and
-// validated (core's read-through miss and cold fetch), a fresh Builder.Seal
-// or Reindex result (the writer's tail, pipelined and completed seals), an
-// image the reader snapshot already publishes as immutable, or one recovery
-// just loaded from NVRAM. Inserting a new key into a full cache evicts the
-// least recently used entry.
+// caller hands over a device-durable image nothing else writes: a buffer it
+// just read and validated (core's read-through miss and cold fetch), or a
+// completed seal's image as it landed (live, or replayed by recovery).
+// Inserting a new key into a full cache evicts the least recently used
+// entry.
 func (c *Cache) Put(key Key, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.entries[key]; e != nil {
-		// Blocks are immutable; replacing is tolerated for the staged tail
-		// block, which is re-put each time it is re-sealed. Any decoded form
-		// describes the old image and is discarded with it.
+		// Blocks are immutable, so a replacement holds the same bytes (two
+		// readers missed the block at once); any decoded form goes with the
+		// old slice, which Attach's identity check relies on.
 		e.data, e.dec = data, nil
 		c.unlink(e)
 		c.pushFront(e)
@@ -272,8 +273,7 @@ func (c *Cache) Put(key Key, data []byte) {
 	c.stats.Inserts++
 }
 
-// Invalidate drops a cached block and its date (used when a block is
-// invalidated on the medium or a staged tail block is superseded).
+// Invalidate drops a cached block and its date.
 func (c *Cache) Invalidate(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

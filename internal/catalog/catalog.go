@@ -228,6 +228,18 @@ func (t *Table) Get(id uint16) (*Descriptor, error) {
 	return &cp, nil
 }
 
+// Flags returns the descriptor's system and retired marks without copying
+// it: what the append path checks of every entry's member log files.
+func (t *Table) Flags(id uint16) (system, retired bool, err error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	d, ok := t.byID[id]
+	if !ok {
+		return false, false, fmt.Errorf("%w: id %d", ErrNotFound, id)
+	}
+	return d.System, d.Retired, nil
+}
+
 // Len returns the number of log files known, including the system ones.
 func (t *Table) Len() int {
 	t.mu.RLock()

@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"clio/internal/blockfmt"
-	"clio/internal/cache"
 	"clio/internal/catalog"
 	"clio/internal/entrymap"
 	"clio/internal/obs"
@@ -74,10 +74,9 @@ func (s *Service) appendClientInner(ids []uint16, data []byte, opts AppendOption
 	if err != nil {
 		return 0, err
 	}
-	// Keep the staged tail readable by cursors.
-	if err := s.stageTailLocked(false); err != nil {
-		return 0, err
-	}
+	// The entry is readable once the tail is republished: a view of the
+	// builder, nothing sealed or copied (publishTail).
+	s.publishTail(nil)
 	if err := s.maybeCheckpointLocked(); err != nil {
 		return 0, err
 	}
@@ -96,21 +95,16 @@ func (s *Service) appendOneLocked(ids []uint16, data []byte, opts AppendOptions)
 	if len(data) > MaxEntrySize {
 		return 0, fmt.Errorf("%w: %d > %d bytes", ErrEntryTooLarge, len(data), MaxEntrySize)
 	}
-	seen := make(map[uint16]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
+	for i, id := range ids {
+		if slices.Contains(ids[:i], id) {
 			return 0, fmt.Errorf("clio: duplicate member id %d", id)
 		}
-		seen[id] = true
-		d, err := s.cat.Get(id)
+		system, retired, err := s.cat.Flags(id)
 		if err != nil {
 			return 0, err
 		}
-		if d.System {
-			return 0, fmt.Errorf("%w: %q", ErrSystemLog, d.Name)
-		}
-		if d.Retired {
-			return 0, fmt.Errorf("clio: %w: %q", catalog.ErrRetired, d.Name)
+		if system || retired {
+			return 0, s.unwritableErr(id, system)
 		}
 	}
 	form := uint8(blockfmt.FormMinimal)
@@ -141,6 +135,18 @@ func (s *Service) appendOneLocked(ids []uint16, data []byte, opts AppendOptions)
 	s.stats.ClientBytes += int64(len(data))
 	s.stats.HeaderBytes += int64(blockfmt.HeaderLen(form) + 2*len(extras) + 2)
 	return ts, nil
+}
+
+// unwritableErr is the error of an append to a system or retired log file.
+func (s *Service) unwritableErr(id uint16, system bool) error {
+	d, err := s.cat.Get(id)
+	if err != nil {
+		return err
+	}
+	if system {
+		return fmt.Errorf("%w: %q", ErrSystemLog, d.Name)
+	}
+	return fmt.Errorf("clio: %w: %q", catalog.ErrRetired, d.Name)
 }
 
 // forceReq is one forced append parked on a (possibly shared) group commit.
@@ -253,7 +259,9 @@ func (s *Service) noteBatch(n int) {
 // traffic) is exactly that of an individual forced append.
 func (s *Service) appendForcedBatched(ids []uint16, data []byte, opts AppendOptions) (int64, error) {
 	s.noteArrival()
-	req := &forceReq{ids: ids, data: data, opts: opts, done: make(chan struct{})}
+	// The request outlives the caller's frame only on this path: ids is
+	// cloned here so that an unforced append's id list stays on its stack.
+	req := &forceReq{ids: slices.Clone(ids), data: data, opts: opts, done: make(chan struct{})}
 	s.forceQMu.Lock()
 	s.forceQ = append(s.forceQ, req)
 	s.forceQMu.Unlock()
@@ -526,9 +534,9 @@ func (s *Service) appendEntryLocked(id uint16, extras []uint16, data []byte, for
 			block, recIdx = s.tailGlobal, s.builder.Count()-1
 		}
 		s.tailDirty = true
-		s.tailIDs[id] = true
+		s.noteTailIDLocked(id)
 		for _, ex := range recExtras {
-			s.tailIDs[ex] = true
+			s.noteTailIDLocked(ex)
 		}
 		if continued {
 			s.builder.SetFlags(blockfmt.FragmentFlags(frag))
@@ -583,7 +591,7 @@ func (s *Service) ensureTailLocked() error {
 		s.builder.Reset(uint32(g))
 	}
 	s.tailGlobal = g
-	s.tailIDs = make(map[uint16]bool)
+	s.clearTailIDsLocked()
 	s.emitDueLocked(g)
 	s.publishTail(nil)
 	return nil
@@ -697,7 +705,7 @@ func (s *Service) appendSystemLocked(id uint16, data []byte, form, attr uint8, t
 		}
 		frag++
 		s.tailDirty = true
-		s.tailIDs[id] = true
+		s.noteTailIDLocked(id)
 		remaining = remaining[take:]
 		first = false
 		if continues {
@@ -736,7 +744,7 @@ func (s *Service) forceLocked() error {
 		return nil
 	}
 	if s.opt.NVRAM != nil {
-		return s.stageTailLocked(true)
+		return s.stageTailLocked()
 	}
 	if err := s.sealTailLocked(true); err != nil {
 		return err
@@ -746,38 +754,45 @@ func (s *Service) forceLocked() error {
 	return s.flushDueLocked()
 }
 
-// stageTailLocked publishes the tail image to the reader snapshot and cache
-// and, when persist is set, to the NVRAM tail (for durability). The snapshot
-// is published before the cache insert so a concurrent reader re-caching an
-// older snapshot's image always either loses to this insert or detects the
-// republication and invalidates its own.
-func (s *Service) stageTailLocked(persist bool) error {
+// stageTailLocked makes the tail durable in the NVRAM tail: it seals the
+// tail's image once, stores it, and publishes that same image to readers.
+// Nothing enters the block cache, which holds device-durable images only.
+func (s *Service) stageTailLocked() error {
 	img := s.builder.Seal()
-	if persist && s.opt.NVRAM != nil {
-		m := s.met()
-		var nstart time.Time
-		if m != nil {
-			nstart = time.Now()
-		}
-		ndone := s.tr.Span("core.nvram_store")
-		err := s.nvramStoreLocked(func() error { return s.opt.NVRAM.Store(s.tailGlobal, img) })
-		ndone()
-		if m != nil {
-			m.nvramLat.ObserveSince(nstart)
-		}
-		if err != nil {
-			return fmt.Errorf("clio: nvram store: %w", err)
-		}
-		s.tailDirty = false
+	m := s.met()
+	var nstart time.Time
+	if m != nil {
+		nstart = time.Now()
 	}
-	// Cache before snapshot, here and at every publish below: a reader that
-	// has seen a snapshot must never find an older image of a block in the
-	// cache than that snapshot describes, or a cursor steps past records the
-	// snapshot promised it. img is a fresh Seal the snapshot and the cache
-	// then share: neither writes to it, so one image serves both.
-	s.blockCache().Put(cache.Key{Block: s.tailGlobal}, img)
+	ndone := s.tr.Span("core.nvram_store")
+	err := s.nvramStoreLocked(func() error { return s.opt.NVRAM.Store(s.tailGlobal, img) })
+	ndone()
+	if m != nil {
+		m.nvramLat.ObserveSince(nstart)
+	}
+	if err != nil {
+		return fmt.Errorf("clio: nvram store: %w", err)
+	}
+	s.tailDirty = false
 	s.publishTail(img)
 	return nil
+}
+
+// noteTailIDLocked adds id to the staged tail's id set.
+func (s *Service) noteTailIDLocked(id uint16) {
+	if has := wire.Bitmap(s.tailHas[:]); !has.Get(int(id)) {
+		has.Set(int(id))
+		s.tailIDs = append(s.tailIDs, id)
+	}
+}
+
+// clearTailIDsLocked empties the id set for a new tail block. The list
+// starts afresh: the sealed block and older snapshots keep the old one.
+func (s *Service) clearTailIDsLocked() {
+	for _, id := range s.tailIDs {
+		wire.Bitmap(s.tailHas[:]).Clear(int(id))
+	}
+	s.tailIDs = nil
 }
 
 // locateForWriteLocked maps a global index to a mounted volume for writing,

@@ -63,10 +63,10 @@ const maxPipeline = 4
 
 // pendingSeal is one sealed block image on its way to the device.
 type pendingSeal struct {
-	global     int             // current target global index (slides renumber it)
-	origGlobal int             // staging-NVRAM key: the global at enqueue time
-	img        []byte          // sealed image (replaced wholesale on reindex, never mutated)
-	ids        map[uint16]bool // log-file ids present (NoteBlock at completion, reader snapshots)
+	global     int      // current target global index (slides renumber it)
+	origGlobal int      // staging-NVRAM key: the global at enqueue time
+	img        []byte   // sealed image (replaced wholesale on reindex, never mutated)
+	ids        []uint16 // log-file ids present (NoteBlock at completion, reader snapshots)
 }
 
 // sealTailLocked seals the staged tail: pipelined through staging NVRAM
@@ -110,12 +110,13 @@ func (s *Service) sealTailLocked(forced bool) error {
 		return fmt.Errorf("clio: stage sealed block: %w", err)
 	}
 	s.pipe = append(s.pipe, ps)
-	s.tailGlobal, s.tailIDs, s.tailDirty = -1, nil, false
+	s.repipeLocked()
+	s.tailGlobal, s.tailDirty = -1, false
 	// The NVRAM tail slot may still hold an earlier image of this block;
 	// recovery drops tail slots below the staged-seal frontier, so it need
 	// not be cleared here (clearing would cost a store on the hot path).
-	// ps.img is a fresh Seal that nothing writes: a reindex replaces it.
-	s.blockCache().Put(cache.Key{Block: g}, ps.img)
+	// Readers find the block in the snapshot's pipe until its device write
+	// completes; only then does its image enter the cache.
 	s.publishTail(nil)
 	if !s.sealerOn && !s.sealerStop {
 		s.sealerOn = true
@@ -126,13 +127,16 @@ func (s *Service) sealTailLocked(forced bool) error {
 }
 
 // closeTailLocked turns the tail's builder into the sealed image on its way
-// to the device. The tail itself stays staged until the caller retires it.
+// to the device, in the builder's own buffer: the next tail gets a fresh
+// one (ensureTailLocked). The tail itself stays staged until the caller
+// retires it; an inline seal that fails drops the image, and the tail goes
+// on taking records.
 func (s *Service) closeTailLocked(forced bool) *pendingSeal {
 	if forced {
 		s.builder.SetFlags(blockfmt.FlagSealedByForce)
 		s.stats.PaddingBytes += int64(s.builder.Free() + 2)
 	}
-	return &pendingSeal{global: s.tailGlobal, origGlobal: s.tailGlobal, img: s.builder.Seal(), ids: s.tailIDs}
+	return &pendingSeal{global: s.tailGlobal, origGlobal: s.tailGlobal, img: s.builder.Finish(), ids: s.tailIDs}
 }
 
 // sealInlineLocked writes the tail's block from the foreground, s.mu held
@@ -147,7 +151,7 @@ func (s *Service) sealInlineLocked(ps *pendingSeal) error {
 	if err != nil {
 		return err
 	}
-	s.tailGlobal, s.tailIDs, s.tailDirty = -1, nil, false
+	s.tailGlobal, s.tailDirty = -1, false
 	s.completeSealLocked(ps)
 	if s.opt.NVRAM != nil {
 		if err := s.opt.NVRAM.Clear(); err != nil {
@@ -220,24 +224,19 @@ func (s *Service) slideLocked(ps *pendingSeal, cause error) {
 	s.degradedCause = cause
 	s.stats.DeadBlocks++
 	ps.global++
-	last := ps.global
 	for _, p := range s.pipe {
 		if p != ps {
 			p.global++
-			last = p.global
 		}
 	}
 	if s.tailGlobal >= 0 {
 		s.tailGlobal++
 		s.builder.SetBlockIndex(uint32(s.tailGlobal))
-		last = s.tailGlobal
 	}
-	// Every renumbered block's old cache slot is stale; invalidate the
-	// whole shifted range (readers find the blocks in the published
-	// snapshot until their device writes complete).
-	for g := dead; g <= last; g++ {
-		s.blockCache().Invalidate(cache.Key{Block: g})
-	}
+	// The cache holds none of the shifted range (nothing in it is on the
+	// device yet): readers find the blocks in the snapshot until their
+	// device writes complete.
+	s.repipeLocked()
 	s.publishTail(nil)
 }
 
@@ -252,12 +251,8 @@ func (s *Service) completeSealLocked(ps *pendingSeal) {
 	// Everything below ps.global has completed, so the accumulator state is
 	// exactly the boundary's prefix.
 	s.emitDueLocked(ps.global)
-	ids := make([]uint16, 0, len(ps.ids))
-	for id := range ps.ids {
-		ids = append(ids, id)
-	}
 	s.idxMu.Lock()
-	s.acc.NoteBlock(ps.global, ids)
+	s.acc.NoteBlock(ps.global, ps.ids)
 	s.idxMu.Unlock()
 	s.stats.BlocksSealed++
 	s.stats.FooterBytes += blockfmt.FooterSize
@@ -339,6 +334,7 @@ func (s *Service) sealHeadLocked(ps *pendingSeal) error {
 		return err
 	}
 	s.pipe = s.pipe[1:]
+	s.repipeLocked()
 	s.completeSealLocked(ps)
 	s.pipelinedSeals.Add(1)
 	if err := s.staging.DropSealed(ps.origGlobal); err != nil {

@@ -452,10 +452,7 @@ func (c *Cursor) each(f *visits) error {
 	f.max = max(f.max, 1)
 	for {
 		sn := s.snap()
-		end := sn.sealedEnd
-		if sn.tailGlobal >= 0 {
-			end = sn.tailGlobal + 1
-		}
+		end := sn.end() // pipelined seals included: readable, tail or not
 		if c.redir != nil {
 			if err := c.redirEach(f); err != nil || f.done {
 				return err

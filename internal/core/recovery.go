@@ -283,7 +283,7 @@ func (s *Service) restoreTail() error {
 		b.SetFirstTimestamp(fts)
 	}
 	b.SetFlags(parsed.Flags)
-	s.tailIDs = make(map[uint16]bool)
+	s.clearTailIDsLocked()
 	for _, r := range parsed.Records {
 		rec := blockfmt.Record{
 			LogID:     r.LogID,
@@ -298,9 +298,9 @@ func (s *Service) restoreTail() error {
 		if err := b.Append(rec); err != nil {
 			return fmt.Errorf("clio: rebuild staged tail: %w", err)
 		}
-		s.tailIDs[r.LogID] = true
+		s.noteTailIDLocked(r.LogID)
 		for _, ex := range r.ExtraIDs {
-			s.tailIDs[ex] = true
+			s.noteTailIDLocked(ex)
 		}
 	}
 	s.builder = b
@@ -310,8 +310,7 @@ func (s *Service) restoreTail() error {
 		// reserialization under the restored position instead.
 		img = b.Seal()
 	}
-	s.publishTail(img)
-	s.blockCache().Put(cache.Key{Block: g}, img) // Load's own copy (or a fresh Seal), shared with the snapshot
+	s.publishTail(img) // Load's own copy (or a fresh Seal): readers share it
 	s.recovery.TailRestored = true
 
 	// Re-run the accumulator for boundaries the dead server had already

@@ -44,6 +44,7 @@ import (
 	"clio/internal/faults"
 	"clio/internal/obs"
 	"clio/internal/volume"
+	"clio/internal/wire"
 	"clio/internal/wodev"
 )
 
@@ -193,12 +194,17 @@ type Stats struct {
 // of tail state, the accumulator, the catalog write path and the stats.
 // Readers never take it. Sealed blocks are immutable (write-once storage),
 // so the read path works lock-free from the published tail snapshot
-// (s.tailState): cache and device reads synchronize only inside their own
-// components. idxMu guards the entrymap accumulator, which readers consult
-// through the locator for the in-progress span; each locator search runs on
-// its own Locator value, so searches share no state and take no lock of
-// their own. Lock order: s.mu > idxMu; idxMu is never held when acquiring
-// s.mu.
+// (s.tailState): blocks below its sealed end come from the cache or the
+// device, which synchronize only inside their own components, and the
+// staged tail and pipelined seals from the snapshot alone. The writer
+// publishes the tail as a view of its append-only builder, whose bytes it
+// never rewrites and whose buffer it never reuses for another block, so a
+// reader may seal the view while the writer appends; the atomic store and
+// load of the snapshot order the two. idxMu guards the entrymap
+// accumulator, which readers consult through the locator for the
+// in-progress span; each locator search runs on its own Locator value, so
+// searches share no state and take no lock of their own. Lock order:
+// s.mu > idxMu; idxMu is never held when acquiring s.mu.
 type Service struct {
 	mu  sync.Mutex
 	opt Options
@@ -216,15 +222,20 @@ type Service struct {
 
 	// Tail state (s.mu).
 	builder    *blockfmt.Builder
-	tailGlobal int             // global data index of the staged tail; -1 when none
-	tailIDs    map[uint16]bool // ids with records in the staged tail
-	sealedEnd  int             // global data blocks durably on device (incl. dead)
-	midChain   bool            // a fragmented entry is incomplete
-	tailDirty  bool            // the staged tail holds records not yet forced
+	tailGlobal int // global data index of the staged tail; -1 when none
+	// tailIDs lists the ids with records in the staged tail, in a list of
+	// the tail's own that only grows (snapshots and seals hold prefixes of
+	// it); tailHas is its membership bitmap.
+	tailIDs    []uint16
+	tailHas    [(wire.MaxLogID + 1) / 8]byte
+	sealedEnd  int  // global data blocks durably on device (incl. dead)
+	midChain   bool // a fragmented entry is incomplete
+	tailDirty  bool // the staged tail holds records not yet forced
 	pendingDue []*entrymap.Entry
 
 	// tailState is the reader-visible snapshot of {sealedEnd, tail block,
-	// tail image}; the writer republishes it at every tail transition.
+	// pipelined seals}; the writer republishes it whenever any of them
+	// changes, an append to the tail included.
 	tailState atomic.Pointer[tailSnap]
 
 	// Tail-publish notifier for streaming subscribers. pubSeq counts tail
@@ -270,6 +281,7 @@ type Service struct {
 	// staging extension, nil when it has none: seals are then inline.
 	sealCond       *sync.Cond
 	pipe           []*pendingSeal
+	pipeView       []pipeSnap // the snapshots' copy of pipe (repipeLocked)
 	pipeErr        error
 	sealerOn       bool
 	sealerStop     bool
@@ -320,15 +332,21 @@ type Service struct {
 // tailSnap is the immutable reader view of the service's write frontier.
 // Write-once blocks below sealedEnd never change, so a reader holding a
 // snapshot can resolve any block: sealed blocks via cache/device, the staged
-// tail from the embedded image.
+// tail and pipelined seals from the snapshot alone.
 type tailSnap struct {
 	sealedEnd  int
-	tailGlobal int             // -1 when no tail is staged
-	tailImage  []byte          // sealed image of the staged tail (nil when none)
-	tailIDs    map[uint16]bool // ids present in the staged tail (never mutated)
+	tailGlobal int // -1 when no tail is staged
+	// tail is the staged tail block as published: a view of the writer's
+	// append-only builder, which copies nothing. The image is sealed from it
+	// when first asked for (image) and kept, so readers of one snapshot
+	// share one image.
+	tail    blockfmt.View
+	tailIDs []uint16 // ids present in the staged tail: a prefix of the writer's append-only list
+	img     atomic.Pointer[[]byte]
 	// pipe mirrors the in-flight pipelined seals, in global order just
 	// above sealedEnd: readers resolve those blocks from the staged images
 	// exactly like the tail, since the device copies may not exist yet.
+	// Snapshots share it until the pipe changes (repipeLocked).
 	pipe []pipeSnap
 }
 
@@ -336,7 +354,7 @@ type tailSnap struct {
 type pipeSnap struct {
 	global int
 	img    []byte
-	ids    map[uint16]bool
+	ids    []uint16
 }
 
 // end returns the snapshot's readable-block count (sealed + in-flight +
@@ -351,30 +369,34 @@ func (sn *tailSnap) end() int {
 	return sn.sealedEnd
 }
 
-// publishTail publishes the current tail state for lock-free readers; s.mu
-// held. img must be the current sealed tail image when a tail is staged
-// (callers that just produced one pass it to avoid re-sealing), or nil to
-// have publishTail derive it from the builder.
-func (s *Service) publishTail(img []byte) {
-	sn := &tailSnap{sealedEnd: s.sealedEnd, tailGlobal: s.tailGlobal}
-	if len(s.pipe) > 0 {
-		sn.pipe = make([]pipeSnap, len(s.pipe))
-		for i, ps := range s.pipe {
-			// ps.img and ps.ids are never mutated after enqueue (slides
-			// replace the image wholesale), so aliasing them is safe.
-			sn.pipe[i] = pipeSnap{global: ps.global, img: ps.img, ids: ps.ids}
-		}
+// image returns the staged tail's block image as the snapshot describes it,
+// sealing it from the view on first use. Readers racing to the first use may
+// each seal; the first to store wins and all of them return its image.
+func (sn *tailSnap) image() []byte {
+	if p := sn.img.Load(); p != nil {
+		return *p
 	}
+	img := sn.tail.Seal()
+	if !sn.img.CompareAndSwap(nil, &img) {
+		return *sn.img.Load()
+	}
+	return img
+}
+
+// publishTail publishes the current tail state for lock-free readers; s.mu
+// held. It copies nothing of the tail: the snapshot takes a view of the
+// builder and the prefix of its id list. img, when the caller has just
+// sealed the tail (a force stores that image in NVRAM), is handed to
+// readers as the snapshot's image; nil leaves it to be sealed on first read.
+func (s *Service) publishTail(img []byte) {
+	sn := &tailSnap{sealedEnd: s.sealedEnd, tailGlobal: s.tailGlobal, pipe: s.pipeView}
 	if s.tailGlobal >= 0 {
-		if img == nil {
-			img = s.builder.Seal()
+		sn.tail = s.builder.View()
+		sn.tailIDs = s.tailIDs
+		if img != nil {
+			sealed := img // escapes here, not on every publish
+			sn.img.Store(&sealed)
 		}
-		sn.tailImage = img
-		ids := make(map[uint16]bool, len(s.tailIDs))
-		for id := range s.tailIDs {
-			ids[id] = true
-		}
-		sn.tailIDs = ids
 	}
 	s.tailState.Store(sn)
 	// Publish-order matters for the no-lost-wakeup protocol: the sequence
@@ -383,6 +405,21 @@ func (s *Service) publishTail(img []byte) {
 	// cannot miss the state this publish made visible.
 	s.pubSeq.Add(1)
 	s.wakeTail()
+}
+
+// repipeLocked rebuilds the pipe view the next snapshots share, after the
+// pipe gained, lost or renumbered a seal; s.mu held.
+func (s *Service) repipeLocked() {
+	s.pipeView = nil
+	if len(s.pipe) == 0 {
+		return
+	}
+	s.pipeView = make([]pipeSnap, len(s.pipe))
+	for i, ps := range s.pipe {
+		// ps.img and ps.ids are never mutated after enqueue (slides
+		// replace the image wholesale), so aliasing them is safe.
+		s.pipeView[i] = pipeSnap{global: ps.global, img: ps.img, ids: ps.ids}
+	}
 }
 
 // wakeTail broadcasts a tail publish to any waiters. The idle path — no
@@ -667,32 +704,20 @@ func (s *Service) ResetCounters() {
 
 // SetCacheCapacity replaces the block cache with one bounded to the given
 // number of blocks (negative = unbounded), used by the §4 cache-economics
-// experiment. The staged tail block is restaged so the service remains
-// readable.
+// experiment. The staged tail and pipelined seals stay readable: the
+// snapshot serves them, never the cache.
 func (s *Service) SetCacheCapacity(blocks int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if blocks == 0 {
 		blocks = 4096
 	} else if blocks < 0 {
 		blocks = 0
 	}
 	s.cacheP.Store(cache.New(blocks))
-	if s.tailGlobal >= 0 {
-		s.stageTailLocked(false)
-	}
 }
 
 // FlushCache empties the block cache (the §3.3.1 no-caching worst case).
-// The staged tail block, if any, is restored afterwards so the service
-// remains readable.
 func (s *Service) FlushCache() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.blockCache().Flush()
-	if s.tailGlobal >= 0 {
-		s.stageTailLocked(false)
-	}
 }
 
 // End returns the number of readable data blocks (sealed plus staged tail).
@@ -819,7 +844,7 @@ func (s *Service) Close() error {
 	for {
 		if s.tailGlobal >= 0 {
 			if s.opt.NVRAM != nil {
-				err = s.stageTailLocked(true)
+				err = s.stageTailLocked()
 			} else {
 				err = s.sealTailLocked(false)
 			}

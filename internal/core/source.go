@@ -124,10 +124,10 @@ func (ls *locatorSource) Pending(level, spanStart int, ids []uint16) (bm [entrym
 	return bm, true
 }
 
-// anyOf reports whether a block's id set holds any of ids.
-func anyOf(present map[uint16]bool, ids []uint16) bool {
-	for _, id := range ids {
-		if present[id] {
+// anyOf reports whether a block's id list holds any of ids (sorted).
+func anyOf(present, ids []uint16) bool {
+	for _, id := range present {
+		if _, ok := slices.BinarySearch(ids, id); ok {
 			return true
 		}
 	}
@@ -219,7 +219,7 @@ func (ls *locatorSource) BlockIDs(block int) ([]uint16, error) {
 // yet device-durable — the staged tail or a pipelined seal — or nil.
 func (sn *tailSnap) unsealed(global int) []byte {
 	if global == sn.tailGlobal {
-		return sn.tailImage
+		return sn.image()
 	}
 	for i := range sn.pipe {
 		if sn.pipe[i].global == global {
@@ -229,47 +229,44 @@ func (sn *tailSnap) unsealed(global int) []byte {
 	return nil
 }
 
-// readBlock returns the raw image of a global data block, via the cache.
-// It is safe without the writer lock: sealed blocks are immutable, the
-// staged tail is served from the published snapshot, and cache, volume set
-// and devices synchronize internally. Unreadable conditions (unwritten,
-// invalidated, offline, damaged) surface as errors.
+// readBlock returns the raw image of a global data block. It is safe
+// without the writer lock: the staged tail and pipelined seals are served
+// from the published snapshot, sealed blocks are immutable, and cache,
+// volume set and devices synchronize internally. Unreadable conditions
+// (unwritten, invalidated, offline, damaged) surface as errors.
 func (s *Service) readBlock(global int) ([]byte, error) {
-	key := cache.Key{Block: global}
-	bc := s.blockCache()
-	if img := bc.Lookup(key); img != nil {
+	sn := s.snap()
+	if global >= sn.sealedEnd {
+		return s.readUnsealed(sn, global)
+	}
+	if img := s.blockCache().Lookup(cache.Key{Block: global}); img != nil {
 		s.blocksInterpreted.Add(1)
 		return img, nil
 	}
-	return s.readBlockMiss(global)
+	return s.readBlockMiss(sn, global)
 }
 
-// readBlockMiss is readBlock after a cache miss: it serves the staged tail
-// and pipelined seals from the published snapshot and reads everything else
-// from the device, populating the cache either way. A device read's buffer
-// is handed to the cache (which owns it from then on) and returned as is,
-// so the caller holds the cache's own image and decodeBlock's Attach of it
-// succeeds: a missed block is read into one allocation and parsed once.
-func (s *Service) readBlockMiss(global int) ([]byte, error) {
-	key := cache.Key{Block: global}
-	bc := s.blockCache()
-	if img := s.snap().unsealed(global); img != nil {
-		// Not yet on the device: the cache evicted the image the writer put
-		// there. Put it back, but only in the writer's own order — under
-		// s.mu, from the snapshot current under it — so an older image can
-		// never replace a newer one. A busy writer means skipping the
-		// re-put, not waiting: readers never block on it. The snapshot's
-		// images are never written once published, so the cache may share it.
-		if s.mu.TryLock() {
-			if cur := s.snap().unsealed(global); cur != nil {
-				img = cur
-				bc.Put(key, img)
-			}
-			s.mu.Unlock()
-		}
+// readUnsealed serves a block at or above the snapshot's sealed end: the
+// staged tail or a pipelined seal from the snapshot itself, which is the
+// only place their images live until their device writes complete. Any
+// other block there is read from the device and not cached.
+func (s *Service) readUnsealed(sn *tailSnap, global int) ([]byte, error) {
+	if img := sn.unsealed(global); img != nil {
 		s.blocksInterpreted.Add(1)
 		return img, nil
 	}
+	return s.readBlockMiss(sn, global)
+}
+
+// readBlockMiss reads a block from the device after a cache miss. A block
+// below the snapshot's sealed end is device-durable: its buffer is handed
+// to the cache (which owns it from then on) and returned as is, so the
+// caller holds the cache's own image and decodeBlock's Attach of it
+// succeeds — a missed block is read into one allocation and parsed once.
+// One at or above it (a block the snapshot does not list: a ReadAt past the
+// end, say) is returned uncached, since the cache holds device-durable
+// images alone.
+func (s *Service) readBlockMiss(sn *tailSnap, global int) ([]byte, error) {
 	v, local, err := s.set.Locate(global)
 	if err != nil {
 		if errors.Is(err, volume.ErrOffline) {
@@ -283,7 +280,9 @@ func (s *Service) readBlockMiss(global int) ([]byte, error) {
 	if err := s.readDeviceBlock(v, devIdx, buf); err != nil {
 		return nil, err
 	}
-	bc.Put(key, buf)
+	if global < sn.sealedEnd {
+		s.blockCache().Put(cache.Key{Block: global}, buf)
+	}
 	s.blocksInterpreted.Add(1)
 	return buf, nil
 }
@@ -359,6 +358,14 @@ func entrymapSlots(p *blockfmt.Parsed) []entrymapSlot {
 // decode attached to the block's cache entry when present (lock-free, see
 // readBlock).
 func (s *Service) decodeBlock(global int) (*decodedBlock, error) {
+	sn := s.snap()
+	if global >= sn.sealedEnd {
+		img, err := s.readUnsealed(sn, global)
+		if err != nil {
+			return nil, err
+		}
+		return decode(img)
+	}
 	key := cache.Key{Block: global}
 	bc := s.blockCache()
 	img, dec := bc.LookupDecoded(key)
@@ -369,24 +376,27 @@ func (s *Service) decodeBlock(global int) (*decodedBlock, error) {
 		}
 	} else {
 		var err error
-		if img, err = s.readBlockMiss(global); err != nil {
+		if img, err = s.readBlockMiss(sn, global); err != nil {
 			return nil, err
 		}
 	}
+	db, err := decode(img)
+	if err != nil {
+		return nil, err
+	}
+	// The cache holds sealed, device-durable images only, which never
+	// change: their decode is safe for the entry's whole lifetime.
+	bc.Attach(key, img, db)
+	return db, nil
+}
+
+// decode parses a block image and finds its entrymap entries.
+func decode(img []byte) (*decodedBlock, error) {
 	p, err := blockfmt.Parse(img)
 	if err != nil {
 		return nil, err
 	}
-	db := &decodedBlock{p: p, emap: entrymapSlots(p)}
-	if global < s.snap().sealedEnd {
-		// Attach only for sealed, device-durable blocks: the staged tail and
-		// pipelined seals are re-put as they change, and Attach's identity
-		// check alone would still let a decode of a just-superseded tail
-		// image linger until the next re-put. Sealed images never change, so
-		// their decode is safe for the entry's whole lifetime.
-		bc.Attach(key, img, db)
-	}
-	return db, nil
+	return &decodedBlock{p: p, emap: entrymapSlots(p)}, nil
 }
 
 // parseBlock reads and decodes a global data block (lock-free, see

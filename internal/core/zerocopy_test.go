@@ -294,13 +294,27 @@ func TestZeroCopyMissAdopts(t *testing.T) {
 	}
 }
 
+// storeRecorder is a staging NVRAM that remembers the image of its last
+// tail Store.
+type storeRecorder struct {
+	*MemNVRAM
+	last []byte
+}
+
+func (r *storeRecorder) Store(global int, image []byte) error {
+	r.last = image
+	return r.MemNVRAM.Store(global, image)
+}
+
 // TestZeroCopyForceSharesTailImage pins the writer side of the hand-off: the
-// tail image a forced append seals is the one the reader snapshot publishes
-// and the cache holds, so a force costs one block image, not two.
+// tail image a forced append seals for the NVRAM store is the one the reader
+// snapshot publishes, and the block cache holds no image of the unsealed
+// tail, so a force costs one block image, not two.
 func TestZeroCopyForceSharesTailImage(t *testing.T) {
 	const blockSize = 1024
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: 1 << 12})
-	s, err := New(dev, Options{BlockSize: blockSize, NVRAM: NewMemNVRAM(), Now: (&testClock{}).Now})
+	nv := &storeRecorder{MemNVRAM: NewMemNVRAM()}
+	s, err := New(dev, Options{BlockSize: blockSize, NVRAM: nv, Now: (&testClock{}).Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +331,11 @@ func TestZeroCopyForceSharesTailImage(t *testing.T) {
 	}
 	force()
 	sn := s.snap()
-	img := s.blockCache().Lookup(cache.Key{Block: sn.tailGlobal})
-	if img == nil || &img[0] != &sn.tailImage[0] {
-		t.Fatal("the cached tail image is not the one the snapshot publishes")
+	if img := sn.image(); nv.last == nil || &img[0] != &nv.last[0] {
+		t.Fatal("the snapshot's tail image is not the one the force stored in NVRAM")
+	}
+	if s.blockCache().Lookup(cache.Key{Block: sn.tailGlobal}) != nil {
+		t.Fatal("the block cache holds an image of the unsealed tail")
 	}
 	const forces = 300
 	var before, after runtime.MemStats
