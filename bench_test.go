@@ -281,8 +281,8 @@ func BenchmarkForcedWrites(b *testing.B) {
 func BenchmarkTailGrowth(b *testing.B) {
 	const grown = 2200 // past the single-indirect region
 	b.Run("rewritefs", func(b *testing.B) {
-		store := rewritefs.NewStore(1024, 1<<26)
-		fs := rewritefs.New(store)
+		const bs = 1024
+		fs := rewritefs.New(rewritefs.NewStore(bs, 1<<26))
 		chunk := make([]byte, 1024)
 		gen := 0
 		newFile := func() string {
@@ -299,7 +299,6 @@ func BenchmarkTailGrowth(b *testing.B) {
 			return name
 		}
 		name := newFile()
-		bs := store.BlockSize()
 		maxFileSize := (rewritefs.NumDirect + bs/4 + (bs/4)*(bs/4)) * bs
 		limit := maxFileSize - 64*1024
 		b.SetBytes(1024)

@@ -59,11 +59,6 @@ type Backend interface {
 	ReadAt(ctx context.Context, name string, off int64, dst []byte) (int, error)
 	// Size returns the object's length in bytes, or ErrNotFound.
 	Size(ctx context.Context, name string) (int64, error)
-	// List returns the names of every object, sorted.
-	List(ctx context.Context) ([]string, error)
-	// Delete removes the named object; deleting a missing object is not an
-	// error.
-	Delete(ctx context.Context, name string) error
 }
 
 // Dir is the directory-backed Backend: one file per object. The directory
@@ -154,39 +149,6 @@ func (d *Dir) Size(ctx context.Context, name string) (int64, error) {
 	return fi.Size(), nil
 }
 
-func (d *Dir) List(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ents, err := os.ReadDir(d.root)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range ents {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
-			continue
-		}
-		out = append(out, e.Name())
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func (d *Dir) Delete(ctx context.Context, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	err := os.Remove(d.path(name))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
 // Mem is the in-memory Backend, for tests and mem-backed stores (it lets a
 // reopened in-memory service keep its cold tier across simulated crashes).
 type Mem struct {
@@ -252,30 +214,6 @@ func (m *Mem) Size(ctx context.Context, name string) (int64, error) {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	return int64(len(obj)), nil
-}
-
-func (m *Mem) List(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.objs))
-	for name := range m.objs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func (m *Mem) Delete(ctx context.Context, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.objs, name)
-	return nil
 }
 
 const manifestName = "MANIFEST"

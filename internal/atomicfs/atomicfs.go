@@ -11,12 +11,9 @@
 //     to readers, so a crash mid-commit leaves no trace;
 //  2. the updates are then applied to the rewriteable file system, in any
 //     order, possibly interrupted by a crash;
-//  3. recovery replays every committed transaction since the last
-//     checkpoint against the file system. Updates are idempotent
-//     (absolute-offset writes, truncates, creates), so re-applying is
-//     harmless;
-//  4. a checkpoint record marks a prefix of the journal as fully applied,
-//     bounding replay work.
+//  3. recovery replays every committed transaction against the file
+//     system. Updates are idempotent (absolute-offset writes, creates), so
+//     re-applying is harmless.
 //
 // This is exactly the history-based structuring argument of §4: the
 // journal is the truth, the rewriteable file system a cached projection.
@@ -40,17 +37,13 @@ var (
 	ErrBadJournal = errors.New("atomicfs: malformed journal record")
 )
 
-// Journal record kinds.
-const (
-	recCommit     = 1
-	recCheckpoint = 2
-)
+// recCommit is the kind byte of a journal record: a committed transaction.
+const recCommit = 1
 
 // Op kinds within a transaction.
 const (
-	opCreate   = 1
-	opWriteAt  = 2
-	opTruncate = 3
+	opCreate  = 1
+	opWriteAt = 2
 )
 
 // op is one update within a transaction.
@@ -67,9 +60,6 @@ type FS struct {
 	fs  *rewritefs.FS
 	svc *core.Service
 	jID uint16
-	// appliedThrough is the journal timestamp through which updates are
-	// known to be applied (the last checkpoint or replayed entry).
-	appliedThrough int64
 	// applyHook, when set, runs before each op application (tests inject
 	// crashes here).
 	applyHook func(opIndex int) error
@@ -77,7 +67,7 @@ type FS struct {
 
 // New opens (creating if needed) an atomic FS whose journal lives at the
 // given log path, and runs recovery: every transaction committed to the
-// journal after the last checkpoint is re-applied to fs.
+// journal is re-applied to fs.
 func New(svc *core.Service, fs *rewritefs.FS, journalPath string) (*FS, error) {
 	jID, err := svc.Resolve(journalPath)
 	if err != nil {
@@ -121,11 +111,6 @@ func (t *Txn) WriteAt(file string, offset int, data []byte) error {
 	return t.add(op{kind: opWriteAt, file: file, offset: offset, data: cp})
 }
 
-// Truncate records a truncation.
-func (t *Txn) Truncate(file string, size int) error {
-	return t.add(op{kind: opTruncate, file: file, offset: size})
-}
-
 func (t *Txn) add(o op) error {
 	if t.closed {
 		return ErrTxnClosed
@@ -146,26 +131,14 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 	payload := encodeCommit(t.ops)
-	ts, err := t.a.svc.Append(t.a.jID, payload, core.AppendOptions{Timestamped: true, Forced: true})
+	_, err := t.a.svc.Append(t.a.jID, payload, core.AppendOptions{Timestamped: true, Forced: true})
 	if err != nil {
 		return fmt.Errorf("atomicfs: journal write: %w", err)
 	}
 	if err := t.a.apply(t.ops); err != nil {
 		return fmt.Errorf("atomicfs: apply (will be completed by recovery): %w", err)
 	}
-	t.a.appliedThrough = ts
 	return nil
-}
-
-// Checkpoint records that everything up to the last applied transaction is
-// durable in the file system, bounding future replay. (With an in-memory
-// rewritefs the journal remains the only durable copy; against a durable
-// FS a checkpoint would follow an fsync.)
-func (a *FS) Checkpoint() error {
-	payload := []byte{recCheckpoint}
-	payload = wire.PutUint64(payload, uint64(a.appliedThrough))
-	_, err := a.svc.Append(a.jID, payload, core.AppendOptions{Timestamped: true, Forced: true})
-	return err
 }
 
 // apply runs ops against the file system, invoking the test hook.
@@ -203,18 +176,6 @@ func (a *FS) applyOne(o op) error {
 			}
 		}
 		return a.writeAt(o.file, o.offset, o.data)
-	case opTruncate:
-		// rewritefs has no truncate; emulate by rewriting the tail with
-		// zeros beyond the new size (sufficient for the semantics the
-		// journal promises: reads beyond size are not defined here).
-		size, err := a.fs.Size(o.file)
-		if err != nil {
-			return err
-		}
-		if o.offset >= size {
-			return a.fs.Append(o.file, make([]byte, o.offset-size))
-		}
-		return a.writeAt(o.file, o.offset, make([]byte, size-o.offset))
 	default:
 		return fmt.Errorf("%w: op kind %d", ErrBadJournal, o.kind)
 	}
@@ -247,42 +208,21 @@ func (a *FS) writeAt(file string, offset int, data []byte) error {
 	return a.fs.Rewrite(file, buf)
 }
 
-// recover replays committed transactions after the last checkpoint.
+// recover replays every committed transaction.
 func (a *FS) recover() error {
 	cur, err := a.svc.OpenCursorID(a.jID)
 	if err != nil {
 		return err
 	}
-	// Pass 1: find the last checkpoint.
-	var checkpointTS int64 = -1
 	for {
 		e, err := cur.Next()
 		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if len(e.Data) >= 9 && e.Data[0] == recCheckpoint {
-			v, _ := wire.Uint64(e.Data[1:])
-			checkpointTS = int64(v)
-		}
-	}
-	// Pass 2: replay commits after the checkpoint.
-	cur.SeekStart()
-	for {
-		e, err := cur.Next()
-		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return err
 		}
 		if len(e.Data) == 0 || e.Data[0] != recCommit {
-			continue
-		}
-		if e.Timestamp <= checkpointTS {
-			a.appliedThrough = e.Timestamp
 			continue
 		}
 		ops, derr := decodeCommit(e.Data)
@@ -292,9 +232,7 @@ func (a *FS) recover() error {
 		if err := a.apply(ops); err != nil {
 			return fmt.Errorf("atomicfs: recovery replay: %w", err)
 		}
-		a.appliedThrough = e.Timestamp
 	}
-	return nil
 }
 
 // encodeCommit serializes a transaction.

@@ -241,9 +241,6 @@ func (b *Builder) Reset(blockIndex uint32) {
 	*b = Builder{blockSize: b.blockSize, blockIndex: blockIndex, payload: make([]byte, 0, b.blockSize)}
 }
 
-// BlockIndex returns the volume-relative index the builder is building.
-func (b *Builder) BlockIndex() uint32 { return b.blockIndex }
-
 // SetBlockIndex relocates the block being built. The writer uses this when
 // the block's intended slot turns out to be damaged and is invalidated: the
 // staged contents slide forward to the next good block (§2.3.2).
@@ -251,9 +248,6 @@ func (b *Builder) SetBlockIndex(idx uint32) { b.blockIndex = idx }
 
 // SetFlags ors the given footer flag bits into the block flags.
 func (b *Builder) SetFlags(flags uint8) { b.flags |= flags }
-
-// Flags returns the footer flags accumulated so far.
-func (b *Builder) Flags() uint8 { return b.flags }
 
 // Count returns the number of records placed so far.
 func (b *Builder) Count() int { return b.count }

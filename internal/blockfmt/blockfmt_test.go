@@ -176,7 +176,7 @@ func TestBuilderReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Reset(2)
-	if b.Count() != 0 || len(b.payload) != 0 || b.Flags() != 0 {
+	if b.Count() != 0 || len(b.payload) != 0 || b.flags != 0 {
 		t.Error("Reset left state")
 	}
 	if _, ok := b.FirstTimestamp(); ok {

@@ -21,14 +21,13 @@
 // timestamp (§2.1) of sealed blocks a time search has dated. A sealed
 // block's date never changes, so it outlives the block's image: evicting an
 // image keeps its date, and a later search dates the block without reading
-// it again. Invalidate drops a block's date with its image and Flush drops
-// every date, so a flushed cache is cold for dating too. The table is pages
-// of 512 consecutive blocks, allocated when a page's first date is noted
-// and read without a lock; it holds at most 32 dates per block of capacity
-// (never less than one page), and a page added past that bound drops the
-// whole table first, as Flush does. The cache only stores dates: which blocks may be
-// noted, and that the image a date came from was verified, is the caller's
-// contract (see NoteDate).
+// it again. Flush drops every date, so a flushed cache is cold for dating
+// too. The table is pages of 512 consecutive blocks, allocated when a
+// page's first date is noted and read without a lock; it holds at most 32
+// dates per block of capacity (never less than one page), and a page added
+// past that bound drops the whole table first, as Flush does. The cache
+// only stores dates: which blocks may be noted, and that the image a date
+// came from was verified, is the caller's contract (see NoteDate).
 //
 // The Table 1 experiments depend on the distinction between a cached block
 // access (~0.6 ms to access and interpret) and a device read (~150 ms seek).
@@ -232,13 +231,6 @@ func (c *Cache) Attach(key Key, img []byte, dec any) {
 	e.dec = dec
 }
 
-// Peek reports whether key is cached without promoting it or charging time.
-func (c *Cache) Peek(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries[key] != nil
-}
-
 // Put inserts an immutable block image and takes ownership of it: the cache
 // keeps data itself, and the caller must never write to it again. Every
 // caller hands over a device-durable image nothing else writes: a buffer it
@@ -271,19 +263,6 @@ func (c *Cache) Put(key Key, data []byte) {
 	c.pushFront(e)
 	c.entries[key] = e
 	c.stats.Inserts++
-}
-
-// Invalidate drops a cached block and its date.
-func (c *Cache) Invalidate(key Key) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		c.unlink(e)
-		delete(c.entries, key)
-	}
-	if p, i := c.page(key); p != nil && p.dates[i].Swap(noDate) != noDate {
-		c.dated--
-	}
 }
 
 // Flush empties the cache entirely, dates included (used by experiments to

@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// holds reports whether key's image is cached, without promoting it or
+// counting a hit or miss.
+func (c *Cache) holds(key Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries[key] != nil
+}
+
 func block(n int, b byte) []byte {
 	out := make([]byte, n)
 	for i := range out {
@@ -28,10 +36,10 @@ func TestPutGetLRU(t *testing.T) {
 		t.Fatal("lookup miss on cached block")
 	}
 	c.Put(Key{0, 2}, block(8, 3))
-	if c.Peek(Key{0, 1}) {
+	if c.holds(Key{0, 1}) {
 		t.Error("LRU victim not evicted")
 	}
-	if !c.Peek(Key{0, 0}) || !c.Peek(Key{0, 2}) {
+	if !c.holds(Key{0, 0}) || !c.holds(Key{0, 2}) {
 		t.Error("wrong block evicted")
 	}
 	if c.Lookup(Key{0, 1}) != nil {
@@ -104,12 +112,6 @@ func (m *lruModel) attach(k Key, img []byte, dec any) {
 	}
 }
 
-func (m *lruModel) invalidate(k Key) {
-	if i := m.find(k); i >= 0 {
-		m.ents = append(m.ents[:i], m.ents[i+1:]...)
-	}
-}
-
 // same reports whether a and b are the same slice: the ownership contract
 // is that a reader gets the very image handed to Put, not a copy.
 func same(a, b []byte) bool {
@@ -163,12 +165,12 @@ func runAgainstModel(capacity int, seed int64, ops int) string {
 				return fmt.Sprintf("op %d: LookupDecoded(%v) = (%p, %v), model (%p, %v)", i, k, got, gotDec, want, wantDec)
 			}
 			op = "LookupDecoded"
-		case r < 88:
+		case r < 98:
 			h := handed[k]
 			if len(h) == 0 {
 				continue
 			}
-			img := h[len(h)-1] // the current image, unless evicted or invalidated since
+			img := h[len(h)-1] // the current image, unless evicted or flushed since
 			if rng.Intn(2) == 0 {
 				img = h[rng.Intn(len(h))] // most likely stale
 			}
@@ -176,10 +178,6 @@ func runAgainstModel(capacity int, seed int64, ops int) string {
 			c.Attach(k, img, dec)
 			m.attach(k, img, dec)
 			op = "Attach"
-		case r < 98:
-			c.Invalidate(k)
-			m.invalidate(k)
-			op = "Invalidate"
 		default:
 			c.Flush()
 			m.ents = nil
@@ -189,8 +187,8 @@ func runAgainstModel(capacity int, seed int64, ops int) string {
 			return fmt.Sprintf("op %d (%s %v): Len %d Stats %+v, model Len %d Stats %+v", i, op, k, c.Len(), c.Stats(), len(m.ents), m.stats)
 		}
 		for _, key := range keys {
-			if c.Peek(key) != (m.find(key) >= 0) {
-				return fmt.Sprintf("op %d (%s %v): cache holds %v: %v, model: %v", i, op, k, key, c.Peek(key), m.find(key) >= 0)
+			if c.holds(key) != (m.find(key) >= 0) {
+				return fmt.Sprintf("op %d (%s %v): cache holds %v: %v, model: %v", i, op, k, key, c.holds(key), m.find(key) >= 0)
 			}
 		}
 	}
@@ -202,10 +200,7 @@ func runAgainstModel(capacity int, seed int64, ops int) string {
 func TestCacheConcurrentBounded(t *testing.T) {
 	const capacity, workers, ops = 64, 4, 10000
 	c := New(capacity)
-	// Invalidations hold gate exclusively, so each knows whether it removed
-	// a key; every other op holds it shared and runs concurrently.
-	var gate sync.RWMutex
-	var lookups, removed atomic.Int64
+	var lookups atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -214,18 +209,7 @@ func TestCacheConcurrentBounded(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < ops; i++ {
 				k := Key{rng.Intn(2), rng.Intn(100)}
-				r := rng.Intn(10)
-				if r == 9 {
-					gate.Lock()
-					if c.Peek(k) {
-						removed.Add(1)
-					}
-					c.Invalidate(k)
-					gate.Unlock()
-					continue
-				}
-				gate.RLock()
-				switch {
+				switch r := rng.Intn(10); {
 				case r < 4:
 					c.Put(k, block(8, byte(i)))
 				case r < 6:
@@ -237,9 +221,8 @@ func TestCacheConcurrentBounded(t *testing.T) {
 						c.Attach(k, img, i)
 					}
 				default:
-					c.Peek(k)
+					c.Len()
 				}
-				gate.RUnlock()
 			}
 		}(int64(w))
 	}
@@ -251,29 +234,11 @@ func TestCacheConcurrentBounded(t *testing.T) {
 	if st.Hits+st.Misses != lookups.Load() {
 		t.Errorf("hits %d + misses %d, want the %d lookups issued", st.Hits, st.Misses, lookups.Load())
 	}
-	if got := st.Inserts - st.Evictions - removed.Load(); got != int64(n) {
-		t.Errorf("inserts %d - evictions %d - invalidations that removed %d = %d, want Len %d", st.Inserts, st.Evictions, removed.Load(), got, n)
+	if got := st.Inserts - st.Evictions; got != int64(n) {
+		t.Errorf("inserts %d - evictions %d = %d, want Len %d", st.Inserts, st.Evictions, got, n)
 	}
 	if st.Evictions == 0 {
 		t.Error("no evictions: the run never filled the cache")
-	}
-}
-
-func TestInvalidateAndFlush(t *testing.T) {
-	c := New(0)
-	c.Put(Key{0, 0}, block(8, 1))
-	c.Put(Key{0, 1}, block(8, 2))
-	c.Put(Key{1, 0}, block(8, 3))
-	c.Invalidate(Key{0, 0})
-	if c.Peek(Key{0, 0}) {
-		t.Error("invalidated block still cached")
-	}
-	if !c.Peek(Key{0, 1}) || !c.Peek(Key{1, 0}) || c.Len() != 2 {
-		t.Error("Invalidate dropped more than its block")
-	}
-	c.Flush()
-	if c.Len() != 0 {
-		t.Error("Flush left entries")
 	}
 }
 
@@ -361,7 +326,7 @@ func TestDateOutlivesImageEviction(t *testing.T) {
 	c.NoteDate(k, dateOf(k))
 	c.Put(Key{0, 8}, block(8, 2))
 	c.Put(Key{0, 9}, block(8, 3)) // evicts block 7's image
-	if c.Peek(k) {
+	if c.holds(k) {
 		t.Fatal("block 7's image was not evicted")
 	}
 	if ts, ok := c.Date(k); !ok || ts != dateOf(k) {
@@ -380,32 +345,21 @@ func TestDateOutlivesImageEviction(t *testing.T) {
 	}
 }
 
-// TestDateInvalidateAndFlush: Invalidate drops the block's date with its
-// image, and only that date; Flush drops every date.
-func TestDateInvalidateAndFlush(t *testing.T) {
+// TestDateFlush: Flush drops every date with every image.
+func TestDateFlush(t *testing.T) {
 	c := New(32) // two pages: one per volume
 	keys := []Key{{0, 1}, {0, 2}, {1, 1}}
 	for _, k := range keys {
 		c.Put(k, block(8, byte(k.Block)))
 		c.NoteDate(k, dateOf(k))
 	}
-	c.Invalidate(keys[0])
-	if _, ok := c.Date(keys[0]); ok || c.Peek(keys[0]) {
-		t.Error("Invalidate left the block's date or image")
-	}
-	for _, k := range keys[1:] {
-		if ts, ok := c.Date(k); !ok || ts != dateOf(k) {
-			t.Errorf("Invalidate of %v dropped the date of %v", keys[0], k)
-		}
-	}
-	c.Invalidate(Key{0, 3}) // never dated, never cached
-	if st := c.Stats(); st.Dates != 2 {
-		t.Errorf("%d dates held, want 2", st.Dates)
+	if st := c.Stats(); st.Dates != 3 {
+		t.Errorf("%d dates held, want 3", st.Dates)
 	}
 	c.Flush()
 	for _, k := range keys {
-		if _, ok := c.Date(k); ok {
-			t.Errorf("Flush kept the date of %v", k)
+		if _, ok := c.Date(k); ok || c.holds(k) {
+			t.Errorf("Flush kept the date or the image of %v", k)
 		}
 	}
 	if st := c.Stats(); st.Dates != 0 {
@@ -413,7 +367,7 @@ func TestDateInvalidateAndFlush(t *testing.T) {
 	}
 }
 
-// TestDateConcurrent runs Date, NoteDate, Put and Invalidate from several
+// TestDateConcurrent runs Date, NoteDate, Put and Flush from several
 // goroutines (meant for -race) on a table small enough to be dropped all
 // the time: a date read is always the one noted for the block asked for.
 func TestDateConcurrent(t *testing.T) {
@@ -441,7 +395,7 @@ func TestDateConcurrent(t *testing.T) {
 				case r < 9:
 					c.Put(k, block(8, byte(i)))
 				default:
-					c.Invalidate(k)
+					c.Flush()
 				}
 			}
 		}(int64(w + 1))

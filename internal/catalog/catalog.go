@@ -240,13 +240,6 @@ func (t *Table) Flags(id uint16) (system, retired bool, err error) {
 	return d.System, d.Retired, nil
 }
 
-// Len returns the number of log files known, including the system ones.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.byID)
-}
-
 // ValidName reports whether name is a legal path component.
 func ValidName(name string) bool {
 	if name == "" || len(name) > 255 || name == "." || name == ".." {

@@ -20,8 +20,8 @@ func TestReservedIDsMatchEntrymap(t *testing.T) {
 
 func TestNewTableSystemFiles(t *testing.T) {
 	tab := NewTable()
-	if tab.Len() != 6 {
-		t.Fatalf("Len = %d", tab.Len())
+	if len(tab.byID) != 6 {
+		t.Fatalf("Len = %d", len(tab.byID))
 	}
 	for _, id := range []uint16{VolumeSeqID, EntrymapID, CatalogID, BadBlockID, CheckpointID, CompactID} {
 		d, err := tab.Get(id)

@@ -291,16 +291,6 @@ func randomSession() uint64 {
 	return binary.LittleEndian.Uint64(b[:]) | 1
 }
 
-// SessionID returns the client's session id (0 for an un-dialed Client).
-func (c *Client) SessionID() uint64 { return c.session }
-
-// Epoch returns the last server epoch observed in a handshake.
-func (c *Client) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
 // Close closes the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()

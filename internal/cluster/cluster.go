@@ -496,9 +496,6 @@ func (n *Node) Kill() {
 	n.wg.Wait()
 }
 
-// Close is Kill: see there for why a replica never shuts down gracefully.
-func (n *Node) Close() { n.Kill() }
-
 // Serve accepts connections on ln until the node is killed, routing each by
 // the node's role at accept time: a leader's connections speak the full
 // client protocol; a follower's get the replication/redirect handler.

@@ -232,12 +232,19 @@ func TestClusterFailover(t *testing.T) {
 	filler := strings.Repeat("x", 24)
 	var ackedTotal atomic.Int64
 	acked := make([][]string, writers) // per-writer acked payloads, in order
+	// Every writer dials before any starts: the leader is killed once 30
+	// appends are acked, and a writer dialling after that would find it
+	// dead. The writers call no t.Fatal: they run off the test goroutine.
+	clients := make([]*client.Client, writers)
+	for g := range clients {
+		clients[g] = testClient(t, uint64(100+g), addrs, nil)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c := testClient(t, uint64(100+g), addrs, nil)
+			c := clients[g]
 			id := ids[g%2]
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("g%d-%04d:%s", g, i, filler)

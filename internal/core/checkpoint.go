@@ -170,18 +170,6 @@ func (s *Service) emitCheckpointLocked() error {
 	return nil
 }
 
-// Checkpoint emits a recovery checkpoint immediately, regardless of the
-// interval policy (which may be disabled). The checkpoint is sealed to the
-// device before Checkpoint returns.
-func (s *Service) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closedFlag.Load() {
-		return ErrClosed
-	}
-	return s.emitCheckpointLocked()
-}
-
 // findCheckpoint scans backward from the located end for the newest valid
 // checkpoint record. The scan is bounded: with the interval policy active a
 // checkpoint lies at most interval-plus-slack blocks behind the end (the

@@ -206,6 +206,18 @@ func TestCheckpointOnCleanClose(t *testing.T) {
 	}
 }
 
+// Checkpoint emits a recovery checkpoint immediately, regardless of the
+// interval policy (which may be disabled). The checkpoint is sealed to the
+// device before Checkpoint returns.
+func (s *Service) Checkpoint() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closedFlag.Load() {
+		return ErrClosed
+	}
+	return s.emitCheckpointLocked()
+}
+
 // checkpointSpan emits a manual checkpoint and returns the data-block range
 // [from, to) its records landed in.
 func checkpointSpan(t *testing.T, s *Service) (int, int) {

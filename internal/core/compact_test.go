@@ -360,7 +360,7 @@ func TestColdFetchDamageIsNotCached(t *testing.T) {
 		if _, err := s.readBlock(cold.Start); !errors.Is(err, blockfmt.ErrBadChecksum) {
 			t.Fatalf("damaged cold fetch %d: %v, want ErrBadChecksum", try, err)
 		}
-		if s.blockCache().Peek(key) {
+		if s.blockCache().Lookup(key) != nil {
 			t.Fatalf("damaged cold fetch %d was cached", try)
 		}
 	}
@@ -370,8 +370,8 @@ func TestColdFetchDamageIsNotCached(t *testing.T) {
 	if err != nil || !blockfmt.Validate(img) {
 		t.Fatalf("cold fetch after the backend healed: %v", err)
 	}
-	if got := s.Stats().ColdFetches; got != fetches+1 || !s.blockCache().Peek(key) {
-		t.Fatalf("healed read: %d cold fetches (want %d), cached %v", got, fetches+1, s.blockCache().Peek(key))
+	if got, cached := s.Stats().ColdFetches, s.blockCache().Lookup(key) != nil; got != fetches+1 || !cached {
+		t.Fatalf("healed read: %d cold fetches (want %d), cached %v", got, fetches+1, cached)
 	}
 	// Nothing of the episode is left behind: the log reads whole.
 	if got := datas(readAll(t, s, "/keep")); fmt.Sprint(got) != fmt.Sprint(want) {

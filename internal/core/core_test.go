@@ -468,8 +468,8 @@ func TestOpenTakesGeometryFromHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.BlockSize() != 256 || s.Degree() != 4 {
-		t.Errorf("opened with block size %d, degree %d; the header says 256 and 4", s.BlockSize(), s.Degree())
+	if s.BlockSize() != 256 || s.opt.Degree != 4 {
+		t.Errorf("opened with block size %d, degree %d; the header says 256 and 4", s.BlockSize(), s.opt.Degree)
 	}
 	if got := datas(readAll(t, s, "/g")); len(got) != 1 || got[0] != "entry" {
 		t.Errorf("read back %v", got)

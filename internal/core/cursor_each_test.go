@@ -72,9 +72,10 @@ func TestCursorWaitsOutAChainBeingAppended(t *testing.T) {
 // and it counts the cost units of the Nexts it replaces — one cursor step
 // per entry, and one for the step that finds the end.
 func TestNextEachCostsAsSteps(t *testing.T) {
-	open := func() (*Service, *Cursor) {
+	open := func() (*Service, *Cursor, *obs.Registry) {
 		s, _ := newTestService(t, Options{})
-		s.RegisterMetrics(obs.NewRegistry())
+		reg := obs.NewRegistry()
+		s.RegisterMetrics(reg)
 		id := mustCreate(t, s, "/l")
 		for i := 0; i < 40; i++ {
 			mustAppend(t, s, id, fmt.Sprintf("entry %02d", i), AppendOptions{})
@@ -87,10 +88,10 @@ func TestNextEachCostsAsSteps(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.ResetCounters()
-		return s, c
+		return s, c, reg
 	}
-	sa, a := open()
-	sb, b := open()
+	sa, a, rega := open()
+	sb, b, regb := open()
 	var got []string
 	for _, max := range []int{25, 100} {
 		a.NextEach(max, func(e *Entry) bool { got = append(got, string(e.Data)); return true })
@@ -114,10 +115,10 @@ func TestNextEachCostsAsSteps(t *testing.T) {
 	if batched != stepped {
 		t.Errorf("two batches counted %+v,\n41 Nexts %+v", batched, stepped)
 	}
-	if n := sa.met().readLat.Count(); n != 2 {
+	if n := histCount(rega, "clio_core_read_seconds"); n != 2 {
 		t.Errorf("two batches took %d read samples", n)
 	}
-	if n := sb.met().readLat.Count(); n != 41 {
+	if n := histCount(regb, "clio_core_read_seconds"); n != 41 {
 		t.Errorf("41 Nexts took %d read samples", n)
 	}
 }

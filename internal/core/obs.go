@@ -33,14 +33,9 @@ func (s *Service) met() *coreMetrics { return s.obsM.Load() }
 // RegisterMetrics registers every service counter — core, cache, device,
 // entrymap locator and fault points — plus the append/force/read/locate
 // latency histograms in reg, and enables histogram recording. Call once per
-// registry, after Open.
-func (s *Service) RegisterMetrics(reg *obs.Registry) {
-	s.RegisterMetricsLabeled(reg)
-}
-
-// RegisterMetricsLabeled is RegisterMetrics with a fixed label set stamped
-// onto every registered series — how a sharded store gives each of its
-// constituent services a distinct `shard` label within one registry.
+// registry, after Open. The labels are stamped onto every registered
+// series — how a sharded store gives each of its constituent services a
+// distinct `shard` label within one registry.
 //
 // A scrape calls each public Stats accessor once and reports every field of
 // the copy it returned, so it observes each subsystem atomically (never a
@@ -48,7 +43,7 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 // sampled at slightly different instants, which is inherent to any scrape
 // of a live system. Registration itself must not perturb the modeled
 // workload: a scrape only reads.
-func (s *Service) RegisterMetricsLabeled(reg *obs.Registry, labels ...obs.Label) {
+func (s *Service) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	m := &coreMetrics{
 		appendLat: reg.Histogram("clio_core_append_seconds",
 			"Wall-clock latency of client appends, queue wait included.", nil, labels...),

@@ -109,10 +109,21 @@ func TestScrapeWhileAppending(t *testing.T) {
 	if !strings.Contains(fromProm.String(), wantLine+"\n") {
 		t.Errorf("scrape missing %q", wantLine)
 	}
-	if svc.met().appendLat.Count() != int64(writers*appendsEach) {
-		t.Errorf("append histogram count = %d, want %d",
-			svc.met().appendLat.Count(), writers*appendsEach)
+	if n := histCount(reg, "clio_core_append_seconds"); n != int64(writers*appendsEach) {
+		t.Errorf("append histogram count = %d, want %d", n, writers*appendsEach)
 	}
+}
+
+// histCount is the number of observations the histogram name holds in reg,
+// over all its label sets.
+func histCount(reg *obs.Registry, name string) int64 {
+	var n int64
+	for _, m := range reg.Snapshot() {
+		if m.Name == name {
+			n += m.Count
+		}
+	}
+	return n
 }
 
 // TestScrapeIsOneSnapshot scrapes two services, registered in one registry
@@ -130,7 +141,7 @@ func TestScrapeIsOneSnapshot(t *testing.T) {
 	for i := range svcs {
 		svcs[i], _ = newTestService(t, Options{BlockSize: 1024, Now: lockedNow()})
 		defer svcs[i].Close()
-		svcs[i].RegisterMetricsLabeled(reg, obs.L("shard", fmt.Sprint(i)))
+		svcs[i].RegisterMetrics(reg, obs.L("shard", fmt.Sprint(i)))
 		ids[i] = mustCreate(t, svcs[i], "/snap")
 	}
 	payload := make([]byte, size)

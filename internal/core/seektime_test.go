@@ -279,12 +279,15 @@ func TestSeekTimeWarmTableDamagedAfterDated(t *testing.T) {
 	if !ok {
 		t.Fatalf("block %d was not dated", bad)
 	}
-	for g := 0; g < s.End() && s.blockCache().Peek(key); g++ {
+	for g := 0; g < s.End(); g++ { // every other block: more than the cache's 8
+		if g == bad {
+			continue
+		}
 		if _, err := s.readBlock(g); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.blockCache().Peek(key) {
+	if s.blockCache().Lookup(key) != nil {
 		t.Fatalf("block %d's image is still cached", bad)
 	}
 	if err := dev.Damage(bad+1, nil); err != nil { // +1: volume header block

@@ -610,12 +610,6 @@ func Open(devs []wodev.Device, opt Options) (*Service, error) {
 	return s, nil
 }
 
-// Options returns the service's effective options.
-func (s *Service) Options() Options { return s.opt }
-
-// Degree returns the entrymap tree degree N.
-func (s *Service) Degree() int { return s.opt.Degree }
-
 // BlockSize returns the block size in bytes.
 func (s *Service) BlockSize() int { return s.opt.BlockSize }
 

@@ -10,6 +10,7 @@ import (
 	"clio/internal/cache"
 	"clio/internal/entrymap"
 	"clio/internal/obs"
+	"clio/internal/wire"
 	"clio/internal/wodev"
 )
 
@@ -135,8 +136,7 @@ func imageAliases(img, b []byte) bool {
 
 // TestZeroCopyEntrymapProbe verifies the locator's entrymap probe of a
 // cache-resident sealed block: once the block is decoded, a probe and the
-// bitmap lookup behind it allocate nothing, and the bitmap handed out
-// aliases the cached image rather than a copy.
+// bitmap union behind it allocate nothing.
 func TestZeroCopyEntrymapProbe(t *testing.T) {
 	s, _, _ := zeroCopySetup(t)
 	ls := (*locatorSource)(s)
@@ -152,26 +152,17 @@ func TestZeroCopyEntrymapProbe(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("ViewAt(1, %d) = %v, %v", boundary, ok, err)
 	}
+	ids, buf := []uint16{id}, make(wire.Bitmap, entrymap.MaxDegree/8)
+	if bits := v.Union(ids, buf); bits.Empty() {
+		t.Fatalf("level-1 entry at %d has no bitmap for /zc", boundary)
+	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if v, ok, err := ls.ViewAt(1, boundary); err != nil || !ok || v.Get(id) == nil {
+		if v, ok, err := ls.ViewAt(1, boundary); err != nil || !ok || v.Union(ids, buf) == nil {
 			t.Fatal("warm ViewAt lost the entry")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("warm ViewAt allocated %.1f objects/op, want 0", allocs)
-	}
-	bits := v.Get(id)
-	if bits.Empty() {
-		t.Fatalf("level-1 entry at %d has no bitmap for /zc", boundary)
-	}
-	aliased := false
-	for b := boundary; b <= boundary+s.opt.Degree && !aliased; b++ {
-		if img := s.blockCache().Lookup(cache.Key{Block: b}); img != nil {
-			aliased = imageAliases(img, bits)
-		}
-	}
-	if !aliased {
-		t.Fatal("entrymap bitmap does not alias a cached block image")
 	}
 }
 
@@ -185,9 +176,10 @@ func BenchmarkEntrymapProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ids, buf := []uint16{id}, make(wire.Bitmap, entrymap.MaxDegree/8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if v, ok, err := ls.ViewAt(1, boundary); err != nil || !ok || v.Get(id) == nil {
+		if v, ok, err := ls.ViewAt(1, boundary); err != nil || !ok || v.Union(ids, buf) == nil {
 			b.Fatal("ViewAt lost the entry")
 		}
 	}
@@ -234,23 +226,30 @@ func TestZeroCopyTimestampProbe(t *testing.T) {
 	}
 
 	key := cache.Key{Block: block}
-	miss := func(read func()) float64 {
-		return testing.AllocsPerRun(50, func() {
-			s.blockCache().Invalidate(key)
-			read()
-		})
-	}
-	image := miss(func() {
+	image := missAllocs(s, block, func() {
 		if _, err := s.readBlock(block); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got := miss(probe); got != image {
+	if got := missAllocs(s, block, probe); got != image {
 		t.Fatalf("BlockFirstTS on a miss allocated %.1f objects/op, reading the image alone %.1f", got, image)
 	}
 	if img, dec := s.blockCache().LookupDecoded(key); img == nil || dec != nil {
 		t.Fatalf("after a missed probe: image cached %v, decode attached %v; want the image alone", img != nil, dec != nil)
 	}
+}
+
+// missAllocs is what read allocates on a miss of block. Before each run the
+// cache is flushed and a date noted for the block's neighbour, so the date
+// table holds the block's page again, as it does after the block alone is
+// evicted; what that costs is measured apart and taken off.
+func missAllocs(s *Service, block int, read func()) float64 {
+	cold := func() {
+		s.FlushCache()
+		s.blockCache().NoteDate(cache.Key{Block: block ^ 1}, 1)
+	}
+	base := testing.AllocsPerRun(50, cold)
+	return testing.AllocsPerRun(50, func() { cold(); read() }) - base
 }
 
 // TestZeroCopyMissAdopts pins the miss path's hand-off of its buffer to the
@@ -284,8 +283,7 @@ func TestZeroCopyMissAdopts(t *testing.T) {
 		t.Fatalf("decoding the block again allocated %.1f objects/op, want 0", allocs)
 	}
 	ls := (*locatorSource)(s)
-	if allocs := testing.AllocsPerRun(50, func() {
-		s.blockCache().Invalidate(key)
+	if allocs := missAllocs(s, block, func() {
 		if _, ok, err := ls.BlockFirstTS(block); err != nil || !ok {
 			t.Fatalf("BlockFirstTS(%d) = %v, %v", block, ok, err)
 		}
@@ -446,7 +444,8 @@ func parentStepSetup(tb testing.TB) (*Service, *Cursor, []int) {
 // member id — and, warm, no allocation at all.
 func TestZeroCopyParentBlockStep(t *testing.T) {
 	s, c, starts := parentStepSetup(t)
-	s.RegisterMetrics(obs.NewRegistry())
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
 	end := s.endShared()
 	n := s.opt.Degree
 	levels := entrymap.MaxLevel(n, end) + 1
@@ -461,7 +460,7 @@ func TestZeroCopyParentBlockStep(t *testing.T) {
 		if i+1 < len(starts) {
 			want = starts[i+1]
 		}
-		st0, n0 := s.LocateStats(), s.met().locateLat.Count()
+		st0, n0 := s.LocateStats(), histCount(reg, "clio_core_locate_seconds")
 		if err := c.advanceBlock(end, -1); err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +474,7 @@ func TestZeroCopyParentBlockStep(t *testing.T) {
 			wantSearches = 0
 			inRun++
 		}
-		got := s.met().locateLat.Count() - n0
+		got := histCount(reg, "clio_core_locate_seconds") - n0
 		if int(got) != wantSearches {
 			t.Fatalf("step from block %d to %d ran %d searches, want %d", b, want, got, wantSearches)
 		}

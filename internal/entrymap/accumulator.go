@@ -130,9 +130,6 @@ func (a *Accumulator) Pending(level int, id uint16) (wire.Bitmap, int) {
 	return l.maps[id], l.spanStart
 }
 
-// Reset clears all accumulated state (used before recovery reconstruction).
-func (a *Accumulator) Reset() { a.levels = nil }
-
 // EncodeState appends a serialized snapshot of the accumulator — degree,
 // every materialized level's span start and non-empty per-id bitmaps — to
 // dst. The snapshot is what a recovery checkpoint stores so reopen can skip

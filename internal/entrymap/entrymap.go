@@ -27,7 +27,6 @@ package entrymap
 
 import (
 	"errors"
-	"sort"
 
 	"clio/internal/wire"
 )
@@ -105,15 +104,6 @@ type Entry struct {
 	Maps []IDMap
 }
 
-// Get returns the bitmap for id, or nil if id has no entries in the span.
-func (e *Entry) Get(id uint16) wire.Bitmap {
-	i := sort.Search(len(e.Maps), func(i int) bool { return e.Maps[i].ID >= id })
-	if i < len(e.Maps) && e.Maps[i].ID == id {
-		return e.Maps[i].Bits
-	}
-	return nil
-}
-
 // Encode appends the entry's wire form to dst.
 //
 // Layout: level(1) boundary(u32) n(u16) count(uvarint) then per map:
@@ -189,7 +179,7 @@ func DecodeView(data []byte) (View, error) {
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		id, used, err := wire.Uvarint(rest)
-		// Get stops at the first id past the one it wants: ids must ascend.
+		// Union walks the maps and the id set in step: ids must ascend.
 		if err != nil || id > wire.MaxLogID || id < prev || len(rest) < used+mapBytes {
 			return View{}, ErrBadEntry
 		}
@@ -200,28 +190,10 @@ func DecodeView(data []byte) (View, error) {
 	return v, nil
 }
 
-// Get returns the bitmap for id, aliasing the viewed bytes, or nil if id has
-// no entries in the span.
-func (v View) Get(id uint16) wire.Bitmap {
-	mapBytes := (v.N + 7) / 8
-	for rest := v.maps; len(rest) > 0; {
-		got, used, _ := wire.Uvarint(rest) // validated by DecodeView
-		if got >= uint64(id) {
-			if got == uint64(id) {
-				return wire.Bitmap(rest[used : used+mapBytes : used+mapBytes])
-			}
-			return nil
-		}
-		rest = rest[used+mapBytes:]
-	}
-	return nil
-}
-
 // Union stores in dst the OR of the bitmaps of ids (ascending) and returns
-// it, or returns nil if none of ids has entries in the span: what ORing
-// Get(id) over ids would give, found in one merged walk of the entry's map
-// list and the id set. dst must hold (N+7)/8 bytes; the result aliases it,
-// not the viewed bytes.
+// it, or returns nil if none of ids has entries in the span, found in one
+// merged walk of the entry's map list and the id set. dst must hold
+// (N+7)/8 bytes; the result aliases it, not the viewed bytes.
 func (v View) Union(ids []uint16, dst wire.Bitmap) wire.Bitmap {
 	mapBytes := (v.N + 7) / 8
 	dst = dst[:mapBytes]
@@ -237,8 +209,8 @@ func (v View) Union(ids []uint16, dst wire.Bitmap) wire.Bitmap {
 				dst[i] |= b
 			}
 			found = true
-			// Like Get, answer with an id's first map: a repeat of it (legal on
-			// the wire) is passed over.
+			// Answer with an id's first map: a repeat of it (legal on the
+			// wire) is passed over.
 			for len(ids) > 0 && uint64(ids[0]) == got {
 				ids = ids[1:]
 			}

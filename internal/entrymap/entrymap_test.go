@@ -53,16 +53,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestEntryGet(t *testing.T) {
-	bm := wire.NewBitmap(8)
-	bm.Set(3)
-	e := &Entry{Level: 1, Boundary: 8, N: 8, Maps: []IDMap{{ID: 5, Bits: bm}}}
-	if e.Get(5) == nil {
-		t.Error("Get(5) = nil")
+// mapOf returns e's first bitmap for id, or nil if id has no entries in
+// the span.
+func mapOf(e *Entry, id uint16) wire.Bitmap {
+	for _, m := range e.Maps {
+		if m.ID == id {
+			return m.Bits
+		}
 	}
-	if e.Get(4) != nil || e.Get(6) != nil {
-		t.Error("Get of absent id != nil")
-	}
+	return nil
 }
 
 func TestAccumulatorEmissionBoundaries(t *testing.T) {
@@ -108,19 +107,19 @@ func TestAccumulatorEmissionBoundaries(t *testing.T) {
 	}
 	// Level-1 entry at 8 covers blocks 4..7: bits 2,3 (blocks 6,7).
 	l1 := all[1].entries[0]
-	bm := l1.Get(5)
+	bm := mapOf(l1, 5)
 	if bm == nil || bm.String()[:4] != "0011" {
 		t.Errorf("level-1@8 bitmap = %v", bm)
 	}
 	// Level-2 entry at 16 covers groups 0..3: f in groups 0 (block 1),
 	// 1 (6,7), 2 (9), 3 (14) -> all four bits.
 	l2 := all[3].entries[0]
-	bm2 := l2.Get(5)
+	bm2 := mapOf(l2, 5)
 	if bm2 == nil || bm2.String()[:4] != "1111" {
 		t.Errorf("level-2@16 bitmap = %v", bm2)
 	}
 	// Boundary 4's entry covers blocks 0..3: only block 1.
-	if got := all[0].entries[0].Get(5).String()[:4]; got != "0100" {
+	if got := mapOf(all[0].entries[0], 5).String()[:4]; got != "0100" {
 		t.Errorf("level-1@4 bitmap = %s", got)
 	}
 }

@@ -297,13 +297,6 @@ func (fs *FS) Create(ctx context.Context, name string, mode uint16) error {
 	return fs.appendUpdate(ctx, name, id, record(opCreate, 0, mode, nil), true)
 }
 
-// WriteAt writes data at an offset, extending the file with zeros if needed.
-func (fs *FS) WriteAt(ctx context.Context, name string, offset int, data []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.mutate(ctx, name, record(opWrite, uint64(offset), 0, data))
-}
-
 // Append appends data at the current end of the file.
 func (fs *FS) Append(ctx context.Context, name string, data []byte) error {
 	fs.mu.Lock()

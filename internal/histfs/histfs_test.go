@@ -56,32 +56,28 @@ func TestCreateWriteRead(t *testing.T) {
 	}
 }
 
-func TestWriteAtAndTruncate(t *testing.T) {
+func TestAppendAndTruncate(t *testing.T) {
 	fs, _ := newFS(t)
 	ctx := context.Background()
 	if err := fs.Create(ctx, "f", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteAt(ctx, "f", 4, []byte("ABCD")); err != nil {
+	if err := fs.Append(ctx, "f", []byte("0123ABCD")); err != nil {
 		t.Fatal(err)
-	}
-	got, _ := fs.Read(ctx, "f")
-	if !bytes.Equal(got, []byte("\x00\x00\x00\x00ABCD")) {
-		t.Fatalf("sparse write: %q", got)
 	}
 	if err := fs.Truncate(ctx, "f", 6); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = fs.Read(ctx, "f")
-	if !bytes.Equal(got, []byte("\x00\x00\x00\x00AB")) {
+	got, _ := fs.Read(ctx, "f")
+	if !bytes.Equal(got, []byte("0123AB")) {
 		t.Fatalf("after truncate: %q", got)
 	}
-	if err := fs.WriteAt(ctx, "f", 0, []byte("zz")); err != nil {
+	if err := fs.Append(ctx, "f", []byte("zz")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = fs.Read(ctx, "f")
-	if !bytes.Equal(got, []byte("zz\x00\x00AB")) {
-		t.Fatalf("overwrite: %q", got)
+	if !bytes.Equal(got, []byte("0123ABzz")) {
+		t.Fatalf("append after truncate: %q", got)
 	}
 }
 

@@ -89,11 +89,10 @@ type Store struct {
 }
 
 type mailbox struct {
-	user          string
-	msgID         logapi.ID
-	flagID        logapi.ID
-	msgs          []*Message // cached copies in delivery order
-	replayedFlags bool
+	user   string
+	msgID  logapi.ID
+	flagID logapi.ID
+	msgs   []*Message // cached copies in delivery order
 }
 
 // New returns a mail store rooted at the given log directory (created if
@@ -186,22 +185,6 @@ func (s *Store) List(ctx context.Context, user string, includeHidden bool) ([]*M
 		out = append(out, &cp)
 	}
 	return out, nil
-}
-
-// Get returns one message by id.
-func (s *Store) Get(ctx context.Context, user string, id int64) (*Message, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mb, err := s.mailboxLocked(ctx, user, false)
-	if err != nil {
-		return nil, err
-	}
-	m := mb.find(id)
-	if m == nil {
-		return nil, fmt.Errorf("%w: %d", ErrNoMessage, id)
-	}
-	cp := *m
-	return &cp, nil
 }
 
 // MarkRead logs and applies a read mark.

@@ -167,7 +167,7 @@ func TestMailSurvivesCrash(t *testing.T) {
 	}
 }
 
-func TestUsersAndGet(t *testing.T) {
+func TestMailboxesAreLogFiles(t *testing.T) {
 	st, svc, _, _ := newStore(t)
 	defer svc.Close()
 	ctx := context.Background()
@@ -181,13 +181,12 @@ func TestUsersAndGet(t *testing.T) {
 	if err != nil || fmt.Sprint(users) != "[alice bob]" {
 		t.Errorf("mailboxes: %v, %v", users, err)
 	}
-	id, _ := st.Deliver(ctx, "alice", "bob", "s", "b")
-	m, err := st.Get(ctx, "alice", id)
-	if err != nil || m.From != "bob" {
-		t.Errorf("Get: %+v, %v", m, err)
+	if _, err := st.Deliver(ctx, "alice", "bob", "s", "b"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st.Get(ctx, "alice", 1); !errors.Is(err, ErrNoMessage) {
-		t.Errorf("Get missing: %v", err)
+	msgs, err := st.List(ctx, "alice", false)
+	if err != nil || len(msgs) != 1 || msgs[0].From != "bob" {
+		t.Errorf("List: %v, %v", msgs, err)
 	}
 }
 

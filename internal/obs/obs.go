@@ -138,14 +138,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
 // snapshot returns per-bucket (non-cumulative) counts, the sum in ns and the
 // total count, read without locking (individually atomic; a scrape racing an
 // Observe may be off by one observation, never torn within a word).

@@ -58,9 +58,6 @@ func NewStore(blockSize, capacity int) *Store {
 		blocks: make(map[int][]byte), last: -2}
 }
 
-// BlockSize returns the block size.
-func (st *Store) BlockSize() int { return st.blockSize }
-
 // Stats returns the counters.
 func (st *Store) Stats() Stats { return st.stats }
 
@@ -373,6 +370,3 @@ func (fs *FS) BackupReads(name string) (int64, error) {
 	}
 	return fs.store.stats.Reads - before, nil
 }
-
-// Store returns the underlying store (for stats).
-func (fs *FS) Store() *Store { return fs.store }

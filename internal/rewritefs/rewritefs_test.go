@@ -46,7 +46,7 @@ func TestLargeFileThroughIndirection(t *testing.T) {
 	if err := fs.Create("big"); err != nil {
 		t.Fatal(err)
 	}
-	bs := fs.Store().BlockSize()
+	bs := fs.store.blockSize
 	// Past the direct blocks and the single indirect: into double indirect.
 	blocks := NumDirect + bs/4 + 10
 	chunk := make([]byte, bs)
@@ -77,15 +77,15 @@ func TestTailAccessCostGrows(t *testing.T) {
 	if err := fs.Create("log"); err != nil {
 		t.Fatal(err)
 	}
-	bs := fs.Store().BlockSize()
+	bs := fs.store.blockSize
 	chunk := make([]byte, bs)
 
 	costOfNextAppend := func() int64 {
-		fs.Store().ResetStats()
+		fs.store.ResetStats()
 		if err := fs.Append("log", chunk); err != nil {
 			t.Fatal(err)
 		}
-		s := fs.Store().Stats()
+		s := fs.store.Stats()
 		return s.Reads + s.Writes
 	}
 	earlyCost := costOfNextAppend() // in the direct region
@@ -102,17 +102,17 @@ func TestTailAccessCostGrows(t *testing.T) {
 
 	// Cold tail read costs more I/Os deep in the file than at the front.
 	buf := make([]byte, bs)
-	fs.Store().ResetStats()
+	fs.store.ResetStats()
 	if err := fs.ReadAt("log", 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	frontReads := fs.Store().Stats().Reads
+	frontReads := fs.store.Stats().Reads
 	sz, _ := fs.Size("log")
-	fs.Store().ResetStats()
+	fs.store.ResetStats()
 	if err := fs.ReadAt("log", sz-bs, buf); err != nil {
 		t.Fatal(err)
 	}
-	tailReads := fs.Store().Stats().Reads
+	tailReads := fs.store.Stats().Reads
 	if tailReads <= frontReads {
 		t.Errorf("tail read %d reads <= front read %d", tailReads, frontReads)
 	}
@@ -123,7 +123,7 @@ func TestBackupReadsWholeFile(t *testing.T) {
 	if err := fs.Create("f"); err != nil {
 		t.Fatal(err)
 	}
-	bs := fs.Store().BlockSize()
+	bs := fs.store.blockSize
 	for i := 0; i < 20; i++ {
 		if err := fs.Append("f", make([]byte, bs)); err != nil {
 			t.Fatal(err)
@@ -144,19 +144,19 @@ func TestScatteredAllocationSeeks(t *testing.T) {
 	fs := newFS(t)
 	_ = fs.Create("a")
 	_ = fs.Create("b")
-	bs := fs.Store().BlockSize()
+	bs := fs.store.blockSize
 	for i := 0; i < 40; i++ {
 		_ = fs.Append("a", make([]byte, bs))
 		_ = fs.Append("b", make([]byte, bs))
 	}
 	buf := make([]byte, bs)
-	fs.Store().ResetStats()
+	fs.store.ResetStats()
 	for i := 8; i < 40; i++ { // past the direct region for realism
 		if err := fs.ReadAt("a", i*bs, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := fs.Store().Stats()
+	s := fs.store.Stats()
 	if s.Seeks < 32 {
 		t.Errorf("interleaved file read seeks = %d, want ~1 per block", s.Seeks)
 	}
@@ -168,7 +168,7 @@ func TestMaxFileSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Direct, single-indirect and double-indirect blocks, 4-byte pointers.
-	ptrs := fs.Store().BlockSize() / 4
+	ptrs := fs.store.blockSize / 4
 	blocks := NumDirect + ptrs + ptrs*ptrs
 	if _, err := fs.blockFor(fs.files["f"], blocks-1, true); err != nil {
 		t.Fatalf("last file block: %v", err)

@@ -137,9 +137,6 @@ func NewStore(st *shard.Store) *Server {
 	}
 }
 
-// Store returns the underlying log store.
-func (s *Server) Store() *shard.Store { return s.store }
-
 // Epoch returns the server instance identifier carried in Hello responses.
 func (s *Server) Epoch() uint64 { return s.epoch }
 

@@ -335,7 +335,7 @@ func batchData(t *testing.T, resp []byte) []string {
 func TestBareCursorStepKeepsItsBytes(t *testing.T) {
 	srv, conn := testServer(t)
 	hb := cursorFixture(t, conn, 3, "")
-	ref, err := srv.Store().OpenCursor(context.Background(), "/scan")
+	ref, err := srv.store.OpenCursor(context.Background(), "/scan")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestFusedSeekTime(t *testing.T) {
 	srv.RegisterMetrics(reg)
 	const n = 12
 	hb := cursorFixture(t, conn, n, "")
-	ref, err := srv.Store().OpenCursor(context.Background(), "/scan")
+	ref, err := srv.store.OpenCursor(context.Background(), "/scan")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,20 +143,29 @@ func TestMergedRecoveryTailQuantifiers(t *testing.T) {
 	}
 }
 
-// TestStoreCheckpointFanOut: Store.Checkpoint checkpoints every shard, and
-// a store-wide crash then recovers every shard from its checkpoint, with
-// the merged report counting them.
+// TestStoreCheckpointFanOut: every shard checkpoints, and a store-wide
+// crash then recovers every shard from its checkpoint, with the merged
+// report counting them.
 func TestStoreCheckpointFanOut(t *testing.T) {
 	const shards = 3
 	devs, opts := buildCrashedShards(t, shards, false, nil)
 	for i := range opts {
-		opts[i].CheckpointInterval = 64 // policy on, but far from due
+		opts[i].CheckpointInterval = 1 // a checkpoint after every seal
 	}
 	st, err := Open(devs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Checkpoint(); err != nil {
+	err = st.each(func(svc *core.Service) error {
+		id, err := svc.Resolve("/r")
+		if err != nil {
+			return err
+		}
+		// Without NVRAM a forced append seals its block: a checkpoint is due.
+		_, err = svc.Append(id, []byte("sealed"), core.AppendOptions{Forced: true})
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	st.Crash()

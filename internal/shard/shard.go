@@ -523,13 +523,6 @@ func (st *Store) LastRecovery() MergedRecovery {
 	return out
 }
 
-// Checkpoint emits a recovery checkpoint on every shard concurrently, each
-// covering that shard's own volume sequence (checkpoints are per-sequence
-// state; there is no cross-shard snapshot to coordinate).
-func (st *Store) Checkpoint() error {
-	return st.each(func(svc *core.Service) error { return svc.Checkpoint() })
-}
-
 // CompactOnce runs one compaction pass on every shard concurrently and sums
 // the per-shard results. Each shard compacts its own volume sequence
 // independently (a log file lives wholly on one shard, so there is no
@@ -572,7 +565,7 @@ func (st *Store) CompactOnce(ctx context.Context, opt core.CompactOptions) (core
 // breaks the whole store down per shard.
 func (st *Store) RegisterMetrics(reg *obs.Registry) {
 	for i, svc := range st.svcs {
-		svc.RegisterMetricsLabeled(reg, obs.L("shard", strconv.Itoa(i)))
+		svc.RegisterMetrics(reg, obs.L("shard", strconv.Itoa(i)))
 	}
 }
 

@@ -600,13 +600,6 @@ func (c *Consumer) Ack(ctx context.Context, m *Msg) error {
 	return nil
 }
 
-// Members returns the sorted live-member list as this member sees it.
-func (c *Consumer) Members() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.liveLocked()
-}
-
 // Err returns the failure that stopped the consumer, if any.
 func (c *Consumer) Err() error {
 	c.mu.Lock()
@@ -661,23 +654,4 @@ func (c *Consumer) Close() error {
 	c.once.Do(func() { close(c.quit) })
 	c.wg.Wait()
 	return nil
-}
-
-// Kill stops the consumer abruptly — no releases, no leave record — as a
-// crash would. The group recovers by TTL expiry. In-flight acks are drained
-// first so a caller that records successful acks observes a consistent
-// trail.
-func (c *Consumer) Kill() {
-	c.cancel()
-	c.mu.Lock()
-	c.assigned = make(map[int]bool)
-	wgs := make([]*sync.WaitGroup, 0, len(c.ackWG))
-	for _, wg := range c.ackWG {
-		wgs = append(wgs, wg)
-	}
-	c.mu.Unlock()
-	for _, wg := range wgs {
-		wg.Wait()
-	}
-	c.wg.Wait()
 }

@@ -331,3 +331,22 @@ func TestSoakKillAndRejoin(t *testing.T) {
 		t.Fatalf("audit saw %d partitions, want %d", len(rep.Partitions), partitions)
 	}
 }
+
+// Kill stops the consumer abruptly — no releases, no leave record — as a
+// crash would. The group recovers by TTL expiry. In-flight acks are drained
+// first so a caller that records successful acks observes a consistent
+// trail.
+func (c *Consumer) Kill() {
+	c.cancel()
+	c.mu.Lock()
+	c.assigned = make(map[int]bool)
+	wgs := make([]*sync.WaitGroup, 0, len(c.ackWG))
+	for _, wg := range c.ackWG {
+		wgs = append(wgs, wg)
+	}
+	c.mu.Unlock()
+	for _, wg := range wgs {
+		wg.Wait()
+	}
+	c.wg.Wait()
+}

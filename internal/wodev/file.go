@@ -144,16 +144,6 @@ func (d *FileDevice) Invalidate(idx int) error {
 	return nil
 }
 
-// Sync flushes the backing file to stable storage.
-func (d *FileDevice) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	return d.f.Sync()
-}
-
 // Close implements Device.
 func (d *FileDevice) Close() error {
 	d.mu.Lock()
