@@ -42,7 +42,6 @@ import (
 	"clio/internal/core"
 	"clio/internal/logapi"
 	"clio/internal/shard"
-	"clio/internal/volume"
 	"clio/internal/wodev"
 )
 
@@ -56,9 +55,6 @@ type LogCursor = logapi.Cursor
 // ID identifies a log file within a Store: shard ordinal in the high 16
 // bits, shard-local catalog id in the low 16.
 type ID = logapi.ID
-
-// MakeID combines a shard ordinal and a shard-local catalog id.
-func MakeID(shardOrdinal int, local uint16) ID { return logapi.MakeID(shardOrdinal, local) }
 
 // Info describes one log file (the catalog descriptor).
 type Info = logapi.Info
@@ -105,15 +101,12 @@ var (
 // NewMemNVRAM returns an in-memory NVRAM simulation.
 func NewMemNVRAM() *core.MemNVRAM { return core.NewMemNVRAM() }
 
-// NewFileNVRAM returns an NVRAM persisted in a sidecar file.
-func NewFileNVRAM(path string) *core.FileNVRAM { return core.NewFileNVRAM(path) }
-
 // Reclamation and cold tiering: the compactor copies the live entries of
 // old sealed volumes forward, demotes the emptied volumes to an archive
 // backend, and serves reads of demoted blocks through the backend at
 // archival latency. File-backed stores wire the tier automatically (a
 // cold directory beside each shard's volumes); other deployments set
-// Options.Cold.
+// Options.Cold with a ColdBackend and a StateStore of their own.
 
 // CompactOptions bounds one compaction pass (Store.CompactOnce).
 type CompactOptions = core.CompactOptions
@@ -135,21 +128,6 @@ type StateStore = core.StateStore
 
 // ErrNoColdTier is returned by CompactOnce on a store with no cold tier.
 var ErrNoColdTier = core.ErrNoColdTier
-
-// NewDirBackend returns a directory-backed archive backend (one file per
-// volume image; the directory is created lazily on first write).
-func NewDirBackend(dir string) ColdBackend { return archive.NewDir(dir) }
-
-// NewMemBackend returns an in-memory archive backend for tests and
-// mem-backed stores.
-func NewMemBackend() ColdBackend { return archive.NewMem() }
-
-// NewFileState returns a compaction-sidecar store backed by a single file,
-// written atomically.
-func NewFileState(path string) StateStore { return core.NewFileState(path) }
-
-// NewMemState returns an in-memory compaction-sidecar store for tests.
-func NewMemState() StateStore { return core.NewMemState() }
 
 // NewMemStore creates an n-shard Store over fresh in-memory write-once
 // devices — the quickest way to a sharded store for tests and examples.
@@ -184,12 +162,4 @@ func NewMemStore(n, blockSize, capacityBlocks int, opt Options) (*Store, error) 
 // experimentation. capacityBlocks <= 0 selects a large default.
 func NewMemDevice(blockSize, capacityBlocks int) *wodev.MemDevice {
 	return wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: capacityBlocks})
-}
-
-// MemAllocator returns an Allocator minting in-memory volumes of the given
-// capacity, for tests and experiments that span many volumes.
-func MemAllocator(capacityBlocks int) Allocator {
-	return func(_ volume.SeqID, _ uint32, _ uint64, blockSize int) (wodev.Device, error) {
-		return wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: capacityBlocks}), nil
-	}
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"clio/internal/volume"
+	"clio/internal/wodev"
 )
 
 func TestCreateOpenStoreRoundTrip(t *testing.T) {
@@ -120,9 +123,17 @@ func TestDirStoreSpansVolumeFiles(t *testing.T) {
 	}
 }
 
+// memAllocator returns an Allocator minting in-memory volumes of the given
+// capacity.
+func memAllocator(capacityBlocks int) Allocator {
+	return func(_ volume.SeqID, _ uint32, _ uint64, blockSize int) (wodev.Device, error) {
+		return wodev.NewMem(wodev.MemOptions{BlockSize: blockSize, Capacity: capacityBlocks}), nil
+	}
+}
+
 func TestMemAllocatorFacade(t *testing.T) {
 	ctx := context.Background()
-	st, err := NewMemStore(1, 256, 16, Options{BlockSize: 256, Degree: 4, Allocate: MemAllocator(16)})
+	st, err := NewMemStore(1, 256, 16, Options{BlockSize: 256, Degree: 4, Allocate: memAllocator(16)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ const uniform = "the §2 uniform interface: every deployment offers the whole lo
 var stdlibMethods = map[string]bool{"String": true, "Unwrap": true}
 
 // TestNoTestOnlyExports fails when a function, method, interface method or
-// struct field declared in a non-test file under internal/ is used by no
+// struct field declared in a non-test file of the module is used by no
 // non-test code of the module or of bench/. Code that only tests reach is
 // given a caller, deleted, moved into a _test.go file or listed in
 // exportAllowlist. The rules are deadDecls'.
@@ -63,12 +63,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls, err := deadDecls(m, func(pkg string) bool { return strings.HasPrefix(pkg, "clio/internal/") })
+	decls, err := deadDecls(m, func(pkg string) bool { return m.moduleOf(pkg).path == "clio" })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.declared) == 0 {
-		t.Fatal("nothing declared under internal/: run the test from the module root")
+		t.Fatal("nothing declared in the module: run the test from the module root")
 	}
 	for _, d := range decls {
 		if _, ok := exportAllowlist[d.key]; !ok {

@@ -32,7 +32,8 @@ type opInfo struct {
 	// opcode nobody declared.
 	name string
 	// mutating ops change store state: followers refuse them and a cluster
-	// leader acks them only after a quorum staged their effects.
+	// leader acks them only after a quorum staged what their answer
+	// promised (all of their effects, unless an unforced append's).
 	mutating bool
 	// unsequenced ops have no session side effects, so they bypass the
 	// duplicate-suppression window (a replay simply re-executes) and may
