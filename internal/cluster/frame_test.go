@@ -50,7 +50,7 @@ func TestFollowerKeepsNothingOfTheFrame(t *testing.T) {
 	if err := devs[0][0].ReadBlock(0, got); err != nil || !bytes.Equal(got, block) {
 		t.Errorf("appended block changed with the frame buffer (%v)", err)
 	}
-	sessions := fol.sessions.Export()
+	sessions := fol.sessions.Export(0)
 	if len(sessions) != 1 || len(sessions[0].Resps) != 1 || !bytes.Equal(sessions[0].Resps[0].Resp, resp) {
 		t.Errorf("recorded response changed with the frame buffer: %+v", sessions)
 	}

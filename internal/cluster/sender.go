@@ -364,7 +364,11 @@ func (n *Node) catchUp(conn *server.FrameConn, p *peer, srv *server.Server, thei
 			return err
 		}
 	}
-	states := srv.Sessions.Export()
+	// A reply still inside the gate is in the table only if its ReplAck
+	// lies at or below base: then no frame for it reaches the follower. One
+	// above base must not be: it reaches the follower as its frame, after
+	// the frames it depends on.
+	states := srv.Sessions.Export(base)
 	for len(states) > 0 {
 		k := min(len(states), sessionChunk)
 		rs := &wire.ReplSessions{Sessions: states[:k]}

@@ -652,12 +652,12 @@ func TestDedupWindowByteBudget(t *testing.T) {
 	for seq := uint64(1); seq <= 10; seq++ {
 		src.Record(9, seq, StatusOK, big)
 	}
-	dst.Install(src.Export())
+	dst.Install(src.Export(0))
 	got := dst.m[9]
 	if got == nil || dst.MaxSeq(9) != 10 || len(got.window) != 4 || got.retained != 4*len(big) {
 		t.Fatalf("installed session: present=%v maxSeq=%d window=%d retained=%d", got != nil, dst.MaxSeq(9), len(got.window), got.retained)
 	}
-	dst.Install(src.Export()) // idempotent
+	dst.Install(src.Export(0)) // idempotent
 	if len(got.window) != 4 || got.retained != 4*len(big) {
 		t.Fatalf("re-install changed the window: %d responses, %d bytes", len(got.window), got.retained)
 	}
