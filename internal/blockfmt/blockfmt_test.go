@@ -41,11 +41,11 @@ func TestBuildParseRoundTrip(t *testing.T) {
 	if p.FirstTimestamp != 1000 {
 		t.Errorf("FirstTimestamp = %d", p.FirstTimestamp)
 	}
-	if len(p.Records) != len(recs) {
-		t.Fatalf("parsed %d records, want %d", len(p.Records), len(recs))
+	if p.Len() != len(recs) {
+		t.Fatalf("parsed %d records, want %d", p.Len(), len(recs))
 	}
 	for i, want := range recs {
-		got := p.Records[i]
+		got := recordOf(p, i)
 		if got.LogID != want.LogID || got.Form != want.Form ||
 			got.Continued != want.Continued || got.Continues != want.Continues {
 			t.Errorf("record %d meta: %+v", i, got)
@@ -100,7 +100,7 @@ func TestBuilderCapacityAccounting(t *testing.T) {
 		t.Errorf("append to full block: %v", err)
 	}
 	p, err := Parse(b.Seal())
-	if err != nil || len(p.Records) != 1 || len(p.Records[0].Data) != len(data) {
+	if err != nil || p.Len() != 1 || len(recordOf(p, 0).Data) != len(data) {
 		t.Fatalf("parse exact-fill block: %v", err)
 	}
 }
@@ -157,14 +157,14 @@ func TestSealIdempotentForStagedTail(t *testing.T) {
 	}
 	img2 := b.Seal()
 	p1, err := Parse(img1)
-	if err != nil || len(p1.Records) != 1 {
+	if err != nil || p1.Len() != 1 {
 		t.Fatalf("img1: %v", err)
 	}
 	p2, err := Parse(img2)
-	if err != nil || len(p2.Records) != 2 {
+	if err != nil || p2.Len() != 2 {
 		t.Fatalf("img2: %v", err)
 	}
-	if !bytes.Equal(p2.Records[1].Data, []byte("b")) {
+	if !bytes.Equal(recordOf(p2, 1).Data, []byte("b")) {
 		t.Error("second record corrupted by reseal")
 	}
 }
@@ -186,7 +186,7 @@ func TestBuilderReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, err := Parse(b.Seal())
-	if err != nil || p.BlockIndex != 2 || len(p.Records) != 1 {
+	if err != nil || p.BlockIndex != 2 || p.Len() != 1 {
 		t.Fatalf("post-reset block: %+v, %v", p, err)
 	}
 }
@@ -237,7 +237,7 @@ func TestEmptyBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Records) != 0 || p.BlockIndex != 9 {
+	if p.Len() != 0 || p.BlockIndex != 9 {
 		t.Errorf("empty block: %+v", p)
 	}
 }
@@ -284,11 +284,11 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 		}
 		p, err := Parse(b.Seal())
-		if err != nil || len(p.Records) != len(want) {
+		if err != nil || p.Len() != len(want) {
 			return false
 		}
 		for i, w := range want {
-			g := p.Records[i]
+			g := recordOf(p, i)
 			if g.LogID != w.rec.LogID || g.Form != w.rec.Form ||
 				g.Continued != w.rec.Continued || g.Continues != w.rec.Continues ||
 				!bytes.Equal(g.Data, w.rec.Data) {
@@ -340,18 +340,18 @@ func TestFormMultiRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.Records[0]
+	got := recordOf(p, 0)
 	if got.Form != FormMulti || got.Timestamp != 12345 || got.AttrFlags != AttrForced {
 		t.Errorf("multi header: %+v", got)
 	}
-	if len(got.ExtraIDs) != 3 || got.ExtraIDs[0] != 9 || got.ExtraIDs[1] != 4000 || got.ExtraIDs[2] != 42 {
-		t.Errorf("extra ids: %v", got.ExtraIDs)
+	if ids := got.ExtraIDs.Append(nil); len(ids) != 3 || ids[0] != 9 || ids[1] != 4000 || ids[2] != 42 {
+		t.Errorf("extra ids: %v", ids)
 	}
 	if string(got.Data) != "shared entry" {
 		t.Errorf("data: %q", got.Data)
 	}
-	if p.Records[1].LogID != 8 {
-		t.Errorf("following record: %+v", p.Records[1])
+	if recordOf(p, 1).LogID != 8 {
+		t.Errorf("following record: %+v", recordOf(p, 1))
 	}
 	if p.FirstTimestamp != 12345 {
 		t.Errorf("footer ts: %d", p.FirstTimestamp)
@@ -401,8 +401,8 @@ func TestReindex(t *testing.T) {
 	if p.Flags&FlagVolumeSealed == 0 {
 		t.Fatal("FlagVolumeSealed not or'ed in")
 	}
-	if len(p.Records) != 1 || string(p.Records[0].Data) != "payload" {
-		t.Fatalf("records corrupted by Reindex: %+v", p.Records)
+	if p.Len() != 1 || string(recordOf(p, 0).Data) != "payload" {
+		t.Fatalf("records corrupted by Reindex: %d records", p.Len())
 	}
 
 	// No-op reindex keeps the image byte-identical.
@@ -465,8 +465,8 @@ func TestFirstTimestampAgreesWithParse(t *testing.T) {
 			t.Errorf("%s: FirstTimestamp says %q, Parse says %q, want %v", tc.name, err, perr, tc.is)
 		case ok != tc.ok:
 			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
-		case !rejected && (ts != p.FirstTimestamp || ok != (len(p.Records) > 0)):
-			t.Errorf("%s: FirstTimestamp %d, %v; Parse %d with %d records", tc.name, ts, ok, p.FirstTimestamp, len(p.Records))
+		case !rejected && (ts != p.FirstTimestamp || ok != (p.Len() > 0)):
+			t.Errorf("%s: FirstTimestamp %d, %v; Parse %d with %d records", tc.name, ts, ok, p.FirstTimestamp, p.Len())
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() { FirstTimestamp(good) }); allocs != 0 {
@@ -474,8 +474,9 @@ func TestFirstTimestampAgreesWithParse(t *testing.T) {
 	}
 }
 
-// TestRecordViewSize pins the decoded record at 64 bytes: a cached decode
-// holds one per record, so a field added here is a memory decision.
+// TestRecordViewSize pins a record's view at 64 bytes: Parsed.Record fills
+// one in for each record a reader visits, so a field added here is a cost on
+// every step of a scan.
 func TestRecordViewSize(t *testing.T) {
 	if n := unsafe.Sizeof(RecordView{}); n != 64 {
 		t.Fatalf("RecordView is %d bytes, want 64", n)
@@ -521,4 +522,11 @@ func TestEffectiveAt(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordOf returns the view of record i of p.
+func recordOf(p Parsed, i int) RecordView {
+	var r RecordView
+	p.Record(i, &r)
+	return r
 }

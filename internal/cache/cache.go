@@ -221,6 +221,11 @@ func (c *Cache) LookupDecoded(key Key) ([]byte, any) {
 // only if the entry still holds that exact slice — a concurrent Put of the
 // same block replaces the slice and must not inherit a decode of the other
 // one. The identity check makes a stale attach a harmless no-op.
+//
+// The decode stays as long as the image, so its size is part of what a
+// cached block costs: core's decode of a data block is an 80-byte record
+// plus 2 bytes a record, with no pointer in its record index, on top of the
+// image it refers to (DESIGN.md, "What a decoded block keeps").
 func (c *Cache) Attach(key Key, img []byte, dec any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

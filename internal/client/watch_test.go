@@ -99,14 +99,18 @@ func TestWatchOverWire(t *testing.T) {
 	}
 }
 
-// serverGoroutines counts the goroutines running server code or a remote
-// subscription's: whatever of a subscription could outlive a request.
-func serverGoroutines() int {
+// pullGoroutines counts the goroutines that hold a pull: a server handler
+// inside shard.Sub.RecvEach, the watch a parked pull starts on the read
+// side, and any goroutine of a client's remote subscription. None of them
+// exists between pulls, whatever else runs server code then.
+func pullGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "clio/internal/server.") || strings.Contains(g, "clio/internal/client.(*remoteSub)") {
+		if strings.Contains(g, "clio/internal/shard.(*Sub).RecvEach") ||
+			strings.Contains(g, "clio/internal/server.(*connHandler).watch") ||
+			strings.Contains(g, "clio/internal/client.(*remoteSub)") {
 			n++
 		}
 	}
@@ -115,10 +119,13 @@ func serverGoroutines() int {
 
 // TestWatchStalledConsumerCostsNothing: flow control is the pull. A
 // consumer takes 300 entries in order while they are appended, then stops
-// calling Recv while 10,000 more are: the server answers at most the one
-// pull outstanding, one batch, and then holds no parked pull and no
-// goroutine for the subscription but its connection's. When the consumer
-// comes back, every entry arrives, in order.
+// calling Recv while 10,000 more are: the server reads at most one batch
+// for it, and no goroutine holds a pull for it — none is parked, none
+// pushes. When the consumer comes back, every entry arrives, in order.
+// Both checks read state, not the clock: a pull is asked only by a Recv
+// whose buffer is empty, and its watch is joined before it is answered, so
+// when the last Recv returned no pull was outstanding, and only a pull can
+// make the server read entries for the subscription.
 func TestWatchStalledConsumerCostsNothing(t *testing.T) {
 	const first, more = 300, 10000
 	dev := wodev.NewMem(wodev.MemOptions{BlockSize: 512, Capacity: 1 << 14})
@@ -147,7 +154,6 @@ func TestWatchStalledConsumerCostsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := serverGoroutines()
 	sub, err := cl.Watch(bg, "/firehose", logapi.WatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -178,12 +184,8 @@ func TestWatchStalledConsumerCostsNothing(t *testing.T) {
 
 	stalled := delivered.Value()
 	appendN(first, more)
-	// The one pull outstanding is answered; then the subscription's
-	// connection handler is all the server runs for it.
-	for deadline := time.Now().Add(5 * time.Second); serverGoroutines() != baseline+1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d server goroutines with the consumer stalled, want %d: a pull parked, or a pusher", serverGoroutines(), baseline+1)
-		}
+	if n := pullGoroutines(); n != 0 {
+		t.Fatalf("%d goroutines hold a pull with the consumer stalled, want 0: a pull parked, or a pusher", n)
 	}
 	if n := delivered.Value() - stalled; n > server.MaxBatchEntries {
 		t.Fatalf("the server read %d entries for a consumer that stopped, want one batch at most (%d)", n, server.MaxBatchEntries)

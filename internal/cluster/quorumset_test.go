@@ -349,11 +349,19 @@ func peerQuorum(peers []PeerStatus, addr string) bool {
 	return false
 }
 
+// expiries returns how often the stream's flush timer has expired.
+func expiries(st *stream) uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.expiries
+}
+
 // TestStalledQuorumFollowerIsReplaced: a quorum follower whose connection
 // stops carrying frames, without closing, trades places with the trailing
-// follower within a few flush periods; no force waits out the quorum
-// timeout meanwhile, and promoting the follower that applied the most
-// loses no acked entry.
+// follower within a few flush periods — counted in the stream timer's
+// expiries, which stop while the host deschedules the leader, where wall
+// time runs on; no force waits out the quorum timeout meanwhile, and
+// promoting the follower that applied the most loses no acked entry.
 func TestStalledQuorumFollowerIsReplaced(t *testing.T) {
 	pc := newPeerConns()
 	addrs, nodes := startThree(t, pc)
@@ -386,20 +394,24 @@ func TestStalledQuorumFollowerIsReplaced(t *testing.T) {
 	}
 
 	pc.stall(qa)
-	stalled := time.Now()
-	var swapped time.Duration
-	for i := 0; i < 400 && swapped == 0; i++ {
+	stalled, start := expiries(leader.stream), time.Now()
+	var periods uint64
+	swapped := false
+	for i := 0; i < 400 && !swapped; i++ {
 		appendOne()
 		if st := leader.Status(); peerQuorum(st.Peers, ta) && !peerQuorum(st.Peers, qa) {
-			swapped = time.Since(stalled)
+			swapped, periods = true, expiries(leader.stream)-stalled
 		}
 	}
-	if swapped == 0 {
+	if !swapped {
 		t.Fatalf("the roles did not swap within %d forces (%v) of the stall: %+v",
-			len(acked), time.Since(stalled), leader.Status().Peers)
+			len(acked), time.Since(start), leader.Status().Peers)
 	}
-	if periods := swapped / heldFlushAfter; periods > 20 {
-		t.Errorf("the roles swapped %v (%d flush periods) after the stall, want a few", swapped, periods)
+	// The check counts staleExpiries in a row once a period has passed with
+	// the frame handed over; the few more are the trailing follower's ack
+	// on its way, and the force whose commit showed the swap.
+	if limit := uint64(staleExpiries + 4); periods > limit {
+		t.Errorf("the roles swapped %d flush periods after the stall, want at most %d", periods, limit)
 	}
 	// In its new role the former trailing follower carries each force.
 	for i := 0; i < 20; i++ {
@@ -408,7 +420,7 @@ func TestStalledQuorumFollowerIsReplaced(t *testing.T) {
 	if n := leader.Status().QuorumTimeouts; n != 0 {
 		t.Fatalf("%d forces waited out the quorum timeout", n)
 	}
-	t.Logf("swapped %v after the stall; %d entries acked", swapped, len(acked))
+	t.Logf("swapped %d flush periods (%v) after the stall; %d entries acked", periods, time.Since(start), len(acked))
 
 	// Promote the follower that applied the most: it holds every acked entry.
 	leader.Kill()

@@ -94,7 +94,9 @@ func TestSealedReadPathAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("base block %d: %v", g, err)
 		}
-		for i, r := range p.Records {
+		var r blockfmt.RecordView
+		for i := range p.Len() {
+			p.Record(i, &r)
 			if r.LogID != id || len(r.Data) == 0 {
 				continue
 			}
@@ -142,8 +144,8 @@ func TestSealedReadPathAgreement(t *testing.T) {
 					return img
 				}
 				orig, err := blockfmt.Parse(img)
-				if err != nil || len(orig.Records) != 1 {
-					t.Fatalf("victim block %d: %v, %d records", victim, err, len(orig.Records))
+				if err != nil || orig.Len() != 1 {
+					t.Fatalf("victim block %d: %v, %d records", victim, err, orig.Len())
 				}
 				b, err := blockfmt.NewBuilder(bs, orig.BlockIndex)
 				if err != nil {

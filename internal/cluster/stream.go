@@ -111,11 +111,12 @@ type stream struct {
 	// log holds the frames from the oldest position some subscriber has
 	// not been handed yet to pos. It only ever grows at its end, so a
 	// batch handed out (a window below len) is never written again.
-	log   []frame
-	timer *time.Timer
-	armed bool   // timer pending
-	seen  uint64 // stream head when the timer was last set
-	subs  []*subscriber
+	log      []frame
+	timer    *time.Timer
+	armed    bool   // timer pending
+	seen     uint64 // stream head when the timer was last set
+	expiries uint64 // how often the timer has expired: the clock the swap check counts in
+	subs     []*subscriber
 }
 
 func newStream(queue, quorum int) *stream {
@@ -204,6 +205,7 @@ func (st *stream) flush() {
 func (st *stream) expire() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.expiries++
 	for i := len(st.subs) - 1; i >= 0; i-- {
 		if sub := st.subs[i]; sub.next <= st.seen {
 			st.deliverLocked(sub)

@@ -186,8 +186,9 @@ func (s *Service) findCheckpoint(end int) *checkpoint {
 		if err != nil {
 			continue // unreadable block: nothing to find here
 		}
-		for i := len(parsed.Records) - 1; i >= 0; i-- {
-			r := parsed.Records[i]
+		var r blockfmt.RecordView
+		for i := parsed.Len() - 1; i >= 0; i-- {
+			parsed.Record(i, &r)
 			if r.LogID != entrymap.CheckpointID || r.Continued {
 				continue
 			}

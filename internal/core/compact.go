@@ -287,7 +287,9 @@ func (s *Service) collectLive(from, to int) ([]liveEntry, int, error) {
 		}
 		blockLive := false
 		eff := db.p.FirstTimestamp // record i's effective timestamp, carried along the scan
-		for i, r := range db.p.Records {
+		var r blockfmt.RecordView
+		for i := range db.p.Len() {
+			db.p.Record(i, &r)
 			eff = db.p.EffectiveFrom(i, i-1, eff)
 			if r.Continued {
 				continue
@@ -299,11 +301,11 @@ func (s *Service) collectLive(from, to int) ([]liveEntry, int, error) {
 					continue // orphan from an aborted compaction
 				}
 			}
-			ids := append([]uint16{r.LogID}, r.ExtraIDs...)
+			ids := r.ExtraIDs.Append([]uint16{r.LogID})
 			if !s.anyLive(ids) {
 				continue
 			}
-			data, aerr := s.assemble(g, i, db.p)
+			data, aerr := s.assemble(g, i, &db.p)
 			if aerr != nil {
 				continue // torn or lost: nothing to preserve
 			}

@@ -344,10 +344,10 @@ func runCursorRuns(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		here := false
-		for _, sl := range db.emap {
+		for _, sl := range db.entrymaps() {
 			v := sl.v
 			if sl.fragmented {
-				data, err := s.assemble(b, sl.rec, db.p)
+				data, err := s.assemble(b, sl.rec, &db.p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,7 +34,8 @@ type Entry struct {
 	Block int
 	Index int
 	// ExtraIDs lists additional member log files for multi-membership
-	// entries (§2.1); nil for ordinary entries.
+	// entries (§2.1), in a slice of the entry's own; nil for ordinary
+	// entries.
 	ExtraIDs []uint16
 	// Shard is the shard the entry was read from when the service is one
 	// partition of a sharded store; always 0 for a standalone service.
@@ -64,20 +65,22 @@ func (e *Entry) MemberOf(id uint16) bool {
 // allocated. An entry whose chain cannot be completed is ErrLost.
 func DecodeEntry(p *blockfmt.Parsed, block, idx int, fetch func(global int) (*blockfmt.Parsed, error)) (Entry, error) {
 	var e Entry
-	err := decodeEntry(p, block, idx, nil, fetch, nil, &e)
+	if idx < 0 || idx >= p.Len() {
+		return e, fmt.Errorf("clio: no record %d in block %d", idx, block)
+	}
+	var r blockfmt.RecordView
+	p.Record(idx, &r)
+	err := decodeEntry(p, &r, block, idx, nil, fetch, nil, &e)
 	return e, err
 }
 
-// decodeEntry is DecodeEntry into e, taking the entry's timestamp from eff,
-// which may be nil. Every field of e is set, so a cursor decodes each entry
-// into the same scratch Entry; on failure e is left as it was. A fragmented
-// entry's data is joined in *frag's storage when frag is not nil, and *frag
-// keeps what it grew to; otherwise in an allocation of its own.
-func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(global int) (*blockfmt.Parsed, error), frag *[]byte, e *Entry) error {
-	if idx < 0 || idx >= len(p.Records) {
-		return fmt.Errorf("clio: no record %d in block %d", idx, block)
-	}
-	r := &p.Records[idx]
+// decodeEntry is DecodeEntry into e, given r, the view of record idx, and
+// taking the entry's timestamp from eff, which may be nil. Every field of e
+// is set, so a cursor decodes each entry into the same scratch Entry; on
+// failure e is left as it was. A fragmented entry's data is joined in
+// *frag's storage when frag is not nil, and *frag keeps what it grew to;
+// otherwise in an allocation of its own.
+func decodeEntry(p *blockfmt.Parsed, r *blockfmt.RecordView, block, idx int, eff *effMemo, fetch func(global int) (*blockfmt.Parsed, error), frag *[]byte, e *Entry) error {
 	if r.Continued {
 		return fmt.Errorf("clio: record %d of block %d is a continuation fragment", idx, block)
 	}
@@ -85,7 +88,7 @@ func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(gl
 	if frag != nil {
 		dst = *frag
 	}
-	data, err := volume.AssembleInto(dst, p, block, idx, fetch)
+	data, err := volume.AssembleInto(dst, r, block, fetch)
 	if err != nil {
 		return ErrLost
 	}
@@ -93,12 +96,12 @@ func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(gl
 		*frag = data
 	}
 	e.LogID = r.LogID
-	e.Timestamp = eff.at(p, idx)
+	e.Timestamp = eff.at(p, idx, r)
 	e.Timestamped = r.Form != blockfmt.FormMinimal
 	e.Forced = r.AttrFlags&blockfmt.AttrForced != 0
 	e.Data = data
 	e.Block, e.Index = block, idx
-	e.ExtraIDs = r.ExtraIDs
+	e.ExtraIDs = r.ExtraIDs.Append(nil) // nil, unless the entry is multi-member
 	e.Shard = 0
 	return nil
 }
@@ -107,7 +110,12 @@ func decodeEntry(p *blockfmt.Parsed, block, idx int, eff *effMemo, fetch func(gl
 // cursor passes its memo as eff; a one-off read passes nil. The entry's data
 // is the caller's to keep.
 func (s *Service) entryInto(db *decodedBlock, block, idx int, eff *effMemo, e *Entry) error {
-	return decodeEntry(db.p, block, idx, eff, s.chainBlock, nil, e)
+	if idx < 0 || idx >= db.p.Len() {
+		return fmt.Errorf("clio: no record %d in block %d", idx, block)
+	}
+	var r blockfmt.RecordView
+	db.p.Record(idx, &r)
+	return decodeEntry(&db.p, &r, block, idx, eff, s.chainBlock, nil, e)
 }
 
 // effMemo remembers the effective timestamp (§2.1) of the record a cursor
@@ -120,19 +128,25 @@ type effMemo struct {
 	ts  int64
 }
 
-// at returns the effective timestamp of p's record idx and remembers it. A
-// nil memo remembers nothing.
-func (m *effMemo) at(p *blockfmt.Parsed, idx int) int64 {
-	if m == nil {
+// at returns the effective timestamp of p's record idx, whose view is r,
+// and remembers it. A nil memo remembers nothing. A record with a timestamp
+// of its own (a view's Timestamp is nonzero only then) is its own answer,
+// with no header read again.
+func (m *effMemo) at(p *blockfmt.Parsed, idx int, r *blockfmt.RecordView) int64 {
+	ts := r.Timestamp
+	switch {
+	case ts != 0:
+	case m == nil:
 		return p.EffectiveAt(idx)
+	case m.p == p:
+		ts = p.EffectiveFrom(idx, m.idx, m.ts)
+	default:
+		ts = p.EffectiveAt(idx)
 	}
-	if m.p == p {
-		m.ts = p.EffectiveFrom(idx, m.idx, m.ts)
-	} else {
-		m.p, m.ts = p, p.EffectiveAt(idx)
+	if m != nil {
+		m.p, m.idx, m.ts = p, idx, ts
 	}
-	m.idx = idx
-	return m.ts
+	return ts
 }
 
 // Cursor iterates over the entries of a log file — in either direction, and
@@ -320,8 +334,8 @@ func (c *Cursor) matchRecord(r *blockfmt.RecordView) bool {
 	if c.match(r.LogID) {
 		return true
 	}
-	for _, ex := range r.ExtraIDs {
-		if c.match(ex) {
+	for k := range r.ExtraIDs.Len() {
+		if c.match(r.ExtraIDs.At(k)) {
 			return true
 		}
 	}
@@ -364,7 +378,7 @@ func (c *Cursor) SeekEnd() {
 	sn := c.s.snap()
 	if sn.tailGlobal >= 0 {
 		if db, err := c.decodeCached(sn.tailGlobal); err == nil {
-			c.block, c.rec = sn.tailGlobal, len(db.p.Records)
+			c.block, c.rec = sn.tailGlobal, db.p.Len()
 			return
 		}
 	}
@@ -404,7 +418,8 @@ func (c *Cursor) Own(e *Entry) {
 // The loop walks the records of each decoded block in place and decodes
 // each matching entry into one scratch Entry that it reuses: visit must not
 // keep the pointer past its return. What an unfragmented entry points to —
-// Data and ExtraIDs, slices of the immutable block image — may be kept, as
+// Data, a slice of the immutable block image, and a multi-member entry's
+// ExtraIDs, copied out of its header for that entry alone — may be kept, as
 // Next's may. The Data of an entry whose fragments cross blocks is joined in
 // the cursor's scratch, which the next fragmented entry the cursor reads
 // forward overwrites: a visitor that keeps an entry past that calls Own.
@@ -486,7 +501,7 @@ func (c *Cursor) each(f *visits) error {
 		if edge < 0 {
 			edge = sn.end()
 		}
-		if err := c.visitRecords(f, db, c.block, &c.rec, len(db.p.Records)-1, edge); err != nil || f.done {
+		if err := c.visitRecords(f, db, c.block, &c.rec, db.p.Len()-1, edge); err != nil || f.done {
 			return err
 		}
 		if c.block == sn.tailGlobal {
@@ -511,16 +526,16 @@ func (c *Cursor) each(f *visits) error {
 // fragmented entry as it fills, before the next fragment exists. A redirect
 // walk (edge < 0) reads committed copies only.
 func (c *Cursor) visitRecords(f *visits, db *decodedBlock, b int, rec *int, last, edge int) error {
-	recs := db.p.Records
+	var r blockfmt.RecordView
 	for *rec <= last {
 		i := *rec
-		r := &recs[i]
-		if r.Continued || !c.matchRecord(r) ||
+		db.p.Record(i, &r)
+		if r.Continued || !c.matchRecord(&r) ||
 			edge >= 0 && c.ids != nil && r.AttrFlags&blockfmt.AttrRelocated != 0 {
 			*rec = i + 1
 			continue
 		}
-		if err := decodeEntry(db.p, b, i, &c.eff, c.s.chainBlock, &c.frag, &c.ent); err != nil {
+		if err := decodeEntry(&db.p, &r, b, i, &c.eff, c.s.chainBlock, &c.frag, &c.ent); err != nil {
 			if edge >= 0 && c.chainOpen(db, b, i, edge) {
 				return io.EOF
 			}
@@ -542,7 +557,7 @@ func (c *Cursor) visitRecords(f *visits, db *decodedBlock, b int, rec *int, last
 // way the entry is still being appended, not lost.
 func (c *Cursor) chainOpen(db *decodedBlock, b, idx, edge int) bool {
 	brk := b
-	_, err := volume.Assemble(db.p, b, idx, func(g int) (*blockfmt.Parsed, error) {
+	_, err := volume.Assemble(&db.p, b, idx, func(g int) (*blockfmt.Parsed, error) {
 		brk = g
 		return c.s.chainBlock(g)
 	})
@@ -565,7 +580,7 @@ func (c *Cursor) redirEach(f *visits) error {
 			rd.advance(r)
 			continue
 		}
-		last := len(db.p.Records) - 1
+		last := db.p.Len() - 1
 		if rd.rb == r.EndBlock && r.EndRec < last {
 			last = r.EndRec
 		}
@@ -694,14 +709,15 @@ func (c *Cursor) prev() (*Entry, error) {
 			}
 			continue
 		}
-		parsed := db.p
+		parsed := &db.p
 		// SeekPos takes any rec: one past the block's records is the gap
 		// after its last.
-		c.rec = min(c.rec, len(parsed.Records))
+		c.rec = min(c.rec, parsed.Len())
+		var r blockfmt.RecordView
 		for c.rec > 0 {
 			i := c.rec - 1
 			c.rec--
-			r := parsed.Records[i]
+			parsed.Record(i, &r)
 			if r.Continued || !c.matchRecord(&r) {
 				continue
 			}
@@ -735,7 +751,7 @@ func (c *Cursor) redirPrev() (*Entry, error) {
 			continue
 		}
 		if rd.rr < 0 {
-			rd.rr = len(db.p.Records)
+			rd.rr = db.p.Len()
 			if rd.rb == r.EndBlock && r.EndRec+1 < rd.rr {
 				rd.rr = r.EndRec + 1
 			}
@@ -744,10 +760,11 @@ func (c *Cursor) redirPrev() (*Entry, error) {
 		if rd.rb == r.StartBlock {
 			first = r.StartRec
 		}
+		var rec blockfmt.RecordView
 		for rd.rr > first {
 			i := rd.rr - 1
 			rd.rr--
-			rec := db.p.Records[i]
+			db.p.Record(i, &rec)
 			if rec.Continued || !c.matchRecord(&rec) {
 				continue
 			}
@@ -803,7 +820,7 @@ func (c *Cursor) retreatBlock() error {
 		}
 	}
 	if db, err := c.decodeCached(prev); err == nil {
-		c.rec = len(db.p.Records)
+		c.rec = db.p.Len()
 	} else {
 		c.rec = 0
 	}
@@ -813,7 +830,10 @@ func (c *Cursor) retreatBlock() error {
 // SeekTime positions the cursor so that the following Next returns the
 // first matching entry whose effective timestamp is >= ts (and Prev returns
 // the last matching entry before that point). The block is located with the
-// entrymap-landmark timestamp search of §2.1.
+// entrymap-landmark timestamp search of §2.1. A selective cursor asks the
+// entrymap before it decodes that block: its scan starts at the first block
+// from there on that holds one of its logs, through the forward loop's own
+// step, so a landmark block holding none of them is not decoded.
 func (c *Cursor) SeekTime(ts int64) error {
 	c.s.cursorSteps.Add(1)
 	// The last block dated before ts; the subtraction saturates, so a ts at
@@ -827,44 +847,38 @@ func (c *Cursor) SeekTime(ts int64) error {
 		return nil
 	}
 	// Scan forward from the located block for the first entry at/after ts,
-	// leaving the cursor where it stood after the entry before it.
+	// and leave the gap just before it.
 	c.block, c.rec = b, 0
 	c.redir = nil
 	c.run = entrymap.Run{}
-	pos := c.savePos()
+	if c.ids != nil && !c.linear {
+		c.block = b - 1
+		sn := c.s.snap()
+		if err := c.advanceBlock(sn.end(), sn.tailGlobal); err != nil {
+			return err
+		}
+	}
 	found := false
 	f := visits{max: math.MaxInt, visit: func(e *Entry) bool {
-		if found = e.Timestamp >= ts; !found {
-			pos = c.savePos()
-		}
+		found = e.Timestamp >= ts
 		return !found
 	}}
-	if err := c.each(&f); found {
-		c.restorePos(pos)
-	} else if err != io.EOF {
+	err = c.each(&f)
+	if found {
+		// The loop stopped with the gap just past the entry: step it back.
+		// Inside a compacted volume's copies the gap is the redirect walk's,
+		// so that Prev goes on from there, not from the volume's end.
+		if c.redir != nil {
+			c.redir.rr--
+		} else {
+			c.rec--
+		}
+		return nil
+	}
+	if err != io.EOF {
 		return err
 	}
 	return nil // at EOF the gap is at the end: everything is before ts
-}
-
-// cursorPos captures a cursor's full position — gap plus any in-progress
-// redirect walk — so a scan can rewind exactly one step.
-type cursorPos struct {
-	block, rec int
-	redir      *redirState
-}
-
-func (c *Cursor) savePos() cursorPos {
-	p := cursorPos{block: c.block, rec: c.rec}
-	if c.redir != nil {
-		rd := *c.redir
-		p.redir = &rd
-	}
-	return p
-}
-
-func (c *Cursor) restorePos(p cursorPos) {
-	c.block, c.rec, c.redir = p.block, p.rec, p.redir
 }
 
 // SeekPos restores a cursor to a previously observed gap position, so a

@@ -270,7 +270,11 @@ func (s *Service) restoreTail() error {
 		// A torn NVRAM image: discard; the unsynced tail entries are lost.
 		return nv.Clear()
 	}
-	if n := len(parsed.Records); n > 0 && parsed.Records[n-1].Continues {
+	var r blockfmt.RecordView
+	if n := parsed.Len(); n > 0 {
+		parsed.Record(n-1, &r)
+	}
+	if r.Continues {
 		// The image ends mid-chain, which a consistent staging never does:
 		// treat as torn.
 		return nv.Clear()
@@ -284,7 +288,8 @@ func (s *Service) restoreTail() error {
 	}
 	b.SetFlags(parsed.Flags)
 	s.clearTailIDsLocked()
-	for _, r := range parsed.Records {
+	for i := range parsed.Len() {
+		parsed.Record(i, &r)
 		rec := blockfmt.Record{
 			LogID:     r.LogID,
 			Form:      r.Form,
@@ -293,14 +298,14 @@ func (s *Service) restoreTail() error {
 			Continued: r.Continued,
 			Continues: r.Continues,
 			Data:      r.Data,
-			ExtraIDs:  r.ExtraIDs,
+			ExtraIDs:  r.ExtraIDs.Append(nil),
 		}
 		if err := b.Append(rec); err != nil {
 			return fmt.Errorf("clio: rebuild staged tail: %w", err)
 		}
 		s.noteTailIDLocked(r.LogID)
-		for _, ex := range r.ExtraIDs {
-			s.noteTailIDLocked(ex)
+		for k := range r.ExtraIDs.Len() {
+			s.noteTailIDLocked(r.ExtraIDs.At(k))
 		}
 	}
 	s.builder = b
@@ -323,7 +328,7 @@ func (s *Service) restoreTail() error {
 		s.lastBound = bnd
 	}
 	for _, e := range due {
-		if !s.tailHasEntrymapEntry(parsed, e.Level, e.Boundary) {
+		if !s.tailHasEntrymapEntry(&parsed, e.Level, e.Boundary) {
 			s.pendingDue = append(s.pendingDue, e)
 		}
 	}
@@ -333,7 +338,9 @@ func (s *Service) restoreTail() error {
 // tailHasEntrymapEntry reports whether the staged image already contains the
 // entrymap entry for (level, boundary).
 func (s *Service) tailHasEntrymapEntry(parsed *blockfmt.Parsed, level, boundary int) bool {
-	for _, r := range parsed.Records {
+	var r blockfmt.RecordView
+	for i := range parsed.Len() {
+		parsed.Record(i, &r)
 		if r.LogID != entrymap.EntrymapID || r.Continued || r.Continues {
 			continue
 		}
@@ -367,11 +374,12 @@ func (s *Service) replayCatalogFrom(from int) error {
 	if err != nil {
 		return err
 	}
+	var r blockfmt.RecordView
 	for b >= 0 {
 		parsed, perr := s.parseBlock(b)
 		if perr == nil {
-			for i, r := range parsed.Records {
-				if r.LogID != entrymap.CatalogID || r.Continued {
+			for i := range parsed.Len() {
+				if parsed.Record(i, &r); r.LogID != entrymap.CatalogID || r.Continued {
 					continue
 				}
 				data, aerr := s.assemble(b, i, parsed)
@@ -415,11 +423,12 @@ func (s *Service) readBadBlocksFrom(from int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	var r blockfmt.RecordView
 	for b >= 0 {
 		parsed, perr := s.parseBlock(b)
 		if perr == nil {
-			for i, r := range parsed.Records {
-				if r.LogID != entrymap.BadBlockID || r.Continued {
+			for i := range parsed.Len() {
+				if parsed.Record(i, &r); r.LogID != entrymap.BadBlockID || r.Continued {
 					continue
 				}
 				data, aerr := s.assemble(b, i, parsed)
@@ -450,8 +459,11 @@ func (s *Service) restoreLastTS() {
 			continue
 		}
 		max := parsed.FirstTimestamp
-		for _, r := range parsed.Records {
-			if r.Form == blockfmt.FormFull && r.Timestamp > max {
+		var r blockfmt.RecordView
+		for i := range parsed.Len() {
+			// A view's Timestamp is set by full and multi-member headers
+			// alike, and is zero for the minimal form.
+			if parsed.Record(i, &r); r.Timestamp > max {
 				max = r.Timestamp
 			}
 		}

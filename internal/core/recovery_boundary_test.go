@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clio/internal/blockfmt"
 	"clio/internal/entrymap"
 	"clio/internal/wodev"
 )
@@ -18,8 +19,9 @@ func entrymapEntriesIn(t *testing.T, s *Service, from, to int) [][2]int {
 		if err != nil {
 			continue
 		}
-		for i, r := range parsed.Records {
-			if r.LogID != entrymap.EntrymapID || r.Continued {
+		var r blockfmt.RecordView
+		for i := range parsed.Len() {
+			if parsed.Record(i, &r); r.LogID != entrymap.EntrymapID || r.Continued {
 				continue
 			}
 			data, aerr := s.assemble(b, i, parsed)

@@ -497,3 +497,42 @@ func TestCatalogSurvivesAcrossManyLogFiles(t *testing.T) {
 		t.Errorf("Stat /b/z: %+v, %v", d, err)
 	}
 }
+
+// TestReopenClockPastMultiMemberEntry: a reopened service arms its clock
+// past every timestamp in the newest block, a multi-member entry's too, so
+// that with the wall clock behind, the next entry is still stamped after
+// the last one written.
+func TestReopenClockPastMultiMemberEntry(t *testing.T) {
+	now := int64(0)
+	clock := func() int64 { now += 1000; return now }
+	opt := Options{BlockSize: 256, Degree: 4, Now: clock}
+	dev := wodev.NewMem(wodev.MemOptions{BlockSize: opt.BlockSize, Capacity: 1 << 12})
+	s, err := New(dev, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustCreate(t, s, "/a")
+	b := mustCreate(t, s, "/b")
+	for i := 0; i < 20; i++ {
+		mustAppend(t, s, a, "padding-entry-xxxxxxxxxxxx", AppendOptions{Timestamped: true})
+	}
+	last, err := s.AppendMulti([]uint16{a, b}, []byte("multi"), AppendOptions{Timestamped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sealTail(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	now = 0 // the clock restarts behind what was written
+	s2, err := Open([]wodev.Device{dev}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if ts := mustAppend(t, s2, a, "after", AppendOptions{Timestamped: true}); ts <= last {
+		t.Fatalf("the first entry after reopening is stamped %d, at or before the multi-member entry's %d", ts, last)
+	}
+}

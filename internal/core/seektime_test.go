@@ -420,3 +420,144 @@ func TestSeekTimeSlideNeverDatesUnsealed(t *testing.T) {
 	}
 	seekEach(t, c, "/s", readAll(t, s, "/s"))
 }
+
+// checkSeekLike runs SeekTime(ts) then Next, and SeekTime(ts) then Prev, on
+// the selective cursor c and on lin, a cursor over the same logs that reads
+// every block, and requires the same entries of both.
+func checkSeekLike(t *testing.T, c, lin *Cursor, ts int64) {
+	t.Helper()
+	for _, step := range []func(*Cursor) (*Entry, error){(*Cursor).Next, (*Cursor).Prev} {
+		var got [2]*Entry
+		for i, cur := range []*Cursor{c, lin} {
+			if err := cur.SeekTime(ts); err != nil {
+				t.Fatalf("SeekTime(%d): %v", ts, err)
+			}
+			e, err := step(cur)
+			if err != nil && err != io.EOF {
+				t.Fatalf("SeekTime(%d) then a step: %v", ts, err)
+			}
+			got[i] = e
+		}
+		if (got[0] == nil) != (got[1] == nil) ||
+			got[0] != nil && (got[0].Timestamp != got[1].Timestamp || !bytes.Equal(got[0].Data, got[1].Data)) {
+			t.Fatalf("SeekTime(%d) then a step: %+v, a linear cursor %+v", ts, got[0], got[1])
+		}
+	}
+}
+
+// linearCursor opens a cursor over path that reads every block, as one whose
+// set holds the entrymap log does.
+func linearCursor(t *testing.T, s *Service, path string) *Cursor {
+	t.Helper()
+	c, err := s.OpenCursor(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.linear = true
+	return c
+}
+
+// TestSeekTimeAsksEntrymapFirst: with the cache flushed before each seek, a
+// cursor over a sparse sublog does not decode the block the time search
+// lands on when the entrymap shows none of its logs there, and every
+// SeekTime+Next and SeekTime+Prev answers as a linear cursor does.
+func TestSeekTimeAsksEntrymapFirst(t *testing.T) {
+	s, _ := newTestService(t, Options{})
+	defer s.Close()
+	dense := mustCreate(t, s, "/dense")
+	sparse := mustCreate(t, s, "/sparse")
+	for i := 0; i < 1200; i++ {
+		id := dense
+		if i%60 == 7 {
+			id = sparse
+		}
+		mustAppend(t, s, id, fmt.Sprintf("e%04d-padding", i), AppendOptions{Timestamped: i%3 == 0})
+	}
+	if err := sealTail(s); err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.OpenCursor("/sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := linearCursor(t, s, "/sparse")
+	var stamps []int64
+	for _, e := range readAll(t, s, "/dense") {
+		stamps = append(stamps, e.Timestamp, e.Timestamp+1)
+	}
+	skipped := 0
+	for _, ts := range stamps {
+		b, err := s.locFindByTime(ts - 1)
+		if err != nil || b < 0 {
+			continue
+		}
+		db, err := s.decodeBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds := false
+		var r blockfmt.RecordView
+		for i := range db.p.Len() {
+			db.p.Record(i, &r)
+			holds = holds || r.LogID == sparse
+		}
+		s.FlushCache()
+		if err := c.SeekTime(ts); err != nil {
+			t.Fatal(err)
+		}
+		if _, dec := s.blockCache().LookupDecoded(cache.Key{Block: b}); dec != nil && !holds {
+			t.Fatalf("SeekTime(%d) decoded block %d, which holds no /sparse entry", ts, b)
+		}
+		if !holds {
+			skipped++
+		}
+		checkSeekLike(t, c, lin, ts)
+	}
+	if skipped == 0 {
+		t.Fatal("no seek landed on a block without /sparse entries")
+	}
+}
+
+// TestSeekTimeAsksEntrymapFirstAcrossCompaction: a compaction relocates a
+// sparse log's entries out of the volumes it demotes, so the selective
+// cursor serves them through its redirect while the linear one reads the
+// demoted originals; every SeekTime+Next and SeekTime+Prev agrees.
+func TestSeekTimeAsksEntrymapFirstAcrossCompaction(t *testing.T) {
+	h := newColdHarness(16)
+	s := h.open(t, CompactOptions{MaxLiveFraction: 0.95, MinHotVolumes: 2})
+	defer s.Close()
+	keep := mustCreate(t, s, "/keep")
+	dead := mustCreate(t, s, "/dead")
+	fillVolumes(t, s, keep, dead, 5)
+	if err := s.Retire("/dead"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.CompactOnce(context.Background(), CompactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VolumesReloc == 0 || res.VolumesDemoted == 0 {
+		t.Fatalf("no volume relocated and demoted: %+v", res)
+	}
+	c, err := s.OpenCursor("/keep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin := linearCursor(t, s, "/keep")
+	redirected := 0
+	for _, e := range readAll(t, s, "/keep") {
+		for _, ts := range []int64{e.Timestamp - 1, e.Timestamp, e.Timestamp + 1} {
+			s.FlushCache()
+			if err := c.SeekTime(ts); err != nil {
+				t.Fatal(err)
+			}
+			if c.redir != nil {
+				redirected++
+			}
+			checkSeekLike(t, c, lin, ts)
+		}
+	}
+	if redirected == 0 {
+		t.Fatal("no seek ended inside a compacted volume's copies")
+	}
+}

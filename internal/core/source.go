@@ -55,10 +55,10 @@ func (ls *locatorSource) ViewAt(level, boundary int) (entrymap.View, bool, error
 			// push the displaced entry several blocks past its boundary).
 			continue
 		}
-		for i := range db.emap {
-			v := db.emap[i].v
-			if db.emap[i].fragmented {
-				data, aerr := s.assemble(b, db.emap[i].rec, db.p)
+		for _, sl := range db.entrymaps() {
+			v := sl.v
+			if sl.fragmented {
+				data, aerr := s.assemble(b, sl.rec, &db.p)
 				if aerr != nil {
 					continue
 				}
@@ -141,12 +141,14 @@ func (ls *locatorSource) BlockContains(block int, ids []uint16) (bool, error) {
 	if err != nil {
 		return false, nil // unreadable blocks contribute nothing
 	}
-	for _, rec := range parsed.Records {
+	var rec blockfmt.RecordView
+	for i := range parsed.Len() {
+		parsed.Record(i, &rec)
 		if _, ok := slices.BinarySearch(ids, rec.LogID); ok {
 			return true, nil
 		}
-		for _, ex := range rec.ExtraIDs {
-			if _, ok := slices.BinarySearch(ids, ex); ok {
+		for k := range rec.ExtraIDs.Len() {
+			if _, ok := slices.BinarySearch(ids, rec.ExtraIDs.At(k)); ok {
 				return true, nil
 			}
 		}
@@ -206,10 +208,12 @@ func (ls *locatorSource) BlockIDs(block int) ([]uint16, error) {
 		seen[id] = true
 		out = append(out, id)
 	}
-	for _, rec := range parsed.Records {
+	var rec blockfmt.RecordView
+	for i := range parsed.Len() {
+		parsed.Record(i, &rec)
 		note(rec.LogID)
-		for _, ex := range rec.ExtraIDs {
-			note(ex)
+		for k := range rec.ExtraIDs.Len() {
+			note(rec.ExtraIDs.At(k))
 		}
 	}
 	return out, nil
@@ -317,14 +321,27 @@ func (s *Service) readColdBlock(global int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodedBlock is one block's interpreted form: its parse plus the views of
-// its entrymap entries. For device-durable (hence immutable) blocks it is
-// attached to the block's cache entry, so a warm read decodes each block
-// once and every Entry.Data handed out is a subslice of the cache-owned
-// image — the zero-copy read path.
+// decodedBlock is one block's interpreted form: its parse — the image, the
+// footer's fields and a pointer-free index of 2 bytes a record — plus the
+// views of its entrymap entries. For device-durable (hence immutable) blocks
+// it is attached to the block's cache entry, so a warm read decodes each
+// block once and every Entry.Data handed out is a subslice of the
+// cache-owned image — the zero-copy read path. Beyond its image, a cached
+// data block's decode costs this struct (80 bytes as allocated) and its
+// record index; TestZeroCopyDecodeFootprint holds it to that.
 type decodedBlock struct {
-	p    *blockfmt.Parsed
-	emap []entrymapSlot // nil for all but the blocks entrymap entries land in
+	p blockfmt.Parsed
+	// emap is nil for all but the few blocks entrymap entries land in: a
+	// pointer, so that the others pay one word for it, not a slice header.
+	emap *[]entrymapSlot
+}
+
+// entrymaps returns the block's entrymap slots.
+func (db *decodedBlock) entrymaps() []entrymapSlot {
+	if db.emap == nil {
+		return nil
+	}
+	return *db.emap
 }
 
 // entrymapSlot is one entrymap record of a decoded block, in record order.
@@ -337,11 +354,24 @@ type entrymapSlot struct {
 	v          entrymap.View // aliases the block image; unset when fragmented
 }
 
-// entrymapSlots lists the block's decodable entrymap entries.
-func entrymapSlots(p *blockfmt.Parsed) []entrymapSlot {
-	var slots []entrymapSlot
-	for i := range p.Records {
-		rec := &p.Records[i]
+// entrymapSlots lists the block's decodable entrymap entries, or is nil
+// when it has none. The list is sized to the entrymap records counted first,
+// so a block with some costs two allocations for them, list and handle, and
+// one without costs none.
+func entrymapSlots(p *blockfmt.Parsed) *[]entrymapSlot {
+	var rec blockfmt.RecordView
+	n := 0
+	for i := range p.Len() {
+		if p.Record(i, &rec); rec.LogID == entrymap.EntrymapID && !rec.Continued {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	slots := make([]entrymapSlot, 0, n)
+	for i := range p.Len() {
+		p.Record(i, &rec)
 		if rec.LogID != entrymap.EntrymapID || rec.Continued {
 			continue
 		}
@@ -351,7 +381,7 @@ func entrymapSlots(p *blockfmt.Parsed) []entrymapSlot {
 			slots = append(slots, entrymapSlot{rec: i, v: v})
 		}
 	}
-	return slots
+	return &slots
 }
 
 // decodeBlock returns the decoded form of a global data block, reusing a
@@ -396,7 +426,9 @@ func decode(img []byte) (*decodedBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &decodedBlock{p: p, emap: entrymapSlots(p)}, nil
+	db := &decodedBlock{p: p}
+	db.emap = entrymapSlots(&db.p)
+	return db, nil
 }
 
 // parseBlock reads and decodes a global data block (lock-free, see
@@ -406,7 +438,7 @@ func (s *Service) parseBlock(global int) (*blockfmt.Parsed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.p, nil
+	return &db.p, nil
 }
 
 // assemble returns the full data of the entry whose first fragment is

@@ -165,6 +165,7 @@ func (s *scrubber) block(g int) *blockfmt.Parsed {
 func (s *scrubber) run(end int) error {
 	s.blocks = make(map[int]readResult, end)
 	r := s.report
+	var rec blockfmt.RecordView
 
 	// Pass 1: readability, timestamps, record accounting, catalog replay.
 	cat := catalog.NewTable()
@@ -190,11 +191,11 @@ func (s *scrubber) run(end int) error {
 			continue
 		}
 		r.Readable++
-		r.Entries += len(p.Records)
+		r.Entries += p.Len()
 		if int(p.BlockIndex) != g {
 			r.add(g, "bad-block", "footer says block %d", p.BlockIndex)
 		}
-		if len(p.Records) > 0 {
+		if p.Len() > 0 {
 			if p.FirstTimestamp < lastTS {
 				r.add(g, "ts-order", "first timestamp %d before predecessor's %d",
 					p.FirstTimestamp, lastTS)
@@ -203,8 +204,8 @@ func (s *scrubber) run(end int) error {
 				lastTS = p.FirstTimestamp
 			}
 		}
-		for i, rec := range p.Records {
-			if rec.LogID != entrymap.EntrymapID || rec.Continued {
+		for i := range p.Len() {
+			if p.Record(i, &rec); rec.LogID != entrymap.EntrymapID || rec.Continued {
 				continue
 			}
 			data, aerr := volume.Assemble(p, g, i, s.fetch)
@@ -221,8 +222,8 @@ func (s *scrubber) run(end int) error {
 				e     *entrymap.Entry
 			}{g, e})
 		}
-		for i, rec := range p.Records {
-			if rec.LogID != entrymap.CatalogID || rec.Continued {
+		for i := range p.Len() {
+			if p.Record(i, &rec); rec.LogID != entrymap.CatalogID || rec.Continued {
 				continue
 			}
 			data, aerr := volume.Assemble(p, g, i, s.fetch)
@@ -266,10 +267,11 @@ func (s *scrubber) run(end int) error {
 			seen[id] = true
 			occurrences[id] = append(occurrences[id], g)
 		}
-		for _, rec := range p.Records {
+		for i := range p.Len() {
+			p.Record(i, &rec)
 			note(rec.LogID)
-			for _, ex := range rec.ExtraIDs {
-				note(ex)
+			for k := range rec.ExtraIDs.Len() {
+				note(rec.ExtraIDs.At(k))
 			}
 		}
 	}
@@ -288,8 +290,9 @@ func (s *scrubber) run(end int) error {
 		if p == nil {
 			continue
 		}
-		for _, rec := range p.Records {
-			for _, id := range append([]uint16{rec.LogID}, rec.ExtraIDs...) {
+		for i := range p.Len() {
+			p.Record(i, &rec)
+			for _, id := range rec.ExtraIDs.Append([]uint16{rec.LogID}) {
 				u, ok := usage[id]
 				if !ok {
 					u = &LogUsage{ID: id}
@@ -384,6 +387,7 @@ func (s *scrubber) checkEntrymap(atBlock int, e *entrymap.Entry, occ map[uint16]
 
 // checkChains verifies fragment-chain structure block by block.
 func (s *scrubber) checkChains(end int) {
+	var rec blockfmt.RecordView
 	// A continuation is legal at the start of block b only if some record
 	// in a previous readable block continues into it, and only as the
 	// fragment that chain expects next.
@@ -405,7 +409,8 @@ func (s *scrubber) checkChains(end int) {
 			continue
 		}
 		seenCont := map[uint16]bool{}
-		for _, rec := range p.Records {
+		for i := range p.Len() {
+			p.Record(i, &rec)
 			if !rec.Continued {
 				continue
 			}
@@ -436,8 +441,8 @@ func (s *scrubber) checkChains(end int) {
 			}
 		}
 		// Open new chains.
-		for _, rec := range p.Records {
-			if rec.Continues && !rec.Continued {
+		for i := range p.Len() {
+			if p.Record(i, &rec); rec.Continues && !rec.Continued {
 				expect[rec.LogID] = 1
 			}
 		}

@@ -90,8 +90,9 @@ func (h *eachHarness) invalidateMiddle(shard, from int) int {
 			if err != nil {
 				continue
 			}
-			for _, r := range p.Records {
-				if r.Continued && r.Continues {
+			var r blockfmt.RecordView
+			for i := range p.Len() {
+				if p.Record(i, &r); r.Continued && r.Continues {
 					if err := v.Dev.Invalidate(v.DeviceBlock(g - start)); err != nil {
 						return -1
 					}

@@ -26,7 +26,11 @@ func (s *Set) ReadBlock(global int) (*blockfmt.Parsed, error) {
 	if !blockfmt.Validate(buf) {
 		return nil, wodev.ErrCorrupt
 	}
-	return blockfmt.Parse(buf)
+	p, err := blockfmt.Parse(buf)
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
 }
 
 // Assemble returns the full client data of the entry whose first fragment is
@@ -56,18 +60,21 @@ func (s *Set) ReadBlock(global int) (*blockfmt.Parsed, error) {
 // from, and where the readable history ends. It must fail with something
 // other than wodev.ErrInvalidated past that end.
 func Assemble(first *blockfmt.Parsed, global, idx int, fetch func(global int) (*blockfmt.Parsed, error)) ([]byte, error) {
-	return AssembleInto(nil, first, global, idx, fetch)
+	var rec blockfmt.RecordView
+	first.Record(idx, &rec)
+	return AssembleInto(nil, &rec, global, fetch)
 }
 
-// AssembleInto is Assemble joining a fragmented entry's data in dst's
-// storage, which it grows as needed, rather than in a new allocation; the
-// data of an unfragmented entry is still the record's own.
-func AssembleInto(dst []byte, first *blockfmt.Parsed, global, idx int, fetch func(global int) (*blockfmt.Parsed, error)) ([]byte, error) {
-	rec := &first.Records[idx]
+// AssembleInto is Assemble given rec, the view of the entry's first
+// fragment, joining a fragmented entry's data in dst's storage, which it
+// grows as needed, rather than in a new allocation; the data of an
+// unfragmented entry is still the record's own.
+func AssembleInto(dst []byte, rec *blockfmt.RecordView, global int, fetch func(global int) (*blockfmt.Parsed, error)) ([]byte, error) {
 	if !rec.Continues {
 		return rec.Data, nil
 	}
 	out := append(dst[:0], rec.Data...)
+	var next blockfmt.RecordView
 	k := 0 // the fragment last appended to out
 	for b := global + 1; ; b++ {
 		p, err := fetch(b)
@@ -77,8 +84,7 @@ func AssembleInto(dst []byte, first *blockfmt.Parsed, global, idx int, fetch fun
 		if err != nil {
 			return nil, ErrChainLost
 		}
-		next := continuation(p, rec.LogID)
-		if next == nil {
+		if !continuation(p, rec.LogID, &next) {
 			return nil, ErrChainLost
 		}
 		if k++; !InSequence(p, k) {
@@ -98,12 +104,13 @@ func InSequence(p *blockfmt.Parsed, k int) bool {
 	return tag == 0 || tag == blockfmt.FragmentFlags(k)
 }
 
-// continuation returns the block's first Continued record for the id.
-func continuation(p *blockfmt.Parsed, id uint16) *blockfmt.RecordView {
-	for i := range p.Records {
-		if r := &p.Records[i]; r.LogID == id && r.Continued {
-			return r
+// continuation fills r with the block's first Continued record for the id,
+// and reports whether it has one.
+func continuation(p *blockfmt.Parsed, id uint16, r *blockfmt.RecordView) bool {
+	for i := range p.Len() {
+		if p.Record(i, r); r.LogID == id && r.Continued {
+			return true
 		}
 	}
-	return nil
+	return false
 }

@@ -144,10 +144,12 @@ func ReadHeader(dev wodev.Device) (*Header, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoHeader, err)
 	}
-	if p.Flags&blockfmt.FlagVolumeHeader == 0 || len(p.Records) == 0 {
+	if p.Flags&blockfmt.FlagVolumeHeader == 0 || p.Len() == 0 {
 		return nil, ErrNoHeader
 	}
-	h, err := decodeHeader(p.Records[0].Data)
+	var rec blockfmt.RecordView
+	p.Record(0, &rec)
+	h, err := decodeHeader(rec.Data)
 	if err != nil {
 		return nil, err
 	}
